@@ -84,6 +84,15 @@ struct Opt {
     out: String,
 }
 
+/// Connect to the daemon with Nagle's algorithm off: a frame goes out as a
+/// header write and a payload write, and the second must not wait for the
+/// server's delayed ACK of the first.
+fn connect(addr: &str) -> std::io::Result<TcpStream> {
+    let conn = TcpStream::connect(addr)?;
+    conn.set_nodelay(true)?;
+    Ok(conn)
+}
+
 fn die(msg: &str) -> ! {
     eprintln!("serve_load: {msg}");
     std::process::exit(2);
@@ -222,7 +231,7 @@ fn jittered_backoff(base_ms: u64, attempt: u32, salt: u64) -> Duration {
 /// Poll `Health` until the daemon reports a full, accepting worker pool.
 fn probe_until_ready(o: &Opt) {
     for attempt in 0..40u32 {
-        let ready = TcpStream::connect(&o.addr)
+        let ready = connect(&o.addr)
             .ok()
             .and_then(|mut c| call(&mut c, &Request::Health, DEFAULT_MAX_FRAME).ok())
             .is_some_and(|r| matches!(r, Response::Health(h) if h.ready()));
@@ -311,7 +320,7 @@ fn main() {
                 (&o, &params, &tally, &latencies_ms, &reconnect_ms, &next_job);
             let priority_ms = &priority_ms;
             scope.spawn(move || {
-                let mut conn = match TcpStream::connect(&o.addr) {
+                let mut conn = match connect(&o.addr) {
                     Ok(c) => c,
                     Err(e) => die(&format!("connect {}: {e}", o.addr)),
                 };
@@ -473,7 +482,7 @@ fn main() {
                                     o.seed ^ j,
                                 ));
                                 let c0 = Instant::now();
-                                match TcpStream::connect(&o.addr) {
+                                match connect(&o.addr) {
                                     Ok(c) => {
                                         reconnect_ms
                                             .lock()
@@ -508,7 +517,7 @@ fn main() {
     let wall_s = wall.elapsed().as_secs_f64();
 
     // Pull the server's own view of the run.
-    let server_metrics = TcpStream::connect(&o.addr)
+    let server_metrics = connect(&o.addr)
         .ok()
         .and_then(|mut c| call(&mut c, &Request::Metrics, DEFAULT_MAX_FRAME).ok())
         .and_then(|r| match r {
@@ -521,7 +530,7 @@ fn main() {
 
     // Queue-wait vs. encode split of the last finished job's trace.
     let trace_section = if o.trace {
-        let split = TcpStream::connect(&o.addr)
+        let split = connect(&o.addr)
             .ok()
             .and_then(|mut c| call(&mut c, &Request::Trace(0), DEFAULT_MAX_FRAME).ok())
             .and_then(|r| match r {

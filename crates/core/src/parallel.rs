@@ -796,6 +796,7 @@ pub(crate) fn transform_samples_parallel_ctl(
                 let counts = asg.run("quantize", |j| unsafe {
                     let (x0, cw) = (j.region.x0, j.region.w);
                     let mut rows = out[j.comp].rows(j.region);
+                    let mut q13_row: Vec<f32> = Vec::new();
                     for (bi, b) in bands.iter().enumerate() {
                         let lo = b.x0.max(x0);
                         let hi = (b.x0 + b.w).min(x0 + cw);
@@ -806,8 +807,10 @@ pub(crate) fn transform_samples_parallel_ctl(
                         for y in b.y0..b.y0 + b.h {
                             let dst = &mut rows.row_mut(y)[lo - x0..hi - x0];
                             if fixed {
-                                let s = q13[j.comp].row(y);
-                                crate::kernels::quantize_q13_row(&s[lo..hi], dst, d);
+                                let s = &q13[j.comp].row(y)[lo..hi];
+                                q13_row.clear();
+                                q13_row.extend(s.iter().map(|&v| v as f32 / 8192.0));
+                                crate::kernels::quantize_row(&q13_row, dst, d);
                             } else {
                                 let s = fp[j.comp].row(y);
                                 crate::kernels::quantize_row(&s[lo..hi], dst, d);

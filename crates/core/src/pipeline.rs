@@ -997,7 +997,7 @@ mod tests {
                 bytes.len()
             );
             let back = decode(&bytes).unwrap();
-            let p = imgio::psnr(&im, &back).unwrap();
+            let p = j2k_metrics::psnr(&im, &back).unwrap();
             assert!(p > 24.0, "rate {rate}: psnr {p}");
         }
     }
@@ -1009,7 +1009,7 @@ mod tests {
         for rate in [0.05, 0.15, 0.5] {
             let bytes = encode(&im, &EncoderParams::lossy(rate)).unwrap();
             let back = decode(&bytes).unwrap();
-            let p = imgio::psnr(&im, &back).unwrap();
+            let p = j2k_metrics::psnr(&im, &back).unwrap();
             assert!(p >= prev - 0.2, "rate {rate}: {p} < {prev}");
             prev = p;
         }
@@ -1024,7 +1024,7 @@ mod tests {
         };
         let bytes = encode(&im, &params).unwrap();
         let back = decode(&bytes).unwrap();
-        let p = imgio::psnr(&im, &back).unwrap();
+        let p = j2k_metrics::psnr(&im, &back).unwrap();
         assert!(p > 25.0, "fixed-point psnr {p}");
     }
 
@@ -1038,7 +1038,7 @@ mod tests {
         };
         let f = decode(&encode(&im, &pf).unwrap()).unwrap();
         let q = decode(&encode(&im, &pq).unwrap()).unwrap();
-        let p = imgio::psnr(&f, &q).unwrap();
+        let p = j2k_metrics::psnr(&f, &q).unwrap();
         assert!(p > 35.0, "float-vs-fixed psnr {p}");
     }
 
@@ -1053,7 +1053,7 @@ mod tests {
         let mut prev = 0.0f64;
         for l in 1..=4 {
             let partial = decode_layers(&bytes, l).unwrap();
-            let p = imgio::psnr(&im, &partial).unwrap();
+            let p = j2k_metrics::psnr(&im, &partial).unwrap();
             assert!(p >= prev - 0.01, "layer {l}: {p} < {prev}");
             prev = p;
         }
@@ -1164,7 +1164,7 @@ mod tests {
                 }
             }
         }
-        let p = imgio::psnr(&ds, &half).unwrap();
+        let p = j2k_metrics::psnr(&ds, &half).unwrap();
         assert!(p > 20.0, "half-res vs box-downscale PSNR {p}");
     }
 
@@ -1197,7 +1197,7 @@ mod tests {
         };
         let bytes = encode(&im, &params).unwrap();
         let back = decode(&bytes).unwrap();
-        assert!(imgio::psnr(&im, &back).unwrap() > 25.0);
+        assert!(j2k_metrics::psnr(&im, &back).unwrap() > 25.0);
     }
 
     #[test]

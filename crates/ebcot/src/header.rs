@@ -149,7 +149,7 @@ pub fn encode_packet(st: &mut PrecinctState, layer: u32, contribs: &[Contributio
     let nonempty = contribs.iter().any(|c| c.num_passes > 0);
     out.put(u8::from(nonempty));
     if !nonempty {
-        return out.finish();
+        return out.finish_header();
     }
     for y in 0..st.cbh {
         for x in 0..st.cbw {
@@ -194,7 +194,7 @@ pub fn encode_packet(st: &mut PrecinctState, layer: u32, contribs: &[Contributio
             st.passes_done[i] += c.num_passes;
         }
     }
-    out.finish()
+    out.finish_header()
 }
 
 /// Decode one packet header; the mirror of [`encode_packet`]. Returns the
@@ -207,7 +207,7 @@ pub fn decode_packet(
     let mut inp = RawDecoder::new(header);
     let mut out = vec![Contribution::default(); st.cbw * st.cbh];
     if inp.get() == 0 {
-        return Ok((out, inp.bytes_consumed()));
+        return Ok((out, inp.header_len()));
     }
     for y in 0..st.cbh {
         for x in 0..st.cbw {
@@ -245,8 +245,7 @@ pub fn decode_packet(
             st.passes_done[i] += np;
         }
     }
-    let consumed = inp.bytes_consumed();
-    Ok((out, consumed))
+    Ok((out, inp.header_len()))
 }
 
 #[cfg(test)]
@@ -356,6 +355,37 @@ mod tests {
                 assert_eq!(got[1].zero_planes, 3);
             }
         }
+    }
+
+    #[test]
+    fn header_ending_in_ff_roundtrips_before_a_body() {
+        // Some pass lengths end the header on a 0xFF byte. It must be kept
+        // and followed by the stuffed 0x00, and the decoder must count both,
+        // so the body that follows starts where the encoder put it.
+        let mut stuffed = 0;
+        for len in 1..4096usize {
+            let mut enc = PrecinctState::new(1, 1);
+            enc.set_encoder_values(&[0], &[0]);
+            let c = contribution(1, &[len]);
+            let hdr = encode_packet(&mut enc, 0, std::slice::from_ref(&c));
+            assert_ne!(hdr.last(), Some(&0xFF), "len={len}");
+            if !hdr.ends_with(&[0xFF, 0x00]) {
+                continue;
+            }
+            // The 0x00 carries no header bits when the header parses the
+            // same without it.
+            let mut probe = PrecinctState::new(1, 1);
+            let without = decode_packet(&mut probe, 0, &hdr[..hdr.len() - 1]).unwrap();
+            stuffed += usize::from(without.1 == hdr.len());
+
+            let mut packet = hdr.clone();
+            packet.resize(hdr.len() + len, 0xA5);
+            let mut dec = PrecinctState::new(1, 1);
+            let (got, used) = decode_packet(&mut dec, 0, &packet).unwrap();
+            assert_eq!(used, hdr.len(), "len={len}");
+            assert_eq!(got[0].pass_lens, vec![len], "len={len}");
+        }
+        assert!(stuffed > 0, "no pass length ended a header in 0xFF");
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Image I/O, synthetic workloads, and quality metrics.
+//! Image I/O and synthetic workloads.
 //!
 //! The paper's test input is a 28.3 MB BMP photograph
 //! (`waltham_dial.bmp`, 3072x3072 RGB) that is no longer retrievable. The
@@ -9,11 +9,8 @@
 //! PNM readers/writers round out the I/O surface.
 
 pub mod bmp;
-pub mod metrics;
 pub mod pnm;
 pub mod synth;
-
-pub use metrics::{mse, psnr};
 
 /// A simple planar image: one dense row-major `u16` plane per component.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -47,17 +47,36 @@ impl RawEncoder {
         self.used = 0;
     }
 
-    /// Pad the final partial byte with 1-bits? No — the standard pads raw
-    /// segments with 0s to the byte boundary; a terminal 0xFF is dropped.
+    /// Terminate a bypass segment: pad the final partial byte with 0s to
+    /// the byte boundary and drop a terminal 0xFF (the decoder reads 1s past
+    /// the end of a segment, so the byte carries nothing).
     pub fn finish(mut self) -> Vec<u8> {
-        if self.used > 0 {
-            self.byte <<= self.cap - self.used;
-            self.flush_byte();
-        }
+        self.pad_last_byte();
         if let Some(&0xFF) = self.out.last() {
             self.out.pop();
         }
         self.out
+    }
+
+    /// Terminate a packet header (T.800 B.10.1): pad like [`finish`], but a
+    /// terminal 0xFF is kept and followed by its stuffed `0x00` byte. The
+    /// packet body comes right after the header, so a dropped 0xFF would
+    /// shift where the decoder finds it.
+    ///
+    /// [`finish`]: RawEncoder::finish
+    pub fn finish_header(mut self) -> Vec<u8> {
+        self.pad_last_byte();
+        if let Some(&0xFF) = self.out.last() {
+            self.out.push(0);
+        }
+        self.out
+    }
+
+    fn pad_last_byte(&mut self) {
+        if self.used > 0 {
+            self.byte <<= self.cap - self.used;
+            self.flush_byte();
+        }
     }
 
     /// Bytes emitted so far (excluding the partial byte).
@@ -88,10 +107,11 @@ impl<'a> RawDecoder<'a> {
         }
     }
 
-    /// Bytes consumed so far (including the partially read byte). Packet
-    /// header parsing uses this to find the byte-aligned end of a header.
-    pub fn bytes_consumed(&self) -> usize {
-        self.pos
+    /// Length of a packet header whose last bit was just read: the bytes
+    /// consumed plus, after a terminal 0xFF, the stuffed byte that
+    /// [`RawEncoder::finish_header`] appends.
+    pub fn header_len(&self) -> usize {
+        self.pos + usize::from(self.prev_ff)
     }
 
     /// Read one bit.
@@ -161,5 +181,31 @@ mod tests {
     #[test]
     fn empty_is_empty() {
         assert!(RawEncoder::new().finish().is_empty());
+        assert!(RawEncoder::new().finish_header().is_empty());
+    }
+
+    #[test]
+    fn header_keeps_terminal_ff_and_its_stuffed_byte() {
+        // Eight 1-bits fill one 0xFF byte; a bypass segment drops it, a
+        // header keeps it and appends the stuffed zero byte.
+        let ones = || {
+            let mut enc = RawEncoder::new();
+            for _ in 0..8 {
+                enc.put(1);
+            }
+            enc
+        };
+        assert!(ones().finish().is_empty());
+        let hdr = ones().finish_header();
+        assert_eq!(hdr, [0xFF, 0x00]);
+
+        // Followed by a body, the reader finds the header's end exactly.
+        let mut packet = hdr.clone();
+        packet.extend_from_slice(&[0x12, 0x34]);
+        let mut dec = RawDecoder::new(&packet);
+        for i in 0..8 {
+            assert_eq!(dec.get(), 1, "bit {i}");
+        }
+        assert_eq!(dec.header_len(), hdr.len());
     }
 }

@@ -75,6 +75,10 @@ pub fn serve(
         // a deadline, so a stalled peer cannot pin the accept loop.
         let _ = stream.set_read_timeout(cfg.io_timeout);
         let _ = stream.set_write_timeout(cfg.io_timeout);
+        // A reply frame is a header write then a payload write; with Nagle
+        // on, the payload of a short reply waits for the client's delayed
+        // ACK of the header (~40 ms per round trip).
+        let _ = stream.set_nodelay(true);
         if service.pressure_level() == PressureLevel::Critical {
             service.conn_rejected();
             let _ = write_frame(

@@ -82,6 +82,33 @@ fn tcp_encode_roundtrip_is_byte_identical_and_shutdown_works() {
     server.join().unwrap();
 }
 
+/// A reply frame is two writes, header then payload. Without TCP_NODELAY
+/// on the server's socket the payload of a short reply waits for the
+/// client's delayed ACK of the header, about 40 ms per round trip.
+#[test]
+fn ping_round_trips_do_not_wait_for_delayed_acks() {
+    let (addr, server) = start_server(ServiceConfig::default());
+    let mut conn = TcpStream::connect(addr).unwrap();
+    // The client writes its frames in two parts as well; take it out of
+    // the measurement so only the server's socket is under test.
+    conn.set_nodelay(true).unwrap();
+    let mut ms: Vec<f64> = (0..21)
+        .map(|_| {
+            let t = std::time::Instant::now();
+            let reply = call(&mut conn, &Request::Ping, DEFAULT_MAX_FRAME).unwrap();
+            assert_eq!(reply, Response::Pong);
+            t.elapsed().as_secs_f64() * 1e3
+        })
+        .collect();
+    ms.sort_by(f64::total_cmp);
+    assert!(ms[10] < 10.0, "median Ping round trip {:.2} ms", ms[10]);
+    assert_eq!(
+        call(&mut conn, &Request::Shutdown, DEFAULT_MAX_FRAME).unwrap(),
+        Response::Pong
+    );
+    server.join().unwrap();
+}
+
 #[test]
 fn tcp_decode_closes_the_loop() {
     let (addr, server) = start_server(ServiceConfig::default());
@@ -228,6 +255,10 @@ fn slow_loris_connection_is_deadlined_and_server_stays_responsive() {
         Ok(n) => panic!("stalled peer unexpectedly got {n} bytes back"),
     }
 
+    // The server still answers once the loris is gone. Ask on a fresh
+    // connection: `conn` has sat idle past the same 100 ms deadline, so the
+    // server may have closed it as well.
+    let mut conn = TcpStream::connect(addr).unwrap();
     assert_eq!(
         call(&mut conn, &Request::Shutdown, DEFAULT_MAX_FRAME).unwrap(),
         Response::Pong

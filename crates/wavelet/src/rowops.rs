@@ -1,4 +1,4 @@
-//! Whole-row SIMD-friendly primitives for the vertical filter.
+//! Whole-row primitives for the lifting filters.
 //!
 //! The vertical filter processes all columns of a column group in lockstep;
 //! each lifting step is an elementwise operation over three rows. These
@@ -226,249 +226,159 @@ impl<'a, T: Copy + Default> SharedPlane<'a, T> {
     }
 }
 
-/// Always-compiled scalar reference kernels. The dispatching wrappers below
-/// route here when [`crate::dispatch::active`] selects
-/// [`crate::dispatch::Backend::Scalar`] (or on targets without explicit
-/// SIMD); the differential test layer runs both backends through the same
-/// wrappers and asserts byte-identical results.
-pub mod scalar {
-    /// `dst -= (a + b) >> 1` elementwise (5/3 predict).
-    #[inline]
-    pub fn predict53(dst: &mut [i32], a: &[i32], b: &[i32]) {
-        for ((d, &x), &y) in dst.iter_mut().zip(a).zip(b) {
-            *d -= (x + y) >> 1;
-        }
-    }
+// ---------------------------------------------------------------------------
+// Row kernels
+// ---------------------------------------------------------------------------
 
-    /// `dst += (a + b) >> 1` elementwise (5/3 predict undo).
-    #[inline]
-    pub fn unpredict53(dst: &mut [i32], a: &[i32], b: &[i32]) {
-        for ((d, &x), &y) in dst.iter_mut().zip(a).zip(b) {
-            *d += (x + y) >> 1;
-        }
-    }
-
-    /// `dst += (a + b + 2) >> 2` elementwise (5/3 update).
-    #[inline]
-    pub fn update53(dst: &mut [i32], a: &[i32], b: &[i32]) {
-        for ((d, &x), &y) in dst.iter_mut().zip(a).zip(b) {
-            *d += (x + y + 2) >> 2;
-        }
-    }
-
-    /// `dst -= (a + b + 2) >> 2` elementwise (5/3 update undo).
-    #[inline]
-    pub fn unupdate53(dst: &mut [i32], a: &[i32], b: &[i32]) {
-        for ((d, &x), &y) in dst.iter_mut().zip(a).zip(b) {
-            *d -= (x + y + 2) >> 2;
-        }
-    }
-
-    /// `out = center - ((a + b) >> 1)` elementwise.
-    #[inline]
-    pub fn predict53_into(out: &mut [i32], center: &[i32], a: &[i32], b: &[i32]) {
-        for i in 0..out.len() {
-            out[i] = center[i] - ((a[i] + b[i]) >> 1);
-        }
-    }
-
-    /// `out = center + ((a + b + 2) >> 2)` elementwise.
-    #[inline]
-    pub fn update53_into(out: &mut [i32], center: &[i32], a: &[i32], b: &[i32]) {
-        for i in 0..out.len() {
-            out[i] = center[i] + ((a[i] + b[i] + 2) >> 2);
-        }
-    }
-
-    /// `dst += c * (a + b)` elementwise (9/7 lifting step).
-    #[inline]
-    pub fn lift_f32(dst: &mut [f32], a: &[f32], b: &[f32], c: f32) {
-        for ((d, &x), &y) in dst.iter_mut().zip(a).zip(b) {
-            *d += c * (x + y);
-        }
-    }
-
-    /// `out = center + c * (a + b)` elementwise.
-    #[inline]
-    pub fn lift_f32_into(out: &mut [f32], center: &[f32], a: &[f32], b: &[f32], c: f32) {
-        for i in 0..out.len() {
-            out[i] = center[i] + c * (a[i] + b[i]);
-        }
-    }
-
-    /// `dst *= k` elementwise.
-    #[inline]
-    pub fn scale_f32(dst: &mut [f32], k: f32) {
-        for d in dst {
-            *d *= k;
-        }
-    }
-
-    /// `dst += (c * (a + b)) >> 13` elementwise (Q13 lifting step).
-    #[inline]
-    pub fn lift_q13(dst: &mut [i32], a: &[i32], b: &[i32], c: i32) {
-        for ((d, &x), &y) in dst.iter_mut().zip(a).zip(b) {
-            *d += crate::fixed::fix_mul(c, x.wrapping_add(y));
-        }
-    }
-
-    /// `out = center + ((c * (a + b)) >> 13)` elementwise.
-    #[inline]
-    pub fn lift_q13_into(out: &mut [i32], center: &[i32], a: &[i32], b: &[i32], c: i32) {
-        for i in 0..out.len() {
-            out[i] = center[i] + crate::fixed::fix_mul(c, a[i].wrapping_add(b[i]));
-        }
-    }
-
-    /// `dst = (dst * k) >> 13` elementwise.
-    #[inline]
-    pub fn scale_q13(dst: &mut [i32], k: i32) {
-        for d in dst {
-            *d = crate::fixed::fix_mul(*d, k);
-        }
-    }
-
-    /// Split interleaved `src` into `low` (even indices) / `high` (odd).
-    #[inline]
-    pub fn deinterleave_i32(src: &[i32], low: &mut [i32], high: &mut [i32]) {
-        for (i, l) in low.iter_mut().enumerate() {
-            *l = src[2 * i];
-        }
-        for (i, h) in high.iter_mut().enumerate() {
-            *h = src[2 * i + 1];
-        }
-    }
-
-    /// Merge `low`/`high` halves into interleaved `dst`.
-    #[inline]
-    pub fn interleave_i32(low: &[i32], high: &[i32], dst: &mut [i32]) {
-        for (i, &l) in low.iter().enumerate() {
-            dst[2 * i] = l;
-        }
-        for (i, &h) in high.iter().enumerate() {
-            dst[2 * i + 1] = h;
-        }
-    }
-
-    /// See [`deinterleave_i32`].
-    #[inline]
-    pub fn deinterleave_f32(src: &[f32], low: &mut [f32], high: &mut [f32]) {
-        for (i, l) in low.iter_mut().enumerate() {
-            *l = src[2 * i];
-        }
-        for (i, h) in high.iter_mut().enumerate() {
-            *h = src[2 * i + 1];
-        }
-    }
-
-    /// See [`interleave_i32`].
-    #[inline]
-    pub fn interleave_f32(low: &[f32], high: &[f32], dst: &mut [f32]) {
-        for (i, &l) in low.iter().enumerate() {
-            dst[2 * i] = l;
-        }
-        for (i, &h) in high.iter().enumerate() {
-            dst[2 * i + 1] = h;
-        }
+/// `dst -= (a + b) >> 1` elementwise (5/3 predict).
+#[inline]
+pub fn predict53(dst: &mut [i32], a: &[i32], b: &[i32]) {
+    for ((d, &x), &y) in dst.iter_mut().zip(a).zip(b) {
+        *d -= (x + y) >> 1;
     }
 }
 
-/// Expands to a dispatching wrapper: SIMD when the active backend selects
-/// it (and the target compiles the `simd` module), scalar otherwise.
-macro_rules! dispatched {
-    ($(#[$doc:meta])* $name:ident ( $($arg:ident : $ty:ty),* )) => {
-        $(#[$doc])*
-        #[inline]
-        pub fn $name($($arg: $ty),*) {
-            #[cfg(target_arch = "x86_64")]
-            if crate::dispatch::active() == crate::dispatch::Backend::Simd {
-                return crate::simd::$name($($arg),*);
-            }
-            scalar::$name($($arg),*)
-        }
-    };
+/// `dst += (a + b) >> 1` elementwise (5/3 predict undo).
+#[inline]
+pub fn unpredict53(dst: &mut [i32], a: &[i32], b: &[i32]) {
+    for ((d, &x), &y) in dst.iter_mut().zip(a).zip(b) {
+        *d += (x + y) >> 1;
+    }
 }
 
-/// Same, but the SIMD path additionally needs the SSE4.1 Q13 multiply.
-macro_rules! dispatched_q13 {
-    ($(#[$doc:meta])* $name:ident ( $($arg:ident : $ty:ty),* )) => {
-        $(#[$doc])*
-        #[inline]
-        pub fn $name($($arg: $ty),*) {
-            #[cfg(target_arch = "x86_64")]
-            if crate::dispatch::active() == crate::dispatch::Backend::Simd
-                && crate::dispatch::simd_q13_available()
-            {
-                return crate::simd::$name($($arg),*);
-            }
-            scalar::$name($($arg),*)
-        }
-    };
+/// `dst += (a + b + 2) >> 2` elementwise (5/3 update).
+#[inline]
+pub fn update53(dst: &mut [i32], a: &[i32], b: &[i32]) {
+    for ((d, &x), &y) in dst.iter_mut().zip(a).zip(b) {
+        *d += (x + y + 2) >> 2;
+    }
 }
 
-dispatched! {
-    /// `dst -= (a + b) >> 1` elementwise (5/3 predict).
-    predict53(dst: &mut [i32], a: &[i32], b: &[i32])
+/// `dst -= (a + b + 2) >> 2` elementwise (5/3 update undo).
+#[inline]
+pub fn unupdate53(dst: &mut [i32], a: &[i32], b: &[i32]) {
+    for ((d, &x), &y) in dst.iter_mut().zip(a).zip(b) {
+        *d -= (x + y + 2) >> 2;
+    }
 }
-dispatched! {
-    /// `dst += (a + b) >> 1` elementwise (5/3 predict undo).
-    unpredict53(dst: &mut [i32], a: &[i32], b: &[i32])
+
+/// `out = center - ((a + b) >> 1)` elementwise.
+#[inline]
+pub fn predict53_into(out: &mut [i32], center: &[i32], a: &[i32], b: &[i32]) {
+    for i in 0..out.len() {
+        out[i] = center[i] - ((a[i] + b[i]) >> 1);
+    }
 }
-dispatched! {
-    /// `dst += (a + b + 2) >> 2` elementwise (5/3 update).
-    update53(dst: &mut [i32], a: &[i32], b: &[i32])
+
+/// `out = center + ((a + b + 2) >> 2)` elementwise.
+#[inline]
+pub fn update53_into(out: &mut [i32], center: &[i32], a: &[i32], b: &[i32]) {
+    for i in 0..out.len() {
+        out[i] = center[i] + ((a[i] + b[i] + 2) >> 2);
+    }
 }
-dispatched! {
-    /// `dst -= (a + b + 2) >> 2` elementwise (5/3 update undo).
-    unupdate53(dst: &mut [i32], a: &[i32], b: &[i32])
+
+/// `dst += c * (a + b)` elementwise (9/7 lifting step).
+#[inline]
+pub fn lift_f32(dst: &mut [f32], a: &[f32], b: &[f32], c: f32) {
+    for ((d, &x), &y) in dst.iter_mut().zip(a).zip(b) {
+        *d += c * (x + y);
+    }
 }
-dispatched! {
-    /// `out = center - ((a + b) >> 1)` elementwise.
-    predict53_into(out: &mut [i32], center: &[i32], a: &[i32], b: &[i32])
+
+/// `out = center + c * (a + b)` elementwise.
+#[inline]
+pub fn lift_f32_into(out: &mut [f32], center: &[f32], a: &[f32], b: &[f32], c: f32) {
+    for i in 0..out.len() {
+        out[i] = center[i] + c * (a[i] + b[i]);
+    }
 }
-dispatched! {
-    /// `out = center + ((a + b + 2) >> 2)` elementwise.
-    update53_into(out: &mut [i32], center: &[i32], a: &[i32], b: &[i32])
+
+/// `dst *= k` elementwise.
+#[inline]
+pub fn scale_f32(dst: &mut [f32], k: f32) {
+    for d in dst {
+        *d *= k;
+    }
 }
-dispatched! {
-    /// `dst += c * (a + b)` elementwise (9/7 lifting step).
-    lift_f32(dst: &mut [f32], a: &[f32], b: &[f32], c: f32)
+
+/// `dst += (c * (a + b)) >> 13` elementwise (Q13 lifting step).
+#[inline]
+pub fn lift_q13(dst: &mut [i32], a: &[i32], b: &[i32], c: i32) {
+    for ((d, &x), &y) in dst.iter_mut().zip(a).zip(b) {
+        *d += crate::fixed::fix_mul(c, x.wrapping_add(y));
+    }
 }
-dispatched! {
-    /// `out = center + c * (a + b)` elementwise.
-    lift_f32_into(out: &mut [f32], center: &[f32], a: &[f32], b: &[f32], c: f32)
+
+/// `out = center + ((c * (a + b)) >> 13)` elementwise.
+#[inline]
+pub fn lift_q13_into(out: &mut [i32], center: &[i32], a: &[i32], b: &[i32], c: i32) {
+    for i in 0..out.len() {
+        out[i] = center[i] + crate::fixed::fix_mul(c, a[i].wrapping_add(b[i]));
+    }
 }
-dispatched! {
-    /// `dst *= k` elementwise.
-    scale_f32(dst: &mut [f32], k: f32)
+
+/// `dst = (dst * k) >> 13` elementwise.
+#[inline]
+pub fn scale_q13(dst: &mut [i32], k: i32) {
+    for d in dst {
+        *d = crate::fixed::fix_mul(*d, k);
+    }
 }
-dispatched_q13! {
-    /// `dst += (c * (a + b)) >> 13` elementwise (Q13 lifting step).
-    lift_q13(dst: &mut [i32], a: &[i32], b: &[i32], c: i32)
+
+/// Split interleaved `src` into `low` (even indices) / `high` (odd).
+#[inline]
+pub fn deinterleave_i32(src: &[i32], low: &mut [i32], high: &mut [i32]) {
+    deinterleave(src, low, high);
 }
-dispatched_q13! {
-    /// `out = center + ((c * (a + b)) >> 13)` elementwise.
-    lift_q13_into(out: &mut [i32], center: &[i32], a: &[i32], b: &[i32], c: i32)
+
+/// Merge `low`/`high` halves into interleaved `dst`.
+#[inline]
+pub fn interleave_i32(low: &[i32], high: &[i32], dst: &mut [i32]) {
+    interleave(low, high, dst);
 }
-dispatched_q13! {
-    /// `dst = (dst * k) >> 13` elementwise.
-    scale_q13(dst: &mut [i32], k: i32)
+
+/// Split interleaved f32 `src` into `low`/`high` (bit-preserving).
+#[inline]
+pub fn deinterleave_f32(src: &[f32], low: &mut [f32], high: &mut [f32]) {
+    deinterleave(src, low, high);
 }
-dispatched! {
-    /// Split interleaved `src` into `low` (even indices) / `high` (odd).
-    deinterleave_i32(src: &[i32], low: &mut [i32], high: &mut [i32])
+
+/// Merge f32 `low`/`high` into interleaved `dst` (bit-preserving).
+#[inline]
+pub fn interleave_f32(low: &[f32], high: &[f32], dst: &mut [f32]) {
+    interleave(low, high, dst);
 }
-dispatched! {
-    /// Merge `low`/`high` halves into interleaved `dst`.
-    interleave_i32(low: &[i32], high: &[i32], dst: &mut [i32])
+
+// The shuffles walk the interleaved side in pairs and handle an odd length's
+// last (low-phase) sample on its own: an index-strided form of the same
+// copy runs measurably slower in the inverse DWT.
+#[inline]
+fn deinterleave<T: Copy>(src: &[T], low: &mut [T], high: &mut [T]) {
+    debug_assert_eq!(low.len(), src.len() - src.len() / 2);
+    debug_assert_eq!(high.len(), src.len() / 2);
+    let pairs = src.chunks_exact(2);
+    if let [last] = pairs.remainder() {
+        low[high.len()] = *last;
+    }
+    for ((pair, l), h) in pairs.zip(low.iter_mut()).zip(high.iter_mut()) {
+        *l = pair[0];
+        *h = pair[1];
+    }
 }
-dispatched! {
-    /// Split interleaved f32 `src` into `low`/`high` (bit-preserving).
-    deinterleave_f32(src: &[f32], low: &mut [f32], high: &mut [f32])
-}
-dispatched! {
-    /// Merge f32 `low`/`high` into interleaved `dst` (bit-preserving).
-    interleave_f32(low: &[f32], high: &[f32], dst: &mut [f32])
+
+#[inline]
+fn interleave<T: Copy>(low: &[T], high: &[T], dst: &mut [T]) {
+    debug_assert_eq!(low.len(), dst.len() - dst.len() / 2);
+    debug_assert_eq!(high.len(), dst.len() / 2);
+    let mut pairs = dst.chunks_exact_mut(2);
+    for ((pair, &l), &h) in (&mut pairs).zip(low).zip(high) {
+        pair[0] = l;
+        pair[1] = h;
+    }
+    if let [last] = pairs.into_remainder() {
+        *last = low[high.len()];
+    }
 }
 
 #[cfg(test)]
@@ -519,6 +429,32 @@ mod tests {
         let r = Region::full(&p);
         let mut rows = Rows::new(&mut p, r);
         let _ = rows.dst_src2(1, 1, 0);
+    }
+
+    #[test]
+    fn shuffles_match_index_definition() {
+        for n in 0..=11usize {
+            let src: Vec<i32> = (0..n as i32).map(|v| 3 * v - 7).collect();
+            let (nl, nh) = (n - n / 2, n / 2);
+            let (mut low, mut high) = (vec![0; nl], vec![0; nh]);
+            deinterleave_i32(&src, &mut low, &mut high);
+            assert!((0..nl).all(|i| low[i] == src[2 * i]), "n={n} low");
+            assert!((0..nh).all(|i| high[i] == src[2 * i + 1]), "n={n} high");
+            let mut back = vec![0; n];
+            interleave_i32(&low, &high, &mut back);
+            assert_eq!(back, src, "n={n}");
+
+            // f32 shuffles move bits, including NaN payloads.
+            let srcf: Vec<f32> = (0..n as u32)
+                .map(|v| f32::from_bits(0x7FC0_0001 + v))
+                .collect();
+            let (mut lowf, mut highf) = (vec![0.0; nl], vec![0.0; nh]);
+            deinterleave_f32(&srcf, &mut lowf, &mut highf);
+            let mut backf = vec![0.0; n];
+            interleave_f32(&lowf, &highf, &mut backf);
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&backf), bits(&srcf), "n={n} f32");
+        }
     }
 
     #[test]

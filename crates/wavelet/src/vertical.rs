@@ -25,7 +25,7 @@ use crate::rowops::{self, Region, Rows};
 use crate::{high_len, low_len};
 use xpart::AlignedPlane;
 
-/// Default column-group width (elements) for cache-blocked vertical passes.
+/// Column-group width (elements) for cache-blocked vertical passes.
 ///
 /// The paper sizes its column group for the Cell's 128-byte PPE cache lines /
 /// DMA granularity; on this x86-64 host the cache line is 64 bytes (16 i32 or
@@ -39,22 +39,6 @@ use xpart::AlignedPlane;
 /// width on that plateau that still L1-bounds the window. See DESIGN.md
 /// section 18.
 pub const VERT_GROUP_DEFAULT: usize = 256;
-
-/// Column-group width for cache-blocked vertical filtering, overridable via
-/// the `J2K_VERT_GROUP` environment variable (read once per process).
-pub fn vert_group_cols() -> usize {
-    static CHOICE: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *CHOICE.get_or_init(|| {
-        if let Ok(v) = std::env::var("J2K_VERT_GROUP") {
-            if let Ok(n) = v.trim().parse::<usize>() {
-                if n > 0 {
-                    return n;
-                }
-            }
-        }
-        VERT_GROUP_DEFAULT
-    })
-}
 
 /// Loop schedule of the vertical filter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -290,10 +274,9 @@ pub fn fwd53_rows(mut rows: Rows<'_, i32>, variant: VerticalVariant) {
     // Cache-blocked column groups: columns are independent, so filtering each
     // group in full before moving right is bit-identical to one full-width
     // pass but keeps the fused pipeline's sliding window resident in L1.
-    let gw = vert_group_cols();
     let mut x0 = 0;
     while x0 < w {
-        let g = gw.min(w - x0);
+        let g = VERT_GROUP_DEFAULT.min(w - x0);
         let mut sub = rows.subcols(x0, g);
         fwd53_group(&mut sub, variant, h);
         x0 += g;
@@ -329,10 +312,9 @@ pub fn inv53_vertical(plane: &mut AlignedPlane<i32>, region: Region) {
         return;
     }
     let w = rows.width();
-    let gw = vert_group_cols();
     let mut x0 = 0;
     while x0 < w {
-        let g = gw.min(w - x0);
+        let g = VERT_GROUP_DEFAULT.min(w - x0);
         let mut sub = rows.subcols(x0, g);
         inv53_group(&mut sub, h);
         x0 += g;
@@ -570,10 +552,9 @@ pub fn fwd97_rows<T: Arith97>(mut rows: Rows<'_, T>, variant: VerticalVariant) {
         samples * std::mem::size_of::<T>() as u64,
     );
     // Cache-blocked column groups; see `fwd53_rows`.
-    let gw = vert_group_cols();
     let mut x0 = 0;
     while x0 < w {
-        let g = gw.min(w - x0);
+        let g = VERT_GROUP_DEFAULT.min(w - x0);
         let mut sub = rows.subcols(x0, g);
         fwd97_group(&mut sub, variant, h);
         x0 += g;
@@ -609,10 +590,9 @@ pub fn inv97_vertical<T: Arith97>(plane: &mut AlignedPlane<T>, region: Region) {
         return;
     }
     let w = rows.width();
-    let gw = vert_group_cols();
     let mut x0 = 0;
     while x0 < w {
-        let g = gw.min(w - x0);
+        let g = VERT_GROUP_DEFAULT.min(w - x0);
         let mut sub = rows.subcols(x0, g);
         inv97_group(&mut sub, h);
         x0 += g;
@@ -875,6 +855,52 @@ mod tests {
     }
 
     #[test]
+    fn offset_region_matches_reference_and_roundtrips() {
+        // Odd `x0` starts every region row off vector alignment. The forward
+        // pass must equal the per-column reference on the region's own
+        // samples, and forward then inverse must restore the whole plane.
+        let bits = |p: &AlignedPlane<f32>| -> Vec<u32> {
+            p.to_dense().iter().map(|v| v.to_bits()).collect()
+        };
+        for x0 in 0..=5usize {
+            for (w, h) in [(1usize, 2usize), (3, 5), (8, 7), (13, 12)] {
+                let y0 = x0 % 2;
+                let p0 = make_plane(x0 + w + 2, y0 + h, (31 * x0 + 7 * w + h) as u32);
+                let region = Region { x0, y0, w, h };
+                let crop = |p: &AlignedPlane<i32>| {
+                    let mut c = AlignedPlane::<i32>::new(w, h).unwrap();
+                    c.for_each_mut(|x, y, v| *v = p.get(x0 + x, y0 + y));
+                    c
+                };
+                let want = reference_cols_53(&crop(&p0));
+                for variant in [
+                    VerticalVariant::Separate,
+                    VerticalVariant::Interleaved,
+                    VerticalVariant::Merged,
+                ] {
+                    let mut p = p0.clone();
+                    fwd53_vertical(&mut p, region, variant);
+                    assert_eq!(crop(&p).to_dense(), want.to_dense(), "{variant:?} x0={x0}");
+                    inv53_vertical(&mut p, region);
+                    assert_eq!(p.to_dense(), p0.to_dense(), "{variant:?} x0={x0} inverse");
+                }
+
+                let f0 = p0.to_f32();
+                let mut f = f0.clone();
+                fwd97_vertical(&mut f, region, VerticalVariant::Merged);
+                let wantf = reference_cols_97(&crop(&p0).to_f32());
+                let mut got = AlignedPlane::<f32>::new(w, h).unwrap();
+                got.for_each_mut(|x, y, v| *v = f.get(x0 + x, y0 + y));
+                assert_eq!(bits(&got), bits(&wantf), "9/7 x0={x0} {w}x{h}");
+                inv97_vertical(&mut f, region);
+                for (g, e) in f.to_dense().iter().zip(f0.to_dense()) {
+                    assert!((g - e).abs() < 1e-2, "9/7 x0={x0} {w}x{h}: {g} vs {e}");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn height_one_is_identity() {
         let p0 = make_plane(5, 1, 1);
         for variant in [
@@ -891,13 +917,13 @@ mod tests {
     // -- cache-blocking edge/remainder cases ------------------------------
     //
     // The blocked drivers walk the region in column groups of
-    // `vert_group_cols()` elements; the widths below force a final group
-    // narrower than one SIMD lane (1..=3 columns) after one or two full
+    // `VERT_GROUP_DEFAULT` elements; the widths below force a final group
+    // narrower than one vector lane (1..=3 columns) after one or two full
     // groups, which is the remainder path most likely to go wrong.
 
     #[test]
     fn group_tail_narrower_than_simd_lane_53() {
-        let g = vert_group_cols();
+        let g = VERT_GROUP_DEFAULT;
         for w in [g + 1, g + 3, 2 * g + 2] {
             let p0 = make_plane(w, 11, w as u32);
             let want = reference_cols_53(&p0);
@@ -917,7 +943,7 @@ mod tests {
 
     #[test]
     fn group_tail_narrower_than_simd_lane_97() {
-        let g = vert_group_cols();
+        let g = VERT_GROUP_DEFAULT;
         for w in [g + 1, g + 2] {
             let p0 = make_plane(w, 9, w as u32).to_f32();
             let want = reference_cols_97(&p0);

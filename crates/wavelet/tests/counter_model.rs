@@ -5,10 +5,24 @@
 //! Lives in its own integration binary because enabling the process-global
 //! kernel counters would race with unrelated tests in a shared process.
 
+use std::sync::{Mutex, MutexGuard};
 use wavelet::rowops::Region;
-use wavelet::vertical::{fwd53_vertical, fwd97_vertical, vert_group_cols};
+use wavelet::vertical::{fwd53_vertical, fwd97_vertical, VERT_GROUP_DEFAULT};
 use wavelet::{vertical_traffic, Filter, VerticalVariant};
 use xpart::AlignedPlane;
+
+/// The harness runs tests on parallel threads and the counters are
+/// process-global, so every test that enables, resets or reads them holds
+/// this lock for its whole body. Each test resets the counters before it
+/// reads them, so one that fails while holding the lock leaves nothing for
+/// the next to repair.
+static COUNTERS: Mutex<()> = Mutex::new(());
+
+fn counters_lock() -> MutexGuard<'static, ()> {
+    COUNTERS
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 fn make_plane(w: usize, h: usize) -> AlignedPlane<i32> {
     let mut p = AlignedPlane::<i32>::new(w, h).unwrap();
@@ -33,6 +47,7 @@ fn snap(kernel: obs::counters::Kernel) -> obs::counters::KernelSnapshot {
 /// GB/s comparable across variants and PR baselines.
 #[test]
 fn counter_bytes_agree_with_traffic_model() {
+    let _lock = counters_lock();
     let (w, h) = (100usize, 64usize);
     obs::counters::set_enabled(true);
 
@@ -72,7 +87,8 @@ fn counter_bytes_agree_with_traffic_model() {
 /// payload (not per-group fragments).
 #[test]
 fn blocked_driver_records_single_invocation() {
-    let g = vert_group_cols();
+    let _lock = counters_lock();
+    let g = VERT_GROUP_DEFAULT;
     let (w, h) = (2 * g + 3, 12);
     obs::counters::set_enabled(true);
     obs::counters::reset();

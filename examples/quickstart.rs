@@ -3,7 +3,8 @@
 //!     cargo run --release --example quickstart
 
 use jpeg2000_cell::codec::{decode, encode, EncoderParams};
-use jpeg2000_cell::images::{psnr, synth};
+use jpeg2000_cell::images::synth;
+use jpeg2000_cell::quality::psnr;
 
 fn main() {
     let image = synth::natural_rgb(512, 512, 42);

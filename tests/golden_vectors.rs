@@ -367,7 +367,7 @@ fn fixtures_decode_within_quality_floor() {
         match case.psnr_floor {
             None => assert_eq!(back, im, "{}: lossless fixture not exact", case.name),
             Some(floor) => {
-                let p = jpeg2000_cell::images::psnr(&im, &back).expect(case.name);
+                let p = quality::psnr(&im, &back).expect(case.name);
                 assert!(
                     p >= floor,
                     "{}: PSNR {p:.2} dB below floor {floor} dB",

@@ -2,10 +2,11 @@
 
 use jpeg2000_cell::codec::cell::{encode_on_cell, SimOptions};
 use jpeg2000_cell::codec::parallel::encode_parallel;
-use jpeg2000_cell::codec::{decode, encode, encode_with_profile, EncoderParams, Mode};
+use jpeg2000_cell::codec::{decode, encode, encode_with_profile, Coder, EncoderParams, Mode};
 use jpeg2000_cell::comparators::{simulate_muta, simulate_p4, MutaMode};
-use jpeg2000_cell::images::{psnr, synth};
+use jpeg2000_cell::images::synth;
 use jpeg2000_cell::machine::MachineConfig;
+use jpeg2000_cell::quality::psnr;
 
 #[test]
 fn three_drivers_one_codestream() {
@@ -77,6 +78,34 @@ fn twelve_bit_imagery_roundtrips() {
     };
     let back = decode(&encode(&im, &params).unwrap()).unwrap();
     assert_eq!(back, im);
+}
+
+/// Each input produces a packet header whose last byte is 0xFF at rate
+/// 0.25. The header keeps that byte and its stuffed 0x00 (T.800 B.10.1);
+/// dropping the 0xFF, as a bypass segment does, misplaced the packet body.
+#[test]
+fn packet_headers_ending_in_ff_decode() {
+    let cases = [
+        (synth::natural(128, 128, 84), Coder::Mq, 1),
+        (synth::natural_rgb(128, 128, 96), Coder::Ht, 1),
+        (synth::natural_rgb(96, 80, 35), Coder::Mq, 3),
+    ];
+    for (im, coder, layers) in cases {
+        let params = EncoderParams {
+            coder,
+            layers,
+            ..EncoderParams::lossy(0.25)
+        };
+        let bytes = encode(&im, &params).unwrap();
+        assert_eq!(
+            encode_parallel(&im, &params, 2).unwrap(),
+            bytes,
+            "{coder:?}"
+        );
+        let back = decode(&bytes).unwrap_or_else(|e| panic!("{coder:?} layers={layers}: {e}"));
+        let p = psnr(&im, &back).unwrap();
+        assert!(p >= 30.0, "{coder:?} layers={layers}: {p:.2} dB");
+    }
 }
 
 #[test]
