@@ -153,14 +153,14 @@ mod tests {
 
     fn profiles() -> (WorkloadProfile, WorkloadProfile) {
         let im = imgio::synth::natural_rgb(208, 144, 5);
-        let ours = j2k_core::encode_with_profile(&im, &EncoderParams::lossless())
+        let ours = j2k_core::encode_with(&im, &EncoderParams::lossless(), 1, None)
             .unwrap()
             .1;
         let muta_params = EncoderParams {
             cb_size: 32,
             ..EncoderParams::lossless()
         };
-        let muta = j2k_core::encode_with_profile(&im, &muta_params).unwrap().1;
+        let muta = j2k_core::encode_with(&im, &muta_params, 1, None).unwrap().1;
         (ours, muta)
     }
 

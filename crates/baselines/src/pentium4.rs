@@ -106,7 +106,7 @@ mod tests {
 
     fn profile(params: &EncoderParams) -> WorkloadProfile {
         let im = imgio::synth::natural(160, 160, 17);
-        j2k_core::encode_with_profile(&im, params).unwrap().1
+        j2k_core::encode_with(&im, params, 1, None).unwrap().1
     }
 
     #[test]

@@ -31,7 +31,7 @@ fn main() {
             bypass,
             ..lossless_params(args.levels)
         };
-        let (bytes, prof) = j2k_core::encode_with_profile(&im, &params).unwrap();
+        let (bytes, prof) = j2k_core::encode_with(&im, &params, 1, None).unwrap();
         let tl = simulate(&prof, &cfg, &SimOptions::default());
         row(
             args.csv,

@@ -2,7 +2,7 @@
 
 use baselines::muta::{muta_machine, simulate_muta, MutaMode};
 use cellsim::MachineConfig;
-use j2k_bench::{lossless_params, ms, parse_args, row};
+use j2k_bench::{lossless_params, ms, parse_args, profile, row};
 use j2k_core::cell::{simulate, SimOptions};
 use j2k_core::EncoderParams;
 
@@ -17,18 +17,14 @@ fn main() {
     println!(
         "Figure 7 — EBCOT (Tier-1 + Tier-2) vs Muta et al. (1280x720 lossless; speedups vs Muta0)"
     );
-    let ours = j2k_core::encode_with_profile(&im, &lossless_params(args.levels))
-        .unwrap()
-        .1;
-    let muta_prof = j2k_core::encode_with_profile(
+    let ours = profile(&im, &lossless_params(args.levels));
+    let muta_prof = profile(
         &im,
         &EncoderParams {
             cb_size: 32,
             ..lossless_params(args.levels)
         },
-    )
-    .unwrap()
-    .1;
+    );
     let m0tl = simulate_muta(&muta_prof, MutaMode::Muta0);
     let m1tl = simulate_muta(&muta_prof, MutaMode::Muta1);
     let m0 = ebcot_secs(&m0tl, muta_machine(MutaMode::Muta0).clock_hz) / 2.0; // throughput

@@ -2,7 +2,7 @@
 
 use baselines::muta::{muta_machine, simulate_muta, MutaMode};
 use cellsim::MachineConfig;
-use j2k_bench::{lossless_params, ms, parse_args, row};
+use j2k_bench::{lossless_params, ms, parse_args, profile, row};
 use j2k_core::cell::{simulate, SimOptions};
 use j2k_core::EncoderParams;
 
@@ -10,18 +10,14 @@ fn main() {
     let args = parse_args();
     let im = imgio::synth::natural_rgb(1280, 720, args.seed);
     println!("Figure 8 — DWT vs Muta et al. (1280x720 lossless; speedups vs Muta0)");
-    let ours = j2k_core::encode_with_profile(&im, &lossless_params(args.levels))
-        .unwrap()
-        .1;
-    let muta_prof = j2k_core::encode_with_profile(
+    let ours = profile(&im, &lossless_params(args.levels));
+    let muta_prof = profile(
         &im,
         &EncoderParams {
             cb_size: 32,
             ..lossless_params(args.levels)
         },
-    )
-    .unwrap()
-    .1;
+    );
     let dwt = |tl: &cellsim::Timeline, hz: f64| tl.cycles_matching("dwt") as f64 / hz;
     let m0 = dwt(
         &simulate_muta(&muta_prof, MutaMode::Muta0),

@@ -2,14 +2,14 @@
 //! stages (level shift + MCT, DWT, quantization) and Tier-1.
 //!
 //! Unlike the figure binaries this measures *real* wall time of the
-//! host-thread driver (`encode_parallel_with_profile`), not the simulated
-//! Cell timeline: the `--spes` list is reused as the worker counts. Also
-//! prints per-worker job counts so the fan-out is visible, and asserts the
-//! codestream stays byte-identical to the sequential encoder at every
-//! worker count (the paper's implicit invariant).
+//! encode driver (`encode_with`), not the simulated Cell timeline: the
+//! `--spes` list is reused as the worker counts. Also prints per-worker
+//! job counts so the fan-out is visible, and asserts the codestream stays
+//! byte-identical to the one-worker encode at every worker count (the
+//! paper's implicit invariant).
 
 use j2k_bench::{lossless_params, lossy_params, ms, parse_args, row, workload_rgb};
-use j2k_core::{encode, encode_parallel_with_profile, EncoderParams, WorkloadProfile};
+use j2k_core::{encode, encode_with, EncoderParams, WorkloadProfile};
 
 fn stage(prof: &WorkloadProfile, name: &str) -> f64 {
     prof.stage_times
@@ -23,7 +23,7 @@ fn transform_secs(prof: &WorkloadProfile) -> f64 {
 }
 
 fn sweep(label: &str, im: &imgio::Image, params: &EncoderParams, workers: &[usize], csv: bool) {
-    let seq = encode(im, params).expect("sequential encode");
+    let one = encode(im, params).expect("one-worker encode");
     println!("{label}");
     row(
         csv,
@@ -39,9 +39,9 @@ fn sweep(label: &str, im: &imgio::Image, params: &EncoderParams, workers: &[usiz
     let mut base = None;
     for &n in workers {
         let t0 = std::time::Instant::now();
-        let (bytes, prof) = encode_parallel_with_profile(im, params, n).expect("parallel encode");
+        let (bytes, prof) = encode_with(im, params, n, None).expect("encode");
         let total = t0.elapsed().as_secs_f64();
-        assert_eq!(bytes, seq, "codestream changed at workers={n}");
+        assert_eq!(bytes, one, "codestream changed at workers={n}");
         let xform = transform_secs(&prof);
         let base = *base.get_or_insert(xform);
         let jobs: Vec<String> = prof.worker_jobs.iter().map(|j| j.to_string()).collect();

@@ -3,7 +3,7 @@
 //! is reused as the worker counts, as in `host_parallel_scaling`).
 //!
 //! For each coder the codestream is asserted byte-identical to the
-//! sequential encoder at every worker count, then the Tier-1 stage wall
+//! one-worker encode at every worker count, then the Tier-1 stage wall
 //! time is converted into two throughput figures:
 //!
 //! * `symbols/s` — coder-native work items (MQ decisions, or HT quads +
@@ -18,7 +18,7 @@
 //! carries the per-row table and whose `metrics` feed `perf_history`.
 
 use j2k_bench::{lossless_params, ms, parse_args, row, workload_rgb, BenchReport, Direction};
-use j2k_core::{encode, encode_parallel_with_profile, Coder, EncoderParams, WorkloadProfile};
+use j2k_core::{encode, encode_with, Coder, EncoderParams, WorkloadProfile};
 
 /// HT must beat MQ by at least this factor on the samples/s basis
 /// (single worker, so the ratio is per-core coder speed, not scaling).
@@ -66,13 +66,12 @@ fn main() {
             coder,
             ..lossless_params(args.levels)
         };
-        let seq = encode(&im, &params).expect("sequential encode");
+        let one = encode(&im, &params).expect("one-worker encode");
         for &n in &args.spes {
-            let (bytes, prof) =
-                encode_parallel_with_profile(&im, &params, n).expect("parallel encode");
+            let (bytes, prof) = encode_with(&im, &params, n, None).expect("encode");
             assert_eq!(
-                bytes, seq,
-                "{coder} codestream changed at workers={n} vs sequential"
+                bytes, one,
+                "{coder} codestream changed at workers={n} vs one worker"
             );
             let r = Row {
                 coder,

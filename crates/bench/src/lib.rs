@@ -124,7 +124,7 @@ pub fn workload_rgb(args: &Args) -> Image {
 
 /// Encode and return the measured profile (paper parameters + overrides).
 pub fn profile(image: &Image, params: &EncoderParams) -> WorkloadProfile {
-    j2k_core::encode_with_profile(image, params)
+    j2k_core::encode_with(image, params, 1, None)
         .expect("encode")
         .1
 }

@@ -344,15 +344,16 @@ pub fn simulate_traced(
     (tl, tr)
 }
 
-/// Encode on the host while simulating the Cell schedule; returns the
-/// codestream (byte-identical to [`crate::encode`]) and the timeline.
+/// Encode on the host (one worker) while simulating the Cell schedule over
+/// the encode's profile; returns the codestream (the bytes of
+/// [`crate::encode`]) and the timeline.
 pub fn encode_on_cell(
     image: &Image,
     params: &EncoderParams,
     cfg: &MachineConfig,
     opts: &SimOptions,
 ) -> Result<(Vec<u8>, Timeline, WorkloadProfile), CodecError> {
-    let (bytes, profile) = crate::encode_with_profile(image, params)?;
+    let (bytes, profile) = crate::encode_with(image, params, 1, None)?;
     let tl = simulate(&profile, cfg, opts);
     Ok((bytes, tl, profile))
 }
@@ -364,7 +365,7 @@ mod tests {
 
     fn profile_for(w: usize, h: usize, params: &EncoderParams) -> WorkloadProfile {
         let im = synth::natural(w, h, 42);
-        crate::encode_with_profile(&im, params).unwrap().1
+        crate::encode_with(&im, params, 1, None).unwrap().1
     }
 
     #[test]
@@ -425,8 +426,8 @@ mod tests {
             variant: wavelet::VerticalVariant::Separate,
             ..Default::default()
         };
-        let (_, prof_m) = crate::encode_with_profile(&im, &pm).unwrap();
-        let (_, prof_s) = crate::encode_with_profile(&im, &ps).unwrap();
+        let (_, prof_m) = crate::encode_with(&im, &pm, 1, None).unwrap();
+        let (_, prof_s) = crate::encode_with(&im, &ps, 1, None).unwrap();
         let cfg = MachineConfig::qs20_single();
         let tm = simulate(&prof_m, &cfg, &SimOptions::default());
         let ts = simulate(&prof_s, &cfg, &SimOptions::default());

@@ -2,13 +2,12 @@
 //! [`Coder`] registry that lets the MQ (EBCOT Annex C/D) and HT
 //! (Part 15 shaped) backends coexist behind one interface.
 //!
-//! Every encoder driver (sequential, host-parallel, cell-mapped) and
-//! the decoder dispatch through [`Coder::block_coder`]; the choice is
-//! signalled in the codestream's COD style byte, so a decoder never
-//! guesses. Both backends produce the same [`EncodedBlock`] shape —
-//! per-pass terminated segments with rate/distortion bookkeeping — so
-//! rate control, packet assembly, and the ordered-merge byte-identity
-//! machinery are completely coder-agnostic.
+//! The encoder's Tier-1 queue and the decoder dispatch through
+//! [`Coder::block_coder`]; the choice is signalled in the codestream's
+//! COD style byte, so a decoder never guesses. Both backends produce the
+//! same [`EncodedBlock`] shape — per-pass terminated segments with
+//! rate/distortion bookkeeping — so rate control and packet assembly are
+//! completely coder-agnostic.
 
 use crate::CodecError;
 use ebcot::block::{BandKind, EncodedBlock};

@@ -129,31 +129,16 @@ fn grid(n: usize, cb: usize) -> usize {
     n.div_ceil(cb)
 }
 
-/// Serialize the complete codestream (single-threaded). Panics only if a
-/// `tier2.precinct` fault is injected while calling this infallible entry
-/// point directly — drivers that enable failpoints go through
-/// [`write_workers`].
+/// Serialize the complete codestream. Panics only if a `tier2.precinct`
+/// fault is injected while calling this infallible entry point directly —
+/// the encoder, which enables failpoints, goes through [`try_write`].
 pub fn write(hdr: &MainHeader, blocks: &[BlockStream]) -> Vec<u8> {
-    write_workers(hdr, blocks, 1).expect("infallible without injected faults")
+    try_write(hdr, blocks).expect("infallible without injected faults")
 }
 
-/// Serialize the complete codestream, forming Tier-2 packets in parallel.
-///
-/// Each (component, subband) pair owns an independent [`PrecinctState`]
-/// chain across layers, so packet formation decomposes per pair: every
-/// unit produces its per-layer header+body buffers on whichever worker
-/// runs it, and the merge concatenates them in the codestream's fixed
-/// layer → component → subband order. The bytes are identical to the
-/// sequential writer for every worker count because no state crosses a
-/// unit boundary and the merge order is the sequential emission order.
-///
-/// The only error is an injected `tier2.precinct` fault (one evaluation
-/// per unit).
-pub fn write_workers(
-    hdr: &MainHeader,
-    blocks: &[BlockStream],
-    workers: usize,
-) -> Result<Vec<u8>, String> {
+/// Serialize the complete codestream. The only error is an injected
+/// `tier2.precinct` fault (one evaluation per (component, subband) unit).
+pub(crate) fn try_write(hdr: &MainHeader, blocks: &[BlockStream]) -> Result<Vec<u8>, String> {
     let mut out = Vec::new();
     put_u16(&mut out, SOC);
 
@@ -233,37 +218,27 @@ pub fn write_workers(
     out.push(1); // TNsot
     put_u16(&mut out, SOD);
 
-    // Packets: one independent unit per (component, subband). Grouping the
-    // blocks up front also kills the old per-layer × per-band scan over
-    // the whole block list.
+    // Packets: each (component, subband) unit owns one precinct state
+    // chain across layers, emitted in the codestream's layer → component →
+    // subband order. Grouping the blocks per unit up front avoids a scan
+    // over the whole block list per layer and band.
     let bands = hdr.bands();
-    let units: Vec<usize> = (0..hdr.comps * bands.len()).collect();
-    let mut unit_blocks: Vec<Vec<&BlockStream>> = vec![Vec::new(); units.len()];
+    let mut unit_blocks: Vec<Vec<&BlockStream>> = vec![Vec::new(); hdr.comps * bands.len()];
     for blk in blocks {
         unit_blocks[blk.comp * bands.len() + blk.band_idx].push(blk);
     }
-
-    // Per-unit packet formation: the unit's full layer chain, in order
-    // (the PrecinctState is unit-local, so layers must stay sequential
-    // *within* a unit while units run concurrently).
-    let injected: std::sync::Mutex<Option<String>> = std::sync::Mutex::new(None);
-    let form_unit = |&u: &usize| -> Option<Vec<Vec<u8>>> {
+    let mut states = Vec::with_capacity(unit_blocks.len());
+    for (u, unit) in unit_blocks.iter().enumerate() {
         // Failpoint `tier2.precinct`: fires once per (comp, band) unit.
         if let Some(msg) = faultsim::eval("tier2.precinct") {
-            *injected.lock().unwrap_or_else(|e| e.into_inner()) = Some(msg);
-            return None;
+            return Err(msg);
         }
-        let bi = u % bands.len();
-        let _sp = obs::trace::span("tier2.unit")
-            .cat("chunk")
-            .arg("comp", (u / bands.len()) as u64)
-            .arg("band", bi as u64);
-        let b = &bands[bi];
+        let b = &bands[u % bands.len()];
         let (gw, gh) = (grid(b.w, hdr.cb_size), grid(b.h, hdr.cb_size));
         let mut state = PrecinctState::new(gw, gh);
         let mut first = vec![u32::MAX; gw * gh];
         let mut zbp = vec![0u32; gw * gh];
-        for blk in &unit_blocks[u] {
+        for blk in unit {
             let i = blk.by * gw + blk.bx;
             zbp[i] = blk.zero_planes;
             first[i] = blk
@@ -274,11 +249,14 @@ pub fn write_workers(
                 .unwrap_or(u32::MAX);
         }
         state.set_encoder_values(&first, &zbp);
-        let mut per_layer = Vec::with_capacity(hdr.layers);
-        for layer in 0..hdr.layers {
-            let mut contribs = vec![Contribution::default(); gw * gh];
+        states.push(state);
+    }
+    for layer in 0..hdr.layers {
+        for (state, unit) in states.iter_mut().zip(&unit_blocks) {
+            let gw = state.cbw;
+            let mut contribs = vec![Contribution::default(); gw * state.cbh];
             let mut body: Vec<u8> = Vec::new();
-            for blk in &unit_blocks[u] {
+            for blk in unit {
                 let prev = if layer == 0 {
                     0
                 } else {
@@ -286,11 +264,10 @@ pub fn write_workers(
                 };
                 let cur = blk.layer_passes[layer];
                 if cur > prev {
-                    let i = blk.by * gw + blk.bx;
                     let lens = blk.pass_lens[prev..cur].to_vec();
                     let start: usize = blk.pass_lens[..prev].iter().sum();
                     let len: usize = lens.iter().sum();
-                    contribs[i] = Contribution {
+                    contribs[blk.by * gw + blk.bx] = Contribution {
                         num_passes: cur - prev,
                         pass_lens: lens,
                         zero_planes: blk.zero_planes,
@@ -298,30 +275,8 @@ pub fn write_workers(
                     body.extend_from_slice(&blk.data[start..start + len]);
                 }
             }
-            let mut buf = encode_packet(&mut state, layer as u32, &contribs);
-            buf.extend_from_slice(&body);
-            per_layer.push(buf);
-        }
-        Some(per_layer)
-    };
-
-    let formed = crate::pipeline::fan_out_map(&units, workers, "tier2", form_unit);
-    let formed = match formed {
-        Some(f) => f,
-        None => {
-            return Err(injected
-                .into_inner()
-                .unwrap_or_else(|e| e.into_inner())
-                .unwrap_or_else(|| "tier2.precinct".into()))
-        }
-    };
-
-    // Deterministic ordered merge: the sequential emission order is
-    // layer-major over units, and each unit's buffers are already in
-    // layer order.
-    for layer in 0..hdr.layers {
-        for per_layer in &formed {
-            out.extend_from_slice(&per_layer[layer]);
+            out.extend_from_slice(&encode_packet(state, layer as u32, &contribs));
+            out.extend_from_slice(&body);
         }
     }
 

@@ -2,18 +2,19 @@
 //! engineered after Kang & Bader, *Optimizing JPEG2000 Still Image Encoding
 //! on the Cell Broadband Engine* (ICPP 2008).
 //!
-//! The crate provides three interchangeable encoder drivers that produce
-//! **byte-identical** codestreams:
+//! The crate has one encoder driver, [`encode_with`]: the paper's
+//! parallelization on host threads (chunked sample stages, a Tier-1 work
+//! queue, and a sequential rate-control/Tier-2 tail), producing the same
+//! **byte-identical** codestream at every worker count. [`encode`] runs it
+//! at one worker, entirely on the calling thread, and
+//! [`cell::encode_on_cell`] schedules its measured profile on the
+//! [`cellsim`] machine model, returning a simulated per-stage
+//! [`cellsim::Timeline`] alongside the codestream.
 //!
-//! * [`encode`] — the sequential reference pipeline;
-//! * [`parallel::encode_parallel`] — a host-thread implementation of the
-//!   paper's parallelization (chunked sample stages + Tier-1 work queue);
-//! * [`cell::encode_on_cell`] — the same pipeline mapped onto the
-//!   [`cellsim`] machine model, returning a simulated per-stage
-//!   [`cellsim::Timeline`] alongside the codestream.
-//!
-//! plus [`decode`], a full decoder used to *verify* the encoder (lossless
-//! round-trip, lossy PSNR) in the absence of the paper's Jasper baseline.
+//! [`decode`], [`decode_opts`] (quality layers and resolution levels) and
+//! [`decode_prefix`] (truncated streams) form a full decoder used to
+//! *verify* the encoder (lossless round-trip, lossy PSNR) in the absence
+//! of the paper's Jasper baseline.
 //!
 //! Pipeline (paper Figure 2): read + type convert → level shift merged with
 //! the inter-component transform ([`mct`]) → DWT ([`wavelet`]) →
@@ -36,13 +37,9 @@ pub use cell::encode_on_cell;
 pub use coder::{BlockCoder, Coder};
 pub use control::EncodeControl;
 pub use parallel::{
-    encode_parallel, encode_parallel_ctl, encode_parallel_opts, encode_parallel_with_profile,
-    transform_coefficients_parallel, ParallelOptions,
+    encode, encode_parallel_with_profile, encode_with, transform_coefficients_parallel,
 };
-pub use pipeline::{
-    decode, decode_layers, decode_opts, decode_prefix, decode_resolution, encode,
-    encode_with_profile, transform_coefficients,
-};
+pub use pipeline::{decode, decode_opts, decode_prefix, transform_coefficients};
 pub use profile::{StageTime, WorkloadProfile};
 
 pub use wavelet::VerticalVariant;

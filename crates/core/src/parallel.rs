@@ -1,23 +1,25 @@
-//! Host-thread implementation of the paper's parallelization strategy.
-//!
-//! Mirrors the Cell mapping with real threads, end to end:
+//! The encoder driver: the paper's parallelization strategy on host
+//! threads, end to end.
 //!
 //! * The **sample stages** (level shift + MCT merged, DWT, quantization)
 //!   are decomposed by the same column-chunk plan the Cell path uses
 //!   ([`xpart::ChunkPlan`]): constant-width chunks (a cache-line multiple)
-//!   go round-robin to the spawned workers — the SPE role — while the
+//!   go round-robin to the workers — the SPE role — while the
 //!   arbitrary-width remainder chunk stays on the calling thread — the PPE
 //!   role. Vertical lifting runs per column chunk, horizontal lifting per
 //!   row band ("an identical number of rows to each SPE").
 //! * **Tier-1** uses a dynamic work queue of code blocks (an atomic
 //!   cursor), exactly like the paper's SPE/PPE queue.
+//! * **Rate control and Tier-2** run sequentially on the calling thread,
+//!   as on the paper's PPE (`pipeline::rate_control_and_assemble`).
 //!
-//! One `workers` knob drives both fan-outs. Output is byte-identical to
-//! the sequential encoder for every worker count — parallelization must
-//! never change the codestream (asserted by tests and proptests): the
-//! vertical filter is column-local, the horizontal filter row-local, and
-//! level shift / MCT / quantization are elementwise, so any disjoint
-//! partition performs the same arithmetic on the same operands.
+//! One `workers` knob drives both fan-outs; at one worker every stage runs
+//! on the calling thread and no thread is spawned. Output is byte-identical
+//! for every worker count — parallelization must never change the
+//! codestream (asserted by tests and proptests): the vertical filter is
+//! column-local, the horizontal filter row-local, and level shift / MCT /
+//! quantization are elementwise, so any disjoint partition performs the
+//! same arithmetic on the same operands.
 
 use crate::control::EncodeControl;
 use crate::pipeline::{
@@ -29,65 +31,33 @@ use crate::quant::{band_delta, StepSize, GUARD_BITS};
 use crate::{codestream::Quant, Arithmetic, CodecError, EncoderParams, Mode, WorkloadProfile};
 use imgio::Image;
 use obs::trace;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 use wavelet::rowops::{Region, SharedPlane};
 use wavelet::{horizontal, norms, vertical};
 use xpart::{AlignedPlane, ChunkPlan, Owner, PlanConfig, CACHE_LINE};
 
-/// Tuning knobs of the host-parallel driver.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ParallelOptions {
-    /// Constant column-chunk width in *bytes* for the sample stages; must
-    /// be a positive multiple of [`xpart::CACHE_LINE`] (the configurable
-    /// "line size"). `None` auto-sizes to roughly four chunks per worker,
-    /// like the Cell driver's column grouping.
-    pub chunk_width_bytes: Option<usize>,
+/// Encode `image` with `params` on the calling thread, returning the
+/// codestream: [`encode_with`] at one worker without a control.
+pub fn encode(image: &Image, params: &EncoderParams) -> Result<Vec<u8>, CodecError> {
+    encode_with(image, params, 1, None).map(|(bytes, _)| bytes)
 }
 
-/// Encode with `workers` threads (clamped to at least 1).
-pub fn encode_parallel(
+/// Encode with `workers` threads (clamped to at least 1) and return the
+/// codestream plus the measured [`WorkloadProfile`]: per-stage wall times
+/// and per-worker job counts (`worker_jobs`: workers first, calling thread
+/// last).
+///
+/// With a `ctl`, the encode polls it at every stage boundary and, during
+/// Tier-1, once per code block, returning [`CodecError::Cancelled`] /
+/// [`CodecError::Deadline`] instead of a codestream when the control stops
+/// it. The control adds checkpoints, never arithmetic: a completed encode
+/// is byte-identical with or without one, at every worker count.
+pub fn encode_with(
     image: &Image,
     params: &EncoderParams,
     workers: usize,
-) -> Result<Vec<u8>, CodecError> {
-    encode_parallel_opts(image, params, workers, &ParallelOptions::default()).map(|(b, _)| b)
-}
-
-/// Encode with `workers` threads and also return the measured
-/// [`WorkloadProfile`], including per-stage wall times and per-worker job
-/// counts (`worker_jobs`: spawned workers first, calling thread last).
-pub fn encode_parallel_with_profile(
-    image: &Image,
-    params: &EncoderParams,
-    workers: usize,
-) -> Result<(Vec<u8>, WorkloadProfile), CodecError> {
-    encode_parallel_opts(image, params, workers, &ParallelOptions::default())
-}
-
-/// [`encode_parallel_with_profile`] with explicit [`ParallelOptions`].
-pub fn encode_parallel_opts(
-    image: &Image,
-    params: &EncoderParams,
-    workers: usize,
-    opts: &ParallelOptions,
-) -> Result<(Vec<u8>, WorkloadProfile), CodecError> {
-    encode_parallel_ctl(image, params, workers, opts, None)
-}
-
-/// Cancellable / deadline-aware encode: identical to
-/// [`encode_parallel_opts`] but polls `ctl` at every stage boundary and,
-/// during Tier-1, once per code block, returning
-/// [`CodecError::Cancelled`] / [`CodecError::Deadline`] instead of a
-/// codestream when the control stops the encode. The produced codestream
-/// (when the encode completes) is byte-identical to the sequential
-/// encoder — the control adds checkpoints, never arithmetic.
-pub fn encode_parallel_ctl(
-    image: &Image,
-    params: &EncoderParams,
-    workers: usize,
-    opts: &ParallelOptions,
     ctl: Option<&EncodeControl>,
 ) -> Result<(Vec<u8>, WorkloadProfile), CodecError> {
     params.validate()?;
@@ -99,144 +69,22 @@ pub fn encode_parallel_ctl(
         c.check()?;
     }
 
-    // Sample stages, chunk-parallel.
-    let (t, stats) = transform_samples_parallel_ctl(image, params, workers, opts, ctl)?;
+    let (t, stats) = transform_samples_parallel(image, params, workers, ctl)?;
     let mut stage_times = stats.stage_times;
     let mut worker_jobs = stats.worker_jobs;
 
-    // Build the block job list (comp, band, grid position, geometry).
-    struct Job {
-        comp: usize,
-        band_idx: usize,
-        bx: usize,
-        by: usize,
-        x0: usize,
-        y0: usize,
-        bw: usize,
-        bh: usize,
-    }
-    let mut jobs = Vec::new();
-    for c in 0..t.indices.len() {
-        for (bi, b) in t.bands.iter().enumerate() {
-            for (bx, by, x0, y0, bw, bh) in block_grid(b, params.cb_size) {
-                jobs.push(Job {
-                    comp: c,
-                    band_idx: bi,
-                    bx,
-                    by,
-                    x0,
-                    y0,
-                    bw,
-                    bh,
-                });
-            }
-        }
-    }
-
-    // Tier-1 work queue: workers pull the next job index atomically.
     let stage_span = trace::span("stage:tier1")
         .cat("stage")
         .arg("coder", params.coder.id());
     let t1 = Instant::now();
-    let cursor = AtomicUsize::new(0);
-    // First injected `tier1.block` error, if the failpoint fires: the
-    // erroring worker parks its message here and stops claiming jobs.
-    let injected: Mutex<Option<String>> = Mutex::new(None);
-    let tier1_counts: Vec<AtomicU64> = (0..workers).map(|_| AtomicU64::new(0)).collect();
-    let mut slots: Vec<Option<BlockRecord>> = Vec::with_capacity(jobs.len());
-    slots.resize_with(jobs.len(), || None);
-    let slot_ptr = SlotVec(slots.as_mut_ptr());
-    let njobs = jobs.len();
-    let parent_trace = trace::current();
-    std::thread::scope(|scope| {
-        for wi in 0..workers {
-            let cursor = &cursor;
-            let jobs = &jobs;
-            let t = &t;
-            let slot_ptr = &slot_ptr;
-            let counts = &tier1_counts;
-            let injected = &injected;
-            scope.spawn(move || {
-                // Scoped threads don't inherit the TLS trace id.
-                trace::set_current(parent_trace);
-                loop {
-                    if ctl.is_some_and(|c| c.is_stopped()) {
-                        break;
-                    }
-                    // Failpoint `tier1.block`: fires once per claimed code
-                    // block. A panic here unwinds through the scope join (the
-                    // service's catch_unwind lever); an error stops this
-                    // worker and fails the whole encode after the barrier.
-                    if let Some(msg) = faultsim::eval("tier1.block") {
-                        *injected.lock().unwrap_or_else(|e| e.into_inner()) = Some(msg);
-                        break;
-                    }
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= njobs {
-                        break;
-                    }
-                    counts[wi].fetch_add(1, Ordering::Relaxed);
-                    let j = &jobs[i];
-                    let plane = &t.indices[j.comp];
-                    let mut data = Vec::with_capacity(j.bw * j.bh);
-                    for y in j.y0..j.y0 + j.bh {
-                        for x in j.x0..j.x0 + j.bw {
-                            data.push(plane.get(x, y));
-                        }
-                    }
-                    let enc = params.coder.block_coder().encode(
-                        &data,
-                        j.bw,
-                        j.bh,
-                        band_kind(t.bands[j.band_idx].band),
-                        params.bypass,
-                    );
-                    // R-D preparation (truncation rates/distortions + convex
-                    // hull) runs here, on the worker that coded the block —
-                    // the post-pass slice of rate control rides the queue.
-                    let rec = BlockRecord::new(
-                        j.comp,
-                        j.band_idx,
-                        j.bx,
-                        j.by,
-                        enc,
-                        t.weights[j.band_idx],
-                    );
-                    // SAFETY: each index i is claimed by exactly one worker
-                    // (fetch_add), so no two threads write the same slot, and
-                    // the main thread only reads after the scope joins.
-                    unsafe {
-                        *slot_ptr.0.add(i) = Some(rec);
-                    }
-                }
-                // Flush before the closure returns: `thread::scope` only
-                // waits for closures, not TLS destructors, so the Drop
-                // flush could race the caller's trace drain.
-                trace::flush_thread();
-            });
-        }
-    });
+    let (records, tier1_counts) = tier1_queue(&t, params, workers, ctl)?;
     drop(stage_span);
     stage_times.push(StageTime::new("tier1", t1.elapsed().as_secs_f64()));
-    let tier1_counts: Vec<u64> = tier1_counts.into_iter().map(|c| c.into_inner()).collect();
     accumulate(&mut worker_jobs, &tier1_counts);
-    if let Some(c) = ctl {
-        // A stopped Tier-1 leaves unclaimed slots; bail before unwrapping.
-        c.check()?;
-    }
-    // Same for an injected `tier1.block` error: the erroring worker left
-    // its claimed slot (and any unclaimed tail) empty.
-    if let Some(msg) = injected.into_inner().unwrap_or_else(|e| e.into_inner()) {
-        return Err(CodecError::Injected(msg));
-    }
 
-    let records: Vec<BlockRecord> = slots
-        .into_iter()
-        .map(|s| s.expect("every job completed"))
-        .collect();
     let rc_span = trace::span("stage:rate-control").cat("stage");
     let raw = image.raw_bytes() as u64;
-    let out = rate_control_and_assemble(image, params, &t, &records, raw, workers)?;
+    let out = rate_control_and_assemble(image, params, &t, &records, raw)?;
     drop(rc_span);
     stage_times.push(StageTime::new("rate-control", out.alloc_secs));
     stage_times.push(StageTime::new("tier2", out.tier2_secs));
@@ -245,35 +93,172 @@ pub fn encode_parallel_ctl(
     Ok((out.bytes, profile))
 }
 
-/// Dense quantizer-index planes from the *chunk-parallel* sample stages.
-/// Diagnostic counterpart of [`crate::pipeline::transform_coefficients`];
-/// the differential proptests assert the two agree coefficient for
-/// coefficient for every worker count and chunk width.
+/// [`encode_with`] without a control, kept for callers of this name.
+#[doc(hidden)]
+pub fn encode_parallel_with_profile(
+    image: &Image,
+    params: &EncoderParams,
+    workers: usize,
+) -> Result<(Vec<u8>, WorkloadProfile), CodecError> {
+    encode_with(image, params, workers, None)
+}
+
+/// Dense quantizer-index planes from the chunked sample stages at
+/// `workers`. Diagnostic counterpart of
+/// [`crate::pipeline::transform_coefficients`]; the differential proptests
+/// assert the two agree coefficient for coefficient for every worker count.
 pub fn transform_coefficients_parallel(
     image: &Image,
     params: &EncoderParams,
     workers: usize,
-    opts: &ParallelOptions,
 ) -> Result<Vec<Vec<i32>>, CodecError> {
     params.validate()?;
     image
         .validate()
         .map_err(|e| CodecError::Image(e.to_string()))?;
-    let (t, _) = transform_samples_parallel(image, params, workers.max(1), opts)?;
+    let (t, _) = transform_samples_parallel(image, params, workers.max(1), None)?;
     Ok(t.indices.iter().map(|p| p.to_dense()).collect())
 }
 
-/// Shared raw pointer to the result slots; Sync because slot indices are
-/// partitioned dynamically but uniquely by the atomic cursor.
-struct SlotVec(*mut Option<BlockRecord>);
-unsafe impl Sync for SlotVec {}
+/// Run `worker(i)` for every worker index `i` in `0..workers` and
+/// `calling()` on the calling thread, then join; returns the workers'
+/// results in index order.
+///
+/// At one worker both run inline on the calling thread and no thread is
+/// spawned. Otherwise each worker gets a scoped thread that inherits the
+/// caller's trace id (TLS does not cross `thread::scope`) and flushes its
+/// trace buffer before returning: the scope waits for closures, not TLS
+/// destructors, so the Drop flush alone would race the caller's trace
+/// drain. A worker's panic resumes on the calling thread after the join.
+fn on_workers<R, W, C>(workers: usize, worker: W, calling: C) -> Vec<R>
+where
+    R: Send,
+    W: Fn(usize) -> R + Sync,
+    C: FnOnce(),
+{
+    if workers <= 1 {
+        let r = worker(0);
+        calling();
+        return vec![r];
+    }
+    let parent_trace = trace::current();
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|wi| {
+                let worker = &worker;
+                scope.spawn(move || {
+                    trace::set_current(parent_trace);
+                    let r = worker(wi);
+                    trace::flush_thread();
+                    r
+                })
+            })
+            .collect();
+        calling();
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .collect()
+    })
+}
+
+/// Tier-1 over a dynamic work queue: `workers` pull the next code block
+/// atomically, code it, and run its R-D preparation. Each worker returns
+/// its `(job index, record)` pairs, scattered into job order after the
+/// join. Returns the records plus per-worker block counts.
+pub(crate) fn tier1_queue(
+    t: &Transformed,
+    params: &EncoderParams,
+    workers: usize,
+    ctl: Option<&EncodeControl>,
+) -> Result<(Vec<BlockRecord>, Vec<u64>), CodecError> {
+    // The block job list: (comp, band, grid position, geometry).
+    let mut jobs = Vec::new();
+    for c in 0..t.indices.len() {
+        for (bi, b) in t.bands.iter().enumerate() {
+            for g in block_grid(b, params.cb_size) {
+                jobs.push((c, bi, g));
+            }
+        }
+    }
+    let cursor = AtomicUsize::new(0);
+    // First injected `tier1.block` error, if the failpoint fires: the
+    // erroring worker parks its message here and stops claiming jobs.
+    let injected: Mutex<Option<String>> = Mutex::new(None);
+    let done = on_workers(
+        workers,
+        |_| {
+            let mut done = Vec::new();
+            loop {
+                if ctl.is_some_and(|c| c.is_stopped()) {
+                    break;
+                }
+                // Failpoint `tier1.block`: fires once per claimed code
+                // block. A panic here unwinds through the join (the
+                // service's catch_unwind lever); an error stops this
+                // worker and fails the whole encode after the barrier.
+                if let Some(msg) = faultsim::eval("tier1.block") {
+                    *injected.lock().unwrap_or_else(|e| e.into_inner()) = Some(msg);
+                    break;
+                }
+                let i = cursor.fetch_add(1, Ordering::Relaxed);
+                let Some(&(comp, bi, (bx, by, x0, y0, bw, bh))) = jobs.get(i) else {
+                    break;
+                };
+                let plane = &t.indices[comp];
+                let mut data = Vec::with_capacity(bw * bh);
+                for y in y0..y0 + bh {
+                    data.extend_from_slice(&plane.row(y)[x0..x0 + bw]);
+                }
+                let enc = params.coder.block_coder().encode(
+                    &data,
+                    bw,
+                    bh,
+                    band_kind(t.bands[bi].band),
+                    params.bypass,
+                );
+                assert!(
+                    enc.num_planes <= t.max_planes[bi],
+                    "band {bi}: {} planes exceed M_b {}",
+                    enc.num_planes,
+                    t.max_planes[bi]
+                );
+                // R-D preparation (truncation rates/distortions + convex
+                // hull) runs here, on the worker that coded the block —
+                // the post-pass slice of rate control rides the queue.
+                done.push((i, BlockRecord::new(comp, bi, bx, by, enc, t.weights[bi])));
+            }
+            done
+        },
+        || {},
+    );
+    if let Some(c) = ctl {
+        // A stopped Tier-1 leaves unclaimed jobs; bail before collecting.
+        c.check()?;
+    }
+    // Same for an injected `tier1.block` error: the erroring worker left
+    // its claimed job (and any unclaimed tail) undone.
+    if let Some(msg) = injected.into_inner().unwrap_or_else(|e| e.into_inner()) {
+        return Err(CodecError::Injected(msg));
+    }
+    let counts = done.iter().map(|d| d.len() as u64).collect();
+    let mut slots: Vec<Option<BlockRecord>> = jobs.iter().map(|_| None).collect();
+    for (i, rec) in done.into_iter().flatten() {
+        slots[i] = Some(rec);
+    }
+    let records = slots
+        .into_iter()
+        .map(|s| s.expect("every job completed"))
+        .collect();
+    Ok((records, counts))
+}
 
 // ---------------------------------------------------------------------------
-// Chunk-parallel sample stages
+// Chunked sample stages
 // ---------------------------------------------------------------------------
 
-/// Measurements of the parallel transform: per-stage wall times plus jobs
-/// executed per worker (spawned workers first, calling thread last).
+/// Measurements of the chunked transform: per-stage wall times plus jobs
+/// executed per worker (workers first, calling thread last).
 pub(crate) struct TransformStats {
     pub stage_times: Vec<StageTime>,
     pub worker_jobs: Vec<u64>,
@@ -292,19 +277,17 @@ fn auto_chunk_bytes(width: usize, workers: usize) -> usize {
     (target / CACHE_LINE).max(1) * CACHE_LINE
 }
 
-/// Column-chunk plan for an extent of `width` samples: constant-width
-/// chunks round-robin over `workers`, remainder to the calling thread.
-fn plan_for(width: usize, workers: usize, opts: &ParallelOptions) -> Result<ChunkPlan, CodecError> {
-    let chunk = opts
-        .chunk_width_bytes
-        .unwrap_or_else(|| auto_chunk_bytes(width, workers));
+/// Column-chunk plan for an extent of `width` samples: auto-sized
+/// constant-width chunks round-robin over `workers`, remainder to the
+/// calling thread.
+fn plan_for(width: usize, workers: usize) -> Result<ChunkPlan, CodecError> {
     ChunkPlan::build(
         width,
         1,
         &PlanConfig {
             num_spes: workers,
             elem_size: 4,
-            chunk_width_bytes: chunk,
+            chunk_width_bytes: auto_chunk_bytes(width, workers),
             buffering: 1,
             // Host threads have no Local Store limit.
             ls_budget: usize::MAX / 2,
@@ -326,8 +309,8 @@ struct ChunkJob {
     chunk: usize,
 }
 
-/// Static job assignment for one stage: a list per spawned worker (the SPE
-/// role) plus the calling thread's remainder list (the PPE role).
+/// Static job assignment for one stage: a list per worker (the SPE role)
+/// plus the calling thread's remainder list (the PPE role).
 struct Assignment {
     per_worker: Vec<Vec<ChunkJob>>,
     calling: Vec<ChunkJob>,
@@ -392,23 +375,15 @@ fn assign_rows(w: usize, h: usize, comps: usize, workers: usize) -> Assignment {
 }
 
 impl Assignment {
-    /// Run `f` over every job: worker `i` processes its list on its own
-    /// thread while the calling thread processes the remainder, then all
-    /// threads join (a stage barrier). Returns per-worker job counts with
-    /// the calling thread last.
-    ///
-    /// When tracing is enabled every job runs under a span named
-    /// `stage` (args: worker / chunk / comp), and spawned threads
-    /// inherit the caller's trace id explicitly (TLS doesn't cross
-    /// `thread::scope`). Each closure flushes its local trace buffer
-    /// before returning — the scope barrier waits for closures, not
-    /// TLS destructors, so the Drop flush alone would race the
-    /// caller's trace drain.
+    /// Run `f` over every job through [`on_workers`]: worker `i` processes
+    /// its list while the calling thread processes the remainder, then
+    /// all join (a stage barrier). Every job runs under a span named
+    /// `stage` (args: worker / chunk / comp). Returns per-worker job
+    /// counts with the calling thread last.
     fn run<F>(&self, stage: &'static str, f: F) -> Vec<u64>
     where
         F: Fn(ChunkJob) + Sync,
     {
-        let parent_trace = trace::current();
         let traced = |wi: usize, j: ChunkJob| {
             let _sp = trace::span(stage)
                 .cat("chunk")
@@ -417,68 +392,34 @@ impl Assignment {
                 .arg("comp", j.comp as u64);
             f(j);
         };
-        std::thread::scope(|scope| {
-            for (wi, list) in self.per_worker.iter().enumerate() {
-                let traced = &traced;
-                scope.spawn(move || {
-                    trace::set_current(parent_trace);
-                    for &j in list {
-                        traced(wi, j);
-                    }
-                    trace::flush_thread();
-                });
-            }
-            let calling_wi = self.per_worker.len();
-            for &j in &self.calling {
-                traced(calling_wi, j);
-            }
-        });
+        let calling_wi = self.per_worker.len();
+        on_workers(
+            self.per_worker.len(),
+            |wi| {
+                for &j in &self.per_worker[wi] {
+                    traced(wi, j);
+                }
+            },
+            || {
+                for &j in &self.calling {
+                    traced(calling_wi, j);
+                }
+            },
+        );
         let mut counts: Vec<u64> = self.per_worker.iter().map(|l| l.len() as u64).collect();
         counts.push(self.calling.len() as u64);
         counts
     }
 }
 
-/// Forward RCT + level shift over three parallel row segments (identical
-/// arithmetic to [`crate::mct::forward_rct_shift`]).
-fn rct_shift_rows(py: &mut [i32], pu: &mut [i32], pv: &mut [i32], shift: i32) {
-    crate::kernels::rct_forward_row(py, pu, pv, shift);
-}
-
-/// Forward ICT + level shift over row segments (identical arithmetic to
-/// [`crate::mct::forward_ict_shift`]).
-#[allow(clippy::too_many_arguments)]
-fn ict_shift_rows(
-    r: &[i32],
-    g: &[i32],
-    b: &[i32],
-    yy: &mut [f32],
-    cb: &mut [f32],
-    cr: &mut [f32],
-    shift: f32,
-) {
-    crate::kernels::ict_forward_row(r, g, b, yy, cb, cr, shift);
-}
-
-/// Chunk-parallel version of [`crate::pipeline::transform_samples`]:
-/// byte-identical output by construction (same arithmetic on the same
-/// operands, only partitioned), plus stage measurements.
-pub(crate) fn transform_samples_parallel(
+/// Chunked version of [`crate::pipeline::transform_samples`]: identical
+/// coefficients by construction (same arithmetic on the same operands,
+/// only partitioned), plus stage measurements. Polls `ctl` after each
+/// stage and between DWT levels.
+fn transform_samples_parallel(
     image: &Image,
     params: &EncoderParams,
     workers: usize,
-    opts: &ParallelOptions,
-) -> Result<(Transformed, TransformStats), CodecError> {
-    transform_samples_parallel_ctl(image, params, workers, opts, None)
-}
-
-/// [`transform_samples_parallel`] with an optional [`EncodeControl`]
-/// polled after each stage and between DWT levels.
-pub(crate) fn transform_samples_parallel_ctl(
-    image: &Image,
-    params: &EncoderParams,
-    workers: usize,
-    opts: &ParallelOptions,
     ctl: Option<&EncodeControl>,
 ) -> Result<(Transformed, TransformStats), CodecError> {
     let (w, h) = (image.width, image.height);
@@ -507,7 +448,7 @@ pub(crate) fn transform_samples_parallel_ctl(
         c.check()?;
     }
 
-    let plan = plan_for(w, workers, opts)?;
+    let plan = plan_for(w, workers)?;
     if trace::enabled() {
         // Record the column-chunk plan itself: one instant per chunk,
         // dynamically named (`chunk-3`), so a trace can be read against
@@ -543,7 +484,12 @@ pub(crate) fn transform_samples_parallel_ctl(
                         let mut ru = shared[1].rows(j.region);
                         let mut rv = shared[2].rows(j.region);
                         for y in 0..j.region.h {
-                            rct_shift_rows(ry.row_mut(y), ru.row_mut(y), rv.row_mut(y), shift);
+                            crate::kernels::rct_forward_row(
+                                ry.row_mut(y),
+                                ru.row_mut(y),
+                                rv.row_mut(y),
+                                shift,
+                            );
                         }
                     } else {
                         let mut rows = shared[j.comp].rows(j.region);
@@ -584,7 +530,7 @@ pub(crate) fn transform_samples_parallel_ctl(
                     } else {
                         trace::Span::disabled()
                     };
-                    let lplan = plan_for(r.w, workers, opts)?;
+                    let lplan = plan_for(r.w, workers)?;
                     let vert = assign_columns(&lplan, comps, r.h, workers);
                     // SAFETY: disjoint column chunks, one thread per job.
                     let counts = vert.run("dwt", |j| unsafe {
@@ -668,7 +614,15 @@ pub(crate) fn transform_samples_parallel_ctl(
                             let r = &src[0].row(y)[x0..x0 + cw];
                             let g = &src[1].row(y)[x0..x0 + cw];
                             let b = &src[2].row(y)[x0..x0 + cw];
-                            ict_shift_rows(r, g, b, &mut ybuf, &mut cbuf, &mut rbuf, shift as f32);
+                            crate::kernels::ict_forward_row(
+                                r,
+                                g,
+                                b,
+                                &mut ybuf,
+                                &mut cbuf,
+                                &mut rbuf,
+                                shift as f32,
+                            );
                             for (c, buf) in [&ybuf, &cbuf, &rbuf].into_iter().enumerate() {
                                 if fixed {
                                     let mut rows = out_q[c].rows(j.region);
@@ -725,7 +679,7 @@ pub(crate) fn transform_samples_parallel_ctl(
                     } else {
                         trace::Span::disabled()
                     };
-                    let lplan = plan_for(r.w, workers, opts)?;
+                    let lplan = plan_for(r.w, workers)?;
                     let vert = assign_columns(&lplan, comps, r.h, workers);
                     // SAFETY: disjoint column chunks, one thread per job.
                     let counts = vert.run("dwt", |j| unsafe {
@@ -846,6 +800,41 @@ pub(crate) fn transform_samples_parallel_ctl(
 mod tests {
     use super::*;
     use imgio::synth;
+    use std::sync::MutexGuard;
+
+    /// Tracing is switched on and off process-wide, so the tests that
+    /// record a trace hold this lock for their whole body.
+    static TRACE: Mutex<()> = Mutex::new(());
+
+    fn trace_lock() -> MutexGuard<'static, ()> {
+        TRACE
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
+
+    /// Record one encode at `workers` under a fresh trace id; returns the
+    /// codestream, its events, and the calling thread's `tid` (taken from
+    /// an instant recorded just before the encode).
+    fn traced_encode(
+        im: &Image,
+        params: &EncoderParams,
+        workers: usize,
+    ) -> (Vec<u8>, Vec<trace::Event>, u64) {
+        trace::set_enabled(true);
+        let id = trace::next_trace_id();
+        trace::set_current(id);
+        trace::instant("caller", &[]);
+        let r = encode_with(im, params, workers, None);
+        trace::set_current(0);
+        let events = trace::take_job(id);
+        trace::set_enabled(false);
+        let caller = events
+            .iter()
+            .find(|e| e.name == "caller")
+            .expect("caller instant recorded")
+            .tid;
+        (r.unwrap().0, events, caller)
+    }
 
     #[test]
     fn parallel_matches_sequential_lossless() {
@@ -854,9 +843,9 @@ mod tests {
             levels: 3,
             ..EncoderParams::lossless()
         };
-        let seq = crate::encode(&im, &params).unwrap();
+        let seq = encode(&im, &params).unwrap();
         for workers in [1usize, 2, 4, 7] {
-            let par = encode_parallel(&im, &params, workers).unwrap();
+            let (par, _) = encode_with(&im, &params, workers, None).unwrap();
             assert_eq!(par, seq, "workers={workers}");
         }
     }
@@ -865,8 +854,8 @@ mod tests {
     fn parallel_matches_sequential_lossy() {
         let im = synth::natural(80, 80, 21);
         let params = EncoderParams::lossy(0.2);
-        let seq = crate::encode(&im, &params).unwrap();
-        let par = encode_parallel(&im, &params, 3).unwrap();
+        let seq = encode(&im, &params).unwrap();
+        let (par, _) = encode_with(&im, &params, 3, None).unwrap();
         assert_eq!(par, seq);
     }
 
@@ -877,9 +866,9 @@ mod tests {
             arithmetic: Arithmetic::FixedQ13,
             ..EncoderParams::lossy(0.3)
         };
-        let seq = crate::encode(&im, &params).unwrap();
+        let seq = encode(&im, &params).unwrap();
         for workers in [1usize, 2, 5] {
-            let par = encode_parallel(&im, &params, workers).unwrap();
+            let (par, _) = encode_with(&im, &params, workers, None).unwrap();
             assert_eq!(par, seq, "workers={workers}");
         }
     }
@@ -887,33 +876,35 @@ mod tests {
     #[test]
     fn parallel_output_decodes() {
         let im = synth::natural(64, 64, 30);
-        let bytes = encode_parallel(&im, &EncoderParams::lossless(), 4).unwrap();
+        let (bytes, _) = encode_with(&im, &EncoderParams::lossless(), 4, None).unwrap();
         let back = crate::decode(&bytes).unwrap();
         assert_eq!(back, im);
     }
 
     #[test]
-    fn explicit_chunk_width_is_honored_and_identical() {
-        let im = synth::natural_rgb(100, 40, 8);
-        let params = EncoderParams::lossless();
-        let seq = crate::pipeline::transform_coefficients(&im, &params).unwrap();
-        for cw in [CACHE_LINE, 2 * CACHE_LINE, 5 * CACHE_LINE] {
-            let opts = ParallelOptions {
-                chunk_width_bytes: Some(cw),
-            };
-            let par = transform_coefficients_parallel(&im, &params, 3, &opts).unwrap();
-            assert_eq!(par, seq, "chunk_width_bytes={cw}");
+    fn auto_sized_chunks_with_a_remainder_match_the_oracle() {
+        // At one worker a width auto-sizes to four constant chunks of a
+        // cache-line multiple plus an arbitrary remainder.
+        for (width, chunk, rem) in [(300usize, 64usize, 44usize), (600, 128, 88)] {
+            let plan = plan_for(width, 1).unwrap();
+            let widths: Vec<usize> = plan.chunks().iter().map(|c| c.width).collect();
+            assert_eq!(widths, [chunk, chunk, chunk, chunk, rem], "width {width}");
+            let im = synth::natural_rgb(width, 24, width as u64);
+            for params in [
+                EncoderParams {
+                    levels: 3,
+                    ..EncoderParams::lossless()
+                },
+                EncoderParams {
+                    levels: 3,
+                    ..EncoderParams::lossy(0.3)
+                },
+            ] {
+                let oracle = crate::pipeline::transform_coefficients(&im, &params).unwrap();
+                let chunked = transform_coefficients_parallel(&im, &params, 1).unwrap();
+                assert_eq!(chunked, oracle, "width {width} {:?}", params.mode);
+            }
         }
-    }
-
-    #[test]
-    fn bad_chunk_width_is_rejected() {
-        let im = synth::natural(32, 32, 1);
-        let opts = ParallelOptions {
-            chunk_width_bytes: Some(CACHE_LINE + 1),
-        };
-        let err = transform_coefficients_parallel(&im, &EncoderParams::lossless(), 2, &opts);
-        assert!(matches!(err, Err(CodecError::Params(_))));
     }
 
     #[test]
@@ -921,14 +912,10 @@ mod tests {
         let im = synth::natural(64, 64, 9);
         let ctl = EncodeControl::new();
         ctl.cancel();
-        let r = encode_parallel_ctl(
-            &im,
-            &EncoderParams::lossless(),
-            2,
-            &ParallelOptions::default(),
-            Some(&ctl),
-        );
-        assert!(matches!(r, Err(CodecError::Cancelled)));
+        for workers in [1, 2] {
+            let r = encode_with(&im, &EncoderParams::lossless(), workers, Some(&ctl));
+            assert!(matches!(r, Err(CodecError::Cancelled)), "workers={workers}");
+        }
     }
 
     #[test]
@@ -936,40 +923,30 @@ mod tests {
         let im = synth::natural(64, 64, 9);
         let ctl =
             EncodeControl::with_deadline(Instant::now() - std::time::Duration::from_millis(1));
-        let r = encode_parallel_ctl(
-            &im,
-            &EncoderParams::lossy(0.2),
-            2,
-            &ParallelOptions::default(),
-            Some(&ctl),
-        );
-        assert!(matches!(r, Err(CodecError::Deadline)));
+        for workers in [1, 2] {
+            let r = encode_with(&im, &EncoderParams::lossy(0.2), workers, Some(&ctl));
+            assert!(matches!(r, Err(CodecError::Deadline)), "workers={workers}");
+        }
     }
 
     #[test]
     fn live_control_is_byte_identical() {
         let im = synth::natural_rgb(80, 48, 17);
         let params = EncoderParams::lossless();
-        let seq = crate::encode(&im, &params).unwrap();
+        let seq = encode(&im, &params).unwrap();
         let ctl =
             EncodeControl::with_deadline(Instant::now() + std::time::Duration::from_secs(600));
-        let (par, _) =
-            encode_parallel_ctl(&im, &params, 3, &ParallelOptions::default(), Some(&ctl)).unwrap();
+        let (par, _) = encode_with(&im, &params, 3, Some(&ctl)).unwrap();
         assert_eq!(par, seq);
     }
 
     #[test]
     fn traced_encode_is_byte_identical_and_covers_stages() {
+        let _g = trace_lock();
         let im = synth::natural_rgb(96, 64, 11);
         let params = EncoderParams::lossy(0.25);
-        let seq = crate::encode(&im, &params).unwrap();
-        trace::set_enabled(true);
-        let id = trace::next_trace_id();
-        trace::set_current(id);
-        let par = encode_parallel(&im, &params, 3).unwrap();
-        trace::set_current(0);
-        let events = trace::take_job(id);
-        trace::set_enabled(false);
+        let seq = encode(&im, &params).unwrap();
+        let (par, events, _) = traced_encode(&im, &params, 3);
         assert_eq!(par, seq, "tracing must not perturb the codestream");
         for name in [
             "mct",
@@ -1001,11 +978,29 @@ mod tests {
     }
 
     #[test]
+    fn one_worker_encode_runs_on_the_calling_thread() {
+        let _g = trace_lock();
+        let im = synth::natural_rgb(96, 64, 11);
+        let (_, events, caller) = traced_encode(&im, &EncoderParams::lossy(0.25), 1);
+        for name in ["mct", "dwt", "quantize", "tier1", "stage:rate-control"] {
+            assert!(events.iter().any(|e| e.name == name), "missing {name}");
+        }
+        let elsewhere: Vec<_> = events
+            .iter()
+            .filter(|e| e.tid != caller)
+            .map(|e| (e.name.clone(), e.tid))
+            .collect();
+        assert!(
+            elsewhere.is_empty(),
+            "events recorded off the calling thread (tid {caller}): {elsewhere:?}"
+        );
+    }
+
+    #[test]
     fn profile_reports_multi_worker_jobs_and_stages() {
         let im = synth::natural_rgb(256, 64, 3);
         let workers = 4;
-        let (_, prof) =
-            encode_parallel_with_profile(&im, &EncoderParams::lossless(), workers).unwrap();
+        let (_, prof) = encode_with(&im, &EncoderParams::lossless(), workers, None).unwrap();
         assert_eq!(prof.worker_jobs.len(), workers + 1);
         let busy = prof.worker_jobs[..workers]
             .iter()

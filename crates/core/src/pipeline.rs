@@ -1,8 +1,7 @@
-//! The sequential reference pipeline: encode and decode.
-//!
-//! This is the ground truth that the host-parallel and Cell-simulated
-//! drivers must match byte-for-byte. Stage order follows the paper's
-//! Figure 2.
+//! The pieces of the pipeline around the encode driver
+//! ([`crate::parallel`]): the sequential sample transform that serves as
+//! the chunked transform's oracle, the rate-control/Tier-2 tail, and the
+//! decoder. Stage order follows the paper's Figure 2.
 
 use crate::codestream::{self, BlockStream, MainHeader, Quant};
 use crate::profile::{BlockWork, LevelWork, StageTime, WorkloadProfile};
@@ -102,8 +101,10 @@ pub(crate) struct Transformed {
     pub weights: Vec<f64>,
 }
 
-/// Run level shift + MCT + DWT + quantization, producing quantizer-index
-/// planes and the quantization signalling. Shared by every driver.
+/// Run level shift + MCT + DWT + quantization on whole planes, producing
+/// quantizer-index planes and the quantization signalling: the sequential
+/// oracle the driver's chunked transform must reproduce (see
+/// [`transform_coefficients`]).
 pub(crate) fn transform_samples(
     image: &Image,
     params: &EncoderParams,
@@ -262,38 +263,6 @@ pub(crate) fn block_grid(
     v
 }
 
-/// Tier-1 encode every code block of every band/component (sequentially).
-pub(crate) fn tier1_all(t: &Transformed, params: &EncoderParams) -> Vec<BlockRecord> {
-    let mut out = Vec::new();
-    for (c, plane) in t.indices.iter().enumerate() {
-        for (bi, b) in t.bands.iter().enumerate() {
-            for (bx, by, x0, y0, bw, bh) in block_grid(b, params.cb_size) {
-                let mut data = Vec::with_capacity(bw * bh);
-                for y in y0..y0 + bh {
-                    for x in x0..x0 + bw {
-                        data.push(plane.get(x, y));
-                    }
-                }
-                let enc = params.coder.block_coder().encode(
-                    &data,
-                    bw,
-                    bh,
-                    band_kind(b.band),
-                    params.bypass,
-                );
-                assert!(
-                    enc.num_planes <= t.max_planes[bi],
-                    "band {bi}: {} planes exceed M_b {}",
-                    enc.num_planes,
-                    t.max_planes[bi]
-                );
-                out.push(BlockRecord::new(c, bi, bx, by, enc, t.weights[bi]));
-            }
-        }
-    }
-    out
-}
-
 /// What one quality layer keeps: either everything (lossless final
 /// layer) or the truncations induced by a searched slope threshold.
 enum LayerPlan {
@@ -302,22 +271,19 @@ enum LayerPlan {
 }
 
 /// Rate allocation: per-block cumulative kept passes per layer, plus the
-/// PCRD work count. The global λ search per layer stays sequential (it
-/// needs every block's hull), but the per-block truncation application —
-/// the bulk of the loop when blocks are many — fans out over `workers`
-/// threads in disjoint block ranges, so the result is identical for every
-/// worker count. Errors only when the `rate.block` failpoint injects one.
+/// PCRD work count. One λ search per layer (it needs every block's hull),
+/// then the per-block truncation application in block order. Errors only
+/// when the `rate.block` failpoint injects one.
 pub(crate) fn allocate_layers(
     records: &[BlockRecord],
     params: &EncoderParams,
     raw_bytes: u64,
     extra_reserve: usize,
-    workers: usize,
 ) -> Result<(Vec<Vec<usize>>, u64), CodecError> {
     let prepared: Vec<&PreparedBlock> = records.iter().map(|r| &r.rd).collect();
     let mut rc_items = 0u64;
 
-    // Sequential part: one threshold search per layer.
+    // One threshold search per layer.
     let search_span = obs::trace::span("rate-search").cat("stage");
     let plans: Vec<LayerPlan> = match params.mode {
         Mode::Lossless => (0..params.layers)
@@ -353,12 +319,13 @@ pub(crate) fn allocate_layers(
     };
     drop(search_span);
 
-    // Parallel part: apply every layer's plan to each block, including the
-    // cross-layer monotonicity fix-up (block-local, so it rides along).
-    let apply_block = |r: &BlockRecord| -> Option<Vec<usize>> {
+    // Apply every layer's plan to each block, including the cross-layer
+    // monotonicity fix-up.
+    let mut kept = Vec::with_capacity(records.len());
+    for r in records {
         // Failpoint `rate.block`: fires once per block per allocation.
-        if faultsim::eval("rate.block").is_some() {
-            return None;
+        if let Some(msg) = faultsim::eval("rate.block") {
+            return Err(CodecError::Injected(msg));
         }
         let mut k: Vec<usize> = plans
             .iter()
@@ -372,74 +339,19 @@ pub(crate) fn allocate_layers(
                 k[l] = k[l - 1];
             }
         }
-        Some(k)
-    };
-
-    let kept = fan_out_map(records, workers, "rate-apply", apply_block)
-        .ok_or_else(|| CodecError::Injected("rate.block".into()))?;
+        kept.push(k);
+    }
     Ok((kept, rc_items))
 }
 
-/// Map `f` over `items` with `workers` threads on disjoint contiguous
-/// ranges, preserving order. `f` returning `None` (an injected fault)
-/// makes the whole map `None`. Runs inline without spawning when one
-/// worker (or one item) suffices, so the sequential driver never pays for
-/// threads it didn't ask for.
-pub(crate) fn fan_out_map<T, U, F>(
-    items: &[T],
-    workers: usize,
-    stage: &'static str,
-    f: F,
-) -> Option<Vec<U>>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(&T) -> Option<U> + Sync,
-{
-    let workers = workers.max(1).min(items.len().max(1));
-    if workers <= 1 {
-        return items.iter().map(&f).collect();
-    }
-    let chunk = items.len().div_ceil(workers);
-    let n_chunks = items.len().div_ceil(chunk);
-    let parent_trace = obs::trace::current();
-    let mut out: Vec<Option<Vec<U>>> = Vec::new();
-    out.resize_with(n_chunks, || None);
-    std::thread::scope(|scope| {
-        for (wi, (slice, slot)) in items.chunks(chunk).zip(out.iter_mut()).enumerate() {
-            let f = &f;
-            scope.spawn(move || {
-                obs::trace::set_current(parent_trace);
-                {
-                    let _sp = obs::trace::span(stage)
-                        .cat("chunk")
-                        .arg("worker", wi as u64)
-                        .arg("items", slice.len() as u64);
-                    *slot = slice.iter().map(f).collect();
-                }
-                // Scoped threads join closures, not TLS destructors.
-                obs::trace::flush_thread();
-            });
-        }
-    });
-    let mut all = Vec::with_capacity(items.len());
-    for part in out {
-        all.extend(part?);
-    }
-    Some(all)
-}
-
-/// Assemble the final codestream from coded blocks + allocations. Tier-2
-/// packet formation fans out per (component, subband) precinct chain over
-/// `workers` threads inside [`codestream::write_workers`]; the only error
-/// is an injected `tier2.precinct` fault.
+/// Assemble the final codestream from coded blocks + allocations; the
+/// only error is an injected `tier2.precinct` fault.
 pub(crate) fn assemble(
     image: &Image,
     params: &EncoderParams,
     t: &Transformed,
     records: &[BlockRecord],
     kept: &[Vec<usize>],
-    workers: usize,
 ) -> Result<Vec<u8>, CodecError> {
     let header = MainHeader {
         width: image.width,
@@ -477,18 +389,13 @@ pub(crate) fn assemble(
             data: r.enc.data[..r.enc.bytes_for_passes(last)].to_vec(),
         });
     }
-    codestream::write_workers(&header, &streams, workers).map_err(CodecError::Injected)
-}
-
-/// Encode `image` with `params`, returning the codestream.
-pub fn encode(image: &Image, params: &EncoderParams) -> Result<Vec<u8>, CodecError> {
-    encode_with_profile(image, params).map(|(bytes, _)| bytes)
+    codestream::try_write(&header, &streams).map_err(CodecError::Injected)
 }
 
 /// Dense quantizer-index planes produced by the sample stages (level
 /// shift, MCT, DWT, quantization), one per component, in the sequential
 /// reference arithmetic. Diagnostic API for the differential tests: the
-/// chunked host-parallel transform must reproduce these coefficient for
+/// driver's chunked transform must reproduce these coefficient for
 /// coefficient (see `parallel::transform_coefficients_parallel`).
 pub fn transform_coefficients(
     image: &Image,
@@ -500,42 +407,6 @@ pub fn transform_coefficients(
         .map_err(|e| CodecError::Image(e.to_string()))?;
     let t = transform_samples(image, params)?;
     Ok(t.indices.iter().map(|p| p.to_dense()).collect())
-}
-
-/// Encode and also return the measured [`WorkloadProfile`] that drives the
-/// machine models.
-pub fn encode_with_profile(
-    image: &Image,
-    params: &EncoderParams,
-) -> Result<(Vec<u8>, WorkloadProfile), CodecError> {
-    params.validate()?;
-    image
-        .validate()
-        .map_err(|e| CodecError::Image(e.to_string()))?;
-    let tr_span = obs::trace::span("stage:transform").cat("stage");
-    let t0 = std::time::Instant::now();
-    let t = transform_samples(image, params)?;
-    let transform_secs = t0.elapsed().as_secs_f64();
-    drop(tr_span);
-    let t1_span = obs::trace::span("stage:tier1")
-        .cat("stage")
-        .arg("coder", params.coder.id());
-    let t1 = std::time::Instant::now();
-    let records = tier1_all(&t, params);
-    let tier1_secs = t1.elapsed().as_secs_f64();
-    drop(t1_span);
-    let rc_span = obs::trace::span("stage:rate-control").cat("stage");
-    let raw = image.raw_bytes() as u64;
-    let out = rate_control_and_assemble(image, params, &t, &records, raw, 1)?;
-    drop(rc_span);
-    let stage_times = vec![
-        StageTime::new("transform", transform_secs),
-        StageTime::new("tier1", tier1_secs),
-        StageTime::new("rate-control", out.alloc_secs),
-        StageTime::new("tier2", out.tier2_secs),
-    ];
-    let profile = build_profile(image, params, &records, &out, stage_times, Vec::new());
-    Ok((out.bytes, profile))
 }
 
 /// Everything the rate-control/Tier-2 tail produced, including the
@@ -563,26 +434,23 @@ pub(crate) struct RateOutcome {
 }
 
 /// PCRD rate allocation plus codestream assembly, including the lossy
-/// budget-shrink retry loop. Shared by the sequential and parallel drivers
-/// so they stay byte-identical by construction; `workers` fans out the
-/// per-block truncation application and the per-precinct Tier-2 assembly
-/// without changing a byte (disjoint partitions + ordered merge).
+/// budget-shrink retry loop: the sequential tail, run on the calling
+/// thread as on the paper's PPE.
 pub(crate) fn rate_control_and_assemble(
     image: &Image,
     params: &EncoderParams,
     t: &Transformed,
     records: &[BlockRecord],
     raw: u64,
-    workers: usize,
 ) -> Result<RateOutcome, CodecError> {
     let mut alloc_secs = 0.0;
     let mut tier2_secs = 0.0;
     let ta = std::time::Instant::now();
-    let (mut kept, mut rc_items) = allocate_layers(records, params, raw, 0, workers)?;
+    let (mut kept, mut rc_items) = allocate_layers(records, params, raw, 0)?;
     alloc_secs += ta.elapsed().as_secs_f64();
     let t2_span = obs::trace::span("tier2").cat("stage");
     let tt = std::time::Instant::now();
-    let mut bytes = assemble(image, params, t, records, &kept, workers)?;
+    let mut bytes = assemble(image, params, t, records, &kept)?;
     tier2_secs += tt.elapsed().as_secs_f64();
     drop(t2_span);
     let mut retries = 0u64;
@@ -598,13 +466,13 @@ pub(crate) fn rate_control_and_assemble(
             reserve += (bytes.len() - limit) + 32;
             reserves.push(reserve);
             let ta = std::time::Instant::now();
-            let (k, rc) = allocate_layers(records, params, raw, reserve, workers)?;
+            let (k, rc) = allocate_layers(records, params, raw, reserve)?;
             alloc_secs += ta.elapsed().as_secs_f64();
             kept = k;
             rc_items += rc;
             let t2_span = obs::trace::span("tier2").cat("stage");
             let tt = std::time::Instant::now();
-            bytes = assemble(image, params, t, records, &kept, workers)?;
+            bytes = assemble(image, params, t, records, &kept)?;
             tier2_secs += tt.elapsed().as_secs_f64();
             drop(t2_span);
             tries += 1;
@@ -693,35 +561,23 @@ pub(crate) fn build_profile(
     }
 }
 
-/// Decode a codestream produced by any of this crate's encoders.
+/// Decode a codestream produced by this crate's encoder: every quality
+/// layer at full resolution.
 pub fn decode(data: &[u8]) -> Result<Image, CodecError> {
-    decode_layers(data, usize::MAX)
+    decode_opts(data, usize::MAX, 0)
 }
 
-/// Decode only the first `max_layers` quality layers (progressive
-/// decoding): the defining JPEG2000 feature that a truncated or partially
-/// fetched stream still yields a complete, lower-quality image.
-pub fn decode_layers(data: &[u8], max_layers: usize) -> Result<Image, CodecError> {
-    decode_inner(data, max_layers, 0)
-}
-
-/// Decode at reduced resolution, discarding the `discard_levels` finest
-/// resolution levels: the output is the image downscaled by
-/// `2^discard_levels` (resolution-progressive decoding).
-pub fn decode_resolution(data: &[u8], discard_levels: usize) -> Result<Image, CodecError> {
-    decode_inner(data, usize::MAX, discard_levels)
-}
-
-/// Decode with both progressive controls at once: keep only the first
-/// `max_layers` quality layers (`usize::MAX` = all) *and* discard the
-/// `discard_levels` finest resolution levels. The plumbing entry point
-/// for the CLI and the serve-level `Decode` request.
+/// Progressive decode: keep only the first `max_layers` quality layers
+/// (`usize::MAX` = all) — a truncated or partially fetched stream still
+/// yields a complete, lower-quality image — and discard the
+/// `discard_levels` finest resolution levels, so the output is the image
+/// downscaled by `2^discard_levels`.
 pub fn decode_opts(
     data: &[u8],
     max_layers: usize,
     discard_levels: usize,
 ) -> Result<Image, CodecError> {
-    decode_inner(data, max_layers, discard_levels)
+    decode_parsed(codestream::parse(data)?, max_layers, discard_levels, false)
 }
 
 /// Best-effort decode of a (possibly truncated) codestream prefix.
@@ -738,14 +594,6 @@ pub fn decode_prefix(data: &[u8]) -> Result<(Image, usize), CodecError> {
     let (parsed, complete_layers) = codestream::parse_prefix(data)?;
     let img = decode_parsed(parsed, usize::MAX, 0, true)?;
     Ok((img, complete_layers))
-}
-
-fn decode_inner(
-    data: &[u8],
-    max_layers: usize,
-    discard_levels: usize,
-) -> Result<Image, CodecError> {
-    decode_parsed(codestream::parse(data)?, max_layers, discard_levels, false)
 }
 
 fn decode_parsed(
@@ -950,7 +798,15 @@ fn crop<T: Copy + Default>(p: &AlignedPlane<T>, cw: usize, ch: usize) -> Aligned
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::encode;
     use imgio::synth;
+
+    /// Sequential transform plus Tier-1 at one worker: the tail's input.
+    fn coded(im: &Image, params: &EncoderParams) -> (Transformed, Vec<BlockRecord>) {
+        let t = transform_samples(im, params).unwrap();
+        let (records, _) = crate::parallel::tier1_queue(&t, params, 1, None).unwrap();
+        (t, records)
+    }
 
     #[test]
     fn lossless_roundtrip_gray() {
@@ -1052,13 +908,13 @@ mod tests {
         let bytes = encode(&im, &params).unwrap();
         let mut prev = 0.0f64;
         for l in 1..=4 {
-            let partial = decode_layers(&bytes, l).unwrap();
+            let partial = decode_opts(&bytes, l, 0).unwrap();
             let p = j2k_metrics::psnr(&im, &partial).unwrap();
             assert!(p >= prev - 0.01, "layer {l}: {p} < {prev}");
             prev = p;
         }
         // Full decode equals decode of all layers.
-        assert_eq!(decode(&bytes).unwrap(), decode_layers(&bytes, 4).unwrap());
+        assert_eq!(decode(&bytes).unwrap(), decode_opts(&bytes, 4, 0).unwrap());
         assert!(prev > 25.0, "final quality {prev}");
     }
 
@@ -1085,7 +941,8 @@ mod tests {
         let bytes = encode(&im, &params).unwrap();
         // Walk prefixes from nothing to everything: every successful
         // decode is geometrically valid, layer recovery is monotone, and
-        // quality at each recovered layer count matches decode_layers.
+        // quality at each recovered layer count matches a layer-limited
+        // decode_opts.
         let mut last_layers = 0usize;
         let mut any_partial = false;
         for cut in (0..=bytes.len()).step_by(97) {
@@ -1096,7 +953,7 @@ mod tests {
                     assert!(layers >= last_layers, "cut {cut}: layer count regressed");
                     if layers > 0 && layers < 4 {
                         any_partial = true;
-                        assert_eq!(img, decode_layers(&bytes, layers).unwrap());
+                        assert_eq!(img, decode_opts(&bytes, layers, 0).unwrap());
                     }
                     last_layers = layers;
                 }
@@ -1120,14 +977,14 @@ mod tests {
         )
         .unwrap();
         // Full resolution = normal decode.
-        assert_eq!(decode_resolution(&bytes, 0).unwrap(), im);
+        assert_eq!(decode_opts(&bytes, usize::MAX, 0).unwrap(), im);
         // Each discarded level halves the dimensions (ceil).
-        let half = decode_resolution(&bytes, 1).unwrap();
+        let half = decode_opts(&bytes, usize::MAX, 1).unwrap();
         assert_eq!((half.width, half.height), (32, 24));
-        let eighth = decode_resolution(&bytes, 3).unwrap();
+        let eighth = decode_opts(&bytes, usize::MAX, 3).unwrap();
         assert_eq!((eighth.width, eighth.height), (8, 6));
         // Discarding more than `levels` clamps to the deepest LL.
-        let floor = decode_resolution(&bytes, 99).unwrap();
+        let floor = decode_opts(&bytes, usize::MAX, 99).unwrap();
         assert_eq!((floor.width, floor.height), (8, 6));
         // The reduced image is a low-pass version: its mean tracks the
         // original's mean closely.
@@ -1148,7 +1005,7 @@ mod tests {
             },
         )
         .unwrap();
-        let half = decode_resolution(&bytes, 1).unwrap();
+        let half = decode_opts(&bytes, usize::MAX, 1).unwrap();
         assert_eq!((half.width, half.height, half.comps()), (32, 32, 3));
         // Downscale the original by simple 2x2 averaging and compare: the
         // DWT LL is a (better) low-pass of the same content.
@@ -1172,7 +1029,7 @@ mod tests {
     fn zero_layers_decodes_to_flat_image() {
         let im = synth::natural(32, 32, 1);
         let bytes = encode(&im, &EncoderParams::lossless()).unwrap();
-        let flat = decode_layers(&bytes, 0).unwrap();
+        let flat = decode_opts(&bytes, 0, 0).unwrap();
         assert_eq!(flat.width, 32);
         // All coefficients dropped: the reconstruction is the level-shift
         // midpoint everywhere.
@@ -1235,7 +1092,7 @@ mod tests {
     #[test]
     fn profile_measures_real_work() {
         let im = synth::natural(64, 64, 1);
-        let (bytes, prof) = encode_with_profile(&im, &EncoderParams::lossless()).unwrap();
+        let (bytes, prof) = crate::encode_with(&im, &EncoderParams::lossless(), 1, None).unwrap();
         assert_eq!(prof.output_bytes as usize, bytes.len());
         assert!(
             prof.tier1_symbols() > prof.samples,
@@ -1244,7 +1101,7 @@ mod tests {
         assert_eq!(prof.samples, 64 * 64);
         assert_eq!(prof.rate_control_items, 0);
         assert!(!prof.blocks.is_empty());
-        let (_, lossy_prof) = encode_with_profile(&im, &EncoderParams::lossy(0.2)).unwrap();
+        let (_, lossy_prof) = crate::encode_with(&im, &EncoderParams::lossy(0.2), 1, None).unwrap();
         assert!(lossy_prof.rate_control_items > 0);
     }
 
@@ -1281,10 +1138,9 @@ mod tests {
             cb_size: 32,
             ..EncoderParams::lossy(0.08)
         };
-        let t = transform_samples(&im, &params).unwrap();
-        let records = tier1_all(&t, &params);
+        let (t, records) = coded(&im, &params);
         let raw = im.raw_bytes() as u64;
-        let out = rate_control_and_assemble(&im, &params, &t, &records, raw, 1).unwrap();
+        let out = rate_control_and_assemble(&im, &params, &t, &records, raw).unwrap();
         assert!(out.retries >= 2, "wanted >=2 retries, got {}", out.retries);
         assert!(out.converged);
         assert!(out.bytes.len() <= (0.08 * raw as f64) as usize);
@@ -1292,14 +1148,6 @@ mod tests {
         assert_eq!(out.reserves.len() as u64, out.retries);
         for w in out.reserves.windows(2) {
             assert!(w[1] > w[0], "reserve not monotonic: {:?}", out.reserves);
-        }
-        // The whole retry history is worker-count invariant.
-        for workers in [2usize, 5, 8] {
-            let o = rate_control_and_assemble(&im, &params, &t, &records, raw, workers).unwrap();
-            assert_eq!(o.bytes, out.bytes, "workers={workers}");
-            assert_eq!(o.retries, out.retries, "workers={workers}");
-            assert_eq!(o.reserves, out.reserves, "workers={workers}");
-            assert_eq!(o.rc_items, out.rc_items, "workers={workers}");
         }
     }
 
@@ -1310,10 +1158,9 @@ mod tests {
         // still hand back a decodable stream.
         let im = synth::noise(8, 8, 5);
         let params = EncoderParams::lossy(0.02);
-        let t = transform_samples(&im, &params).unwrap();
-        let records = tier1_all(&t, &params);
+        let (t, records) = coded(&im, &params);
         let raw = im.raw_bytes() as u64;
-        let out = rate_control_and_assemble(&im, &params, &t, &records, raw, 1).unwrap();
+        let out = rate_control_and_assemble(&im, &params, &t, &records, raw).unwrap();
         assert_eq!(out.retries, 8);
         assert!(!out.converged);
         assert_eq!(out.reserves.len(), 8);
@@ -1322,7 +1169,7 @@ mod tests {
         }
         decode(&out.bytes).unwrap();
         // The profile surfaces the exhaustion for callers.
-        let (_, prof) = encode_with_profile(&im, &params).unwrap();
+        let (_, prof) = crate::encode_with(&im, &params, 1, None).unwrap();
         assert_eq!(prof.rate_retries, 8);
         assert!(!prof.rate_converged);
     }

@@ -6,7 +6,21 @@
 #![cfg(feature = "failpoints")]
 
 use faultsim::{FaultAction, FaultSpec};
-use j2k_core::{decode, decode_layers, decode_prefix, CodecError, EncoderParams};
+use j2k_core::{decode, decode_opts, decode_prefix, CodecError, EncoderParams};
+use std::sync::{Mutex, MutexGuard};
+
+/// The harness runs tests on parallel threads and the failpoint registry
+/// is process-global, so every test that arms, resets or reads it holds
+/// this lock for its whole body. Each test resets the registry before it
+/// arms anything, so one that fails while holding the lock leaves nothing
+/// for the next to repair.
+static REGISTRY: Mutex<()> = Mutex::new(());
+
+fn registry_lock() -> MutexGuard<'static, ()> {
+    REGISTRY
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 fn multilayer_stream() -> (imgio::Image, Vec<u8>, usize) {
     let im = imgio::synth::natural(64, 64, 5);
@@ -23,6 +37,7 @@ fn multilayer_stream() -> (imgio::Image, Vec<u8>, usize) {
 /// with the armed message — the walk must not swallow it.
 #[test]
 fn strict_decode_surfaces_injected_packet_fault() {
+    let _g = registry_lock();
     let (im, bytes, _) = multilayer_stream();
     faultsim::reset();
     faultsim::arm(
@@ -44,6 +59,7 @@ fn strict_decode_surfaces_injected_packet_fault() {
 /// image equals an honest layer-limited decode of the same stream.
 #[test]
 fn prefix_decode_degrades_instead_of_failing() {
+    let _g = registry_lock();
     let (_, bytes, layers) = multilayer_stream();
     let (_, total) = decode_prefix(&bytes).unwrap();
     assert_eq!(total, 4);
@@ -63,7 +79,7 @@ fn prefix_decode_degrades_instead_of_failing() {
     );
     assert_eq!(
         img,
-        decode_layers(&bytes, committed).unwrap(),
+        decode_opts(&bytes, committed, 0).unwrap(),
         "committed layers must be bit-identical to an honest layer-limited decode"
     );
 }
@@ -72,6 +88,7 @@ fn prefix_decode_degrades_instead_of_failing() {
 /// complete layers: still `Ok`, geometry intact, all-background image.
 #[test]
 fn prefix_decode_survives_first_packet_fault() {
+    let _g = registry_lock();
     let (im, bytes, _) = multilayer_stream();
     faultsim::reset();
     faultsim::arm(

@@ -7,6 +7,20 @@
 
 use faultsim::{FaultAction, FaultSpec};
 use j2k_core::{decode, decode_prefix, CodecError, Coder, EncoderParams};
+use std::sync::{Mutex, MutexGuard};
+
+/// The harness runs tests on parallel threads and the failpoint registry
+/// is process-global, so every test that arms, resets or reads it holds
+/// this lock for its whole body. Each test resets the registry before it
+/// arms anything, so one that fails while holding the lock leaves nothing
+/// for the next to repair.
+static REGISTRY: Mutex<()> = Mutex::new(());
+
+fn registry_lock() -> MutexGuard<'static, ()> {
+    REGISTRY
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 fn ht_stream(layers: usize) -> (imgio::Image, Vec<u8>) {
     let im = imgio::synth::natural(64, 64, 9);
@@ -28,6 +42,7 @@ fn ht_stream(layers: usize) -> (imgio::Image, Vec<u8>) {
 /// still *evaluates* `ht.quad` once per quad, so the hit counter moves.
 #[test]
 fn ht_quad_failpoint_is_on_the_decode_path() {
+    let _g = registry_lock();
     let (im, bytes) = ht_stream(1);
     faultsim::reset();
     let before = faultsim::hits("ht.quad");
@@ -44,6 +59,7 @@ fn ht_quad_failpoint_is_on_the_decode_path() {
 /// the `decode.packet` contract.
 #[test]
 fn strict_decode_surfaces_injected_quad_fault() {
+    let _g = registry_lock();
     let (im, bytes) = ht_stream(1);
     faultsim::reset();
     faultsim::arm(
@@ -65,6 +81,7 @@ fn strict_decode_surfaces_injected_quad_fault() {
 /// geometry, never surface the injected error.
 #[test]
 fn prefix_decode_degrades_instead_of_failing() {
+    let _g = registry_lock();
     let (im, bytes) = ht_stream(4);
     faultsim::reset();
     faultsim::arm(
@@ -85,6 +102,7 @@ fn prefix_decode_degrades_instead_of_failing() {
 /// lenient decode still succeeds even when every retry faults.
 #[test]
 fn prefix_decode_survives_persistent_quad_fault() {
+    let _g = registry_lock();
     let (im, bytes) = ht_stream(4);
     faultsim::reset();
     faultsim::arm(

@@ -12,8 +12,8 @@
 //!   request-level mirror of the Tier-1 code-block queue, with
 //!   reject-when-full instead of unbounded growth;
 //! * [`service`] — [`EncodeService`]: admission control, a worker pool
-//!   reusing [`j2k_core::encode_parallel`]'s chunk/queue parallelism with
-//!   a per-job `workers` budget, per-job deadlines enforced *inside* the
+//!   running [`j2k_core::encode_with`]'s chunk/queue parallelism with a
+//!   per-job `workers` budget, per-job deadlines enforced *inside* the
 //!   encode via [`j2k_core::EncodeControl`], cancellation, graceful
 //!   drain-on-shutdown, and a [`MetricsSnapshot`] (queue depth, job
 //!   counters, per-stage wall times);
@@ -45,8 +45,8 @@
 //! honors `retry_after_ms`.
 //!
 //! Invariant inherited from the codec: every codestream the service
-//! returns is **byte-identical** to sequential [`j2k_core::encode`] for
-//! the same input — scheduling decisions never touch the output.
+//! returns is **byte-identical** to [`j2k_core::encode`] for the same
+//! input — scheduling decisions never touch the output.
 
 pub mod breaker;
 pub mod metrics_http;

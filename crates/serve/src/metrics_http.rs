@@ -162,7 +162,6 @@ pub fn render_prometheus(svc: &EncodeService) -> String {
             "job_e2e_us" => {
                 "End-to-end latency of completed jobs, microseconds (submit to codestream)."
             }
-            "tier1_symbols_per_sec" => "Per-job Tier-1 coding-pass symbol throughput.",
             "tier1_symbols_per_sec_mq" => "Per-job Tier-1 symbol throughput, MQ-coded jobs.",
             "tier1_symbols_per_sec_ht" => "Per-job Tier-1 symbol throughput, HT-coded jobs.",
             _ => "Per-stage encode wall time, microseconds.",
@@ -362,7 +361,9 @@ mod tests {
         // set appears even though only the MQ coder ran.
         assert!(text.contains("j2k_tier1_symbols_per_sec_ht_count 0"));
         assert!(text.contains("j2k_tier1_symbols_per_sec_mq_count"));
-        assert!(text.contains("j2k_stage_transform_us_count 0"));
+        assert!(text.contains("j2k_stage_quantize_us_count 0"));
+        assert!(!text.contains("j2k_stage_transform_us"));
+        assert!(!text.contains("j2k_tier1_symbols_per_sec_count"));
         // Per-kernel counters carry the kernel label for the full set.
         assert!(text.contains("j2k_kernel_samples_total{kernel=\"tier1_mq\"}"));
         assert!(text.contains("j2k_kernel_gb_per_sec{kernel=\"dwt53_vertical\"}"));

@@ -6,7 +6,7 @@
 //! and either enqueues it (returning a [`JobHandle`]) or refuses with a
 //! typed [`SubmitError`] — the service never buffers beyond the
 //! configured queue capacity. A pool thread claims the task, runs
-//! [`encode_parallel_ctl`] with the per-job `workers_per_job` budget, and
+//! [`encode_with`] with the per-job `workers_per_job` budget, and
 //! publishes the [`JobOutcome`] through the handle. Deadlines are
 //! enforced *inside* the encode (the control is polled per stage and per
 //! Tier-1 code block), so a job whose deadline passes mid-encode stops at
@@ -54,7 +54,7 @@
 use crate::pressure::{PixelReservation, PressureConfig, PressureController, PressureLevel};
 use crate::queue::{JobQueue, PushError};
 use imgio::Image;
-use j2k_core::{encode_parallel_ctl, CodecError, EncodeControl, EncoderParams, ParallelOptions};
+use j2k_core::{encode_with, CodecError, EncodeControl, EncoderParams};
 use obs::hist::{HistogramSnapshot, HistogramStats};
 use obs::trace;
 use std::collections::{BTreeMap, HashMap, VecDeque};
@@ -106,8 +106,8 @@ impl EncodeJob {
 /// Terminal state of a submitted job.
 #[derive(Debug)]
 pub enum JobOutcome {
-    /// Encode finished; the codestream is byte-identical to the
-    /// sequential encoder's output for the same input and effective
+    /// Encode finished; the codestream is byte-identical to
+    /// [`j2k_core::encode`]'s output for the same input and effective
     /// params (the submitted params, or their degraded form when
     /// `degraded` is set).
     Completed {
@@ -281,7 +281,7 @@ pub struct ServiceConfig {
     /// Pool threads draining the queue (>= 1): the concurrency of whole
     /// jobs.
     pub pool_threads: usize,
-    /// `workers` budget handed to [`encode_parallel_ctl`] per job: the
+    /// `workers` budget handed to [`encode_with`] per job: the
     /// parallelism *within* one encode.
     pub workers_per_job: usize,
     /// Deadline for jobs that set none.
@@ -432,9 +432,9 @@ pub struct MetricsSnapshot {
     /// (stage names from [`j2k_core::WorkloadProfile::stage_times`]).
     pub stage_seconds: Vec<(String, f64)>,
     /// Percentile summaries per histogram series (`queue_wait_us`,
-    /// `job_e2e_us`, `stage_*_us`, `tier1_symbols_per_sec` plus its
-    /// per-coder splits `tier1_symbols_per_sec_mq` /
-    /// `tier1_symbols_per_sec_ht`), sorted by series name.
+    /// `job_e2e_us`, `stage_*_us`, and the per-coder Tier-1 throughput
+    /// series `tier1_symbols_per_sec_mq` / `tier1_symbols_per_sec_ht`),
+    /// sorted by series name.
     pub histograms: Vec<(String, HistogramStats)>,
     /// Per-kernel perf counters ([`obs::counters`]) — always the full
     /// declared kernel set in [`obs::counters::Kernel::ALL`] order, all
@@ -614,8 +614,7 @@ pub struct EncodeService {
 /// zero-count histograms included. Recording lazily (as the workers do)
 /// would otherwise make the schema depend on which coder or pipeline
 /// happened to run first, breaking dashboards that join on series names.
-/// Stage names cover the parallel driver's stages plus the sequential
-/// pipeline's fused `transform` stage.
+/// Stage names are the encode driver's stages.
 const DECLARED_HISTOGRAMS: &[&str] = &[
     "queue_wait_us",
     "job_e2e_us",
@@ -623,11 +622,9 @@ const DECLARED_HISTOGRAMS: &[&str] = &[
     "stage_mct_us",
     "stage_dwt_us",
     "stage_quantize_us",
-    "stage_transform_us",
     "stage_tier1_us",
     "stage_rate_control_us",
     "stage_tier2_us",
-    "tier1_symbols_per_sec",
     "tier1_symbols_per_sec_mq",
     "tier1_symbols_per_sec_ht",
 ];
@@ -1159,11 +1156,10 @@ fn worker_iteration(
             .arg("coder", task.params.coder.id())
             .arg("crashes", u64::from(task.crashes.load(Ordering::Relaxed)));
         let started = Instant::now();
-        let outcome = match encode_parallel_ctl(
+        let outcome = match encode_with(
             &task.image,
             &task.params,
             cfg.workers_per_job,
-            &ParallelOptions::default(),
             Some(&task.shared.ctl),
         ) {
             Ok((codestream, profile)) => {
@@ -1193,10 +1189,7 @@ fn worker_iteration(
                 if tier1_secs > 0.0 {
                     let symbols = profile.tier1_symbols();
                     let rate = (symbols as f64 / tier1_secs) as u64;
-                    metrics.hist.histogram("tier1_symbols_per_sec").record(rate);
-                    // Per-coder series so an MQ/HT mix stays separable;
-                    // the unsuffixed series keeps its pre-HT meaning of
-                    // "all Tier-1 work" for existing dashboards.
+                    // Per-coder series so an MQ/HT mix stays separable.
                     let series = format!("tier1_symbols_per_sec_{}", task.params.coder.name());
                     metrics.hist.histogram(&series).record(rate);
                 }
@@ -1486,7 +1479,7 @@ mod tests {
         );
         assert!(m.stage_seconds.iter().any(|(n, _)| n == "tier1"));
         // Stage names flow dynamically from the encoder's profile: the
-        // parallel rate-control/Tier-2 tail reports both of its stages.
+        // rate-control/Tier-2 tail reports both of its stages.
         for want in ["rate-control", "tier2"] {
             assert!(
                 m.stage_seconds.iter().any(|(n, _)| n == want),
@@ -1541,6 +1534,12 @@ mod tests {
             "metrics must carry every declared series before anything runs"
         );
         assert!(m.histograms.iter().all(|(_, h)| h.count == 0));
+        // No series the driver never records: no fused `transform` stage,
+        // and no aggregate Tier-1 rate beside the per-coder ones.
+        assert_eq!(names.len(), 11, "{names:?}");
+        for retired in ["stage_transform_us", "tier1_symbols_per_sec"] {
+            assert!(!names.contains(&retired), "{retired} is declared");
+        }
         assert_eq!(m.kernels.len(), obs::counters::KERNEL_COUNT);
         svc.begin_shutdown();
     }

@@ -3,7 +3,7 @@
 //!     cargo run --release --example cell_scaling
 
 use jpeg2000_cell::codec::cell::{simulate, SimOptions};
-use jpeg2000_cell::codec::{encode_with_profile, EncoderParams};
+use jpeg2000_cell::codec::{encode_with, EncoderParams};
 use jpeg2000_cell::images::synth;
 use jpeg2000_cell::machine::MachineConfig;
 
@@ -13,7 +13,7 @@ fn main() {
         ("lossless", EncoderParams::lossless()),
         ("lossy r=0.1", EncoderParams::lossy(0.1)),
     ] {
-        let (_, profile) = encode_with_profile(&image, &params).expect("encode");
+        let (_, profile) = encode_with(&image, &params, 1, None).expect("encode");
         println!("== {name} encode of 512x512 RGB ==");
         println!("{:>14} {:>12} {:>9}", "config", "sim time ms", "speedup");
         let base = simulate(

@@ -35,11 +35,10 @@ fn main() {
         psnr(&image, &back).unwrap()
     );
 
-    // The host-parallel encoder produces the identical codestream.
-    let par =
-        jpeg2000_cell::codec::parallel::encode_parallel(&image, &EncoderParams::lossless(), 4)
-            .expect("parallel encode");
-    let seq = encode(&image, &EncoderParams::lossless()).unwrap();
-    assert_eq!(par, seq);
-    println!("host-parallel encoder: byte-identical to sequential");
+    // Four worker threads produce the identical codestream.
+    let (par, _) = jpeg2000_cell::codec::encode_with(&image, &EncoderParams::lossless(), 4, None)
+        .expect("parallel encode");
+    let one = encode(&image, &EncoderParams::lossless()).unwrap();
+    assert_eq!(par, one);
+    println!("4 workers: byte-identical to 1 worker");
 }

@@ -18,16 +18,14 @@
 //! `--min-ssim` it exits nonzero when the candidate falls below the
 //! floor, so shell pipelines can gate on quality.
 //!
-//! `--workers N` (alias `--threads`) dispatches the encode to
-//! `encode_parallel` with N host threads — the paper's chunked sample
-//! stages plus the dynamic Tier-1 queue — producing a codestream
-//! byte-identical to the sequential encoder.
+//! `--workers N` (alias `--threads`) runs the encode driver with N host
+//! threads — the paper's chunked sample stages plus the dynamic Tier-1
+//! queue — producing the same codestream as one worker, where every stage
+//! runs on the calling thread.
 
 use jpeg2000_cell::codec::cell::{simulate_traced, SimOptions};
 use jpeg2000_cell::codec::codestream;
-use jpeg2000_cell::codec::{
-    decode, decode_layers, decode_resolution, encode_with_profile, Coder, EncoderParams, Mode,
-};
+use jpeg2000_cell::codec::{decode_opts, encode_with, Coder, EncoderParams, Mode};
 use jpeg2000_cell::images::{bmp, pnm, Image};
 use jpeg2000_cell::machine::MachineConfig;
 use std::path::Path;
@@ -68,21 +66,18 @@ encode options:
                      coder) or ht (high-throughput quad coder, Part-15
                      style: MEL + CxtVLC + MagSgn cleanup, raw
                      refinement passes)
-  --workers N        encode with N host threads via encode_parallel —
-                     chunked sample stages + dynamic Tier-1 work queue;
-                     output stays byte-identical to the sequential
-                     encoder (alias: --threads; default 1 = sequential)
+  --workers N        encode with N host threads — chunked sample stages
+                     + dynamic Tier-1 work queue; output stays
+                     byte-identical to one worker (alias: --threads;
+                     default 1 = every stage on the calling thread)
   --failpoints SPEC  arm faultsim failpoints before encoding, e.g.
                      `dwt.level=error@2` or `tier1.block=panic@3` —
-                     requires a build with `--features failpoints`; the
-                     codec failpoints live in the parallel driver, so
-                     combine with --workers >= 2 (chaos drills; see
-                     DESIGN.md §11)
+                     requires a build with `--features failpoints`
+                     (chaos drills; see DESIGN.md §11)
   --trace-out FILE   record the encode as Chrome trace-event JSON and
                      write it to FILE (load in Perfetto / about:tracing);
-                     routes the encode through the parallel driver so
-                     per-stage and per-chunk spans exist even at
-                     --workers 1 — output bytes are unchanged
+                     per-stage and per-chunk spans at any worker count —
+                     output bytes are unchanged
 
 simulate options:
   --cell-trace-out FILE
@@ -345,15 +340,8 @@ fn main() {
                 obs::trace::set_current(obs::trace::next_trace_id());
             }
             let t0 = std::time::Instant::now();
-            // --trace-out routes through the parallel driver even at 1
-            // worker: the stage/chunk spans live there, and the output
-            // is byte-identical either way.
-            let bytes = if o.workers > 1 || o.trace_out.is_some() {
-                jpeg2000_cell::codec::parallel::encode_parallel(&im, &params, o.workers.max(1))
-                    .unwrap_or_else(|e| die(&e.to_string()))
-            } else {
-                jpeg2000_cell::codec::encode(&im, &params).unwrap_or_else(|e| die(&e.to_string()))
-            };
+            let (bytes, _) =
+                encode_with(&im, &params, o.workers, None).unwrap_or_else(|e| die(&e.to_string()));
             if let Some(trace_path) = &o.trace_out {
                 obs::trace::flush_thread();
                 let events = obs::trace::drain_all();
@@ -396,14 +384,8 @@ fn main() {
             } else {
                 &bytes
             };
-            let im = if o.resolution > 0 {
-                decode_resolution(cs, o.resolution)
-            } else if o.max_layers != usize::MAX {
-                decode_layers(cs, o.max_layers)
-            } else {
-                decode(cs)
-            }
-            .unwrap_or_else(|e| die(&e.to_string()));
+            let im =
+                decode_opts(cs, o.max_layers, o.resolution).unwrap_or_else(|e| die(&e.to_string()));
             write_image(output, &im);
             println!(
                 "{} -> {}: {}x{} x{} components",
@@ -450,7 +432,7 @@ fn main() {
             };
             let im = read_image(input);
             let (_, prof) =
-                encode_with_profile(&im, &params_of(&o)).unwrap_or_else(|e| die(&e.to_string()));
+                encode_with(&im, &params_of(&o), 1, None).unwrap_or_else(|e| die(&e.to_string()));
             let base = if o.spes > 8 {
                 MachineConfig::qs20_blade()
             } else {

@@ -13,7 +13,7 @@
 //!
 //!   --addr HOST:PORT   listen address          (default 127.0.0.1:7201)
 //!   --pool N           pool threads draining the job queue (default 2)
-//!   --job-workers N    encode_parallel workers per job      (default 1)
+//!   --job-workers N    encode_with workers per job          (default 1)
 //!   --queue N          bounded queue capacity; beyond it jobs are
 //!                      rejected as Overloaded                (default 64)
 //!   --timeout-ms N     default per-job deadline, 0 = none    (default 0)

@@ -4,8 +4,9 @@
 //!
 //! Re-exports the workspace crates under one roof:
 //!
-//! * [`codec`] (`j2k-core`) — the JPEG2000 encoder/decoder with sequential,
-//!   host-parallel, and Cell-simulated drivers;
+//! * [`codec`] (`j2k-core`) — the JPEG2000 encoder/decoder: one
+//!   host-parallel encode driver, inline at one worker, plus its
+//!   Cell-simulated schedule;
 //! * [`machine`] (`cellsim`) — the Cell/B.E. machine model;
 //! * [`decomposition`] (`xpart`) — the paper's data decomposition scheme;
 //! * [`dwt`] (`wavelet`) — lifting/convolution transforms and the loop

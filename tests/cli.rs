@@ -115,6 +115,44 @@ fn reduced_resolution_decode() {
 }
 
 #[test]
+fn decode_applies_resolution_and_max_layers_together() {
+    let src = tmp("in9.ppm");
+    let j2c = tmp("layers9.j2c");
+    let both = tmp("both9.ppm");
+    let res_only = tmp("res9.ppm");
+    write_test_ppm(&src, 64, 64);
+    assert!(Command::new(bin())
+        .args(["encode"])
+        .arg(&src)
+        .arg(&j2c)
+        .args(["--lossy", "0.5", "--layers", "3"])
+        .status()
+        .unwrap()
+        .success());
+    for (out, extra) in [
+        (&both, &["--resolution", "1", "--max-layers", "1"][..]),
+        (&res_only, &["--resolution", "1"][..]),
+    ] {
+        assert!(Command::new(bin())
+            .args(["decode"])
+            .arg(&j2c)
+            .arg(out)
+            .args(extra)
+            .status()
+            .unwrap()
+            .success());
+    }
+    let cs = std::fs::read(&j2c).unwrap();
+    let both = imgio::pnm::read(&both).unwrap();
+    assert_eq!(both, jpeg2000_cell::codec::decode_opts(&cs, 1, 1).unwrap());
+    assert_ne!(
+        both,
+        imgio::pnm::read(&res_only).unwrap(),
+        "--max-layers ignored next to --resolution"
+    );
+}
+
+#[test]
 fn simulate_prints_timeline() {
     let src = tmp("in5.ppm");
     write_test_ppm(&src, 64, 64);
@@ -238,7 +276,7 @@ fn trace_out_works_at_one_worker() {
         .success());
     let json = std::fs::read_to_string(&trace).unwrap();
     obs::chrome::check(&json, &["stage:tier1", "tier1", "mct"])
-        .expect("single-worker trace still routes through the parallel driver");
+        .expect("single-worker trace still carries stage and chunk spans");
 }
 
 #[test]

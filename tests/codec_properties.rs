@@ -1,21 +1,24 @@
 //! System-level property tests of the codec: lossless exactness over
-//! arbitrary content, decoder robustness against corruption, and
-//! equivalence of the encoder drivers. The corruption suite is
+//! arbitrary content, decoder robustness against corruption, and one
+//! codestream from every worker count and the Cell-simulated encode. The corruption suite is
 //! *semantic*: a mutated or truncated stream must yield either a typed
 //! error or a well-formed, measurable image — never a panic, and never
 //! an image the comparator cannot hold against the original.
 
 use jpeg2000_cell::codec::cell::SimOptions;
-use jpeg2000_cell::codec::parallel::encode_parallel;
 use jpeg2000_cell::codec::{
-    decode, decode_layers, decode_prefix, encode, encode_on_cell, encode_with_profile,
-    transform_coefficients, transform_coefficients_parallel, Coder, EncoderParams, ParallelOptions,
+    decode, decode_opts, decode_prefix, encode, encode_on_cell, encode_with,
+    transform_coefficients, transform_coefficients_parallel, Coder, EncoderParams,
 };
-use jpeg2000_cell::decomposition::CACHE_LINE;
 use jpeg2000_cell::images::Image;
 use jpeg2000_cell::machine::MachineConfig;
 use jpeg2000_cell::quality;
 use proptest::prelude::*;
+
+/// The codestream of the encode driver at `workers`.
+fn encode_at(im: &Image, params: &EncoderParams, workers: usize) -> Vec<u8> {
+    encode_with(im, params, workers, None).unwrap().0
+}
 
 fn image_strategy() -> impl Strategy<Value = Image> {
     (
@@ -90,7 +93,7 @@ proptest! {
     ) {
         let params = EncoderParams { levels: 2, ..EncoderParams::lossless() };
         let seq = encode(&im, &params).unwrap();
-        let par = encode_parallel(&im, &params, workers).unwrap();
+        let par = encode_at(&im, &params, workers);
         prop_assert_eq!(seq, par);
     }
 
@@ -101,15 +104,15 @@ proptest! {
         lossy in any::<bool>(),
     ) {
         // The paper's invariant: parallelization never changes the
-        // codestream. Sequential, host-parallel (any worker count), and
-        // Cell-simulated encoders must agree byte for byte.
+        // codestream. One worker, any worker count, and the
+        // Cell-simulated encode must agree byte for byte.
         let params = if lossy {
             EncoderParams { levels: 2, ..EncoderParams::lossy(0.4) }
         } else {
             EncoderParams { levels: 2, ..EncoderParams::lossless() }
         };
         let seq = encode(&im, &params).unwrap();
-        let par = encode_parallel(&im, &params, workers).unwrap();
+        let par = encode_at(&im, &params, workers);
         prop_assert_eq!(&par, &seq);
         let (cell, _, _) = encode_on_cell(
             &im,
@@ -125,10 +128,9 @@ proptest! {
         im in image_strategy(),
         levels in 1usize..5,
         workers in 1usize..=8,
-        chunk_lines in 1usize..5,
         lossy in any::<bool>(),
     ) {
-        // Coefficient-for-coefficient equality of the chunk-parallel sample
+        // Coefficient-for-coefficient equality of the chunked sample
         // stages against the sequential reference, over arbitrary widths —
         // including widths that are not a multiple of the chunk width, so
         // the remainder chunk on the calling thread is exercised.
@@ -137,9 +139,8 @@ proptest! {
         } else {
             EncoderParams { levels, ..EncoderParams::lossless() }
         };
-        let opts = ParallelOptions { chunk_width_bytes: Some(chunk_lines * CACHE_LINE) };
         let seq = transform_coefficients(&im, &params).unwrap();
-        let par = transform_coefficients_parallel(&im, &params, workers, &opts).unwrap();
+        let par = transform_coefficients_parallel(&im, &params, workers).unwrap();
         prop_assert_eq!(par, seq);
     }
 
@@ -162,7 +163,7 @@ proptest! {
                 prop_assert_eq!((img.width, img.height, img.comps()),
                                 (im.width, im.height, im.comps()));
                 prop_assert!(committed <= layers);
-                prop_assert_eq!(&img, &decode_layers(&bytes, committed).unwrap());
+                prop_assert_eq!(&img, &decode_opts(&bytes, committed, 0).unwrap());
                 // The comparator can always hold a committed image
                 // against the original.
                 let c = quality::compare(&im, &img).unwrap();
@@ -263,7 +264,7 @@ proptest! {
             }
         }
         let params = EncoderParams { levels: 2, ..EncoderParams::lossless() };
-        let bytes = encode_parallel(&im, &params, workers).unwrap();
+        let bytes = encode_at(&im, &params, workers);
         let back = decode(&bytes).unwrap();
         prop_assert_eq!(&back, &im);
         let c = quality::compare(&im, &back).unwrap();
@@ -307,16 +308,16 @@ proptest! {
         layers in 1usize..4,
     ) {
         // The PCRD search, the budget-shrink retry loop, and Tier-2
-        // packet assembly all run on the parallel tail here; the result
-        // must equal the sequential driver byte for byte at every worker
-        // count — even when the loop retries or gives up.
+        // packet assembly all run here; the result must equal the
+        // one-worker encode byte for byte at every worker count — even
+        // when the loop retries or gives up.
         let params = EncoderParams {
             levels: 2,
             layers,
             ..EncoderParams::lossy(rate)
         };
         let seq = encode(&im, &params).unwrap();
-        let par = encode_parallel(&im, &params, workers).unwrap();
+        let par = encode_at(&im, &params, workers);
         prop_assert_eq!(&par, &seq);
     }
 
@@ -335,7 +336,7 @@ proptest! {
             layers,
             ..EncoderParams::lossy(rate)
         };
-        let (bytes, prof) = encode_with_profile(&im, &params).unwrap();
+        let (bytes, prof) = encode_with(&im, &params, 1, None).unwrap();
         if prof.rate_converged {
             let limit = (rate * im.raw_bytes() as f64) as usize;
             prop_assert!(
@@ -375,7 +376,7 @@ proptest! {
             coder: Coder::Ht,
             ..EncoderParams::lossless()
         };
-        let bytes = encode_parallel(&im, &params, workers).unwrap();
+        let bytes = encode_at(&im, &params, workers);
         let back = decode(&bytes).unwrap();
         prop_assert_eq!(&back, &im);
         let c = quality::compare(&im, &back).unwrap();
@@ -388,9 +389,9 @@ proptest! {
         lossy in any::<bool>(),
         layers in 1usize..4,
     ) {
-        // Ordered-merge determinism for the HT backend: sequential,
-        // parallel at several worker counts, and the cell-sim driver all
-        // emit the same bytes, with and without rate control.
+        // Determinism for the HT backend: one worker, several worker
+        // counts, and the cell-sim encode all emit the same bytes, with
+        // and without rate control.
         let params = EncoderParams {
             levels: 2,
             layers,
@@ -399,7 +400,7 @@ proptest! {
         };
         let seq = encode(&im, &params).unwrap();
         for workers in [1usize, 2, 5, 8] {
-            let par = encode_parallel(&im, &params, workers).unwrap();
+            let par = encode_at(&im, &params, workers);
             prop_assert_eq!(&par, &seq, "workers={} differs", workers);
         }
         let (cell, _, _) = encode_on_cell(

@@ -7,16 +7,17 @@
 //! GOLDEN_BLESS=1 cargo test --release --test golden_vectors
 //! ```
 //!
-//! Every case is also encoded through `encode_parallel` (several worker
+//! Every case is also encoded through `encode_with` (several worker
 //! counts) and `encode_on_cell`, so the corpus simultaneously proves the
-//! cross-driver byte-identity invariant on fixed inputs, and every lossy
+//! cross-worker byte-identity invariant on fixed inputs, and every lossy
 //! case carries a decoder round-trip PSNR floor so a rate-control change
 //! that silently trades quality for rate is caught even when the bytes
 //! are re-blessed.
 
 use jpeg2000_cell::codec::cell::SimOptions;
-use jpeg2000_cell::codec::parallel::encode_parallel;
-use jpeg2000_cell::codec::{decode, encode, encode_on_cell, Arithmetic, Coder, EncoderParams};
+use jpeg2000_cell::codec::{
+    decode, encode, encode_on_cell, encode_with, Arithmetic, Coder, EncoderParams,
+};
 use jpeg2000_cell::images::Image;
 use jpeg2000_cell::machine::MachineConfig;
 use jpeg2000_cell::quality;
@@ -175,9 +176,10 @@ fn blessing() -> bool {
     std::env::var_os("GOLDEN_BLESS").is_some_and(|v| v == "1")
 }
 
-/// Byte-diff every corpus case against its fixture, through every
-/// encoder driver. With `GOLDEN_BLESS=1` the fixtures are rewritten from
-/// the sequential encoder instead (the drivers are still cross-checked).
+/// Byte-diff every corpus case against its fixture, at several worker
+/// counts and through the Cell-simulated encode. With `GOLDEN_BLESS=1` the
+/// fixtures are rewritten from the one-worker encode instead (the worker
+/// counts are still cross-checked).
 #[test]
 fn corpus_is_byte_exact_across_drivers() {
     let mut blessed = 0;
@@ -185,7 +187,7 @@ fn corpus_is_byte_exact_across_drivers() {
         let im = (case.image)();
         let seq = encode(&im, &case.params).expect(case.name);
         for workers in [2usize, 5] {
-            let par = encode_parallel(&im, &case.params, workers).expect(case.name);
+            let (par, _) = encode_with(&im, &case.params, workers, None).expect(case.name);
             assert_eq!(par, seq, "{}: parallel({workers}) differs", case.name);
         }
         let (cell, _, _) = encode_on_cell(
@@ -281,10 +283,10 @@ fn fixtures_measured_quality_matches_recorded() {
         if case.psnr_floor.is_none() {
             assert!(c.identical, "{}: lossless fixture not bit-exact", case.name);
         } else {
-            // The same quality must be measured from every driver's
-            // output, not just the sequential bytes.
+            // The same quality must be measured at every worker count,
+            // not just from the one-worker bytes.
             for workers in [2usize, 5] {
-                let par = encode_parallel(&im, &case.params, workers).expect(case.name);
+                let (par, _) = encode_with(&im, &case.params, workers, None).expect(case.name);
                 let cp = quality::compare(&im, &decode(&par).expect(case.name)).expect(case.name);
                 assert_eq!(
                     (cp.psnr, cp.ssim),

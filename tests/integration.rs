@@ -1,8 +1,7 @@
 //! Cross-crate integration tests: the full system exercised end to end.
 
 use jpeg2000_cell::codec::cell::{encode_on_cell, SimOptions};
-use jpeg2000_cell::codec::parallel::encode_parallel;
-use jpeg2000_cell::codec::{decode, encode, encode_with_profile, Coder, EncoderParams, Mode};
+use jpeg2000_cell::codec::{decode, encode, encode_with, Coder, EncoderParams, Mode};
 use jpeg2000_cell::comparators::{simulate_muta, simulate_p4, MutaMode};
 use jpeg2000_cell::images::synth;
 use jpeg2000_cell::machine::MachineConfig;
@@ -10,12 +9,12 @@ use jpeg2000_cell::quality::psnr;
 
 #[test]
 fn three_drivers_one_codestream() {
-    // Sequential, host-parallel, and Cell-simulated encoders must produce
+    // One worker, four workers, and the Cell-simulated encode must produce
     // byte-identical output — parallelization never changes the stream.
     let im = synth::natural_rgb(128, 96, 11);
     let params = EncoderParams::lossless();
     let seq = encode(&im, &params).unwrap();
-    let par = encode_parallel(&im, &params, 4).unwrap();
+    let (par, _) = encode_with(&im, &params, 4, None).unwrap();
     let (cell, tl, _) = encode_on_cell(
         &im,
         &params,
@@ -98,7 +97,7 @@ fn packet_headers_ending_in_ff_decode() {
         };
         let bytes = encode(&im, &params).unwrap();
         assert_eq!(
-            encode_parallel(&im, &params, 2).unwrap(),
+            encode_with(&im, &params, 2, None).unwrap().0,
             bytes,
             "{coder:?}"
         );
@@ -136,7 +135,7 @@ fn simulated_machines_reproduce_paper_orderings() {
         cb_size: 32,
         ..EncoderParams::lossless()
     };
-    let (_, prof) = encode_with_profile(&im, &params).unwrap();
+    let (_, prof) = encode_with(&im, &params, 1, None).unwrap();
     let single = MachineConfig::qs20_single();
 
     // More SPEs help; a second chip helps further.
@@ -171,7 +170,7 @@ fn lossy_scaling_flattens_from_rate_control() {
     // The lossy pipeline's sequential rate control must grow as a share of
     // total time when SPEs are added (the paper's Figure 5 story).
     let im = synth::natural_rgb(192, 192, 31);
-    let (_, prof) = encode_with_profile(&im, &EncoderParams::lossy(0.1)).unwrap();
+    let (_, prof) = encode_with(&im, &EncoderParams::lossy(0.1), 1, None).unwrap();
     let single = MachineConfig::qs20_single();
     let f1 =
         jpeg2000_cell::codec::cell::simulate(&prof, &single.with_spes(1), &SimOptions::default())
