@@ -12,6 +12,11 @@
 //! * `samples/s` — code-block samples swept per second of Tier-1 time.
 //!   The coder-neutral basis; the ≥3x HT-vs-MQ gate below uses it.
 //!
+//! The gate compares one-worker Tier-1 times, each coder's the fastest of
+//! [`GATE_RUNS`] encodes, with MQ and HT alternating: a single sample per
+//! coder moved the ratio by more than a third between runs on a shared
+//! two-core host, and host slowdowns only ever add time.
+//!
 //! Prints a table (or `--csv`) and, with `--out FILE`, writes the
 //! machine-readable `BENCH_tier1.json` consumed by CI — a shared
 //! [`BenchReport`](j2k_bench::BenchReport) envelope whose `detail`
@@ -23,6 +28,9 @@ use j2k_core::{encode, encode_with, Coder, EncoderParams, WorkloadProfile};
 /// HT must beat MQ by at least this factor on the samples/s basis
 /// (single worker, so the ratio is per-core coder speed, not scaling).
 const HT_MIN_SPEEDUP: f64 = 3.0;
+
+/// One-worker encodes per coder behind the gate's Tier-1 times.
+const GATE_RUNS: usize = 5;
 
 fn tier1_secs(prof: &WorkloadProfile) -> f64 {
     prof.stage_times
@@ -60,17 +68,24 @@ fn main() {
         ],
     );
 
+    let coders = [Coder::Mq, Coder::Ht];
+    let params = |coder: Coder| EncoderParams {
+        coder,
+        ..lossless_params(args.levels)
+    };
+    let one: Vec<Vec<u8>> = coders
+        .iter()
+        .map(|&c| encode(&im, &params(c)).expect("one-worker encode"))
+        .collect();
+    let samples_of =
+        |prof: &WorkloadProfile| -> u64 { prof.blocks.iter().map(|b| b.samples).sum() };
+
     let mut rows: Vec<Row> = Vec::new();
-    for coder in [Coder::Mq, Coder::Ht] {
-        let params = EncoderParams {
-            coder,
-            ..lossless_params(args.levels)
-        };
-        let one = encode(&im, &params).expect("one-worker encode");
+    for (k, &coder) in coders.iter().enumerate() {
         for &n in &args.spes {
-            let (bytes, prof) = encode_with(&im, &params, n, None).expect("encode");
+            let (bytes, prof) = encode_with(&im, &params(coder), n, None).expect("encode");
             assert_eq!(
-                bytes, one,
+                bytes, one[k],
                 "{coder} codestream changed at workers={n} vs one worker"
             );
             let r = Row {
@@ -78,7 +93,7 @@ fn main() {
                 workers: n,
                 tier1: tier1_secs(&prof),
                 symbols: prof.tier1_symbols(),
-                samples: prof.blocks.iter().map(|b| b.samples).sum(),
+                samples: samples_of(&prof),
                 bytes: bytes.len(),
             };
             row(
@@ -96,20 +111,31 @@ fn main() {
         }
     }
 
-    // Single-worker rows give the per-core coder comparison.
-    let base = |c: Coder| -> &Row {
-        rows.iter()
-            .find(|r| r.coder == c && r.workers == rows[0].workers)
-            .expect("base row")
-    };
-    let (mq, ht) = (base(Coder::Mq), base(Coder::Ht));
-    let sps = |r: &Row| r.samples as f64 / r.tier1.max(1e-12);
-    let ht_speedup = sps(ht) / sps(mq).max(1e-12);
-    let size_delta = ht.bytes as f64 / mq.bytes as f64 - 1.0;
+    // Per-core coder comparison: fastest one-worker Tier-1 time of each
+    // coder over GATE_RUNS alternating encodes.
+    let mut best = [f64::INFINITY; 2];
+    let mut samples = [0u64; 2];
+    for _ in 0..GATE_RUNS {
+        for (k, &coder) in coders.iter().enumerate() {
+            let (bytes, prof) = encode_with(&im, &params(coder), 1, None).expect("encode");
+            assert_eq!(
+                bytes, one[k],
+                "{coder} codestream changed between one-worker encodes"
+            );
+            best[k] = best[k].min(tier1_secs(&prof));
+            samples[k] = samples_of(&prof);
+        }
+    }
+    let sps = |k: usize| samples[k] as f64 / best[k].max(1e-12);
+    let (mq_sps, ht_sps) = (sps(0), sps(1));
+    let ht_speedup = ht_sps / mq_sps.max(1e-12);
+    let size_delta = one[1].len() as f64 / one[0].len() as f64 - 1.0;
     println!();
     println!(
-        "HT vs MQ at {} worker(s): {:.2}x samples/s, {:+.2}% codestream size",
-        mq.workers,
+        "HT vs MQ at 1 worker, fastest of {GATE_RUNS}: MQ tier1 {} ms, HT tier1 {} ms, \
+         {:.2}x samples/s, {:+.2}% codestream size",
+        ms(best[0]),
+        ms(best[1]),
         ht_speedup,
         size_delta * 100.0
     );
@@ -127,7 +153,7 @@ fn main() {
                     r.tier1 * 1e3,
                     r.symbols,
                     r.symbols as f64 / r.tier1.max(1e-12),
-                    sps(r),
+                    r.samples as f64 / r.tier1.max(1e-12),
                     r.bytes,
                 )
             })
@@ -152,8 +178,8 @@ fn main() {
         );
         let report = BenchReport::new("tier1_scaling")
             .config(&config)
-            .metric("mq_samples_per_sec", sps(mq), Direction::Higher)
-            .metric("ht_samples_per_sec", sps(ht), Direction::Higher)
+            .metric("mq_samples_per_sec", mq_sps, Direction::Higher)
+            .metric("ht_samples_per_sec", ht_sps, Direction::Higher)
             .metric("ht_vs_mq_samples_per_sec", ht_speedup, Direction::Higher)
             .metric("ht_size_delta", size_delta, Direction::Lower)
             .detail(&detail);

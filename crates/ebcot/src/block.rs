@@ -13,7 +13,8 @@
 //! work items consumed by the `cellsim` cost model).
 
 use crate::context::{
-    initial_contexts, mr_context, sc_index, sc_lut, zc_index, zc_lut, CTX_RL, CTX_UNI,
+    initial_contexts, mr_context, sc_index, sc_lut, zc_table, CTX_RL, CTX_UNI, NB_E, NB_N, NB_NE,
+    NB_NW, NB_S, NB_SE, NB_SW, NB_W,
 };
 use mqcoder::{Contexts, MqDecoder, MqEncoder, RawDecoder, RawEncoder};
 
@@ -93,21 +94,70 @@ const VISITED: u8 = 2;
 const REFINED: u8 = 4;
 const NEG: u8 = 8;
 
-/// Shared significance/sign state grid.
+/// `bit` in each of a column word's four sample bytes.
+const fn all4(bit: u8) -> u32 {
+    bit as u32 * 0x0101_0101
+}
+
+/// Byte `r` of a column word: the state of the stripe column's row `r`.
+#[inline]
+fn byte(word: u32, r: usize) -> u8 {
+    (word >> (8 * r)) as u8
+}
+
+/// Row of the lowest set bit of a column word.
+#[inline]
+fn lowest_row(bits: u32) -> usize {
+    (bits.trailing_zeros() / 8) as usize
+}
+
+/// Rows `0..rows` of a column word, as `SIG` bits.
+#[inline]
+fn first_rows(rows: usize) -> u32 {
+    all4(SIG) >> (8 * (4 - rows))
+}
+
+/// Rows after row `r` of a column word, as `SIG` bits.
+#[inline]
+fn rows_after(r: usize) -> u32 {
+    all4(SIG) & !(u32::MAX >> (24 - 8 * r))
+}
+
+/// The `SIG` bit of every nonzero byte of `word`.
+#[inline]
+fn nonzero_bytes(word: u32) -> u32 {
+    // Per byte, the low seven bits plus 0x7F carry into bit 7 exactly when
+    // they are nonzero, and never past it.
+    ((((word & 0x7F7F_7F7F) + 0x7F7F_7F7F) | word) >> 7) & all4(SIG)
+}
+
+/// State of one stripe column: four vertically adjacent samples, row `r`
+/// of the stripe in byte `r` of each word, so a pass can test the whole
+/// column with one compare.
+#[derive(Debug, Clone, Copy, Default)]
+struct Column {
+    /// Per-sample `SIG`/`VISITED`/`REFINED`/`NEG` flags.
+    flags: u32,
+    /// Per-sample neighbor mask: the `NB_*` bits of the significant
+    /// neighbors, which index the zero-coding tables directly.
+    masks: u32,
+}
+
+/// Shared significance/sign state in stripe-column order.
 ///
-/// Flags live in a `(w + 2) x (h + 2)` array whose one-cell border stays
-/// all-zero, so the 8-neighbor reads in [`Grid::counts`] and
-/// [`Grid::sign_sums`] need no bounds checks or edge branches — the border
-/// cells supply the "outside the block = insignificant" rule by value. With
-/// the context tables from [`crate::context`] this makes every significance
-/// state update in the hot passes branch-free (straight-line loads, masks
-/// and adds feeding a table index).
+/// Columns are stored stripe by stripe with one dummy stripe above and
+/// below and one dummy column on each side. The dummies' flags stay zero,
+/// and samples below the block's last row (in a partial last stripe) are
+/// never coded, so none of them is ever significant: they keep the
+/// "outside the block = insignificant" rule by value, and setting a
+/// sample significant can OR its bit into all eight neighbors' masks
+/// without bounds checks or edge branches.
 struct Grid {
     w: usize,
     h: usize,
-    /// Padded row stride, `w + 2`.
+    /// Columns per stripe, `w + 2`.
     stride: usize,
-    flags: Vec<u8>,
+    cols: Vec<Column>,
 }
 
 impl Grid {
@@ -116,40 +166,60 @@ impl Grid {
             w,
             h,
             stride: w + 2,
-            flags: vec![0; (w + 2) * (h + 2)],
+            cols: vec![Column::default(); (w + 2) * (h.div_ceil(4) + 2)],
         }
     }
 
-    /// Index of interior cell `(x, y)` in the padded array.
+    fn stripes(&self) -> usize {
+        self.h.div_ceil(4)
+    }
+
+    /// Rows of stripe `s` inside the block (4 except in a partial last
+    /// stripe).
+    fn rows(&self, s: usize) -> usize {
+        (self.h - 4 * s).min(4)
+    }
+
+    /// Index of the column holding rows `4s..4s + 4` of block column `x`.
+    /// Sample row `r` of column `i` has magnitude `mags[4 * i + r]`.
     #[inline]
-    fn idx(&self, x: usize, y: usize) -> usize {
-        (y + 1) * self.stride + (x + 1)
+    fn idx(&self, s: usize, x: usize) -> usize {
+        (s + 1) * self.stride + x + 1
+    }
+
+    /// The columns of stripe `s` inside the block.
+    fn stripe(&self, s: usize) -> std::ops::Range<usize> {
+        let i = self.idx(s, 0);
+        i..i + self.w
     }
 
     #[inline]
-    fn get(&self, x: usize, y: usize) -> u8 {
-        self.flags[self.idx(x, y)]
+    fn set(&mut self, i: usize, r: usize, bit: u8) {
+        self.cols[i].flags |= (bit as u32) << (8 * r);
     }
 
+    /// Set sample `r` of column `i` significant and OR its bit into its
+    /// eight neighbors' masks.
     #[inline]
-    fn set(&mut self, x: usize, y: usize, bit: u8) {
-        let i = self.idx(x, y);
-        self.flags[i] |= bit;
-    }
-
-    /// (horizontal, vertical, diagonal) significant-neighbor counts.
-    /// Branch-free: `SIG` is bit 0, so each neighbor contributes
-    /// `flags & 1` directly.
-    #[inline]
-    fn counts(&self, x: usize, y: usize) -> (u32, u32, u32) {
-        let i = self.idx(x, y);
-        let up = i - self.stride;
-        let dn = i + self.stride;
-        let s = |j: usize| (self.flags[j] & SIG) as u32;
-        let h = s(i - 1) + s(i + 1);
-        let v = s(up) + s(dn);
-        let d = s(up - 1) + s(up + 1) + s(dn - 1) + s(dn + 1);
-        (h, v, d)
+    fn make_significant(&mut self, i: usize, r: usize) {
+        self.set(i, r, SIG);
+        // Bits for rows r-1, r and r+1 of one neighboring column, as a word
+        // over rows -1..=4 with row -1 in byte 0: bytes 1..=4 are this
+        // stripe, byte 0 row 3 of the stripe above, byte 5 row 0 of the
+        // stripe below.
+        let rows3 = |above: u8, level: u8, below: u8| -> u64 {
+            (above as u64 | (level as u64) << 8 | (below as u64) << 16) << (8 * r)
+        };
+        let stride = self.stride;
+        for (j, word) in [
+            (i - 1, rows3(NB_SE, NB_E, NB_NE)),
+            (i, rows3(NB_S, 0, NB_N)),
+            (i + 1, rows3(NB_SW, NB_W, NB_NW)),
+        ] {
+            self.cols[j - stride].masks |= (word as u32 & 0xFF) << 24;
+            self.cols[j].masks |= (word >> 8) as u32;
+            self.cols[j + stride].masks |= (word >> 40) as u32;
+        }
     }
 
     /// Raw (unclamped) sign contribution sums `(hc, vc)`, each in -2..=2:
@@ -158,29 +228,28 @@ impl Grid {
     /// with `SIG` at bit 0 and `NEG` at bit 3, the contribution is
     /// `sig - 2 * (sig & neg)`.
     #[inline]
-    fn sign_sums(&self, x: usize, y: usize) -> (i32, i32) {
-        let i = self.idx(x, y);
-        let c = |j: usize| -> i32 {
-            let f = self.flags[j];
+    fn sign_sums(&self, i: usize, r: usize) -> (i32, i32) {
+        let c = |f: u8| -> i32 {
             let sig = (f & SIG) as i32;
             let neg = ((f >> 3) & 1) as i32;
             sig - 2 * (sig & neg)
         };
-        let hc = c(i - 1) + c(i + 1);
-        let vc = c(i - self.stride) + c(i + self.stride);
-        (hc, vc)
+        let west = byte(self.cols[i - 1].flags, r);
+        let east = byte(self.cols[i + 1].flags, r);
+        // Column i's flags over rows -1..=4, row -1 in byte 0.
+        let col = (self.cols[i - self.stride].flags >> 24) as u64
+            | (self.cols[i].flags as u64) << 8
+            | ((self.cols[i + self.stride].flags & 0xFF) as u64) << 40;
+        let north = (col >> (8 * r)) as u8;
+        let south = (col >> (8 * r + 16)) as u8;
+        (c(west) + c(east), c(north) + c(south))
     }
 
     fn clear_visited(&mut self) {
-        for f in &mut self.flags {
-            *f &= !VISITED;
+        for c in &mut self.cols {
+            c.flags &= !all4(VISITED);
         }
     }
-}
-
-fn num_planes_of(mags: &[u32]) -> u8 {
-    let max = mags.iter().copied().max().unwrap_or(0);
-    (32 - max.leading_zeros()) as u8
 }
 
 /// Distortion-reduction estimate when a sample becomes significant at
@@ -233,8 +302,9 @@ pub fn encode_block_opts(
         samples,
         samples * std::mem::size_of::<i32>() as u64,
     );
-    let mags: Vec<u32> = data.iter().map(|&v| v.unsigned_abs()).collect();
-    let num_planes = num_planes_of(&mags);
+    // The OR of the magnitudes has the same top bit as their maximum.
+    let any = data.iter().fold(0u32, |acc, v| acc | v.unsigned_abs());
+    let num_planes = (32 - any.leading_zeros()) as u8;
     let mut blk = EncodedBlock {
         data: Vec::new(),
         pass_ends: Vec::new(),
@@ -248,12 +318,18 @@ pub fn encode_block_opts(
         return blk;
     }
     let mut grid = Grid::new(w, h);
-    for (i, &v) in data.iter().enumerate() {
-        if v < 0 {
-            grid.set(i % w, i / w, NEG);
+    let mut mags = vec![0u32; 4 * grid.cols.len()];
+    for (y, row) in data.chunks_exact(w).enumerate() {
+        let (i0, r) = (grid.idx(y / 4, 0), y % 4);
+        for (i, &v) in (i0..).zip(row) {
+            mags[4 * i + r] = v.unsigned_abs();
+            // NEG is bit 3: move the sign bit there.
+            grid.cols[i].flags |= (v as u32 >> 31) << (8 * r + 3);
         }
     }
+    let zc = zc_table(kind);
     let mut ctxs = initial_contexts();
+    let mut enc = MqEncoder::new();
 
     for plane in (0..num_planes).rev() {
         let first = plane == num_planes - 1;
@@ -262,40 +338,44 @@ pub fn encode_block_opts(
         } else {
             &[PassType::SigProp, PassType::MagRef, PassType::Cleanup]
         };
+        let (ds, dr) = (d_sig(plane), d_ref(plane));
         for &pt in passes {
-            let mut dist = 0.0f64;
-            let (seg, symbols) = if pass_is_raw(bypass, pt, plane, num_planes) {
-                let mut enc = RawEncoder::new();
-                let symbols = match pt {
+            // Each pass counts its newly significant (or refined) samples;
+            // `count * d` equals the sum of `count` copies of `d` exactly,
+            // as every partial sum is a small multiple of a power of two.
+            let (symbols, dist) = if pass_is_raw(bypass, pt, plane, num_planes) {
+                let mut raw = RawEncoder::new();
+                let (bits, dist) = match pt {
                     PassType::SigProp => {
-                        sig_prop_enc_raw(&mut enc, &mut grid, &mags, plane, kind, &mut dist)
+                        let (bits, n) = sig_prop_enc_raw(&mut raw, &mut grid, &mags, plane);
+                        (bits, n as f64 * ds)
                     }
                     PassType::MagRef => {
-                        mag_ref_enc_raw(&mut enc, &mut grid, &mags, plane, &mut dist)
+                        let (bits, n) = mag_ref_enc_raw(&mut raw, &mut grid, &mags, plane);
+                        (bits, n as f64 * dr)
                     }
                     PassType::Cleanup => unreachable!("cleanup is never raw"),
                 };
-                (enc.finish(), symbols)
+                blk.data.extend_from_slice(&raw.finish());
+                (bits, dist)
             } else {
-                let mut enc = MqEncoder::new();
-                match pt {
-                    PassType::SigProp => sig_prop_enc(
-                        &mut enc, &mut ctxs, &mut grid, &mags, plane, kind, &mut dist,
-                    ),
+                let dist = match pt {
+                    PassType::SigProp => {
+                        sig_prop_enc(&mut enc, &mut ctxs, &mut grid, &mags, plane, zc) as f64 * ds
+                    }
                     PassType::MagRef => {
-                        mag_ref_enc(&mut enc, &mut ctxs, &mut grid, &mags, plane, &mut dist)
+                        mag_ref_enc(&mut enc, &mut ctxs, &mut grid, &mags, plane) as f64 * dr
                     }
                     PassType::Cleanup => {
-                        cleanup_enc(
-                            &mut enc, &mut ctxs, &mut grid, &mags, plane, kind, &mut dist,
-                        );
+                        let n = cleanup_enc(&mut enc, &mut ctxs, &mut grid, &mags, plane, zc);
                         grid.clear_visited();
+                        n as f64 * ds
                     }
-                }
+                };
                 let symbols = enc.symbols();
-                (enc.finish(), symbols)
+                enc.flush_into(&mut blk.data);
+                (symbols, dist)
             };
-            blk.data.extend_from_slice(&seg);
             blk.pass_ends.push(blk.data.len());
             blk.passes.push(PassInfo {
                 pass_type: pt,
@@ -311,184 +391,184 @@ pub fn encode_block_opts(
     blk
 }
 
-fn stripe_rows(h: usize, y0: usize) -> usize {
-    (h - y0).min(4)
+/// Bit `plane` of sample `r` of column `i`.
+#[inline]
+fn plane_bit(mags: &[u32], i: usize, r: usize, plane: u8) -> u8 {
+    ((mags[4 * i + r] >> plane) & 1) as u8
 }
 
-fn code_sign_enc(enc: &mut MqEncoder, ctxs: &mut Contexts, grid: &Grid, x: usize, y: usize) {
-    let (hc, vc) = grid.sign_sums(x, y);
+/// Samples of column `c` that significance propagation codes, as `SIG`
+/// bits: insignificant, with a significant neighbor.
+#[inline]
+fn sig_prop_set(c: Column) -> u32 {
+    nonzero_bytes(c.masks) & !c.flags & all4(SIG)
+}
+
+/// Samples of column `c` that magnitude refinement codes, as `SIG` bits:
+/// significant, and not coded by this plane's significance propagation.
+#[inline]
+fn refine_set(c: Column) -> u32 {
+    // VISITED is bit 1: shifting right by one lines it up with SIG.
+    c.flags & all4(SIG) & !(c.flags >> 1)
+}
+
+/// Samples of column `c` that cleanup codes, as `SIG` bits: neither
+/// significant nor coded by this plane's significance propagation.
+#[inline]
+fn cleanup_set(c: Column) -> u32 {
+    !(c.flags | c.flags >> 1) & all4(SIG)
+}
+
+fn code_sign_enc(enc: &mut MqEncoder, ctxs: &mut Contexts, grid: &Grid, i: usize, r: usize) {
+    let (hc, vc) = grid.sign_sums(i, r);
     let (cx, xor) = sc_lut()[sc_index(hc, vc)];
-    let neg = u8::from(grid.get(x, y) & NEG != 0);
+    let neg = u8::from(byte(grid.cols[i].flags, r) & NEG != 0);
     enc.encode(ctxs, cx as usize, neg ^ xor);
 }
 
+/// Significance propagation: every insignificant sample with a
+/// significant neighbor. Returns the samples that became significant.
 fn sig_prop_enc(
     enc: &mut MqEncoder,
     ctxs: &mut Contexts,
     grid: &mut Grid,
     mags: &[u32],
     plane: u8,
-    kind: BandKind,
-    dist: &mut f64,
-) {
-    let lut = zc_lut(kind);
-    let (w, h) = (grid.w, grid.h);
-    let mut y0 = 0;
-    while y0 < h {
-        for x in 0..w {
-            for y in y0..y0 + stripe_rows(h, y0) {
-                let f = grid.get(x, y);
-                if f & SIG != 0 {
-                    continue;
+    zc: &[u8; 256],
+) -> u32 {
+    let mut newly = 0;
+    for s in 0..grid.stripes() {
+        let live = first_rows(grid.rows(s));
+        for i in grid.stripe(s) {
+            // A sample that becomes significant can bring the one below it
+            // into the pass, so the column is tested again after each row.
+            let mut left = live;
+            loop {
+                let c = grid.cols[i];
+                let todo = sig_prop_set(c) & left;
+                if todo == 0 {
+                    break;
                 }
-                let (hc, vc, dc) = grid.counts(x, y);
-                let cx = lut[zc_index(hc, vc, dc)] as usize;
-                if cx == 0 {
-                    continue; // not in the preferred neighborhood
-                }
-                let bit = ((mags[y * w + x] >> plane) & 1) as u8;
-                enc.encode(ctxs, cx, bit);
-                grid.set(x, y, VISITED);
+                let r = lowest_row(todo);
+                left &= rows_after(r);
+                let bit = plane_bit(mags, i, r, plane);
+                enc.encode(ctxs, zc[byte(c.masks, r) as usize] as usize, bit);
+                grid.set(i, r, VISITED);
                 if bit == 1 {
-                    code_sign_enc(enc, ctxs, grid, x, y);
-                    grid.set(x, y, SIG);
-                    *dist += d_sig(plane);
+                    code_sign_enc(enc, ctxs, grid, i, r);
+                    grid.make_significant(i, r);
+                    newly += 1;
                 }
             }
         }
-        y0 += 4;
     }
+    newly
 }
 
+/// Magnitude refinement. Returns the samples refined.
 fn mag_ref_enc(
     enc: &mut MqEncoder,
     ctxs: &mut Contexts,
     grid: &mut Grid,
     mags: &[u32],
     plane: u8,
-    dist: &mut f64,
-) {
-    let (w, h) = (grid.w, grid.h);
-    let mut y0 = 0;
-    while y0 < h {
-        for x in 0..w {
-            for y in y0..y0 + stripe_rows(h, y0) {
-                let f = grid.get(x, y);
-                if f & SIG == 0 || f & VISITED != 0 {
-                    continue;
-                }
-                let (hc, vc, dc) = grid.counts(x, y);
-                let cx = mr_context(f & REFINED == 0, hc + vc + dc > 0);
-                let bit = ((mags[y * w + x] >> plane) & 1) as u8;
-                enc.encode(ctxs, cx, bit);
-                grid.set(x, y, REFINED);
-                *dist += d_ref(plane);
+) -> u32 {
+    let mut refined = 0;
+    for s in 0..grid.stripes() {
+        for i in grid.stripe(s) {
+            let c = grid.cols[i];
+            let todo = refine_set(c);
+            let mut t = todo;
+            while t != 0 {
+                let r = lowest_row(t);
+                t &= t - 1;
+                let cx = mr_context(byte(c.flags, r) & REFINED == 0, byte(c.masks, r) != 0);
+                enc.encode(ctxs, cx, plane_bit(mags, i, r, plane));
+                refined += 1;
             }
+            // REFINED is bit 2.
+            grid.cols[i].flags |= todo << 2;
         }
-        y0 += 4;
     }
+    refined
 }
 
 /// Raw (bypass) significance propagation: same membership rule as the MQ
-/// pass, but bits and signs are emitted uncoded. Returns bits emitted.
-fn sig_prop_enc_raw(
-    enc: &mut RawEncoder,
-    grid: &mut Grid,
-    mags: &[u32],
-    plane: u8,
-    kind: BandKind,
-    dist: &mut f64,
-) -> u64 {
-    let lut = zc_lut(kind);
-    let (w, h) = (grid.w, grid.h);
-    let mut bits = 0u64;
-    let mut y0 = 0;
-    while y0 < h {
-        for x in 0..w {
-            for y in y0..y0 + stripe_rows(h, y0) {
-                let f = grid.get(x, y);
-                if f & SIG != 0 {
-                    continue;
+/// pass, but bits and signs are emitted uncoded. Returns (bits emitted,
+/// samples that became significant).
+fn sig_prop_enc_raw(enc: &mut RawEncoder, grid: &mut Grid, mags: &[u32], plane: u8) -> (u64, u32) {
+    let (mut bits, mut newly) = (0u64, 0u32);
+    for s in 0..grid.stripes() {
+        let live = first_rows(grid.rows(s));
+        for i in grid.stripe(s) {
+            let mut left = live;
+            loop {
+                let c = grid.cols[i];
+                let todo = sig_prop_set(c) & left;
+                if todo == 0 {
+                    break;
                 }
-                let (hc, vc, dc) = grid.counts(x, y);
-                if lut[zc_index(hc, vc, dc)] as usize == 0 {
-                    continue;
-                }
-                let bit = ((mags[y * w + x] >> plane) & 1) as u8;
+                let r = lowest_row(todo);
+                left &= rows_after(r);
+                let bit = plane_bit(mags, i, r, plane);
                 enc.put(bit);
                 bits += 1;
-                grid.set(x, y, VISITED);
+                grid.set(i, r, VISITED);
                 if bit == 1 {
-                    enc.put(u8::from(f & NEG != 0));
+                    enc.put(u8::from(byte(c.flags, r) & NEG != 0));
                     bits += 1;
-                    grid.set(x, y, SIG);
-                    *dist += d_sig(plane);
+                    grid.make_significant(i, r);
+                    newly += 1;
                 }
             }
         }
-        y0 += 4;
     }
-    bits
+    (bits, newly)
 }
 
-/// Raw (bypass) magnitude refinement. Returns bits emitted.
-fn mag_ref_enc_raw(
-    enc: &mut RawEncoder,
-    grid: &mut Grid,
-    mags: &[u32],
-    plane: u8,
-    dist: &mut f64,
-) -> u64 {
-    let (w, h) = (grid.w, grid.h);
-    let mut bits = 0u64;
-    let mut y0 = 0;
-    while y0 < h {
-        for x in 0..w {
-            for y in y0..y0 + stripe_rows(h, y0) {
-                let f = grid.get(x, y);
-                if f & SIG == 0 || f & VISITED != 0 {
-                    continue;
-                }
-                enc.put(((mags[y * w + x] >> plane) & 1) as u8);
-                bits += 1;
-                grid.set(x, y, REFINED);
-                *dist += d_ref(plane);
+/// Raw (bypass) magnitude refinement. Returns (bits emitted, samples
+/// refined); the two are equal.
+fn mag_ref_enc_raw(enc: &mut RawEncoder, grid: &mut Grid, mags: &[u32], plane: u8) -> (u64, u32) {
+    let mut refined = 0u32;
+    for s in 0..grid.stripes() {
+        for i in grid.stripe(s) {
+            let todo = refine_set(grid.cols[i]);
+            let mut t = todo;
+            while t != 0 {
+                let r = lowest_row(t);
+                t &= t - 1;
+                enc.put(plane_bit(mags, i, r, plane));
+                refined += 1;
             }
+            grid.cols[i].flags |= todo << 2;
         }
-        y0 += 4;
     }
-    bits
+    (refined as u64, refined)
 }
 
+/// Cleanup: every sample not yet significant and not coded by this
+/// plane's significance propagation. Returns the samples that became
+/// significant.
 fn cleanup_enc(
     enc: &mut MqEncoder,
     ctxs: &mut Contexts,
     grid: &mut Grid,
     mags: &[u32],
     plane: u8,
-    kind: BandKind,
-    dist: &mut f64,
-) {
-    let lut = zc_lut(kind);
-    let (w, h) = (grid.w, grid.h);
-    let mut y0 = 0;
-    while y0 < h {
-        let rows = stripe_rows(h, y0);
-        for x in 0..w {
-            let mut start_row = 0usize;
-            // Run mode: full stripe column, all uncoded, all zero-context.
-            let run_ok = rows == 4
-                && (0..4).all(|r| {
-                    let y = y0 + r;
-                    let f = grid.get(x, y);
-                    f & (SIG | VISITED) == 0 && {
-                        let (hc, vc, dc) = grid.counts(x, y);
-                        lut[zc_index(hc, vc, dc)] as usize == 0
-                    }
-                });
-            if run_ok {
-                let first_sig = (0..4).find(|&r| (mags[(y0 + r) * w + x] >> plane) & 1 == 1);
-                match first_sig {
+    zc: &[u8; 256],
+) -> u32 {
+    let mut newly = 0;
+    for s in 0..grid.stripes() {
+        let live = first_rows(grid.rows(s));
+        for i in grid.stripe(s) {
+            let c = grid.cols[i];
+            // Coding a sample changes only its own membership, so the set
+            // is taken once per column.
+            let mut todo = cleanup_set(c) & live;
+            // Run mode: a full stripe column, all four uncoded and without
+            // a significant neighbor (zero-coding context 0).
+            if todo == all4(SIG) && c.masks == 0 {
+                match (0..4).find(|&r| plane_bit(mags, i, r, plane) == 1) {
                     None => {
                         enc.encode(ctxs, CTX_RL, 0);
                         continue;
@@ -497,33 +577,28 @@ fn cleanup_enc(
                         enc.encode(ctxs, CTX_RL, 1);
                         enc.encode(ctxs, CTX_UNI, ((r >> 1) & 1) as u8);
                         enc.encode(ctxs, CTX_UNI, (r & 1) as u8);
-                        let y = y0 + r;
-                        code_sign_enc(enc, ctxs, grid, x, y);
-                        grid.set(x, y, SIG);
-                        *dist += d_sig(plane);
-                        start_row = r + 1;
+                        code_sign_enc(enc, ctxs, grid, i, r);
+                        grid.make_significant(i, r);
+                        newly += 1;
+                        todo = rows_after(r);
                     }
                 }
             }
-            for r in start_row..rows {
-                let y = y0 + r;
-                let f = grid.get(x, y);
-                if f & (SIG | VISITED) != 0 {
-                    continue;
-                }
-                let (hc, vc, dc) = grid.counts(x, y);
-                let cx = lut[zc_index(hc, vc, dc)] as usize;
-                let bit = ((mags[y * w + x] >> plane) & 1) as u8;
-                enc.encode(ctxs, cx, bit);
+            while todo != 0 {
+                let r = lowest_row(todo);
+                todo &= todo - 1;
+                let bit = plane_bit(mags, i, r, plane);
+                let m = byte(grid.cols[i].masks, r);
+                enc.encode(ctxs, zc[m as usize] as usize, bit);
                 if bit == 1 {
-                    code_sign_enc(enc, ctxs, grid, x, y);
-                    grid.set(x, y, SIG);
-                    *dist += d_sig(plane);
+                    code_sign_enc(enc, ctxs, grid, i, r);
+                    grid.make_significant(i, r);
+                    newly += 1;
                 }
             }
         }
-        y0 += 4;
     }
+    newly
 }
 
 // ---------------------------------------------------------------------------
@@ -534,15 +609,13 @@ fn code_sign_dec(
     dec: &mut MqDecoder<'_>,
     ctxs: &mut Contexts,
     grid: &mut Grid,
-    x: usize,
-    y: usize,
+    i: usize,
+    r: usize,
 ) {
-    let (hc, vc) = grid.sign_sums(x, y);
+    let (hc, vc) = grid.sign_sums(i, r);
     let (cx, xor) = sc_lut()[sc_index(hc, vc)];
-    let bit = dec.decode(ctxs, cx as usize) ^ xor;
-    if bit == 1 {
-        grid.set(x, y, NEG);
-    }
+    let neg = dec.decode(ctxs, cx as usize) ^ xor;
+    grid.set(i, r, neg << 3);
 }
 
 /// Decode the first `num_passes` passes of a block coded by
@@ -584,11 +657,12 @@ pub fn decode_block_opts(
     midpoint: bool,
     bypass: bool,
 ) -> Vec<i32> {
-    let mut mags = vec![0u32; w * h];
-    if num_planes == 0 || num_passes == 0 {
+    if num_planes == 0 || num_passes == 0 || w == 0 {
         return vec![0; w * h];
     }
     let mut grid = Grid::new(w, h);
+    let mut mags = vec![0u32; 4 * grid.cols.len()];
+    let zc = zc_table(kind);
     let mut ctxs = initial_contexts();
     let mut pass_idx = 0usize;
     let mut seg_start = 0usize;
@@ -610,9 +684,7 @@ pub fn decode_block_opts(
             if pass_is_raw(bypass, pt, plane, num_planes) {
                 let mut dec = RawDecoder::new(seg);
                 match pt {
-                    PassType::SigProp => {
-                        sig_prop_dec_raw(&mut dec, &mut grid, &mut mags, plane, kind)
-                    }
+                    PassType::SigProp => sig_prop_dec_raw(&mut dec, &mut grid, &mut mags, plane),
                     PassType::MagRef => mag_ref_dec_raw(&mut dec, &mut grid, &mut mags, plane),
                     PassType::Cleanup => unreachable!("cleanup is never raw"),
                 }
@@ -620,13 +692,13 @@ pub fn decode_block_opts(
                 let mut dec = MqDecoder::new(seg);
                 match pt {
                     PassType::SigProp => {
-                        sig_prop_dec(&mut dec, &mut ctxs, &mut grid, &mut mags, plane, kind)
+                        sig_prop_dec(&mut dec, &mut ctxs, &mut grid, &mut mags, plane, zc)
                     }
                     PassType::MagRef => {
                         mag_ref_dec(&mut dec, &mut ctxs, &mut grid, &mut mags, plane)
                     }
                     PassType::Cleanup => {
-                        cleanup_dec(&mut dec, &mut ctxs, &mut grid, &mut mags, plane, kind);
+                        cleanup_dec(&mut dec, &mut ctxs, &mut grid, &mut mags, plane, zc);
                         grid.clear_visited();
                     }
                 }
@@ -642,21 +714,22 @@ pub fn decode_block_opts(
     } else {
         0
     };
-    (0..w * h)
-        .map(|i| {
-            let m = mags[i];
-            if m == 0 {
-                0
-            } else {
-                let v = (m + half) as i32;
-                if grid.get(i % w, i / w) & NEG != 0 {
-                    -v
+    let mut out = vec![0i32; w * h];
+    for (y, row) in out.chunks_exact_mut(w).enumerate() {
+        let (i0, r) = (grid.idx(y / 4, 0), y % 4);
+        for (i, v) in (i0..).zip(row) {
+            let m = mags[4 * i + r];
+            if m != 0 {
+                let mag = (m + half) as i32;
+                *v = if byte(grid.cols[i].flags, r) & NEG != 0 {
+                    -mag
                 } else {
-                    v
-                }
+                    mag
+                };
             }
-        })
-        .collect()
+        }
+    }
+    out
 }
 
 fn sig_prop_dec(
@@ -665,33 +738,29 @@ fn sig_prop_dec(
     grid: &mut Grid,
     mags: &mut [u32],
     plane: u8,
-    kind: BandKind,
+    zc: &[u8; 256],
 ) {
-    let lut = zc_lut(kind);
-    let (w, h) = (grid.w, grid.h);
-    let mut y0 = 0;
-    while y0 < h {
-        for x in 0..w {
-            for y in y0..y0 + stripe_rows(h, y0) {
-                let f = grid.get(x, y);
-                if f & SIG != 0 {
-                    continue;
+    for s in 0..grid.stripes() {
+        let live = first_rows(grid.rows(s));
+        for i in grid.stripe(s) {
+            let mut left = live;
+            loop {
+                let c = grid.cols[i];
+                let todo = sig_prop_set(c) & left;
+                if todo == 0 {
+                    break;
                 }
-                let (hc, vc, dc) = grid.counts(x, y);
-                let cx = lut[zc_index(hc, vc, dc)] as usize;
-                if cx == 0 {
-                    continue;
-                }
-                let bit = dec.decode(ctxs, cx);
-                grid.set(x, y, VISITED);
+                let r = lowest_row(todo);
+                left &= rows_after(r);
+                let bit = dec.decode(ctxs, zc[byte(c.masks, r) as usize] as usize);
+                grid.set(i, r, VISITED);
                 if bit == 1 {
-                    code_sign_dec(dec, ctxs, grid, x, y);
-                    grid.set(x, y, SIG);
-                    mags[y * w + x] |= 1 << plane;
+                    code_sign_dec(dec, ctxs, grid, i, r);
+                    grid.make_significant(i, r);
+                    mags[4 * i + r] |= 1 << plane;
                 }
             }
         }
-        y0 += 4;
     }
 }
 
@@ -702,83 +771,60 @@ fn mag_ref_dec(
     mags: &mut [u32],
     plane: u8,
 ) {
-    let (w, h) = (grid.w, grid.h);
-    let mut y0 = 0;
-    while y0 < h {
-        for x in 0..w {
-            for y in y0..y0 + stripe_rows(h, y0) {
-                let f = grid.get(x, y);
-                if f & SIG == 0 || f & VISITED != 0 {
-                    continue;
-                }
-                let (hc, vc, dc) = grid.counts(x, y);
-                let cx = mr_context(f & REFINED == 0, hc + vc + dc > 0);
-                let bit = dec.decode(ctxs, cx);
-                grid.set(x, y, REFINED);
-                if bit == 1 {
-                    mags[y * w + x] |= 1 << plane;
-                }
+    for s in 0..grid.stripes() {
+        for i in grid.stripe(s) {
+            let c = grid.cols[i];
+            let todo = refine_set(c);
+            let mut t = todo;
+            while t != 0 {
+                let r = lowest_row(t);
+                t &= t - 1;
+                let cx = mr_context(byte(c.flags, r) & REFINED == 0, byte(c.masks, r) != 0);
+                mags[4 * i + r] |= (dec.decode(ctxs, cx) as u32) << plane;
             }
+            grid.cols[i].flags |= todo << 2;
         }
-        y0 += 4;
     }
 }
 
 /// Raw (bypass) significance-propagation decode.
-fn sig_prop_dec_raw(
-    dec: &mut RawDecoder<'_>,
-    grid: &mut Grid,
-    mags: &mut [u32],
-    plane: u8,
-    kind: BandKind,
-) {
-    let lut = zc_lut(kind);
-    let (w, h) = (grid.w, grid.h);
-    let mut y0 = 0;
-    while y0 < h {
-        for x in 0..w {
-            for y in y0..y0 + stripe_rows(h, y0) {
-                let f = grid.get(x, y);
-                if f & SIG != 0 {
-                    continue;
+fn sig_prop_dec_raw(dec: &mut RawDecoder<'_>, grid: &mut Grid, mags: &mut [u32], plane: u8) {
+    for s in 0..grid.stripes() {
+        let live = first_rows(grid.rows(s));
+        for i in grid.stripe(s) {
+            let mut left = live;
+            loop {
+                let todo = sig_prop_set(grid.cols[i]) & left;
+                if todo == 0 {
+                    break;
                 }
-                let (hc, vc, dc) = grid.counts(x, y);
-                if lut[zc_index(hc, vc, dc)] as usize == 0 {
-                    continue;
-                }
+                let r = lowest_row(todo);
+                left &= rows_after(r);
                 let bit = dec.get();
-                grid.set(x, y, VISITED);
+                grid.set(i, r, VISITED);
                 if bit == 1 {
-                    if dec.get() == 1 {
-                        grid.set(x, y, NEG);
-                    }
-                    grid.set(x, y, SIG);
-                    mags[y * w + x] |= 1 << plane;
+                    grid.set(i, r, dec.get() << 3);
+                    grid.make_significant(i, r);
+                    mags[4 * i + r] |= 1 << plane;
                 }
             }
         }
-        y0 += 4;
     }
 }
 
 /// Raw (bypass) magnitude-refinement decode.
 fn mag_ref_dec_raw(dec: &mut RawDecoder<'_>, grid: &mut Grid, mags: &mut [u32], plane: u8) {
-    let (w, h) = (grid.w, grid.h);
-    let mut y0 = 0;
-    while y0 < h {
-        for x in 0..w {
-            for y in y0..y0 + stripe_rows(h, y0) {
-                let f = grid.get(x, y);
-                if f & SIG == 0 || f & VISITED != 0 {
-                    continue;
-                }
-                if dec.get() == 1 {
-                    mags[y * w + x] |= 1 << plane;
-                }
-                grid.set(x, y, REFINED);
+    for s in 0..grid.stripes() {
+        for i in grid.stripe(s) {
+            let todo = refine_set(grid.cols[i]);
+            let mut t = todo;
+            while t != 0 {
+                let r = lowest_row(t);
+                t &= t - 1;
+                mags[4 * i + r] |= (dec.get() as u32) << plane;
             }
+            grid.cols[i].flags |= todo << 2;
         }
-        y0 += 4;
     }
 }
 
@@ -788,52 +834,34 @@ fn cleanup_dec(
     grid: &mut Grid,
     mags: &mut [u32],
     plane: u8,
-    kind: BandKind,
+    zc: &[u8; 256],
 ) {
-    let lut = zc_lut(kind);
-    let (w, h) = (grid.w, grid.h);
-    let mut y0 = 0;
-    while y0 < h {
-        let rows = stripe_rows(h, y0);
-        for x in 0..w {
-            let mut start_row = 0usize;
-            let run_ok = rows == 4
-                && (0..4).all(|r| {
-                    let y = y0 + r;
-                    let f = grid.get(x, y);
-                    f & (SIG | VISITED) == 0 && {
-                        let (hc, vc, dc) = grid.counts(x, y);
-                        lut[zc_index(hc, vc, dc)] as usize == 0
-                    }
-                });
-            if run_ok {
+    for s in 0..grid.stripes() {
+        let live = first_rows(grid.rows(s));
+        for i in grid.stripe(s) {
+            let c = grid.cols[i];
+            let mut todo = cleanup_set(c) & live;
+            if todo == all4(SIG) && c.masks == 0 {
                 if dec.decode(ctxs, CTX_RL) == 0 {
                     continue;
                 }
                 let r = ((dec.decode(ctxs, CTX_UNI) << 1) | dec.decode(ctxs, CTX_UNI)) as usize;
-                let y = y0 + r;
-                mags[y * w + x] |= 1 << plane;
-                code_sign_dec(dec, ctxs, grid, x, y);
-                grid.set(x, y, SIG);
-                start_row = r + 1;
+                mags[4 * i + r] |= 1 << plane;
+                code_sign_dec(dec, ctxs, grid, i, r);
+                grid.make_significant(i, r);
+                todo = rows_after(r);
             }
-            for r in start_row..rows {
-                let y = y0 + r;
-                let f = grid.get(x, y);
-                if f & (SIG | VISITED) != 0 {
-                    continue;
-                }
-                let (hc, vc, dc) = grid.counts(x, y);
-                let cx = lut[zc_index(hc, vc, dc)] as usize;
-                let bit = dec.decode(ctxs, cx);
-                if bit == 1 {
-                    code_sign_dec(dec, ctxs, grid, x, y);
-                    grid.set(x, y, SIG);
-                    mags[y * w + x] |= 1 << plane;
+            while todo != 0 {
+                let r = lowest_row(todo);
+                todo &= todo - 1;
+                let m = byte(grid.cols[i].masks, r);
+                if dec.decode(ctxs, zc[m as usize] as usize) == 1 {
+                    code_sign_dec(dec, ctxs, grid, i, r);
+                    grid.make_significant(i, r);
+                    mags[4 * i + r] |= 1 << plane;
                 }
             }
         }
-        y0 += 4;
     }
 }
 
@@ -874,6 +902,14 @@ mod tests {
         assert!(blk.passes.is_empty());
         let got = decode_block(&[], &[], 0, 4, 4, BandKind::LlLh, 0, false);
         assert_eq!(got, vec![0; 16]);
+    }
+
+    #[test]
+    fn empty_geometry_decodes_to_nothing() {
+        for (w, h) in [(0usize, 5usize), (5, 0), (0, 0)] {
+            let got = decode_block(&[0x12, 0x34], &[2], 1, w, h, BandKind::LlLh, 3, false);
+            assert!(got.is_empty(), "{w}x{h}");
+        }
     }
 
     #[test]

@@ -36,7 +36,7 @@ pub fn initial_contexts() -> Contexts {
 /// `h` = significant horizontal neighbors (0..=2), `v` = vertical (0..=2),
 /// `d` = diagonal (0..=4).
 #[inline]
-pub fn zc_context(kind: crate::BandKind, h: u32, v: u32, d: u32) -> usize {
+pub const fn zc_context(kind: crate::BandKind, h: u32, v: u32, d: u32) -> usize {
     use crate::BandKind::*;
     let (h, v) = match kind {
         // HL is horizontally high-pass: the roles of h and v swap.
@@ -108,48 +108,58 @@ pub fn mr_context(first: bool, any_sig_neighbor: bool) -> usize {
 // Table-driven context lookup (branch-free inner loops)
 //
 // The branchy `zc_context` / `sc_context` matches above stay as the readable
-// reference; the tables below are built from them once per process, so
-// equivalence is by construction (and additionally pinned by exhaustive
-// tests). The Tier-1 passes index the tables with a small integer computed
-// from raw neighbor counts — no data-dependent branches in the significance
-// state machine.
+// reference; the tables below are built from them, so equivalence is by
+// construction (and additionally pinned by exhaustive tests).
 // ---------------------------------------------------------------------------
 
-/// Flat index into a [`zc_lut`] table: `h`, `v` in 0..=2, `d` in 0..=4.
-#[inline]
-pub fn zc_index(h: u32, v: u32, d: u32) -> usize {
-    (h * 15 + v * 5 + d) as usize
+/// Neighbor-mask bit of the west (left) neighbor. A sample's 8-bit mask has
+/// one bit per neighbor, set once that neighbor is significant.
+pub const NB_W: u8 = 1 << 0;
+/// East (right) neighbor.
+pub const NB_E: u8 = 1 << 1;
+/// North (upper) neighbor.
+pub const NB_N: u8 = 1 << 2;
+/// South (lower) neighbor.
+pub const NB_S: u8 = 1 << 3;
+/// North-west neighbor.
+pub const NB_NW: u8 = 1 << 4;
+/// North-east neighbor.
+pub const NB_NE: u8 = 1 << 5;
+/// South-west neighbor.
+pub const NB_SW: u8 = 1 << 6;
+/// South-east neighbor.
+pub const NB_SE: u8 = 1 << 7;
+
+const fn zc_table_for(kind: crate::BandKind) -> [u8; 256] {
+    let mut t = [0u8; 256];
+    let mut m = 0;
+    while m < 256 {
+        let mask = m as u8;
+        let h = (mask & (NB_W | NB_E)).count_ones();
+        let v = (mask & (NB_N | NB_S)).count_ones();
+        let d = (mask & (NB_NW | NB_NE | NB_SW | NB_SE)).count_ones();
+        t[m] = zc_context(kind, h, v, d) as u8;
+        m += 1;
+    }
+    t
 }
 
-/// Zero-coding context table for a band class: 45 entries addressed by
-/// [`zc_index`]. Equivalent to [`zc_context`] over its whole domain.
-pub fn zc_lut(kind: crate::BandKind) -> &'static [u8; 45] {
-    use std::sync::OnceLock;
-    static LUTS: OnceLock<[[u8; 45]; 3]> = OnceLock::new();
-    let luts = LUTS.get_or_init(|| {
-        let mut t = [[0u8; 45]; 3];
-        for (ki, kind) in [
-            crate::BandKind::LlLh,
-            crate::BandKind::Hl,
-            crate::BandKind::Hh,
-        ]
-        .into_iter()
-        .enumerate()
-        {
-            for h in 0..=2u32 {
-                for v in 0..=2u32 {
-                    for d in 0..=4u32 {
-                        t[ki][zc_index(h, v, d)] = zc_context(kind, h, v, d) as u8;
-                    }
-                }
-            }
-        }
-        t
-    });
+static ZC_TABLES: [[u8; 256]; 3] = [
+    zc_table_for(crate::BandKind::LlLh),
+    zc_table_for(crate::BandKind::Hl),
+    zc_table_for(crate::BandKind::Hh),
+];
+
+/// Zero-coding context table for a band class, indexed by a sample's
+/// neighbor mask (`NB_*` bits). Equivalent to [`zc_context`] of the mask's
+/// horizontal, vertical and diagonal counts; entry 0 (no significant
+/// neighbor) is context 0 in every class.
+#[inline]
+pub fn zc_table(kind: crate::BandKind) -> &'static [u8; 256] {
     match kind {
-        crate::BandKind::LlLh => &luts[0],
-        crate::BandKind::Hl => &luts[1],
-        crate::BandKind::Hh => &luts[2],
+        crate::BandKind::LlLh => &ZC_TABLES[0],
+        crate::BandKind::Hl => &ZC_TABLES[1],
+        crate::BandKind::Hh => &ZC_TABLES[2],
     }
 }
 
@@ -256,19 +266,20 @@ mod tests {
     }
 
     #[test]
-    fn zc_lut_matches_function_exhaustively() {
+    fn zc_table_matches_function_exhaustively() {
+        let count = |m: usize, bits: u8| (m as u8 & bits).count_ones();
         for kind in [BandKind::LlLh, BandKind::Hl, BandKind::Hh] {
-            let lut = zc_lut(kind);
-            for h in 0..=2u32 {
-                for v in 0..=2u32 {
-                    for d in 0..=4u32 {
-                        assert_eq!(
-                            lut[zc_index(h, v, d)] as usize,
-                            zc_context(kind, h, v, d),
-                            "{kind:?} h={h} v={v} d={d}"
-                        );
-                    }
-                }
+            let t = zc_table(kind);
+            for (m, &cx) in t.iter().enumerate() {
+                let h = count(m, NB_W | NB_E);
+                let v = count(m, NB_N | NB_S);
+                let d = count(m, NB_NW | NB_NE | NB_SW | NB_SE);
+                assert_eq!(
+                    cx as usize,
+                    zc_context(kind, h, v, d),
+                    "{kind:?} mask={m:#010b}"
+                );
+                assert_eq!(cx == 0, m == 0, "{kind:?} mask={m:#010b}");
             }
         }
     }

@@ -14,8 +14,7 @@ pub struct MqDecoder<'a> {
     bp: usize,
     c: u32,
     a: u32,
-    ct: i32,
-    symbols: u64,
+    ct: u32,
 }
 
 impl<'a> MqDecoder<'a> {
@@ -27,7 +26,6 @@ impl<'a> MqDecoder<'a> {
             c: 0,
             a: 0,
             ct: 0,
-            symbols: 0,
         };
         d.c = (d.byte_at(0) as u32) << 16;
         d.byte_in();
@@ -35,12 +33,6 @@ impl<'a> MqDecoder<'a> {
         d.ct -= 7;
         d.a = 0x8000;
         d
-    }
-
-    /// Number of decisions decoded so far.
-    #[inline]
-    pub fn symbols(&self) -> u64 {
-        self.symbols
     }
 
     #[inline]
@@ -69,61 +61,48 @@ impl<'a> MqDecoder<'a> {
     }
 
     /// DECODE one decision in context `cx`.
+    ///
+    /// The mirror of [`crate::MqEncoder::encode`]: the code value lies in
+    /// the `Qe` sub-interval or in the `A - Qe` one (then `C -= Qe`), and
+    /// the conditional exchange (`A - Qe < Qe`) decides which of the two
+    /// means the LPS. Selects replace the standard's data-dependent
+    /// branches; the state moves, and RENORMD runs, exactly when the new
+    /// `A` is below 0x8000.
     #[inline]
     pub fn decode(&mut self, ctxs: &mut Contexts, cx: usize) -> u8 {
-        self.symbols += 1;
         let st = ctxs.get_mut(cx);
         let row = QE_TABLE[st.index as usize];
         let qe = row.qe as u32;
-        self.a -= qe;
-        let d;
-        if (self.c >> 16) < qe {
-            // LPS exchange path.
-            if self.a < qe {
-                self.a = qe;
-                d = st.mps;
-                st.index = row.nmps;
-            } else {
-                self.a = qe;
-                d = 1 - st.mps;
-                if row.switch_mps == 1 {
-                    st.mps ^= 1;
-                }
-                st.index = row.nlps;
-            }
+        let a1 = self.a - qe;
+        let in_qe = (self.c >> 16) < qe;
+        let lps = in_qe != (a1 < qe);
+        self.a = if in_qe { qe } else { a1 };
+        self.c -= if in_qe { 0 } else { qe << 16 };
+        let d = st.mps ^ u8::from(lps);
+        if self.a < 0x8000 {
+            st.index = if lps { row.nlps } else { row.nmps };
+            st.mps ^= u8::from(lps) & row.switch_mps;
             self.renorm();
-        } else {
-            self.c -= qe << 16;
-            if self.a & 0x8000 == 0 {
-                // MPS exchange path.
-                if self.a < qe {
-                    d = 1 - st.mps;
-                    if row.switch_mps == 1 {
-                        st.mps ^= 1;
-                    }
-                    st.index = row.nlps;
-                } else {
-                    d = st.mps;
-                    st.index = row.nmps;
-                }
-                self.renorm();
-            } else {
-                d = st.mps;
-            }
         }
         d
     }
 
-    /// RENORMD.
+    /// RENORMD, a byte at a time: `a` takes all its shifts at once, and
+    /// `c` shifts up to each byte boundary, where BYTEIN fires exactly when
+    /// the bit-at-a-time loop would meet `ct == 0` before a shift.
+    #[inline]
     fn renorm(&mut self) {
+        let mut n = self.a.leading_zeros() - 16;
+        self.a <<= n;
         loop {
             if self.ct == 0 {
                 self.byte_in();
             }
-            self.a <<= 1;
-            self.c <<= 1;
-            self.ct -= 1;
-            if self.a & 0x8000 != 0 {
+            let s = n.min(self.ct);
+            self.c <<= s;
+            self.ct -= s;
+            n -= s;
+            if n == 0 {
                 break;
             }
         }

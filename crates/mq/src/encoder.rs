@@ -10,19 +10,22 @@ use crate::Contexts;
 /// interval register renormalized to keep `a >= 0x8000`, `ct` the downcounter
 /// to the next byte emission.
 ///
-/// The output buffer keeps a sentinel byte at index 0 standing in for the
-/// "B-1" position of the standard's pointer arithmetic; [`MqEncoder::finish`]
-/// strips it.
+/// One encoder codes any number of segments: [`MqEncoder::flush_into`]
+/// terminates the open segment, appends it to a caller's buffer and
+/// re-initialises the coder in place, keeping its segment buffer. The
+/// buffer holds a sentinel byte at index 0 standing in for the "B-1"
+/// position of the standard's pointer arithmetic. A carry never reaches
+/// it: the first BYTEOUT comes after 12 shifts of an interval that starts
+/// below 2^15, so the carry bit (27) is still clear.
 #[derive(Debug, Clone)]
 pub struct MqEncoder {
     c: u32,
     a: u32,
-    ct: i32,
-    /// Output bytes; `out[0]` is the sentinel, `bp` indexes the byte the
-    /// standard calls `B`.
+    ct: u32,
+    /// Open segment; `out[0]` is the sentinel and the last byte is the one
+    /// the standard calls `B`.
     out: Vec<u8>,
-    bp: usize,
-    /// Total decisions encoded (used by cost models and rate estimation).
+    /// Decisions coded into the open segment.
     symbols: u64,
 }
 
@@ -40,117 +43,95 @@ impl MqEncoder {
             a: 0x8000,
             ct: 12,
             out: vec![0u8],
-            bp: 0,
             symbols: 0,
         }
     }
 
-    /// Number of decisions encoded so far.
+    /// Number of decisions coded since the coder was created or last
+    /// flushed.
     #[inline]
     pub fn symbols(&self) -> u64 {
         self.symbols
     }
 
-    /// Bytes that would be emitted if the coder were flushed right now,
-    /// *excluding* the sentinel. This is the standard's `B - start` count
-    /// used for per-pass rate accounting (an upper bound before flush).
-    #[inline]
-    pub fn bytes_so_far(&self) -> usize {
-        self.bp
-    }
-
     /// ENCODE one `decision` in context `cx` of `ctxs`.
+    ///
+    /// CODEMPS and CODELPS as one step without data-dependent branches:
+    /// the coder keeps either the `Qe` sub-interval at the bottom of the
+    /// interval or the `A - Qe` one above it (`C += Qe`). The MPS keeps the
+    /// `A - Qe` one and the LPS the `Qe` one unless the conditional exchange
+    /// (`A - Qe < Qe`) swaps them. The state moves exactly when the new `A`
+    /// is below 0x8000, which is also when RENORME shifts at all. Which
+    /// symbol comes is as unpredictable as the data, so selects replace
+    /// the standard's branches on it.
     #[inline]
     pub fn encode(&mut self, ctxs: &mut Contexts, cx: usize, decision: u8) {
         self.symbols += 1;
         let st = ctxs.get_mut(cx);
-        let qe = QE_TABLE[st.index as usize].qe as u32;
-        if decision == st.mps {
-            // CODEMPS
-            self.a -= qe;
-            if self.a & 0x8000 == 0 {
-                if self.a < qe {
-                    self.a = qe;
-                } else {
-                    self.c += qe;
-                }
-                st.index = QE_TABLE[st.index as usize].nmps;
-                self.renorm();
-            } else {
-                self.c += qe;
-            }
-        } else {
-            // CODELPS
-            self.a -= qe;
-            if self.a < qe {
-                self.c += qe;
-            } else {
-                self.a = qe;
-            }
-            let row = QE_TABLE[st.index as usize];
-            if row.switch_mps == 1 {
-                st.mps ^= 1;
-            }
-            st.index = row.nlps;
-            self.renorm();
-        }
+        let row = QE_TABLE[st.index as usize];
+        let qe = row.qe as u32;
+        let a1 = self.a - qe;
+        let lps = decision != st.mps;
+        let keep_rest = lps == (a1 < qe);
+        self.a = if keep_rest { a1 } else { qe };
+        self.c += if keep_rest { qe } else { 0 };
+        // The state moves only with a renormalization; an LPS always
+        // renormalizes, so the MPS switch needs no test.
+        let next = if lps { row.nlps } else { row.nmps };
+        st.index = if self.a < 0x8000 { next } else { st.index };
+        st.mps ^= u8::from(lps) & row.switch_mps;
+        self.renorm();
     }
 
-    /// RENORME.
+    /// RENORME, a byte at a time: `a` takes all its shifts at once, and
+    /// `c` shifts up to each byte boundary, where BYTEOUT fires exactly
+    /// when the bit-at-a-time loop's `ct` would reach 0. With `a` already
+    /// at least 0x8000 it shifts nothing (`ct` is never 0 here).
+    #[inline]
     fn renorm(&mut self) {
-        loop {
-            self.a <<= 1;
-            self.c <<= 1;
-            self.ct -= 1;
-            if self.ct == 0 {
-                self.byte_out();
-            }
-            if self.a & 0x8000 != 0 {
-                break;
-            }
+        let mut n = self.a.leading_zeros() - 16;
+        self.a <<= n;
+        while n >= self.ct {
+            self.c <<= self.ct;
+            n -= self.ct;
+            self.byte_out();
         }
+        self.c <<= n;
+        self.ct -= n;
     }
 
     /// BYTEOUT with 0xFF bit-stuffing.
     fn byte_out(&mut self) {
-        if self.out[self.bp] == 0xFF {
-            self.bp += 1;
-            self.push(((self.c >> 20) & 0xFF) as u8);
+        let b = self.out.len() - 1;
+        if self.out[b] == 0xFF {
+            self.out.push(((self.c >> 20) & 0xFF) as u8);
             self.c &= 0xF_FFFF;
             self.ct = 7;
         } else if self.c & 0x800_0000 == 0 {
-            self.bp += 1;
-            self.push(((self.c >> 19) & 0xFF) as u8);
+            self.out.push(((self.c >> 19) & 0xFF) as u8);
             self.c &= 0x7_FFFF;
             self.ct = 8;
         } else {
             // Propagate carry into B.
-            self.out[self.bp] = self.out[self.bp].wrapping_add(1);
-            if self.out[self.bp] == 0xFF {
+            debug_assert!(b > 0, "carry into the sentinel");
+            self.out[b] = self.out[b].wrapping_add(1);
+            if self.out[b] == 0xFF {
                 self.c &= 0x7FF_FFFF;
-                self.bp += 1;
-                self.push(((self.c >> 20) & 0xFF) as u8);
+                self.out.push(((self.c >> 20) & 0xFF) as u8);
                 self.c &= 0xF_FFFF;
                 self.ct = 7;
             } else {
-                self.bp += 1;
-                self.push(((self.c >> 19) & 0xFF) as u8);
+                self.out.push(((self.c >> 19) & 0xFF) as u8);
                 self.c &= 0x7_FFFF;
                 self.ct = 8;
             }
         }
     }
 
-    #[inline]
-    fn push(&mut self, b: u8) {
-        debug_assert_eq!(self.bp, self.out.len());
-        self.out.push(b);
-    }
-
-    /// FLUSH: SETBITS, emit the remaining register contents, and return the
-    /// finished byte stream (sentinel stripped, trailing 0xFF dropped per the
-    /// standard's "if B == 0xFF, discard" rule).
-    pub fn finish(mut self) -> Vec<u8> {
+    /// FLUSH: SETBITS, emit the remaining register contents, append the
+    /// finished segment to `dst` (trailing 0xFF dropped per the standard's
+    /// "if B == 0xFF, discard" rule), then INITENC in place.
+    pub fn flush_into(&mut self, dst: &mut Vec<u8>) {
         // SETBITS
         let tempc = self.c + self.a;
         self.c |= 0xFFFF;
@@ -161,14 +142,24 @@ impl MqEncoder {
         self.byte_out();
         self.c <<= self.ct;
         self.byte_out();
-        // Strip sentinel; drop a trailing 0xFF (it carries no information and
-        // may not legally end a segment).
-        let mut v = self.out;
-        v.remove(0);
-        // bp counted bytes written after the sentinel; truncate spare slots.
-        if let Some(&0xFF) = v.last() {
-            v.pop();
+        // Skip the sentinel; a trailing 0xFF carries no information and may
+        // not legally end a segment.
+        let mut end = self.out.len();
+        if self.out[end - 1] == 0xFF {
+            end -= 1;
         }
+        dst.extend_from_slice(&self.out[1..end]);
+        self.out.truncate(1);
+        self.c = 0;
+        self.a = 0x8000;
+        self.ct = 12;
+        self.symbols = 0;
+    }
+
+    /// [`MqEncoder::flush_into`] a new buffer: the finished segment.
+    pub fn finish(mut self) -> Vec<u8> {
+        let mut v = Vec::new();
+        self.flush_into(&mut v);
         v
     }
 }

@@ -13,7 +13,7 @@
 //!
 //! Correctness is established by exhaustive encode→decode round-trips over
 //! random (context, decision) sequences (see `tests/roundtrip.rs`) and by
-//! known-answer tests for byte-stuffing edge cases.
+//! known-answer tests for byte-stuffing edge cases (`tests/known_answers.rs`).
 
 mod decoder;
 mod encoder;

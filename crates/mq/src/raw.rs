@@ -78,11 +78,6 @@ impl RawEncoder {
             self.flush_byte();
         }
     }
-
-    /// Bytes emitted so far (excluding the partial byte).
-    pub fn bytes_so_far(&self) -> usize {
-        self.out.len()
-    }
 }
 
 /// Raw bit reader, mirror of [`RawEncoder`]; reads past the end return 1s.
