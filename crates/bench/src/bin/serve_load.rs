@@ -636,8 +636,7 @@ fn main() {
     );
     println!("{json}");
     // Shared bench-report envelope: the full ad-hoc document above rides
-    // along as `detail`; the trajectory-tracked scalars are lifted into
-    // `metrics` so `perf_history compare` can gate regressions.
+    // along as `detail`; the headline scalars are lifted into `metrics`.
     let config = format!(
         "{{\"jobs\":{},\"clients\":{},\"size\":{},\"seed\":{},\"mode\":\"{}\",\
          \"timeout_ms\":{},\"retries\":{}}}",

@@ -20,7 +20,8 @@
 //! Prints a table (or `--csv`) and, with `--out FILE`, writes the
 //! machine-readable `BENCH_tier1.json` consumed by CI — a shared
 //! [`BenchReport`](j2k_bench::BenchReport) envelope whose `detail`
-//! carries the per-row table and whose `metrics` feed `perf_history`.
+//! carries the per-row table and whose `metrics` hold the headline
+//! throughputs.
 
 use j2k_bench::{lossless_params, ms, parse_args, row, workload_rgb, BenchReport, Direction};
 use j2k_core::{encode, encode_with, Coder, EncoderParams, WorkloadProfile};

@@ -11,7 +11,7 @@ use j2k_core::{EncoderParams, WorkloadProfile};
 
 pub mod report;
 
-pub use report::{compare, BenchReport, Direction, Metric, Regression};
+pub use report::{BenchReport, Direction, Metric};
 
 /// Paper-reported reference numbers (Section 5).
 pub mod paper {

@@ -1,23 +1,13 @@
-//! The shared `BENCH_*.json` envelope and the regression-compare logic
-//! behind the `perf_history` binary.
+//! The shared `BENCH_*.json` envelope.
 //!
-//! Every bench emitter used to write an ad-hoc JSON shape, which made
-//! cross-run trend tracking impossible without per-bench parsers. A
+//! Every bench emitter used to write an ad-hoc JSON shape. A
 //! [`BenchReport`] is the common envelope: a bench name, a timestamp, a
 //! flat list of named scalar [`Metric`]s each tagged with the direction
 //! that is *better*, and the emitter's full original JSON preserved
-//! verbatim under `detail`. `perf_history` appends reports to
-//! `BENCH_history.jsonl` (one envelope per line) and compares a fresh
-//! report against the most recent run of the same bench, failing on any
-//! metric that moved in the *worse* direction by more than the
-//! tolerance.
-//!
-//! The workspace builds offline without serde, so serialization is
-//! hand-rolled here and parsing is a small scanner that understands
-//! exactly the shapes this module writes (balanced-brace raw capture
-//! for `config`/`detail`, flat field extraction for metrics).
-
-use std::fmt;
+//! verbatim under `detail`. The workspace builds offline without serde,
+//! so serialization is hand-rolled here. Nothing in the workspace reads
+//! the envelopes back: they are CI artifacts, and the regression gate
+//! is the repository benchmark's `--compare`.
 
 /// Which way a metric is *better*.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -36,19 +26,10 @@ impl Direction {
             Direction::Lower => "lower",
         }
     }
-
-    /// Inverse of [`as_str`](Self::as_str).
-    pub fn parse(s: &str) -> Result<Direction, String> {
-        match s {
-            "higher" => Ok(Direction::Higher),
-            "lower" => Ok(Direction::Lower),
-            other => Err(format!("unknown direction {other:?}")),
-        }
-    }
 }
 
 /// One tracked scalar.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct Metric {
     /// Stable metric name within the bench (`ht_samples_per_sec`, ...).
     pub name: String,
@@ -59,45 +40,18 @@ pub struct Metric {
 }
 
 /// The shared envelope written by every `BENCH_*.json` emitter.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct BenchReport {
-    /// Bench name (`tier1_scaling`, `kernels`, `serve_load`, ...) — the
-    /// history key.
+    /// Bench name (`tier1_scaling`, `decode_scaling`, `serve_load`).
     pub bench: String,
     /// Milliseconds since the Unix epoch at emit time (0 when unknown).
     pub unix_ms: u64,
     /// Raw JSON object with the run configuration, verbatim.
     pub config: String,
-    /// Tracked scalars, compared run over run by `perf_history`.
+    /// Tracked scalars.
     pub metrics: Vec<Metric>,
     /// The emitter's full bench-specific JSON, verbatim (`null` if none).
     pub detail: String,
-}
-
-/// One metric that moved in the worse direction beyond tolerance.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Regression {
-    /// The metric name.
-    pub name: String,
-    /// Baseline value.
-    pub baseline: f64,
-    /// Current value.
-    pub current: f64,
-    /// Relative change in the *worse* direction (0.2 = 20% worse).
-    pub worse_by: f64,
-}
-
-impl fmt::Display for Regression {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{}: {:.4} -> {:.4} ({:.1}% worse)",
-            self.name,
-            self.baseline,
-            self.current,
-            self.worse_by * 100.0
-        )
-    }
 }
 
 impl BenchReport {
@@ -138,8 +92,7 @@ impl BenchReport {
         self
     }
 
-    /// One-line JSON envelope (also the `BENCH_history.jsonl` line
-    /// format).
+    /// One-line JSON envelope.
     pub fn to_json(&self) -> String {
         let metrics: Vec<String> = self
             .metrics
@@ -163,315 +116,41 @@ impl BenchReport {
             self.detail
         )
     }
-
-    /// Parse an envelope previously written by [`to_json`](Self::to_json).
-    pub fn parse(json: &str) -> Result<BenchReport, String> {
-        let s = json.trim();
-        if raw_value(s, "schema") != Some("\"bench-report/v1\"".to_string()) {
-            return Err("missing or unknown \"schema\" (want bench-report/v1)".into());
-        }
-        let bench = string_value(s, "bench").ok_or("missing \"bench\"")?;
-        let unix_ms = raw_value(s, "unix_ms")
-            .and_then(|v| v.parse::<u64>().ok())
-            .ok_or("missing or non-integer \"unix_ms\"")?;
-        let config = raw_value(s, "config").ok_or("missing \"config\"")?;
-        let detail = raw_value(s, "detail").ok_or("missing \"detail\"")?;
-        let marr = raw_value(s, "metrics").ok_or("missing \"metrics\"")?;
-        let mut metrics = Vec::new();
-        for obj in split_objects(&marr)? {
-            let name = string_value(&obj, "name").ok_or("metric missing \"name\"")?;
-            let value = raw_value(&obj, "value")
-                .and_then(|v| v.parse::<f64>().ok())
-                .ok_or("metric missing numeric \"value\"")?;
-            let dir = string_value(&obj, "dir")
-                .ok_or("metric missing \"dir\"")
-                .and_then(|d| Direction::parse(&d).map_err(|_| "bad metric \"dir\""))?;
-            metrics.push(Metric { name, value, dir });
-        }
-        Ok(BenchReport {
-            bench,
-            unix_ms,
-            config,
-            metrics,
-            detail,
-        })
-    }
 }
 
-/// Render an f64 so it round-trips through `parse::<f64>` (JSON numbers
-/// may not be NaN/inf; those degrade to 0).
+/// Render an f64 as a JSON number (JSON numbers may not be NaN/inf;
+/// those degrade to 0).
 fn fmt_f64(v: f64) -> String {
     if v.is_finite() {
-        let s = format!("{v}");
-        // `{}` on a whole f64 prints without a dot; keep it valid JSON
-        // either way (integers are valid JSON numbers).
-        s
+        format!("{v}")
     } else {
         "0".to_string()
     }
-}
-
-/// Extract the raw JSON value of a top-level `"key":` in `s`, respecting
-/// strings, escapes, and balanced braces/brackets. Top-level only in
-/// spirit: the first occurrence of the quoted key wins, so callers parse
-/// shapes this module wrote (envelope keys precede nested payloads).
-fn raw_value(s: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\":");
-    let start = s.find(&pat)? + pat.len();
-    let rest = s[start..].trim_start();
-    let bytes = rest.as_bytes();
-    let end = match bytes.first()? {
-        b'"' => {
-            let mut i = 1;
-            let mut esc = false;
-            loop {
-                let b = *bytes.get(i)?;
-                if esc {
-                    esc = false;
-                } else if b == b'\\' {
-                    esc = true;
-                } else if b == b'"' {
-                    break i + 1;
-                }
-                i += 1;
-            }
-        }
-        b'{' | b'[' => {
-            let (open, close) = if bytes[0] == b'{' {
-                (b'{', b'}')
-            } else {
-                (b'[', b']')
-            };
-            let mut depth = 0usize;
-            let mut i = 0;
-            let mut in_str = false;
-            let mut esc = false;
-            loop {
-                let b = *bytes.get(i)?;
-                if in_str {
-                    if esc {
-                        esc = false;
-                    } else if b == b'\\' {
-                        esc = true;
-                    } else if b == b'"' {
-                        in_str = false;
-                    }
-                } else if b == b'"' {
-                    in_str = true;
-                } else if b == open {
-                    depth += 1;
-                } else if b == close {
-                    depth -= 1;
-                    if depth == 0 {
-                        break i + 1;
-                    }
-                }
-                i += 1;
-            }
-        }
-        _ => rest.find([',', '}', ']']).unwrap_or(rest.len()),
-    };
-    Some(rest[..end].trim_end().to_string())
-}
-
-/// [`raw_value`] for string fields, unescaping the simple escapes this
-/// module's writer produces.
-fn string_value(s: &str, key: &str) -> Option<String> {
-    let raw = raw_value(s, key)?;
-    let inner = raw.strip_prefix('"')?.strip_suffix('"')?;
-    let mut out = String::with_capacity(inner.len());
-    let mut chars = inner.chars();
-    while let Some(c) = chars.next() {
-        if c == '\\' {
-            match chars.next()? {
-                'n' => out.push('\n'),
-                't' => out.push('\t'),
-                'r' => out.push('\r'),
-                other => out.push(other),
-            }
-        } else {
-            out.push(c);
-        }
-    }
-    Some(out)
-}
-
-/// Split a raw JSON array of flat objects into the objects' raw text.
-fn split_objects(arr: &str) -> Result<Vec<String>, String> {
-    let inner = arr
-        .trim()
-        .strip_prefix('[')
-        .and_then(|s| s.strip_suffix(']'))
-        .ok_or("metrics is not an array")?;
-    let mut out = Vec::new();
-    let mut depth = 0usize;
-    let mut start = None;
-    let mut in_str = false;
-    let mut esc = false;
-    for (i, b) in inner.bytes().enumerate() {
-        if in_str {
-            if esc {
-                esc = false;
-            } else if b == b'\\' {
-                esc = true;
-            } else if b == b'"' {
-                in_str = false;
-            }
-            continue;
-        }
-        match b {
-            b'"' => in_str = true,
-            b'{' => {
-                if depth == 0 {
-                    start = Some(i);
-                }
-                depth += 1;
-            }
-            b'}' => {
-                depth = depth.checked_sub(1).ok_or("unbalanced metric object")?;
-                if depth == 0 {
-                    let s = start.take().ok_or("unbalanced metric object")?;
-                    out.push(inner[s..=i].to_string());
-                }
-            }
-            _ => {}
-        }
-    }
-    if depth != 0 || in_str {
-        return Err("unterminated metric object".into());
-    }
-    Ok(out)
-}
-
-/// Compare `current` against `baseline`: every metric present in both
-/// (by name) whose value moved in the worse direction by strictly more
-/// than `tolerance` (relative, e.g. 0.10 = 10%) is a [`Regression`].
-/// Metrics missing from either side are ignored — benches may grow
-/// metrics over time. A baseline of exactly 0 cannot regress relatively
-/// and is skipped.
-pub fn compare(baseline: &BenchReport, current: &BenchReport, tolerance: f64) -> Vec<Regression> {
-    let mut out = Vec::new();
-    for cur in &current.metrics {
-        let Some(base) = baseline.metrics.iter().find(|m| m.name == cur.name) else {
-            continue;
-        };
-        if base.value == 0.0 {
-            continue;
-        }
-        let worse_by = match cur.dir {
-            Direction::Higher => (base.value - cur.value) / base.value.abs(),
-            Direction::Lower => (cur.value - base.value) / base.value.abs(),
-        };
-        if worse_by > tolerance {
-            out.push(Regression {
-                name: cur.name.clone(),
-                baseline: base.value,
-                current: cur.value,
-                worse_by,
-            });
-        }
-    }
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn sample() -> BenchReport {
-        BenchReport {
-            bench: "kernels".into(),
+    #[test]
+    fn to_json_writes_the_envelope_exactly() {
+        let r = BenchReport {
             unix_ms: 1_700_000_000_000,
-            config: "{\"size\":256,\"seed\":7}".into(),
-            metrics: vec![
-                Metric {
-                    name: "tier1_mq_samples_per_sec".into(),
-                    value: 1.25e8,
-                    dir: Direction::Higher,
-                },
-                Metric {
-                    name: "e2e_ms".into(),
-                    value: 42.5,
-                    dir: Direction::Lower,
-                },
-            ],
-            detail: "{\"rows\":[{\"kernel\":\"quantize\",\"ns\":12}]}".into(),
+            ..BenchReport::new("na\"me")
         }
-    }
-
-    #[test]
-    fn envelope_roundtrips() {
-        let r = sample();
-        let parsed = BenchReport::parse(&r.to_json()).expect("parse");
-        assert_eq!(parsed, r);
-    }
-
-    #[test]
-    fn parse_rejects_wrong_schema() {
-        assert!(BenchReport::parse("{\"schema\":\"bogus/v9\"}").is_err());
-        assert!(BenchReport::parse("{}").is_err());
-    }
-
-    #[test]
-    fn identical_runs_do_not_regress() {
-        let r = sample();
-        assert!(compare(&r, &r, 0.10).is_empty());
-    }
-
-    #[test]
-    fn twenty_percent_throughput_drop_is_flagged() {
-        let base = sample();
-        let mut cur = sample();
-        cur.metrics[0].value = base.metrics[0].value * 0.8;
-        let regs = compare(&base, &cur, 0.10);
-        assert_eq!(regs.len(), 1);
-        assert_eq!(regs[0].name, "tier1_mq_samples_per_sec");
-        assert!((regs[0].worse_by - 0.2).abs() < 1e-9);
-    }
-
-    #[test]
-    fn lower_is_better_regresses_upward() {
-        let base = sample();
-        let mut cur = sample();
-        cur.metrics[1].value = 42.5 * 1.5; // latency grew 50%
-        let regs = compare(&base, &cur, 0.10);
-        assert_eq!(regs.len(), 1);
-        assert_eq!(regs[0].name, "e2e_ms");
-        // And an *improvement* in the lower-is-better metric never flags.
-        cur.metrics[1].value = 42.5 * 0.5;
-        assert!(compare(&base, &cur, 0.10).is_empty());
-    }
-
-    #[test]
-    fn within_tolerance_passes() {
-        let base = sample();
-        let mut cur = sample();
-        cur.metrics[0].value = base.metrics[0].value * 0.95; // 5% worse
-        assert!(compare(&base, &cur, 0.10).is_empty());
-    }
-
-    #[test]
-    fn new_and_removed_metrics_are_ignored() {
-        let base = sample();
-        let mut cur = sample();
-        cur.metrics.remove(1);
-        cur.metrics.push(Metric {
-            name: "brand_new".into(),
-            value: 1.0,
-            dir: Direction::Higher,
-        });
-        assert!(compare(&base, &cur, 0.10).is_empty());
-    }
-
-    #[test]
-    fn raw_capture_handles_nested_and_escaped() {
-        let r = BenchReport::new("na\"me")
-            .config("{\"a\":{\"b\":[1,2,{\"c\":\"}\"}]}}")
-            .metric("m", 1.0, Direction::Higher)
-            .detail("{\"s\":\"[{\\\"t\\\":1}]\"}");
-        let parsed = BenchReport::parse(&r.to_json()).expect("parse");
-        assert_eq!(parsed.bench, "na\"me");
-        assert_eq!(parsed.config, "{\"a\":{\"b\":[1,2,{\"c\":\"}\"}]}}");
-        assert_eq!(parsed.detail, "{\"s\":\"[{\\\"t\\\":1}]\"}");
+        .config("{\"a\":{\"b\":[1,2,{\"c\":\"}\"}]}}")
+        .metric("mpix_per_s", 1.25e8, Direction::Higher)
+        .metric("e2e_ms", 42.5, Direction::Lower)
+        .metric("nan", f64::NAN, Direction::Lower)
+        .detail("{\"s\":\"[{\\\"t\\\":1}]\"}");
+        assert_eq!(
+            r.to_json(),
+            "{\"schema\":\"bench-report/v1\",\"bench\":\"na\\\"me\",\"unix_ms\":1700000000000,\
+             \"config\":{\"a\":{\"b\":[1,2,{\"c\":\"}\"}]}},\
+             \"metrics\":[{\"name\":\"mpix_per_s\",\"value\":125000000,\"dir\":\"higher\"},\
+             {\"name\":\"e2e_ms\",\"value\":42.5,\"dir\":\"lower\"},\
+             {\"name\":\"nan\",\"value\":0,\"dir\":\"lower\"}],\
+             \"detail\":{\"s\":\"[{\\\"t\\\":1}]\"}}"
+        );
     }
 }

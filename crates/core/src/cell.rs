@@ -14,7 +14,7 @@ use cellsim::stage::{run_stage_traced, Assignment, StageOutcome, TaskEvent, Task
 use cellsim::{DmaClass, Kernel, MachineConfig, ProcKind, ScheduleTrace, Timeline};
 use imgio::Image;
 use wavelet::{Filter, VerticalVariant};
-use xpart::{ChunkPlan, Owner, PlanConfig, CACHE_LINE};
+use xpart::{auto_chunk_bytes, ChunkPlan, Owner, PlanConfig};
 
 /// Tunables of the Cell mapping.
 #[derive(Debug, Clone, Copy)]
@@ -51,16 +51,10 @@ pub fn roster(cfg: &MachineConfig) -> Vec<ProcKind> {
     v
 }
 
-fn auto_chunk_bytes(width: usize, cfg: &MachineConfig) -> usize {
-    let row_bytes = width * 4;
-    let target = row_bytes / (4 * cfg.num_spes.max(1));
-    (target / CACHE_LINE).max(1) * CACHE_LINE
-}
-
 fn plan_for(width: usize, cfg: &MachineConfig, opts: &SimOptions) -> ChunkPlan {
     let chunk = opts
         .chunk_width_bytes
-        .unwrap_or_else(|| auto_chunk_bytes(width, cfg));
+        .unwrap_or_else(|| auto_chunk_bytes(width, cfg.num_spes));
     ChunkPlan::build(
         width,
         1, // height folded into per-task item counts

@@ -9,13 +9,7 @@ use xpart::AlignedPlane;
 /// one extra bit of dynamic range.
 pub fn forward_rct_shift(planes: &mut [AlignedPlane<i32>], shift: i32) {
     assert_eq!(planes.len(), 3);
-    let (w, h) = (planes[0].width(), planes[0].height());
-    let samples = (w * h * 3) as u64;
-    let _m = obs::counters::measure(
-        obs::counters::Kernel::MctRct,
-        samples,
-        samples * std::mem::size_of::<i32>() as u64,
-    );
+    let h = planes[0].height();
     let (p0, rest) = planes.split_at_mut(1);
     let (p1, p2) = rest.split_at_mut(1);
     for y in 0..h {
@@ -49,12 +43,6 @@ pub fn inverse_rct_shift(planes: &mut [AlignedPlane<i32>], shift: i32) {
 pub fn forward_ict_shift(planes: &[AlignedPlane<i32>], shift: f32) -> Vec<AlignedPlane<f32>> {
     assert_eq!(planes.len(), 3);
     let (w, h) = (planes[0].width(), planes[0].height());
-    let samples = (w * h * 3) as u64;
-    let _m = obs::counters::measure(
-        obs::counters::Kernel::MctIct,
-        samples,
-        samples * std::mem::size_of::<i32>() as u64,
-    );
     let mut out: Vec<AlignedPlane<f32>> = (0..3)
         .map(|_| AlignedPlane::new(w, h).expect("geometry"))
         .collect();

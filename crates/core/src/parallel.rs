@@ -36,7 +36,7 @@ use std::sync::Mutex;
 use std::time::Instant;
 use wavelet::rowops::{Region, SharedPlane};
 use wavelet::{horizontal, norms, vertical};
-use xpart::{AlignedPlane, ChunkPlan, Owner, PlanConfig, CACHE_LINE};
+use xpart::{auto_chunk_bytes, AlignedPlane, ChunkPlan, Owner, PlanConfig};
 
 /// Encode `image` with `params` on the calling thread, returning the
 /// codestream: [`encode_with`] at one worker without a control.
@@ -268,13 +268,6 @@ fn accumulate(totals: &mut [u64], counts: &[u64]) {
     for (t, c) in totals.iter_mut().zip(counts) {
         *t += c;
     }
-}
-
-/// Auto-sized chunk width in bytes: roughly four constant-width chunks per
-/// worker, floored to one cache line (mirrors the Cell driver's sizing).
-fn auto_chunk_bytes(width: usize, workers: usize) -> usize {
-    let target = (width * 4) / (4 * workers.max(1));
-    (target / CACHE_LINE).max(1) * CACHE_LINE
 }
 
 /// Column-chunk plan for an extent of `width` samples: auto-sized
@@ -729,12 +722,6 @@ fn transform_samples_parallel(
             // Q13 coefficients drop back to f32 exactly as sequentially).
             let q_span = trace::span("stage:quantize").cat("stage");
             let t3 = Instant::now();
-            let q_samples = (w * h * comps) as u64;
-            let qm = obs::counters::measure(
-                obs::counters::Kernel::Quantize,
-                q_samples,
-                q_samples * std::mem::size_of::<i32>() as u64,
-            );
             let mut indices: Vec<AlignedPlane<i32>> = (0..comps)
                 .map(|_| AlignedPlane::new(w, h).expect("geometry"))
                 .collect();
@@ -774,7 +761,6 @@ fn transform_samples_parallel(
                 });
                 accumulate(&mut worker_jobs, &counts);
             }
-            drop(qm);
             drop(q_span);
             stage_times.push(StageTime::new("quantize", t3.elapsed().as_secs_f64()));
 

@@ -202,12 +202,6 @@ pub(crate) fn transform_samples(
                 }
             };
             // Quantize per band.
-            let q_samples = (w * h * comps) as u64;
-            let qm = obs::counters::measure(
-                obs::counters::Kernel::Quantize,
-                q_samples,
-                q_samples * std::mem::size_of::<i32>() as u64,
-            );
             let mut steps = Vec::with_capacity(bands.len());
             let mut weights = Vec::with_capacity(bands.len());
             let mut indices: Vec<AlignedPlane<i32>> = (0..comps)
@@ -230,7 +224,6 @@ pub(crate) fn transform_samples(
                     }
                 }
             }
-            drop(qm);
             let max_planes: Vec<u8> = steps.iter().map(|s| GUARD_BITS + s.exponent - 1).collect();
             Ok(Transformed {
                 indices,

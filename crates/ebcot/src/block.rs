@@ -296,12 +296,6 @@ pub fn encode_block_opts(
         .cat("block")
         .arg("w", w as u64)
         .arg("h", h as u64);
-    let samples = (w * h) as u64;
-    let mut meas = obs::counters::measure(
-        obs::counters::Kernel::Tier1Mq,
-        samples,
-        samples * std::mem::size_of::<i32>() as u64,
-    );
     // The OR of the magnitudes has the same top bit as their maximum.
     let any = data.iter().fold(0u32, |acc, v| acc | v.unsigned_abs());
     let num_planes = (32 - any.leading_zeros()) as u8;
@@ -387,7 +381,6 @@ pub fn encode_block_opts(
         }
     }
     span.set_arg("symbols", blk.total_symbols());
-    meas.add_symbols(blk.total_symbols());
     blk
 }
 

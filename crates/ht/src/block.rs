@@ -99,12 +99,6 @@ pub fn encode_block(data: &[i32], w: usize, h: usize) -> EncodedBlock {
         .arg("w", w as u64)
         .arg("h", h as u64)
         .arg("coder", 1);
-    let samples = (w * h) as u64;
-    let mut meas = obs::counters::measure(
-        obs::counters::Kernel::Tier1Ht,
-        samples,
-        samples * std::mem::size_of::<i32>() as u64,
-    );
     let mags: Vec<u32> = data.iter().map(|&v| v.unsigned_abs()).collect();
     let max = mags.iter().copied().max().unwrap_or(0);
     let num_planes = (32 - max.leading_zeros()) as u8;
@@ -135,7 +129,6 @@ pub fn encode_block(data: &[i32], w: usize, h: usize) -> EncodedBlock {
     }
 
     span.set_arg("symbols", blk.total_symbols());
-    meas.add_symbols(blk.total_symbols());
     blk
 }
 

@@ -18,17 +18,13 @@
 //!   [`Registry`]. [`prom`] renders a registry in Prometheus text
 //!   exposition format 0.0.4 and validates scraped output for tests.
 //!
-//! Plus the perf-observability layer (DESIGN.md §17):
+//! Plus [`slo`] (DESIGN.md §17): multi-window burn-rate evaluation over
+//! cumulative good/total counts (latency and error-rate objectives).
 //!
-//! * [`counters`] — per-kernel samples/bytes/symbols/ns accounting
-//!   behind the same single relaxed-atomic gate discipline as
-//!   [`trace`], with derived GB/s and symbols/s, and a named
-//!   counter/gauge registry for dynamic series.
-//! * [`slo`] — multi-window burn-rate evaluation over cumulative
-//!   good/total counts (latency and error-rate objectives).
+//! Per-layer timing is the trace spans and the histograms fed from the
+//! encode driver's stage times.
 
 pub mod chrome;
-pub mod counters;
 pub mod hist;
 pub mod prom;
 pub mod slo;

@@ -54,17 +54,9 @@ pub fn gauge(out: &mut String, name: &str, help: &str, value: u64) {
     out.push_str(&format!("{name} {value}\n"));
 }
 
-/// Append a counter family with one sample per label set (one shared
-/// HELP/TYPE header). Label values are escaped.
-pub fn counter_vec(out: &mut String, name: &str, help: &str, samples: &[(Vec<(&str, &str)>, u64)]) {
-    header(out, name, help, "counter");
-    for (labels, value) in samples {
-        out.push_str(&format!("{name}{} {value}\n", label_block(labels)));
-    }
-}
-
-/// Append a gauge family with float samples per label set. Values are
-/// rendered with enough precision to round-trip typical rates.
+/// Append a gauge family with float samples per label set (one shared
+/// HELP/TYPE header). Label values are escaped; values are rendered
+/// with enough precision to round-trip typical rates.
 pub fn gauge_vec_f64(
     out: &mut String,
     name: &str,
@@ -321,42 +313,36 @@ mod tests {
     }
 
     #[test]
-    fn labeled_counters_and_float_gauges_validate() {
+    fn labeled_float_gauges_validate() {
         let mut out = String::new();
-        counter_vec(
-            &mut out,
-            "j2k_kernel_bytes_total",
-            "Bytes through each kernel.",
-            &[
-                (vec![("kernel", "dwt53_vertical")], 1 << 20),
-                (vec![("kernel", "quantize")], 12345),
-            ],
-        );
         gauge_vec_f64(
             &mut out,
-            "j2k_kernel_gb_per_sec",
-            "Derived kernel throughput.",
-            &[(vec![("kernel", "dwt53_vertical")], 3.25)],
+            "j2k_slo_burn_rate",
+            "Error-budget burn rate per SLO window.",
+            &[
+                (vec![("slo", "latency"), ("window", "60s")], 3.25),
+                (vec![("slo", "latency"), ("window", "600s")], 0.5),
+            ],
         );
         let n = validate(&out).expect("labeled exposition validates");
-        assert_eq!(n, 3);
-        assert!(out.contains("j2k_kernel_bytes_total{kernel=\"dwt53_vertical\"} 1048576\n"));
-        assert!(out.contains("j2k_kernel_gb_per_sec{kernel=\"dwt53_vertical\"} 3.250000\n"));
+        assert_eq!(n, 2);
+        assert!(out.contains("j2k_slo_burn_rate{slo=\"latency\",window=\"60s\"} 3.250000\n"));
+        assert!(out.contains("j2k_slo_burn_rate{slo=\"latency\",window=\"600s\"} 0.500000\n"));
         // One HELP/TYPE header per family, not per sample.
-        assert_eq!(out.matches("# TYPE j2k_kernel_bytes_total").count(), 1);
+        assert_eq!(out.matches("# TYPE j2k_slo_burn_rate").count(), 1);
     }
 
     #[test]
     fn label_values_are_escaped_and_unescape_in_the_validator() {
         let mut out = String::new();
-        counter_vec(
+        gauge_vec_f64(
             &mut out,
-            "m_total",
+            "m_ratio",
             "h",
-            &[(vec![("slo", "we\"ird\\name\nx")], 7)],
+            &[(vec![("slo", "we\"ird\\name\nx")], 7.0)],
         );
         assert!(
-            out.contains(r#"m_total{slo="we\"ird\\name\nx"} 7"#),
+            out.contains(r#"m_ratio{slo="we\"ird\\name\nx"} 7.000000"#),
             "escaped exposition: {out}"
         );
         validate(&out).expect("escaped label values validate");

@@ -164,66 +164,11 @@ pub fn render_prometheus(svc: &EncodeService) -> String {
             }
             "tier1_symbols_per_sec_mq" => "Per-job Tier-1 symbol throughput, MQ-coded jobs.",
             "tier1_symbols_per_sec_ht" => "Per-job Tier-1 symbol throughput, HT-coded jobs.",
+            "decode_us" => "Wall time of successful decode requests, microseconds.",
             _ => "Per-stage encode wall time, microseconds.",
         };
         obs::prom::histogram(&mut out, &format!("j2k_{name}"), help, &snap);
     }
-    // Per-kernel perf counters (obs::counters): always the full declared
-    // kernel set, all zeros unless counting is enabled (j2kserved turns
-    // it on at startup).
-    let ks = &m.kernels;
-    let labelled = |v: fn(&obs::counters::KernelSnapshot) -> u64| {
-        ks.iter()
-            .map(|k| (vec![("kernel", k.kernel.name())], v(k)))
-            .collect::<Vec<_>>()
-    };
-    obs::prom::counter_vec(
-        &mut out,
-        "j2k_kernel_invocations_total",
-        "Measured kernel invocations.",
-        &labelled(|k| k.invocations),
-    );
-    obs::prom::counter_vec(
-        &mut out,
-        "j2k_kernel_samples_total",
-        "Work items processed by the kernel.",
-        &labelled(|k| k.samples),
-    );
-    obs::prom::counter_vec(
-        &mut out,
-        "j2k_kernel_bytes_total",
-        "Bytes moved through the kernel.",
-        &labelled(|k| k.bytes),
-    );
-    obs::prom::counter_vec(
-        &mut out,
-        "j2k_kernel_symbols_total",
-        "Coded symbols produced (Tier-1 kernels only).",
-        &labelled(|k| k.symbols),
-    );
-    obs::prom::counter_vec(
-        &mut out,
-        "j2k_kernel_ns_total",
-        "Wall nanoseconds spent inside the kernel.",
-        &labelled(|k| k.ns),
-    );
-    let rates = |v: fn(&obs::counters::KernelSnapshot) -> f64| {
-        ks.iter()
-            .map(|k| (vec![("kernel", k.kernel.name())], v(k)))
-            .collect::<Vec<_>>()
-    };
-    obs::prom::gauge_vec_f64(
-        &mut out,
-        "j2k_kernel_gb_per_sec",
-        "Derived kernel throughput, gigabytes per second.",
-        &rates(|k| k.gb_per_sec()),
-    );
-    obs::prom::gauge_vec_f64(
-        &mut out,
-        "j2k_kernel_symbols_per_sec",
-        "Derived kernel symbol throughput per second.",
-        &rates(|k| k.symbols_per_sec()),
-    );
     // Burn-rate SLO status (DESIGN.md §17): one burn-rate sample per
     // (objective, window) and a 0/1 breach flag per objective.
     let slo = svc.slo_status();
@@ -364,9 +309,9 @@ mod tests {
         assert!(text.contains("j2k_stage_quantize_us_count 0"));
         assert!(!text.contains("j2k_stage_transform_us"));
         assert!(!text.contains("j2k_tier1_symbols_per_sec_count"));
-        // Per-kernel counters carry the kernel label for the full set.
-        assert!(text.contains("j2k_kernel_samples_total{kernel=\"tier1_mq\"}"));
-        assert!(text.contains("j2k_kernel_gb_per_sec{kernel=\"dwt53_vertical\"}"));
+        // Layers are timed by the stage histograms only: no per-kernel
+        // counter families.
+        assert!(!text.contains("j2k_kernel"));
         // Burn-rate SLO gauges: both objectives over both windows, no
         // breach on a healthy service.
         assert!(text.contains("j2k_slo_burn_rate{slo=\"latency_p99\",window=\"300s\"}"));

@@ -432,15 +432,10 @@ pub struct MetricsSnapshot {
     /// (stage names from [`j2k_core::WorkloadProfile::stage_times`]).
     pub stage_seconds: Vec<(String, f64)>,
     /// Percentile summaries per histogram series (`queue_wait_us`,
-    /// `job_e2e_us`, `stage_*_us`, and the per-coder Tier-1 throughput
-    /// series `tier1_symbols_per_sec_mq` / `tier1_symbols_per_sec_ht`),
-    /// sorted by series name.
+    /// `job_e2e_us`, `stage_*_us`, the per-coder Tier-1 throughput
+    /// series `tier1_symbols_per_sec_mq` / `tier1_symbols_per_sec_ht`,
+    /// and `decode_us`), sorted by series name.
     pub histograms: Vec<(String, HistogramStats)>,
-    /// Per-kernel perf counters ([`obs::counters`]) — always the full
-    /// declared kernel set in [`obs::counters::Kernel::ALL`] order, all
-    /// zeros unless counting was enabled with
-    /// [`obs::counters::set_enabled`] (as `j2kserved` does).
-    pub kernels: Vec<obs::counters::KernelSnapshot>,
 }
 
 impl MetricsSnapshot {
@@ -469,24 +464,6 @@ impl MetricsSnapshot {
                 )
             })
             .collect();
-        let kernels: Vec<String> = self
-            .kernels
-            .iter()
-            .map(|k| {
-                format!(
-                    "\"{}\":{{\"invocations\":{},\"samples\":{},\"bytes\":{},\"symbols\":{},\
-                     \"ns\":{},\"gb_per_sec\":{:.6},\"symbols_per_sec\":{:.3}}}",
-                    k.kernel.name(),
-                    k.invocations,
-                    k.samples,
-                    k.bytes,
-                    k.symbols,
-                    k.ns,
-                    k.gb_per_sec(),
-                    k.symbols_per_sec()
-                )
-            })
-            .collect();
         format!(
             "{{\"queue_depth\":{},\"queue_capacity\":{},\"accepted\":{},\"rejected\":{},\
              \"completed\":{},\"timed_out\":{},\"cancelled\":{},\"failed\":{},\
@@ -495,7 +472,7 @@ impl MetricsSnapshot {
              \"workers_alive\":{},\"pressure_level\":{},\"pressure_transitions\":{},\
              \"jobs_shed\":{},\"jobs_degraded\":{},\"pixels_in_flight\":{},\
              \"connections_active\":{},\"connections_rejected\":{},\
-             \"stage_seconds\":{{{}}},\"histograms\":{{{}}},\"kernels\":{{{}}}}}",
+             \"stage_seconds\":{{{}}},\"histograms\":{{{}}}}}",
             self.queue_depth,
             self.queue_capacity,
             self.accepted,
@@ -518,8 +495,7 @@ impl MetricsSnapshot {
             self.connections_active,
             self.connections_rejected,
             stages.join(","),
-            hists.join(","),
-            kernels.join(",")
+            hists.join(",")
         )
     }
 }
@@ -627,6 +603,7 @@ const DECLARED_HISTOGRAMS: &[&str] = &[
     "stage_tier2_us",
     "tier1_symbols_per_sec_mq",
     "tier1_symbols_per_sec_ht",
+    "decode_us",
 ];
 
 impl EncodeService {
@@ -820,22 +797,31 @@ impl EncodeService {
         self.queue.len()
     }
 
-    /// Decode a codestream inline on the calling thread — decode carries
-    /// no shared rate-control state and is cheap next to an encode, so it
-    /// bypasses the queue, admission control, and the crash-retry
-    /// machinery. `max_layers == usize::MAX` keeps every quality layer;
-    /// `discard_levels` drops the finest resolution levels. Outcomes land
-    /// in [`MetricsSnapshot::decoded`] /
-    /// [`MetricsSnapshot::decode_failed`].
+    /// Decode a codestream inline on the calling thread, bypassing the
+    /// queue, admission control, and the crash-retry machinery. That is
+    /// not because decode is cheap — a lossless MQ decode runs slower
+    /// than the encode that made it — but because it carries no shared
+    /// rate-control state. `max_layers == usize::MAX` keeps every quality
+    /// layer; `discard_levels` drops the finest resolution levels.
+    /// Outcomes land in [`MetricsSnapshot::decoded`] /
+    /// [`MetricsSnapshot::decode_failed`]; like `job_e2e_us`, the
+    /// `decode_us` series records successful decodes only.
     pub fn decode(
         &self,
         data: &[u8],
         max_layers: usize,
         discard_levels: usize,
     ) -> Result<Image, CodecError> {
+        let started = Instant::now();
         let r = j2k_core::decode_opts(data, max_layers, discard_levels);
         let ctr = match r {
-            Ok(_) => &self.metrics.decoded,
+            Ok(_) => {
+                self.metrics
+                    .hist
+                    .histogram("decode_us")
+                    .record(started.elapsed().as_micros() as u64);
+                &self.metrics.decoded
+            }
             Err(_) => &self.metrics.decode_failed,
         };
         ctr.fetch_add(1, Ordering::Relaxed);
@@ -891,7 +877,6 @@ impl EncodeService {
                 .into_iter()
                 .map(|(n, h)| (n, h.stats()))
                 .collect(),
-            kernels: obs::counters::snapshot(),
         }
     }
 
@@ -1536,11 +1521,32 @@ mod tests {
         assert!(m.histograms.iter().all(|(_, h)| h.count == 0));
         // No series the driver never records: no fused `transform` stage,
         // and no aggregate Tier-1 rate beside the per-coder ones.
-        assert_eq!(names.len(), 11, "{names:?}");
+        assert_eq!(names.len(), 12, "{names:?}");
         for retired in ["stage_transform_us", "tier1_symbols_per_sec"] {
             assert!(!names.contains(&retired), "{retired} is declared");
         }
-        assert_eq!(m.kernels.len(), obs::counters::KERNEL_COUNT);
+        svc.begin_shutdown();
+    }
+
+    #[test]
+    fn decode_latency_records_successful_decodes_only() {
+        let svc = EncodeService::start(ServiceConfig {
+            pool_threads: 1,
+            ..ServiceConfig::default()
+        });
+        let im = imgio::synth::natural(24, 16, 1);
+        let cs = j2k_core::encode(&im, &EncoderParams::lossless()).unwrap();
+        assert_eq!(svc.decode(&cs, usize::MAX, 0).unwrap(), im);
+        assert!(svc.decode(b"not a codestream", usize::MAX, 0).is_err());
+        let m = svc.metrics();
+        let decode_us = m
+            .histograms
+            .iter()
+            .find(|(n, _)| n == "decode_us")
+            .map(|(_, h)| h.count);
+        assert_eq!(decode_us, Some(1), "only the valid decode is timed");
+        assert_eq!(m.decoded, 1);
+        assert_eq!(m.decode_failed, 1);
         svc.begin_shutdown();
     }
 
@@ -1607,14 +1613,6 @@ mod tests {
                     max: 180,
                 },
             )],
-            kernels: vec![obs::counters::KernelSnapshot {
-                kernel: obs::counters::Kernel::Tier1Mq,
-                invocations: 2,
-                samples: 4096,
-                bytes: 16384,
-                symbols: 9000,
-                ns: 1_000_000,
-            }],
         };
         let j = snap.to_json();
         assert!(j.starts_with('{') && j.ends_with('}'));
@@ -1634,11 +1632,10 @@ mod tests {
         assert!(j.contains("\"connections_rejected\":1"));
         assert!(j.contains("\"dwt\":0.250000"));
         assert!(j.contains("\"histograms\":{\"job_e2e_us\":{\"count\":3,\"p50\":100"));
-        assert!(j.contains(
-            "\"kernels\":{\"tier1_mq\":{\"invocations\":2,\"samples\":4096,\"bytes\":16384,\
-             \"symbols\":9000,\"ns\":1000000,\"gb_per_sec\":0.016384,\
-             \"symbols_per_sec\":9000000.000}}"
-        ));
+        assert!(
+            j.ends_with("\"max\":180}}}"),
+            "histograms close the object: {j}"
+        );
     }
 
     #[test]

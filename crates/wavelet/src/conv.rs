@@ -99,8 +99,8 @@ pub fn conv_macs_per_sample() -> f64 {
 /// * 9/7: 4 lifting steps x 2 MACs + 2 scale multiplies over 2 outputs
 ///   = 5 MACs/sample.
 ///
-/// `cellsim` stage costs and the `obs::counters` GB/s denominators both
-/// divide by these, so they must track the kernels actually shipped.
+/// `cellsim` stage costs are derived from these, so they must track the
+/// kernels actually shipped.
 pub fn lifting_macs_per_sample(filter: crate::Filter) -> f64 {
     match filter {
         crate::Filter::Rev53 => (2.0 * 2.0) / 2.0,

@@ -18,12 +18,6 @@ pub fn fwd53_horizontal(plane: &mut AlignedPlane<i32>, region: Region) {
 /// [`crate::rowops::SharedPlane`]). Rows are independent, so running this
 /// per-band across threads is bit-identical to one full-height call.
 pub fn fwd53_rows(mut rows: Rows<'_, i32>) {
-    let samples = (rows.width() * rows.height()) as u64;
-    let _m = obs::counters::measure(
-        obs::counters::Kernel::Dwt53Horizontal,
-        samples,
-        samples * std::mem::size_of::<i32>() as u64,
-    );
     let mut scratch = Vec::new();
     for y in 0..rows.height() {
         line::fwd_53(rows.row_mut(y), &mut scratch);
@@ -46,12 +40,6 @@ pub fn fwd97_horizontal(plane: &mut AlignedPlane<f32>, region: Region) {
 
 /// Forward 9/7 (f32) on every row of a row view; see [`fwd53_rows`].
 pub fn fwd97_rows(mut rows: Rows<'_, f32>) {
-    let samples = (rows.width() * rows.height()) as u64;
-    let _m = obs::counters::measure(
-        obs::counters::Kernel::Dwt97Horizontal,
-        samples,
-        samples * std::mem::size_of::<f32>() as u64,
-    );
     let mut scratch = Vec::new();
     for y in 0..rows.height() {
         line::fwd_97(rows.row_mut(y), &mut scratch);
@@ -74,12 +62,6 @@ pub fn fwd97_fixed_horizontal(plane: &mut AlignedPlane<i32>, region: Region) {
 
 /// Forward 9/7 (Q13) on every row of a row view; see [`fwd53_rows`].
 pub fn fwd97_fixed_rows(mut rows: Rows<'_, i32>) {
-    let samples = (rows.width() * rows.height()) as u64;
-    let _m = obs::counters::measure(
-        obs::counters::Kernel::Dwt97Horizontal,
-        samples,
-        samples * std::mem::size_of::<i32>() as u64,
-    );
     let mut scratch = Vec::new();
     for y in 0..rows.height() {
         fixed::fwd_97_fixed(rows.row_mut(y), &mut scratch);

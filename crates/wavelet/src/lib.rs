@@ -171,6 +171,33 @@ mod tests {
         assert_eq!(sep97.total(), 6 * 2 * 6400);
     }
 
+    /// Column-group blocking must not change the analytic traffic: the model is
+    /// linear in width, so any exact tiling of the region sums to the full-width
+    /// number for every variant/filter combination.
+    #[test]
+    fn traffic_model_invariant_under_column_blocking() {
+        let h = 64u64;
+        for filter in [Filter::Rev53, Filter::Irr97] {
+            for variant in [
+                VerticalVariant::Separate,
+                VerticalVariant::Interleaved,
+                VerticalVariant::Merged,
+            ] {
+                let whole = vertical_traffic(variant, filter, 1000, h);
+                for gw in [1u64, 3, 64, 256, 999] {
+                    let mut sum = Traffic::default();
+                    let mut x0 = 0;
+                    while x0 < 1000 {
+                        let w = gw.min(1000 - x0);
+                        sum = sum.add(&vertical_traffic(variant, filter, w, h));
+                        x0 += w;
+                    }
+                    assert_eq!(sum, whole, "{variant:?} {filter:?} gw={gw}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn traffic_add() {
         let a = Traffic {

@@ -87,6 +87,17 @@ pub fn round_up(n: usize, to: usize) -> usize {
     n.div_ceil(to) * to
 }
 
+/// Auto-sized column-chunk width, in bytes, for a plane `width` 4-byte
+/// samples wide shared by `pes` processing elements: roughly four
+/// constant-width chunks per PE, floored to a multiple of [`CACHE_LINE`]
+/// and at least one line. The Cell model and the host driver both size
+/// their chunks with it.
+#[inline]
+pub fn auto_chunk_bytes(width: usize, pes: usize) -> usize {
+    let target = (width * 4) / (4 * pes.max(1));
+    (target / CACHE_LINE).max(1) * CACHE_LINE
+}
+
 /// Local Store bytes needed to process one row of a chunk of
 /// `chunk_width_bytes` with `buffering` levels of multi-buffering
 /// (1 = single buffer, 2 = double buffering, ...).
@@ -110,6 +121,13 @@ mod tests {
         assert_eq!(round_up(128, 128), 128);
         assert_eq!(round_up(129, 128), 256);
         assert_eq!(round_up(300, 16), 304);
+    }
+
+    #[test]
+    fn auto_chunk_bytes_floors_to_cache_lines() {
+        assert_eq!(auto_chunk_bytes(300, 1), 256);
+        assert_eq!(auto_chunk_bytes(600, 1), 512);
+        assert_eq!(auto_chunk_bytes(768, 8), 128);
     }
 
     #[test]

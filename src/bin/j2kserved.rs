@@ -54,11 +54,9 @@
 //!   --no-slo           disable burn-rate SLO monitoring
 //! ```
 //!
-//! The daemon always enables the per-kernel perf counters
-//! (`obs::counters`): GB/s and symbols/s per kernel appear in the
-//! Prometheus exposition and the wire Metrics JSON. The armed cost is a
-//! few relaxed atomic adds per kernel invocation — negligible next to
-//! the kernels themselves.
+//! Per-layer timing appears in the Prometheus exposition and the wire
+//! Metrics JSON as histograms: one `stage_*_us` series per encode
+//! stage, the per-coder Tier-1 symbol rates, and `decode_us`.
 //!
 //! The daemon exits after a Shutdown request, draining queued and
 //! in-flight jobs first. Under pressure it sheds low-priority work with
@@ -212,9 +210,6 @@ fn main() {
     if trace_on {
         obs::trace::set_enabled(true);
     }
-    // Per-kernel perf counters are always on in the daemon: the armed
-    // cost is a handful of relaxed atomic adds per kernel invocation.
-    obs::counters::set_enabled(true);
     let listener = TcpListener::bind(&addr).unwrap_or_else(|e| die(&format!("bind {addr}: {e}")));
     println!(
         "j2kserved listening on {} (pool {}, {} workers/job, queue {}, default timeout {:?}{})",
