@@ -1,8 +1,11 @@
-//! Row-granular MCT / level-shift / quantization kernels.
+//! Row-granular MCT / level-shift / quantization kernels, forward for the
+//! encoder and inverse for the decoder's output stage.
 //!
 //! Every kernel is one safe slice loop shaped so that LLVM vectorizes it.
-//! The row quantizer [`quantize_row`] is bit-identical to the per-element
-//! [`crate::quant::quantize`], which is its reference in the tests.
+//! The row quantizer [`quantize_row`] and dequantizer [`dequantize_row`]
+//! are bit-identical to the per-element [`crate::quant::quantize`] and
+//! [`crate::quant::dequantize`], and [`round_half_away`] to
+//! `f32::round() as i32`; those are their references in the tests.
 
 /// Forward RCT with level shift, in place on three component rows.
 pub fn rct_forward_row(r: &mut [i32], g: &mut [i32], b: &mut [i32], shift: i32) {
@@ -52,6 +55,63 @@ pub fn ict_forward_row(
     }
 }
 
+/// Inverse ICT with level unshift: float Y/Cb/Cr rows in, rounded integer
+/// R/G/B rows out. Per sample this is `(yy + 1.402 * cr + shift).round()`
+/// and its two twins, evaluated in the same `f32` order.
+#[allow(clippy::too_many_arguments)]
+pub fn ict_inverse_row(
+    yy: &[f32],
+    cb: &[f32],
+    cr: &[f32],
+    r: &mut [i32],
+    g: &mut [i32],
+    b: &mut [i32],
+    shift: f32,
+) {
+    let n = yy.len().min(cb.len()).min(cr.len());
+    let (yy, cb, cr) = (&yy[..n], &cb[..n], &cr[..n]);
+    let (r, g, b) = (&mut r[..n], &mut g[..n], &mut b[..n]);
+    for i in 0..n {
+        let (y, u, v) = (yy[i], cb[i], cr[i]);
+        r[i] = round_half_away(y + 1.402 * v + shift);
+        g[i] = round_half_away(y - 0.344_136 * u - 0.714_136 * v + shift);
+        b[i] = round_half_away(y + 1.772 * u + shift);
+    }
+}
+
+/// Round half away from zero: exactly `v.round() as i32` for every `f32`,
+/// NaN giving 0 and out-of-range values saturating. At the baseline
+/// x86-64 target `f32::round` is a `roundf` libm call; this is a few
+/// inline instructions.
+///
+/// `v as i32` truncates toward zero. Below 2^31 in magnitude that is exact
+/// and so is the dropped fraction `v - t`, which lies in (-1, 1); the
+/// result steps one away from zero when the fraction is at least ½. A
+/// saturated truncation leaves a "fraction" of 0, ±∞ or at least 256 in
+/// magnitude, and NaN leaves NaN, so neither ever steps.
+#[inline]
+pub fn round_half_away(v: f32) -> i32 {
+    let t = v as i32;
+    let f = v - t as f32;
+    t + i32::from((0.5..1.0).contains(&f)) - i32::from((0.5..1.0).contains(&-f))
+}
+
+/// Round a row of `f32` samples to integers with [`round_half_away`].
+pub fn round_row(src: &[f32], dst: &mut [i32]) {
+    for (d, &v) in dst.iter_mut().zip(src) {
+        *d = round_half_away(v);
+    }
+}
+
+/// Level unshift, clamp to `[0, maxv]` and narrow a row of integer samples
+/// into image samples: `(v + shift).clamp(0, maxv) as u16`, the add
+/// wrapping.
+pub fn unshift_clamp_row(src: &[i32], dst: &mut [u16], shift: i32, maxv: i32) {
+    for (d, &v) in dst.iter_mut().zip(src) {
+        *d = v.wrapping_add(shift).clamp(0, maxv) as u16;
+    }
+}
+
 /// Level shift a row in place: `v -= shift`.
 pub fn level_shift_row(row: &mut [i32], shift: i32) {
     for v in row.iter_mut() {
@@ -83,6 +143,20 @@ pub fn quantize_row(src: &[f32], dst: &mut [i32], delta: f64) {
         let t = r.to_bits() as u32 as i32 - i32::from(r - TWO_52 > q);
         let m = v.to_bits() as i32 >> 31;
         *d = (t ^ m) - m;
+    }
+}
+
+/// Mid-point dequantize a row of `i32` indices into `f32` coefficients,
+/// bit-identical to [`crate::quant::dequantize`] on every element: zero
+/// stays `+0.0`, and `(|q| + ½) · delta` is negated for a negative `q`
+/// after the `f64 -> f32` rounding (which is symmetric in sign) by
+/// flipping its sign bit, so the loop has no branch.
+#[inline]
+pub fn dequantize_row(src: &[i32], dst: &mut [f32], delta: f64) {
+    for (d, &q) in dst.iter_mut().zip(src) {
+        let v = (((q as f64).abs() + 0.5) * delta) as f32;
+        let v = f32::from_bits(v.to_bits() ^ (q as u32 & 0x8000_0000));
+        *d = if q == 0 { 0.0 } else { v };
     }
 }
 
@@ -170,6 +244,161 @@ mod tests {
                 })
                 .collect();
             assert_matches_quantize(&src, delta);
+        }
+    }
+
+    /// `v`, its two `f32` neighbours by bits, and the same three negated.
+    fn with_neighbours(v: f32) -> [f32; 6] {
+        let up = f32::from_bits(v.to_bits() + 1);
+        let down = f32::from_bits(v.to_bits() - 1);
+        [v, up, down, -v, -up, -down]
+    }
+
+    fn assert_rounds_like_std(v: f32) {
+        assert_eq!(
+            round_half_away(v),
+            v.round() as i32,
+            "v = {v:e} (bits {:#010x})",
+            v.to_bits()
+        );
+    }
+
+    #[test]
+    fn round_half_away_matches_std_at_halves_and_limits() {
+        for half in [0.5f32, 1.5, 2.5] {
+            for v in with_neighbours(half) {
+                assert_rounds_like_std(v);
+            }
+        }
+        let two_23 = 8_388_608.0f32;
+        for v in [
+            two_23 - 1.0,
+            two_23 + 1.0,
+            16_777_216.0,
+            2_147_483_648.0,
+            f32::MAX,
+            f32::INFINITY,
+        ] {
+            for v in with_neighbours(v) {
+                assert_rounds_like_std(v);
+            }
+        }
+        for v in [0.0f32, -0.0, f32::NAN, -f32::NAN, f32::MIN_POSITIVE, 1e-45] {
+            assert_rounds_like_std(v);
+        }
+    }
+
+    #[test]
+    fn round_half_away_matches_std_on_a_seeded_sweep() {
+        // Raw bit patterns cover every exponent, NaN payload and sign;
+        // quarter steps around the sample range land on exact halves.
+        let mut s = 3u64;
+        for i in 0..1 << 16 {
+            let r = pcg(&mut s);
+            let v = if i % 2 == 0 {
+                f32::from_bits(r)
+            } else {
+                (r % 8192) as f32 * 0.25 - 1024.0
+            };
+            assert_rounds_like_std(v);
+        }
+    }
+
+    #[test]
+    fn round_row_matches_to_i32_rounded() {
+        let mut s = 9u64;
+        let mut src: Vec<f32> = (0..1000)
+            .map(|_| (pcg(&mut s) % 4096) as f32 * 0.125 - 256.0)
+            .collect();
+        src.extend([f32::NAN, f32::INFINITY, -3e9, 2.5, -2.5, 0.499_999_97]);
+        let mut got = vec![0i32; src.len()];
+        round_row(&src, &mut got);
+        let plane = xpart::AlignedPlane::from_dense(src.len(), 1, &src).unwrap();
+        assert_eq!(got, plane.to_i32_rounded().to_dense());
+    }
+
+    #[test]
+    fn dequantize_row_matches_dequantize() {
+        let mut src = vec![0i32, 1, -1, 2, -2, i32::MAX, i32::MIN, i32::MIN + 1];
+        let mut s = 17u64;
+        for i in 0..4096 {
+            let r = pcg(&mut s) as i32;
+            src.push(if i % 2 == 0 { r } else { r % 5000 });
+        }
+        for delta in DELTAS.into_iter().chain([-3.25, 1e300, 2f64.powi(-30)]) {
+            let mut got = vec![0f32; src.len()];
+            dequantize_row(&src, &mut got, delta);
+            for (&q, g) in src.iter().zip(&got) {
+                let want = crate::quant::dequantize(q, delta);
+                assert!(
+                    g.to_bits() == want.to_bits() || (g.is_nan() && want.is_nan()),
+                    "q={q} delta={delta:e}: {g:e} vs {want:e}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn ict_inverse_row_matches_per_sample_formula() {
+        // The reference is the loop `mct::inverse_ict_shift` had before it
+        // moved onto the row kernel.
+        let mut s = 23u64;
+        let mut yy: Vec<f32> = (0..3000)
+            .map(|_| (pcg(&mut s) % 40_000) as f32 * 0.01 - 200.0)
+            .collect();
+        let mut cb: Vec<f32> = yy.iter().map(|&v| -0.37 * v + 0.5).collect();
+        let mut cr: Vec<f32> = yy.iter().map(|&v| 0.61 * v - 1.25).collect();
+        for (i, v) in [
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            3e9,
+            -3e9,
+            0.5,
+            -0.5,
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            yy[i] = v;
+            cb[i + 7] = v;
+            cr[i + 14] = v;
+        }
+        for shift in [128.0f32, 2048.0, 0.0] {
+            let n = yy.len();
+            let (mut r, mut g, mut b) = (vec![0; n], vec![0; n], vec![0; n]);
+            ict_inverse_row(&yy, &cb, &cr, &mut r, &mut g, &mut b, shift);
+            for i in 0..n {
+                let (y, u, v) = (yy[i], cb[i], cr[i]);
+                let rr = y + 1.402 * v;
+                let gg = y - 0.344_136 * u - 0.714_136 * v;
+                let bb = y + 1.772 * u;
+                let want = [
+                    (rr + shift).round() as i32,
+                    (gg + shift).round() as i32,
+                    (bb + shift).round() as i32,
+                ];
+                assert_eq!([r[i], g[i], b[i]], want, "sample {i}: {y} {u} {v}");
+            }
+        }
+    }
+
+    #[test]
+    fn unshift_clamp_row_matches_unshift_then_clamp() {
+        // The reference is the decoder's old tail: `mct::level_unshift`
+        // (a wrapping `v -= -shift` in release builds), then a per-sample
+        // clamp and cast.
+        let mut src = vec![0i32, -1, 1, 255, 256, -128, 127, 4095, 65535, 65536];
+        src.extend([i32::MIN, i32::MAX, i32::MAX - 100, i32::MIN + 100]);
+        let mut s = 31u64;
+        src.extend((0..2000).map(|_| (pcg(&mut s) % 100_000) as i32 - 50_000));
+        for (shift, maxv) in [(128, 255), (0, 255), (2048, 4095), (32768, 65535)] {
+            let mut got = vec![0u16; src.len()];
+            unshift_clamp_row(&src, &mut got, shift, maxv);
+            for (&v, &g) in src.iter().zip(&got) {
+                let want = v.wrapping_sub(-shift).clamp(0, maxv) as u16;
+                assert_eq!(g, want, "v={v} shift={shift} maxv={maxv}");
+            }
         }
     }
 }

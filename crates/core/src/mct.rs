@@ -69,18 +69,18 @@ pub fn inverse_ict_shift(planes: &[AlignedPlane<f32>], shift: f32) -> Vec<Aligne
     let mut out: Vec<AlignedPlane<i32>> = (0..3)
         .map(|_| AlignedPlane::new(w, h).expect("geometry"))
         .collect();
+    let (o0, rest) = out.split_at_mut(1);
+    let (o1, o2) = rest.split_at_mut(1);
     for y in 0..h {
-        for x in 0..w {
-            let yy = planes[0].get(x, y);
-            let cb = planes[1].get(x, y);
-            let cr = planes[2].get(x, y);
-            let r = yy + 1.402 * cr;
-            let g = yy - 0.344_136 * cb - 0.714_136 * cr;
-            let b = yy + 1.772 * cb;
-            out[0].set(x, y, (r + shift).round() as i32);
-            out[1].set(x, y, (g + shift).round() as i32);
-            out[2].set(x, y, (b + shift).round() as i32);
-        }
+        crate::kernels::ict_inverse_row(
+            planes[0].row(y),
+            planes[1].row(y),
+            planes[2].row(y),
+            o0[0].row_mut(y),
+            o1[0].row_mut(y),
+            o2[0].row_mut(y),
+            shift,
+        );
     }
     out
 }

@@ -5,11 +5,12 @@
 
 use crate::codestream::{self, BlockStream, MainHeader, Quant};
 use crate::profile::{BlockWork, LevelWork, StageTime, WorkloadProfile};
-use crate::quant::{band_delta, dequantize, StepSize, GUARD_BITS};
-use crate::{mct, Arithmetic, CodecError, EncoderParams, Mode};
+use crate::quant::{band_delta, StepSize, GUARD_BITS};
+use crate::{kernels, mct, Arithmetic, CodecError, EncoderParams, Mode};
 use ebcot::block::{BandKind, EncodedBlock};
 use ebcot::rate::{search_threshold, BlockSummary, PreparedBlock, Threshold};
 use imgio::Image;
+use obs::trace;
 use wavelet::{low_len, norms, Band, Subband};
 use xpart::AlignedPlane;
 
@@ -570,7 +571,11 @@ pub fn decode_opts(
     max_layers: usize,
     discard_levels: usize,
 ) -> Result<Image, CodecError> {
-    decode_parsed(codestream::parse(data)?, max_layers, discard_levels, false)
+    let parsed = {
+        let _s = trace::span("stage:parse").cat("stage");
+        codestream::parse(data)?
+    };
+    decode_parsed(parsed, max_layers, discard_levels, false)
 }
 
 /// Best-effort decode of a (possibly truncated) codestream prefix.
@@ -584,26 +589,26 @@ pub fn decode_opts(
 /// yields a valid (flat) image of the right geometry, so the caller can
 /// always measure it.
 pub fn decode_prefix(data: &[u8]) -> Result<(Image, usize), CodecError> {
-    let (parsed, complete_layers) = codestream::parse_prefix(data)?;
+    let (parsed, complete_layers) = {
+        let _s = trace::span("stage:parse").cat("stage");
+        codestream::parse_prefix(data)?
+    };
     let img = decode_parsed(parsed, usize::MAX, 0, true)?;
     Ok((img, complete_layers))
 }
 
-fn decode_parsed(
-    parsed: codestream::Parsed,
+/// Tier-1 decode every block of `parsed` (its first `max_layers` layers)
+/// and hand its indices to `place` with the block's top-left corner in
+/// its component plane and its width.
+fn decode_blocks(
+    parsed: &codestream::Parsed,
     max_layers: usize,
-    discard_levels: usize,
     lenient: bool,
-) -> Result<Image, CodecError> {
+    mut place: impl FnMut(&BlockStream, usize, usize, usize, &[i32]),
+) -> Result<(), CodecError> {
     let hdr = &parsed.header;
-    let (w, h) = (hdr.width, hdr.height);
     let bands = hdr.bands();
     let cb = hdr.cb_size;
-
-    // Reconstruct quantizer-index planes.
-    let mut indices: Vec<AlignedPlane<i32>> = (0..hdr.comps)
-        .map(|_| AlignedPlane::new(w, h).map_err(|e| CodecError::Codestream(e.to_string())))
-        .collect::<Result<_, _>>()?;
     for blk in &parsed.blocks {
         let b = bands
             .get(blk.band_idx)
@@ -655,20 +660,43 @@ fn decode_parsed(
                 Err(e) => return Err(e),
             }
         };
-        for y in 0..bh {
-            for x in 0..bw {
-                indices[blk.comp].set(x0 + x, y0 + y, vals[y * bw + x]);
-            }
-        }
+        place(blk, x0, y0, bw, &vals);
     }
+    Ok(())
+}
 
+/// One zeroed full-size plane per component.
+fn component_planes<T: Copy + Default>(
+    hdr: &MainHeader,
+) -> Result<Vec<AlignedPlane<T>>, CodecError> {
+    (0..hdr.comps)
+        .map(|_| {
+            AlignedPlane::new(hdr.width, hdr.height)
+                .map_err(|e| CodecError::Codestream(e.to_string()))
+        })
+        .collect()
+}
+
+/// The decoder's four stages, each one pass over the samples: Tier-1
+/// decode with the blocks scattered by rows (and dequantized as they land
+/// on the lossy path), the in-place inverse DWT, then inverse MCT, level
+/// unshift, rounding and clamping straight into the [`Image`] rows. A
+/// reduced-resolution decode reads its output from the top-left corner of
+/// the planes.
+fn decode_parsed(
+    parsed: codestream::Parsed,
+    max_layers: usize,
+    discard_levels: usize,
+    lenient: bool,
+) -> Result<Image, CodecError> {
+    let hdr = &parsed.header;
     let depth = hdr.depth;
     let shift = 1i32 << (depth - 1);
     let maxv = ((1u32 << depth) - 1) as i32;
     // Output dimensions after discarding the finest resolution levels.
     let discard = discard_levels.min(hdr.levels);
     let (ow, oh) = {
-        let (mut cw, mut ch) = (w, h);
+        let (mut cw, mut ch) = (hdr.width, hdr.height);
         for _ in 0..discard {
             cw = low_len(cw);
             ch = low_len(ch);
@@ -679,113 +707,140 @@ fn decode_parsed(
         Image::new(ow, oh, hdr.comps, depth).map_err(|e| CodecError::Codestream(e.to_string()))?;
 
     if hdr.lossless {
-        let mut planes = indices;
-        for p in &mut planes {
-            wavelet::transform2d::inverse_2d_53_partial(p, hdr.levels, discard);
+        // Reversible: the indices are the 5/3 coefficients.
+        let mut planes = component_planes::<i32>(hdr)?;
+        {
+            let _s = trace::span("stage:tier1-decode").cat("stage");
+            decode_blocks(&parsed, max_layers, lenient, |blk, x0, y0, bw, vals| {
+                let plane = &mut planes[blk.comp];
+                for (y, row) in vals.chunks_exact(bw).enumerate() {
+                    plane.row_mut(y0 + y)[x0..x0 + bw].copy_from_slice(row);
+                }
+            })?;
         }
-        let mut planes: Vec<AlignedPlane<i32>> = planes.iter().map(|p| crop(p, ow, oh)).collect();
-        if hdr.mct && hdr.comps == 3 {
-            mct::inverse_rct_shift(&mut planes, shift);
-        } else {
+        {
+            let _s = trace::span("stage:idwt").cat("stage");
             for p in &mut planes {
-                mct::level_unshift(p, shift);
+                wavelet::transform2d::inverse_2d_53_partial(p, hdr.levels, discard);
             }
         }
-        for (c, p) in planes.iter().enumerate() {
-            for y in 0..oh {
-                for x in 0..ow {
-                    out.planes[c][y * ow + x] = p.get(x, y).clamp(0, maxv) as u16;
+        let _s = trace::span("stage:output").cat("stage");
+        match (&mut planes[..], &mut out.planes[..]) {
+            ([py, pu, pv], [r, g, b]) if hdr.mct => {
+                let rows = r
+                    .chunks_exact_mut(ow)
+                    .zip(g.chunks_exact_mut(ow))
+                    .zip(b.chunks_exact_mut(ow));
+                for (y, ((r, g), b)) in rows.enumerate() {
+                    let py = &mut py.row_mut(y)[..ow];
+                    let pu = &mut pu.row_mut(y)[..ow];
+                    let pv = &mut pv.row_mut(y)[..ow];
+                    kernels::rct_inverse_row(py, pu, pv, shift);
+                    kernels::unshift_clamp_row(py, r, 0, maxv);
+                    kernels::unshift_clamp_row(pu, g, 0, maxv);
+                    kernels::unshift_clamp_row(pv, b, 0, maxv);
+                }
+            }
+            (planes, outs) => {
+                for (p, o) in planes.iter().zip(outs) {
+                    for (y, row) in o.chunks_exact_mut(ow).enumerate() {
+                        kernels::unshift_clamp_row(&p.row(y)[..ow], row, shift, maxv);
+                    }
                 }
             }
         }
         return Ok(out);
     }
 
-    // Lossy: dequantize then inverse 9/7.
+    // Lossy: dequantize each block as it lands, then inverse 9/7.
     let steps = match &hdr.quant {
-        Quant::Scalar(s) => s.clone(),
+        Quant::Scalar(s) => s,
         Quant::Reversible(_) => {
             return Err(CodecError::Codestream(
                 "lossy stream with reversible quant".into(),
             ))
         }
     };
-    let mut planes: Vec<AlignedPlane<f32>> = (0..hdr.comps)
-        .map(|_| AlignedPlane::new(w, h).map_err(|e| CodecError::Codestream(e.to_string())))
-        .collect::<Result<_, _>>()?;
-    for (bi, b) in bands.iter().enumerate() {
-        let step = steps
-            .get(bi)
-            .ok_or_else(|| CodecError::Codestream("missing band step".into()))?;
-        let r_bits = depth as i32 + b.band.gain_log2() as i32;
-        let delta = step.delta(r_bits);
-        for c in 0..hdr.comps {
-            for y in b.y0..b.y0 + b.h {
-                for x in b.x0..b.x0 + b.w {
-                    planes[c].set(x, y, dequantize(indices[c].get(x, y), delta));
-                }
-            }
-        }
+    let bands = hdr.bands();
+    if steps.len() < bands.len() {
+        return Err(CodecError::Codestream("missing band step".into()));
     }
-    match hdr.arithmetic {
-        Arithmetic::Float32 => {
-            for p in &mut planes {
-                wavelet::transform2d::inverse_2d_97_partial(p, hdr.levels, discard);
+    let deltas: Vec<f64> = bands
+        .iter()
+        .zip(steps)
+        .map(|(b, step)| step.delta(depth as i32 + b.band.gain_log2() as i32))
+        .collect();
+    let mut planes = component_planes::<f32>(hdr)?;
+    {
+        let _s = trace::span("stage:tier1-decode").cat("stage");
+        decode_blocks(&parsed, max_layers, lenient, |blk, x0, y0, bw, vals| {
+            let (plane, delta) = (&mut planes[blk.comp], deltas[blk.band_idx]);
+            for (y, row) in vals.chunks_exact(bw).enumerate() {
+                kernels::dequantize_row(row, &mut plane.row_mut(y0 + y)[x0..x0 + bw], delta);
             }
-        }
-        Arithmetic::FixedQ13 => {
-            // The fixed inverse has no partial variant; reduced-resolution
-            // decode of a fixed-point stream falls back to full inversion
-            // followed by DWT-domain cropping via the f32 path.
-            let mut q13: Vec<AlignedPlane<i32>> = planes
-                .iter()
-                .map(|p| p.map(|v| (v * 8192.0).round() as i32))
-                .collect();
-            for p in &mut q13 {
-                wavelet::transform2d::inverse_2d_97_fixed(p, hdr.levels);
-            }
-            planes = q13.iter().map(|p| p.map(|v| v as f32 / 8192.0)).collect();
-            if discard > 0 {
+        })?;
+    }
+    {
+        let _s = trace::span("stage:idwt").cat("stage");
+        match hdr.arithmetic {
+            Arithmetic::Float32 => {
                 for p in &mut planes {
-                    wavelet::forward_2d_97(p, discard, wavelet::VerticalVariant::Merged);
+                    wavelet::transform2d::inverse_2d_97_partial(p, hdr.levels, discard);
+                }
+            }
+            Arithmetic::FixedQ13 => {
+                // The fixed inverse has no partial variant; reduced-resolution
+                // decode of a fixed-point stream falls back to full inversion
+                // followed by DWT-domain cropping via the f32 path.
+                let mut q13: Vec<AlignedPlane<i32>> = planes
+                    .iter()
+                    .map(|p| p.map(|v| (v * 8192.0).round() as i32))
+                    .collect();
+                for p in &mut q13 {
+                    wavelet::transform2d::inverse_2d_97_fixed(p, hdr.levels);
+                }
+                planes = q13.iter().map(|p| p.map(|v| v as f32 / 8192.0)).collect();
+                if discard > 0 {
+                    for p in &mut planes {
+                        wavelet::forward_2d_97(p, discard, wavelet::VerticalVariant::Merged);
+                    }
                 }
             }
         }
     }
-    let planes: Vec<AlignedPlane<f32>> = planes.iter().map(|p| crop(p, ow, oh)).collect();
-    let int_planes: Vec<AlignedPlane<i32>> = if hdr.mct && hdr.comps == 3 {
-        mct::inverse_ict_shift(&planes, shift as f32)
-    } else {
-        planes
-            .iter()
-            .map(|p| {
-                let mut q = p.to_i32_rounded();
-                mct::level_unshift(&mut q, shift);
-                q
-            })
-            .collect()
-    };
-    for (c, p) in int_planes.iter().enumerate() {
-        for y in 0..oh {
-            for x in 0..ow {
-                out.planes[c][y * ow + x] = p.get(x, y).clamp(0, maxv) as u16;
+    let _s = trace::span("stage:output").cat("stage");
+    let [mut sr, mut sg, mut sb] = [vec![0i32; ow], vec![0i32; ow], vec![0i32; ow]];
+    match (&planes[..], &mut out.planes[..]) {
+        ([py, pb, pr], [r, g, b]) if hdr.mct => {
+            let rows = r
+                .chunks_exact_mut(ow)
+                .zip(g.chunks_exact_mut(ow))
+                .zip(b.chunks_exact_mut(ow));
+            for (y, ((r, g), b)) in rows.enumerate() {
+                kernels::ict_inverse_row(
+                    &py.row(y)[..ow],
+                    &pb.row(y)[..ow],
+                    &pr.row(y)[..ow],
+                    &mut sr,
+                    &mut sg,
+                    &mut sb,
+                    shift as f32,
+                );
+                kernels::unshift_clamp_row(&sr, r, 0, maxv);
+                kernels::unshift_clamp_row(&sg, g, 0, maxv);
+                kernels::unshift_clamp_row(&sb, b, 0, maxv);
+            }
+        }
+        (planes, outs) => {
+            for (p, o) in planes.iter().zip(outs) {
+                for (y, row) in o.chunks_exact_mut(ow).enumerate() {
+                    kernels::round_row(&p.row(y)[..ow], &mut sr);
+                    kernels::unshift_clamp_row(&sr, row, shift, maxv);
+                }
             }
         }
     }
     Ok(out)
-}
-
-/// Copy the top-left `cw x ch` region of a plane (no-op-sized copy when
-/// the geometry already matches).
-fn crop<T: Copy + Default>(p: &AlignedPlane<T>, cw: usize, ch: usize) -> AlignedPlane<T> {
-    if cw == p.width() && ch == p.height() {
-        return p.clone();
-    }
-    let mut out = AlignedPlane::<T>::new(cw, ch).expect("crop geometry");
-    for y in 0..ch {
-        out.row_mut(y).copy_from_slice(&p.row(y)[..cw]);
-    }
-    out
 }
 
 #[cfg(test)]

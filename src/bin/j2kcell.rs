@@ -6,6 +6,7 @@
 //!                 [--cb N] [--variant separate|interleaved|merged]
 //!                 [--fixed] [--bypass] [--layers N] [--workers N]
 //! j2kcell decode  input.j2c output.{bmp,pgm,ppm} [--resolution N] [--max-layers N]
+//!                 [--trace-out FILE]
 //! j2kcell compare a.{bmp,pgm,ppm} b.{bmp,pgm,ppm} [--min-psnr DB] [--min-ssim S] [--json]
 //! j2kcell simulate input.{bmp,pgm,ppm} [--lossy RATE] [--spes N] [--ppes N]
 //! j2kcell info    input.j2c
@@ -42,6 +43,7 @@ j2kcell — JPEG2000 encoder/decoder and Cell/B.E. what-if simulator
 usage:
   j2kcell encode  INPUT.{bmp,pgm,ppm} OUTPUT.{j2c,jp2} [options]
   j2kcell decode  INPUT.{j2c,jp2} OUTPUT.{bmp,pgm,ppm} [--resolution N] [--max-layers N]
+                  [--trace-out FILE]
   j2kcell compare A.{bmp,pgm,ppm} B.{bmp,pgm,ppm} [--min-psnr DB] [--min-ssim S] [--json]
                   measure candidate B against reference A (PSNR, SSIM,
                   max error, bit-exactness); exits 1 when a --min-* floor
@@ -78,6 +80,15 @@ encode options:
                      write it to FILE (load in Perfetto / about:tracing);
                      per-stage and per-chunk spans at any worker count —
                      output bytes are unchanged
+
+decode options:
+  --resolution N     discard the N finest resolution levels (the image
+                     downscaled by 2^N)
+  --max-layers N     keep only the first N quality layers
+  --trace-out FILE   record the decode as Chrome trace-event JSON: one
+                     span per stage (stage:parse, stage:tier1-decode,
+                     stage:idwt, stage:output) — output samples are
+                     unchanged
 
 simulate options:
   --cell-trace-out FILE
@@ -286,6 +297,36 @@ fn parse(args: &[String]) -> Opt {
     o
 }
 
+/// Turn tracing on for one encode or decode when `--trace-out` is given.
+fn start_trace(o: &Opt) {
+    if o.trace_out.is_some() {
+        obs::trace::set_enabled(true);
+        obs::trace::set_current(obs::trace::next_trace_id());
+    }
+}
+
+/// Write the spans recorded since [`start_trace`] to the `--trace-out`
+/// file as Chrome trace-event JSON.
+fn write_trace(o: &Opt) {
+    let Some(trace_path) = &o.trace_out else {
+        return;
+    };
+    obs::trace::flush_thread();
+    let events = obs::trace::drain_all();
+    let json = obs::chrome::render(&events);
+    std::fs::write(trace_path, &json)
+        .unwrap_or_else(|e| die(&format!("cannot write {trace_path}: {e}")));
+    eprintln!(
+        "j2kcell: wrote {} trace events to {trace_path}{}",
+        events.len(),
+        if obs::trace::dropped() > 0 {
+            " (sink overflow: some events dropped)"
+        } else {
+            ""
+        }
+    );
+}
+
 fn params_of(o: &Opt) -> EncoderParams {
     EncoderParams {
         mode: match o.lossy {
@@ -335,29 +376,11 @@ fn main() {
             };
             let im = read_image(input);
             let params = params_of(&o);
-            if o.trace_out.is_some() {
-                obs::trace::set_enabled(true);
-                obs::trace::set_current(obs::trace::next_trace_id());
-            }
+            start_trace(&o);
             let t0 = std::time::Instant::now();
             let (bytes, _) =
                 encode_with(&im, &params, o.workers, None).unwrap_or_else(|e| die(&e.to_string()));
-            if let Some(trace_path) = &o.trace_out {
-                obs::trace::flush_thread();
-                let events = obs::trace::drain_all();
-                let json = obs::chrome::render(&events);
-                std::fs::write(trace_path, &json)
-                    .unwrap_or_else(|e| die(&format!("cannot write {trace_path}: {e}")));
-                eprintln!(
-                    "j2kcell: wrote {} trace events to {trace_path}{}",
-                    events.len(),
-                    if obs::trace::dropped() > 0 {
-                        " (sink overflow: some events dropped)"
-                    } else {
-                        ""
-                    }
-                );
-            }
+            write_trace(&o);
             let bytes = if output.ends_with(".jp2") {
                 jpeg2000_cell::codec::jp2::wrap(&bytes).unwrap_or_else(|e| die(&e.to_string()))
             } else {
@@ -384,8 +407,10 @@ fn main() {
             } else {
                 &bytes
             };
+            start_trace(&o);
             let im =
                 decode_opts(cs, o.max_layers, o.resolution).unwrap_or_else(|e| die(&e.to_string()));
+            write_trace(&o);
             write_image(output, &im);
             println!(
                 "{} -> {}: {}x{} x{} components",

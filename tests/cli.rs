@@ -280,6 +280,42 @@ fn trace_out_works_at_one_worker() {
 }
 
 #[test]
+fn decode_trace_out_records_stage_spans_and_identical_samples() {
+    let src = tmp("in9.ppm");
+    let j2c = tmp("out9.j2c");
+    let plain = tmp("back9.ppm");
+    let traced = tmp("back9-traced.ppm");
+    let trace = tmp("trace9.json");
+    write_test_ppm(&src, 40, 36);
+    let (src, j2c) = (src.to_str().unwrap(), j2c.to_str().unwrap());
+    let (plain, traced) = (plain.to_str().unwrap(), traced.to_str().unwrap());
+    let trace_path = trace.to_str().unwrap();
+    for args in [
+        vec!["encode", src, j2c, "--lossy", "0.3"],
+        vec!["decode", j2c, plain],
+        vec!["decode", j2c, traced, "--trace-out", trace_path],
+    ] {
+        assert!(Command::new(bin()).args(&args).status().unwrap().success());
+    }
+    assert_eq!(
+        std::fs::read(plain).unwrap(),
+        std::fs::read(traced).unwrap(),
+        "tracing changed the decoded samples"
+    );
+    let json = std::fs::read_to_string(&trace).unwrap();
+    obs::chrome::check(
+        &json,
+        &[
+            "stage:parse",
+            "stage:tier1-decode",
+            "stage:idwt",
+            "stage:output",
+        ],
+    )
+    .expect("decode trace carries one span per stage");
+}
+
+#[test]
 fn compare_reports_bit_exact_lossless_roundtrip() {
     let src = tmp("cmp-in.ppm");
     let j2c = tmp("cmp.j2c");
