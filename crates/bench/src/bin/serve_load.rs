@@ -2,9 +2,8 @@
 //!
 //! Drives the TCP wire protocol with `--clients` concurrent connections
 //! pushing `--jobs` synthetic encode jobs total, then reports throughput
-//! and latency percentiles as JSON (written to `--out`, printed to
-//! stdout) so the serve layer's performance trajectory can be tracked
-//! run over run (`BENCH_serve.json`).
+//! and latency percentiles as one JSON document, printed to stdout and
+//! written to `--out` (default `BENCH_serve.json`).
 //!
 //! ```text
 //! serve_load [--addr HOST:PORT] [--jobs N] [--clients N] [--size N]
@@ -51,7 +50,6 @@
 //! codec. The exit code is nonzero if verification fails or nothing
 //! completes.
 
-use j2k_bench::{BenchReport, Direction};
 use j2k_core::EncoderParams;
 use j2k_serve::wire::{
     call, DecodeRequest, EncodeRequest, RejectReason, Request, Response, DEFAULT_MAX_FRAME,
@@ -635,35 +633,7 @@ fn main() {
         server_metrics,
     );
     println!("{json}");
-    // Shared bench-report envelope: the full ad-hoc document above rides
-    // along as `detail`; the headline scalars are lifted into `metrics`.
-    let config = format!(
-        "{{\"jobs\":{},\"clients\":{},\"size\":{},\"seed\":{},\"mode\":\"{}\",\
-         \"timeout_ms\":{},\"retries\":{}}}",
-        o.jobs,
-        o.clients,
-        o.size,
-        o.seed,
-        if o.lossy.is_some() {
-            "lossy"
-        } else {
-            "lossless"
-        },
-        o.timeout_ms,
-        o.retries,
-    );
-    let report = BenchReport::new("serve_load")
-        .config(&config)
-        .metric(
-            "throughput_jobs_per_s",
-            completed as f64 / wall_s.max(1e-9),
-            Direction::Higher,
-        )
-        .metric("latency_p50_ms", percentile(&lat, 0.50), Direction::Lower)
-        .metric("latency_p99_ms", percentile(&lat, 0.99), Direction::Lower)
-        .metric("completed", completed as f64, Direction::Higher)
-        .detail(&json);
-    if let Err(e) = std::fs::write(&o.out, format!("{}\n", report.to_json())) {
+    if let Err(e) = std::fs::write(&o.out, format!("{json}\n")) {
         die(&format!("write {}: {e}", o.out));
     }
     // Human summary, always printed in full: absent counters read as

@@ -1,6 +1,6 @@
 //! Tier-1 backend scaling: MQ bit-plane coder vs the HT quad coder on
 //! the paper workload, swept over host worker counts (the `--spes` list
-//! is reused as the worker counts, as in `host_parallel_scaling`).
+//! is reused as the worker counts).
 //!
 //! For each coder the codestream is asserted byte-identical to the
 //! one-worker encode at every worker count, then the Tier-1 stage wall
@@ -17,13 +17,13 @@
 //! coder moved the ratio by more than a third between runs on a shared
 //! two-core host, and host slowdowns only ever add time.
 //!
-//! Prints a table (or `--csv`) and, with `--out FILE`, writes the
-//! machine-readable `BENCH_tier1.json` consumed by CI — a shared
-//! [`BenchReport`](j2k_bench::BenchReport) envelope whose `detail`
-//! carries the per-row table and whose `metrics` hold the headline
-//! throughputs.
+//! Prints a table (or `--csv`) and, with `--out FILE`, writes the same
+//! run as one JSON document, `{"config":…, "rows":[…], "summary":{…}}`,
+//! where the summary holds the gate's one-worker throughputs and ratio.
+//! The file is written before the gate is checked, so a failing run
+//! still leaves its numbers behind.
 
-use j2k_bench::{lossless_params, ms, parse_args, row, workload_rgb, BenchReport, Direction};
+use j2k_bench::{lossless_params, ms, parse_args, row, workload_rgb};
 use j2k_core::{encode, encode_with, Coder, EncoderParams, WorkloadProfile};
 
 /// HT must beat MQ by at least this factor on the samples/s basis
@@ -170,21 +170,13 @@ fn main() {
                 .collect::<Vec<_>>()
                 .join(","),
         );
-        let detail = format!(
-            "{{\"rows\":[{}],\"summary\":{{\"ht_vs_mq_samples_per_sec\":{:.3},\
-             \"ht_size_delta\":{:.4}}}}}",
+        let doc = format!(
+            "{{\"config\":{config},\"rows\":[{}],\"summary\":{{\
+             \"mq_samples_per_sec\":{mq_sps:.1},\"ht_samples_per_sec\":{ht_sps:.1},\
+             \"ht_vs_mq_samples_per_sec\":{ht_speedup:.3},\"ht_size_delta\":{size_delta:.4}}}}}",
             body.join(","),
-            ht_speedup,
-            size_delta,
         );
-        let report = BenchReport::new("tier1_scaling")
-            .config(&config)
-            .metric("mq_samples_per_sec", mq_sps, Direction::Higher)
-            .metric("ht_samples_per_sec", ht_sps, Direction::Higher)
-            .metric("ht_vs_mq_samples_per_sec", ht_speedup, Direction::Higher)
-            .metric("ht_size_delta", size_delta, Direction::Lower)
-            .detail(&detail);
-        std::fs::write(path, format!("{}\n", report.to_json())).expect("write --out file");
+        std::fs::write(path, format!("{doc}\n")).expect("write --out file");
         println!("wrote {path}");
     }
 

@@ -9,10 +9,6 @@
 use imgio::Image;
 use j2k_core::{EncoderParams, WorkloadProfile};
 
-pub mod report;
-
-pub use report::{BenchReport, Direction, Metric};
-
 /// Paper-reported reference numbers (Section 5).
 pub mod paper {
     /// Lossless encode speedup, 8 SPE vs 1 SPE (Fig. 4).

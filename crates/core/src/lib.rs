@@ -12,9 +12,11 @@
 //! [`cellsim::Timeline`] alongside the codestream.
 //!
 //! [`decode`], [`decode_opts`] (quality layers and resolution levels) and
-//! [`decode_prefix`] (truncated streams) form a full decoder used to
-//! *verify* the encoder (lossless round-trip, lossy PSNR) in the absence
-//! of the paper's Jasper baseline.
+//! [`decode_prefix`] (truncated streams) form a full decoder. It is a
+//! product surface in its own right (`j2kcell decode` and the daemon's
+//! `Decode` request serve it), and it also closes the conformance loop
+//! on the encoder (lossless round-trip, lossy PSNR) in the absence of the
+//! paper's Jasper baseline.
 //!
 //! Pipeline (paper Figure 2): read + type convert → level shift merged with
 //! the inter-component transform ([`mct`]) → DWT ([`wavelet`]) →
@@ -75,8 +77,8 @@ pub struct EncoderParams {
     pub mode: Mode,
     /// DWT decomposition levels.
     pub levels: usize,
-    /// Code block width/height (power of two, <= 64). The paper uses 64;
-    /// Muta et al. use 32.
+    /// Code block width/height (power of two in 4..=64). The paper uses
+    /// 64; Muta et al. use 32.
     pub cb_size: usize,
     /// Vertical-filter loop schedule.
     pub variant: VerticalVariant,
@@ -144,7 +146,7 @@ impl EncoderParams {
 
     /// Validate parameter combinations.
     pub fn validate(&self) -> Result<(), CodecError> {
-        if !(1..=64).contains(&self.cb_size) || !self.cb_size.is_power_of_two() {
+        if !(4..=64).contains(&self.cb_size) || !self.cb_size.is_power_of_two() {
             return Err(CodecError::Params(format!(
                 "code block size {} must be a power of two in 4..=64",
                 self.cb_size
@@ -213,12 +215,19 @@ mod tests {
     fn params_validation() {
         assert!(EncoderParams::lossless().validate().is_ok());
         assert!(EncoderParams::lossy(0.1).validate().is_ok());
-        assert!(EncoderParams {
-            cb_size: 48,
-            ..Default::default()
+        for cb_size in [1, 2, 48, 128] {
+            assert!(
+                matches!(
+                    EncoderParams {
+                        cb_size,
+                        ..Default::default()
+                    }
+                    .validate(),
+                    Err(CodecError::Params(_))
+                ),
+                "cb_size {cb_size}"
+            );
         }
-        .validate()
-        .is_err());
         assert!(EncoderParams {
             levels: 0,
             ..Default::default()

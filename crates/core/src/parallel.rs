@@ -822,6 +822,13 @@ mod tests {
         (r.unwrap().0, events, caller)
     }
 
+    /// 256 columns plan eight 32-sample column chunks at 8 workers, one
+    /// per worker, so workers 4 to 7 own chunks too; narrower images
+    /// never give a chunk to a worker above 3.
+    fn wide_rgb() -> Image {
+        synth::natural_rgb(256, 64, 17)
+    }
+
     #[test]
     fn parallel_matches_sequential_lossless() {
         let im = synth::natural_rgb(96, 64, 13);
@@ -834,6 +841,18 @@ mod tests {
             let (par, _) = encode_with(&im, &params, workers, None).unwrap();
             assert_eq!(par, seq, "workers={workers}");
         }
+
+        let wide = wide_rgb();
+        let params = EncoderParams {
+            levels: 5,
+            ..EncoderParams::lossless()
+        };
+        let seq = encode(&wide, &params).unwrap();
+        assert_eq!(crate::decode(&seq).unwrap(), wide);
+        for workers in [1usize, 2, 4, 8] {
+            let (par, _) = encode_with(&wide, &params, workers, None).unwrap();
+            assert_eq!(par, seq, "256x64 workers={workers}");
+        }
     }
 
     #[test]
@@ -843,6 +862,17 @@ mod tests {
         let seq = encode(&im, &params).unwrap();
         let (par, _) = encode_with(&im, &params, 3, None).unwrap();
         assert_eq!(par, seq);
+
+        let wide = wide_rgb();
+        let params = EncoderParams {
+            levels: 5,
+            ..EncoderParams::lossy(0.1)
+        };
+        let seq = encode(&wide, &params).unwrap();
+        for workers in [1usize, 2, 4, 8] {
+            let (par, _) = encode_with(&wide, &params, workers, None).unwrap();
+            assert_eq!(par, seq, "256x64 workers={workers}");
+        }
     }
 
     #[test]

@@ -1478,13 +1478,24 @@ mod tests {
     fn invalid_params_fail_cleanly() {
         let svc = EncodeService::start(ServiceConfig::default());
         let im = imgio::synth::natural(16, 16, 1);
-        let bad = EncoderParams {
+        let level0 = EncoderParams {
             levels: 0,
             ..EncoderParams::lossless()
         };
-        let h = svc.submit(EncodeJob::new(im, bad)).unwrap();
-        assert!(matches!(h.wait(), JobOutcome::Failed(_)));
-        assert_eq!(svc.metrics().failed, 1);
+        // Code blocks below 4 have no COD exponent; the wire carries
+        // `cb_size` as a raw byte, so they must fail here, not encode.
+        let cb = |cb_size| EncoderParams {
+            cb_size,
+            ..EncoderParams::lossless()
+        };
+        for bad in [level0, cb(1), cb(2)] {
+            let h = svc.submit(EncodeJob::new(im.clone(), bad)).unwrap();
+            match h.wait() {
+                JobOutcome::Failed(m) => assert!(m.starts_with("bad parameters"), "{m}"),
+                _ => panic!("{bad:?} did not fail"),
+            }
+        }
+        assert_eq!(svc.metrics().failed, 3);
     }
 
     #[test]

@@ -59,7 +59,7 @@ encode options:
   --lossy RATE       irreversible 9/7 path at RATE output bits per input
                      bit (e.g. 0.1 = 10:1); default lossless 5/3
   --levels N         DWT decomposition levels (default 5)
-  --cb N             code block size, power of two <= 64 (default 64)
+  --cb N             code block size, power of two in 4..=64 (default 64)
   --layers N         quality layers (default 1)
   --variant V        vertical DWT schedule: separate|interleaved|merged
   --fixed            Q13 fixed-point 9/7 arithmetic (default f32)

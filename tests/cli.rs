@@ -432,4 +432,20 @@ fn bad_arguments_exit_nonzero() {
         .status()
         .unwrap()
         .success());
+    // Code blocks below 4 are a typed params error, not a stream that
+    // our own decoder rejects.
+    let src = tmp("cb.ppm");
+    write_test_ppm(&src, 16, 16);
+    for cb in ["1", "2"] {
+        let out = Command::new(bin())
+            .args(["encode"])
+            .arg(&src)
+            .arg(tmp("cb.j2c"))
+            .args(["--cb", cb])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "--cb {cb}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("bad parameters"), "--cb {cb}: {err}");
+    }
 }
