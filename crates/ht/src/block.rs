@@ -67,21 +67,27 @@ pub fn cup_plane(num_planes: u8) -> u8 {
     num_planes.saturating_sub(1).min(2)
 }
 
-/// Sample scan order within a quad at (2qx, 2qy).
-const QOFF: [(usize, usize); 4] = [(0, 0), (1, 0), (0, 1), (1, 1)];
-
 /// Distortion-reduction estimate when a sample becomes significant at
-/// plane `p` (same units as the MQ coder's estimate, so PCRD compares
-/// HT and MQ blocks on one scale).
-#[inline]
-fn d_sig(p: u8) -> f64 {
-    2.25 * f64::powi(4.0, i32::from(p))
-}
+/// plane `p`, `2.25 · 4^p` (same units as the MQ coder's estimate, so
+/// PCRD compares HT and MQ blocks on one scale).
+const D_SIG: [f64; 32] = plane_table(2.25);
 
-/// Distortion-reduction estimate for one refinement bit at plane `p`.
-#[inline]
-fn d_ref(p: u8) -> f64 {
-    0.25 * f64::powi(4.0, i32::from(p))
+/// Distortion-reduction estimate for one refinement bit at plane `p`,
+/// `0.25 · 4^p`.
+const D_REF: [f64; 32] = plane_table(0.25);
+
+/// `scale · 4^p` for every plane. Powers of four are exact in `f64`, so
+/// these are the values `scale * f64::powi(4.0, p)` gives.
+const fn plane_table(scale: f64) -> [f64; 32] {
+    let mut t = [0.0; 32];
+    let mut pow = 1.0;
+    let mut p = 0;
+    while p < 32 {
+        t[p] = scale * pow;
+        pow *= 4.0;
+        p += 1;
+    }
+    t
 }
 
 /// Encode one code block of signed quantizer indices with the HT coder.
@@ -99,9 +105,8 @@ pub fn encode_block(data: &[i32], w: usize, h: usize) -> EncodedBlock {
         .arg("w", w as u64)
         .arg("h", h as u64)
         .arg("coder", 1);
-    let mags: Vec<u32> = data.iter().map(|&v| v.unsigned_abs()).collect();
-    let max = mags.iter().copied().max().unwrap_or(0);
-    let num_planes = (32 - max.leading_zeros()) as u8;
+    let all = data.iter().fold(0, |a, &v| a | v.unsigned_abs());
+    let num_planes = (32 - all.leading_zeros()) as u8;
     let mut blk = EncodedBlock {
         data: Vec::new(),
         pass_ends: Vec::new(),
@@ -116,30 +121,37 @@ pub fn encode_block(data: &[i32], w: usize, h: usize) -> EncodedBlock {
     }
     let p_cup = cup_plane(num_planes);
 
+    // Magnitudes in rows padded with zeros to whole quads, so the quad
+    // walk needs no edge tests.
+    let pw = w + (w & 1);
+    let mut mags = vec![0u32; pw * (h + (h & 1))];
+    for (row, src) in mags.chunks_exact_mut(pw).zip(data.chunks_exact(w)) {
+        for (m, &v) in row.iter_mut().zip(src) {
+            *m = v.unsigned_abs();
+        }
+    }
+
     // --- cleanup pass ---
-    let (seg, dist, symbols) = cleanup_enc(data, &mags, w, h, p_cup);
-    push_pass(&mut blk, seg, PassType::Cleanup, p_cup, dist, symbols);
+    let cleanup = cleanup_enc(data, &mags, w, pw, p_cup);
+    push_pass(&mut blk, PassType::Cleanup, p_cup, cleanup);
 
     // --- raw refinement passes, one SigProp + MagRef pair per plane ---
-    for plane in (0..p_cup).rev() {
-        let (seg, dist, symbols) = sig_prop_enc(data, &mags, plane);
-        push_pass(&mut blk, seg, PassType::SigProp, plane, dist, symbols);
-        let (seg, dist, symbols) = mag_ref_enc(&mags, plane);
-        push_pass(&mut blk, seg, PassType::MagRef, plane, dist, symbols);
+    if p_cup > 0 {
+        let raw = raw_enc(data).into_iter().enumerate();
+        for (plane, [sig_prop, mag_ref]) in raw.take(p_cup.into()).rev() {
+            push_pass(&mut blk, PassType::SigProp, plane as u8, sig_prop);
+            push_pass(&mut blk, PassType::MagRef, plane as u8, mag_ref);
+        }
     }
 
     span.set_arg("symbols", blk.total_symbols());
     blk
 }
 
-fn push_pass(
-    blk: &mut EncodedBlock,
-    seg: Vec<u8>,
-    pt: PassType,
-    plane: u8,
-    dist: f64,
-    symbols: u64,
-) {
+/// One coded pass: its segment, distortion reduction and symbol count.
+type Pass = (Vec<u8>, f64, u64);
+
+fn push_pass(blk: &mut EncodedBlock, pt: PassType, plane: u8, (seg, dist, symbols): Pass) {
     blk.data.extend_from_slice(&seg);
     blk.pass_ends.push(blk.data.len());
     blk.passes.push(PassInfo {
@@ -151,48 +163,68 @@ fn push_pass(
     });
 }
 
-/// Context of the quad at (qx, qy): 1 when any already-coded neighbor
-/// quad (left, above-left, above, above-right) held a significant
-/// sample. Significance clusters; the split keeps MEL events rare-ish
-/// and lets the VLC tables specialize.
-#[inline]
-fn quad_ctx(qsig: &[bool], qw: usize, qx: usize, qy: usize) -> usize {
-    let left = qx > 0 && qsig[qy * qw + qx - 1];
-    let up = qy > 0
-        && (qsig[(qy - 1) * qw + qx]
-            || (qx > 0 && qsig[(qy - 1) * qw + qx - 1])
-            || (qx + 1 < qw && qsig[(qy - 1) * qw + qx + 1]));
-    usize::from(left || up)
+/// Quad significance of the row above and the current row, each padded
+/// by one quad on both sides. A quad's context is 1 when any
+/// already-coded neighbor quad (left, above-left, above, above-right)
+/// held a significant sample: significance clusters, and the split keeps
+/// MEL events rare-ish and lets the VLC tables specialize.
+struct QuadRows {
+    above: Vec<u8>,
+    cur: Vec<u8>,
 }
 
-fn cleanup_enc(data: &[i32], mags: &[u32], w: usize, h: usize, p_cup: u8) -> (Vec<u8>, f64, u64) {
-    let (qw, qh) = (w.div_ceil(2), h.div_ceil(2));
-    let mut qsig = vec![false; qw * qh];
+impl QuadRows {
+    fn new(qw: usize) -> Self {
+        QuadRows {
+            above: vec![0; qw + 2],
+            cur: vec![0; qw + 2],
+        }
+    }
+
+    /// Context of quad `qx` in the current row.
+    #[inline]
+    fn ctx(&self, qx: usize) -> usize {
+        usize::from(self.cur[qx] | self.above[qx] | self.above[qx + 1] | self.above[qx + 2] != 0)
+    }
+
+    /// Record whether quad `qx` of the current row is significant.
+    #[inline]
+    fn set(&mut self, qx: usize, sig: bool) {
+        self.cur[qx + 1] = u8::from(sig);
+    }
+
+    /// The current row becomes the row above.
+    fn next_row(&mut self) {
+        std::mem::swap(&mut self.above, &mut self.cur);
+    }
+}
+
+/// The cleanup pass over the padded magnitudes (`pw` wide), one row of
+/// quads at a time. A quad's samples go in scan order (0,0), (1,0),
+/// (0,1), (1,1).
+fn cleanup_enc(data: &[i32], mags: &[u32], w: usize, pw: usize, p_cup: u8) -> Pass {
+    let mut rows = QuadRows::new(pw / 2);
     let mut mel = MelEncoder::new();
     let mut vlc = BitWriter::new();
     let mut ms = BitWriter::new();
     let tabs = tables();
+    let floor = u32::from(p_cup);
     let mut dist = 0.0f64;
     let mut symbols = 0u64;
 
-    for qy in 0..qh {
-        for qx in 0..qw {
+    for (qy, pair) in mags.chunks_exact(2 * pw).enumerate() {
+        let (r0, r1) = pair.split_at(pw);
+        for (qx, (t, b)) in r0.chunks_exact(2).zip(r1.chunks_exact(2)).enumerate() {
             symbols += 1;
-            // Gather the quad's significance pattern and exponents of
-            // the magnitudes above the cleanup floor.
-            let mut rho = 0u8;
-            let mut es = [0u8; 4];
-            for (i, &(dx, dy)) in QOFF.iter().enumerate() {
-                let (x, y) = (2 * qx + dx, 2 * qy + dy);
-                if x < w && y < h {
-                    let m = mags[y * w + x] >> p_cup;
-                    if m != 0 {
-                        rho |= 1 << i;
-                        es[i] = (32 - m.leading_zeros()) as u8;
-                    }
-                }
-            }
-            let ctx = quad_ctx(&qsig, qw, qx, qy);
+            // The quad's magnitudes above the cleanup floor and their
+            // significance pattern.
+            let m = [t[0] >> floor, t[1] >> floor, b[0] >> floor, b[1] >> floor];
+            let rho = m
+                .iter()
+                .enumerate()
+                .fold(0u8, |rho, (i, &v)| rho | u8::from(v != 0) << i);
+            let ctx = rows.ctx(qx);
+            rows.set(qx, rho != 0);
             if ctx == 0 {
                 mel.encode(rho != 0);
                 if rho == 0 {
@@ -205,35 +237,35 @@ fn cleanup_enc(data: &[i32], mags: &[u32], w: usize, h: usize, p_cup: u8) -> (Ve
                     continue;
                 }
             }
-            qsig[qy * qw + qx] = true;
-            let u_q = u32::from(*es.iter().max().unwrap());
+            // Exponents (bit lengths), 0 for an insignificant sample.
+            let es = m.map(|v| 32 - v.leading_zeros());
+            let u_q = es.into_iter().max().unwrap();
             put_gamma(&mut vlc, u_q);
-            for (i, &e) in es.iter().enumerate() {
-                if rho & (1 << i) != 0 {
-                    put_unary(&mut vlc, u_q - u32::from(e));
-                }
+            for &e in es.iter().filter(|&&e| e != 0) {
+                put_unary(&mut vlc, u_q - e);
             }
-            for (i, &(dx, dy)) in QOFF.iter().enumerate() {
-                if rho & (1 << i) == 0 {
+            for (i, &e) in es.iter().enumerate() {
+                if e == 0 {
                     continue;
                 }
-                let (x, y) = (2 * qx + dx, 2 * qy + dy);
-                let full = mags[y * w + x];
-                let m = full >> p_cup;
-                let e = es[i];
-                ms.put_bit(u32::from(data[y * w + x] < 0));
-                ms.put_bits(m & !(1u32 << (e - 1)), usize::from(e - 1));
+                let (x, y) = (2 * qx + (i & 1), 2 * qy + (i >> 1));
+                let sign = u32::from(data[y * w + x] < 0);
+                // The sign, then the `e - 1` magnitude bits below the
+                // implicit leading one.
+                let lead = 1u32 << (e - 1);
+                ms.put_bits((sign << (e - 1)) | (m[i] ^ lead), e);
                 symbols += 1;
                 // PCRD estimate: becoming significant at the sample's top
                 // plane, then one refinement per coded plane down to the
                 // cleanup floor.
-                let top = (31 - full.leading_zeros()) as u8;
-                dist += d_sig(top);
-                for p in p_cup..top {
-                    dist += d_ref(p);
+                let top = (e + floor - 1) as usize;
+                dist += D_SIG[top];
+                for d in &D_REF[p_cup as usize..top] {
+                    dist += d;
                 }
             }
         }
+        rows.next_row();
     }
 
     let mel_bytes = mel.finish();
@@ -249,42 +281,58 @@ fn cleanup_enc(data: &[i32], mags: &[u32], w: usize, h: usize, p_cup: u8) -> (Ve
     (seg, dist, symbols)
 }
 
-/// Raw significance pass at `plane`: one bit per sample whose magnitude
-/// has no coded bit above `plane` yet, plus a sign bit after each 1.
-fn sig_prop_enc(data: &[i32], mags: &[u32], plane: u8) -> (Vec<u8>, f64, u64) {
-    let mut w = BitWriter::new();
-    let mut dist = 0.0f64;
-    let mut symbols = 0u64;
-    for (i, &m) in mags.iter().enumerate() {
-        if m >> (plane + 1) != 0 {
-            continue; // already significant
+/// The raw passes of planes 0 and 1, `[plane][SigProp, MagRef]`, from
+/// one sweep over the samples (the caller keeps the planes below its
+/// cleanup floor).
+///
+/// At each plane, SigProp codes one bit for every sample with no coded
+/// bit above the plane, plus its sign after a one; MagRef codes one bit
+/// for every other sample. So each sample appends 0–2 bits to each
+/// pass, by shifts rather than branches (random low-plane bits defeat a
+/// branch predictor), and 16 samples append at most 32: they gather in a
+/// word that is written once.
+fn raw_enc(data: &[i32]) -> [[Pass; 2]; 2] {
+    let mut sig_prop = [BitWriter::new(), BitWriter::new()];
+    let mut mag_ref = [BitWriter::new(), BitWriter::new()];
+    let mut sp_bits = [0u64; 2];
+    let mut mr_bits = [0u64; 2];
+    for chunk in data.chunks(16) {
+        let mut sp = [(0u32, 0u32); 2];
+        let mut mr = [(0u32, 0u32); 2];
+        for &v in chunk {
+            let m = v.unsigned_abs();
+            let sign = u32::from(v < 0);
+            for p in 0..2 {
+                let bit = (m >> p) & 1;
+                let sig = u32::from(m >> (p + 1) != 0);
+                let hit = bit & (sig ^ 1);
+                let k = (sig ^ 1) + hit;
+                sp[p] = ((sp[p].0 << k) | (hit << 1) | (hit & sign), sp[p].1 + k);
+                mr[p] = ((mr[p].0 << sig) | (bit & sig), mr[p].1 + sig);
+            }
         }
-        symbols += 1;
-        let bit = (m >> plane) & 1;
-        w.put_bit(bit);
-        if bit == 1 {
-            w.put_bit(u32::from(data[i] < 0));
-            dist += d_sig(plane);
+        for p in 0..2 {
+            sig_prop[p].put_bits(sp[p].0, sp[p].1);
+            mag_ref[p].put_bits(mr[p].0, mr[p].1);
+            sp_bits[p] += u64::from(sp[p].1);
+            mr_bits[p] += u64::from(mr[p].1);
         }
     }
-    (w.finish(), dist, symbols)
-}
-
-/// Raw refinement pass at `plane`: one bit per already-significant
-/// sample.
-fn mag_ref_enc(mags: &[u32], plane: u8) -> (Vec<u8>, f64, u64) {
-    let mut w = BitWriter::new();
-    let mut dist = 0.0f64;
-    let mut symbols = 0u64;
-    for &m in mags {
-        if m >> (plane + 1) == 0 {
-            continue;
-        }
-        symbols += 1;
-        w.put_bit((m >> plane) & 1);
-        dist += d_ref(plane);
-    }
-    (w.finish(), dist, symbols)
+    // A MagRef bit per significant sample; a SigProp bit per other
+    // sample, and one more per sign. Every term of a pass's estimate is
+    // the same, 2^k or 9·2^k, so count × term is the exact sum.
+    let samples = data.len() as u64;
+    let [sp0, sp1] = sig_prop;
+    let [mr0, mr1] = mag_ref;
+    let pass = |p: usize, sp: BitWriter, mr: BitWriter| {
+        let insig = samples - mr_bits[p];
+        let hits = sp_bits[p] - insig;
+        [
+            (sp.finish(), hits as f64 * D_SIG[p], insig),
+            (mr.finish(), mr_bits[p] as f64 * D_REF[p], mr_bits[p]),
+        ]
+    };
+    [pass(0, sp0, mr0), pass(1, sp1, mr1)]
 }
 
 /// Decode the first `num_passes` passes of a block coded by
@@ -303,6 +351,12 @@ pub fn decode_block(
 ) -> Result<Vec<i32>, HtError> {
     if num_planes == 0 || num_passes == 0 {
         return Ok(vec![0; w * h]);
+    }
+    if num_planes > 32 {
+        // No `i32` block has more, and the exponent codes assume it.
+        return Err(HtError::Malformed(format!(
+            "{num_planes} bit planes exceed 32"
+        )));
     }
     let p_cup = cup_plane(num_planes);
     let mut mags = vec![0u32; w * h];
@@ -342,14 +396,15 @@ pub fn decode_block(
     } else {
         0
     };
-    Ok((0..w * h)
-        .map(|i| {
-            let m = mags[i];
+    Ok(mags
+        .iter()
+        .zip(&neg)
+        .map(|(&m, &neg)| {
             if m == 0 {
                 0
             } else {
                 let v = (m + half) as i32;
-                if neg[i] {
+                if neg {
                     -v
                 } else {
                     v
@@ -385,15 +440,19 @@ fn cleanup_dec(
     let mut vlc = BitReader::new(&seg[4 + mel_len..4 + mel_len + vlc_len]);
     let mut ms = BitReader::new(&seg[4 + mel_len + vlc_len..]);
     let tabs = tables();
+    let budget = u32::from(num_planes - p_cup);
 
     let (qw, qh) = (w.div_ceil(2), h.div_ceil(2));
-    let mut qsig = vec![false; qw * qh];
+    let mut rows = QuadRows::new(qw);
     for qy in 0..qh {
+        // Scan-order bits of the quad samples that lie inside the block.
+        let in_rows = if 2 * qy + 1 < h { 0b1111 } else { 0b0011 };
         for qx in 0..qw {
             if let Some(msg) = faultsim::eval("ht.quad") {
                 return Err(HtError::Injected(msg));
             }
-            let ctx = quad_ctx(&qsig, qw, qx, qy);
+            let ctx = rows.ctx(qx);
+            rows.set(qx, false);
             let rho = if ctx == 0 {
                 if !mel.decode() {
                     continue;
@@ -416,21 +475,20 @@ fn cleanup_dec(
                 // so only corruption can reach here.
                 return Err(HtError::Malformed("empty pattern after MEL hit".into()));
             }
-            qsig[qy * qw + qx] = true;
+            rows.set(qx, true);
             let u_q =
                 get_gamma(&mut vlc).ok_or_else(|| HtError::Malformed("bad u_q gamma".into()))?;
-            if u_q > u32::from(num_planes - p_cup) {
+            if u_q > budget {
                 return Err(HtError::Malformed(format!(
-                    "quad exponent {u_q} exceeds plane budget {}",
-                    num_planes - p_cup
+                    "quad exponent {u_q} exceeds plane budget {budget}"
                 )));
             }
-            for (i, &(dx, dy)) in QOFF.iter().enumerate() {
+            let inside = in_rows & if 2 * qx + 1 < w { 0b1111 } else { 0b0101 };
+            for i in 0..4 {
                 if rho & (1 << i) == 0 {
                     continue;
                 }
-                let (x, y) = (2 * qx + dx, 2 * qy + dy);
-                if x >= w || y >= h {
+                if inside & (1 << i) == 0 {
                     return Err(HtError::Malformed(
                         "significant sample outside block".into(),
                     ));
@@ -442,38 +500,44 @@ fn cleanup_dec(
                         "exponent offset consumes exponent".into(),
                     ));
                 }
+                // The sign, then the `e - 1` magnitude bits below the
+                // implicit leading one.
                 let e = u_q - r;
-                let sign = ms.bit();
-                let rest = ms.bits((e - 1) as usize);
-                let m = (1u32 << (e - 1)) | rest;
-                mags[y * w + x] = m << p_cup;
-                neg[y * w + x] = sign == 1;
+                let word = ms.bits(e);
+                let lead = 1u32 << (e - 1);
+                let at = (2 * qy + (i >> 1)) * w + 2 * qx + (i & 1);
+                mags[at] = (lead | (word & (lead - 1))) << p_cup;
+                neg[at] = word & lead != 0;
             }
         }
+        rows.next_row();
     }
     Ok(())
 }
 
+/// Raw significance pass at `plane`: a bit for each sample with no bit
+/// above `plane`, and a sign after each one. Such a sample has no sign
+/// yet, so the sign can be or-ed in.
 fn sig_prop_dec(seg: &[u8], plane: u8, mags: &mut [u32], neg: &mut [bool]) {
     let mut r = BitReader::new(seg);
-    for i in 0..mags.len() {
-        if mags[i] >> (plane + 1) != 0 {
-            continue;
-        }
-        if r.bit() == 1 {
-            mags[i] |= 1 << plane;
-            neg[i] = r.bit() == 1;
-        }
+    for (m, s) in mags.iter_mut().zip(neg.iter_mut()) {
+        let insig = u32::from(*m >> (plane + 1) == 0);
+        let two = r.peek(2);
+        let hit = insig & (two >> 1);
+        r.skip(insig + hit);
+        *m |= hit << plane;
+        *s |= hit & two & 1 == 1;
     }
 }
 
+/// Raw refinement pass at `plane`: a bit for each sample with a bit
+/// above `plane`.
 fn mag_ref_dec(seg: &[u8], plane: u8, mags: &mut [u32]) {
     let mut r = BitReader::new(seg);
     for m in mags.iter_mut() {
-        if *m >> (plane + 1) == 0 {
-            continue;
-        }
-        *m |= r.bit() << plane;
+        let sig = u32::from(*m >> (plane + 1) != 0);
+        *m |= (r.peek(1) & sig) << plane;
+        r.skip(sig);
     }
 }
 
@@ -604,27 +668,86 @@ mod tests {
         }
     }
 
+    /// Decode hostile input: `Ok` with a whole block or a typed error.
+    /// A panic fails the test; a loop would hang it.
+    fn decode_hostile(data: &[u8], pass_ends: &[usize], n: usize, w: usize, h: usize, planes: u8) {
+        if let Ok(v) = decode_block(data, pass_ends, n, w, h, planes, false) {
+            assert_eq!(v.len(), w * h);
+        }
+    }
+
     #[test]
     fn corrupt_streams_error_or_decode_never_panic() {
         let mut rng = StdRng::seed_from_u64(11);
-        let (w, h) = (13usize, 7usize);
-        let data: Vec<i32> = (0..w * h).map(|_| rng.gen_range(-900i32..=900)).collect();
-        let enc = encode_block(&data, w, h);
-        for _ in 0..500 {
-            let mut d = enc.data.clone();
-            let i = rng.gen_range(0..d.len());
-            d[i] ^= 1 << rng.gen_range(0..8u32);
-            // Must return (Ok with some values, or a typed error) —
-            // never panic, never loop.
-            let _ = decode_block(
-                &d,
-                &enc.pass_ends,
-                enc.passes.len(),
-                w,
-                h,
-                enc.num_planes,
-                false,
-            );
+        let small: Vec<i32> = (0..13 * 7).map(|_| rng.gen_range(-900i32..=900)).collect();
+        let sparse: Vec<i32> = (0..64 * 64)
+            .map(|_| {
+                if rng.gen_bool(0.05) {
+                    rng.gen_range(-100_000i32..=100_000)
+                } else {
+                    0
+                }
+            })
+            .collect();
+        // Every bit length up to 31 planes, both signs.
+        let deep: Vec<i32> = (0..64 * 64)
+            .map(|_| {
+                let top = 1i32 << rng.gen_range(0..31u32);
+                let m = top | rng.gen_range(0..top);
+                if rng.gen_bool(0.5) {
+                    m
+                } else {
+                    -m
+                }
+            })
+            .collect();
+        for (data, w, h) in [(&small, 13, 7), (&sparse, 64, 64), (&deep, 64, 64)] {
+            let enc = encode_block(data, w, h);
+            let (n, planes) = (enc.passes.len(), enc.num_planes);
+            // Single bit flips anywhere in the block's bytes.
+            for _ in 0..500 {
+                let mut d = enc.data.clone();
+                let i = rng.gen_range(0..d.len());
+                d[i] ^= 1 << rng.gen_range(0..8u32);
+                decode_hostile(&d, &enc.pass_ends, n, w, h, planes);
+            }
+            // Shortened pass ends: one end pulled back, or the list cut short.
+            for _ in 0..100 {
+                let mut ends = enc.pass_ends.clone();
+                let k = rng.gen_range(0..ends.len());
+                ends[k] = rng.gen_range(0..=ends[k]);
+                decode_hostile(&enc.data, &ends, n, w, h, planes);
+            }
+            for keep in 0..n {
+                decode_hostile(&enc.data, &enc.pass_ends[..keep], n, w, h, planes);
+            }
+            // Wrong `mel_len` / `vlc_len` header words in the cleanup segment.
+            let cup_len = enc.pass_ends[0] as i64;
+            for word in [0usize, 2] {
+                let real = i64::from(u16::from_le_bytes([enc.data[word], enc.data[word + 1]]));
+                let mut lens = vec![0, 1, real - 1, real + 1, cup_len - 4, cup_len, 0xffff];
+                lens.extend((0..20).map(|_| rng.gen_range(0..=cup_len)));
+                for len in lens
+                    .into_iter()
+                    .filter(|&l| l != real && (0..=0xffff).contains(&l))
+                {
+                    let mut d = enc.data.clone();
+                    d[word..word + 2].copy_from_slice(&(len as u16).to_le_bytes());
+                    decode_hostile(&d, &enc.pass_ends, n, w, h, planes);
+                }
+            }
+            // More planes than an `i32` block can have.
+            for bad in [33u8, 40, 255] {
+                assert!(decode_block(&enc.data, &enc.pass_ends, n, w, h, bad, false).is_err());
+            }
+            // Segments of all 0x00 and all 0xFF, at the real pass ends and
+            // as one cleanup segment of several lengths.
+            for fill in [0x00u8, 0xff] {
+                decode_hostile(&vec![fill; enc.data.len()], &enc.pass_ends, n, w, h, planes);
+                for len in [0usize, 1, 4, 5, 8, 64, 4096] {
+                    decode_hostile(&vec![fill; len], &[len], 1, w, h, planes);
+                }
+            }
         }
     }
 

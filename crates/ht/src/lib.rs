@@ -7,9 +7,9 @@
 //! container — codes **all upper bit-planes in one non-iterative cleanup
 //! pass** over 2×2 sample quads, split across three simple streams:
 //!
-//! * [`mel`] — adaptive run-length significance events (context-0 quads);
-//! * [`vlc`] — context-dependent significance patterns + exponents;
-//! * MagSgn — raw sign + magnitude-below-MSB bits ([`block`]).
+//! * `mel` — adaptive run-length significance events (context-0 quads);
+//! * `vlc` — context-dependent significance patterns + exponents;
+//! * MagSgn — raw sign + magnitude-below-MSB bits (`block`).
 //!
 //! Low planes are finished by raw SigProp/MagRef passes (the MQ coder's
 //! lazy-mode shape), so rate control keeps real truncation points and a
@@ -20,9 +20,9 @@
 //! coder does and is selected per encode through `j2k-core`'s
 //! `BlockCoder` registry.
 
-pub mod bitio;
-pub mod block;
-pub mod mel;
-pub mod vlc;
+mod bitio;
+mod block;
+mod mel;
+mod vlc;
 
 pub use block::{cup_plane, decode_block, encode_block, HtError};

@@ -16,7 +16,7 @@ use crate::bitio::{BitReader, BitWriter};
 const E: [u32; 13] = [0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 4, 5];
 
 /// MEL event encoder.
-pub struct MelEncoder {
+pub(crate) struct MelEncoder {
     out: BitWriter,
     k: usize,
     run: u32,
@@ -44,13 +44,13 @@ impl MelEncoder {
         if !one {
             self.run += 1;
             if self.run == t {
-                self.out.put_bit(1);
+                self.out.put_bits(1, 1);
                 self.run = 0;
                 self.k = (self.k + 1).min(E.len() - 1);
             }
         } else {
-            self.out.put_bit(0);
-            self.out.put_bits(self.run, E[self.k] as usize);
+            // A zero, then the run length in `E[k]` bits (`run < 2^E[k]`).
+            self.out.put_bits(self.run, E[self.k] + 1);
             self.run = 0;
             self.k = self.k.saturating_sub(1);
         }
@@ -61,14 +61,14 @@ impl MelEncoder {
     /// the overhang is never observed.
     pub fn finish(mut self) -> Vec<u8> {
         if self.run > 0 {
-            self.out.put_bit(1);
+            self.out.put_bits(1, 1);
         }
         self.out.finish()
     }
 }
 
 /// MEL event decoder, mirroring [`MelEncoder`] state-for-state.
-pub struct MelDecoder<'a> {
+pub(crate) struct MelDecoder<'a> {
     inp: BitReader<'a>,
     k: usize,
     /// Buffered zero events not yet handed out.
@@ -106,7 +106,7 @@ impl<'a> MelDecoder<'a> {
                 self.run = 1 << E[self.k];
                 self.k = (self.k + 1).min(E.len() - 1);
             } else {
-                self.run = self.inp.bits(E[self.k] as usize);
+                self.run = self.inp.bits(E[self.k]);
                 self.one_pending = true;
                 self.k = self.k.saturating_sub(1);
             }

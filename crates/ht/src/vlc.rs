@@ -22,14 +22,14 @@
 use crate::bitio::{BitReader, BitWriter};
 
 /// Maximum codeword length across both tables.
-pub const MAX_LEN: usize = 6;
+const MAX_LEN: u32 = 6;
 
 /// One canonical prefix-code table over the 16 quad patterns.
-pub struct VlcTable {
+pub(crate) struct VlcTable {
     /// Codeword length per pattern (0 = pattern unused in this context).
-    pub len: [u8; 16],
+    len: [u8; 16],
     /// Right-aligned codeword bits per pattern.
-    pub code: [u16; 16],
+    code: [u16; 16],
     /// Decode LUT over a 6-bit peek: `(pattern, length)`; length 0
     /// marks a hole (no codeword has this prefix).
     lut: [(u8, u8); 1 << MAX_LEN],
@@ -54,7 +54,7 @@ impl VlcTable {
         }
         let mut lut = [(0u8, 0u8); 1 << MAX_LEN];
         for &s in &syms {
-            let l = len[s as usize] as usize;
+            let l = u32::from(len[s as usize]);
             let base = (code[s as usize] as usize) << (MAX_LEN - l);
             for pad in 0..(1usize << (MAX_LEN - l)) {
                 lut[base | pad] = (s, l as u8);
@@ -68,7 +68,7 @@ impl VlcTable {
     pub fn put(&self, w: &mut BitWriter, rho: u8) {
         let l = self.len[rho as usize];
         debug_assert!(l > 0, "pattern {rho} unused in this context");
-        w.put_bits(u32::from(self.code[rho as usize]), l as usize);
+        w.put_bits(u32::from(self.code[rho as usize]), u32::from(l));
     }
 
     /// Decode one pattern; `None` on a prefix that matches no codeword
@@ -79,7 +79,7 @@ impl VlcTable {
         if l == 0 {
             return None;
         }
-        r.skip(l as usize);
+        r.skip(u32::from(l));
         Some(sym)
     }
 }
@@ -126,48 +126,44 @@ pub fn tables() -> &'static [VlcTable; 2] {
 pub fn put_gamma(w: &mut BitWriter, v: u32) {
     debug_assert!(v >= 1);
     let b = 32 - v.leading_zeros();
-    w.put_bits(0, (b - 1) as usize);
-    w.put_bits(v, b as usize);
+    if b <= 16 {
+        w.put_bits(v, 2 * b - 1);
+    } else {
+        w.put_bits(0, b - 1);
+        w.put_bits(v, b);
+    }
 }
 
 /// Decode an Elias-gamma value; `None` if the prefix of zeros is
-/// implausibly long (corrupt or truncated stream).
+/// implausibly long (32 or more: corrupt or truncated stream).
 #[inline]
 pub fn get_gamma(r: &mut BitReader<'_>) -> Option<u32> {
-    let mut zeros = 0u32;
-    while r.bit() == 0 {
-        zeros += 1;
-        if zeros > 31 {
-            return None;
-        }
+    let zeros = r.leading_zeros();
+    if zeros > 31 {
+        return None;
     }
-    let mut v = 1u32;
-    for _ in 0..zeros {
-        v = (v << 1) | r.bit();
-    }
-    Some(v)
+    r.skip(zeros);
+    Some(r.bits(zeros + 1))
 }
 
-/// Unary code for `v`: `v` ones then a zero.
+/// Unary code for `v <= 31`: `v` ones then a zero.
 #[inline]
 pub fn put_unary(w: &mut BitWriter, v: u32) {
-    for _ in 0..v {
-        w.put_bit(1);
-    }
-    w.put_bit(0);
+    debug_assert!(v <= 31);
+    w.put_bits((((1u64 << v) - 1) << 1) as u32, v + 1);
 }
 
-/// Decode a unary value with an upper bound (`None` past `cap`).
+/// Decode a unary value with an upper bound `cap <= 31` (`None` past
+/// `cap`).
 #[inline]
 pub fn get_unary(r: &mut BitReader<'_>, cap: u32) -> Option<u32> {
-    let mut v = 0u32;
-    while r.bit() == 1 {
-        v += 1;
-        if v > cap {
-            return None;
-        }
+    debug_assert!(cap <= 31);
+    let ones = r.leading_ones();
+    if ones > cap {
+        return None;
     }
-    Some(v)
+    r.skip(ones + 1);
+    Some(ones)
 }
 
 #[cfg(test)]
@@ -210,21 +206,37 @@ mod tests {
 
     #[test]
     fn gamma_and_unary_roundtrip() {
+        // Every gamma length (one and two writes) and every unary run.
+        let gammas: Vec<u32> = (1..40u32)
+            .chain((5..32).map(|b| (1u32 << b) | 0x5555_5555 >> (32 - b)))
+            .chain([u32::MAX])
+            .collect();
         let mut w = BitWriter::new();
-        for v in 1..40u32 {
+        for &v in &gammas {
             put_gamma(&mut w, v);
         }
-        for v in 0..12u32 {
+        for v in 0..32u32 {
             put_unary(&mut w, v);
         }
         let bytes = w.finish();
         let mut r = BitReader::new(&bytes);
-        for v in 1..40u32 {
+        for &v in &gammas {
             assert_eq!(get_gamma(&mut r), Some(v));
         }
-        for v in 0..12u32 {
-            assert_eq!(get_unary(&mut r, 32), Some(v));
+        for v in 0..32u32 {
+            assert_eq!(get_unary(&mut r, 31), Some(v));
         }
+    }
+
+    #[test]
+    fn unary_runs_past_cap_are_rejected() {
+        let mut w = BitWriter::new();
+        put_unary(&mut w, 5);
+        put_unary(&mut w, 31);
+        let bytes = w.finish();
+        assert_eq!(get_unary(&mut BitReader::new(&bytes), 4), None);
+        assert_eq!(get_unary(&mut BitReader::new(&bytes), 5), Some(5));
+        assert_eq!(get_unary(&mut BitReader::new(&[0xff; 8]), 31), None);
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //!
 //! The round-trip tests elsewhere pass for any encoder and decoder that
 //! change together; these do not. Each block of a seeded table (widths 1,
-//! 2, 5 and 64, odd and even heights, sparse, dense and all-negative
-//! contents) has two digests:
+//! 2, 5 and 64, odd and even heights, sparse, dense, all-negative and
+//! deep contents) has two digests:
 //!
 //! * encode: `data`, `pass_ends`, `num_planes`, and every pass's type,
 //!   plane, `rate_bytes`, `symbols` and `dist_reduction.to_bits()`;
@@ -41,6 +41,11 @@ enum Content {
     Sparse,
     Dense,
     AllNegative,
+    /// Magnitudes of every bit length from 1 to 31 (up to `i32::MAX`, the
+    /// 31 planes the codestream decoder accepts) with both signs, and a
+    /// few zeros: the widest MagSgn words, unary runs up to 28 and the
+    /// deep-plane distortion sums.
+    Deep,
 }
 
 const WIDTHS: [usize; 4] = [1, 2, 5, 64];
@@ -54,6 +59,8 @@ struct Case {
     content: Content,
 }
 
+/// The 48 shallow cases, then every shape again with deep content (the
+/// deep cases came later; appending them keeps the earlier seeds).
 fn cases() -> Vec<Case> {
     let mut v = Vec::new();
     for w in WIDTHS {
@@ -61,6 +68,15 @@ fn cases() -> Vec<Case> {
             for content in CONTENTS {
                 v.push(Case { w, h, content });
             }
+        }
+    }
+    for w in WIDTHS {
+        for h in HEIGHTS {
+            v.push(Case {
+                w,
+                h,
+                content: Content::Deep,
+            });
         }
     }
     v
@@ -94,6 +110,21 @@ fn block(i: usize, n: usize, content: Content) -> Vec<i32> {
                 }
                 Content::Dense => (r % 4001) as i32 - 2000,
                 Content::AllNegative => -((r % 300) as i32 + 1),
+                Content::Deep => {
+                    let bits = r % 32;
+                    if bits == 0 {
+                        0
+                    } else {
+                        let top = 1u32 << (bits - 1);
+                        let low = (next() << 8) ^ next();
+                        let m = (top | (low & (top - 1))) as i32;
+                        if r & 0x100 == 0 {
+                            m
+                        } else {
+                            -m
+                        }
+                    }
+                }
             }
         })
         .collect()
@@ -148,8 +179,9 @@ fn digests(i: usize, c: &Case) -> (u64, u64) {
     (e.0, d.0)
 }
 
-/// Recorded digests, one per case in [`cases`] order.
-const EXPECTED: [(u64, u64); 48] = [
+/// Recorded digests, one per case in [`cases`] order. The 16 deep ones
+/// were taken from the bit-at-a-time coder, before its word-wide rewrite.
+const EXPECTED: [(u64, u64); 64] = [
     (0x88201fb960ff6465, 0xa8c7f832281a39c5), // 1x1 Sparse
     (0x3dd365acc562f131, 0x5cc48d912de46b73), // 1x1 Dense
     (0xa9832f5aa108828e, 0x6bfb23409aa7ce97), // 1x1 AllNegative
@@ -198,7 +230,49 @@ const EXPECTED: [(u64, u64); 48] = [
     (0x5e4e94449b9047a7, 0x1acfdf506c586345), // 64x64 Sparse
     (0x5a4958a3ced343b8, 0xcdb8c36191c9fa4b), // 64x64 Dense
     (0xb4ad944c77a10729, 0xbd1a6a507ff4b55d), // 64x64 AllNegative
+    (0xe72601f9451237ae, 0xd33714318a0a1e8f), // 1x1 Deep
+    (0x52dbdbb6116c6a45, 0x93d119c40c7fc3cd), // 1x2 Deep
+    (0x97fcfabe78b14bce, 0x902ebac88d96870b), // 1x5 Deep
+    (0x84854dce01118ea3, 0xb7ff5b3645591495), // 1x64 Deep
+    (0xf1d69769208c34b3, 0x3b5c2a33aa522d25), // 2x1 Deep
+    (0xa024061623cd69e5, 0x2be87c91e485da6d), // 2x2 Deep
+    (0xf15ea7263e7d13fd, 0xf9421c147f60658d), // 2x5 Deep
+    (0x3898e484c4523b53, 0x3cdaf4843921f6e9), // 2x64 Deep
+    (0x6d132103673d2172, 0x8c80c62310f9879f), // 5x1 Deep
+    (0x53fbfd2b7e24eaed, 0x780e9a8c62014f9b), // 5x2 Deep
+    (0x5fc13338dfdaa750, 0x1af390bb80a9ce61), // 5x5 Deep
+    (0xf21859b0ab035bda, 0x3bb7dbf46f34ac51), // 5x64 Deep
+    (0xc3242fd3d293112a, 0xa6ef094caa8347f1), // 64x1 Deep
+    (0xfd888d4f294789f8, 0xbdf61e34cf9f6883), // 64x2 Deep
+    (0x6cff265d93f7a1ad, 0x27d7edfd78a5d393), // 64x5 Deep
+    (0x7c052cbd66a668e3, 0xc9818959e1e5b551), // 64x64 Deep
 ];
+
+/// The deep content reaches what it is there to pin: a 64×64 block of
+/// 31 planes whose quads hold exponents 29 apart (cleanup floor 2), so
+/// the MagSgn words are 29 bits wide and the unary offsets reach 28.
+#[test]
+fn deep_content_spans_every_plane() {
+    let (i, c) = cases()
+        .into_iter()
+        .enumerate()
+        .find(|(_, c)| matches!(c.content, Content::Deep) && c.w == 64 && c.h == 64)
+        .unwrap();
+    let data = block(i, c.w * c.h, c.content);
+    assert_eq!(encode_block(&data, c.w, c.h).num_planes, 31);
+    let exp = |x: usize, y: usize| 32 - (data[y * c.w + x].unsigned_abs() >> 2).leading_zeros();
+    let mut widest_offset = 0;
+    for qy in 0..c.h / 2 {
+        for qx in 0..c.w / 2 {
+            let es = [(0, 0), (1, 0), (0, 1), (1, 1)].map(|(dx, dy)| exp(2 * qx + dx, 2 * qy + dy));
+            let u_q = *es.iter().max().unwrap();
+            for e in es.into_iter().filter(|&e| e > 0) {
+                widest_offset = widest_offset.max(u_q - e);
+            }
+        }
+    }
+    assert_eq!(widest_offset, 28);
+}
 
 #[test]
 fn ht_digests_are_unchanged() {
