@@ -351,6 +351,14 @@ pub fn parse_prefix(data: &[u8]) -> Result<(Parsed, usize), CodecError> {
     parse_opts(data, true)
 }
 
+/// Read a marker segment's length field, which counts itself and the
+/// fixed fields after it: below `min`, the variable part would underflow.
+fn segment_len(r: &mut Reader<'_>, marker: &str, min: usize) -> Result<usize, CodecError> {
+    let l = r.u16()? as usize;
+    let short = || CodecError::Codestream(format!("{marker} length {l} below {min}"));
+    (l >= min).then_some(l).ok_or_else(short)
+}
+
 #[allow(clippy::needless_range_loop)] // comp/band indices are semantic
 fn parse_opts(data: &[u8], lenient: bool) -> Result<(Parsed, usize), CodecError> {
     let mut r = Reader { d: data, p: 0 };
@@ -418,7 +426,7 @@ fn parse_opts(data: &[u8], lenient: bool) -> Result<(Parsed, usize), CodecError>
                 lossless = r.u8()? != 0;
             }
             QCD => {
-                let l = r.u16()? as usize;
+                let l = segment_len(&mut r, "QCD", 3)?;
                 let sqcd = r.u8()?;
                 guard = sqcd >> 5;
                 let style = sqcd & 0x1F;
@@ -439,7 +447,7 @@ fn parse_opts(data: &[u8], lenient: bool) -> Result<(Parsed, usize), CodecError>
                 }
             }
             COM => {
-                let l = r.u16()? as usize;
+                let l = segment_len(&mut r, "COM", 4)?;
                 let _rcom = r.u16()?;
                 let start = r.p;
                 r.skip(l - 4)?;

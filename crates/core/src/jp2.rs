@@ -76,17 +76,20 @@ pub fn unwrap(data: &[u8]) -> Result<&[u8], CodecError> {
                 if p + 16 > data.len() {
                     return Err(CodecError::Codestream("truncated XLBox".into()));
                 }
-                let l = u64::from_be_bytes(data[p + 8..p + 16].try_into().unwrap()) as usize;
-                (p + 16, l)
+                let l = u64::from_be_bytes(data[p + 8..p + 16].try_into().unwrap());
+                (p + 16, usize::try_from(l).unwrap_or(usize::MAX))
             }
             l if l >= 8 => (p + 8, l),
             _ => return Err(CodecError::Codestream("bad box length".into())),
         };
-        if p + box_len > data.len() {
-            return Err(CodecError::Codestream("box overruns file".into()));
-        }
+        // A box ends past its own header (or the walk would not advance)
+        // and within the file.
+        let end = match p.checked_add(box_len) {
+            Some(end) if (payload_start..=data.len()).contains(&end) => end,
+            _ => return Err(CodecError::Codestream("box overruns file".into())),
+        };
         if p == 0 {
-            if kind != BOX_SIGNATURE || data[payload_start..p + box_len] != SIGNATURE_PAYLOAD {
+            if kind != BOX_SIGNATURE || data[payload_start..end] != SIGNATURE_PAYLOAD {
                 return Err(CodecError::Codestream("not a JP2 file".into()));
             }
             saw_signature = true;
@@ -95,9 +98,9 @@ pub fn unwrap(data: &[u8]) -> Result<&[u8], CodecError> {
             if !saw_signature {
                 return Err(CodecError::Codestream("jp2c before signature".into()));
             }
-            return Ok(&data[payload_start..p + box_len]);
+            return Ok(&data[payload_start..end]);
         }
-        p += box_len;
+        p = end;
     }
     Err(CodecError::Codestream(
         "no contiguous codestream box".into(),
@@ -203,6 +206,30 @@ mod tests {
         let mut jp2 = wrap(&cs).unwrap();
         jp2.truncate(jp2.len() - 10);
         assert!(unwrap(&jp2).is_err());
+    }
+
+    #[test]
+    fn rejects_xlbox_lengths_that_stall_or_overflow_the_walk() {
+        let mut sig = Vec::new();
+        push_box(&mut sig, BOX_SIGNATURE, &SIGNATURE_PAYLOAD);
+        let xl_box = |kind: &[u8; 4], xl: u64| {
+            let mut f = sig.clone();
+            f.extend_from_slice(&1u32.to_be_bytes());
+            f.extend_from_slice(kind);
+            f.extend_from_slice(&xl.to_be_bytes());
+            f
+        };
+        for kind in [b"free", BOX_JP2C] {
+            for xl in [0u64, 1, 8, 15, u64::MAX - 11, u64::MAX] {
+                let mut f = xl_box(kind, xl);
+                f.extend_from_slice(&[0xFF, 0x4F]);
+                assert!(unwrap(&f).is_err(), "{kind:?} XLBox length {xl}");
+            }
+        }
+        // A well-formed (here empty) XLBox is walked past.
+        let mut f = xl_box(b"free", 16);
+        push_box(&mut f, BOX_JP2C, &[0xFF, 0x4F]);
+        assert_eq!(unwrap(&f).unwrap(), &[0xFF, 0x4F]);
     }
 
     #[test]

@@ -20,8 +20,12 @@
 //! column-local, the horizontal filter row-local, and level shift / MCT /
 //! quantization are elementwise, so any disjoint partition performs the
 //! same arithmetic on the same operands.
+//! Each chunked stage cuts every job's [`Rows`] views on the calling thread
+//! ([`rowops::split`]) and moves them to the thread that runs the job, so
+//! the borrow checker proves the partition disjoint.
 
 use crate::control::EncodeControl;
+use crate::kernels;
 use crate::pipeline::{
     band_kind, block_grid, build_profile, default_base_step, rate_control_and_assemble,
     BlockRecord, Transformed,
@@ -34,8 +38,9 @@ use obs::trace;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
-use wavelet::rowops::{Region, SharedPlane};
-use wavelet::{horizontal, norms, vertical};
+use wavelet::rowops::{self, Region, Rows};
+use wavelet::vertical::Arith97;
+use wavelet::{horizontal, norms, vertical, VerticalVariant};
 use xpart::{auto_chunk_bytes, AlignedPlane, ChunkPlan, Owner, PlanConfig};
 
 /// Encode `image` with `params` on the calling thread, returning the
@@ -69,9 +74,9 @@ pub fn encode_with(
         c.check()?;
     }
 
-    let (t, stats) = transform_samples_parallel(image, params, workers, ctl)?;
-    let mut stage_times = stats.stage_times;
-    let mut worker_jobs = stats.worker_jobs;
+    let (t, stages) = transform_samples_parallel(image, params, workers, ctl)?;
+    let mut stage_times = stages.stage_times;
+    let mut worker_jobs = stages.worker_jobs;
 
     let stage_span = trace::span("stage:tier1")
         .cat("stage")
@@ -80,7 +85,9 @@ pub fn encode_with(
     let (records, tier1_counts) = tier1_queue(&t, params, workers, ctl)?;
     drop(stage_span);
     stage_times.push(StageTime::new("tier1", t1.elapsed().as_secs_f64()));
-    accumulate(&mut worker_jobs, &tier1_counts);
+    for (total, n) in worker_jobs.iter_mut().zip(tier1_counts) {
+        *total += n;
+    }
 
     let rc_span = trace::span("stage:rate-control").cat("stage");
     let raw = image.raw_bytes() as u64;
@@ -120,35 +127,39 @@ pub fn transform_coefficients_parallel(
     Ok(t.indices.iter().map(|p| p.to_dense()).collect())
 }
 
-/// Run `worker(i)` for every worker index `i` in `0..workers` and
-/// `calling()` on the calling thread, then join; returns the workers'
-/// results in index order.
+/// Run `worker(i, payload)` for every worker index `i` with the `i`-th
+/// payload and `calling()` on the calling thread, then join; returns the
+/// workers' results in index order. There is one worker per payload.
 ///
 /// At one worker both run inline on the calling thread and no thread is
-/// spawned. Otherwise each worker gets a scoped thread that inherits the
-/// caller's trace id (TLS does not cross `thread::scope`) and flushes its
-/// trace buffer before returning: the scope waits for closures, not TLS
-/// destructors, so the Drop flush alone would race the caller's trace
-/// drain. A worker's panic resumes on the calling thread after the join.
-fn on_workers<R, W, C>(workers: usize, worker: W, calling: C) -> Vec<R>
+/// spawned. Otherwise each worker gets a scoped thread that takes its
+/// payload, inherits the caller's trace id (TLS does not cross
+/// `thread::scope`) and flushes its trace buffer before returning: the
+/// scope waits for closures, not TLS destructors, so the Drop flush alone
+/// would race the caller's trace drain. A worker's panic resumes on the
+/// calling thread after the join.
+fn on_workers<P, R, W, C>(payloads: Vec<P>, worker: W, calling: C) -> Vec<R>
 where
+    P: Send,
     R: Send,
-    W: Fn(usize) -> R + Sync,
+    W: Fn(usize, P) -> R + Sync,
     C: FnOnce(),
 {
-    if workers <= 1 {
-        let r = worker(0);
+    if payloads.len() <= 1 {
+        let r = payloads.into_iter().map(|p| worker(0, p)).collect();
         calling();
-        return vec![r];
+        return r;
     }
     let parent_trace = trace::current();
     std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|wi| {
+        let handles: Vec<_> = payloads
+            .into_iter()
+            .enumerate()
+            .map(|(wi, p)| {
                 let worker = &worker;
                 scope.spawn(move || {
                     trace::set_current(parent_trace);
-                    let r = worker(wi);
+                    let r = worker(wi, p);
                     trace::flush_thread();
                     r
                 })
@@ -186,8 +197,8 @@ pub(crate) fn tier1_queue(
     // erroring worker parks its message here and stops claiming jobs.
     let injected: Mutex<Option<String>> = Mutex::new(None);
     let done = on_workers(
-        workers,
-        |_| {
+        vec![(); workers],
+        |_, ()| {
             let mut done = Vec::new();
             loop {
                 if ctl.is_some_and(|c| c.is_stopped()) {
@@ -257,16 +268,64 @@ pub(crate) fn tier1_queue(
 // Chunked sample stages
 // ---------------------------------------------------------------------------
 
-/// Measurements of the chunked transform: per-stage wall times plus jobs
-/// executed per worker (workers first, calling thread last).
-pub(crate) struct TransformStats {
-    pub stage_times: Vec<StageTime>,
-    pub worker_jobs: Vec<u64>,
+/// One chunked transform in progress: the fan-out, the control polled at
+/// stage boundaries, and the measurements so far — per-stage wall times
+/// plus jobs executed per worker (workers first, calling thread last).
+struct Stages<'c> {
+    workers: usize,
+    ctl: Option<&'c EncodeControl>,
+    stage_times: Vec<StageTime>,
+    worker_jobs: Vec<u64>,
 }
 
-fn accumulate(totals: &mut [u64], counts: &[u64]) {
-    for (t, c) in totals.iter_mut().zip(counts) {
-        *t += c;
+impl Stages<'_> {
+    fn check(&self) -> Result<(), CodecError> {
+        self.ctl.map_or(Ok(()), EncodeControl::check)
+    }
+
+    /// Run `f` as the stage `span` (`stage:<name>`), recording its wall
+    /// time as `<name>`.
+    fn timed<R>(&mut self, span: &'static str, f: impl FnOnce(&mut Self) -> R) -> R {
+        let sp = trace::span(span).cat("stage");
+        let t = Instant::now();
+        let r = f(self);
+        drop(sp);
+        let name = span.trim_start_matches("stage:");
+        self.stage_times
+            .push(StageTime::new(name, t.elapsed().as_secs_f64()));
+        r
+    }
+
+    /// Run `f(comp, region, view)` for every job `(comp, tile, view)`
+    /// through [`on_workers`]: each worker takes the jobs of the tiles it
+    /// owns, views included, the calling thread takes the rest, then all
+    /// join (a stage barrier). Every job runs under a span named `stage`
+    /// (args: worker / chunk / comp).
+    fn run<V: Send>(
+        &mut self,
+        stage: &'static str,
+        jobs: Vec<(usize, Tile, V)>,
+        f: impl Fn(usize, Region, V) + Sync,
+    ) {
+        let mut lists: Vec<Vec<_>> = (0..=self.workers).map(|_| Vec::new()).collect();
+        for job in jobs {
+            lists[job.1.owner].push(job);
+        }
+        for (total, list) in self.worker_jobs.iter_mut().zip(&lists) {
+            *total += list.len() as u64;
+        }
+        let traced = |wi: usize, list: Vec<(usize, Tile, V)>| {
+            for (comp, tile, view) in list {
+                let _sp = trace::span(stage)
+                    .cat("chunk")
+                    .arg("worker", wi as u64)
+                    .arg("chunk", tile.chunk as u64)
+                    .arg("comp", comp as u64);
+                f(comp, tile.region, view);
+            }
+        };
+        let calling = lists.pop().expect("the calling thread's list");
+        on_workers(lists, traced, || traced(self.workers, calling));
     }
 }
 
@@ -289,157 +348,123 @@ fn plan_for(width: usize, workers: usize) -> Result<ChunkPlan, CodecError> {
     .map_err(|e| CodecError::Params(format!("chunk plan: {e}")))
 }
 
-/// One unit of chunked work: a component index plus the plane region it
-/// covers. For fused multi-component kernels (RCT/ICT) `comp` is 0 and the
-/// job covers all components at once.
+/// One tile of a stage's decomposition of a plane: a column chunk or a
+/// row band, and the thread that runs it.
 #[derive(Clone, Copy)]
-struct ChunkJob {
-    comp: usize,
+struct Tile {
     region: Region,
     /// Dense chunk index within the stage (the plan's `ChunkDesc::id`
     /// for column chunks, the band index for row bands); rides into
     /// trace span args so a trace can be joined back to the plan.
     chunk: usize,
+    /// Worker index (the SPE role), or the worker count for the calling
+    /// thread (the PPE role).
+    owner: usize,
 }
 
-/// Static job assignment for one stage: a list per worker (the SPE role)
-/// plus the calling thread's remainder list (the PPE role).
-struct Assignment {
-    per_worker: Vec<Vec<ChunkJob>>,
-    calling: Vec<ChunkJob>,
-}
-
-/// Column decomposition: every plan chunk becomes a full-height region.
-fn assign_columns(plan: &ChunkPlan, comps: usize, h: usize, workers: usize) -> Assignment {
-    let mut per_worker = vec![Vec::new(); workers];
-    let mut calling = Vec::new();
-    for comp in 0..comps {
-        for c in plan.chunks() {
-            let job = ChunkJob {
-                comp,
-                region: Region {
-                    x0: c.x0,
-                    y0: 0,
-                    w: c.width,
-                    h,
-                },
-                chunk: c.id,
-            };
-            match c.owner {
-                Owner::Spe(i) => per_worker[i].push(job),
-                Owner::Ppe => calling.push(job),
-            }
-        }
-    }
-    Assignment {
-        per_worker,
-        calling,
-    }
+/// Column decomposition: every plan chunk becomes a full-height tile.
+fn column_tiles(plan: &ChunkPlan, h: usize, workers: usize) -> Vec<Tile> {
+    plan.chunks()
+        .iter()
+        .map(|c| Tile {
+            region: Region {
+                x0: c.x0,
+                y0: 0,
+                w: c.width,
+                h,
+            },
+            chunk: c.id,
+            owner: match c.owner {
+                Owner::Spe(i) => i,
+                Owner::Ppe => workers,
+            },
+        })
+        .collect()
 }
 
 /// Row decomposition for horizontal filtering: an identical number of rows
 /// per worker (the paper assigns no rows to the PPE in this stage).
-fn assign_rows(w: usize, h: usize, comps: usize, workers: usize) -> Assignment {
-    let mut per_worker = vec![Vec::new(); workers];
+fn row_tiles(w: usize, h: usize, workers: usize) -> Vec<Tile> {
     let band = h.div_ceil(workers).max(1);
-    for comp in 0..comps {
-        let mut y0 = 0;
-        let mut wi = 0;
-        while y0 < h {
-            let bh = band.min(h - y0);
-            per_worker[wi % workers].push(ChunkJob {
-                comp,
-                region: Region {
-                    x0: 0,
-                    y0,
-                    w,
-                    h: bh,
-                },
-                chunk: wi,
-            });
-            y0 += bh;
-            wi += 1;
-        }
-    }
-    Assignment {
-        per_worker,
-        calling: Vec::new(),
-    }
+    (0..h)
+        .step_by(band)
+        .enumerate()
+        .map(|(i, y0)| Tile {
+            region: Region {
+                x0: 0,
+                y0,
+                w,
+                h: band.min(h - y0),
+            },
+            chunk: i,
+            owner: i % workers,
+        })
+        .collect()
 }
 
-impl Assignment {
-    /// Run `f` over every job through [`on_workers`]: worker `i` processes
-    /// its list while the calling thread processes the remainder, then
-    /// all join (a stage barrier). Every job runs under a span named
-    /// `stage` (args: worker / chunk / comp). Returns per-worker job
-    /// counts with the calling thread last.
-    fn run<F>(&self, stage: &'static str, f: F) -> Vec<u64>
-    where
-        F: Fn(ChunkJob) + Sync,
-    {
-        let traced = |wi: usize, j: ChunkJob| {
-            let _sp = trace::span(stage)
-                .cat("chunk")
-                .arg("worker", wi as u64)
-                .arg("chunk", j.chunk as u64)
-                .arg("comp", j.comp as u64);
-            f(j);
-        };
-        let calling_wi = self.per_worker.len();
-        on_workers(
-            self.per_worker.len(),
-            |wi| {
-                for &j in &self.per_worker[wi] {
-                    traced(wi, j);
-                }
-            },
-            || {
-                for &j in &self.calling {
-                    traced(calling_wi, j);
-                }
-            },
-        );
-        let mut counts: Vec<u64> = self.per_worker.iter().map(|l| l.len() as u64).collect();
-        counts.push(self.calling.len() as u64);
-        counts
+/// The jobs of a per-component stage: every tile of every plane,
+/// component-major, with its view. A plane's tiles are disjoint, so
+/// [`rowops::split`] hands each element to one view.
+fn per_plane<'a, T: Copy + Default>(
+    planes: &'a mut [AlignedPlane<T>],
+    tiles: &[Tile],
+) -> Vec<(usize, Tile, Rows<'a, T>)> {
+    let regions: Vec<Region> = tiles.iter().map(|t| t.region).collect();
+    let mut jobs = Vec::new();
+    for (c, p) in planes.iter_mut().enumerate() {
+        let views = rowops::split(p, &regions);
+        jobs.extend(tiles.iter().zip(views).map(|(&t, v)| (c, t, v)));
     }
+    jobs
+}
+
+/// The jobs of a fused colour transform: every tile once (as component
+/// 0), with its views of all three planes.
+fn fused<'a, T: Copy + Default>(
+    planes: &'a mut [AlignedPlane<T>],
+    tiles: &[Tile],
+) -> Vec<(usize, Tile, [Rows<'a, T>; 3])> {
+    let regions: Vec<Region> = tiles.iter().map(|t| t.region).collect();
+    let [a, b, c] = planes else {
+        panic!("a fused colour transform covers three planes");
+    };
+    let mut views = [a, b, c].map(|p| rowops::split(p, &regions).into_iter());
+    let mut next = || {
+        views
+            .each_mut()
+            .map(|v| v.next().expect("one view per tile"))
+    };
+    tiles.iter().map(|&t| (0, t, next())).collect()
 }
 
 /// Chunked version of [`crate::pipeline::transform_samples`]: identical
 /// coefficients by construction (same arithmetic on the same operands,
 /// only partitioned), plus stage measurements. Polls `ctl` after each
 /// stage and between DWT levels.
-fn transform_samples_parallel(
+fn transform_samples_parallel<'c>(
     image: &Image,
     params: &EncoderParams,
     workers: usize,
-    ctl: Option<&EncodeControl>,
-) -> Result<(Transformed, TransformStats), CodecError> {
+    ctl: Option<&'c EncodeControl>,
+) -> Result<(Transformed, Stages<'c>), CodecError> {
     let (w, h) = (image.width, image.height);
-    let comps = image.comps();
-    let depth = image.bit_depth;
-    let shift = 1i32 << (depth - 1);
-    let use_mct = comps == 3;
-    let variant = params.variant;
-    let bands = wavelet::subbands(w, h, params.levels);
-    let mut worker_jobs = vec![0u64; workers + 1];
-    let mut stage_times = Vec::new();
-
-    let cv_span = trace::span("stage:convert").cat("stage");
-    let t0 = Instant::now();
-    let mut int_planes: Vec<AlignedPlane<i32>> = image
-        .planes
-        .iter()
-        .map(|p| {
-            let dense: Vec<i32> = p.iter().map(|&v| v as i32).collect();
-            AlignedPlane::from_dense(w, h, &dense).map_err(|e| CodecError::Image(e.to_string()))
-        })
-        .collect::<Result<_, _>>()?;
-    drop(cv_span);
-    stage_times.push(StageTime::new("convert", t0.elapsed().as_secs_f64()));
-    if let Some(c) = ctl {
-        c.check()?;
-    }
+    let mut s = Stages {
+        workers,
+        ctl,
+        stage_times: Vec::new(),
+        worker_jobs: vec![0; workers + 1],
+    };
+    let int_planes: Vec<AlignedPlane<i32>> = s.timed("stage:convert", |_| {
+        image
+            .planes
+            .iter()
+            .map(|p| {
+                let dense: Vec<i32> = p.iter().map(|&v| v as i32).collect();
+                AlignedPlane::from_dense(w, h, &dense).map_err(|e| CodecError::Image(e.to_string()))
+            })
+            .collect::<Result<_, _>>()
+    })?;
+    s.check()?;
 
     let plan = plan_for(w, workers)?;
     if trace::enabled() {
@@ -457,329 +482,262 @@ fn transform_samples_parallel(
             );
         }
     }
-    let regions = wavelet::level_regions(w, h, params.levels);
+    let tiles = column_tiles(&plan, h, workers);
+    let t = match (params.mode, params.arithmetic) {
+        (Mode::Lossless, _) => lossless(&mut s, image, params, int_planes, &tiles),
+        (_, Arithmetic::Float32) => lossy::<f32>(&mut s, image, params, &int_planes, &tiles),
+        (_, Arithmetic::FixedQ13) => lossy::<i32>(&mut s, image, params, &int_planes, &tiles),
+    }?;
+    Ok((t, s))
+}
 
-    match params.mode {
-        Mode::Lossless => {
-            // Level shift + RCT, merged, by column chunk.
-            let mct_span = trace::span("stage:mct").cat("stage");
-            let t1 = Instant::now();
-            {
-                let shared: Vec<SharedPlane<i32>> =
-                    int_planes.iter_mut().map(SharedPlane::new).collect();
-                let asg = assign_columns(&plan, if use_mct { 1 } else { comps }, h, workers);
-                // SAFETY: plan chunks are pairwise disjoint column ranges
-                // and each job is executed by exactly one thread, so live
-                // views never overlap.
-                let counts = asg.run("mct", |j| unsafe {
-                    if use_mct {
-                        let mut ry = shared[0].rows(j.region);
-                        let mut ru = shared[1].rows(j.region);
-                        let mut rv = shared[2].rows(j.region);
-                        for y in 0..j.region.h {
-                            crate::kernels::rct_forward_row(
-                                ry.row_mut(y),
-                                ru.row_mut(y),
-                                rv.row_mut(y),
-                                shift,
-                            );
-                        }
-                    } else {
-                        let mut rows = shared[j.comp].rows(j.region);
-                        for y in 0..j.region.h {
-                            for v in rows.row_mut(y) {
-                                *v -= shift;
-                            }
-                        }
-                    }
-                });
-                accumulate(&mut worker_jobs, &counts);
+/// The DWT stage: per level, vertical lifting by column chunk, then (after
+/// the barrier) horizontal lifting by row band. One loop serves 5/3, 9/7
+/// and Q13, which differ only in the row-view kernels passed in. Polls the
+/// control and evaluates the `dwt.level` failpoint before each level.
+fn dwt_levels<T: Copy + Default + Send>(
+    s: &mut Stages,
+    planes: &mut [AlignedPlane<T>],
+    params: &EncoderParams,
+    vertical: impl Fn(Rows<'_, T>, VerticalVariant) + Sync,
+    horizontal: impl Fn(Rows<'_, T>) + Sync,
+) -> Result<(), CodecError> {
+    let (w, h) = (planes[0].width(), planes[0].height());
+    s.timed("stage:dwt", |s| {
+        for (li, r) in wavelet::level_regions(w, h, params.levels)
+            .iter()
+            .enumerate()
+        {
+            s.check()?;
+            // Failpoint `dwt.level`: fires once per decomposition level, on
+            // the calling thread — the clean-error lever for the service's
+            // failure (not crash) paths.
+            if let Some(msg) = faultsim::eval("dwt.level") {
+                return Err(CodecError::Injected(msg));
             }
-            drop(mct_span);
-            stage_times.push(StageTime::new("mct", t1.elapsed().as_secs_f64()));
-            if let Some(c) = ctl {
-                c.check()?;
-            }
-
-            // 5/3 DWT level by level: vertical by column chunk, then (after
-            // the barrier) horizontal by row band.
-            let dwt_span = trace::span("stage:dwt").cat("stage");
-            let t2 = Instant::now();
-            {
-                let shared: Vec<SharedPlane<i32>> =
-                    int_planes.iter_mut().map(SharedPlane::new).collect();
-                for (li, r) in regions.iter().enumerate() {
-                    if let Some(c) = ctl {
-                        c.check()?;
-                    }
-                    // Failpoint `dwt.level`: fires once per decomposition
-                    // level, on the calling thread — the clean-error lever
-                    // for the service's failure (not crash) paths.
-                    if let Some(msg) = faultsim::eval("dwt.level") {
-                        return Err(CodecError::Injected(msg));
-                    }
-                    let _lvl = if trace::enabled() {
-                        trace::span(format!("dwt-level-{}", li + 1)).cat("stage")
-                    } else {
-                        trace::Span::disabled()
-                    };
-                    let lplan = plan_for(r.w, workers)?;
-                    let vert = assign_columns(&lplan, comps, r.h, workers);
-                    // SAFETY: disjoint column chunks, one thread per job.
-                    let counts = vert.run("dwt", |j| unsafe {
-                        vertical::fwd53_rows(shared[j.comp].rows(j.region), variant);
-                    });
-                    accumulate(&mut worker_jobs, &counts);
-                    let horiz = assign_rows(r.w, r.h, comps, workers);
-                    // SAFETY: disjoint row bands, one thread per job.
-                    let counts = horiz.run("dwt", |j| unsafe {
-                        horizontal::fwd53_rows(shared[j.comp].rows(j.region));
-                    });
-                    accumulate(&mut worker_jobs, &counts);
-                }
-            }
-            drop(dwt_span);
-            stage_times.push(StageTime::new("dwt", t2.elapsed().as_secs_f64()));
-
-            let depth_eff = depth + u8::from(use_mct);
-            let exps: Vec<u8> = bands
-                .iter()
-                .map(|b| depth_eff + b.band.gain_log2())
-                .collect();
-            let max_planes: Vec<u8> = exps.iter().map(|&e| GUARD_BITS + e - 1).collect();
-            let weights: Vec<f64> = bands
-                .iter()
-                .map(|b| {
-                    let n = norms::l2_norm_53(b.band, b.level.max(1));
-                    n * n
-                })
-                .collect();
-            Ok((
-                Transformed {
-                    indices: int_planes,
-                    quant: Quant::Reversible(exps),
-                    bands,
-                    max_planes,
-                    weights,
-                },
-                TransformStats {
-                    stage_times,
-                    worker_jobs,
-                },
-            ))
-        }
-        Mode::Lossy { .. } => {
-            let base = default_base_step(depth);
-
-            // Level shift + ICT, merged, by column chunk, straight into the
-            // arithmetic's working representation (f32 or Q13).
-            let mct_span = trace::span("stage:mct").cat("stage");
-            let t1 = Instant::now();
-            let fixed = params.arithmetic == Arithmetic::FixedQ13;
-            let mut fp: Vec<AlignedPlane<f32>> = if fixed {
-                Vec::new()
+            let _lvl = if trace::enabled() {
+                trace::span(format!("dwt-level-{}", li + 1)).cat("stage")
             } else {
-                (0..comps)
-                    .map(|_| AlignedPlane::new(w, h).expect("geometry"))
-                    .collect()
+                trace::Span::disabled()
             };
-            let mut q13: Vec<AlignedPlane<i32>> = if fixed {
-                (0..comps)
-                    .map(|_| AlignedPlane::new(w, h).expect("geometry"))
-                    .collect()
-            } else {
-                Vec::new()
-            };
-            {
-                let src = &int_planes;
-                let out_f: Vec<SharedPlane<f32>> = fp.iter_mut().map(SharedPlane::new).collect();
-                let out_q: Vec<SharedPlane<i32>> = q13.iter_mut().map(SharedPlane::new).collect();
-                let asg = assign_columns(&plan, if use_mct { 1 } else { comps }, h, workers);
-                // SAFETY: disjoint column chunks, one thread per job; the
-                // int planes are only read (shared borrows).
-                let counts = asg.run("mct", |j| unsafe {
-                    let (x0, cw) = (j.region.x0, j.region.w);
-                    let mut ybuf = vec![0f32; cw];
-                    let mut cbuf = vec![0f32; cw];
-                    let mut rbuf = vec![0f32; cw];
-                    for y in 0..j.region.h {
-                        if use_mct {
-                            let r = &src[0].row(y)[x0..x0 + cw];
-                            let g = &src[1].row(y)[x0..x0 + cw];
-                            let b = &src[2].row(y)[x0..x0 + cw];
-                            crate::kernels::ict_forward_row(
-                                r,
-                                g,
-                                b,
-                                &mut ybuf,
-                                &mut cbuf,
-                                &mut rbuf,
-                                shift as f32,
-                            );
-                            for (c, buf) in [&ybuf, &cbuf, &rbuf].into_iter().enumerate() {
-                                if fixed {
-                                    let mut rows = out_q[c].rows(j.region);
-                                    for (d, &v) in rows.row_mut(y).iter_mut().zip(buf) {
-                                        *d = (v * 8192.0).round() as i32;
-                                    }
-                                } else {
-                                    out_f[c].rows(j.region).row_mut(y).copy_from_slice(buf);
-                                }
-                            }
-                        } else {
-                            let s = &src[j.comp].row(y)[x0..x0 + cw];
-                            if fixed {
-                                let mut rows = out_q[j.comp].rows(j.region);
-                                for (d, &v) in rows.row_mut(y).iter_mut().zip(s) {
-                                    *d = (((v - shift) as f32) * 8192.0).round() as i32;
-                                }
-                            } else {
-                                let mut rows = out_f[j.comp].rows(j.region);
-                                for (d, &v) in rows.row_mut(y).iter_mut().zip(s) {
-                                    *d = (v - shift) as f32;
-                                }
-                            }
-                        }
-                    }
-                });
-                accumulate(&mut worker_jobs, &counts);
-            }
-            drop(mct_span);
-            stage_times.push(StageTime::new("mct", t1.elapsed().as_secs_f64()));
-            if let Some(c) = ctl {
-                c.check()?;
-            }
-
-            // 9/7 DWT level by level, vertical chunks then horizontal bands.
-            let dwt_span = trace::span("stage:dwt").cat("stage");
-            let t2 = Instant::now();
-            {
-                let shared_f: Vec<SharedPlane<f32>> = fp.iter_mut().map(SharedPlane::new).collect();
-                let shared_q: Vec<SharedPlane<i32>> =
-                    q13.iter_mut().map(SharedPlane::new).collect();
-                for (li, r) in regions.iter().enumerate() {
-                    if let Some(c) = ctl {
-                        c.check()?;
-                    }
-                    // Failpoint `dwt.level`: fires once per decomposition
-                    // level, on the calling thread — the clean-error lever
-                    // for the service's failure (not crash) paths.
-                    if let Some(msg) = faultsim::eval("dwt.level") {
-                        return Err(CodecError::Injected(msg));
-                    }
-                    let _lvl = if trace::enabled() {
-                        trace::span(format!("dwt-level-{}", li + 1)).cat("stage")
-                    } else {
-                        trace::Span::disabled()
-                    };
-                    let lplan = plan_for(r.w, workers)?;
-                    let vert = assign_columns(&lplan, comps, r.h, workers);
-                    // SAFETY: disjoint column chunks, one thread per job.
-                    let counts = vert.run("dwt", |j| unsafe {
-                        if fixed {
-                            vertical::fwd97_rows(shared_q[j.comp].rows(j.region), variant);
-                        } else {
-                            vertical::fwd97_rows(shared_f[j.comp].rows(j.region), variant);
-                        }
-                    });
-                    accumulate(&mut worker_jobs, &counts);
-                    let horiz = assign_rows(r.w, r.h, comps, workers);
-                    // SAFETY: disjoint row bands, one thread per job.
-                    let counts = horiz.run("dwt", |j| unsafe {
-                        if fixed {
-                            horizontal::fwd97_fixed_rows(shared_q[j.comp].rows(j.region));
-                        } else {
-                            horizontal::fwd97_rows(shared_f[j.comp].rows(j.region));
-                        }
-                    });
-                    accumulate(&mut worker_jobs, &counts);
-                }
-            }
-            drop(dwt_span);
-            stage_times.push(StageTime::new("dwt", t2.elapsed().as_secs_f64()));
-            if let Some(c) = ctl {
-                c.check()?;
-            }
-
-            // Per-band signalled steps and weights (cheap, calling thread;
-            // same order and arithmetic as the sequential pipeline).
-            let mut steps = Vec::with_capacity(bands.len());
-            let mut weights = Vec::with_capacity(bands.len());
-            let mut delta_sigs = Vec::with_capacity(bands.len());
-            for b in &bands {
-                let lev = b.level.max(1);
-                let delta = band_delta(base, b.band, lev);
-                let r_bits = depth as i32 + b.band.gain_log2() as i32;
-                let step = StepSize::from_delta(delta, r_bits);
-                let delta_sig = step.delta(r_bits);
-                let nrm = norms::l2_norm_97(b.band, lev);
-                steps.push(step);
-                weights.push((delta_sig * nrm) * (delta_sig * nrm));
-                delta_sigs.push(delta_sig);
-            }
-
-            // Quantize by column chunk (elementwise over band rectangles;
-            // Q13 coefficients drop back to f32 exactly as sequentially).
-            let q_span = trace::span("stage:quantize").cat("stage");
-            let t3 = Instant::now();
-            let mut indices: Vec<AlignedPlane<i32>> = (0..comps)
-                .map(|_| AlignedPlane::new(w, h).expect("geometry"))
-                .collect();
-            {
-                let fp = &fp;
-                let q13 = &q13;
-                let bands = &bands;
-                let delta_sigs = &delta_sigs;
-                let out: Vec<SharedPlane<i32>> = indices.iter_mut().map(SharedPlane::new).collect();
-                let asg = assign_columns(&plan, comps, h, workers);
-                // SAFETY: disjoint column chunks, one thread per job; the
-                // coefficient planes are only read.
-                let counts = asg.run("quantize", |j| unsafe {
-                    let (x0, cw) = (j.region.x0, j.region.w);
-                    let mut rows = out[j.comp].rows(j.region);
-                    let mut q13_row: Vec<f32> = Vec::new();
-                    for (bi, b) in bands.iter().enumerate() {
-                        let lo = b.x0.max(x0);
-                        let hi = (b.x0 + b.w).min(x0 + cw);
-                        if lo >= hi {
-                            continue;
-                        }
-                        let d = delta_sigs[bi];
-                        for y in b.y0..b.y0 + b.h {
-                            let dst = &mut rows.row_mut(y)[lo - x0..hi - x0];
-                            if fixed {
-                                let s = &q13[j.comp].row(y)[lo..hi];
-                                q13_row.clear();
-                                q13_row.extend(s.iter().map(|&v| v as f32 / 8192.0));
-                                crate::kernels::quantize_row(&q13_row, dst, d);
-                            } else {
-                                let s = fp[j.comp].row(y);
-                                crate::kernels::quantize_row(&s[lo..hi], dst, d);
-                            }
-                        }
-                    }
-                });
-                accumulate(&mut worker_jobs, &counts);
-            }
-            drop(q_span);
-            stage_times.push(StageTime::new("quantize", t3.elapsed().as_secs_f64()));
-
-            let max_planes: Vec<u8> = steps.iter().map(|s| GUARD_BITS + s.exponent - 1).collect();
-            Ok((
-                Transformed {
-                    indices,
-                    quant: Quant::Scalar(steps),
-                    bands,
-                    max_planes,
-                    weights,
-                },
-                TransformStats {
-                    stage_times,
-                    worker_jobs,
-                },
-            ))
+            let tiles = column_tiles(&plan_for(r.w, s.workers)?, r.h, s.workers);
+            s.run("dwt", per_plane(planes, &tiles), |_, _, v| {
+                vertical(v, params.variant)
+            });
+            let tiles = row_tiles(r.w, r.h, s.workers);
+            s.run("dwt", per_plane(planes, &tiles), |_, _, v| horizontal(v));
         }
+        Ok(())
+    })
+}
+
+/// The lossless arm: level shift + RCT, merged, by column chunk, in place
+/// on the integer planes, then the 5/3 DWT.
+fn lossless(
+    s: &mut Stages,
+    image: &Image,
+    params: &EncoderParams,
+    mut planes: Vec<AlignedPlane<i32>>,
+    tiles: &[Tile],
+) -> Result<Transformed, CodecError> {
+    let depth = image.bit_depth;
+    let shift = 1i32 << (depth - 1);
+    let use_mct = planes.len() == 3;
+    s.timed("stage:mct", |s| {
+        if use_mct {
+            s.run(
+                "mct",
+                fused(&mut planes, tiles),
+                |_, _, [mut r, mut g, mut b]| {
+                    for y in 0..r.height() {
+                        let (r, g, b) = (r.row_mut(y), g.row_mut(y), b.row_mut(y));
+                        kernels::rct_forward_row(r, g, b, shift);
+                    }
+                },
+            );
+        } else {
+            s.run("mct", per_plane(&mut planes, tiles), |_, _, mut rows| {
+                for y in 0..rows.height() {
+                    for v in rows.row_mut(y) {
+                        *v -= shift;
+                    }
+                }
+            });
+        }
+    });
+    s.check()?;
+
+    dwt_levels(
+        s,
+        &mut planes,
+        params,
+        vertical::fwd53_rows,
+        horizontal::fwd53_rows,
+    )?;
+
+    let bands = wavelet::subbands(image.width, image.height, params.levels);
+    let depth_eff = depth + u8::from(use_mct);
+    let exps: Vec<u8> = bands
+        .iter()
+        .map(|b| depth_eff + b.band.gain_log2())
+        .collect();
+    let max_planes: Vec<u8> = exps.iter().map(|&e| GUARD_BITS + e - 1).collect();
+    let weights: Vec<f64> = bands
+        .iter()
+        .map(|b| {
+            let n = norms::l2_norm_53(b.band, b.level.max(1));
+            n * n
+        })
+        .collect();
+    Ok(Transformed {
+        indices: planes,
+        quant: Quant::Reversible(exps),
+        bands,
+        max_planes,
+        weights,
+    })
+}
+
+/// The lossy arm's working sample: `f32`, the paper's SPE arithmetic, or
+/// Q13 fixed point in `i32`, Jasper's (chosen by [`Arithmetic`]).
+trait LossySample: Arith97 + Send + Sync {
+    /// Working value of a level-shifted, colour-transformed sample.
+    fn from_f32(v: f32) -> Self;
+    /// Horizontal 9/7 lifting of every row of a view.
+    fn horizontal(rows: Rows<'_, Self>);
+    /// Quantize coefficients `src` into `dst` with step `delta`, as f32
+    /// values (a Q13 row goes through `scratch`).
+    fn quantize_row(src: &[Self], dst: &mut [i32], delta: f64, scratch: &mut Vec<f32>);
+}
+
+impl LossySample for f32 {
+    fn from_f32(v: f32) -> f32 {
+        v
     }
+    fn horizontal(rows: Rows<'_, f32>) {
+        horizontal::fwd97_rows(rows);
+    }
+    fn quantize_row(src: &[f32], dst: &mut [i32], delta: f64, _: &mut Vec<f32>) {
+        kernels::quantize_row(src, dst, delta);
+    }
+}
+
+impl LossySample for i32 {
+    fn from_f32(v: f32) -> i32 {
+        (v * 8192.0).round() as i32
+    }
+    fn horizontal(rows: Rows<'_, i32>) {
+        horizontal::fwd97_fixed_rows(rows);
+    }
+    fn quantize_row(src: &[i32], dst: &mut [i32], delta: f64, scratch: &mut Vec<f32>) {
+        scratch.clear();
+        scratch.extend(src.iter().map(|&v| v as f32 / 8192.0));
+        kernels::quantize_row(scratch, dst, delta);
+    }
+}
+
+/// The lossy arm in working arithmetic `S`: level shift + ICT, merged,
+/// into `S` planes, the 9/7 DWT, then quantization, all by column chunk.
+fn lossy<S: LossySample>(
+    s: &mut Stages,
+    image: &Image,
+    params: &EncoderParams,
+    int_planes: &[AlignedPlane<i32>],
+    tiles: &[Tile],
+) -> Result<Transformed, CodecError> {
+    let (w, h) = (image.width, image.height);
+    let comps = int_planes.len();
+    let depth = image.bit_depth;
+    let shift = 1i32 << (depth - 1);
+    let mut planes: Vec<AlignedPlane<S>> = (0..comps)
+        .map(|_| AlignedPlane::new(w, h).expect("geometry"))
+        .collect();
+    s.timed("stage:mct", |s| {
+        if comps == 3 {
+            s.run("mct", fused(&mut planes, tiles), |_, r, mut out| {
+                let cols = r.x0..r.x0 + r.w;
+                let mut bufs = [vec![0f32; r.w], vec![0f32; r.w], vec![0f32; r.w]];
+                for y in 0..r.h {
+                    let [yy, cb, cr] = &mut bufs;
+                    let src = |c: usize| &int_planes[c].row(y)[cols.clone()];
+                    kernels::ict_forward_row(src(0), src(1), src(2), yy, cb, cr, shift as f32);
+                    for (rows, buf) in out.iter_mut().zip(&bufs) {
+                        for (d, &v) in rows.row_mut(y).iter_mut().zip(buf) {
+                            *d = S::from_f32(v);
+                        }
+                    }
+                }
+            });
+        } else {
+            s.run("mct", per_plane(&mut planes, tiles), |c, r, mut rows| {
+                for y in 0..r.h {
+                    let src = &int_planes[c].row(y)[r.x0..r.x0 + r.w];
+                    for (d, &v) in rows.row_mut(y).iter_mut().zip(src) {
+                        *d = S::from_f32((v - shift) as f32);
+                    }
+                }
+            });
+        }
+    });
+    s.check()?;
+
+    dwt_levels(s, &mut planes, params, vertical::fwd97_rows, S::horizontal)?;
+    s.check()?;
+
+    // Per-band signalled steps and weights (cheap, calling thread; same
+    // order and arithmetic as the sequential pipeline).
+    let base = default_base_step(depth);
+    let bands = wavelet::subbands(w, h, params.levels);
+    let mut steps = Vec::with_capacity(bands.len());
+    let mut weights = Vec::with_capacity(bands.len());
+    let mut delta_sigs = Vec::with_capacity(bands.len());
+    for b in &bands {
+        let lev = b.level.max(1);
+        let delta = band_delta(base, b.band, lev);
+        let r_bits = depth as i32 + b.band.gain_log2() as i32;
+        let step = StepSize::from_delta(delta, r_bits);
+        let delta_sig = step.delta(r_bits);
+        let nrm = norms::l2_norm_97(b.band, lev);
+        steps.push(step);
+        weights.push((delta_sig * nrm) * (delta_sig * nrm));
+        delta_sigs.push(delta_sig);
+    }
+
+    // Quantize by column chunk (elementwise over band rectangles; Q13
+    // coefficients drop back to f32 exactly as sequentially).
+    let mut indices: Vec<AlignedPlane<i32>> = (0..comps)
+        .map(|_| AlignedPlane::new(w, h).expect("geometry"))
+        .collect();
+    s.timed("stage:quantize", |s| {
+        s.run(
+            "quantize",
+            per_plane(&mut indices, tiles),
+            |c, r, mut rows| {
+                let mut scratch = Vec::new();
+                for (b, &d) in bands.iter().zip(&delta_sigs) {
+                    let lo = b.x0.max(r.x0);
+                    let hi = (b.x0 + b.w).min(r.x0 + r.w);
+                    if lo >= hi {
+                        continue;
+                    }
+                    for y in b.y0..b.y0 + b.h {
+                        let src = &planes[c].row(y)[lo..hi];
+                        let dst = &mut rows.row_mut(y)[lo - r.x0..hi - r.x0];
+                        S::quantize_row(src, dst, d, &mut scratch);
+                    }
+                }
+            },
+        );
+    });
+
+    let max_planes: Vec<u8> = steps.iter().map(|s| GUARD_BITS + s.exponent - 1).collect();
+    Ok(Transformed {
+        indices,
+        quant: Quant::Scalar(steps),
+        bands,
+        max_planes,
+        weights,
+    })
 }
 
 #[cfg(test)]

@@ -114,3 +114,38 @@ fn guard_and_exponent_zero_rejected() {
     s[q + 4] = 0; // Sqcd: guard 0, style 0
     assert!(parse(&s).is_err());
 }
+
+/// Set the length field of the first `marker` segment to `len`.
+fn with_segment_len(marker: u16, len: u16) -> Vec<u8> {
+    let mut s = valid_stream();
+    let m = find_marker(&s, marker);
+    s[m + 2..m + 4].copy_from_slice(&len.to_be_bytes());
+    s
+}
+
+#[test]
+fn rejects_qcd_length_below_its_fixed_fields() {
+    // Lqcd counts itself and Sqcd: 0, 1 and 2 would underflow the
+    // exponent count.
+    for len in 0..3 {
+        let s = with_segment_len(j2k_core::codestream::QCD, len);
+        assert!(parse(&s).is_err(), "Lqcd {len}");
+        assert!(
+            j2k_core::codestream::parse_prefix(&s).is_err(),
+            "Lqcd {len}"
+        );
+    }
+}
+
+#[test]
+fn rejects_com_length_below_its_fixed_fields() {
+    // Lcom counts itself and Rcom: 0 to 3 would underflow the tag length.
+    for len in 0..4 {
+        let s = with_segment_len(j2k_core::codestream::COM, len);
+        assert!(parse(&s).is_err(), "Lcom {len}");
+        assert!(
+            j2k_core::codestream::parse_prefix(&s).is_err(),
+            "Lcom {len}"
+        );
+    }
+}

@@ -195,10 +195,6 @@ pub struct PressureConfig {
     /// Queue-wait delta windows with fewer samples than this contribute
     /// no wait signal (too noisy to act on).
     pub min_wait_window: u64,
-    /// `retry_after_ms` hint attached to jobs shed at Elevated.
-    pub retry_after_elevated_ms: u64,
-    /// `retry_after_ms` hint attached to jobs shed at Critical.
-    pub retry_after_critical_ms: u64,
     /// Time source; swap in a [`ManualClock`] for tests.
     pub clock: ClockHandle,
 }
@@ -217,8 +213,6 @@ impl Default for PressureConfig {
             cool_samples: 2,
             min_sample_interval: Duration::from_millis(25),
             min_wait_window: 4,
-            retry_after_elevated_ms: 250,
-            retry_after_critical_ms: 1000,
             clock: ClockHandle::default(),
         }
     }
@@ -280,11 +274,16 @@ impl PressureController {
         self.pixels.load(Ordering::Relaxed)
     }
 
+    /// `retry_after_ms` hint attached to jobs shed at Elevated.
+    pub const RETRY_AFTER_ELEVATED_MS: u64 = 250;
+    /// `retry_after_ms` hint attached to jobs shed at Critical.
+    pub const RETRY_AFTER_CRITICAL_MS: u64 = 1000;
+
     /// The backoff hint to attach to a shed job at the current level.
     pub fn retry_after_ms(&self) -> u64 {
         match self.level() {
-            PressureLevel::Critical => self.cfg.retry_after_critical_ms,
-            _ => self.cfg.retry_after_elevated_ms,
+            PressureLevel::Critical => Self::RETRY_AFTER_CRITICAL_MS,
+            _ => Self::RETRY_AFTER_ELEVATED_MS,
         }
     }
 

@@ -105,9 +105,7 @@ pub fn serve(
         let stop = Arc::clone(&stop);
         let conns = Arc::clone(&conns);
         std::thread::spawn(move || {
-            let exit = handle_conn(stream, &service, cfg);
-            conns.fetch_sub(1, Ordering::SeqCst);
-            service.conn_closed();
+            let exit = handle_conn(stream, &service, cfg, ConnSlot(&conns, &service));
             if exit == ConnExit::Shutdown {
                 stop.store(true, Ordering::SeqCst);
                 service.begin_shutdown();
@@ -120,6 +118,18 @@ pub fn serve(
     Ok(())
 }
 
+/// An occupied connection slot (the count and the service's gauge),
+/// freed on drop: a handler that unwinds gives its slot back too, so a
+/// frame that panics a handler cannot lock later clients out.
+struct ConnSlot<'a>(&'a AtomicUsize, &'a EncodeService);
+
+impl Drop for ConnSlot<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::SeqCst);
+        self.1.conn_closed();
+    }
+}
+
 #[derive(Debug, PartialEq, Eq)]
 enum ConnExit {
     Closed,
@@ -130,12 +140,21 @@ fn respond(stream: &mut TcpStream, resp: &Response) -> bool {
     write_frame(stream, &encode_response(resp)).is_ok()
 }
 
-fn handle_conn(stream: TcpStream, service: &EncodeService, cfg: ServerConfig) -> ConnExit {
+fn handle_conn(
+    stream: TcpStream,
+    service: &EncodeService,
+    cfg: ServerConfig,
+    slot: ConnSlot<'_>,
+) -> ConnExit {
     let mut writer = match stream.try_clone() {
         Ok(s) => s,
         Err(_) => return ConnExit::Closed,
     };
     let mut reader = BufReader::new(stream);
+    // Bound after the socket halves, so it drops before them on every
+    // exit, unwinding included: the slot is free by the time the peer
+    // sees its connection close.
+    let _slot = slot;
     loop {
         // Failpoint `wire.stall`: models a peer that stalls mid-exchange.
         // A Delay holds the handler here (past the io deadline in the

@@ -281,6 +281,58 @@ fn wire_read_fault_drops_connection_cleanly() {
     server.join().unwrap();
 }
 
+/// A connection handler that panics gives its connection slot back:
+/// `connections_active` returns to 0, and a server capped at one
+/// connection still answers the next client.
+#[test]
+fn panicking_handler_releases_its_connection_slot() {
+    let _g = FaultGuard::take();
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let service = Arc::new(EncodeService::start(one_worker_cfg()));
+    let cfg = ServerConfig {
+        max_connections: 1,
+        ..ServerConfig::default()
+    };
+    let server = {
+        let service = Arc::clone(&service);
+        std::thread::spawn(move || serve(listener, service, cfg).unwrap())
+    };
+    // Hit 1 of `wire.stall` is the next handler's first loop iteration.
+    faultsim::arm(
+        "wire.stall",
+        FaultSpec::once(FaultAction::Panic("handler panic".into())),
+    );
+    {
+        let mut conn = TcpStream::connect(addr).unwrap();
+        let mut buf = [0u8; 1];
+        match conn.read(&mut buf) {
+            Ok(0) | Err(_) => {} // the unwinding handler dropped the socket
+            Ok(n) => panic!("a panicked handler replied {n} bytes"),
+        }
+    }
+    // The handler frees its slot before its socket closes, so the close
+    // seen above already orders the release.
+    assert_eq!(faultsim::hits("wire.stall"), 1);
+    assert_eq!(
+        service.metrics().connections_active,
+        0,
+        "the panicked handler kept its connection slot"
+    );
+
+    let max = cfg.max_frame;
+    let mut conn = TcpStream::connect(addr).unwrap();
+    assert!(matches!(
+        call(&mut conn, &Request::Ping, max),
+        Ok(Response::Pong)
+    ));
+    assert!(matches!(
+        call(&mut conn, &Request::Shutdown, max),
+        Ok(Response::Pong)
+    ));
+    server.join().unwrap();
+}
+
 /// Observability satellite: a traced, failpoint-crashed, retried job
 /// yields **one** retained trace that tells the whole story — the armed
 /// failpoint firing, the worker crash, the retry backoff instant, the

@@ -9,13 +9,8 @@ use crate::rowops::{Region, Rows};
 use crate::{fixed, line};
 use xpart::AlignedPlane;
 
-/// Forward 5/3 on every row of `region`.
-pub fn fwd53_horizontal(plane: &mut AlignedPlane<i32>, region: Region) {
-    fwd53_rows(Rows::new(plane, region));
-}
-
-/// Forward 5/3 on every row of a row view (e.g. one row band of a
-/// [`crate::rowops::SharedPlane`]). Rows are independent, so running this
+/// Forward 5/3 on every row of a row view (e.g. one row band cut by
+/// [`crate::rowops::split`]). Rows are independent, so running this
 /// per-band across threads is bit-identical to one full-height call.
 pub fn fwd53_rows(mut rows: Rows<'_, i32>) {
     let mut scratch = Vec::new();
@@ -33,11 +28,6 @@ pub fn inv53_horizontal(plane: &mut AlignedPlane<i32>, region: Region) {
     }
 }
 
-/// Forward 9/7 (f32) on every row of `region`.
-pub fn fwd97_horizontal(plane: &mut AlignedPlane<f32>, region: Region) {
-    fwd97_rows(Rows::new(plane, region));
-}
-
 /// Forward 9/7 (f32) on every row of a row view; see [`fwd53_rows`].
 pub fn fwd97_rows(mut rows: Rows<'_, f32>) {
     let mut scratch = Vec::new();
@@ -53,11 +43,6 @@ pub fn inv97_horizontal(plane: &mut AlignedPlane<f32>, region: Region) {
     for y in 0..rows.height() {
         line::inv_97(rows.row_mut(y), &mut scratch);
     }
-}
-
-/// Forward 9/7 (Q13 fixed point) on every row of `region`.
-pub fn fwd97_fixed_horizontal(plane: &mut AlignedPlane<i32>, region: Region) {
-    fwd97_fixed_rows(Rows::new(plane, region));
 }
 
 /// Forward 9/7 (Q13) on every row of a row view; see [`fwd53_rows`].
@@ -86,7 +71,7 @@ mod tests {
         let mut p = AlignedPlane::<i32>::new(9, 3).unwrap();
         p.for_each_mut(|x, y, v| *v = (x * x + y * 13) as i32 - 20);
         let orig = p.clone();
-        fwd53_horizontal(&mut p, Region::full(&orig));
+        fwd53_rows(Rows::new(&mut p, Region::full(&orig)));
         let mut s = Vec::new();
         for y in 0..3 {
             let mut row = orig.row(y).to_vec();
@@ -106,7 +91,7 @@ mod tests {
             w: 11,
             h: 2,
         };
-        fwd53_horizontal(&mut p, region);
+        fwd53_rows(Rows::new(&mut p, region));
         inv53_horizontal(&mut p, region);
         assert_eq!(p.to_dense(), orig.to_dense());
     }
@@ -116,7 +101,7 @@ mod tests {
         let mut p = AlignedPlane::<f32>::new(33, 5).unwrap();
         p.for_each_mut(|x, y, v| *v = (x as f32 - 16.0) * (y as f32 + 1.0));
         let orig = p.clone();
-        fwd97_horizontal(&mut p, Region::full(&orig));
+        fwd97_rows(Rows::new(&mut p, Region::full(&orig)));
         inv97_horizontal(&mut p, Region::full(&orig));
         for (g, e) in p.to_dense().iter().zip(orig.to_dense()) {
             assert!((g - e).abs() < 1e-2);
@@ -128,7 +113,7 @@ mod tests {
         let mut p = AlignedPlane::<i32>::new(17, 4).unwrap();
         p.for_each_mut(|x, y, v| *v = crate::fixed::to_fixed((x * 3) as i32 - (y * 11) as i32));
         let orig = p.clone();
-        fwd97_fixed_horizontal(&mut p, Region::full(&orig));
+        fwd97_fixed_rows(Rows::new(&mut p, Region::full(&orig)));
         inv97_fixed_horizontal(&mut p, Region::full(&orig));
         for (g, e) in p.to_dense().iter().zip(orig.to_dense()) {
             assert!((crate::fixed::from_fixed(g - e)).abs() <= 1);

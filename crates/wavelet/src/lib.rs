@@ -24,6 +24,11 @@
 //! rows, the high half is staged through an auxiliary buffer whose traffic is
 //! half the column group ("this halves the amount of data transfer for the
 //! splitting step").
+//!
+//! Filters work on [`Rows`] views, one `&mut` slice per row of a region.
+//! [`split`] cuts disjoint regions of one plane (column chunks, row bands)
+//! so callers can filter them on different threads, with the borrow
+//! checker proving that no sample is shared.
 
 pub mod conv;
 pub mod dispatch;
@@ -35,7 +40,7 @@ pub mod rowops;
 pub mod transform2d;
 pub mod vertical;
 
-pub use rowops::{Region, Rows, SharedPlane};
+pub use rowops::{split, Region, Rows};
 pub use transform2d::{
     forward_2d_53, forward_2d_97, inverse_2d_53, inverse_2d_97, level_regions, subbands, Band,
     Subband,

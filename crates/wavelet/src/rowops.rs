@@ -1,4 +1,9 @@
-//! Whole-row primitives for the lifting filters.
+//! Row views of plane regions and whole-row primitives for the lifting
+//! filters.
+//!
+//! [`split`] cuts disjoint regions of one plane into [`Rows`] views, one
+//! `&mut` slice per row, which is how the encoder hands column chunks and
+//! row bands of the same plane to different threads.
 //!
 //! The vertical filter processes all columns of a column group in lockstep;
 //! each lifting step is an elementwise operation over three rows. These
@@ -32,58 +37,33 @@ impl Region {
     }
 }
 
-/// Mutable row-wise view of a plane region; all row indices are
-/// region-relative.
-///
-/// Internally raw-pointer based so that disjoint regions of the *same*
-/// plane can be viewed from different threads through [`SharedPlane`]
-/// without materializing aliasing `&mut AlignedPlane` borrows. All row
-/// accessors bounds-check against the region before forming a slice.
+/// Mutable row-wise view of a plane region: one `&mut` slice per row, each
+/// `width()` elements long, with region-relative row indices. A view
+/// borrows exactly the elements it covers, so views of disjoint regions of
+/// one plane ([`split`]) can go to different threads, like SPEs holding DMA
+/// windows into one main-memory array.
 pub struct Rows<'a, T> {
-    ptr: *mut T,
-    len: usize,
-    stride: usize,
-    base: usize,
+    rows: Vec<&'a mut [T]>,
     w: usize,
-    h: usize,
-    _marker: std::marker::PhantomData<&'a mut [T]>,
 }
 
 impl<'a, T: Copy + Default> Rows<'a, T> {
-    /// Borrow a region of `plane` as rows.
+    /// Borrow a region of `plane` as rows (the one-region [`split`]).
     pub fn new(plane: &'a mut AlignedPlane<T>, r: Region) -> Self {
         assert!(r.x0 + r.w <= plane.width() && r.y0 + r.h <= plane.height());
         let stride = plane.stride();
-        let data = plane.as_mut_slice();
-        // SAFETY: the region lies within the plane (asserted above) and the
-        // `&mut` borrow guarantees exclusive access for 'a.
-        unsafe { Rows::from_raw(data.as_mut_ptr(), data.len(), stride, r) }
-    }
-
-    /// Build a view over raw plane storage.
-    ///
-    /// # Safety
-    /// `ptr..ptr+len` must be valid plane storage of row stride `stride`
-    /// containing the region `r`, and no other live reference may overlap
-    /// the elements of `r` for the lifetime `'a`.
-    pub(crate) unsafe fn from_raw(ptr: *mut T, len: usize, stride: usize, r: Region) -> Self {
-        let base = r.y0 * stride + r.x0;
-        assert!(r.h == 0 || base + (r.h - 1) * stride + r.w <= len);
-        Rows {
-            ptr,
-            len,
-            stride,
-            base,
-            w: r.w,
-            h: r.h,
-            _marker: std::marker::PhantomData,
-        }
+        let rows = plane.as_mut_slice().chunks_exact_mut(stride).skip(r.y0);
+        let rows = rows
+            .take(r.h)
+            .map(|row| &mut row[r.x0..r.x0 + r.w])
+            .collect();
+        Rows { rows, w: r.w }
     }
 
     /// Region height in rows.
     #[inline]
     pub fn height(&self) -> usize {
-        self.h
+        self.rows.len()
     }
 
     /// Region width in elements.
@@ -92,31 +72,16 @@ impl<'a, T: Copy + Default> Rows<'a, T> {
         self.w
     }
 
-    #[inline]
-    fn offset(&self, y: usize) -> usize {
-        assert!(y < self.h);
-        let s = self.base + y * self.stride;
-        debug_assert!(s + self.w <= self.len);
-        s
-    }
-
     /// Shared row `y`.
     #[inline]
     pub fn row(&self, y: usize) -> &[T] {
-        let s = self.offset(y);
-        // SAFETY: the offset is within the storage (constructor invariant
-        // plus the bound checks in `offset`), and `&self` prevents any
-        // concurrent `&mut` access through this view.
-        unsafe { std::slice::from_raw_parts(self.ptr.add(s) as *const T, self.w) }
+        self.rows[y]
     }
 
     /// Mutable row `y`.
     #[inline]
     pub fn row_mut(&mut self, y: usize) -> &mut [T] {
-        let s = self.offset(y);
-        // SAFETY: as in `row`, plus `&mut self` gives exclusive access to
-        // the region for the returned lifetime.
-        unsafe { std::slice::from_raw_parts_mut(self.ptr.add(s), self.w) }
+        self.rows[y]
     }
 
     /// Reborrow a column range `[x0, x0 + w)` of this view (all rows).
@@ -128,102 +93,90 @@ impl<'a, T: Copy + Default> Rows<'a, T> {
     pub fn subcols(&mut self, x0: usize, w: usize) -> Rows<'_, T> {
         assert!(x0 + w <= self.w);
         Rows {
-            ptr: self.ptr,
-            len: self.len,
-            stride: self.stride,
-            base: self.base + x0,
+            rows: self.rows.iter_mut().map(|r| &mut r[x0..x0 + w]).collect(),
             w,
-            h: self.h,
-            _marker: std::marker::PhantomData,
         }
     }
 
     /// One mutable destination row plus two shared source rows.
     ///
     /// `ya`/`yb` may coincide with each other (mirror boundaries) but must
-    /// differ from `yd`; rows never overlap because `stride >= w`.
+    /// differ from `yd`; either may lie above or below it.
     pub fn dst_src2(&mut self, yd: usize, ya: usize, yb: usize) -> (&mut [T], &[T], &[T]) {
         assert!(yd != ya && yd != yb, "destination row aliases a source row");
-        let w = self.w;
-        let (od, oa, ob) = (self.offset(yd), self.offset(ya), self.offset(yb));
-        // SAFETY: the three row ranges are disjoint — each is `w <= stride`
-        // elements starting at distinct multiples of `stride` (yd != ya, yd
-        // != yb asserted above), and all lie within the storage (`offset`
-        // checks). `a` and `b` may alias each other, which is fine for
-        // shared references.
-        unsafe {
-            let d = std::slice::from_raw_parts_mut(self.ptr.add(od), w);
-            let a = std::slice::from_raw_parts(self.ptr.add(oa) as *const T, w);
-            let b = std::slice::from_raw_parts(self.ptr.add(ob) as *const T, w);
-            (d, a, b)
-        }
+        let (above, rest) = self.rows.split_at_mut(yd);
+        let (dst, below) = rest.split_first_mut().expect("destination row in range");
+        let (above, below): (&[&mut [T]], &[&mut [T]]) = (above, below);
+        let src = |y: usize| -> &[T] {
+            if y < yd {
+                above[y]
+            } else {
+                below[y - yd - 1]
+            }
+        };
+        (dst, src(ya), src(yb))
     }
 }
 
-/// A plane handle that can be shared across threads so that *disjoint*
-/// regions can be filtered concurrently — the host-thread analogue of
-/// several SPEs holding DMA windows into the same main-memory array.
+/// Cut `regions` of `plane` into views, one per region and in the same
+/// order. Each plane row the regions cover is cut at their edges, left to
+/// right, with `split_at_mut`, so the views are disjoint by construction.
 ///
-/// Constructed from an exclusive borrow, so no safe alias can observe the
-/// plane while views exist; the unsafe surface is confined to [`rows`],
-/// whose contract is that concurrently live views never overlap.
-///
-/// [`rows`]: SharedPlane::rows
-pub struct SharedPlane<'a, T> {
-    ptr: *mut T,
-    len: usize,
-    stride: usize,
-    width: usize,
-    height: usize,
-    _marker: std::marker::PhantomData<&'a mut AlignedPlane<T>>,
-}
-
-// SAFETY: the handle owns an exclusive borrow of the plane; access to the
-// underlying storage only happens through `rows`, whose safety contract
-// requires concurrently live views to cover disjoint regions.
-unsafe impl<T: Send> Send for SharedPlane<'_, T> {}
-unsafe impl<T: Send> Sync for SharedPlane<'_, T> {}
-
-impl<'a, T: Copy + Default> SharedPlane<'a, T> {
-    /// Wrap an exclusively borrowed plane.
-    pub fn new(plane: &'a mut AlignedPlane<T>) -> Self {
-        let width = plane.width();
-        let height = plane.height();
-        let stride = plane.stride();
-        let data = plane.as_mut_slice();
-        SharedPlane {
-            ptr: data.as_mut_ptr(),
-            len: data.len(),
-            stride,
-            width,
-            height,
-            _marker: std::marker::PhantomData,
+/// # Panics
+/// If a region extends past the plane, or two non-empty regions overlap.
+pub fn split<'a, T: Copy + Default>(
+    plane: &'a mut AlignedPlane<T>,
+    regions: &[Region],
+) -> Vec<Rows<'a, T>> {
+    let (pw, ph, stride) = (plane.width(), plane.height(), plane.stride());
+    let mut views: Vec<Rows<'a, T>> = regions
+        .iter()
+        .map(|r| {
+            assert!(
+                r.x0 + r.w <= pw && r.y0 + r.h <= ph,
+                "region {r:?} outside the {pw}x{ph} plane"
+            );
+            // An empty region owns no element; its rows are empty slices.
+            let rows = if r.w == 0 {
+                (0..r.h).map(|_| -> &'a mut [T] { &mut [] }).collect()
+            } else {
+                Vec::with_capacity(r.h)
+            };
+            Rows { rows, w: r.w }
+        })
+        .collect();
+    // The set of regions covering a row only changes at region edges, so
+    // the cuts are worked out (and checked) once per run of rows.
+    let mut edges: Vec<usize> = regions.iter().flat_map(|r| [r.y0, r.y0 + r.h]).collect();
+    edges.sort_unstable();
+    edges.dedup();
+    let mut by_x0: Vec<usize> = (0..regions.len()).filter(|&i| regions[i].w > 0).collect();
+    by_x0.sort_by_key(|&i| regions[i].x0);
+    let first = edges.first().copied().unwrap_or(0);
+    let mut plane_rows = plane.as_mut_slice().chunks_exact_mut(stride).skip(first);
+    for run in edges.windows(2) {
+        let (ya, yb) = (run[0], run[1]);
+        // (view, elements skipped before it, width), left to right.
+        let mut cuts = Vec::new();
+        let mut at = 0;
+        for &i in &by_x0 {
+            let r = regions[i];
+            if (r.y0..r.y0 + r.h).contains(&ya) {
+                assert!(r.x0 >= at, "region {r:?} overlaps another in row {ya}");
+                cuts.push((i, r.x0 - at, r.w));
+                at = r.x0 + r.w;
+            }
+        }
+        let mut rest: Vec<&mut [T]> = plane_rows.by_ref().take(yb - ya).collect();
+        for &(i, gap, w) in &cuts {
+            views[i].rows.extend(rest.iter_mut().map(|row| {
+                let (piece, tail) = std::mem::take(row)[gap..].split_at_mut(w);
+                *row = tail;
+                piece
+            }));
         }
     }
-
-    /// Plane width in elements.
-    #[inline]
-    pub fn width(&self) -> usize {
-        self.width
-    }
-
-    /// Plane height in rows.
-    #[inline]
-    pub fn height(&self) -> usize {
-        self.height
-    }
-
-    /// View a region of the plane as [`Rows`].
-    ///
-    /// # Safety
-    /// Regions of views that are live at the same time must be pairwise
-    /// disjoint (no element may be covered by two live views). The caller
-    /// is responsible for that partitioning — e.g. the column chunks of an
-    /// `xpart::ChunkPlan` or non-overlapping row bands.
-    pub unsafe fn rows(&self, r: Region) -> Rows<'a, T> {
-        assert!(r.x0 + r.w <= self.width && r.y0 + r.h <= self.height);
-        Rows::from_raw(self.ptr, self.len, self.stride, r)
-    }
+    views
 }
 
 // ---------------------------------------------------------------------------

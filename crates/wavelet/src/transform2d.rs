@@ -5,7 +5,7 @@
 //! quad layout — LL top-left, HL top-right, LH bottom-left, HH bottom-right
 //! — and the next level recurses on the LL quadrant.
 
-use crate::rowops::Region;
+use crate::rowops::{Region, Rows};
 use crate::vertical::{self, VerticalVariant};
 use crate::{high_len, horizontal, low_len};
 use xpart::AlignedPlane;
@@ -141,7 +141,7 @@ pub fn level_regions(w: usize, h: usize, levels: usize) -> Vec<Region> {
 pub fn forward_2d_53(plane: &mut AlignedPlane<i32>, levels: usize, variant: VerticalVariant) {
     for r in level_regions(plane.width(), plane.height(), levels) {
         vertical::fwd53_vertical(plane, r, variant);
-        horizontal::fwd53_horizontal(plane, r);
+        horizontal::fwd53_rows(Rows::new(plane, r));
     }
 }
 
@@ -165,7 +165,7 @@ pub fn inverse_2d_53_partial(plane: &mut AlignedPlane<i32>, levels: usize, skip_
 pub fn forward_2d_97(plane: &mut AlignedPlane<f32>, levels: usize, variant: VerticalVariant) {
     for r in level_regions(plane.width(), plane.height(), levels) {
         vertical::fwd97_vertical::<f32>(plane, r, variant);
-        horizontal::fwd97_horizontal(plane, r);
+        horizontal::fwd97_rows(Rows::new(plane, r));
     }
 }
 
@@ -189,7 +189,7 @@ pub fn inverse_2d_97_partial(plane: &mut AlignedPlane<f32>, levels: usize, skip_
 pub fn forward_2d_97_fixed(plane: &mut AlignedPlane<i32>, levels: usize, variant: VerticalVariant) {
     for r in level_regions(plane.width(), plane.height(), levels) {
         vertical::fwd97_vertical::<i32>(plane, r, variant);
-        horizontal::fwd97_fixed_horizontal(plane, r);
+        horizontal::fwd97_fixed_rows(Rows::new(plane, r));
     }
 }
 

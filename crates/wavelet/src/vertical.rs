@@ -255,25 +255,32 @@ pub fn fwd53_vertical(plane: &mut AlignedPlane<i32>, region: Region, variant: Ve
     fwd53_rows(Rows::new(plane, region), variant);
 }
 
-/// Forward 5/3 vertical filtering of a row view (e.g. one column chunk of a
-/// [`crate::rowops::SharedPlane`]). Columns are independent, so running this
+/// Forward 5/3 vertical filtering of a row view (e.g. one column chunk cut
+/// by [`crate::rowops::split`]). Columns are independent, so running this
 /// per-chunk across threads is bit-identical to one full-width call.
 pub fn fwd53_rows(mut rows: Rows<'_, i32>, variant: VerticalVariant) {
-    let rows = &mut rows;
     let h = rows.height();
     if h < 2 {
         return;
     }
+    by_column_groups(&mut rows, |g| fwd53_group(g, variant, h));
+}
+
+/// Run `f` on each cache-blocked column group of `rows`: columns are
+/// independent, so filtering each group in full before moving right is
+/// bit-identical to one full-width pass but keeps the fused pipeline's
+/// sliding window resident in L1. A view no wider than one group (every
+/// column chunk of the parallel driver) is filtered as it is.
+fn by_column_groups<T: Copy + Default>(
+    rows: &mut Rows<'_, T>,
+    mut f: impl FnMut(&mut Rows<'_, T>),
+) {
     let w = rows.width();
-    // Cache-blocked column groups: columns are independent, so filtering each
-    // group in full before moving right is bit-identical to one full-width
-    // pass but keeps the fused pipeline's sliding window resident in L1.
-    let mut x0 = 0;
-    while x0 < w {
-        let g = VERT_GROUP_DEFAULT.min(w - x0);
-        let mut sub = rows.subcols(x0, g);
-        fwd53_group(&mut sub, variant, h);
-        x0 += g;
+    if w <= VERT_GROUP_DEFAULT {
+        return f(rows);
+    }
+    for x0 in (0..w).step_by(VERT_GROUP_DEFAULT) {
+        f(&mut rows.subcols(x0, VERT_GROUP_DEFAULT.min(w - x0)));
     }
 }
 
@@ -305,14 +312,7 @@ pub fn inv53_vertical(plane: &mut AlignedPlane<i32>, region: Region) {
     if h < 2 {
         return;
     }
-    let w = rows.width();
-    let mut x0 = 0;
-    while x0 < w {
-        let g = VERT_GROUP_DEFAULT.min(w - x0);
-        let mut sub = rows.subcols(x0, g);
-        inv53_group(&mut sub, h);
-        x0 += g;
-    }
+    by_column_groups(&mut rows, |g| inv53_group(g, h));
 }
 
 fn inv53_group(rows: &mut Rows<'_, i32>, h: usize) {
@@ -529,24 +529,15 @@ pub fn fwd97_vertical<T: Arith97>(
     fwd97_rows(Rows::new(plane, region), variant);
 }
 
-/// Forward 9/7 vertical filtering of a row view (e.g. one column chunk of a
-/// [`crate::rowops::SharedPlane`]). Columns are independent, so running this
+/// Forward 9/7 vertical filtering of a row view (e.g. one column chunk cut
+/// by [`crate::rowops::split`]). Columns are independent, so running this
 /// per-chunk across threads is bit-identical to one full-width call.
 pub fn fwd97_rows<T: Arith97>(mut rows: Rows<'_, T>, variant: VerticalVariant) {
-    let rows = &mut rows;
     let h = rows.height();
     if h < 2 {
         return;
     }
-    let w = rows.width();
-    // Cache-blocked column groups; see `fwd53_rows`.
-    let mut x0 = 0;
-    while x0 < w {
-        let g = VERT_GROUP_DEFAULT.min(w - x0);
-        let mut sub = rows.subcols(x0, g);
-        fwd97_group(&mut sub, variant, h);
-        x0 += g;
-    }
+    by_column_groups(&mut rows, |g| fwd97_group(g, variant, h));
 }
 
 fn fwd97_group<T: Arith97>(rows: &mut Rows<'_, T>, variant: VerticalVariant, h: usize) {
@@ -577,14 +568,7 @@ pub fn inv97_vertical<T: Arith97>(plane: &mut AlignedPlane<T>, region: Region) {
     if h < 2 {
         return;
     }
-    let w = rows.width();
-    let mut x0 = 0;
-    while x0 < w {
-        let g = VERT_GROUP_DEFAULT.min(w - x0);
-        let mut sub = rows.subcols(x0, g);
-        inv97_group(&mut sub, h);
-        x0 += g;
-    }
+    by_column_groups(&mut rows, |g| inv97_group(g, h));
 }
 
 fn inv97_group<T: Arith97>(rows: &mut Rows<'_, T>, h: usize) {
