@@ -131,7 +131,7 @@ fn grid(n: usize, cb: usize) -> usize {
 
 /// Serialize the complete codestream. Panics only if a `tier2.precinct`
 /// fault is injected while calling this infallible entry point directly —
-/// the encoder, which enables failpoints, goes through [`try_write`].
+/// the encoder, which enables failpoints, goes through `try_write`.
 pub fn write(hdr: &MainHeader, blocks: &[BlockStream]) -> Vec<u8> {
     try_write(hdr, blocks).expect("infallible without injected faults")
 }

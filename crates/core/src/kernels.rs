@@ -33,12 +33,14 @@ pub fn rct_inverse_row(y: &mut [i32], u: &mut [i32], v: &mut [i32], shift: i32) 
     }
 }
 
-/// Forward ICT with level shift: integer R/G/B rows in, float Y/Cb/Cr out.
+/// Forward ICT with level shift: integer R/G/B rows in (`i32` working
+/// samples or `u16` image samples, widened to `i32` first), float
+/// Y/Cb/Cr out.
 #[allow(clippy::too_many_arguments)]
-pub fn ict_forward_row(
-    r: &[i32],
-    g: &[i32],
-    b: &[i32],
+pub fn ict_forward_row<T: Copy + Into<i32>>(
+    r: &[T],
+    g: &[T],
+    b: &[T],
     yy: &mut [f32],
     cb: &mut [f32],
     cr: &mut [f32],
@@ -46,9 +48,9 @@ pub fn ict_forward_row(
 ) {
     let n = r.len().min(g.len()).min(b.len());
     for i in 0..n {
-        let rv = r[i] as f32 - shift;
-        let gv = g[i] as f32 - shift;
-        let bv = b[i] as f32 - shift;
+        let rv = r[i].into() as f32 - shift;
+        let gv = g[i].into() as f32 - shift;
+        let bv = b[i].into() as f32 - shift;
         yy[i] = 0.299 * rv + 0.587 * gv + 0.114 * bv;
         cb[i] = -0.168_736 * rv - 0.331_264 * gv + 0.5 * bv;
         cr[i] = 0.5 * rv - 0.418_688 * gv - 0.081_312 * bv;

@@ -21,7 +21,10 @@
 //! Pipeline (paper Figure 2): read + type convert → level shift merged with
 //! the inter-component transform ([`mct`]) → DWT ([`wavelet`]) →
 //! quantization ([`quant`]) → EBCOT Tier-1 ([`ebcot`]) → rate control →
-//! Tier-2 + codestream assembly ([`codestream`]).
+//! Tier-2 + codestream assembly ([`codestream`]). The host encoder folds
+//! the read into the merged level shift + MCT and quantizes each code
+//! block as Tier-1 extracts it ([`parallel`]); the Cell model keeps every
+//! stage of the figure ([`cell`]).
 
 pub mod cell;
 pub mod coder;

@@ -1,15 +1,20 @@
 //! The encoder driver: the paper's parallelization strategy on host
 //! threads, end to end.
 //!
-//! * The **sample stages** (level shift + MCT merged, DWT, quantization)
-//!   are decomposed by the same column-chunk plan the Cell path uses
+//! * The **sample stages** (level shift + MCT merged, then the DWT) are
+//!   decomposed by the same column-chunk plan the Cell path uses
 //!   ([`xpart::ChunkPlan`]): constant-width chunks (a cache-line multiple)
 //!   go round-robin to the workers — the SPE role — while the
 //!   arbitrary-width remainder chunk stays on the calling thread — the PPE
-//!   role. Vertical lifting runs per column chunk, horizontal lifting per
-//!   row band ("an identical number of rows to each SPE").
+//!   role. The merged level shift + MCT reads its columns straight from
+//!   the [`Image`] rows into the one working plane per component the
+//!   transform allocates; the DWT then runs in place on those planes.
+//!   Vertical lifting runs per column chunk, horizontal lifting per row
+//!   band ("an identical number of rows to each SPE").
 //! * **Tier-1** uses a dynamic work queue of code blocks (an atomic
-//!   cursor), exactly like the paper's SPE/PPE queue.
+//!   cursor), exactly like the paper's SPE/PPE queue. A worker quantizes
+//!   a block's 9/7 coefficients as it copies them out of the plane
+//!   (`Transformed::block_indices`), so quantization rides the queue.
 //! * **Rate control and Tier-2** run sequentially on the calling thread,
 //!   as on the paper's PPE (`pipeline::rate_control_and_assemble`).
 //!
@@ -28,7 +33,7 @@ use crate::control::EncodeControl;
 use crate::kernels;
 use crate::pipeline::{
     band_kind, block_grid, build_profile, default_base_step, rate_control_and_assemble,
-    BlockRecord, Transformed,
+    BlockRecord, Coefficients, Transformed,
 };
 use crate::profile::StageTime;
 use crate::quant::{band_delta, StepSize, GUARD_BITS};
@@ -111,7 +116,8 @@ pub fn encode_parallel_with_profile(
 }
 
 /// Dense quantizer-index planes from the chunked sample stages at
-/// `workers`. Diagnostic counterpart of
+/// `workers`, rebuilt through the Tier-1 block extraction that quantizes
+/// them. Diagnostic counterpart of
 /// [`crate::pipeline::transform_coefficients`]; the differential proptests
 /// assert the two agree coefficient for coefficient for every worker count.
 pub fn transform_coefficients_parallel(
@@ -124,7 +130,7 @@ pub fn transform_coefficients_parallel(
         .validate()
         .map_err(|e| CodecError::Image(e.to_string()))?;
     let (t, _) = transform_samples_parallel(image, params, workers.max(1), None)?;
-    Ok(t.indices.iter().map(|p| p.to_dense()).collect())
+    Ok(t.dense_indices(image.width, image.height, params.cb_size))
 }
 
 /// Run `worker(i, payload)` for every worker index `i` with the `i`-th
@@ -174,7 +180,8 @@ where
 }
 
 /// Tier-1 over a dynamic work queue: `workers` pull the next code block
-/// atomically, code it, and run its R-D preparation. Each worker returns
+/// atomically, extract (and, for 9/7 coefficients, quantize) it, code it,
+/// and run its R-D preparation. Each worker returns
 /// its `(job index, record)` pairs, scattered into job order after the
 /// join. Returns the records plus per-worker block counts.
 pub(crate) fn tier1_queue(
@@ -185,7 +192,7 @@ pub(crate) fn tier1_queue(
 ) -> Result<(Vec<BlockRecord>, Vec<u64>), CodecError> {
     // The block job list: (comp, band, grid position, geometry).
     let mut jobs = Vec::new();
-    for c in 0..t.indices.len() {
+    for c in 0..t.comps() {
         for (bi, b) in t.bands.iter().enumerate() {
             for g in block_grid(b, params.cb_size) {
                 jobs.push((c, bi, g));
@@ -216,11 +223,7 @@ pub(crate) fn tier1_queue(
                 let Some(&(comp, bi, (bx, by, x0, y0, bw, bh))) = jobs.get(i) else {
                     break;
                 };
-                let plane = &t.indices[comp];
-                let mut data = Vec::with_capacity(bw * bh);
-                for y in y0..y0 + bh {
-                    data.extend_from_slice(&plane.row(y)[x0..x0 + bw]);
-                }
+                let data = t.block_indices(comp, bi, (x0, y0, bw, bh));
                 let enc = params.coder.block_coder().encode(
                     &data,
                     bw,
@@ -439,8 +442,9 @@ fn fused<'a, T: Copy + Default>(
 
 /// Chunked version of [`crate::pipeline::transform_samples`]: identical
 /// coefficients by construction (same arithmetic on the same operands,
-/// only partitioned), plus stage measurements. Polls `ctl` after each
-/// stage and between DWT levels.
+/// only partitioned), plus stage measurements. Each arm allocates one
+/// working plane per component and reads the image into it in its first
+/// stage. Polls `ctl` after each stage and between DWT levels.
 fn transform_samples_parallel<'c>(
     image: &Image,
     params: &EncoderParams,
@@ -454,18 +458,6 @@ fn transform_samples_parallel<'c>(
         stage_times: Vec::new(),
         worker_jobs: vec![0; workers + 1],
     };
-    let int_planes: Vec<AlignedPlane<i32>> = s.timed("stage:convert", |_| {
-        image
-            .planes
-            .iter()
-            .map(|p| {
-                let dense: Vec<i32> = p.iter().map(|&v| v as i32).collect();
-                AlignedPlane::from_dense(w, h, &dense).map_err(|e| CodecError::Image(e.to_string()))
-            })
-            .collect::<Result<_, _>>()
-    })?;
-    s.check()?;
-
     let plan = plan_for(w, workers)?;
     if trace::enabled() {
         // Record the column-chunk plan itself: one instant per chunk,
@@ -484,11 +476,32 @@ fn transform_samples_parallel<'c>(
     }
     let tiles = column_tiles(&plan, h, workers);
     let t = match (params.mode, params.arithmetic) {
-        (Mode::Lossless, _) => lossless(&mut s, image, params, int_planes, &tiles),
-        (_, Arithmetic::Float32) => lossy::<f32>(&mut s, image, params, &int_planes, &tiles),
-        (_, Arithmetic::FixedQ13) => lossy::<i32>(&mut s, image, params, &int_planes, &tiles),
+        (Mode::Lossless, _) => lossless(&mut s, image, params, &tiles),
+        (_, Arithmetic::Float32) => lossy::<f32>(&mut s, image, params, &tiles),
+        (_, Arithmetic::FixedQ13) => lossy::<i32>(&mut s, image, params, &tiles),
     }?;
     Ok((t, s))
+}
+
+/// One zeroed working plane per component of `image`.
+fn working_planes<T: Copy + Default>(image: &Image) -> Vec<AlignedPlane<T>> {
+    (0..image.comps())
+        .map(|_| AlignedPlane::new(image.width, image.height).expect("validated geometry"))
+        .collect()
+}
+
+/// Row `y` of tile region `r` in component `c` of `image`: the `u16`
+/// samples the merged level shift + MCT reads.
+fn image_row(image: &Image, c: usize, r: Region, y: usize) -> &[u16] {
+    let start = (r.y0 + y) * image.width + r.x0;
+    &image.planes[c][start..start + r.w]
+}
+
+/// Widen image samples into a working `i32` row.
+fn widen_row(src: &[u16], dst: &mut [i32]) {
+    for (d, &v) in dst.iter_mut().zip(src) {
+        *d = i32::from(v);
+    }
 }
 
 /// The DWT stage: per level, vertical lifting by column chunk, then (after
@@ -531,36 +544,36 @@ fn dwt_levels<T: Copy + Default + Send>(
     })
 }
 
-/// The lossless arm: level shift + RCT, merged, by column chunk, in place
-/// on the integer planes, then the 5/3 DWT.
+/// The lossless arm: level shift + RCT, merged, by column chunk — each
+/// job widens its image columns into the `i32` planes and transforms them
+/// in place — then the 5/3 DWT. The coefficients are the indices.
 fn lossless(
     s: &mut Stages,
     image: &Image,
     params: &EncoderParams,
-    mut planes: Vec<AlignedPlane<i32>>,
     tiles: &[Tile],
 ) -> Result<Transformed, CodecError> {
     let depth = image.bit_depth;
     let shift = 1i32 << (depth - 1);
+    let mut planes = working_planes::<i32>(image);
     let use_mct = planes.len() == 3;
     s.timed("stage:mct", |s| {
         if use_mct {
-            s.run(
-                "mct",
-                fused(&mut planes, tiles),
-                |_, _, [mut r, mut g, mut b]| {
-                    for y in 0..r.height() {
-                        let (r, g, b) = (r.row_mut(y), g.row_mut(y), b.row_mut(y));
-                        kernels::rct_forward_row(r, g, b, shift);
-                    }
-                },
-            );
+            s.run("mct", fused(&mut planes, tiles), |_, reg, mut out| {
+                for y in 0..reg.h {
+                    let [r, g, b] = out.each_mut().map(|rows| rows.row_mut(y));
+                    widen_row(image_row(image, 0, reg, y), r);
+                    widen_row(image_row(image, 1, reg, y), g);
+                    widen_row(image_row(image, 2, reg, y), b);
+                    kernels::rct_forward_row(r, g, b, shift);
+                }
+            });
         } else {
-            s.run("mct", per_plane(&mut planes, tiles), |_, _, mut rows| {
-                for y in 0..rows.height() {
-                    for v in rows.row_mut(y) {
-                        *v -= shift;
-                    }
+            s.run("mct", per_plane(&mut planes, tiles), |c, reg, mut rows| {
+                for y in 0..reg.h {
+                    let row = rows.row_mut(y);
+                    widen_row(image_row(image, c, reg, y), row);
+                    kernels::level_shift_row(row, shift);
                 }
             });
         }
@@ -590,7 +603,8 @@ fn lossless(
         })
         .collect();
     Ok(Transformed {
-        indices: planes,
+        coeffs: Coefficients::Indices(planes),
+        deltas: Vec::new(),
         quant: Quant::Reversible(exps),
         bands,
         max_planes,
@@ -605,9 +619,8 @@ trait LossySample: Arith97 + Send + Sync {
     fn from_f32(v: f32) -> Self;
     /// Horizontal 9/7 lifting of every row of a view.
     fn horizontal(rows: Rows<'_, Self>);
-    /// Quantize coefficients `src` into `dst` with step `delta`, as f32
-    /// values (a Q13 row goes through `scratch`).
-    fn quantize_row(src: &[Self], dst: &mut [i32], delta: f64, scratch: &mut Vec<f32>);
+    /// The transformed planes, left for Tier-1 to quantize block by block.
+    fn coefficients(planes: Vec<AlignedPlane<Self>>) -> Coefficients;
 }
 
 impl LossySample for f32 {
@@ -617,49 +630,43 @@ impl LossySample for f32 {
     fn horizontal(rows: Rows<'_, f32>) {
         horizontal::fwd97_rows(rows);
     }
-    fn quantize_row(src: &[f32], dst: &mut [i32], delta: f64, _: &mut Vec<f32>) {
-        kernels::quantize_row(src, dst, delta);
+    fn coefficients(planes: Vec<AlignedPlane<f32>>) -> Coefficients {
+        Coefficients::F32(planes)
     }
 }
 
 impl LossySample for i32 {
     fn from_f32(v: f32) -> i32 {
-        (v * 8192.0).round() as i32
+        kernels::round_half_away(v * 8192.0)
     }
     fn horizontal(rows: Rows<'_, i32>) {
         horizontal::fwd97_fixed_rows(rows);
     }
-    fn quantize_row(src: &[i32], dst: &mut [i32], delta: f64, scratch: &mut Vec<f32>) {
-        scratch.clear();
-        scratch.extend(src.iter().map(|&v| v as f32 / 8192.0));
-        kernels::quantize_row(scratch, dst, delta);
+    fn coefficients(planes: Vec<AlignedPlane<i32>>) -> Coefficients {
+        Coefficients::Q13(planes)
     }
 }
 
-/// The lossy arm in working arithmetic `S`: level shift + ICT, merged,
-/// into `S` planes, the 9/7 DWT, then quantization, all by column chunk.
+/// The lossy arm in working arithmetic `S`: level shift + ICT, merged, by
+/// column chunk from the image rows into the `S` planes, then the 9/7 DWT.
+/// Quantization is left to Tier-1 block extraction, with each band's
+/// signalled step.
 fn lossy<S: LossySample>(
     s: &mut Stages,
     image: &Image,
     params: &EncoderParams,
-    int_planes: &[AlignedPlane<i32>],
     tiles: &[Tile],
 ) -> Result<Transformed, CodecError> {
-    let (w, h) = (image.width, image.height);
-    let comps = int_planes.len();
     let depth = image.bit_depth;
     let shift = 1i32 << (depth - 1);
-    let mut planes: Vec<AlignedPlane<S>> = (0..comps)
-        .map(|_| AlignedPlane::new(w, h).expect("geometry"))
-        .collect();
+    let mut planes = working_planes::<S>(image);
     s.timed("stage:mct", |s| {
-        if comps == 3 {
-            s.run("mct", fused(&mut planes, tiles), |_, r, mut out| {
-                let cols = r.x0..r.x0 + r.w;
-                let mut bufs = [vec![0f32; r.w], vec![0f32; r.w], vec![0f32; r.w]];
-                for y in 0..r.h {
+        if planes.len() == 3 {
+            s.run("mct", fused(&mut planes, tiles), |_, reg, mut out| {
+                let mut bufs = [vec![0f32; reg.w], vec![0f32; reg.w], vec![0f32; reg.w]];
+                for y in 0..reg.h {
                     let [yy, cb, cr] = &mut bufs;
-                    let src = |c: usize| &int_planes[c].row(y)[cols.clone()];
+                    let src = |c: usize| image_row(image, c, reg, y);
                     kernels::ict_forward_row(src(0), src(1), src(2), yy, cb, cr, shift as f32);
                     for (rows, buf) in out.iter_mut().zip(&bufs) {
                         for (d, &v) in rows.row_mut(y).iter_mut().zip(buf) {
@@ -669,11 +676,11 @@ fn lossy<S: LossySample>(
                 }
             });
         } else {
-            s.run("mct", per_plane(&mut planes, tiles), |c, r, mut rows| {
-                for y in 0..r.h {
-                    let src = &int_planes[c].row(y)[r.x0..r.x0 + r.w];
+            s.run("mct", per_plane(&mut planes, tiles), |c, reg, mut rows| {
+                for y in 0..reg.h {
+                    let src = image_row(image, c, reg, y);
                     for (d, &v) in rows.row_mut(y).iter_mut().zip(src) {
-                        *d = S::from_f32((v - shift) as f32);
+                        *d = S::from_f32((i32::from(v) - shift) as f32);
                     }
                 }
             });
@@ -687,10 +694,10 @@ fn lossy<S: LossySample>(
     // Per-band signalled steps and weights (cheap, calling thread; same
     // order and arithmetic as the sequential pipeline).
     let base = default_base_step(depth);
-    let bands = wavelet::subbands(w, h, params.levels);
+    let bands = wavelet::subbands(image.width, image.height, params.levels);
     let mut steps = Vec::with_capacity(bands.len());
     let mut weights = Vec::with_capacity(bands.len());
-    let mut delta_sigs = Vec::with_capacity(bands.len());
+    let mut deltas = Vec::with_capacity(bands.len());
     for b in &bands {
         let lev = b.level.max(1);
         let delta = band_delta(base, b.band, lev);
@@ -700,39 +707,13 @@ fn lossy<S: LossySample>(
         let nrm = norms::l2_norm_97(b.band, lev);
         steps.push(step);
         weights.push((delta_sig * nrm) * (delta_sig * nrm));
-        delta_sigs.push(delta_sig);
+        deltas.push(delta_sig);
     }
-
-    // Quantize by column chunk (elementwise over band rectangles; Q13
-    // coefficients drop back to f32 exactly as sequentially).
-    let mut indices: Vec<AlignedPlane<i32>> = (0..comps)
-        .map(|_| AlignedPlane::new(w, h).expect("geometry"))
-        .collect();
-    s.timed("stage:quantize", |s| {
-        s.run(
-            "quantize",
-            per_plane(&mut indices, tiles),
-            |c, r, mut rows| {
-                let mut scratch = Vec::new();
-                for (b, &d) in bands.iter().zip(&delta_sigs) {
-                    let lo = b.x0.max(r.x0);
-                    let hi = (b.x0 + b.w).min(r.x0 + r.w);
-                    if lo >= hi {
-                        continue;
-                    }
-                    for y in b.y0..b.y0 + b.h {
-                        let src = &planes[c].row(y)[lo..hi];
-                        let dst = &mut rows.row_mut(y)[lo - r.x0..hi - r.x0];
-                        S::quantize_row(src, dst, d, &mut scratch);
-                    }
-                }
-            },
-        );
-    });
 
     let max_planes: Vec<u8> = steps.iter().map(|s| GUARD_BITS + s.exponent - 1).collect();
     Ok(Transformed {
-        indices,
+        coeffs: S::coefficients(planes),
+        deltas,
         quant: Quant::Scalar(steps),
         bands,
         max_planes,
@@ -787,6 +768,34 @@ mod tests {
         synth::natural_rgb(256, 64, 17)
     }
 
+    /// [`wide_rgb`] at `depth` bits: each 8-bit sample moves to the top
+    /// of the range with its high bits repeated below, so the samples
+    /// span the full `depth`-bit range.
+    fn deep_rgb(depth: u8) -> Image {
+        let src = wide_rgb();
+        let mut im = Image::new(src.width, src.height, 3, depth).unwrap();
+        for (dst, src) in im.planes.iter_mut().zip(&src.planes) {
+            for (d, &v) in dst.iter_mut().zip(src) {
+                *d = (v << (depth - 8)) | (v >> (16 - depth));
+            }
+        }
+        im
+    }
+
+    /// `encode_with` at 1, 2, 4 and 8 workers must equal `encode`, and the
+    /// chunked coefficients (read back through Tier-1 block extraction)
+    /// the sequential oracle's.
+    fn assert_matches_sequential(im: &Image, params: &EncoderParams, what: &str) {
+        let seq = encode(im, params).unwrap();
+        let oracle = crate::pipeline::transform_coefficients(im, params).unwrap();
+        for workers in [1usize, 2, 4, 8] {
+            let (par, _) = encode_with(im, params, workers, None).unwrap();
+            assert_eq!(par, seq, "{what} workers={workers}");
+            let chunked = transform_coefficients_parallel(im, params, workers).unwrap();
+            assert_eq!(chunked, oracle, "{what} coefficients workers={workers}");
+        }
+    }
+
     #[test]
     fn parallel_matches_sequential_lossless() {
         let im = synth::natural_rgb(96, 64, 13);
@@ -821,16 +830,12 @@ mod tests {
         let (par, _) = encode_with(&im, &params, 3, None).unwrap();
         assert_eq!(par, seq);
 
-        let wide = wide_rgb();
         let params = EncoderParams {
             levels: 5,
             ..EncoderParams::lossy(0.1)
         };
-        let seq = encode(&wide, &params).unwrap();
-        for workers in [1usize, 2, 4, 8] {
-            let (par, _) = encode_with(&wide, &params, workers, None).unwrap();
-            assert_eq!(par, seq, "256x64 workers={workers}");
-        }
+        assert_matches_sequential(&wide_rgb(), &params, "256x64 rgb");
+        assert_matches_sequential(&synth::natural(256, 64, 17), &params, "256x64 gray");
     }
 
     #[test]
@@ -844,6 +849,42 @@ mod tests {
         for workers in [1usize, 2, 5] {
             let (par, _) = encode_with(&im, &params, workers, None).unwrap();
             assert_eq!(par, seq, "workers={workers}");
+        }
+
+        let params = EncoderParams {
+            levels: 5,
+            arithmetic: Arithmetic::FixedQ13,
+            ..EncoderParams::lossy(0.1)
+        };
+        assert_matches_sequential(&wide_rgb(), &params, "256x64 rgb q13");
+        assert_matches_sequential(&synth::natural(256, 64, 17), &params, "256x64 gray q13");
+    }
+
+    #[test]
+    fn parallel_matches_sequential_at_high_bit_depth() {
+        // The `u16` image read and the level shift at 12 and 16 bits.
+        for depth in [12u8, 16] {
+            let im = deep_rgb(depth);
+            for params in [
+                EncoderParams {
+                    levels: 5,
+                    ..EncoderParams::lossless()
+                },
+                EncoderParams {
+                    levels: 5,
+                    ..EncoderParams::lossy(0.1)
+                },
+                EncoderParams {
+                    levels: 5,
+                    arithmetic: Arithmetic::FixedQ13,
+                    ..EncoderParams::lossy(0.1)
+                },
+            ] {
+                let what = format!("{depth}-bit {:?} {:?}", params.mode, params.arithmetic);
+                assert_matches_sequential(&im, &params, &what);
+            }
+            let lossless = encode(&im, &EncoderParams::lossless()).unwrap();
+            assert_eq!(crate::decode(&lossless).unwrap(), im, "{depth}-bit");
         }
     }
 
@@ -923,19 +964,34 @@ mod tests {
         let (par, events, _) = traced_encode(&im, &params, 3);
         assert_eq!(par, seq, "tracing must not perturb the codestream");
         for name in [
+            "stage:mct",
+            "stage:dwt",
+            "stage:tier1",
+            "stage:rate-control",
             "mct",
             "dwt",
             "quantize",
             "tier1",
             "dwt-level-1",
             "chunk-0",
-            "stage:rate-control",
         ] {
             assert!(
                 events.iter().any(|e| e.name == name),
                 "missing event {name} in {:?}",
                 events.iter().map(|e| e.name.clone()).collect::<Vec<_>>()
             );
+        }
+        for gone in ["stage:convert", "stage:quantize"] {
+            assert!(events.iter().all(|e| e.name != gone), "{gone} recorded");
+        }
+        // One `quantize` span per code block, inside Tier-1, naming the
+        // block's component and band.
+        let quantize: Vec<_> = events.iter().filter(|e| e.name == "quantize").collect();
+        let blocks = events.iter().filter(|e| e.name == "rate-prep").count();
+        assert_eq!(quantize.len(), blocks);
+        for e in quantize {
+            let keys: Vec<&str> = e.args.iter().map(|(k, _)| *k).collect();
+            assert_eq!(keys, ["comp", "band"], "quantize span args");
         }
         // Chunk spans fan out: more than one distinct worker arg.
         let mut workers: Vec<u64> = events
@@ -985,9 +1041,15 @@ mod tests {
             "sample stages did not fan out: {:?}",
             prof.worker_jobs
         );
-        let names: Vec<&str> = prof.stage_times.iter().map(|s| s.name.as_ref()).collect();
-        for want in ["convert", "mct", "dwt", "tier1", "rate-control"] {
-            assert!(names.contains(&want), "missing stage {want} in {names:?}");
+        for params in [EncoderParams::lossless(), EncoderParams::lossy(0.2)] {
+            let (_, prof) = encode_with(&im, &params, workers, None).unwrap();
+            let names: Vec<&str> = prof.stage_times.iter().map(|s| s.name.as_ref()).collect();
+            assert_eq!(
+                names,
+                ["mct", "dwt", "tier1", "rate-control", "tier2"],
+                "{:?}",
+                params.mode
+            );
         }
     }
 }

@@ -88,11 +88,28 @@ impl BlockRecord {
     }
 }
 
+/// The coefficient planes the sample stages leave for Tier-1, one per
+/// component. Tier-1 block extraction ([`Transformed::block_indices`])
+/// turns them into quantizer indices.
+pub(crate) enum Coefficients {
+    /// Quantizer indices already, copied out as they are: the 5/3
+    /// coefficients, or the sequential oracle's quantized 9/7 planes.
+    Indices(Vec<AlignedPlane<i32>>),
+    /// 9/7 coefficients in `f32`.
+    F32(Vec<AlignedPlane<f32>>),
+    /// 9/7 coefficients in Q13 fixed point; each row drops back to `f32`
+    /// (`v / 8192`) before it is quantized.
+    Q13(Vec<AlignedPlane<i32>>),
+}
+
 /// Everything shared between the sample stages and entropy stages.
 pub(crate) struct Transformed {
-    /// Coefficient planes as quantizer indices (one per component).
-    pub indices: Vec<AlignedPlane<i32>>,
-    /// Per-band quantization (indexes match `bands`).
+    /// Coefficient planes (one per component).
+    pub coeffs: Coefficients,
+    /// Per-band signalled quantizer step (indexes match `bands`) for 9/7
+    /// coefficient planes; empty when the planes are indices already.
+    pub deltas: Vec<f64>,
+    /// Per-band quantization signalling (indexes match `bands`).
     pub quant: Quant,
     /// Subband geometry.
     pub bands: Vec<Subband>,
@@ -100,6 +117,81 @@ pub(crate) struct Transformed {
     pub max_planes: Vec<u8>,
     /// Per-band distortion weight ((delta * norm)^2).
     pub weights: Vec<f64>,
+}
+
+impl Transformed {
+    /// Number of component planes.
+    pub(crate) fn comps(&self) -> usize {
+        match &self.coeffs {
+            Coefficients::Indices(p) | Coefficients::Q13(p) => p.len(),
+            Coefficients::F32(p) => p.len(),
+        }
+    }
+
+    /// The quantizer indices of one code block of band `bi` in component
+    /// `comp`, its `(x0, y0, bw, bh)` rectangle read row by row: the one
+    /// place 9/7 coefficients are quantized. A block of 9/7 coefficients
+    /// runs under one `quantize` span.
+    pub(crate) fn block_indices(
+        &self,
+        comp: usize,
+        bi: usize,
+        (x0, y0, bw, bh): (usize, usize, usize, usize),
+    ) -> Vec<i32> {
+        let mut data = vec![0i32; bw * bh];
+        let rows = data.chunks_exact_mut(bw).zip(y0..y0 + bh);
+        let cols = x0..x0 + bw;
+        let quantize_span = || {
+            trace::span("quantize")
+                .cat("chunk")
+                .arg("comp", comp as u64)
+                .arg("band", bi as u64)
+        };
+        match &self.coeffs {
+            Coefficients::Indices(p) => {
+                for (dst, y) in rows {
+                    dst.copy_from_slice(&p[comp].row(y)[cols.clone()]);
+                }
+            }
+            Coefficients::F32(p) => {
+                let _sp = quantize_span();
+                for (dst, y) in rows {
+                    kernels::quantize_row(&p[comp].row(y)[cols.clone()], dst, self.deltas[bi]);
+                }
+            }
+            Coefficients::Q13(p) => {
+                let _sp = quantize_span();
+                let mut scratch = vec![0f32; bw];
+                for (dst, y) in rows {
+                    for (s, &v) in scratch.iter_mut().zip(&p[comp].row(y)[cols.clone()]) {
+                        *s = v as f32 / 8192.0;
+                    }
+                    kernels::quantize_row(&scratch, dst, self.deltas[bi]);
+                }
+            }
+        }
+        data
+    }
+
+    /// Dense `width`-wide quantizer-index planes rebuilt from every code
+    /// block of `cb`-sized grids through [`Transformed::block_indices`],
+    /// so a differential test reads what Tier-1 codes.
+    pub(crate) fn dense_indices(&self, width: usize, height: usize, cb: usize) -> Vec<Vec<i32>> {
+        (0..self.comps())
+            .map(|c| {
+                let mut dense = vec![0i32; width * height];
+                for (bi, b) in self.bands.iter().enumerate() {
+                    for (_, _, x0, y0, bw, bh) in block_grid(b, cb) {
+                        let block = self.block_indices(c, bi, (x0, y0, bw, bh));
+                        for (row, y) in block.chunks_exact(bw).zip(y0..) {
+                            dense[y * width + x0..][..bw].copy_from_slice(row);
+                        }
+                    }
+                }
+                dense
+            })
+            .collect()
+    }
 }
 
 /// Run level shift + MCT + DWT + quantization on whole planes, producing
@@ -152,7 +244,8 @@ pub(crate) fn transform_samples(
                 })
                 .collect();
             Ok(Transformed {
-                indices: int_planes,
+                coeffs: Coefficients::Indices(int_planes),
+                deltas: Vec::new(),
                 quant: Quant::Reversible(exps),
                 bands,
                 max_planes,
@@ -194,7 +287,7 @@ pub(crate) fn transform_samples(
                     };
                     let mut q13: Vec<AlignedPlane<i32>> = fp
                         .iter()
-                        .map(|p| p.map(|v| (v * 8192.0).round() as i32))
+                        .map(|p| p.map(|v| kernels::round_half_away(v * 8192.0)))
                         .collect();
                     for p in &mut q13 {
                         wavelet::transform2d::forward_2d_97_fixed(p, params.levels, params.variant);
@@ -227,7 +320,8 @@ pub(crate) fn transform_samples(
             }
             let max_planes: Vec<u8> = steps.iter().map(|s| GUARD_BITS + s.exponent - 1).collect();
             Ok(Transformed {
-                indices,
+                coeffs: Coefficients::Indices(indices),
+                deltas: Vec::new(),
                 quant: Quant::Scalar(steps),
                 bands,
                 max_planes,
@@ -400,7 +494,7 @@ pub fn transform_coefficients(
         .validate()
         .map_err(|e| CodecError::Image(e.to_string()))?;
     let t = transform_samples(image, params)?;
-    Ok(t.indices.iter().map(|p| p.to_dense()).collect())
+    Ok(t.dense_indices(image.width, image.height, params.cb_size))
 }
 
 /// Everything the rate-control/Tier-2 tail produced, including the
@@ -794,7 +888,7 @@ fn decode_parsed(
                 // followed by DWT-domain cropping via the f32 path.
                 let mut q13: Vec<AlignedPlane<i32>> = planes
                     .iter()
-                    .map(|p| p.map(|v| (v * 8192.0).round() as i32))
+                    .map(|p| p.map(|v| kernels::round_half_away(v * 8192.0)))
                     .collect();
                 for p in &mut q13 {
                     wavelet::transform2d::inverse_2d_97_fixed(p, hdr.levels);

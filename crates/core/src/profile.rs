@@ -30,7 +30,7 @@ pub struct BlockWork {
 /// produced the profile.
 #[derive(Debug, Clone)]
 pub struct StageTime {
-    /// Stage name (e.g. "mct", "dwt", "quantize", "tier1"). `Cow` so
+    /// Stage name (e.g. "mct", "dwt", "tier1"). `Cow` so
     /// dynamically named stages (`chunk-3`, `dwt-level-2`) don't force
     /// a `String` leak to obtain `'static` lifetime.
     pub name: Cow<'static, str>,
@@ -86,7 +86,11 @@ pub struct WorkloadProfile {
     pub rate_converged: bool,
     /// Output codestream bytes.
     pub output_bytes: u64,
-    /// Measured per-stage wall times, in pipeline order.
+    /// Measured per-stage wall times, in pipeline order. The encode
+    /// driver records `mct` (the image read merged with level shift and
+    /// MCT), `dwt`, `tier1` (block extraction — with quantization of 9/7
+    /// coefficients — coding and R-D preparation), `rate-control` and
+    /// `tier2`.
     pub stage_times: Vec<StageTime>,
     /// Jobs executed per worker by the host-parallel driver: indices
     /// `0..workers` are the spawned workers, the last entry is the calling

@@ -5,9 +5,9 @@
 //! test estate pins is *decoded and measured*, not trusted by stored
 //! constants. This crate is the measuring instrument:
 //!
-//! * [`psnr`] — mean-squared error and peak signal-to-noise ratio,
+//! * [`psnr`](mod@psnr) — mean-squared error and peak signal-to-noise ratio,
 //!   aggregate and per component;
-//! * [`ssim`] — the Wang et al. structural similarity index (11×11
+//! * [`ssim`](mod@ssim) — the Wang et al. structural similarity index (11×11
 //!   Gaussian window, σ = 1.5), aggregate and per component;
 //! * [`comparator`] — [`compare`] runs the full A/B battery in one pass
 //!   and returns a [`Comparison`] with hand-rolled JSON and a human

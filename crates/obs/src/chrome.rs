@@ -1,4 +1,4 @@
-//! Chrome trace-event JSON: render [`trace::Event`]s into the format
+//! Chrome trace-event JSON: render [`crate::trace::Event`]s into the format
 //! `chrome://tracing` and Perfetto load, and parse/validate such files
 //! (for the CI trace checker and `trace_report`).
 //!

@@ -11,8 +11,8 @@
 //! its failure re-opens it with a doubled cool-down.
 //!
 //! The breaker is single-client state (`&mut self`) and takes its time
-//! from an injectable [`Clock`], so tests drive it with a
-//! [`ManualClock`] and zero sleeps.
+//! from an injectable [`Clock`](crate::pressure::Clock), so tests drive
+//! it with a [`ManualClock`](crate::pressure::ManualClock) and zero sleeps.
 
 use crate::pressure::ClockHandle;
 use std::time::{Duration, Instant};

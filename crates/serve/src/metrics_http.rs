@@ -306,7 +306,8 @@ mod tests {
         // set appears even though only the MQ coder ran.
         assert!(text.contains("j2k_tier1_symbols_per_sec_ht_count 0"));
         assert!(text.contains("j2k_tier1_symbols_per_sec_mq_count"));
-        assert!(text.contains("j2k_stage_quantize_us_count 0"));
+        assert!(text.contains("j2k_decode_us_count 0"));
+        assert!(!text.contains("j2k_stage_quantize_us"));
         assert!(!text.contains("j2k_stage_transform_us"));
         assert!(!text.contains("j2k_tier1_symbols_per_sec_count"));
         // Layers are timed by the stage histograms only: no per-kernel

@@ -1,5 +1,5 @@
 //! The encode service: admission control in front of a **self-healing**
-//! worker pool that drains the bounded [`JobQueue`](crate::queue::JobQueue).
+//! worker pool that drains the bounded [`crate::queue::JobQueue`].
 //!
 //! Life of a job: [`EncodeService::submit`] computes the job's deadline,
 //! wraps image + params + a shared [`EncodeControl`] into a queue task,
@@ -594,10 +594,8 @@ pub struct EncodeService {
 const DECLARED_HISTOGRAMS: &[&str] = &[
     "queue_wait_us",
     "job_e2e_us",
-    "stage_convert_us",
     "stage_mct_us",
     "stage_dwt_us",
-    "stage_quantize_us",
     "stage_tier1_us",
     "stage_rate_control_us",
     "stage_tier2_us",
@@ -986,7 +984,7 @@ impl EncodeService {
         self.metrics.conns_rejected.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Most recent quarantined job ids (up to [`QUARANTINE_KEEP`]).
+    /// Most recent quarantined job ids (up to the newest 64).
     pub fn quarantined(&self) -> Vec<u64> {
         self.metrics
             .quarantine
@@ -1531,9 +1529,16 @@ mod tests {
         );
         assert!(m.histograms.iter().all(|(_, h)| h.count == 0));
         // No series the driver never records: no fused `transform` stage,
-        // and no aggregate Tier-1 rate beside the per-coder ones.
-        assert_eq!(names.len(), 12, "{names:?}");
-        for retired in ["stage_transform_us", "tier1_symbols_per_sec"] {
+        // no `convert` or `quantize` stage (the MCT reads the image rows,
+        // Tier-1 quantizes), and no aggregate Tier-1 rate beside the
+        // per-coder ones.
+        assert_eq!(names.len(), 10, "{names:?}");
+        for retired in [
+            "stage_transform_us",
+            "stage_convert_us",
+            "stage_quantize_us",
+            "tier1_symbols_per_sec",
+        ] {
             assert!(!names.contains(&retired), "{retired} is declared");
         }
         svc.begin_shutdown();

@@ -128,7 +128,7 @@ pub enum Request {
     /// Ask the daemon to drain and exit.
     Shutdown,
     /// Readiness probe: fetch a
-    /// [`HealthSnapshot`](crate::service::HealthSnapshot) (live workers,
+    /// [`crate::service::HealthSnapshot`] (live workers,
     /// quarantine count, retry totals, queue depth).
     Health,
     /// Fetch a finished job's Chrome trace JSON by job id (0 = the most

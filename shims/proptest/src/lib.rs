@@ -318,7 +318,7 @@ pub mod collection {
     use super::{Strategy, TestRng};
     use std::ops::{Range, RangeInclusive};
 
-    /// Length specification for [`vec`]: an exact count or a range,
+    /// Length specification for [`vec()`]: an exact count or a range,
     /// mirroring upstream's `Into<SizeRange>` conversions.
     pub trait IntoSizeRange {
         /// Lower bound and inclusive upper bound.

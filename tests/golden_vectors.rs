@@ -98,6 +98,17 @@ fn synth() -> Vec<Case> {
             psnr_floor: Some(30.0),
         },
         Case {
+            // Q13 through the ICT: the colour transform's f32 output is
+            // rounded into fixed point before the 9/7 lifting.
+            name: "lossy_fixed_rgb_100x40_r30",
+            image: || natural_rgb(100, 40, 6),
+            params: EncoderParams {
+                arithmetic: Arithmetic::FixedQ13,
+                ..EncoderParams::lossy(0.3)
+            },
+            psnr_floor: Some(30.0),
+        },
+        Case {
             name: "lossy_strip_129x1_r50",
             image: || natural(129, 1, 5),
             params: EncoderParams {
