@@ -1,9 +1,9 @@
 //! Cooperative cancellation and deadlines for long-running encodes.
 //!
 //! An [`EncodeControl`] is shared between the caller (who may cancel) and
-//! the encode driver (which polls it at stage boundaries and, during
-//! Tier-1, once per code block — the finest-grained unit of the paper's
-//! dynamic work queue). Polling is cooperative: a stopped encode returns
+//! the encode driver (which polls it on every job a thread claims: a
+//! column chunk, a row band, or a code block, the finest-grained unit of
+//! the paper's dynamic work queue). Polling is cooperative: a stopped encode returns
 //! [`CodecError::Cancelled`] or [`CodecError::Deadline`] at the next
 //! checkpoint rather than being interrupted mid-kernel, so no partially
 //! written state ever escapes.

@@ -3,31 +3,36 @@
 //!
 //! * The **sample stages** (level shift + MCT merged, then the DWT) are
 //!   decomposed by the same column-chunk plan the Cell path uses
-//!   ([`xpart::ChunkPlan`]): constant-width chunks (a cache-line multiple)
-//!   go round-robin to the workers — the SPE role — while the
-//!   arbitrary-width remainder chunk stays on the calling thread — the PPE
-//!   role. The merged level shift + MCT reads its columns straight from
+//!   ([`xpart::ChunkPlan`]): constant-width chunks of a cache-line
+//!   multiple, about four per worker, plus one arbitrary-width remainder
+//!   chunk. The merged level shift + MCT reads its columns straight from
 //!   the [`Image`] rows into the one working plane per component the
 //!   transform allocates; the DWT then runs in place on those planes.
 //!   Vertical lifting runs per column chunk, horizontal lifting per row
 //!   band ("an identical number of rows to each SPE").
-//! * **Tier-1** uses a dynamic work queue of code blocks (an atomic
-//!   cursor), exactly like the paper's SPE/PPE queue. A worker quantizes
-//!   a block's 9/7 coefficients as it copies them out of the plane
+//! * **Tier-1** takes one job per code block, as the paper's SPEs take
+//!   blocks from its dynamic queue. The thread that claims a block
+//!   quantizes its 9/7 coefficients as it copies them out of the plane
 //!   (`Transformed::block_indices`), so quantization rides the queue.
 //! * **Rate control and Tier-2** run sequentially on the calling thread,
 //!   as on the paper's PPE (`pipeline::rate_control_and_assemble`).
 //!
-//! One `workers` knob drives both fan-outs; at one worker every stage runs
-//! on the calling thread and no thread is spawned. Output is byte-identical
-//! for every worker count — parallelization must never change the
-//! codestream (asserted by tests and proptests): the vertical filter is
-//! column-local, the horizontal filter row-local, and level shift / MCT /
-//! quantization are elementwise, so any disjoint partition performs the
-//! same arithmetic on the same operands.
+//! Every fan-out (the MCT, both DWT passes of every level, and Tier-1)
+//! goes through one claim loop, `claim_jobs`: the calling thread and up to
+//! `workers − 1` scoped helpers take the next job from one atomic cursor,
+//! so a thread that the host deschedules holds up no fixed share of a
+//! stage. `workers` counts the calling thread; at one worker, and for a
+//! stage with one job, everything runs inline and no thread is spawned.
+//! Output is byte-identical for every worker count — parallelization must
+//! never change the codestream (asserted by tests and proptests): the
+//! vertical filter is column-local, the horizontal filter row-local, and
+//! level shift / MCT / quantization are elementwise, so any disjoint
+//! partition performs the same arithmetic on the same operands.
 //! Each chunked stage cuts every job's [`Rows`] views on the calling thread
-//! ([`rowops::split`]) and moves them to the thread that runs the job, so
-//! the borrow checker proves the partition disjoint.
+//! ([`rowops::split`]); a view moves to whichever thread claims its job, so
+//! the borrow checker proves the partition disjoint. The paper's fixed
+//! SPE/PPE ownership of chunks lives on in the Cell model
+//! ([`crate::cell`]).
 
 use crate::control::EncodeControl;
 use crate::kernels;
@@ -41,12 +46,12 @@ use crate::{codestream::Quant, Arithmetic, CodecError, EncoderParams, Mode, Work
 use imgio::Image;
 use obs::trace;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 use wavelet::rowops::{self, Region, Rows};
 use wavelet::vertical::Arith97;
 use wavelet::{horizontal, norms, vertical, VerticalVariant};
-use xpart::{auto_chunk_bytes, AlignedPlane, ChunkPlan, Owner, PlanConfig};
+use xpart::{auto_chunk_bytes, AlignedPlane, ChunkPlan, PlanConfig};
 
 /// Encode `image` with `params` on the calling thread, returning the
 /// codestream: [`encode_with`] at one worker without a control.
@@ -54,16 +59,17 @@ pub fn encode(image: &Image, params: &EncoderParams) -> Result<Vec<u8>, CodecErr
     encode_with(image, params, 1, None).map(|(bytes, _)| bytes)
 }
 
-/// Encode with `workers` threads (clamped to at least 1) and return the
-/// codestream plus the measured [`WorkloadProfile`]: per-stage wall times
-/// and per-worker job counts (`worker_jobs`: workers first, calling thread
-/// last).
+/// Encode on `workers` threads, the calling thread included (clamped to
+/// at least 1), and return the codestream plus the measured
+/// [`WorkloadProfile`]: per-stage wall times and the jobs each thread
+/// claimed (`worker_jobs`: `workers` entries, calling thread first).
 ///
-/// With a `ctl`, the encode polls it at every stage boundary and, during
-/// Tier-1, once per code block, returning [`CodecError::Cancelled`] /
-/// [`CodecError::Deadline`] instead of a codestream when the control stops
-/// it. The control adds checkpoints, never arithmetic: a completed encode
-/// is byte-identical with or without one, at every worker count.
+/// With a `ctl`, the encode polls it at the start and on every job a
+/// thread claims (a chunk, a row band or a code block), returning
+/// [`CodecError::Cancelled`] / [`CodecError::Deadline`] instead of a
+/// codestream when the control stops it. The control adds checkpoints,
+/// never arithmetic: a completed encode is byte-identical with or without
+/// one, at every worker count.
 pub fn encode_with(
     image: &Image,
     params: &EncoderParams,
@@ -133,57 +139,94 @@ pub fn transform_coefficients_parallel(
     Ok(t.dense_indices(image.width, image.height, params.cb_size))
 }
 
-/// Run `worker(i, payload)` for every worker index `i` with the `i`-th
-/// payload and `calling()` on the calling thread, then join; returns the
-/// workers' results in index order. There is one worker per payload.
+/// Run `f(thread, job)` for every job; returns the results in job order
+/// and the jobs each thread ran (`workers` entries, calling thread first).
 ///
-/// At one worker both run inline on the calling thread and no thread is
-/// spawned. Otherwise each worker gets a scoped thread that takes its
-/// payload, inherits the caller's trace id (TLS does not cross
+/// The calling thread is thread 0. It and at most `min(workers, jobs) − 1`
+/// scoped helpers claim jobs from one atomic cursor, so a job, and any
+/// views it owns, moves to whichever thread claims it. With one job or one
+/// worker everything runs inline and no thread is spawned. `ctl` is polled
+/// on every claim; the first error, from `ctl` or from `f`, stops all
+/// claiming and is returned.
+///
+/// A helper inherits the caller's trace id (TLS does not cross
 /// `thread::scope`) and flushes its trace buffer before returning: the
 /// scope waits for closures, not TLS destructors, so the Drop flush alone
-/// would race the caller's trace drain. A worker's panic resumes on the
+/// would race the caller's trace drain. A helper's panic resumes on the
 /// calling thread after the join.
-fn on_workers<P, R, W, C>(payloads: Vec<P>, worker: W, calling: C) -> Vec<R>
-where
-    P: Send,
-    R: Send,
-    W: Fn(usize, P) -> R + Sync,
-    C: FnOnce(),
-{
-    if payloads.len() <= 1 {
-        let r = payloads.into_iter().map(|p| worker(0, p)).collect();
-        calling();
-        return r;
-    }
+fn claim_jobs<J: Send, R: Send>(
+    workers: usize,
+    jobs: Vec<J>,
+    ctl: Option<&EncodeControl>,
+    f: impl Fn(usize, J) -> Result<R, CodecError> + Sync,
+) -> Result<(Vec<R>, Vec<u64>), CodecError> {
+    let slots: Vec<Mutex<Option<J>>> = jobs.into_iter().map(|j| Mutex::new(Some(j))).collect();
+    // The cursor only hands out indices, so `Relaxed` suffices: a job
+    // moves through its slot's mutex and a result through the join.
+    let cursor = AtomicUsize::new(0);
+    let first_err = OnceLock::new();
+    let claim = |thread: usize| {
+        let mut done = Vec::new();
+        while first_err.get().is_none() {
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            let Some(slot) = slots.get(i) else { break };
+            let job = slot
+                .lock()
+                .expect("a slot is locked only to take its job")
+                .take()
+                .expect("the cursor hands out each job once");
+            match ctl
+                .map_or(Ok(()), EncodeControl::check)
+                .and_then(|()| f(thread, job))
+            {
+                Ok(r) => done.push((i, r)),
+                // A later error finds the first one set and is dropped.
+                Err(e) => drop(first_err.set(e)),
+            }
+        }
+        done
+    };
+    let threads = workers.min(slots.len()).max(1);
     let parent_trace = trace::current();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = payloads
-            .into_iter()
-            .enumerate()
-            .map(|(wi, p)| {
-                let worker = &worker;
+    let per_thread: Vec<Vec<(usize, R)>> = std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..threads)
+            .map(|thread| {
+                let claim = &claim;
                 scope.spawn(move || {
                     trace::set_current(parent_trace);
-                    let r = worker(wi, p);
+                    let done = claim(thread);
                     trace::flush_thread();
-                    r
+                    done
                 })
             })
             .collect();
-        calling();
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-            .collect()
-    })
+        let mut per_thread = vec![claim(0)];
+        per_thread.extend(
+            helpers
+                .into_iter()
+                .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p))),
+        );
+        per_thread
+    });
+    if let Some(e) = first_err.into_inner() {
+        return Err(e);
+    }
+    let mut counts = vec![0; workers.max(1)];
+    let mut results: Vec<Option<R>> = slots.iter().map(|_| None).collect();
+    for (count, done) in counts.iter_mut().zip(per_thread) {
+        *count = done.len() as u64;
+        for (i, r) in done {
+            results[i] = Some(r);
+        }
+    }
+    let results = results.into_iter().map(|r| r.expect("every job ran"));
+    Ok((results.collect(), counts))
 }
 
-/// Tier-1 over a dynamic work queue: `workers` pull the next code block
-/// atomically, extract (and, for 9/7 coefficients, quantize) it, code it,
-/// and run its R-D preparation. Each worker returns
-/// its `(job index, record)` pairs, scattered into job order after the
-/// join. Returns the records plus per-worker block counts.
+/// Tier-1 on the claim loop, one job per code block: the claiming thread
+/// extracts the block (quantizing 9/7 coefficients), codes it and runs its
+/// R-D preparation. Returns the records in block order plus the blocks
+/// each thread coded.
 pub(crate) fn tier1_queue(
     t: &Transformed,
     params: &EncoderParams,
@@ -199,81 +242,42 @@ pub(crate) fn tier1_queue(
             }
         }
     }
-    let cursor = AtomicUsize::new(0);
-    // First injected `tier1.block` error, if the failpoint fires: the
-    // erroring worker parks its message here and stops claiming jobs.
-    let injected: Mutex<Option<String>> = Mutex::new(None);
-    let done = on_workers(
-        vec![(); workers],
-        |_, ()| {
-            let mut done = Vec::new();
-            loop {
-                if ctl.is_some_and(|c| c.is_stopped()) {
-                    break;
-                }
-                // Failpoint `tier1.block`: fires once per claimed code
-                // block. A panic here unwinds through the join (the
-                // service's catch_unwind lever); an error stops this
-                // worker and fails the whole encode after the barrier.
-                if let Some(msg) = faultsim::eval("tier1.block") {
-                    *injected.lock().unwrap_or_else(|e| e.into_inner()) = Some(msg);
-                    break;
-                }
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(&(comp, bi, (bx, by, x0, y0, bw, bh))) = jobs.get(i) else {
-                    break;
-                };
-                let data = t.block_indices(comp, bi, (x0, y0, bw, bh));
-                let enc = params.coder.block_coder().encode(
-                    &data,
-                    bw,
-                    bh,
-                    band_kind(t.bands[bi].band),
-                    params.bypass,
-                );
-                assert!(
-                    enc.num_planes <= t.max_planes[bi],
-                    "band {bi}: {} planes exceed M_b {}",
-                    enc.num_planes,
-                    t.max_planes[bi]
-                );
-                // R-D preparation (truncation rates/distortions + convex
-                // hull) runs here, on the worker that coded the block —
-                // the post-pass slice of rate control rides the queue.
-                done.push((i, BlockRecord::new(comp, bi, bx, by, enc, t.weights[bi])));
-            }
-            done
-        },
-        || {},
-    );
-    if let Some(c) = ctl {
-        // A stopped Tier-1 leaves unclaimed jobs; bail before collecting.
-        c.check()?;
-    }
-    // Same for an injected `tier1.block` error: the erroring worker left
-    // its claimed job (and any unclaimed tail) undone.
-    if let Some(msg) = injected.into_inner().unwrap_or_else(|e| e.into_inner()) {
-        return Err(CodecError::Injected(msg));
-    }
-    let counts = done.iter().map(|d| d.len() as u64).collect();
-    let mut slots: Vec<Option<BlockRecord>> = jobs.iter().map(|_| None).collect();
-    for (i, rec) in done.into_iter().flatten() {
-        slots[i] = Some(rec);
-    }
-    let records = slots
-        .into_iter()
-        .map(|s| s.expect("every job completed"))
-        .collect();
-    Ok((records, counts))
+    claim_jobs(workers, jobs, ctl, |_, (comp, bi, grid)| {
+        let (bx, by, x0, y0, bw, bh) = grid;
+        // Failpoint `tier1.block`: fires once per claimed code block. A
+        // panic unwinds through the join (the service's catch_unwind
+        // lever); an error stops all claiming and fails the encode.
+        if let Some(msg) = faultsim::eval("tier1.block") {
+            return Err(CodecError::Injected(msg));
+        }
+        let data = t.block_indices(comp, bi, (x0, y0, bw, bh));
+        let enc = params.coder.block_coder().encode(
+            &data,
+            bw,
+            bh,
+            band_kind(t.bands[bi].band),
+            params.bypass,
+        );
+        assert!(
+            enc.num_planes <= t.max_planes[bi],
+            "band {bi}: {} planes exceed M_b {}",
+            enc.num_planes,
+            t.max_planes[bi]
+        );
+        // R-D preparation (truncation rates/distortions + convex hull)
+        // runs here, on the thread that coded the block — the post-pass
+        // slice of rate control rides the queue.
+        Ok(BlockRecord::new(comp, bi, bx, by, enc, t.weights[bi]))
+    })
 }
 
 // ---------------------------------------------------------------------------
 // Chunked sample stages
 // ---------------------------------------------------------------------------
 
-/// One chunked transform in progress: the fan-out, the control polled at
-/// stage boundaries, and the measurements so far — per-stage wall times
-/// plus jobs executed per worker (workers first, calling thread last).
+/// One chunked transform in progress: the fan-out, the control polled on
+/// every claim, and the measurements so far — per-stage wall times plus
+/// jobs executed per thread (calling thread first).
 struct Stages<'c> {
     workers: usize,
     ctl: Option<&'c EncodeControl>,
@@ -282,10 +286,6 @@ struct Stages<'c> {
 }
 
 impl Stages<'_> {
-    fn check(&self) -> Result<(), CodecError> {
-        self.ctl.map_or(Ok(()), EncodeControl::check)
-    }
-
     /// Run `f` as the stage `span` (`stage:<name>`), recording its wall
     /// time as `<name>`.
     fn timed<R>(&mut self, span: &'static str, f: impl FnOnce(&mut Self) -> R) -> R {
@@ -299,42 +299,33 @@ impl Stages<'_> {
         r
     }
 
-    /// Run `f(comp, region, view)` for every job `(comp, tile, view)`
-    /// through [`on_workers`]: each worker takes the jobs of the tiles it
-    /// owns, views included, the calling thread takes the rest, then all
-    /// join (a stage barrier). Every job runs under a span named `stage`
-    /// (args: worker / chunk / comp).
+    /// Run `f(comp, region, view)` for every job `(comp, tile, view)` on
+    /// [`claim_jobs`], then join (a stage barrier). Every job runs under a
+    /// span named `stage` (args: worker / chunk / comp).
     fn run<V: Send>(
         &mut self,
         stage: &'static str,
         jobs: Vec<(usize, Tile, V)>,
         f: impl Fn(usize, Region, V) + Sync,
-    ) {
-        let mut lists: Vec<Vec<_>> = (0..=self.workers).map(|_| Vec::new()).collect();
-        for job in jobs {
-            lists[job.1.owner].push(job);
+    ) -> Result<(), CodecError> {
+        let (_, counts) = claim_jobs(self.workers, jobs, self.ctl, |wi, (comp, tile, view)| {
+            let _sp = trace::span(stage)
+                .cat("chunk")
+                .arg("worker", wi as u64)
+                .arg("chunk", tile.chunk as u64)
+                .arg("comp", comp as u64);
+            f(comp, tile.region, view);
+            Ok(())
+        })?;
+        for (total, n) in self.worker_jobs.iter_mut().zip(counts) {
+            *total += n;
         }
-        for (total, list) in self.worker_jobs.iter_mut().zip(&lists) {
-            *total += list.len() as u64;
-        }
-        let traced = |wi: usize, list: Vec<(usize, Tile, V)>| {
-            for (comp, tile, view) in list {
-                let _sp = trace::span(stage)
-                    .cat("chunk")
-                    .arg("worker", wi as u64)
-                    .arg("chunk", tile.chunk as u64)
-                    .arg("comp", comp as u64);
-                f(comp, tile.region, view);
-            }
-        };
-        let calling = lists.pop().expect("the calling thread's list");
-        on_workers(lists, traced, || traced(self.workers, calling));
+        Ok(())
     }
 }
 
 /// Column-chunk plan for an extent of `width` samples: auto-sized
-/// constant-width chunks round-robin over `workers`, remainder to the
-/// calling thread.
+/// constant-width chunks, about four per worker, plus a remainder.
 fn plan_for(width: usize, workers: usize) -> Result<ChunkPlan, CodecError> {
     ChunkPlan::build(
         width,
@@ -352,7 +343,7 @@ fn plan_for(width: usize, workers: usize) -> Result<ChunkPlan, CodecError> {
 }
 
 /// One tile of a stage's decomposition of a plane: a column chunk or a
-/// row band, and the thread that runs it.
+/// row band.
 #[derive(Clone, Copy)]
 struct Tile {
     region: Region,
@@ -360,13 +351,10 @@ struct Tile {
     /// for column chunks, the band index for row bands); rides into
     /// trace span args so a trace can be joined back to the plan.
     chunk: usize,
-    /// Worker index (the SPE role), or the worker count for the calling
-    /// thread (the PPE role).
-    owner: usize,
 }
 
 /// Column decomposition: every plan chunk becomes a full-height tile.
-fn column_tiles(plan: &ChunkPlan, h: usize, workers: usize) -> Vec<Tile> {
+fn column_tiles(plan: &ChunkPlan, h: usize) -> Vec<Tile> {
     plan.chunks()
         .iter()
         .map(|c| Tile {
@@ -377,30 +365,25 @@ fn column_tiles(plan: &ChunkPlan, h: usize, workers: usize) -> Vec<Tile> {
                 h,
             },
             chunk: c.id,
-            owner: match c.owner {
-                Owner::Spe(i) => i,
-                Owner::Ppe => workers,
-            },
         })
         .collect()
 }
 
-/// Row decomposition for horizontal filtering: an identical number of rows
-/// per worker (the paper assigns no rows to the PPE in this stage).
+/// Row decomposition for horizontal filtering: one band of an identical
+/// number of rows per worker.
 fn row_tiles(w: usize, h: usize, workers: usize) -> Vec<Tile> {
     let band = h.div_ceil(workers).max(1);
     (0..h)
         .step_by(band)
         .enumerate()
-        .map(|(i, y0)| Tile {
+        .map(|(chunk, y0)| Tile {
             region: Region {
                 x0: 0,
                 y0,
                 w,
                 h: band.min(h - y0),
             },
-            chunk: i,
-            owner: i % workers,
+            chunk,
         })
         .collect()
 }
@@ -444,7 +427,7 @@ fn fused<'a, T: Copy + Default>(
 /// coefficients by construction (same arithmetic on the same operands,
 /// only partitioned), plus stage measurements. Each arm allocates one
 /// working plane per component and reads the image into it in its first
-/// stage. Polls `ctl` after each stage and between DWT levels.
+/// stage. Polls `ctl` on every claimed job.
 fn transform_samples_parallel<'c>(
     image: &Image,
     params: &EncoderParams,
@@ -456,7 +439,7 @@ fn transform_samples_parallel<'c>(
         workers,
         ctl,
         stage_times: Vec::new(),
-        worker_jobs: vec![0; workers + 1],
+        worker_jobs: vec![0; workers],
     };
     let plan = plan_for(w, workers)?;
     if trace::enabled() {
@@ -474,7 +457,7 @@ fn transform_samples_parallel<'c>(
             );
         }
     }
-    let tiles = column_tiles(&plan, h, workers);
+    let tiles = column_tiles(&plan, h);
     let t = match (params.mode, params.arithmetic) {
         (Mode::Lossless, _) => lossless(&mut s, image, params, &tiles),
         (_, Arithmetic::Float32) => lossy::<f32>(&mut s, image, params, &tiles),
@@ -506,8 +489,8 @@ fn widen_row(src: &[u16], dst: &mut [i32]) {
 
 /// The DWT stage: per level, vertical lifting by column chunk, then (after
 /// the barrier) horizontal lifting by row band. One loop serves 5/3, 9/7
-/// and Q13, which differ only in the row-view kernels passed in. Polls the
-/// control and evaluates the `dwt.level` failpoint before each level.
+/// and Q13, which differ only in the row-view kernels passed in. Evaluates
+/// the `dwt.level` failpoint before each level.
 fn dwt_levels<T: Copy + Default + Send>(
     s: &mut Stages,
     planes: &mut [AlignedPlane<T>],
@@ -521,7 +504,6 @@ fn dwt_levels<T: Copy + Default + Send>(
             .iter()
             .enumerate()
         {
-            s.check()?;
             // Failpoint `dwt.level`: fires once per decomposition level, on
             // the calling thread — the clean-error lever for the service's
             // failure (not crash) paths.
@@ -533,12 +515,12 @@ fn dwt_levels<T: Copy + Default + Send>(
             } else {
                 trace::Span::disabled()
             };
-            let tiles = column_tiles(&plan_for(r.w, s.workers)?, r.h, s.workers);
+            let tiles = column_tiles(&plan_for(r.w, s.workers)?, r.h);
             s.run("dwt", per_plane(planes, &tiles), |_, _, v| {
                 vertical(v, params.variant)
-            });
+            })?;
             let tiles = row_tiles(r.w, r.h, s.workers);
-            s.run("dwt", per_plane(planes, &tiles), |_, _, v| horizontal(v));
+            s.run("dwt", per_plane(planes, &tiles), |_, _, v| horizontal(v))?;
         }
         Ok(())
     })
@@ -567,7 +549,7 @@ fn lossless(
                     widen_row(image_row(image, 2, reg, y), b);
                     kernels::rct_forward_row(r, g, b, shift);
                 }
-            });
+            })
         } else {
             s.run("mct", per_plane(&mut planes, tiles), |c, reg, mut rows| {
                 for y in 0..reg.h {
@@ -575,10 +557,9 @@ fn lossless(
                     widen_row(image_row(image, c, reg, y), row);
                     kernels::level_shift_row(row, shift);
                 }
-            });
+            })
         }
-    });
-    s.check()?;
+    })?;
 
     dwt_levels(
         s,
@@ -674,7 +655,7 @@ fn lossy<S: LossySample>(
                         }
                     }
                 }
-            });
+            })
         } else {
             s.run("mct", per_plane(&mut planes, tiles), |c, reg, mut rows| {
                 for y in 0..reg.h {
@@ -683,13 +664,11 @@ fn lossy<S: LossySample>(
                         *d = S::from_f32((i32::from(v) - shift) as f32);
                     }
                 }
-            });
+            })
         }
-    });
-    s.check()?;
+    })?;
 
     dwt_levels(s, &mut planes, params, vertical::fwd97_rows, S::horizontal)?;
-    s.check()?;
 
     // Per-band signalled steps and weights (cheap, calling thread; same
     // order and arithmetic as the sequential pipeline).
@@ -738,13 +717,13 @@ mod tests {
     }
 
     /// Record one encode at `workers` under a fresh trace id; returns the
-    /// codestream, its events, and the calling thread's `tid` (taken from
-    /// an instant recorded just before the encode).
+    /// codestream and profile, its events, and the calling thread's `tid`
+    /// (taken from an instant recorded just before the encode).
     fn traced_encode(
         im: &Image,
         params: &EncoderParams,
         workers: usize,
-    ) -> (Vec<u8>, Vec<trace::Event>, u64) {
+    ) -> ((Vec<u8>, WorkloadProfile), Vec<trace::Event>, u64) {
         trace::set_enabled(true);
         let id = trace::next_trace_id();
         trace::set_current(id);
@@ -758,12 +737,13 @@ mod tests {
             .find(|e| e.name == "caller")
             .expect("caller instant recorded")
             .tid;
-        (r.unwrap().0, events, caller)
+        (r.unwrap(), events, caller)
     }
 
-    /// 256 columns plan eight 32-sample column chunks at 8 workers, one
-    /// per worker, so workers 4 to 7 own chunks too; narrower images
-    /// never give a chunk to a worker above 3.
+    /// 256 columns plan eight 32-sample column chunks at 8 workers, so
+    /// all eight threads have a chunk to claim; narrower images plan
+    /// fewer chunks, and the claim loop spawns no thread beyond one per
+    /// job.
     fn wide_rgb() -> Image {
         synth::natural_rgb(256, 64, 17)
     }
@@ -961,7 +941,8 @@ mod tests {
         let im = synth::natural_rgb(96, 64, 11);
         let params = EncoderParams::lossy(0.25);
         let seq = encode(&im, &params).unwrap();
-        let (par, events, _) = traced_encode(&im, &params, 3);
+        let workers = 3;
+        let ((par, prof), events, _) = traced_encode(&im, &params, workers);
         assert_eq!(par, seq, "tracing must not perturb the codestream");
         for name in [
             "stage:mct",
@@ -993,17 +974,26 @@ mod tests {
             let keys: Vec<&str> = e.args.iter().map(|(k, _)| *k).collect();
             assert_eq!(keys, ["comp", "band"], "quantize span args");
         }
-        // Chunk spans fan out: more than one distinct worker arg.
-        let mut workers: Vec<u64> = events
+        // Which thread claims a chunk varies from run to run; every chunk
+        // span names a thread of this encode, and every job is counted
+        // once in `worker_jobs`.
+        let chunks: Vec<_> = events
             .iter()
-            .filter(|e| e.name == "mct")
-            .filter_map(|e| e.args.iter().find(|(k, _)| *k == "worker").map(|&(_, v)| v))
+            .filter(|e| e.name == "mct" || e.name == "dwt")
             .collect();
-        workers.sort_unstable();
-        workers.dedup();
-        assert!(
-            workers.len() >= 2,
-            "mct chunk spans on one worker only: {workers:?}"
+        for e in &chunks {
+            let worker = e.args.iter().find(|(k, _)| *k == "worker").map(|&(_, v)| v);
+            assert!(
+                worker.is_some_and(|w| w < workers as u64),
+                "{} span worker arg {worker:?}",
+                e.name
+            );
+        }
+        assert_eq!(
+            prof.worker_jobs.iter().sum::<u64>(),
+            (chunks.len() + blocks) as u64,
+            "worker_jobs {:?}",
+            prof.worker_jobs
         );
     }
 
@@ -1030,19 +1020,9 @@ mod tests {
     fn profile_reports_multi_worker_jobs_and_stages() {
         let im = synth::natural_rgb(256, 64, 3);
         let workers = 4;
-        let (_, prof) = encode_with(&im, &EncoderParams::lossless(), workers, None).unwrap();
-        assert_eq!(prof.worker_jobs.len(), workers + 1);
-        let busy = prof.worker_jobs[..workers]
-            .iter()
-            .filter(|&&c| c > 0)
-            .count();
-        assert!(
-            busy >= 2,
-            "sample stages did not fan out: {:?}",
-            prof.worker_jobs
-        );
         for params in [EncoderParams::lossless(), EncoderParams::lossy(0.2)] {
             let (_, prof) = encode_with(&im, &params, workers, None).unwrap();
+            assert_eq!(prof.worker_jobs.len(), workers, "{:?}", params.mode);
             let names: Vec<&str> = prof.stage_times.iter().map(|s| s.name.as_ref()).collect();
             assert_eq!(
                 names,
@@ -1051,5 +1031,133 @@ mod tests {
                 params.mode
             );
         }
+    }
+
+    /// Wait, yielding, until `started` reaches `n` or 10 s pass; returns
+    /// whether it got there.
+    fn all_started(started: &AtomicUsize, n: usize) -> bool {
+        let t = Instant::now();
+        while started.load(Ordering::SeqCst) < n {
+            if t.elapsed() > std::time::Duration::from_secs(10) {
+                return false;
+            }
+            std::thread::yield_now();
+        }
+        true
+    }
+
+    #[test]
+    fn claim_jobs_runs_every_job_once_in_job_order() {
+        for workers in 1..=8 {
+            for n in [0usize, 1, 2, 3, 17] {
+                let what = format!("workers={workers} jobs={n}");
+                let threads = workers.min(n).max(1);
+                let runs: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+                let (results, counts) = claim_jobs(workers, (0..n).collect(), None, |t, j| {
+                    assert!(t < threads, "{what}: thread {t}");
+                    runs[j].fetch_add(1, Ordering::SeqCst);
+                    Ok(j * 10)
+                })
+                .unwrap();
+                assert_eq!(
+                    results,
+                    (0..n).map(|j| j * 10).collect::<Vec<_>>(),
+                    "{what}"
+                );
+                assert!(runs.iter().all(|r| r.load(Ordering::SeqCst) == 1), "{what}");
+                assert_eq!(counts.len(), workers, "{what}");
+                assert_eq!(counts.iter().sum::<u64>(), n as u64, "{what}");
+                assert!(counts[threads..].iter().all(|&c| c == 0), "{what}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_helper_claims_jobs_beside_the_calling_thread() {
+        // Neither job returns before both have started, so the calling
+        // thread cannot run both: a helper must claim one.
+        let started = AtomicUsize::new(0);
+        let (met, counts) = claim_jobs(2, vec![(); 2], None, |t, ()| {
+            started.fetch_add(1, Ordering::SeqCst);
+            Ok((t, all_started(&started, 2)))
+        })
+        .unwrap();
+        assert_eq!(counts, [1, 1]);
+        assert!(met.iter().all(|&(_, both)| both), "{met:?}");
+        let mut threads: Vec<usize> = met.iter().map(|&(t, _)| t).collect();
+        threads.sort_unstable();
+        assert_eq!(threads, [0, 1]);
+    }
+
+    #[test]
+    fn an_error_stops_every_thread_and_is_returned() {
+        let injected = |r: &Result<_, CodecError>, msg: &str| match r {
+            Err(CodecError::Injected(m)) => m == msg,
+            _ => false,
+        };
+        // Inline, no job after the failing one runs.
+        let ran = AtomicUsize::new(0);
+        let r = claim_jobs(1, (0..10).collect(), None, |_, j: usize| {
+            ran.fetch_add(1, Ordering::SeqCst);
+            if j == 3 {
+                return Err(CodecError::Injected("job 3".into()));
+            }
+            Ok(())
+        });
+        assert!(injected(&r, "job 3"));
+        assert_eq!(ran.load(Ordering::SeqCst), 4);
+
+        // Jobs 0 and 1 run side by side and job 1 fails: the thread left
+        // on job 0 stops at its next claim instead of working through the
+        // yielding jobs behind them.
+        let (started, late) = (AtomicUsize::new(0), AtomicUsize::new(0));
+        let n = 10_000;
+        let r = claim_jobs(2, (0..n).collect(), None, |_, j: usize| {
+            if j >= 2 {
+                late.fetch_add(1, Ordering::SeqCst);
+                std::thread::yield_now();
+                return Ok(());
+            }
+            started.fetch_add(1, Ordering::SeqCst);
+            all_started(&started, 2);
+            if j == 1 {
+                return Err(CodecError::Injected("job 1".into()));
+            }
+            Ok(())
+        });
+        assert!(injected(&r, "job 1"));
+        assert!(late.load(Ordering::SeqCst) < n - 2, "every job ran");
+    }
+
+    #[test]
+    fn a_stopped_control_stops_claiming() {
+        let ctl = EncodeControl::new();
+        ctl.cancel();
+        for workers in [1, 2] {
+            let ran = AtomicUsize::new(0);
+            let r = claim_jobs(workers, vec![(); 8], Some(&ctl), |_, ()| {
+                ran.fetch_add(1, Ordering::SeqCst);
+                Ok(())
+            });
+            assert!(matches!(r, Err(CodecError::Cancelled)), "workers={workers}");
+            assert_eq!(ran.load(Ordering::SeqCst), 0, "workers={workers}");
+        }
+    }
+
+    #[test]
+    fn a_helper_panic_resumes_on_the_calling_thread() {
+        let started = AtomicUsize::new(0);
+        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            claim_jobs(2, vec![(); 2], None, |t, ()| {
+                started.fetch_add(1, Ordering::SeqCst);
+                all_started(&started, 2);
+                if t != 0 {
+                    panic!("helper job");
+                }
+                Ok(())
+            })
+        }));
+        let payload = r.expect_err("the helper's panic reaches the caller");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"helper job"));
     }
 }

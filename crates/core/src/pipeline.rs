@@ -885,17 +885,17 @@ fn decode_parsed(
             Arithmetic::FixedQ13 => {
                 // The fixed inverse has no partial variant; reduced-resolution
                 // decode of a fixed-point stream falls back to full inversion
-                // followed by DWT-domain cropping via the f32 path.
-                let mut q13: Vec<AlignedPlane<i32>> = planes
-                    .iter()
-                    .map(|p| p.map(|v| kernels::round_half_away(v * 8192.0)))
-                    .collect();
-                for p in &mut q13 {
-                    wavelet::transform2d::inverse_2d_97_fixed(p, hdr.levels);
-                }
-                planes = q13.iter().map(|p| p.map(|v| v as f32 / 8192.0)).collect();
-                if discard > 0 {
-                    for p in &mut planes {
+                // followed by DWT-domain cropping via the f32 path. The
+                // result goes back into the f32 planes the scatter filled.
+                for p in &mut planes {
+                    let mut q13 = p.map(|v| kernels::round_half_away(v * 8192.0));
+                    wavelet::transform2d::inverse_2d_97_fixed(&mut q13, hdr.levels);
+                    for y in 0..q13.height() {
+                        for (d, &v) in p.row_mut(y).iter_mut().zip(q13.row(y)) {
+                            *d = v as f32 / 8192.0;
+                        }
+                    }
+                    if discard > 0 {
                         wavelet::forward_2d_97(p, discard, wavelet::VerticalVariant::Merged);
                     }
                 }

@@ -92,10 +92,11 @@ pub struct WorkloadProfile {
     /// coefficients — coding and R-D preparation), `rate-control` and
     /// `tier2`.
     pub stage_times: Vec<StageTime>,
-    /// Jobs executed per worker by the host-parallel driver: indices
-    /// `0..workers` are the spawned workers, the last entry is the calling
-    /// thread (the PPE role, which keeps the remainder chunk). Empty for
-    /// non-parallel drivers.
+    /// Jobs each thread of the encode driver claimed (column chunks, row
+    /// bands and code blocks): `workers` entries, the calling thread first,
+    /// then the helpers in spawn order. Which thread claims a job varies
+    /// from run to run; the sum is the job count. Empty for non-parallel
+    /// drivers.
     pub worker_jobs: Vec<u64>,
 }
 

@@ -8,8 +8,8 @@
 //! configured queue capacity. A pool thread claims the task, runs
 //! [`encode_with`] with the per-job `workers_per_job` budget, and
 //! publishes the [`JobOutcome`] through the handle. Deadlines are
-//! enforced *inside* the encode (the control is polled per stage and per
-//! Tier-1 code block), so a job whose deadline passes mid-encode stops at
+//! enforced *inside* the encode (the control is polled on every claimed
+//! chunk, row band and code block), so a job whose deadline passes mid-encode stops at
 //! the next checkpoint and reports [`JobOutcome::TimedOut`]; a job that
 //! expires while still queued fails the control's very first checkpoint
 //! the same way — one mechanism, no timer thread.
@@ -282,7 +282,9 @@ pub struct ServiceConfig {
     /// jobs.
     pub pool_threads: usize,
     /// `workers` budget handed to [`encode_with`] per job: the
-    /// parallelism *within* one encode.
+    /// parallelism *within* one encode, counted in threads with the pool
+    /// thread that runs the job included (1 runs it on that thread
+    /// alone).
     pub workers_per_job: usize,
     /// Deadline for jobs that set none.
     pub default_timeout: Option<Duration>,

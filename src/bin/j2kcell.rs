@@ -19,10 +19,11 @@
 //! `--min-ssim` it exits nonzero when the candidate falls below the
 //! floor, so shell pipelines can gate on quality.
 //!
-//! `--workers N` (alias `--threads`) runs the encode driver with N host
-//! threads — the paper's chunked sample stages plus the dynamic Tier-1
-//! queue — producing the same codestream as one worker, where every stage
-//! runs on the calling thread.
+//! `--workers N` (alias `--threads`) runs the encode driver on N host
+//! threads, the calling thread included, which claim the paper's column
+//! chunks, row bands and Tier-1 code blocks from one queue — producing the
+//! same codestream as one worker, where every stage runs on the calling
+//! thread.
 
 use jpeg2000_cell::codec::cell::{simulate_traced, SimOptions};
 use jpeg2000_cell::codec::codestream;
@@ -68,10 +69,11 @@ encode options:
                      coder) or ht (high-throughput quad coder, Part-15
                      style: MEL + CxtVLC + MagSgn cleanup, raw
                      refinement passes)
-  --workers N        encode with N host threads — chunked sample stages
-                     + dynamic Tier-1 work queue; output stays
-                     byte-identical to one worker (alias: --threads;
-                     default 1 = every stage on the calling thread)
+  --workers N        encode on N host threads, this one included, that
+                     claim column chunks, row bands and Tier-1 code
+                     blocks from one queue; output stays byte-identical
+                     to one worker (alias: --threads; default 1 = every
+                     stage on the calling thread)
   --failpoints SPEC  arm faultsim failpoints before encoding, e.g.
                      `dwt.level=error@2` or `tier1.block=panic@3` —
                      requires a build with `--features failpoints`
