@@ -1,14 +1,9 @@
 //! `trace_report` — fold a Chrome trace from `j2kcell --trace-out` or
 //! the daemon's `--trace-dir` into a per-stage / per-worker utilization
-//! table, or validate observability artifacts in CI.
+//! table.
 //!
 //! ```text
-//! trace_report FILE                          utilization table (default)
-//! trace_report --check FILE --require a,b,c  assert FILE parses as Chrome
-//!                                            trace JSON and contains every
-//!                                            named span; exit 1 otherwise
-//! trace_report --check-prom FILE             assert FILE is well-formed
-//!                                            Prometheus text exposition
+//! trace_report FILE
 //! ```
 //!
 //! The table groups complete events by name within category (`stage`,
@@ -24,44 +19,11 @@ fn die(msg: &str) -> ! {
     exit(1);
 }
 
-const USAGE: &str =
-    "usage: trace_report FILE | --check FILE --require name,name,... | --check-prom FILE";
+const USAGE: &str = "usage: trace_report FILE";
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     match argv.first().map(String::as_str) {
-        Some("--check") => {
-            let file = argv.get(1).unwrap_or_else(|| die(USAGE));
-            let mut required: Vec<String> = Vec::new();
-            if argv.get(2).map(String::as_str) == Some("--require") {
-                required = argv
-                    .get(3)
-                    .unwrap_or_else(|| die(USAGE))
-                    .split(',')
-                    .map(str::to_string)
-                    .collect();
-            }
-            let json =
-                std::fs::read_to_string(file).unwrap_or_else(|e| die(&format!("read {file}: {e}")));
-            let req: Vec<&str> = required.iter().map(String::as_str).collect();
-            match obs::chrome::check(&json, &req) {
-                Ok(events) => println!(
-                    "trace_report: {file} OK ({} events, {} required span names present)",
-                    events.len(),
-                    req.len()
-                ),
-                Err(e) => die(&format!("{file}: {e}")),
-            }
-        }
-        Some("--check-prom") => {
-            let file = argv.get(1).unwrap_or_else(|| die(USAGE));
-            let text =
-                std::fs::read_to_string(file).unwrap_or_else(|e| die(&format!("read {file}: {e}")));
-            match obs::prom::validate(&text) {
-                Ok(series) => println!("trace_report: {file} OK ({series} series)"),
-                Err(e) => die(&format!("{file}: {e}")),
-            }
-        }
         Some("--help") | Some("-h") => println!("{USAGE}"),
         Some(file) => report(file),
         None => die(USAGE),

@@ -7,8 +7,7 @@
 //! a GET running concurrently with the previous task's compute, which
 //! is exactly the phenomenon the paper's multi-buffering buys. Track 0
 //! carries one span per pipeline stage. The JSON loads directly in
-//! Perfetto / `chrome://tracing` and is validated by
-//! `trace_report --check`.
+//! Perfetto / `chrome://tracing` and parses with `obs::chrome::check`.
 
 use crate::config::MachineConfig;
 use crate::cost::ProcKind;

@@ -1,6 +1,6 @@
 //! Chrome trace-event JSON: render [`crate::trace::Event`]s into the format
 //! `chrome://tracing` and Perfetto load, and parse/validate such files
-//! (for the CI trace checker and `trace_report`).
+//! (for the trace tests and `trace_report`).
 //!
 //! Rendered shape: `{"traceEvents":[...],"displayTimeUnit":"ms"}`.
 //! Complete spans are phase `"X"` with `ts`/`dur` in microseconds;

@@ -39,16 +39,14 @@
 //! [`SubmitError::Overloaded`]`{ retry_after_ms }` hint, transparently
 //! downgrades `allow_degraded` jobs to the HT coder (marked `degraded`
 //! in the response), and at Critical the accept loop sheds new
-//! connections while [`HealthSnapshot::ready`] turns false. The
-//! [`breaker`] module gives clients the matching discipline: a circuit
-//! breaker that opens after consecutive failures, probes half-open, and
-//! honors `retry_after_ms`.
+//! connections while [`HealthSnapshot::ready`] turns false. A refused
+//! client is expected to wait `retry_after_ms` before it tries again;
+//! the hint is longer at Critical than at Elevated.
 //!
 //! Invariant inherited from the codec: every codestream the service
 //! returns is **byte-identical** to [`j2k_core::encode`] for the same
 //! input — scheduling decisions never touch the output.
 
-pub mod breaker;
 pub mod metrics_http;
 pub mod pressure;
 pub mod queue;
@@ -56,7 +54,6 @@ pub mod server;
 pub mod service;
 pub mod wire;
 
-pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker};
 pub use metrics_http::{render_prometheus, serve_metrics, serve_metrics_with};
 pub use pressure::{
     Clock, ClockHandle, ManualClock, PixelReservation, PressureConfig, PressureController,

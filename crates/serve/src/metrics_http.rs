@@ -10,7 +10,7 @@
 //! request bytes.
 //!
 //! Exposition invariant (checked by `obs::prom::validate` and the
-//! `observe` CI job): every histogram's `+Inf` bucket equals its
+//! tests below): every histogram's `+Inf` bucket equals its
 //! `_count`, and `j2k_job_e2e_us` only ever observes *completed* jobs —
 //! so `j2k_job_e2e_us_bucket{le="+Inf"}` equals
 //! `j2k_jobs_completed_total`.

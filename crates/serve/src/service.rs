@@ -1180,7 +1180,7 @@ fn worker_iteration(
                 }
                 // Only completed jobs feed the e2e series, so its +Inf
                 // bucket count equals the completed-jobs counter (the
-                // acceptance tie checked by the `observe` CI job).
+                // tie the exposition tests assert).
                 metrics
                     .hist
                     .histogram("job_e2e_us")

@@ -2,8 +2,8 @@
 //! [`MetricsSnapshot::to_json`] encoder.
 //!
 //! The wire `Metrics` reply is consumed by external tooling
-//! (`serve_load` reads its histogram fields; dashboards join on the
-//! series names), so its key set and shape are a contract: the golden
+//! (dashboards read its histogram fields and join on the series
+//! names), so its key set and shape are a contract: the golden
 //! file pins the exact serialization of a fully populated snapshot —
 //! counters, stage seconds and histogram summaries, nothing else. If
 //! this test fails because the schema changed *on purpose*, update

@@ -1,8 +1,14 @@
-//! End-to-end tests of the `j2kcell` command-line tool (spawned as a real
-//! subprocess, exercising file I/O and argument parsing).
+//! End-to-end tests of the two binaries, each spawned as a real
+//! subprocess: the `j2kcell` command-line tool (file I/O and argument
+//! parsing) and the `j2kserved` daemon (its TCP wire port and its
+//! Prometheus side port).
 
+use j2k_core::EncoderParams;
+use j2k_serve::wire::{call, DecodeRequest, EncodeRequest, Request, Response, DEFAULT_MAX_FRAME};
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::TcpStream;
 use std::path::PathBuf;
-use std::process::Command;
+use std::process::{Child, Command, Stdio};
 
 fn bin() -> &'static str {
     env!("CARGO_BIN_EXE_j2kcell")
@@ -155,17 +161,38 @@ fn decode_applies_resolution_and_max_layers_together() {
 #[test]
 fn simulate_prints_timeline() {
     let src = tmp("in5.ppm");
-    write_test_ppm(&src, 64, 64);
+    let trace = tmp("cell5.trace.json");
+    write_test_ppm(&src, 96, 96);
     let out = Command::new(bin())
         .args(["simulate"])
         .arg(&src)
-        .args(["--spes", "4"])
+        .args(["--spes", "4", "--lossy", "0.1", "--cell-trace-out"])
+        .arg(&trace)
         .output()
         .unwrap();
+    assert!(out.status.success());
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("tier1"), "{text}");
     assert!(text.contains("4 SPE"), "{text}");
     assert!(text.contains("TOTAL"), "{text}");
+    // The simulated schedule exports every pipeline stage on the
+    // virtual clock, lossy rate control and Tier-2 included.
+    let json = std::fs::read_to_string(&trace).unwrap();
+    obs::chrome::check(
+        &json,
+        &[
+            "stage:read-convert-par",
+            "stage:levelshift-ict",
+            "stage:dwt-vertical-l1",
+            "stage:dwt-horizontal-l1",
+            "stage:quantize",
+            "stage:tier1",
+            "stage:rate-control",
+            "stage:tier2",
+            "stage:stream-io",
+        ],
+    )
+    .expect("simulated trace carries every stage");
 }
 
 #[test]
@@ -233,12 +260,15 @@ fn trace_out_writes_valid_chrome_trace_and_identical_bytes() {
             "stage:mct",
             "stage:dwt",
             "stage:tier1",
+            "stage:rate-control",
             "mct",
             "dwt",
             "quantize",
             "tier1",
             "dwt-level-1",
             "chunk-0",
+            "rate-search",
+            "tier2",
         ],
     )
     .expect("trace must parse with all pipeline span names");
@@ -448,4 +478,121 @@ fn bad_arguments_exit_nonzero() {
         let err = String::from_utf8_lossy(&out.stderr);
         assert!(err.contains("bad parameters"), "--cb {cb}: {err}");
     }
+}
+
+/// Kills the daemon if a test fails before it shuts down.
+struct Daemon(Child);
+
+impl Drop for Daemon {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+#[test]
+fn daemon_encodes_decodes_traces_and_exposes_metrics() {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_j2kserved"))
+        .args(
+            "--addr 127.0.0.1:0 --metrics-addr 127.0.0.1:0 --trace --pool 2 --job-workers 2 --queue 8"
+                .split(' '),
+        )
+        .stdout(Stdio::piped())
+        .spawn()
+        .unwrap();
+    // The daemon prints its two bound addresses before it serves.
+    let mut lines = BufReader::new(child.stdout.take().unwrap()).lines();
+    let mut daemon = Daemon(child);
+    let mut next_line = || lines.next().unwrap().unwrap();
+    let line = next_line();
+    let addr = line
+        .strip_prefix("j2kserved listening on ")
+        .and_then(|rest| rest.split(' ').next())
+        .unwrap_or_else(|| panic!("wire address line: {line}"))
+        .to_string();
+    let line = next_line();
+    let metrics_addr = line
+        .strip_prefix("j2kserved metrics on http://")
+        .and_then(|rest| rest.strip_suffix("/metrics"))
+        .unwrap_or_else(|| panic!("metrics address line: {line}"))
+        .to_string();
+    let mut conn = TcpStream::connect(&addr).unwrap();
+
+    // Health reports ready once the whole pool is live.
+    let ready = (0..500).any(|_| {
+        let up = matches!(
+            call(&mut conn, &Request::Health, DEFAULT_MAX_FRAME).unwrap(),
+            Response::Health(h) if h.ready()
+        );
+        if !up {
+            std::thread::sleep(std::time::Duration::from_millis(10));
+        }
+        up
+    });
+    assert!(ready, "the daemon never reported ready");
+
+    // Encode over the wire: byte-identical to the local encoder.
+    let im = imgio::synth::natural_rgb(96, 96, 77);
+    let encode = Request::Encode(EncodeRequest {
+        priority: 0,
+        allow_degraded: false,
+        timeout_ms: 0,
+        params: EncoderParams::lossless(),
+        image: im.clone(),
+    });
+    let codestream = match call(&mut conn, &encode, DEFAULT_MAX_FRAME).unwrap() {
+        Response::EncodeOk {
+            codestream,
+            degraded,
+        } => {
+            assert!(!degraded, "an idle daemon degraded a job");
+            codestream
+        }
+        other => panic!("encode: unexpected {other:?}"),
+    };
+    assert_eq!(
+        codestream,
+        j2k_core::encode(&im, &EncoderParams::lossless()).unwrap()
+    );
+
+    // Decode it back on the daemon: the lossless round trip closes.
+    let decode = Request::Decode(DecodeRequest {
+        max_layers: 0,
+        discard_levels: 0,
+        codestream,
+    });
+    match call(&mut conn, &decode, DEFAULT_MAX_FRAME).unwrap() {
+        Response::DecodeOk(back) => assert_eq!(back, im),
+        other => panic!("decode: unexpected {other:?}"),
+    }
+
+    // The latest job's trace splits its latency into queue wait and encode.
+    match call(&mut conn, &Request::Trace(0), DEFAULT_MAX_FRAME).unwrap() {
+        Response::TraceJson(json) => {
+            obs::chrome::check(&json, &["queue-wait", "encode"]).expect("job trace");
+        }
+        other => panic!("trace: unexpected {other:?}"),
+    }
+
+    // One scrape of the side port: a valid exposition that counts the job.
+    let mut scrape = TcpStream::connect(&metrics_addr).unwrap();
+    scrape
+        .write_all(b"GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n")
+        .unwrap();
+    let mut resp = String::new();
+    scrape.read_to_string(&mut resp).unwrap();
+    let body = resp.split("\r\n\r\n").nth(1).unwrap();
+    obs::prom::validate(body).expect("scraped exposition");
+    for series in [
+        "j2k_jobs_completed_total 1",
+        "j2k_job_e2e_us_bucket{le=\"+Inf\"} 1",
+    ] {
+        assert!(body.lines().any(|l| l == series), "{series}:\n{body}");
+    }
+
+    assert_eq!(
+        call(&mut conn, &Request::Shutdown, DEFAULT_MAX_FRAME).unwrap(),
+        Response::Pong
+    );
+    assert!(daemon.0.wait().unwrap().success());
 }
