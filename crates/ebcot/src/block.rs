@@ -13,8 +13,8 @@
 //! work items consumed by the `cellsim` cost model).
 
 use crate::context::{
-    initial_contexts, mr_context, sc_index, sc_lut, zc_table, CTX_RL, CTX_UNI, NB_E, NB_N, NB_NE,
-    NB_NW, NB_S, NB_SE, NB_SW, NB_W,
+    initial_contexts, mr_context, sign_table, zc_table, CTX_RL, CTX_UNI, NB_E, NB_N, NB_NE, NB_NW,
+    NB_S, NB_SE, NB_SW, NB_W,
 };
 use mqcoder::{Contexts, MqDecoder, MqEncoder, RawDecoder, RawEncoder};
 
@@ -136,7 +136,9 @@ fn nonzero_bytes(word: u32) -> u32 {
 /// column with one compare.
 #[derive(Debug, Clone, Copy, Default)]
 struct Column {
-    /// Per-sample `SIG`/`VISITED`/`REFINED`/`NEG` flags.
+    /// Per-sample `SIG`/`VISITED`/`REFINED`/`NEG` flags in bits 0..3;
+    /// bits 4..7 hold the `NB_W`/`NB_E`/`NB_N`/`NB_S` bits, shifted up
+    /// by 4, of the direct neighbors that are significant and negative.
     flags: u32,
     /// Per-sample neighbor mask: the `NB_*` bits of the significant
     /// neighbors, which index the zero-coding tables directly.
@@ -146,12 +148,13 @@ struct Column {
 /// Shared significance/sign state in stripe-column order.
 ///
 /// Columns are stored stripe by stripe with one dummy stripe above and
-/// below and one dummy column on each side. The dummies' flags stay zero,
-/// and samples below the block's last row (in a partial last stripe) are
-/// never coded, so none of them is ever significant: they keep the
-/// "outside the block = insignificant" rule by value, and setting a
-/// sample significant can OR its bit into all eight neighbors' masks
-/// without bounds checks or edge branches.
+/// below and one dummy column on each side. The dummies' `SIG` flags stay
+/// zero, and samples below the block's last row (in a partial last
+/// stripe) are never coded, so none of them is ever significant: they
+/// keep the "outside the block = insignificant" rule by value, and
+/// setting a sample significant can OR its bit into all eight neighbors'
+/// masks (and its sign into the direct neighbors' flags) without bounds
+/// checks or edge branches.
 struct Grid {
     w: usize,
     h: usize,
@@ -199,7 +202,9 @@ impl Grid {
     }
 
     /// Set sample `r` of column `i` significant and OR its bit into its
-    /// eight neighbors' masks.
+    /// eight neighbors' masks; a negative sample also ORs it, shifted up
+    /// by 4, into its four direct neighbors' sign nibbles. `NEG` must be
+    /// set first.
     #[inline]
     fn make_significant(&mut self, i: usize, r: usize) {
         self.set(i, r, SIG);
@@ -220,29 +225,22 @@ impl Grid {
             self.cols[j].masks |= (word >> 8) as u32;
             self.cols[j + stride].masks |= (word >> 40) as u32;
         }
+        let neg = (self.cols[i].flags >> (8 * r + 3)) & 1;
+        let level = |bit: u8| ((bit as u32) << (8 * r + 4)) * neg;
+        self.cols[i - 1].flags |= level(NB_E);
+        self.cols[i + 1].flags |= level(NB_W);
+        let vertical = rows3(NB_S << 4, 0, NB_N << 4) * neg as u64;
+        self.cols[i - stride].flags |= (vertical as u32 & 0xFF) << 24;
+        self.cols[i].flags |= (vertical >> 8) as u32;
+        self.cols[i + stride].flags |= (vertical >> 40) as u32;
     }
 
-    /// Raw (unclamped) sign contribution sums `(hc, vc)`, each in -2..=2:
-    /// a significant positive neighbor adds +1, a significant negative one
-    /// -1. The clamp of Annex D is folded into [`sc_lut`]. Branch-free:
-    /// with `SIG` at bit 0 and `NEG` at bit 3, the contribution is
-    /// `sig - 2 * (sig & neg)`.
+    /// Sign-coding (context, xor) of sample `r` of column `i`, one
+    /// [`sign_table`] lookup on its direct neighbors' mask and sign bits.
     #[inline]
-    fn sign_sums(&self, i: usize, r: usize) -> (i32, i32) {
-        let c = |f: u8| -> i32 {
-            let sig = (f & SIG) as i32;
-            let neg = ((f >> 3) & 1) as i32;
-            sig - 2 * (sig & neg)
-        };
-        let west = byte(self.cols[i - 1].flags, r);
-        let east = byte(self.cols[i + 1].flags, r);
-        // Column i's flags over rows -1..=4, row -1 in byte 0.
-        let col = (self.cols[i - self.stride].flags >> 24) as u64
-            | (self.cols[i].flags as u64) << 8
-            | ((self.cols[i + self.stride].flags & 0xFF) as u64) << 40;
-        let north = (col >> (8 * r)) as u8;
-        let south = (col >> (8 * r + 16)) as u8;
-        (c(west) + c(east), c(north) + c(south))
+    fn sign_context(&self, i: usize, r: usize) -> (u8, u8) {
+        let c = self.cols[i];
+        sign_table()[((byte(c.masks, r) & 0x0F) | (byte(c.flags, r) & 0xF0)) as usize]
     }
 
     fn clear_visited(&mut self) {
@@ -413,8 +411,7 @@ fn cleanup_set(c: Column) -> u32 {
 }
 
 fn code_sign_enc(enc: &mut MqEncoder, ctxs: &mut Contexts, grid: &Grid, i: usize, r: usize) {
-    let (hc, vc) = grid.sign_sums(i, r);
-    let (cx, xor) = sc_lut()[sc_index(hc, vc)];
+    let (cx, xor) = grid.sign_context(i, r);
     let neg = u8::from(byte(grid.cols[i].flags, r) & NEG != 0);
     enc.encode(ctxs, cx as usize, neg ^ xor);
 }
@@ -605,8 +602,7 @@ fn code_sign_dec(
     i: usize,
     r: usize,
 ) {
-    let (hc, vc) = grid.sign_sums(i, r);
-    let (cx, xor) = sc_lut()[sc_index(hc, vc)];
+    let (cx, xor) = grid.sign_context(i, r);
     let neg = dec.decode(ctxs, cx as usize) ^ xor;
     grid.set(i, r, neg << 3);
 }
@@ -712,14 +708,10 @@ pub fn decode_block_opts(
         let (i0, r) = (grid.idx(y / 4, 0), y % 4);
         for (i, v) in (i0..).zip(row) {
             let m = mags[4 * i + r];
-            if m != 0 {
-                let mag = (m + half) as i32;
-                *v = if byte(grid.cols[i].flags, r) & NEG != 0 {
-                    -mag
-                } else {
-                    mag
-                };
-            }
+            let mag = (m + if m != 0 { half } else { 0 }) as i32;
+            // 0, or -1 for a negative sample: `(mag ^ s) - s` negates.
+            let s = -(((grid.cols[i].flags >> (8 * r + 3)) & 1) as i32);
+            *v = (mag ^ s) - s;
         }
     }
     out

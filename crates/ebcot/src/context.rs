@@ -75,8 +75,7 @@ pub const fn zc_context(kind: crate::BandKind, h: u32, v: u32, d: u32) -> usize 
 /// `hc`/`vc` are the clamped sums of (significant) horizontal/vertical
 /// neighbor signs: -1, 0, or +1 (positive = +1 contribution).
 #[inline]
-pub fn sc_context(hc: i32, vc: i32) -> (usize, u8) {
-    debug_assert!((-1..=1).contains(&hc) && (-1..=1).contains(&vc));
+pub const fn sc_context(hc: i32, vc: i32) -> (usize, u8) {
     match (hc, vc) {
         (1, 1) => (13, 0),
         (1, 0) => (12, 0),
@@ -163,29 +162,39 @@ pub fn zc_table(kind: crate::BandKind) -> &'static [u8; 256] {
     }
 }
 
-/// Flat index into [`sc_lut`]: `hc`, `vc` are the *unclamped* sums of the
-/// two horizontal / vertical neighbor sign contributions, each in -2..=2.
-#[inline]
-pub fn sc_index(hc: i32, vc: i32) -> usize {
-    ((hc + 2) * 5 + (vc + 2)) as usize
+/// Sign contribution of direct neighbor `bit` (`NB_W`, `NB_E`, `NB_N` or
+/// `NB_S`) in a [`sign_table`] index: +1 when it is significant and
+/// positive, -1 when significant and negative, 0 otherwise.
+const fn neighbor_sign(idx: u8, bit: u8) -> i32 {
+    let sig = (idx & bit != 0) as i32;
+    let neg = (idx & (bit << 4) != 0) as i32;
+    sig - 2 * (sig & neg)
 }
 
-/// Sign-coding (context, xor) table: 25 entries addressed by [`sc_index`].
-/// Folds the `clamp(-1, 1)` of [`sc_context`]'s inputs into the table, so
-/// callers can use raw -2..=2 sums directly.
-pub fn sc_lut() -> &'static [(u8, u8); 25] {
-    use std::sync::OnceLock;
-    static LUT: OnceLock<[(u8, u8); 25]> = OnceLock::new();
-    LUT.get_or_init(|| {
-        let mut t = [(0u8, 0u8); 25];
-        for hc in -2..=2i32 {
-            for vc in -2..=2i32 {
-                let (cx, xor) = sc_context(hc.clamp(-1, 1), vc.clamp(-1, 1));
-                t[sc_index(hc, vc)] = (cx as u8, xor);
-            }
-        }
-        t
-    })
+static SIGN_TABLE: [(u8, u8); 256] = {
+    let mut t = [(0u8, 0u8); 256];
+    let mut i = 0;
+    while i < 256 {
+        let idx = i as u8;
+        let hc = neighbor_sign(idx, NB_W) + neighbor_sign(idx, NB_E);
+        let vc = neighbor_sign(idx, NB_N) + neighbor_sign(idx, NB_S);
+        let (cx, xor) = sc_context(hc.signum(), vc.signum());
+        t[i] = (cx as u8, xor);
+        i += 1;
+    }
+    t
+};
+
+/// Sign-coding (context, xor) table, one lookup per coded sign. The index
+/// is `(mask & 0x0F) | (flags & 0xF0)` of the sample: the low nibble holds
+/// its `NB_W | NB_E | NB_N | NB_S` mask bits (that neighbor significant),
+/// the high nibble the same bits shifted up by 4 (that neighbor
+/// significant and negative). Each entry is [`sc_context`] of the clamped
+/// horizontal and vertical sign sums; built at compile time and
+/// exhaustively tested against it.
+#[inline]
+pub fn sign_table() -> &'static [(u8, u8); 256] {
+    &SIGN_TABLE
 }
 
 #[cfg(test)]
@@ -285,13 +294,21 @@ mod tests {
     }
 
     #[test]
-    fn sc_lut_matches_function_exhaustively() {
-        let lut = sc_lut();
-        for hc in -2..=2i32 {
-            for vc in -2..=2i32 {
-                let (cx, xor) = sc_context(hc.clamp(-1, 1), vc.clamp(-1, 1));
-                assert_eq!(lut[sc_index(hc, vc)], (cx as u8, xor), "hc={hc} vc={vc}");
-            }
+    fn sign_table_matches_function_exhaustively() {
+        for (idx, &entry) in sign_table().iter().enumerate() {
+            // Direct neighbor `bit`: significant in the low nibble,
+            // negative in the high one.
+            let sign = |bit: u8| -> i32 {
+                match (idx as u8 & bit != 0, idx as u8 & (bit << 4) != 0) {
+                    (false, _) => 0,
+                    (true, false) => 1,
+                    (true, true) => -1,
+                }
+            };
+            let hc = (sign(NB_W) + sign(NB_E)).clamp(-1, 1);
+            let vc = (sign(NB_N) + sign(NB_S)).clamp(-1, 1);
+            let (cx, xor) = sc_context(hc, vc);
+            assert_eq!(entry, (cx as u8, xor), "index {idx:#010b}");
         }
     }
 

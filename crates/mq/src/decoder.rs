@@ -8,13 +8,22 @@ use crate::Contexts;
 /// Reads past the end of the segment are modelled as the standard requires:
 /// once the input is exhausted the decoder feeds `0xFF` fill bytes (`1`
 /// bits), which is what lets truncated coding passes still decode a prefix.
+///
+/// The code register reads ahead. The standard's 32-bit `C` sits in bits
+/// 32..63 of `c` (so `C_high` is bits 48..63), and below its valid bits
+/// wait up to 40 bits the standard has not read yet, each byte placed
+/// where BYTEIN would put it. `avail` counts the standard's `CT` plus
+/// those bits, so DECODE shifts once, without a byte test, whenever
+/// `avail` covers the renormalization.
 #[derive(Debug, Clone)]
 pub struct MqDecoder<'a> {
     data: &'a [u8],
+    /// The last byte taken into `c` (the standard's `BP`).
     bp: usize,
-    c: u32,
+    c: u64,
     a: u32,
-    ct: u32,
+    /// Valid bits of `c` below `C_high`: `CT` plus the bits read ahead.
+    avail: u32,
 }
 
 impl<'a> MqDecoder<'a> {
@@ -24,14 +33,14 @@ impl<'a> MqDecoder<'a> {
             data,
             bp: 0,
             c: 0,
-            a: 0,
-            ct: 0,
+            a: 0x8000,
+            avail: 0,
         };
-        d.c = (d.byte_at(0) as u32) << 16;
+        d.c = (d.byte_at(0) as u64) << 48;
         d.byte_in();
         d.c <<= 7;
-        d.ct -= 7;
-        d.a = 0x8000;
+        d.avail -= 7;
+        d.read_ahead();
         d
     }
 
@@ -41,22 +50,42 @@ impl<'a> MqDecoder<'a> {
         self.data.get(i).copied().unwrap_or(0xFF)
     }
 
-    /// BYTEIN with bit-unstuffing.
+    /// True when the next BYTEIN reads a stuffed byte: the 7-bit byte
+    /// after a 0xFF, whose top bit is a carry into the 0xFF above it.
+    #[inline]
+    fn stuffed_next(&self) -> bool {
+        self.byte_at(self.bp) == 0xFF && self.byte_at(self.bp + 1) <= 0x8F
+    }
+
+    /// BYTEIN with bit-unstuffing, placing the byte directly below the
+    /// `avail` valid bits (the standard's `C += B << 8` is this at
+    /// `avail == 0`).
     fn byte_in(&mut self) {
-        if self.byte_at(self.bp) == 0xFF {
-            if self.byte_at(self.bp + 1) > 0x8F {
-                // Marker (or synthesized end-of-data): feed 1-bits.
-                self.c += 0xFF00;
-                self.ct = 8;
-            } else {
-                self.bp += 1;
-                self.c += (self.byte_at(self.bp) as u32) << 9;
-                self.ct = 7;
-            }
+        let (byte, shift, bits) = if self.byte_at(self.bp) != 0xFF {
+            self.bp += 1;
+            (self.byte_at(self.bp), 40, 8)
+        } else if self.byte_at(self.bp + 1) > 0x8F {
+            // Marker (or synthesized end-of-data): feed 1-bits.
+            (0xFF, 40, 8)
         } else {
             self.bp += 1;
-            self.c += (self.byte_at(self.bp) as u32) << 8;
-            self.ct = 8;
+            (self.byte_at(self.bp), 41, 7)
+        };
+        // Wrapping, as the standard's 32-bit register does: on a corrupt
+        // stream a stuffed byte's carry can leave the top.
+        self.c = self.c.wrapping_add((byte as u64) << (shift - self.avail));
+        self.avail += bits;
+    }
+
+    /// Take bytes into `c` ahead of the standard while `avail <= 32`.
+    ///
+    /// A byte read ahead lands below every bit in use, so it changes no
+    /// comparison before the shifts reach it. A stuffed byte is the
+    /// exception: its top bit would carry into `C_high` early, so reading
+    /// stops before it and RENORMD takes it at `avail == 0`.
+    fn read_ahead(&mut self) {
+        while self.avail <= 32 && !self.stuffed_next() {
+            self.byte_in();
         }
     }
 
@@ -66,45 +95,51 @@ impl<'a> MqDecoder<'a> {
     /// the `Qe` sub-interval or in the `A - Qe` one (then `C -= Qe`), and
     /// the conditional exchange (`A - Qe < Qe`) decides which of the two
     /// means the LPS. Selects replace the standard's data-dependent
-    /// branches; the state moves, and RENORMD runs, exactly when the new
-    /// `A` is below 0x8000.
+    /// branches. The state moves exactly when the new `A` is below
+    /// 0x8000, and RENORMD is one shift of `n` bits (zero when `A` needs
+    /// none); only when the bits read ahead run short does it take the
+    /// byte-at-a-time path.
     #[inline]
     pub fn decode(&mut self, ctxs: &mut Contexts, cx: usize) -> u8 {
         let st = ctxs.get_mut(cx);
         let row = QE_TABLE[st.index as usize];
         let qe = row.qe as u32;
         let a1 = self.a - qe;
-        let in_qe = (self.c >> 16) < qe;
+        let in_qe = ((self.c >> 48) as u32) < qe;
         let lps = in_qe != (a1 < qe);
-        self.a = if in_qe { qe } else { a1 };
-        self.c -= if in_qe { 0 } else { qe << 16 };
+        let a = if in_qe { qe } else { a1 };
+        self.c -= if in_qe { 0 } else { (qe as u64) << 48 };
         let d = st.mps ^ u8::from(lps);
-        if self.a < 0x8000 {
-            st.index = if lps { row.nlps } else { row.nmps };
-            st.mps ^= u8::from(lps) & row.switch_mps;
-            self.renorm();
+        // An LPS always renormalizes, so the MPS switch needs no test.
+        let next = if lps { row.nlps } else { row.nmps };
+        st.index = if a < 0x8000 { next } else { st.index };
+        st.mps ^= u8::from(lps) & row.switch_mps;
+        let n = a.leading_zeros() - 16;
+        self.a = a << n;
+        if n <= self.avail {
+            self.c <<= n;
+            self.avail -= n;
+        } else {
+            self.renorm_slow(n);
         }
         d
     }
 
-    /// RENORMD, a byte at a time: `a` takes all its shifts at once, and
-    /// `c` shifts up to each byte boundary, where BYTEIN fires exactly when
-    /// the bit-at-a-time loop would meet `ct == 0` before a shift.
-    #[inline]
-    fn renorm(&mut self) {
-        let mut n = self.a.leading_zeros() - 16;
-        self.a <<= n;
+    /// The `n` shifts of `c` that `avail` does not cover: refill, shift up
+    /// to each stuffed byte, and take it where RENORMD meets `CT == 0`.
+    #[cold]
+    #[inline(never)]
+    fn renorm_slow(&mut self, mut n: u32) {
         loop {
-            if self.ct == 0 {
-                self.byte_in();
-            }
-            let s = n.min(self.ct);
+            self.read_ahead();
+            let s = n.min(self.avail);
             self.c <<= s;
-            self.ct -= s;
+            self.avail -= s;
             n -= s;
             if n == 0 {
                 break;
             }
+            self.byte_in();
         }
     }
 }

@@ -12,8 +12,12 @@
 //! * [`Contexts`] — a bank of adaptive context states shared by both.
 //!
 //! Correctness is established by exhaustive encode→decode round-trips over
-//! random (context, decision) sequences (see `tests/roundtrip.rs`) and by
-//! known-answer tests for byte-stuffing edge cases (`tests/known_answers.rs`).
+//! random (context, decision) sequences (see `tests/roundtrip.rs`), by
+//! known-answer tests for byte-stuffing edge cases (`tests/known_answers.rs`),
+//! and by a differential test of [`MqDecoder`] against a bit-at-a-time
+//! Annex C.3 decoder written out in the test (`tests/reference_decoder.rs`):
+//! random segments rich in 0xFF, stuffed bytes that carry, markers inside a
+//! segment and every prefix of encoded segments, each decoded past its end.
 
 mod decoder;
 mod encoder;

@@ -273,20 +273,18 @@ fn trace_out_writes_valid_chrome_trace_and_identical_bytes() {
     )
     .expect("trace must parse with all pipeline span names");
     // Chunk spans carry worker attribution for the utilization report.
-    let workers: std::collections::BTreeSet<u64> = events
-        .iter()
-        .filter(|e| e.name == "mct" || e.name == "dwt")
-        .filter_map(|e| {
-            e.args
-                .iter()
-                .find(|(k, _)| k == "worker")
-                .map(|(_, v)| *v as u64)
-        })
-        .collect();
-    assert!(
-        workers.len() >= 2,
-        "expected chunk spans from >= 2 workers, saw {workers:?}"
-    );
+    // Which thread claims a chunk varies from run to run (the calling
+    // thread may claim them all before a helper starts), so the promise
+    // is only that every chunk names one of the three threads; helper
+    // participation is pinned by `claim_jobs`'s own unit tests.
+    for e in events.iter().filter(|e| e.name == "mct" || e.name == "dwt") {
+        let worker = e.args.iter().find(|(k, _)| k == "worker").map(|(_, v)| *v);
+        assert!(
+            matches!(worker, Some(w) if w < 3.0),
+            "{} span with worker {worker:?}",
+            e.name
+        );
+    }
 }
 
 #[test]
