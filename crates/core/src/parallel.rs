@@ -37,12 +37,11 @@
 use crate::control::EncodeControl;
 use crate::kernels;
 use crate::pipeline::{
-    band_kind, block_grid, build_profile, default_base_step, rate_control_and_assemble,
-    BlockRecord, Coefficients, Transformed,
+    band_kind, block_grid, build_profile, rate_control_and_assemble, BlockRecord, Coefficients,
+    Transformed,
 };
 use crate::profile::StageTime;
-use crate::quant::{band_delta, StepSize, GUARD_BITS};
-use crate::{codestream::Quant, Arithmetic, CodecError, EncoderParams, Mode, WorkloadProfile};
+use crate::{Arithmetic, CodecError, EncoderParams, Mode, WorkloadProfile};
 use imgio::Image;
 use obs::trace;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -50,7 +49,7 @@ use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 use wavelet::rowops::{self, Region, Rows};
 use wavelet::vertical::Arith97;
-use wavelet::{horizontal, norms, vertical, VerticalVariant};
+use wavelet::{horizontal, vertical, VerticalVariant};
 use xpart::{auto_chunk_bytes, AlignedPlane, ChunkPlan, PlanConfig};
 
 /// Encode `image` with `params` on the calling thread, returning the
@@ -535,12 +534,10 @@ fn lossless(
     params: &EncoderParams,
     tiles: &[Tile],
 ) -> Result<Transformed, CodecError> {
-    let depth = image.bit_depth;
-    let shift = 1i32 << (depth - 1);
+    let shift = 1i32 << (image.bit_depth - 1);
     let mut planes = working_planes::<i32>(image);
-    let use_mct = planes.len() == 3;
     s.timed("stage:mct", |s| {
-        if use_mct {
+        if planes.len() == 3 {
             s.run("mct", fused(&mut planes, tiles), |_, reg, mut out| {
                 for y in 0..reg.h {
                     let [r, g, b] = out.each_mut().map(|rows| rows.row_mut(y));
@@ -569,28 +566,11 @@ fn lossless(
         horizontal::fwd53_rows,
     )?;
 
-    let bands = wavelet::subbands(image.width, image.height, params.levels);
-    let depth_eff = depth + u8::from(use_mct);
-    let exps: Vec<u8> = bands
-        .iter()
-        .map(|b| depth_eff + b.band.gain_log2())
-        .collect();
-    let max_planes: Vec<u8> = exps.iter().map(|&e| GUARD_BITS + e - 1).collect();
-    let weights: Vec<f64> = bands
-        .iter()
-        .map(|b| {
-            let n = norms::l2_norm_53(b.band, b.level.max(1));
-            n * n
-        })
-        .collect();
-    Ok(Transformed {
-        coeffs: Coefficients::Indices(planes),
-        deltas: Vec::new(),
-        quant: Quant::Reversible(exps),
-        bands,
-        max_planes,
-        weights,
-    })
+    Ok(Transformed::new(
+        image,
+        params,
+        Coefficients::Indices(planes),
+    ))
 }
 
 /// The lossy arm's working sample: `f32`, the paper's SPE arithmetic, or
@@ -638,8 +618,7 @@ fn lossy<S: LossySample>(
     params: &EncoderParams,
     tiles: &[Tile],
 ) -> Result<Transformed, CodecError> {
-    let depth = image.bit_depth;
-    let shift = 1i32 << (depth - 1);
+    let shift = 1i32 << (image.bit_depth - 1);
     let mut planes = working_planes::<S>(image);
     s.timed("stage:mct", |s| {
         if planes.len() == 3 {
@@ -670,34 +649,7 @@ fn lossy<S: LossySample>(
 
     dwt_levels(s, &mut planes, params, vertical::fwd97_rows, S::horizontal)?;
 
-    // Per-band signalled steps and weights (cheap, calling thread; same
-    // order and arithmetic as the sequential pipeline).
-    let base = default_base_step(depth);
-    let bands = wavelet::subbands(image.width, image.height, params.levels);
-    let mut steps = Vec::with_capacity(bands.len());
-    let mut weights = Vec::with_capacity(bands.len());
-    let mut deltas = Vec::with_capacity(bands.len());
-    for b in &bands {
-        let lev = b.level.max(1);
-        let delta = band_delta(base, b.band, lev);
-        let r_bits = depth as i32 + b.band.gain_log2() as i32;
-        let step = StepSize::from_delta(delta, r_bits);
-        let delta_sig = step.delta(r_bits);
-        let nrm = norms::l2_norm_97(b.band, lev);
-        steps.push(step);
-        weights.push((delta_sig * nrm) * (delta_sig * nrm));
-        deltas.push(delta_sig);
-    }
-
-    let max_planes: Vec<u8> = steps.iter().map(|s| GUARD_BITS + s.exponent - 1).collect();
-    Ok(Transformed {
-        coeffs: S::coefficients(planes),
-        deltas,
-        quant: Quant::Scalar(steps),
-        bands,
-        max_planes,
-        weights,
-    })
+    Ok(Transformed::new(image, params, S::coefficients(planes)))
 }
 
 #[cfg(test)]

@@ -107,7 +107,7 @@ pub(crate) struct Transformed {
     /// Coefficient planes (one per component).
     pub coeffs: Coefficients,
     /// Per-band signalled quantizer step (indexes match `bands`) for 9/7
-    /// coefficient planes; empty when the planes are indices already.
+    /// coefficients; empty for 5/3.
     pub deltas: Vec<f64>,
     /// Per-band quantization signalling (indexes match `bands`).
     pub quant: Quant,
@@ -120,6 +120,57 @@ pub(crate) struct Transformed {
 }
 
 impl Transformed {
+    /// Pair an encode's coefficient planes with its per-band
+    /// quantization signalling, the one place the driver and the
+    /// sequential oracle compute it. 5/3 signals reversible exponents,
+    /// one bit deeper under the RCT; 9/7 signals each band's step, and
+    /// `deltas` holds the steps Tier-1 quantizes with.
+    pub(crate) fn new(image: &Image, params: &EncoderParams, coeffs: Coefficients) -> Transformed {
+        let depth = image.bit_depth;
+        let bands = wavelet::subbands(image.width, image.height, params.levels);
+        let mut max_planes = Vec::with_capacity(bands.len());
+        let mut weights = Vec::with_capacity(bands.len());
+        let mut deltas = Vec::new();
+        let quant = match params.mode {
+            Mode::Lossless => {
+                let depth = depth + u8::from(image.comps() == 3);
+                let mut exps = Vec::with_capacity(bands.len());
+                for b in &bands {
+                    let e = depth + b.band.gain_log2();
+                    let n = norms::l2_norm_53(b.band, b.level.max(1));
+                    exps.push(e);
+                    max_planes.push(GUARD_BITS + e - 1);
+                    weights.push(n * n);
+                }
+                Quant::Reversible(exps)
+            }
+            Mode::Lossy { .. } => {
+                let base = default_base_step(depth);
+                let mut steps = Vec::with_capacity(bands.len());
+                for b in &bands {
+                    let lev = b.level.max(1);
+                    let r_bits = depth as i32 + b.band.gain_log2() as i32;
+                    let step = StepSize::from_delta(band_delta(base, b.band, lev), r_bits);
+                    let delta = step.delta(r_bits);
+                    let nrm = norms::l2_norm_97(b.band, lev);
+                    steps.push(step);
+                    max_planes.push(GUARD_BITS + step.exponent - 1);
+                    weights.push((delta * nrm) * (delta * nrm));
+                    deltas.push(delta);
+                }
+                Quant::Scalar(steps)
+            }
+        };
+        Transformed {
+            coeffs,
+            deltas,
+            quant,
+            bands,
+            max_planes,
+            weights,
+        }
+    }
+
     /// Number of component planes.
     pub(crate) fn comps(&self) -> usize {
         match &self.coeffs {
@@ -203,11 +254,8 @@ pub(crate) fn transform_samples(
     params: &EncoderParams,
 ) -> Result<Transformed, CodecError> {
     let (w, h) = (image.width, image.height);
-    let comps = image.comps();
-    let depth = image.bit_depth;
-    let shift = 1i32 << (depth - 1);
-    let use_mct = comps == 3;
-    let bands = wavelet::subbands(w, h, params.levels);
+    let shift = 1i32 << (image.bit_depth - 1);
+    let use_mct = image.comps() == 3;
 
     let mut int_planes: Vec<AlignedPlane<i32>> = image
         .planes
@@ -218,117 +266,68 @@ pub(crate) fn transform_samples(
         })
         .collect::<Result<_, _>>()?;
 
-    match params.mode {
-        Mode::Lossless => {
-            if use_mct {
-                mct::forward_rct_shift(&mut int_planes, shift);
-            } else {
-                for p in &mut int_planes {
-                    mct::level_shift(p, shift);
-                }
-            }
+    if params.mode == Mode::Lossless {
+        if use_mct {
+            mct::forward_rct_shift(&mut int_planes, shift);
+        } else {
             for p in &mut int_planes {
-                wavelet::forward_2d_53(p, params.levels, params.variant);
+                mct::level_shift(p, shift);
             }
-            let depth_eff = depth + u8::from(use_mct);
-            let exps: Vec<u8> = bands
-                .iter()
-                .map(|b| depth_eff + b.band.gain_log2())
-                .collect();
-            let max_planes: Vec<u8> = exps.iter().map(|&e| GUARD_BITS + e - 1).collect();
-            let weights: Vec<f64> = bands
-                .iter()
-                .map(|b| {
-                    let n = norms::l2_norm_53(b.band, b.level.max(1));
-                    n * n
-                })
-                .collect();
-            Ok(Transformed {
-                coeffs: Coefficients::Indices(int_planes),
-                deltas: Vec::new(),
-                quant: Quant::Reversible(exps),
-                bands,
-                max_planes,
-                weights,
-            })
         }
-        Mode::Lossy { .. } => {
-            let base = default_base_step(depth);
-            // Sample transform in the selected arithmetic.
-            let coeff_value: Vec<AlignedPlane<f32>> = match params.arithmetic {
-                Arithmetic::Float32 => {
-                    let mut fp: Vec<AlignedPlane<f32>> = if use_mct {
-                        mct::forward_ict_shift(&int_planes, shift as f32)
-                    } else {
-                        int_planes
-                            .iter_mut()
-                            .map(|p| {
-                                mct::level_shift(p, shift);
-                                p.to_f32()
-                            })
-                            .collect()
-                    };
-                    for p in &mut fp {
-                        wavelet::forward_2d_97(p, params.levels, params.variant);
-                    }
-                    fp
-                }
-                Arithmetic::FixedQ13 => {
-                    let fp: Vec<AlignedPlane<f32>> = if use_mct {
-                        mct::forward_ict_shift(&int_planes, shift as f32)
-                    } else {
-                        int_planes
-                            .iter_mut()
-                            .map(|p| {
-                                mct::level_shift(p, shift);
-                                p.to_f32()
-                            })
-                            .collect()
-                    };
-                    let mut q13: Vec<AlignedPlane<i32>> = fp
-                        .iter()
-                        .map(|p| p.map(|v| kernels::round_half_away(v * 8192.0)))
-                        .collect();
-                    for p in &mut q13 {
-                        wavelet::transform2d::forward_2d_97_fixed(p, params.levels, params.variant);
-                    }
-                    q13.iter().map(|p| p.map(|v| v as f32 / 8192.0)).collect()
-                }
-            };
-            // Quantize per band.
-            let mut steps = Vec::with_capacity(bands.len());
-            let mut weights = Vec::with_capacity(bands.len());
-            let mut indices: Vec<AlignedPlane<i32>> = (0..comps)
-                .map(|_| AlignedPlane::new(w, h).expect("geometry"))
-                .collect();
-            for b in &bands {
-                let lev = b.level.max(1);
-                let delta = band_delta(base, b.band, lev);
-                let r_bits = depth as i32 + b.band.gain_log2() as i32;
-                let step = StepSize::from_delta(delta, r_bits);
-                let delta_sig = step.delta(r_bits); // signalled value
-                let nrm = norms::l2_norm_97(b.band, lev);
-                steps.push(step);
-                weights.push((delta_sig * nrm) * (delta_sig * nrm));
-                for (c, plane) in coeff_value.iter().enumerate() {
-                    for y in b.y0..b.y0 + b.h {
-                        let src = &plane.row(y)[b.x0..b.x0 + b.w];
-                        let dst = &mut indices[c].row_mut(y)[b.x0..b.x0 + b.w];
-                        crate::kernels::quantize_row(src, dst, delta_sig);
-                    }
-                }
-            }
-            let max_planes: Vec<u8> = steps.iter().map(|s| GUARD_BITS + s.exponent - 1).collect();
-            Ok(Transformed {
-                coeffs: Coefficients::Indices(indices),
-                deltas: Vec::new(),
-                quant: Quant::Scalar(steps),
-                bands,
-                max_planes,
-                weights,
+        for p in &mut int_planes {
+            wavelet::forward_2d_53(p, params.levels, params.variant);
+        }
+        return Ok(Transformed::new(
+            image,
+            params,
+            Coefficients::Indices(int_planes),
+        ));
+    }
+
+    // Level shift + ICT, then the 9/7 DWT in the selected arithmetic.
+    let mut fp: Vec<AlignedPlane<f32>> = if use_mct {
+        mct::forward_ict_shift(&int_planes, shift as f32)
+    } else {
+        int_planes
+            .iter_mut()
+            .map(|p| {
+                mct::level_shift(p, shift);
+                p.to_f32()
             })
+            .collect()
+    };
+    match params.arithmetic {
+        Arithmetic::Float32 => {
+            for p in &mut fp {
+                wavelet::forward_2d_97(p, params.levels, params.variant);
+            }
+        }
+        Arithmetic::FixedQ13 => {
+            for p in &mut fp {
+                let mut q13 = p.map(|v| kernels::round_half_away(v * 8192.0));
+                wavelet::transform2d::forward_2d_97_fixed(&mut q13, params.levels, params.variant);
+                *p = q13.map(|v| v as f32 / 8192.0);
+            }
         }
     }
+    // Quantize whole bands with the signalled steps; the driver leaves
+    // this to Tier-1 block extraction.
+    let mut t = Transformed::new(image, params, Coefficients::Indices(Vec::new()));
+    let indices = fp
+        .iter()
+        .map(|plane| {
+            let mut q = AlignedPlane::new(w, h).expect("geometry");
+            for (b, &delta) in t.bands.iter().zip(&t.deltas) {
+                for y in b.y0..b.y0 + b.h {
+                    let src = &plane.row(y)[b.x0..b.x0 + b.w];
+                    kernels::quantize_row(src, &mut q.row_mut(y)[b.x0..b.x0 + b.w], delta);
+                }
+            }
+            q
+        })
+        .collect();
+    t.coeffs = Coefficients::Indices(indices);
+    Ok(t)
 }
 
 /// Extract the block grid of one band: `(bx, by, x0, y0, bw, bh)` tuples.

@@ -80,16 +80,6 @@ impl TagTree {
         }
     }
 
-    /// Reset the communicated state (not the values).
-    pub fn reset_state(&mut self) {
-        for level in &mut self.levels {
-            for n in level {
-                n.low = 0;
-                n.known = false;
-            }
-        }
-    }
-
     fn path(&self, x: usize, y: usize) -> Vec<(usize, usize)> {
         // (level, index) pairs from root down to the leaf.
         let mut p = Vec::with_capacity(self.levels.len());

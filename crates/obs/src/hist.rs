@@ -5,14 +5,14 @@
 //! and a CAS-free max update. Bucket `i` covers `(2^(i-1), 2^i - 1]`
 //! with bucket 0 holding exactly 0 and bucket 63 absorbing everything
 //! from `2^62` up to `u64::MAX`. Percentiles are reconstructed from
-//! bucket upper bounds — coarse (≤ 2× relative error) but mergeable
-//! and allocation-free, which is what a per-job hot path needs.
+//! bucket upper bounds — coarse (≤ 2× relative error) but
+//! allocation-free, which is what a per-job hot path needs.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Number of histogram buckets (fixed; snapshots merge bucket-wise).
+/// Number of histogram buckets (fixed).
 pub const BUCKETS: usize = 64;
 
 /// Index of the bucket recording value `v`.
@@ -99,7 +99,7 @@ impl Histogram {
     }
 }
 
-/// Owned, mergeable copy of a [`Histogram`].
+/// Owned copy of a [`Histogram`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     /// Per-bucket sample counts (see [`bucket_upper`]).
@@ -112,31 +112,7 @@ pub struct HistogramSnapshot {
     pub max: u64,
 }
 
-impl Default for HistogramSnapshot {
-    fn default() -> Self {
-        HistogramSnapshot {
-            buckets: [0; BUCKETS],
-            count: 0,
-            sum: 0,
-            max: 0,
-        }
-    }
-}
-
 impl HistogramSnapshot {
-    /// Bucket-wise merge; associative and commutative, so shard
-    /// snapshots can fold in any order.
-    pub fn merge(&self, other: &HistogramSnapshot) -> HistogramSnapshot {
-        let mut out = self.clone();
-        for (b, o) in out.buckets.iter_mut().zip(other.buckets.iter()) {
-            *b += o;
-        }
-        out.count += other.count;
-        out.sum = out.sum.saturating_add(other.sum);
-        out.max = out.max.max(other.max);
-        out
-    }
-
     /// Quantile estimate: the upper bound of the bucket containing the
     /// `q`-th ranked sample, clamped to the observed max. `q` in
     /// `[0, 1]`; returns 0 for an empty histogram.
@@ -164,15 +140,6 @@ impl HistogramSnapshot {
             p99: self.percentile(0.99),
             p999: self.percentile(0.999),
             max: self.max,
-        }
-    }
-
-    /// Mean sample (0 when empty); reporting-path only.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
         }
     }
 }
@@ -260,7 +227,6 @@ mod tests {
         assert_eq!(s.percentile(0.5), 0);
         assert_eq!(s.percentile(0.999), 0);
         assert_eq!(s.stats(), HistogramStats::default());
-        assert_eq!(s.mean(), 0.0);
     }
 
     #[test]
@@ -304,28 +270,6 @@ mod tests {
         let p99 = s.percentile(0.99);
         assert!((990..=1000).contains(&p99), "p99={p99}");
         assert_eq!(s.percentile(1.0), 1000);
-    }
-
-    #[test]
-    fn merge_associative_and_commutative() {
-        let mk = |vals: &[u64]| {
-            let h = Histogram::new();
-            for &v in vals {
-                h.record(v);
-            }
-            h.snapshot()
-        };
-        let a = mk(&[0, 1, 5]);
-        let b = mk(&[1 << 20, u64::MAX]);
-        let c = mk(&[7, 7, 7, 9000]);
-        let left = a.merge(&b).merge(&c);
-        let right = a.merge(&b.merge(&c));
-        assert_eq!(left, right, "merge is associative");
-        assert_eq!(a.merge(&b), b.merge(&a), "merge is commutative");
-        assert_eq!(left.count, 9);
-        assert_eq!(left.max, u64::MAX);
-        let empty = HistogramSnapshot::default();
-        assert_eq!(a.merge(&empty), a, "empty is the identity");
     }
 
     #[test]

@@ -14,12 +14,9 @@
 //!   (loadable in `chrome://tracing` / Perfetto).
 //!
 //! * [`hist`] — a fixed 64-bucket log₂ histogram (`AtomicU64` buckets,
-//!   no floats on the record path, mergeable) plus a named-series
-//!   [`Registry`]. [`prom`] renders a registry in Prometheus text
-//!   exposition format 0.0.4 and validates scraped output for tests.
-//!
-//! Plus [`slo`] (DESIGN.md §17): multi-window burn-rate evaluation over
-//! cumulative good/total counts (latency and error-rate objectives).
+//!   no floats on the record path) plus a named-series [`Registry`].
+//!   [`prom`] renders a registry in Prometheus text exposition format
+//!   0.0.4 and validates scraped output for tests.
 //!
 //! Per-layer timing is the trace spans and the histograms fed from the
 //! encode driver's stage times.
@@ -27,7 +24,6 @@
 pub mod chrome;
 pub mod hist;
 pub mod prom;
-pub mod slo;
 pub mod trace;
 
 pub use hist::{Histogram, HistogramSnapshot, HistogramStats, Registry};

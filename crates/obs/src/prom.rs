@@ -1,6 +1,6 @@
 //! Prometheus text exposition (format 0.0.4): render counters, gauges
 //! and [`HistogramSnapshot`]s, and validate scraped output — the
-//! validator backs the CI `observe` job and the serve tests.
+//! validator backs the serve tests and the `j2kserved` test's scrape.
 
 use crate::hist::{bucket_upper, HistogramSnapshot, BUCKETS};
 
@@ -16,32 +16,6 @@ fn header(out: &mut String, name: &str, help: &str, kind: &str) {
     out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} {kind}\n"));
 }
 
-/// Escape a label value for Prometheus exposition: backslash, double
-/// quote, and newline must be escaped inside the quoted value.
-pub fn escape_label_value(v: &str) -> String {
-    let mut out = String::with_capacity(v.len());
-    for c in v.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn label_block(labels: &[(&str, &str)]) -> String {
-    if labels.is_empty() {
-        return String::new();
-    }
-    let body: Vec<String> = labels
-        .iter()
-        .map(|(k, v)| format!("{k}=\"{}\"", escape_label_value(v)))
-        .collect();
-    format!("{{{}}}", body.join(","))
-}
-
 /// Append a counter sample.
 pub fn counter(out: &mut String, name: &str, help: &str, value: u64) {
     header(out, name, help, "counter");
@@ -52,21 +26,6 @@ pub fn counter(out: &mut String, name: &str, help: &str, value: u64) {
 pub fn gauge(out: &mut String, name: &str, help: &str, value: u64) {
     header(out, name, help, "gauge");
     out.push_str(&format!("{name} {value}\n"));
-}
-
-/// Append a gauge family with float samples per label set (one shared
-/// HELP/TYPE header). Label values are escaped; values are rendered
-/// with enough precision to round-trip typical rates.
-pub fn gauge_vec_f64(
-    out: &mut String,
-    name: &str,
-    help: &str,
-    samples: &[(Vec<(&str, &str)>, f64)],
-) {
-    header(out, name, help, "gauge");
-    for (labels, value) in samples {
-        out.push_str(&format!("{name}{} {value:.6}\n", label_block(labels)));
-    }
 }
 
 /// Append a histogram family: cumulative `_bucket{le="..."}` samples
@@ -313,44 +272,6 @@ mod tests {
     }
 
     #[test]
-    fn labeled_float_gauges_validate() {
-        let mut out = String::new();
-        gauge_vec_f64(
-            &mut out,
-            "j2k_slo_burn_rate",
-            "Error-budget burn rate per SLO window.",
-            &[
-                (vec![("slo", "latency"), ("window", "60s")], 3.25),
-                (vec![("slo", "latency"), ("window", "600s")], 0.5),
-            ],
-        );
-        let n = validate(&out).expect("labeled exposition validates");
-        assert_eq!(n, 2);
-        assert!(out.contains("j2k_slo_burn_rate{slo=\"latency\",window=\"60s\"} 3.250000\n"));
-        assert!(out.contains("j2k_slo_burn_rate{slo=\"latency\",window=\"600s\"} 0.500000\n"));
-        // One HELP/TYPE header per family, not per sample.
-        assert_eq!(out.matches("# TYPE j2k_slo_burn_rate").count(), 1);
-    }
-
-    #[test]
-    fn label_values_are_escaped_and_unescape_in_the_validator() {
-        let mut out = String::new();
-        gauge_vec_f64(
-            &mut out,
-            "m_ratio",
-            "h",
-            &[(vec![("slo", "we\"ird\\name\nx")], 7.0)],
-        );
-        assert!(
-            out.contains(r#"m_ratio{slo="we\"ird\\name\nx"} 7.000000"#),
-            "escaped exposition: {out}"
-        );
-        validate(&out).expect("escaped label values validate");
-        assert_eq!(escape_label_value("plain"), "plain");
-        assert_eq!(escape_label_value("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-    }
-
-    #[test]
     fn validator_rejects_malformed_labels() {
         assert!(validate("m{k=unquoted} 1\n").is_err(), "unquoted value");
         assert!(validate("m{k=\"open 1\n").is_err(), "unterminated value");
@@ -361,6 +282,10 @@ mod tests {
             "missing comma"
         );
         assert!(validate("m{k=\"a\",j=\"b\"} 1\n").is_ok(), "two labels ok");
+        assert!(
+            validate(r#"m{k="we\"ird\\name\nx"} 7"#).is_ok(),
+            "escaped quote, backslash and newline"
+        );
     }
 
     #[test]

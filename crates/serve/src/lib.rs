@@ -63,6 +63,6 @@ pub use queue::{JobQueue, PushError};
 pub use server::{serve, ServerConfig};
 pub use service::{
     EncodeJob, EncodeService, HealthSnapshot, JobHandle, JobOutcome, MetricsSnapshot,
-    ServiceConfig, SloConfig, SubmitError,
+    ServiceConfig, SubmitError,
 };
 pub use wire::{Request, Response, WireError};

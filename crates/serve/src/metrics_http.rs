@@ -169,44 +169,6 @@ pub fn render_prometheus(svc: &EncodeService) -> String {
         };
         obs::prom::histogram(&mut out, &format!("j2k_{name}"), help, &snap);
     }
-    // Burn-rate SLO status (DESIGN.md §17): one burn-rate sample per
-    // (objective, window) and a 0/1 breach flag per objective.
-    let slo = svc.slo_status();
-    if !slo.is_empty() {
-        let windows: Vec<(&str, String, f64)> = slo
-            .iter()
-            .flat_map(|s| {
-                s.windows
-                    .iter()
-                    .map(|w| (s.name.as_str(), format!("{}s", w.secs), w.burn_rate))
-            })
-            .collect();
-        let burn: Vec<(Vec<(&str, &str)>, f64)> = windows
-            .iter()
-            .map(|(name, win, rate)| (vec![("slo", *name), ("window", win.as_str())], *rate))
-            .collect();
-        obs::prom::gauge_vec_f64(
-            &mut out,
-            "j2k_slo_burn_rate",
-            "Error-budget burn rate per SLO window (1.0 = exactly on budget).",
-            &burn,
-        );
-        let breached: Vec<(Vec<(&str, &str)>, f64)> = slo
-            .iter()
-            .map(|s| {
-                (
-                    vec![("slo", s.name.as_str())],
-                    if s.breached { 1.0 } else { 0.0 },
-                )
-            })
-            .collect();
-        obs::prom::gauge_vec_f64(
-            &mut out,
-            "j2k_slo_breached",
-            "1 when every window of the SLO burns over threshold.",
-            &breached,
-        );
-    }
     out
 }
 
@@ -313,12 +275,67 @@ mod tests {
         // Layers are timed by the stage histograms only: no per-kernel
         // counter families.
         assert!(!text.contains("j2k_kernel"));
-        // Burn-rate SLO gauges: both objectives over both windows, no
-        // breach on a healthy service.
-        assert!(text.contains("j2k_slo_burn_rate{slo=\"latency_p99\",window=\"300s\"}"));
-        assert!(text.contains("j2k_slo_burn_rate{slo=\"error_rate\",window=\"3600s\"}"));
-        assert!(text.contains("j2k_slo_breached{slo=\"latency_p99\"} 0.000000"));
-        assert!(text.contains("j2k_slo_breached{slo=\"error_rate\"} 0.000000"));
+    }
+
+    /// The value of the unlabelled sample `name` in exposition `text`.
+    fn sample(text: &str, name: &str) -> u64 {
+        text.lines()
+            .find_map(|l| l.strip_prefix(name)?.strip_prefix(' ')?.parse().ok())
+            .unwrap_or_else(|| panic!("no sample {name} in:\n{text}"))
+    }
+
+    /// Burn rates are computed by the scraper, so the scrape must carry
+    /// every job outcome they read: one job ends each way, and each
+    /// outcome counter reads 1 in the exposition and in the snapshot.
+    #[test]
+    fn exposition_carries_every_job_outcome() {
+        let svc = EncodeService::start(ServiceConfig {
+            pool_threads: 1,
+            ..ServiceConfig::default()
+        });
+        let job = || EncodeJob::new(imgio::synth::natural(32, 32, 1), EncoderParams::lossless());
+        let completed = svc.submit(job()).unwrap();
+        assert!(matches!(completed.wait(), JobOutcome::Completed { .. }));
+        let failed = svc
+            .submit(EncodeJob {
+                params: EncoderParams {
+                    levels: 0,
+                    ..EncoderParams::lossless()
+                },
+                ..job()
+            })
+            .unwrap();
+        assert!(matches!(failed.wait(), JobOutcome::Failed(_)));
+        let timed_out = svc
+            .submit(EncodeJob {
+                timeout: Some(Duration::ZERO),
+                ..job()
+            })
+            .unwrap();
+        assert!(matches!(timed_out.wait(), JobOutcome::TimedOut));
+        svc.pause();
+        let cancelled = svc.submit(job()).unwrap();
+        cancelled.cancel();
+        svc.resume();
+        assert!(matches!(cancelled.wait(), JobOutcome::Cancelled));
+
+        let text = render_prometheus(&svc);
+        obs::prom::validate(&text).expect("exposition must validate");
+        let m = svc.metrics();
+        for (name, snapshot) in [
+            ("j2k_jobs_completed_total", m.completed),
+            ("j2k_jobs_failed_total", m.failed),
+            ("j2k_jobs_timed_out_total", m.timed_out),
+            ("j2k_jobs_cancelled_total", m.cancelled),
+        ] {
+            let value = sample(&text, name);
+            assert_eq!(value, 1, "{name}");
+            assert_eq!(value, snapshot, "{name} against the snapshot");
+        }
+        assert_eq!(
+            sample(&text, "j2k_job_e2e_us_bucket{le=\"+Inf\"}"),
+            sample(&text, "j2k_jobs_completed_total")
+        );
     }
 
     #[test]

@@ -253,11 +253,6 @@ impl PressureController {
         }
     }
 
-    /// The thresholds this controller runs with.
-    pub fn config(&self) -> &PressureConfig {
-        &self.cfg
-    }
-
     /// Last classified level (no re-sampling).
     pub fn level(&self) -> PressureLevel {
         PressureLevel::from_u8(self.level.load(Ordering::Relaxed) as u8)

@@ -242,36 +242,6 @@ struct Task {
     shared: Arc<JobShared>,
 }
 
-/// Service-level objectives evaluated by the embedded burn-rate monitor
-/// (DESIGN.md §17). Two objectives are tracked: *latency* (fraction of
-/// finished jobs whose end-to-end time stays under a threshold) and
-/// *errors* (fraction of finished jobs that complete). Each is watched
-/// over [`obs::slo::default_windows`] — a fast 5-minute window and a
-/// slow 1-hour window — and reports **breached** only when every window
-/// burns error budget faster than its threshold, the standard
-/// multi-window guard against paging on blips.
-#[derive(Debug, Clone)]
-pub struct SloConfig {
-    /// Latency objective: this fraction of finished jobs must complete
-    /// within [`latency_threshold_us`](Self::latency_threshold_us).
-    pub latency_objective: f64,
-    /// The latency SLO threshold, microseconds of job end-to-end time.
-    pub latency_threshold_us: u64,
-    /// Error objective: this fraction of finished jobs must complete
-    /// (rather than time out or fail).
-    pub error_objective: f64,
-}
-
-impl Default for SloConfig {
-    fn default() -> Self {
-        SloConfig {
-            latency_objective: 0.99,
-            latency_threshold_us: 500_000,
-            error_objective: 0.999,
-        }
-    }
-}
-
 /// Tuning of an [`EncodeService`].
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
@@ -309,9 +279,6 @@ pub struct ServiceConfig {
     /// admitted even at Critical pressure and never shed by the pressure
     /// policy (the queue bound still applies).
     pub high_priority_min: u8,
-    /// Burn-rate SLO monitoring (DESIGN.md §17); `None` disables it
-    /// (`slo_breached` then reports false everywhere).
-    pub slo: Option<SloConfig>,
 }
 
 impl Default for ServiceConfig {
@@ -327,18 +294,8 @@ impl Default for ServiceConfig {
             trace_keep: 16,
             pressure: PressureConfig::default(),
             high_priority_min: 128,
-            slo: Some(SloConfig::default()),
         }
     }
-}
-
-/// Mutable burn-rate monitor state, sampled under one short lock from
-/// [`EncodeService::slo_status`]. `epoch` anchors the monitors' virtual
-/// millisecond clock so wall time never goes backwards on them.
-struct SloState {
-    latency: obs::slo::SloMonitor,
-    errors: obs::slo::SloMonitor,
-    epoch: Instant,
 }
 
 #[derive(Default)]
@@ -527,12 +484,6 @@ pub struct HealthSnapshot {
     /// Current pressure classification (0 nominal / 1 elevated /
     /// 2 critical).
     pub pressure: u8,
-    /// True when any configured SLO's burn-rate monitor reports breach
-    /// (every window burning — DESIGN.md §17). An alerting signal, not a
-    /// routing one: it does not affect [`ready`](Self::ready), because a
-    /// replica already burning budget only burns faster if its traffic
-    /// is routed to the remaining replicas.
-    pub slo_breached: bool,
 }
 
 impl HealthSnapshot {
@@ -541,7 +492,7 @@ impl HealthSnapshot {
         format!(
             "{{\"workers_alive\":{},\"pool_threads\":{},\"workers_respawned\":{},\
              \"queue_depth\":{},\"queue_capacity\":{},\"jobs_retried\":{},\
-             \"jobs_poisoned\":{},\"accepting\":{},\"pressure\":{},\"slo_breached\":{}}}",
+             \"jobs_poisoned\":{},\"accepting\":{},\"pressure\":{}}}",
             self.workers_alive,
             self.pool_threads,
             self.workers_respawned,
@@ -551,7 +502,6 @@ impl HealthSnapshot {
             self.jobs_poisoned,
             self.accepting,
             self.pressure,
-            self.slo_breached,
         )
     }
 
@@ -583,7 +533,6 @@ pub struct EncodeService {
     pressure: Arc<PressureController>,
     supervisor: Mutex<Option<JoinHandle<()>>>,
     next_id: AtomicU64,
-    slo: Option<Mutex<SloState>>,
 }
 
 /// Every histogram series the service ever records, declared up front in
@@ -642,25 +591,6 @@ impl EncodeService {
                 })
             })
         };
-        let slo = cfg.slo.as_ref().map(|s| {
-            Mutex::new(SloState {
-                latency: obs::slo::SloMonitor::new(
-                    obs::slo::SloSpec {
-                        name: "latency_p99".to_string(),
-                        objective: s.latency_objective,
-                    },
-                    obs::slo::default_windows(),
-                ),
-                errors: obs::slo::SloMonitor::new(
-                    obs::slo::SloSpec {
-                        name: "error_rate".to_string(),
-                        objective: s.error_objective,
-                    },
-                    obs::slo::default_windows(),
-                ),
-                epoch: Instant::now(),
-            })
-        });
         EncodeService {
             cfg,
             queue,
@@ -668,7 +598,6 @@ impl EncodeService {
             pressure,
             supervisor: Mutex::new(Some(supervisor)),
             next_id: AtomicU64::new(1),
-            slo,
         }
     }
 
@@ -903,40 +832,12 @@ impl EncodeService {
             .map(|(_, j)| j.clone())
     }
 
-    /// Feed the burn-rate monitors from the live counters and evaluate
-    /// every configured SLO (empty when monitoring is disabled).
-    ///
-    /// The monitors consume *cumulative* good/total pairs: latency reads
-    /// the `job_e2e_us` histogram (good = samples at or under the
-    /// threshold bucket, via [`obs::slo::good_below`]); errors read the
-    /// outcome counters (good = completed, total = completed + timed-out
-    /// + failed — cancellations are caller-initiated, not errors).
-    pub fn slo_status(&self) -> Vec<obs::slo::SloStatus> {
-        let Some(state) = self.slo.as_ref() else {
-            return Vec::new();
-        };
-        let cfg = self.cfg.slo.as_ref().expect("slo state implies config");
-        let m = &self.metrics;
-        let e2e = self.metrics.hist.histogram("job_e2e_us").snapshot();
-        let lat_total: u64 = e2e.buckets.iter().sum();
-        let lat_good = obs::slo::good_below(&e2e, cfg.latency_threshold_us);
-        let completed = m.completed.load(Ordering::Relaxed);
-        let err_total =
-            completed + m.timed_out.load(Ordering::Relaxed) + m.failed.load(Ordering::Relaxed);
-        let mut st = state.lock().unwrap_or_else(|e| e.into_inner());
-        let now_ms = st.epoch.elapsed().as_millis() as u64;
-        st.latency.observe(now_ms, lat_good, lat_total);
-        st.errors.observe(now_ms, completed, err_total);
-        vec![st.latency.evaluate(now_ms), st.errors.evaluate(now_ms)]
-    }
-
     /// Readiness probe: pool strength, quarantine count, queue depth,
     /// pressure. Probing re-samples the controller, so pressure decays
     /// even when no submissions arrive.
     pub fn health(&self) -> HealthSnapshot {
         let m = &self.metrics;
         let level = self.pressure_level();
-        let slo_breached = self.slo_status().iter().any(|s| s.breached);
         HealthSnapshot {
             workers_alive: m.workers_alive.load(Ordering::Relaxed),
             pool_threads: self.cfg.pool_threads.max(1) as u64,
@@ -947,7 +848,6 @@ impl EncodeService {
             jobs_poisoned: m.poisoned.load(Ordering::Relaxed),
             accepting: !self.queue.is_closed(),
             pressure: level.as_u8(),
-            slo_breached,
         }
     }
 
@@ -1569,33 +1469,6 @@ mod tests {
     }
 
     #[test]
-    fn slo_monitor_evaluates_and_feeds_health() {
-        let svc = EncodeService::start(ServiceConfig {
-            pool_threads: 1,
-            ..ServiceConfig::default()
-        });
-        let st = svc.slo_status();
-        assert_eq!(st.len(), 2);
-        assert_eq!(st[0].name, "latency_p99");
-        assert_eq!(st[1].name, "error_rate");
-        assert!(
-            st.iter().all(|s| !s.breached),
-            "an idle service must not breach"
-        );
-        assert!(!svc.health().slo_breached);
-        svc.begin_shutdown();
-
-        let off = EncodeService::start(ServiceConfig {
-            pool_threads: 1,
-            slo: None,
-            ..ServiceConfig::default()
-        });
-        assert!(off.slo_status().is_empty());
-        assert!(!off.health().slo_breached);
-        off.begin_shutdown();
-    }
-
-    #[test]
     fn metrics_json_shape() {
         let snap = MetricsSnapshot {
             queue_depth: 1,
@@ -1668,14 +1541,12 @@ mod tests {
             jobs_poisoned: 1,
             accepting: true,
             pressure: 0,
-            slo_breached: false,
         };
         let j = h.to_json();
         assert!(j.contains("\"workers_alive\":2"));
         assert!(j.contains("\"jobs_poisoned\":1"));
         assert!(j.contains("\"accepting\":true"));
         assert!(j.contains("\"pressure\":0"));
-        assert!(j.contains("\"slo_breached\":false"));
     }
 
     #[test]
@@ -1690,7 +1561,6 @@ mod tests {
             jobs_poisoned: 0,
             accepting: true,
             pressure: 2,
-            slo_breached: false,
         };
         assert!(!h.ready(), "Critical pressure must fail readiness");
         assert!(HealthSnapshot { pressure: 1, ..h }.ready());

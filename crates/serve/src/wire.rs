@@ -6,7 +6,7 @@
 //! ```text
 //! +--------+---------+----------+-----------+----------------+
 //! | magic  | version | reserved | length    | payload        |
-//! | u16 BE | u8 (=2) | u8 (=0)  | u32 BE    | `length` bytes |
+//! | u16 BE | u8 (=4) | u8 (=0)  | u32 BE    | `length` bytes |
 //! +--------+---------+----------+-----------+----------------+
 //! ```
 //!
@@ -34,8 +34,9 @@ pub const MAGIC: u16 = 0x4A32;
 /// Protocol version. v2 added the encode-request flags byte
 /// (`allow_degraded`), the `degraded` marker on `EncodeOk`, the
 /// `retry_after_ms` hint on `Overloaded`, and the health pressure byte.
-/// v3 appended the health `slo_breached` byte.
-pub const VERSION: u8 = 3;
+/// v3 appended a health byte for the SLO burn-rate verdict; v4 dropped it
+/// with the in-process monitor.
+pub const VERSION: u8 = 4;
 /// Frame header size in bytes.
 pub const HEADER_LEN: usize = 8;
 /// Default ceiling on payload size: fits a 3072x3072 RGB u16 image
@@ -575,7 +576,7 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
         }
         Response::Pong => vec![TAG_PONG],
         Response::Health(h) => {
-            let mut out = Vec::with_capacity(1 + 7 * 8 + 3);
+            let mut out = Vec::with_capacity(1 + 7 * 8 + 2);
             out.push(TAG_HEALTH_OK);
             for v in [
                 h.workers_alive,
@@ -590,7 +591,6 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
             }
             out.push(u8::from(h.accepting));
             out.push(h.pressure);
-            out.push(u8::from(h.slo_breached));
             out
         }
         Response::Poisoned(m) => {
@@ -682,13 +682,6 @@ pub fn parse_response(payload: &[u8]) -> Result<Response, WireError> {
                     p @ 0..=2 => p,
                     p => {
                         return Err(WireError::Malformed(format!("bad pressure level {p}")));
-                    }
-                },
-                slo_breached: match rd.u8()? {
-                    0 => false,
-                    1 => true,
-                    b => {
-                        return Err(WireError::Malformed(format!("bad slo_breached flag {b}")));
                     }
                 },
             };
@@ -793,7 +786,6 @@ mod tests {
                 jobs_poisoned: 1,
                 accepting: true,
                 pressure: 2,
-                slo_breached: true,
             }),
             Response::Poisoned("job 7 crashed its worker 2 times".into()),
             Response::TraceJson("{\"traceEvents\":[]}".into()),

@@ -115,13 +115,6 @@ impl<T: Copy + Default> AlignedPlane<T> {
         &mut self.data[s..s + self.width]
     }
 
-    /// Full padded row `y` (including padding elements).
-    #[inline]
-    pub fn padded_row(&self, y: usize) -> &[T] {
-        let s = y * self.stride;
-        &self.data[s..s + self.stride]
-    }
-
     /// Element access.
     #[inline]
     pub fn get(&self, x: usize, y: usize) -> T {

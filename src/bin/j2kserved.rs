@@ -44,20 +44,13 @@
 //!                      Elevated                             (default 75)
 //!   --pressure-critical PCT  queue-depth percent at which pressure is
 //!                      Critical                             (default 95)
-//!   --slo-latency-ms N  latency SLO threshold: jobs should finish end
-//!                      to end within N milliseconds         (default 500)
-//!   --slo-latency-objective PCT  fraction of jobs (percent) that must
-//!                      meet the latency threshold            (default 99)
-//!   --slo-error-objective PCT  fraction of finished jobs (percent,
-//!                      fractions allowed, e.g. 99.9) that must
-//!                      complete rather than fail or time out
-//!                                                          (default 99.9)
-//!   --no-slo           disable burn-rate SLO monitoring
 //! ```
 //!
 //! Per-layer timing appears in the Prometheus exposition and the wire
 //! Metrics JSON as histograms: one `stage_*_us` series per encode
-//! stage, the per-coder Tier-1 symbol rates, and `decode_us`.
+//! stage, the per-coder Tier-1 symbol rates, and `decode_us`. Burn-rate
+//! alerting belongs to the scraper: the exposition carries every job
+//! outcome counter and the `job_e2e_us` buckets (DESIGN.md §17).
 //!
 //! The daemon exits after a Shutdown request, draining queued and
 //! in-flight jobs first. Under pressure it sheds low-priority work with
@@ -82,9 +75,7 @@ const USAGE: &str = "usage: j2kserved [--addr HOST:PORT] [--pool N] [--job-worke
                      [--trace] [--trace-dir DIR] [--trace-keep N] \
                      [--metrics-addr HOST:PORT] [--io-timeout-ms N] \
                      [--max-conns N] [--pixel-budget-mp N] [--high-priority N] \
-                     [--pressure-elevated PCT] [--pressure-critical PCT] \
-                     [--slo-latency-ms N] [--slo-latency-objective PCT] \
-                     [--slo-error-objective PCT] [--no-slo]";
+                     [--pressure-elevated PCT] [--pressure-critical PCT]";
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
@@ -167,37 +158,6 @@ fn main() {
                     .filter(|p| (1..=100).contains(p))
                     .unwrap_or_else(|| die("--pressure-critical PCT (1..=100)"));
                 cfg.pressure.critical_depth = pct as f64 / 100.0;
-            }
-            "--no-slo" => {
-                cfg.slo = None;
-                i += 1;
-                continue;
-            }
-            "--slo-latency-ms" => {
-                let ms: u64 = need(i)
-                    .parse()
-                    .unwrap_or_else(|_| die("--slo-latency-ms N"));
-                cfg.slo
-                    .get_or_insert_with(Default::default)
-                    .latency_threshold_us = ms * 1000;
-            }
-            "--slo-latency-objective" => {
-                let pct: f64 = need(i)
-                    .parse()
-                    .ok()
-                    .filter(|p| (0.0..100.0).contains(p) && *p > 0.0)
-                    .unwrap_or_else(|| die("--slo-latency-objective PCT in (0,100)"));
-                cfg.slo
-                    .get_or_insert_with(Default::default)
-                    .latency_objective = pct / 100.0;
-            }
-            "--slo-error-objective" => {
-                let pct: f64 = need(i)
-                    .parse()
-                    .ok()
-                    .filter(|p| (0.0..100.0).contains(p) && *p > 0.0)
-                    .unwrap_or_else(|| die("--slo-error-objective PCT in (0,100)"));
-                cfg.slo.get_or_insert_with(Default::default).error_objective = pct / 100.0;
             }
             "--help" | "-h" => {
                 println!("{USAGE}");
