@@ -13,8 +13,8 @@
 //! work items consumed by the `cellsim` cost model).
 
 use crate::context::{
-    initial_contexts, mr_context, sign_table, zc_table, CTX_RL, CTX_UNI, NB_E, NB_N, NB_NE, NB_NW,
-    NB_S, NB_SE, NB_SW, NB_W,
+    initial_contexts, mr_context, sign_table, zc_table, CTX_MAG0, CTX_RL, CTX_UNI, NB_E, NB_N,
+    NB_NE, NB_NW, NB_S, NB_SE, NB_SW, NB_W,
 };
 use mqcoder::{Contexts, MqDecoder, MqEncoder, RawDecoder, RawEncoder};
 
@@ -111,6 +111,12 @@ fn lowest_row(bits: u32) -> usize {
     (bits.trailing_zeros() / 8) as usize
 }
 
+/// Row `r` of a column word, as its `SIG` bit.
+#[inline]
+fn row(r: usize) -> u32 {
+    (SIG as u32) << (8 * r)
+}
+
 /// Rows `0..rows` of a column word, as `SIG` bits.
 #[inline]
 fn first_rows(rows: usize) -> u32 {
@@ -131,10 +137,20 @@ fn nonzero_bytes(word: u32) -> u32 {
     ((((word & 0x7F7F_7F7F) + 0x7F7F_7F7F) | word) >> 7) & all4(SIG)
 }
 
+/// The bits a sample sets in the rows above, beside and below it in one
+/// column, as a multiplier: `rows as u64 * rows3(..)`, for a set of `SIG`
+/// bits, is a word over rows -1..=4 with row -1 in byte 0 (row 3 of the
+/// stripe above), bytes 1..=4 the stripe and byte 5 row 0 of the stripe
+/// below. The three bit sets are disjoint, so the rows' copies never carry
+/// into each other and the product is their OR.
+const fn rows3(above: u8, level: u8, below: u8) -> u64 {
+    above as u64 | (level as u64) << 8 | (below as u64) << 16
+}
+
 /// State of one stripe column: four vertically adjacent samples, row `r`
 /// of the stripe in byte `r` of each word, so a pass can test the whole
 /// column with one compare.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct Column {
     /// Per-sample `SIG`/`VISITED`/`REFINED`/`NEG` flags in bits 0..3;
     /// bits 4..7 hold the `NB_W`/`NB_E`/`NB_N`/`NB_S` bits, shifted up
@@ -143,6 +159,47 @@ struct Column {
     /// Per-sample neighbor mask: the `NB_*` bits of the significant
     /// neighbors, which index the zero-coding tables directly.
     masks: u32,
+}
+
+impl Column {
+    /// Set the samples `rows` (`SIG` bits) significant within the column:
+    /// their `SIG` flags, `NB_S` in the mask of the row above each and
+    /// `NB_N` in the row below, and for a negative sample the same bits,
+    /// shifted up by 4, in those rows' sign nibbles. `NEG` must be set
+    /// first. The bits for the stripes above and below, and for the
+    /// columns beside, are [`Grid::make_significant_rows`]'s.
+    #[inline]
+    fn set_significant(&mut self, rows: u32) {
+        let neg = rows & (self.flags >> 3);
+        self.flags |= rows | ((neg >> 8) * (NB_S << 4) as u32) | ((neg << 8) * (NB_N << 4) as u32);
+        self.masks |= ((rows >> 8) * NB_S as u32) | ((rows << 8) * NB_N as u32);
+    }
+
+    /// The masks and sign nibbles the samples are coded with when the
+    /// samples `new` become significant in scan order: a new sample's
+    /// `NB_N` bit (and sign) reaches the row below it before that row is
+    /// coded, while the row above was coded before it.
+    #[inline]
+    fn coding_view(self, new: u32) -> (u32, u32) {
+        let neg = new & (self.flags >> 3);
+        (
+            self.masks | ((new << 8) * NB_N as u32),
+            self.flags | ((neg << 8) * (NB_N << 4) as u32),
+        )
+    }
+
+    /// Sign-coding (context, xor) of row `r`, one [`sign_table`] lookup
+    /// on its direct neighbors' mask and sign bits.
+    #[inline]
+    fn sign_context(self, r: usize) -> (u8, u8) {
+        sign_lookup(byte(self.masks, r), byte(self.flags, r))
+    }
+}
+
+/// [`sign_table`] entry of a sample with mask `mask` and flag byte `flags`.
+#[inline]
+fn sign_lookup(mask: u8, flags: u8) -> (u8, u8) {
+    sign_table()[((mask & 0x0F) | (flags & 0xF0)) as usize]
 }
 
 /// Shared significance/sign state in stripe-column order.
@@ -196,51 +253,35 @@ impl Grid {
         i..i + self.w
     }
 
+    /// Set the samples `rows` (`SIG` bits) of column `i` significant:
+    /// [`Column::set_significant`] within the column, each sample's bit in
+    /// the masks of its neighbors in columns `i - 1` and `i + 1` and in the
+    /// stripes above and below, and for a negative sample its sign in its
+    /// direct neighbors' sign nibbles there. `NEG` must be set first. Every
+    /// update is an OR, so this equals setting each sample significant on
+    /// its own, in any order.
     #[inline]
-    fn set(&mut self, i: usize, r: usize, bit: u8) {
-        self.cols[i].flags |= (bit as u32) << (8 * r);
-    }
-
-    /// Set sample `r` of column `i` significant and OR its bit into its
-    /// eight neighbors' masks; a negative sample also ORs it, shifted up
-    /// by 4, into its four direct neighbors' sign nibbles. `NEG` must be
-    /// set first.
-    #[inline]
-    fn make_significant(&mut self, i: usize, r: usize) {
-        self.set(i, r, SIG);
-        // Bits for rows r-1, r and r+1 of one neighboring column, as a word
-        // over rows -1..=4 with row -1 in byte 0: bytes 1..=4 are this
-        // stripe, byte 0 row 3 of the stripe above, byte 5 row 0 of the
-        // stripe below.
-        let rows3 = |above: u8, level: u8, below: u8| -> u64 {
-            (above as u64 | (level as u64) << 8 | (below as u64) << 16) << (8 * r)
-        };
+    fn make_significant_rows(&mut self, i: usize, rows: u32) {
         let stride = self.stride;
-        for (j, word) in [
-            (i - 1, rows3(NB_SE, NB_E, NB_NE)),
-            (i, rows3(NB_S, 0, NB_N)),
-            (i + 1, rows3(NB_SW, NB_W, NB_NW)),
+        // Columns i - 1 ..= i + 1 of the stripes above, this and below.
+        let win = &mut self.cols[i - stride - 1..i + stride + 2];
+        let mid = stride + 1;
+        win[mid].set_significant(rows);
+        let neg = rows & (win[mid].flags >> 3);
+        for (j, nb, sign) in [
+            (mid - 1, rows3(NB_SE, NB_E, NB_NE), NB_E << 4),
+            (mid, rows3(NB_S, 0, NB_N), 0),
+            (mid + 1, rows3(NB_SW, NB_W, NB_NW), NB_W << 4),
         ] {
-            self.cols[j - stride].masks |= (word as u32 & 0xFF) << 24;
-            self.cols[j].masks |= (word >> 8) as u32;
-            self.cols[j + stride].masks |= (word >> 40) as u32;
+            let word = rows as u64 * nb;
+            win[j - stride].masks |= (word as u32 & 0xFF) << 24;
+            win[j].masks |= (word >> 8) as u32;
+            win[j + stride].masks |= (word >> 40) as u32;
+            win[j].flags |= neg * sign as u32;
         }
-        let neg = (self.cols[i].flags >> (8 * r + 3)) & 1;
-        let level = |bit: u8| ((bit as u32) << (8 * r + 4)) * neg;
-        self.cols[i - 1].flags |= level(NB_E);
-        self.cols[i + 1].flags |= level(NB_W);
-        let vertical = rows3(NB_S << 4, 0, NB_N << 4) * neg as u64;
-        self.cols[i - stride].flags |= (vertical as u32 & 0xFF) << 24;
-        self.cols[i].flags |= (vertical >> 8) as u32;
-        self.cols[i + stride].flags |= (vertical >> 40) as u32;
-    }
-
-    /// Sign-coding (context, xor) of sample `r` of column `i`, one
-    /// [`sign_table`] lookup on its direct neighbors' mask and sign bits.
-    #[inline]
-    fn sign_context(&self, i: usize, r: usize) -> (u8, u8) {
-        let c = self.cols[i];
-        sign_table()[((byte(c.masks, r) & 0x0F) | (byte(c.flags, r) & 0xF0)) as usize]
+        let vertical = neg as u64 * rows3(NB_S << 4, 0, NB_N << 4);
+        win[mid - stride].flags |= (vertical as u32 & 0xFF) << 24;
+        win[mid + stride].flags |= (vertical >> 40) as u32;
     }
 
     fn clear_visited(&mut self) {
@@ -279,6 +320,11 @@ pub fn encode_block(data: &[i32], w: usize, h: usize, kind: BandKind) -> Encoded
 
 /// [`encode_block`] with the selective arithmetic-coding-bypass option
 /// ("lazy" mode): cheaper Tier-1 at a small rate cost.
+///
+/// The bit modeler ([`model_block`]) hands over one pass's decisions at a
+/// time, and each pass is coded in one loop: through the MQ coder, or for
+/// a raw pass as bare bits. Either way the pass's `symbols` are its
+/// decisions.
 pub fn encode_block_opts(
     data: &[i32],
     w: usize,
@@ -294,20 +340,104 @@ pub fn encode_block_opts(
         .cat("block")
         .arg("w", w as u64)
         .arg("h", h as u64);
-    // The OR of the magnitudes has the same top bit as their maximum.
-    let any = data.iter().fold(0u32, |acc, v| acc | v.unsigned_abs());
-    let num_planes = (32 - any.leading_zeros()) as u8;
     let mut blk = EncodedBlock {
         data: Vec::new(),
         pass_ends: Vec::new(),
         passes: Vec::new(),
-        num_planes,
+        num_planes: 0,
         w,
         h,
     };
+    let mut ctxs = initial_contexts();
+    let mut enc = MqEncoder::new();
+    blk.num_planes = model_block(data, w, h, kind, bypass, |p| {
+        if p.raw {
+            let mut raw = RawEncoder::new();
+            for &d in p.decisions {
+                raw.put(d & 1);
+            }
+            blk.data.extend_from_slice(&raw.finish());
+        } else {
+            enc.encode_decisions(&mut ctxs, p.decisions);
+            enc.flush_into(&mut blk.data);
+        }
+        // `count * d` equals the sum of `count` copies of `d` exactly, as
+        // every partial sum is a small multiple of a power of two.
+        let d = match p.pass_type {
+            PassType::MagRef => d_ref(p.plane),
+            _ => d_sig(p.plane),
+        };
+        blk.pass_ends.push(blk.data.len());
+        blk.passes.push(PassInfo {
+            pass_type: p.pass_type,
+            plane: p.plane,
+            rate_bytes: blk.data.len(),
+            dist_reduction: p.coded as f64 * d,
+            symbols: p.decisions.len() as u64,
+        });
+    });
+    span.set_arg("symbols", blk.total_symbols());
+    blk
+}
+
+/// One coding pass as the bit modeler hands it to a coder.
+pub struct PassModel<'a> {
+    /// Pass type.
+    pub pass_type: PassType,
+    /// Bit-plane index (0 = least significant).
+    pub plane: u8,
+    /// Raw-coded under selective bypass ([`pass_is_raw`]): each
+    /// decision's bit goes out as it is, and a sign decision is the sign
+    /// itself rather than its agreement with the predicted sign.
+    pub raw: bool,
+    /// The pass's decisions in coding order, `(cx << 1) | d` each: the
+    /// context label (`context`'s 0..=18) and the decision bit.
+    pub decisions: &'a [u8],
+    /// Samples the pass made significant, or for magnitude refinement
+    /// the samples it refined.
+    pub coded: u32,
+    grid: &'a Grid,
+}
+
+impl PassModel<'_> {
+    /// Significance state after the pass, one `(flags, masks)` pair per
+    /// stripe column: `w + 2` columns per stripe (a dummy column on each
+    /// side) and one dummy stripe above and below the block. Byte `r` of
+    /// each word is row `r` of the stripe: flag bits 0..3 are significant,
+    /// visited, refined and negative, bits 4..7 the `NB_W`/`NB_E`/`NB_N`/
+    /// `NB_S` bits, shifted up by 4, of its significant negative direct
+    /// neighbors; the mask byte holds the `NB_*` bits of its significant
+    /// neighbors.
+    pub fn columns(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
+        self.grid.cols.iter().map(|c| (c.flags, c.masks))
+    }
+}
+
+/// The bit modeler of [`encode_block_opts`]: compute every coding pass's
+/// decisions, most significant plane first, and hand each pass to `pass`.
+/// Returns the block's coded magnitude bit-planes (0 for an all-zero
+/// block, which has no passes).
+///
+/// Each pass walks the block one stripe column at a time. From the
+/// column's state and the plane's four magnitude bits it settles the
+/// samples the pass codes and those that become significant at once,
+/// writes their decisions with predicated stores, and updates the
+/// neighbors of the new significant samples in one step at the end of
+/// the column.
+pub fn model_block(
+    data: &[i32],
+    w: usize,
+    h: usize,
+    kind: BandKind,
+    bypass: bool,
+    mut pass: impl FnMut(&PassModel<'_>),
+) -> u8 {
+    assert_eq!(data.len(), w * h, "block data size");
+    // The OR of the magnitudes has the same top bit as their maximum.
+    let any = data.iter().fold(0u32, |acc, v| acc | v.unsigned_abs());
+    let num_planes = (32 - any.leading_zeros()) as u8;
     if num_planes == 0 {
-        span.set_arg("symbols", 0);
-        return blk;
+        return 0;
     }
     let mut grid = Grid::new(w, h);
     let mut mags = vec![0u32; 4 * grid.cols.len()];
@@ -320,8 +450,10 @@ pub fn encode_block_opts(
         }
     }
     let zc = zc_table(kind);
-    let mut ctxs = initial_contexts();
-    let mut enc = MqEncoder::new();
+    let mut bits = vec![0u32; grid.cols.len()];
+    // A cleanup column codes at most ten decisions, every other column
+    // step fewer.
+    let mut out = PassBuf::new(10 * w * grid.stripes());
 
     for plane in (0..num_planes).rev() {
         let first = plane == num_planes - 1;
@@ -330,62 +462,118 @@ pub fn encode_block_opts(
         } else {
             &[PassType::SigProp, PassType::MagRef, PassType::Cleanup]
         };
-        let (ds, dr) = (d_sig(plane), d_ref(plane));
+        plane_bits(&mags, plane, &mut bits);
         for &pt in passes {
-            // Each pass counts its newly significant (or refined) samples;
-            // `count * d` equals the sum of `count` copies of `d` exactly,
-            // as every partial sum is a small multiple of a power of two.
-            let (symbols, dist) = if pass_is_raw(bypass, pt, plane, num_planes) {
-                let mut raw = RawEncoder::new();
-                let (bits, dist) = match pt {
-                    PassType::SigProp => {
-                        let (bits, n) = sig_prop_enc_raw(&mut raw, &mut grid, &mags, plane);
-                        (bits, n as f64 * ds)
-                    }
-                    PassType::MagRef => {
-                        let (bits, n) = mag_ref_enc_raw(&mut raw, &mut grid, &mags, plane);
-                        (bits, n as f64 * dr)
-                    }
-                    PassType::Cleanup => unreachable!("cleanup is never raw"),
-                };
-                blk.data.extend_from_slice(&raw.finish());
-                (bits, dist)
-            } else {
-                let dist = match pt {
-                    PassType::SigProp => {
-                        sig_prop_enc(&mut enc, &mut ctxs, &mut grid, &mags, plane, zc) as f64 * ds
-                    }
-                    PassType::MagRef => {
-                        mag_ref_enc(&mut enc, &mut ctxs, &mut grid, &mags, plane) as f64 * dr
-                    }
-                    PassType::Cleanup => {
-                        let n = cleanup_enc(&mut enc, &mut ctxs, &mut grid, &mags, plane, zc);
-                        grid.clear_visited();
-                        n as f64 * ds
-                    }
-                };
-                let symbols = enc.symbols();
-                enc.flush_into(&mut blk.data);
-                (symbols, dist)
+            let raw = pass_is_raw(bypass, pt, plane, num_planes);
+            out.len = 0;
+            let coded = match pt {
+                PassType::SigProp => sig_prop_walk(&mut grid, &bits, zc, raw, &mut out),
+                PassType::MagRef => mag_ref_walk(&mut grid, &bits, &mut out),
+                PassType::Cleanup => cleanup_walk(&mut grid, &bits, zc, &mut out),
             };
-            blk.pass_ends.push(blk.data.len());
-            blk.passes.push(PassInfo {
+            if pt == PassType::Cleanup {
+                grid.clear_visited();
+            }
+            pass(&PassModel {
                 pass_type: pt,
                 plane,
-                rate_bytes: blk.data.len(),
-                dist_reduction: dist,
-                symbols,
+                raw,
+                decisions: &out.buf[..out.len],
+                coded,
+                grid: &grid,
             });
         }
     }
-    span.set_arg("symbols", blk.total_symbols());
-    blk
+    num_planes
 }
 
-/// Bit `plane` of sample `r` of column `i`.
-#[inline]
-fn plane_bit(mags: &[u32], i: usize, r: usize, plane: u8) -> u8 {
-    ((mags[4 * i + r] >> plane) & 1) as u8
+/// Bit `plane` of every sample: per stripe column, one word with each
+/// row's bit at its `SIG` position.
+fn plane_bits(mags: &[u32], plane: u8, bits: &mut [u32]) {
+    for (b, m) in bits.iter_mut().zip(mags.chunks_exact(4)) {
+        *b = (m[0] >> plane & 1)
+            | (m[1] >> plane & 1) << 8
+            | (m[2] >> plane & 1) << 16
+            | (m[3] >> plane & 1) << 24;
+    }
+}
+
+/// One pass's decisions, `(cx << 1) | d` each, in coding order.
+///
+/// A column step writes its decisions with predicated stores: each
+/// candidate decision is stored at the next free byte, which moves on
+/// only when the sample is coded, so a later decision overwrites one
+/// that was not. The step works on an 8-byte window, and the buffer keeps
+/// 8 bytes to spare beyond the pass's bound.
+struct PassBuf {
+    buf: Vec<u8>,
+    len: usize,
+}
+
+impl PassBuf {
+    fn new(bound: usize) -> Self {
+        PassBuf {
+            buf: vec![0; bound + 8],
+            len: 0,
+        }
+    }
+
+    /// The 8 bytes from the next free one.
+    #[inline]
+    fn window(&mut self) -> &mut [u8; 8] {
+        (&mut self.buf[self.len..self.len + 8])
+            .try_into()
+            .expect("an 8-byte range")
+    }
+
+    #[inline]
+    fn push(&mut self, cx: usize, d: u8) {
+        self.buf[self.len] = (cx as u8) << 1 | d;
+        self.len += 1;
+    }
+
+    /// Byte `r` of `decisions` for each row `r` of `rows`, in row order.
+    #[inline]
+    fn rows(&mut self, decisions: u32, rows: u32) {
+        let out = self.window();
+        let mut k = 0;
+        for r in 0..4 {
+            out[k & 7] = byte(decisions, r);
+            k += byte(rows, r) as usize;
+        }
+        self.len += k;
+    }
+
+    /// The decisions of one stripe column of a significance or cleanup
+    /// step: for each row of `coded` in turn its zero-coding decision and,
+    /// if it is in `signed`, its sign decision. The contexts come from
+    /// `c` as seen with the samples `new` turning significant in scan
+    /// order; `xor` is 1 to code each sign against its predicted sign.
+    #[inline]
+    #[allow(clippy::too_many_arguments)]
+    fn zc_column(
+        &mut self,
+        zc: &[u8; 256],
+        c: Column,
+        bits: u32,
+        coded: u32,
+        new: u32,
+        signed: u32,
+        xor: u8,
+    ) {
+        let (masks, flags) = c.coding_view(new);
+        let out = self.window();
+        let mut k = 0;
+        for r in 0..4 {
+            let m = byte(masks, r);
+            out[k & 7] = zc[m as usize] << 1 | byte(bits, r);
+            k += byte(coded, r) as usize;
+            let (cx, flip) = sign_lookup(m, byte(flags, r));
+            out[k & 7] = cx << 1 | u8::from(byte(flags, r) & NEG != 0) ^ (flip & xor);
+            k += byte(signed, r) as usize;
+        }
+        self.len += k;
+    }
 }
 
 /// Samples of column `c` that significance propagation codes, as `SIG`
@@ -410,181 +598,107 @@ fn cleanup_set(c: Column) -> u32 {
     !(c.flags | c.flags >> 1) & all4(SIG)
 }
 
-fn code_sign_enc(enc: &mut MqEncoder, ctxs: &mut Contexts, grid: &Grid, i: usize, r: usize) {
-    let (cx, xor) = grid.sign_context(i, r);
-    let neg = u8::from(byte(grid.cols[i].flags, r) & NEG != 0);
-    enc.encode(ctxs, cx as usize, neg ^ xor);
-}
-
 /// Significance propagation: every insignificant sample with a
 /// significant neighbor. Returns the samples that became significant.
-fn sig_prop_enc(
-    enc: &mut MqEncoder,
-    ctxs: &mut Contexts,
+fn sig_prop_walk(
     grid: &mut Grid,
-    mags: &[u32],
-    plane: u8,
+    bits: &[u32],
     zc: &[u8; 256],
+    raw: bool,
+    out: &mut PassBuf,
 ) -> u32 {
+    // A raw pass codes each sign as it is.
+    let xor = u8::from(!raw);
     let mut newly = 0;
     for s in 0..grid.stripes() {
         let live = first_rows(grid.rows(s));
         for i in grid.stripe(s) {
-            // A sample that becomes significant can bring the one below it
-            // into the pass, so the column is tested again after each row.
-            let mut left = live;
-            loop {
-                let c = grid.cols[i];
-                let todo = sig_prop_set(c) & left;
-                if todo == 0 {
-                    break;
-                }
-                let r = lowest_row(todo);
-                left &= rows_after(r);
-                let bit = plane_bit(mags, i, r, plane);
-                enc.encode(ctxs, zc[byte(c.masks, r) as usize] as usize, bit);
-                grid.set(i, r, VISITED);
-                if bit == 1 {
-                    code_sign_enc(enc, ctxs, grid, i, r);
-                    grid.make_significant(i, r);
-                    newly += 1;
-                }
+            let c = grid.cols[i];
+            // VISITED is clear before this pass, so the insignificant rows
+            // are those without SIG.
+            let insig = live & !c.flags;
+            let mut coded = sig_prop_set(c) & live;
+            if coded == 0 {
+                continue;
+            }
+            let b = bits[i];
+            // A sample that becomes significant brings the insignificant
+            // one below it into the pass: three steps reach down a column.
+            coded |= ((coded & b) << 8) & insig;
+            coded |= ((coded & b) << 8) & insig;
+            coded |= ((coded & b) << 8) & insig;
+            let new = coded & b;
+            out.zc_column(zc, c, b, coded, new, new, xor);
+            // VISITED is bit 1.
+            grid.cols[i].flags |= coded << 1;
+            if new != 0 {
+                grid.make_significant_rows(i, new);
+                newly += new.count_ones();
             }
         }
     }
     newly
 }
 
-/// Magnitude refinement. Returns the samples refined.
-fn mag_ref_enc(
-    enc: &mut MqEncoder,
-    ctxs: &mut Contexts,
-    grid: &mut Grid,
-    mags: &[u32],
-    plane: u8,
-) -> u32 {
+/// Magnitude refinement: every significant sample that this plane's
+/// significance propagation did not code. Returns the samples refined.
+fn mag_ref_walk(grid: &mut Grid, bits: &[u32], out: &mut PassBuf) -> u32 {
     let mut refined = 0;
     for s in 0..grid.stripes() {
         for i in grid.stripe(s) {
             let c = grid.cols[i];
-            let todo = refine_set(c);
-            let mut t = todo;
-            while t != 0 {
-                let r = lowest_row(t);
-                t &= t - 1;
-                let cx = mr_context(byte(c.flags, r) & REFINED == 0, byte(c.masks, r) != 0);
-                enc.encode(ctxs, cx, plane_bit(mags, i, r, plane));
-                refined += 1;
+            let coded = refine_set(c);
+            if coded == 0 {
+                continue;
             }
+            // Context 16 after the first refinement, else 15 with a
+            // significant neighbor and 14 without (`mr_context`).
+            let again = (c.flags >> 2) & all4(SIG);
+            let cx = all4(CTX_MAG0 as u8) + 2 * again + (nonzero_bytes(c.masks) & !again);
+            out.rows(cx << 1 | bits[i], coded);
             // REFINED is bit 2.
-            grid.cols[i].flags |= todo << 2;
+            grid.cols[i].flags |= coded << 2;
+            refined += coded.count_ones();
         }
     }
     refined
 }
 
-/// Raw (bypass) significance propagation: same membership rule as the MQ
-/// pass, but bits and signs are emitted uncoded. Returns (bits emitted,
-/// samples that became significant).
-fn sig_prop_enc_raw(enc: &mut RawEncoder, grid: &mut Grid, mags: &[u32], plane: u8) -> (u64, u32) {
-    let (mut bits, mut newly) = (0u64, 0u32);
-    for s in 0..grid.stripes() {
-        let live = first_rows(grid.rows(s));
-        for i in grid.stripe(s) {
-            let mut left = live;
-            loop {
-                let c = grid.cols[i];
-                let todo = sig_prop_set(c) & left;
-                if todo == 0 {
-                    break;
-                }
-                let r = lowest_row(todo);
-                left &= rows_after(r);
-                let bit = plane_bit(mags, i, r, plane);
-                enc.put(bit);
-                bits += 1;
-                grid.set(i, r, VISITED);
-                if bit == 1 {
-                    enc.put(u8::from(byte(c.flags, r) & NEG != 0));
-                    bits += 1;
-                    grid.make_significant(i, r);
-                    newly += 1;
-                }
-            }
-        }
-    }
-    (bits, newly)
-}
-
-/// Raw (bypass) magnitude refinement. Returns (bits emitted, samples
-/// refined); the two are equal.
-fn mag_ref_enc_raw(enc: &mut RawEncoder, grid: &mut Grid, mags: &[u32], plane: u8) -> (u64, u32) {
-    let mut refined = 0u32;
-    for s in 0..grid.stripes() {
-        for i in grid.stripe(s) {
-            let todo = refine_set(grid.cols[i]);
-            let mut t = todo;
-            while t != 0 {
-                let r = lowest_row(t);
-                t &= t - 1;
-                enc.put(plane_bit(mags, i, r, plane));
-                refined += 1;
-            }
-            grid.cols[i].flags |= todo << 2;
-        }
-    }
-    (refined as u64, refined)
-}
-
-/// Cleanup: every sample not yet significant and not coded by this
-/// plane's significance propagation. Returns the samples that became
-/// significant.
-fn cleanup_enc(
-    enc: &mut MqEncoder,
-    ctxs: &mut Contexts,
-    grid: &mut Grid,
-    mags: &[u32],
-    plane: u8,
-    zc: &[u8; 256],
-) -> u32 {
+/// Cleanup: every sample neither significant nor coded by this plane's
+/// significance propagation. Returns the samples that became significant.
+fn cleanup_walk(grid: &mut Grid, bits: &[u32], zc: &[u8; 256], out: &mut PassBuf) -> u32 {
     let mut newly = 0;
     for s in 0..grid.stripes() {
         let live = first_rows(grid.rows(s));
         for i in grid.stripe(s) {
             let c = grid.cols[i];
-            // Coding a sample changes only its own membership, so the set
-            // is taken once per column.
-            let mut todo = cleanup_set(c) & live;
+            let mut coded = cleanup_set(c) & live;
+            if coded == 0 {
+                continue;
+            }
+            let b = bits[i];
+            let mut new = 0;
             // Run mode: a full stripe column, all four uncoded and without
             // a significant neighbor (zero-coding context 0).
-            if todo == all4(SIG) && c.masks == 0 {
-                match (0..4).find(|&r| plane_bit(mags, i, r, plane) == 1) {
-                    None => {
-                        enc.encode(ctxs, CTX_RL, 0);
-                        continue;
-                    }
-                    Some(r) => {
-                        enc.encode(ctxs, CTX_RL, 1);
-                        enc.encode(ctxs, CTX_UNI, ((r >> 1) & 1) as u8);
-                        enc.encode(ctxs, CTX_UNI, (r & 1) as u8);
-                        code_sign_enc(enc, ctxs, grid, i, r);
-                        grid.make_significant(i, r);
-                        newly += 1;
-                        todo = rows_after(r);
-                    }
+            if coded == all4(SIG) && c.masks == 0 {
+                if b == 0 {
+                    out.push(CTX_RL, 0);
+                    continue;
                 }
+                let r = lowest_row(b);
+                out.push(CTX_RL, 1);
+                out.push(CTX_UNI, (r >> 1) as u8);
+                out.push(CTX_UNI, (r & 1) as u8);
+                let (cx, flip) = c.sign_context(r);
+                out.push(cx as usize, u8::from(byte(c.flags, r) & NEG != 0) ^ flip);
+                new = row(r);
+                coded = rows_after(r);
             }
-            while todo != 0 {
-                let r = lowest_row(todo);
-                todo &= todo - 1;
-                let bit = plane_bit(mags, i, r, plane);
-                let m = byte(grid.cols[i].masks, r);
-                enc.encode(ctxs, zc[m as usize] as usize, bit);
-                if bit == 1 {
-                    code_sign_enc(enc, ctxs, grid, i, r);
-                    grid.make_significant(i, r);
-                    newly += 1;
-                }
+            new |= coded & b;
+            out.zc_column(zc, c, b, coded, new, new & coded, 1);
+            if new != 0 {
+                grid.make_significant_rows(i, new);
+                newly += new.count_ones();
             }
         }
     }
@@ -595,16 +709,13 @@ fn cleanup_enc(
 // Decoder
 // ---------------------------------------------------------------------------
 
-fn code_sign_dec(
-    dec: &mut MqDecoder<'_>,
-    ctxs: &mut Contexts,
-    grid: &mut Grid,
-    i: usize,
-    r: usize,
-) {
-    let (cx, xor) = grid.sign_context(i, r);
+/// Decode the sign of row `r` of `c` and set the sample significant
+/// within the column.
+fn decode_sign(dec: &mut MqDecoder<'_>, ctxs: &mut Contexts, c: &mut Column, r: usize) {
+    let (cx, xor) = c.sign_context(r);
     let neg = dec.decode(ctxs, cx as usize) ^ xor;
-    grid.set(i, r, neg << 3);
+    c.flags |= (neg as u32) << (8 * r + 3);
+    c.set_significant(row(r));
 }
 
 /// Decode the first `num_passes` passes of a block coded by
@@ -717,6 +828,12 @@ pub fn decode_block_opts(
     out
 }
 
+// The significance and cleanup decoders keep the column word in a local
+// and apply each new significance's in-column updates there; the rest of
+// its updates wait for one `make_significant_rows` at the end of the
+// column. That is exact: the column before and the stripe above were
+// visited already, and the column after and the stripe below come later.
+
 fn sig_prop_dec(
     dec: &mut MqDecoder<'_>,
     ctxs: &mut Contexts,
@@ -728,9 +845,14 @@ fn sig_prop_dec(
     for s in 0..grid.stripes() {
         let live = first_rows(grid.rows(s));
         for i in grid.stripe(s) {
-            let mut left = live;
+            let mut c = grid.cols[i];
+            if sig_prop_set(c) & live == 0 {
+                continue;
+            }
+            // A sample that becomes significant can bring the one below it
+            // into the pass, so the column is tested again after each row.
+            let (mut left, mut new) = (live, 0);
             loop {
-                let c = grid.cols[i];
                 let todo = sig_prop_set(c) & left;
                 if todo == 0 {
                     break;
@@ -738,12 +860,16 @@ fn sig_prop_dec(
                 let r = lowest_row(todo);
                 left &= rows_after(r);
                 let bit = dec.decode(ctxs, zc[byte(c.masks, r) as usize] as usize);
-                grid.set(i, r, VISITED);
+                c.flags |= (VISITED as u32) << (8 * r);
                 if bit == 1 {
-                    code_sign_dec(dec, ctxs, grid, i, r);
-                    grid.make_significant(i, r);
+                    decode_sign(dec, ctxs, &mut c, r);
                     mags[4 * i + r] |= 1 << plane;
+                    new |= row(r);
                 }
+            }
+            grid.cols[i] = c;
+            if new != 0 {
+                grid.make_significant_rows(i, new);
             }
         }
     }
@@ -777,21 +903,30 @@ fn sig_prop_dec_raw(dec: &mut RawDecoder<'_>, grid: &mut Grid, mags: &mut [u32],
     for s in 0..grid.stripes() {
         let live = first_rows(grid.rows(s));
         for i in grid.stripe(s) {
-            let mut left = live;
+            let mut c = grid.cols[i];
+            if sig_prop_set(c) & live == 0 {
+                continue;
+            }
+            let (mut left, mut new) = (live, 0);
             loop {
-                let todo = sig_prop_set(grid.cols[i]) & left;
+                let todo = sig_prop_set(c) & left;
                 if todo == 0 {
                     break;
                 }
                 let r = lowest_row(todo);
                 left &= rows_after(r);
                 let bit = dec.get();
-                grid.set(i, r, VISITED);
+                c.flags |= (VISITED as u32) << (8 * r);
                 if bit == 1 {
-                    grid.set(i, r, dec.get() << 3);
-                    grid.make_significant(i, r);
+                    c.flags |= (dec.get() as u32) << (8 * r + 3);
+                    c.set_significant(row(r));
                     mags[4 * i + r] |= 1 << plane;
+                    new |= row(r);
                 }
+            }
+            grid.cols[i] = c;
+            if new != 0 {
+                grid.make_significant_rows(i, new);
             }
         }
     }
@@ -824,27 +959,34 @@ fn cleanup_dec(
     for s in 0..grid.stripes() {
         let live = first_rows(grid.rows(s));
         for i in grid.stripe(s) {
-            let c = grid.cols[i];
+            let mut c = grid.cols[i];
             let mut todo = cleanup_set(c) & live;
+            if todo == 0 {
+                continue;
+            }
+            let mut new = 0;
             if todo == all4(SIG) && c.masks == 0 {
                 if dec.decode(ctxs, CTX_RL) == 0 {
                     continue;
                 }
                 let r = ((dec.decode(ctxs, CTX_UNI) << 1) | dec.decode(ctxs, CTX_UNI)) as usize;
+                decode_sign(dec, ctxs, &mut c, r);
                 mags[4 * i + r] |= 1 << plane;
-                code_sign_dec(dec, ctxs, grid, i, r);
-                grid.make_significant(i, r);
+                new = row(r);
                 todo = rows_after(r);
             }
             while todo != 0 {
                 let r = lowest_row(todo);
                 todo &= todo - 1;
-                let m = byte(grid.cols[i].masks, r);
-                if dec.decode(ctxs, zc[m as usize] as usize) == 1 {
-                    code_sign_dec(dec, ctxs, grid, i, r);
-                    grid.make_significant(i, r);
+                if dec.decode(ctxs, zc[byte(c.masks, r) as usize] as usize) == 1 {
+                    decode_sign(dec, ctxs, &mut c, r);
                     mags[4 * i + r] |= 1 << plane;
+                    new |= row(r);
                 }
+            }
+            if new != 0 {
+                grid.cols[i] = c;
+                grid.make_significant_rows(i, new);
             }
         }
     }
@@ -853,6 +995,93 @@ fn cleanup_dec(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The per-sample update `make_significant_rows` replaced: sample `r`
+    /// of column `i` significant, its bit in its eight neighbors' masks,
+    /// and a negative sample's sign in its four direct neighbors' sign
+    /// nibbles.
+    fn make_significant_one(g: &mut Grid, i: usize, r: usize) {
+        g.cols[i].flags |= (SIG as u32) << (8 * r);
+        let rows3 = |above: u8, level: u8, below: u8| -> u64 {
+            (above as u64 | (level as u64) << 8 | (below as u64) << 16) << (8 * r)
+        };
+        let stride = g.stride;
+        for (j, word) in [
+            (i - 1, rows3(NB_SE, NB_E, NB_NE)),
+            (i, rows3(NB_S, 0, NB_N)),
+            (i + 1, rows3(NB_SW, NB_W, NB_NW)),
+        ] {
+            g.cols[j - stride].masks |= (word as u32 & 0xFF) << 24;
+            g.cols[j].masks |= (word >> 8) as u32;
+            g.cols[j + stride].masks |= (word >> 40) as u32;
+        }
+        let neg = (g.cols[i].flags >> (8 * r + 3)) & 1;
+        let level = |bit: u8| ((bit as u32) << (8 * r + 4)) * neg;
+        g.cols[i - 1].flags |= level(NB_E);
+        g.cols[i + 1].flags |= level(NB_W);
+        let vertical = rows3(NB_S << 4, 0, NB_N << 4) * neg as u64;
+        g.cols[i - stride].flags |= (vertical as u32 & 0xFF) << 24;
+        g.cols[i].flags |= (vertical >> 8) as u32;
+        g.cols[i + stride].flags |= (vertical >> 40) as u32;
+    }
+
+    /// A grid whose every word, dummies included, holds seeded bits, so
+    /// an update that clears or overwrites anything shows.
+    fn noisy_grid(w: usize, h: usize, seed: u32) -> Grid {
+        let mut g = Grid::new(w, h);
+        let mut x = seed | 1;
+        for c in &mut g.cols {
+            x = x.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+            // Sparse bits: mostly clear, so the ORs have room to show.
+            c.flags = x & x.rotate_left(11) & x.rotate_left(23);
+            x = x.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+            c.masks = x & x.rotate_left(13) & x.rotate_left(19);
+        }
+        g
+    }
+
+    #[test]
+    fn make_significant_rows_equals_per_sample_updates() {
+        let mut checked = 0;
+        // 5x10 and 3x7 end in a partial stripe (2 and 3 rows); a width of
+        // 1 makes every column an edge column.
+        for (w, h) in [(5usize, 10usize), (3, 7), (1, 4)] {
+            for s in 0..h.div_ceil(4) {
+                let rows = (h - 4 * s).min(4);
+                for x in [0, w / 2, w - 1] {
+                    for set in 1u32..16 {
+                        if set >> rows != 0 {
+                            // Rows below the block are never coded.
+                            continue;
+                        }
+                        for negs in 0u32..16 {
+                            let seed = (set << 8 | negs << 4 | x as u32) ^ (s as u32) << 16;
+                            let (mut a, mut b) = (noisy_grid(w, h, seed), noisy_grid(w, h, seed));
+                            let i = a.idx(s, x);
+                            let mut word = 0;
+                            for r in (0..4).filter(|r| set >> r & 1 == 1) {
+                                word |= row(r);
+                                // NEG is set before a sample becomes significant.
+                                let neg = (negs >> r & 1) << (8 * r + 3);
+                                a.cols[i].flags = a.cols[i].flags & !(1 << (8 * r + 3)) | neg;
+                                b.cols[i].flags = b.cols[i].flags & !(1 << (8 * r + 3)) | neg;
+                            }
+                            a.make_significant_rows(i, word);
+                            for r in (0..4).filter(|r| set >> r & 1 == 1) {
+                                make_significant_one(&mut b, i, r);
+                            }
+                            assert_eq!(
+                                a.cols, b.cols,
+                                "{w}x{h} stripe {s} column {x} rows {set:04b} negative {negs:04b}"
+                            );
+                            checked += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(checked > 1000, "{checked}");
+    }
 
     fn roundtrip(data: &[i32], w: usize, h: usize, kind: BandKind) {
         let blk = encode_block(data, w, h, kind);

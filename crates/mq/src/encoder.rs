@@ -1,14 +1,24 @@
 //! MQ encoder (JPEG2000 Annex C.2, software-conventions form).
 
 use crate::table::QE_TABLE;
-use crate::Contexts;
+use crate::{Contexts, CtxState};
+
+/// Shifts a batch of [`MqEncoder::encode_decisions`] may take past a
+/// BYTEOUT before it settles the pending ones: two to three bytes, with the
+/// register's top bit at most 62.
+const PENDING: i32 = 20;
 
 /// The MQ arithmetic encoder.
 ///
 /// Register conventions follow the standard's software implementation:
-/// `c` is the 28-bit code register (carry appears at bit 27), `a` the 16-bit
-/// interval register renormalized to keep `a >= 0x8000`, `ct` the downcounter
-/// to the next byte emission.
+/// `c` holds the 28-bit code register (carry appears at bit 27), `a` the
+/// 16-bit interval register renormalized to keep `a >= 0x8000`, `ct` the
+/// downcounter to the next byte emission.
+///
+/// [`MqEncoder::encode`] codes one decision and emits each byte when `ct`
+/// reaches 0, as the standard does. [`MqEncoder::encode_decisions`] codes
+/// a pass's decisions in batches that let the byte emissions wait: see
+/// there.
 ///
 /// One encoder codes any number of segments: [`MqEncoder::flush_into`]
 /// terminates the open segment, appends it to a caller's buffer and
@@ -19,20 +29,80 @@ use crate::Contexts;
 /// below 2^15, so the carry bit (27) is still clear.
 #[derive(Debug, Clone)]
 pub struct MqEncoder {
-    c: u32,
+    /// The code register. Between calls it is the standard's `C`; inside
+    /// a batch it also holds the bytes whose BYTEOUT is pending.
+    c: u64,
     a: u32,
-    ct: u32,
+    /// Shifts left until the next BYTEOUT; inside a batch, when not
+    /// positive, `-ct` shifts have passed since the oldest pending one.
+    ct: i32,
     /// Open segment; `out[0]` is the sentinel and the last byte is the one
     /// the standard calls `B`.
     out: Vec<u8>,
-    /// Decisions coded into the open segment.
-    symbols: u64,
+    /// The context states at the start of the open batch.
+    saved: Vec<CtxState>,
 }
 
 impl Default for MqEncoder {
     fn default() -> Self {
         Self::new()
     }
+}
+
+/// CODEMPS and CODELPS as one step without data-dependent branches, for
+/// `decision` in the context state `st`: the coder keeps either the `Qe`
+/// sub-interval at the bottom of the interval or the `A - Qe` one above
+/// it (`C += Qe`). The MPS keeps the `A - Qe` one and the LPS the `Qe` one
+/// unless the conditional exchange (`A - Qe < Qe`) swaps them. The state
+/// moves exactly when the new `A` is below 0x8000, which is also when
+/// RENORME shifts at all. Which symbol comes is as unpredictable as the
+/// data, so selects replace the standard's branches on it.
+///
+/// Returns the number of RENORME shifts, already applied to `a` but not
+/// to `c`.
+#[inline(always)]
+fn code(a: &mut u32, c: &mut u64, st: &mut CtxState, decision: u8) -> u32 {
+    let row = QE_TABLE[st.index as usize];
+    let qe = row.qe as u32;
+    let a1 = *a - qe;
+    let lps = decision != st.mps;
+    let keep_rest = lps == (a1 < qe);
+    let kept = if keep_rest { a1 } else { qe };
+    *c += if keep_rest { qe as u64 } else { 0 };
+    // The state moves only with a renormalization; an LPS always
+    // renormalizes, so the MPS switch needs no test.
+    let next = if lps { row.nlps } else { row.nmps };
+    st.index = if kept < 0x8000 { next } else { st.index };
+    st.mps ^= u8::from(lps) & row.switch_mps;
+    let n = kept.leading_zeros() - 16;
+    *a = kept << n;
+    n
+}
+
+/// BYTEOUT with 0xFF bit-stuffing from the register `c` (at most 28 bits)
+/// into `out`. Returns the register without the byte's bits, the shifts
+/// to the next BYTEOUT, and the byte.
+fn byte_out(out: &mut Vec<u8>, mut c: u32) -> (u32, i32, u8) {
+    let b = out.len() - 1;
+    if out[b] == 0xFF {
+        let byte = (c >> 20) as u8;
+        out.push(byte);
+        return (c & 0xF_FFFF, 7, byte);
+    }
+    if c & 0x800_0000 != 0 {
+        // Propagate carry into B.
+        debug_assert!(b > 0, "carry into the sentinel");
+        out[b] = out[b].wrapping_add(1);
+        c &= 0x7FF_FFFF;
+        if out[b] == 0xFF {
+            let byte = (c >> 20) as u8;
+            out.push(byte);
+            return (c & 0xF_FFFF, 7, byte);
+        }
+    }
+    let byte = (c >> 19) as u8;
+    out.push(byte);
+    (c & 0x7_FFFF, 8, byte)
 }
 
 impl MqEncoder {
@@ -43,89 +113,107 @@ impl MqEncoder {
             a: 0x8000,
             ct: 12,
             out: vec![0u8],
-            symbols: 0,
+            saved: Vec::new(),
         }
-    }
-
-    /// Number of decisions coded since the coder was created or last
-    /// flushed.
-    #[inline]
-    pub fn symbols(&self) -> u64 {
-        self.symbols
     }
 
     /// ENCODE one `decision` in context `cx` of `ctxs`.
-    ///
-    /// CODEMPS and CODELPS as one step without data-dependent branches:
-    /// the coder keeps either the `Qe` sub-interval at the bottom of the
-    /// interval or the `A - Qe` one above it (`C += Qe`). The MPS keeps the
-    /// `A - Qe` one and the LPS the `Qe` one unless the conditional exchange
-    /// (`A - Qe < Qe`) swaps them. The state moves exactly when the new `A`
-    /// is below 0x8000, which is also when RENORME shifts at all. Which
-    /// symbol comes is as unpredictable as the data, so selects replace
-    /// the standard's branches on it.
     #[inline]
     pub fn encode(&mut self, ctxs: &mut Contexts, cx: usize, decision: u8) {
-        self.symbols += 1;
-        let st = ctxs.get_mut(cx);
-        let row = QE_TABLE[st.index as usize];
-        let qe = row.qe as u32;
-        let a1 = self.a - qe;
-        let lps = decision != st.mps;
-        let keep_rest = lps == (a1 < qe);
-        self.a = if keep_rest { a1 } else { qe };
-        self.c += if keep_rest { qe } else { 0 };
-        // The state moves only with a renormalization; an LPS always
-        // renormalizes, so the MPS switch needs no test.
-        let next = if lps { row.nlps } else { row.nmps };
-        st.index = if self.a < 0x8000 { next } else { st.index };
-        st.mps ^= u8::from(lps) & row.switch_mps;
-        self.renorm();
+        let n = code(&mut self.a, &mut self.c, ctxs.get_mut(cx), decision);
+        self.renorm(n);
     }
 
-    /// RENORME, a byte at a time: `a` takes all its shifts at once, and
-    /// `c` shifts up to each byte boundary, where BYTEOUT fires exactly
-    /// when the bit-at-a-time loop's `ct` would reach 0. With `a` already
-    /// at least 0x8000 it shifts nothing (`ct` is never 0 here).
+    /// RENORME's `n` shifts of `c`, a byte at a time: `c` shifts up to
+    /// each byte boundary, where BYTEOUT fires exactly when the
+    /// bit-at-a-time loop's `ct` would reach 0.
     #[inline]
-    fn renorm(&mut self) {
-        let mut n = self.a.leading_zeros() - 16;
-        self.a <<= n;
-        while n >= self.ct {
+    fn renorm(&mut self, mut n: u32) {
+        while n as i32 >= self.ct {
             self.c <<= self.ct;
-            n -= self.ct;
-            self.byte_out();
+            n -= self.ct as u32;
+            let (c, ct, _) = byte_out(&mut self.out, self.c as u32);
+            (self.c, self.ct) = (c as u64, ct);
         }
         self.c <<= n;
-        self.ct -= n;
+        self.ct -= n as i32;
     }
 
-    /// BYTEOUT with 0xFF bit-stuffing.
-    fn byte_out(&mut self) {
-        let b = self.out.len() - 1;
-        if self.out[b] == 0xFF {
-            self.out.push(((self.c >> 20) & 0xFF) as u8);
-            self.c &= 0xF_FFFF;
-            self.ct = 7;
-        } else if self.c & 0x800_0000 == 0 {
-            self.out.push(((self.c >> 19) & 0xFF) as u8);
-            self.c &= 0x7_FFFF;
-            self.ct = 8;
-        } else {
-            // Propagate carry into B.
-            debug_assert!(b > 0, "carry into the sentinel");
-            self.out[b] = self.out[b].wrapping_add(1);
-            if self.out[b] == 0xFF {
-                self.c &= 0x7FF_FFFF;
-                self.out.push(((self.c >> 20) & 0xFF) as u8);
-                self.c &= 0xF_FFFF;
-                self.ct = 7;
-            } else {
-                self.out.push(((self.c >> 19) & 0xFF) as u8);
-                self.c &= 0x7_FFFF;
-                self.ct = 8;
+    /// ENCODE each of `decisions` in turn, each `(cx << 1) | decision`
+    /// for a context `cx` of `ctxs`: one coding pass's decisions, as a bit
+    /// modeler hands them over. The same bytes as [`MqEncoder::encode`]
+    /// of each decision.
+    ///
+    /// The data-dependent BYTEOUT leaves the common path. A batch codes
+    /// decisions with no byte test, the register shifting past each byte
+    /// boundary into the upper bits of the 64-bit `c`, until `PENDING`
+    /// shifts have passed the oldest boundary. Then every pending BYTEOUT
+    /// runs in order, each from the register as it stood at its boundary
+    /// (`c` shifted back down), the bits shifted in since staying below.
+    ///
+    /// That is the standard's BYTEOUT exactly unless a carry crossed a
+    /// byte boundary after the byte's turn. No position takes more than
+    /// one such carry (the code value grows by less than the interval),
+    /// and the standard takes it into `B` too, except when `B` is 0xFF:
+    /// there it goes into the stuffed bit of the next byte, while the
+    /// wide register carries on through the 0xFF. A carry through 0xFF
+    /// leaves 0x00 behind, so a settled byte that reads 0x00 makes the
+    /// batch start over from its saved state, one BYTEOUT at a time
+    /// ([`MqEncoder::encode`]). That happens to about one batch in 80.
+    pub fn encode_decisions(&mut self, ctxs: &mut Contexts, decisions: &[u8]) {
+        let mut rest = decisions;
+        while !rest.is_empty() {
+            self.saved.clear();
+            self.saved.extend_from_slice(&ctxs.states);
+            let (a, c, ct) = (self.a, self.c, self.ct);
+            let (len, b) = (self.out.len(), self.out[self.out.len() - 1]);
+            let taken = self.batch(ctxs, rest);
+            if !self.settle() {
+                ctxs.states.copy_from_slice(&self.saved);
+                self.out.truncate(len);
+                self.out[len - 1] = b;
+                (self.a, self.c, self.ct) = (a, c, ct);
+                for &e in &rest[..taken] {
+                    self.encode(ctxs, (e >> 1) as usize, e & 1);
+                }
+            }
+            rest = &rest[taken..];
+        }
+    }
+
+    /// Code decisions from the front of `decisions` without BYTEOUT until
+    /// `PENDING` shifts have passed a byte boundary. Returns how many.
+    #[inline]
+    fn batch(&mut self, ctxs: &mut Contexts, decisions: &[u8]) -> usize {
+        let (mut a, mut c, mut ct) = (self.a, self.c, self.ct);
+        let mut taken = 0;
+        for &e in decisions {
+            let n = code(&mut a, &mut c, ctxs.get_mut((e >> 1) as usize), e & 1);
+            c <<= n;
+            ct -= n as i32;
+            taken += 1;
+            if ct <= -PENDING {
+                break;
             }
         }
+        (self.a, self.c, self.ct) = (a, c, ct);
+        taken
+    }
+
+    /// Run the pending BYTEOUTs, oldest first. False when a byte reads
+    /// 0x00 (see [`MqEncoder::encode_decisions`]).
+    fn settle(&mut self) -> bool {
+        let mut exact = true;
+        while self.ct <= 0 {
+            let s = -self.ct as u32;
+            let below = self.c & ((1 << s) - 1);
+            debug_assert!(self.c >> s < 1 << 28, "register past its carry bit");
+            let (c, ct, byte) = byte_out(&mut self.out, (self.c >> s) as u32);
+            exact &= byte != 0;
+            self.c = (c as u64) << s | below;
+            self.ct += ct;
+        }
+        exact
     }
 
     /// FLUSH: SETBITS, emit the remaining register contents, append the
@@ -133,15 +221,14 @@ impl MqEncoder {
     /// "if B == 0xFF, discard" rule), then INITENC in place.
     pub fn flush_into(&mut self, dst: &mut Vec<u8>) {
         // SETBITS
-        let tempc = self.c + self.a;
-        self.c |= 0xFFFF;
-        if self.c >= tempc {
-            self.c -= 0x8000;
+        let mut c = self.c as u32;
+        let tempc = c + self.a;
+        c |= 0xFFFF;
+        if c >= tempc {
+            c -= 0x8000;
         }
-        self.c <<= self.ct;
-        self.byte_out();
-        self.c <<= self.ct;
-        self.byte_out();
+        let (c, ct, _) = byte_out(&mut self.out, c << self.ct);
+        byte_out(&mut self.out, c << ct);
         // Skip the sentinel; a trailing 0xFF carries no information and may
         // not legally end a segment.
         let mut end = self.out.len();
@@ -153,7 +240,6 @@ impl MqEncoder {
         self.c = 0;
         self.a = 0x8000;
         self.ct = 12;
-        self.symbols = 0;
     }
 
     /// [`MqEncoder::flush_into`] a new buffer: the finished segment.
@@ -184,7 +270,6 @@ mod tests {
         for _ in 0..10_000 {
             enc.encode(&mut ctxs, 0, 0);
         }
-        assert_eq!(enc.symbols(), 10_000);
         let bytes = enc.finish();
         // 10k highly-predictable symbols should land well under 100 bytes.
         assert!(bytes.len() < 100, "got {} bytes", bytes.len());

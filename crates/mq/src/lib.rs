@@ -14,10 +14,14 @@
 //! Correctness is established by exhaustive encode→decode round-trips over
 //! random (context, decision) sequences (see `tests/roundtrip.rs`), by
 //! known-answer tests for byte-stuffing edge cases (`tests/known_answers.rs`),
-//! and by a differential test of [`MqDecoder`] against a bit-at-a-time
-//! Annex C.3 decoder written out in the test (`tests/reference_decoder.rs`):
-//! random segments rich in 0xFF, stuffed bytes that carry, markers inside a
-//! segment and every prefix of encoded segments, each decoded past its end.
+//! and by two differential tests against the standard's flow charts
+//! written out bit at a time. [`MqDecoder`] meets an Annex C.3 decoder
+//! (`tests/reference_decoder.rs`) on random segments rich in 0xFF, stuffed
+//! bytes that carry, markers inside a segment and every prefix of encoded
+//! segments, each decoded past its end. [`MqEncoder`], one decision at a
+//! time and in batches, meets an Annex C.2 encoder
+//! (`tests/reference_encoder.rs`) byte for byte on multi-segment random
+//! sources that reach every BYTEOUT and FLUSH path.
 
 mod decoder;
 mod encoder;

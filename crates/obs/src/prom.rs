@@ -29,19 +29,16 @@ pub fn gauge(out: &mut String, name: &str, help: &str, value: u64) {
 }
 
 /// Append a histogram family: cumulative `_bucket{le="..."}` samples
-/// up to the last occupied bucket, the mandatory `le="+Inf"` bucket,
-/// `_sum`, and `_count`. Bucket bounds are the log₂ bucket upper
-/// bounds, emitted as integers.
+/// for every finite bound of the 64-bucket layout, the mandatory
+/// `le="+Inf"` bucket, `_sum`, and `_count`. Bucket bounds are the log₂
+/// bucket upper bounds, emitted as integers. Every scrape carries the same
+/// bounds, so a rule reading one `le` series finds it from the first
+/// scrape on, before any observation reaches it.
 pub fn histogram(out: &mut String, name: &str, help: &str, snap: &HistogramSnapshot) {
     header(out, name, help, "histogram");
-    let last_occupied = snap
-        .buckets
-        .iter()
-        .rposition(|&n| n > 0)
-        .map_or(0, |i| i.min(BUCKETS - 2));
     let mut cumulative = 0u64;
-    for i in 0..=last_occupied {
-        cumulative += snap.buckets[i];
+    for (i, n) in snap.buckets[..BUCKETS - 1].iter().enumerate() {
+        cumulative += n;
         out.push_str(&format!(
             "{name}_bucket{{le=\"{}\"}} {cumulative}\n",
             bucket_upper(i)
@@ -261,6 +258,28 @@ mod tests {
         assert!(out.contains("m_bucket{le=\"1\"} 1\n"), "{out}");
         assert!(out.contains("m_bucket{le=\"3\"} 3\n"), "{out}");
         assert!(out.contains("m_bucket{le=\"+Inf\"} 3\n"), "{out}");
+    }
+
+    #[test]
+    fn every_finite_bound_is_on_every_scrape() {
+        let h = Histogram::new();
+        h.record(5);
+        let mut out = String::new();
+        histogram(&mut out, "m", "h", &h.snapshot());
+        validate(&out).expect("well-formed");
+        let bounds: Vec<&str> = out
+            .lines()
+            .filter_map(|l| l.strip_prefix("m_bucket{le=\""))
+            .map(|l| &l[..l.find('"').unwrap()])
+            .collect();
+        assert_eq!(bounds.len(), BUCKETS, "{out}");
+        assert_eq!(bounds[0], "0");
+        assert_eq!(bounds[BUCKETS - 2], ((1u64 << 62) - 1).to_string());
+        assert_eq!(bounds[BUCKETS - 1], "+Inf");
+        // Below the observation the count is 0, from its bucket on 1.
+        assert!(out.contains("m_bucket{le=\"3\"} 0\n"), "{out}");
+        assert!(out.contains("m_bucket{le=\"7\"} 1\n"), "{out}");
+        assert!(out.contains("m_bucket{le=\"1023\"} 1\n"), "{out}");
     }
 
     #[test]

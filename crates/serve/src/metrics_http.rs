@@ -284,6 +284,43 @@ mod tests {
             .unwrap_or_else(|| panic!("no sample {name} in:\n{text}"))
     }
 
+    /// A latency objective reads one `le` bound of `j2k_job_e2e_us`; that
+    /// series is on the very first scrape, with the cumulative count of
+    /// the jobs at or under it, before any job has been that slow.
+    #[test]
+    fn one_job_scrape_carries_the_objective_bound() {
+        let svc = EncodeService::start(ServiceConfig {
+            pool_threads: 1,
+            ..ServiceConfig::default()
+        });
+        let im = imgio::synth::natural(32, 32, 1);
+        let h = svc
+            .submit(EncodeJob::new(im, EncoderParams::lossless()))
+            .unwrap();
+        assert!(matches!(h.wait(), JobOutcome::Completed { .. }));
+        let text = render_prometheus(&svc);
+        obs::prom::validate(&text).expect("exposition must validate");
+        let e2e = svc
+            .histogram_snapshots()
+            .into_iter()
+            .find(|(name, _)| name == "job_e2e_us")
+            .unwrap()
+            .1;
+        // 524287 = 2^19 - 1 µs, the bound of a 500 ms objective: buckets
+        // 0..=19.
+        let at_most: u64 = e2e.buckets[..=19].iter().sum();
+        assert_eq!(
+            sample(&text, "j2k_job_e2e_us_bucket{le=\"524287\"}"),
+            at_most
+        );
+        assert_eq!(sample(&text, "j2k_job_e2e_us_count"), 1);
+        // And the largest finite bound, which no job reaches.
+        assert_eq!(
+            sample(&text, "j2k_job_e2e_us_bucket{le=\"4611686018427387903\"}"),
+            1
+        );
+    }
+
     /// Burn rates are computed by the scraper, so the scrape must carry
     /// every job outcome they read: one job ends each way, and each
     /// outcome counter reads 1 in the exposition and in the snapshot.
