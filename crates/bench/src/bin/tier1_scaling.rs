@@ -1,6 +1,7 @@
 //! Tier-1 backend scaling: MQ bit-plane coder vs the HT quad coder on
 //! the paper workload, swept over host worker counts (the `--spes` list
-//! is reused as the worker counts).
+//! is reused as the worker counts; a list without 1 gets 1 added in
+//! front, because the gate reads the one-worker rows).
 //!
 //! For each coder the codestream is asserted byte-identical to the
 //! one-worker encode at every worker count, then the Tier-1 stage wall
@@ -12,10 +13,11 @@
 //! * `samples/s` — code-block samples swept per second of Tier-1 time.
 //!   The coder-neutral basis; the ≥3x HT-vs-MQ gate below uses it.
 //!
-//! The gate compares one-worker Tier-1 times, each coder's the fastest of
-//! [`GATE_RUNS`] encodes, with MQ and HT alternating: a single sample per
-//! coder moved the ratio by more than a third between runs on a shared
-//! two-core host, and host slowdowns only ever add time.
+//! Every row is its coder's fastest Tier-1 time over [`GATE_RUNS`] encodes
+//! at that worker count, with MQ and HT alternating, and the gate compares
+//! the two one-worker rows: a single sample per coder moved the ratio by
+//! more than a third between runs on a shared two-core host, and host
+//! slowdowns only ever add time.
 //!
 //! Prints a table (or `--csv`) and, with `--out FILE`, writes the same
 //! run as one JSON document, `{"config":…, "rows":[…], "summary":{…}}`,
@@ -30,7 +32,7 @@ use j2k_core::{encode, encode_with, Coder, EncoderParams, WorkloadProfile};
 /// (single worker, so the ratio is per-core coder speed, not scaling).
 const HT_MIN_SPEEDUP: f64 = 3.0;
 
-/// One-worker encodes per coder behind the gate's Tier-1 times.
+/// Encodes per coder and worker count behind each row's Tier-1 time.
 const GATE_RUNS: usize = 5;
 
 fn tier1_secs(prof: &WorkloadProfile) -> f64 {
@@ -81,62 +83,68 @@ fn main() {
     let samples_of =
         |prof: &WorkloadProfile| -> u64 { prof.blocks.iter().map(|b| b.samples).sum() };
 
+    let mut workers = args.spes.clone();
+    if !workers.contains(&1) {
+        workers.insert(0, 1);
+    }
     let mut rows: Vec<Row> = Vec::new();
-    for (k, &coder) in coders.iter().enumerate() {
-        for &n in &args.spes {
-            let (bytes, prof) = encode_with(&im, &params(coder), n, None).expect("encode");
-            assert_eq!(
-                bytes, one[k],
-                "{coder} codestream changed at workers={n} vs one worker"
-            );
-            let r = Row {
-                coder,
-                workers: n,
-                tier1: tier1_secs(&prof),
-                symbols: prof.tier1_symbols(),
-                samples: samples_of(&prof),
-                bytes: bytes.len(),
-            };
-            row(
-                args.csv,
-                &[
-                    coder.name().into(),
-                    n.to_string(),
-                    ms(r.tier1),
-                    format!("{:.3e}", r.symbols as f64 / r.tier1.max(1e-12)),
-                    format!("{:.3e}", r.samples as f64 / r.tier1.max(1e-12)),
-                    r.bytes.to_string(),
-                ],
-            );
-            rows.push(r);
+    for &n in &workers {
+        let mut best: [Option<Row>; 2] = [None, None];
+        for _ in 0..GATE_RUNS {
+            for (k, &coder) in coders.iter().enumerate() {
+                let (bytes, prof) = encode_with(&im, &params(coder), n, None).expect("encode");
+                assert_eq!(
+                    bytes, one[k],
+                    "{coder} codestream changed at workers={n} vs one worker"
+                );
+                let tier1 = tier1_secs(&prof);
+                if best[k].as_ref().is_none_or(|b| tier1 < b.tier1) {
+                    best[k] = Some(Row {
+                        coder,
+                        workers: n,
+                        tier1,
+                        symbols: prof.tier1_symbols(),
+                        samples: samples_of(&prof),
+                        bytes: bytes.len(),
+                    });
+                }
+            }
         }
+        rows.extend(best.into_iter().flatten());
+    }
+    // Print by coder, worker counts in sweep order.
+    rows.sort_by_key(|r| r.coder == Coder::Ht);
+    for r in &rows {
+        row(
+            args.csv,
+            &[
+                r.coder.name().into(),
+                r.workers.to_string(),
+                ms(r.tier1),
+                format!("{:.3e}", r.symbols as f64 / r.tier1.max(1e-12)),
+                format!("{:.3e}", r.samples as f64 / r.tier1.max(1e-12)),
+                r.bytes.to_string(),
+            ],
+        );
     }
 
-    // Per-core coder comparison: fastest one-worker Tier-1 time of each
-    // coder over GATE_RUNS alternating encodes.
-    let mut best = [f64::INFINITY; 2];
-    let mut samples = [0u64; 2];
-    for _ in 0..GATE_RUNS {
-        for (k, &coder) in coders.iter().enumerate() {
-            let (bytes, prof) = encode_with(&im, &params(coder), 1, None).expect("encode");
-            assert_eq!(
-                bytes, one[k],
-                "{coder} codestream changed between one-worker encodes"
-            );
-            best[k] = best[k].min(tier1_secs(&prof));
-            samples[k] = samples_of(&prof);
-        }
-    }
-    let sps = |k: usize| samples[k] as f64 / best[k].max(1e-12);
-    let (mq_sps, ht_sps) = (sps(0), sps(1));
+    // Per-core coder comparison: the one-worker rows.
+    let one_worker = |coder: Coder| {
+        rows.iter()
+            .find(|r| r.coder == coder && r.workers == 1)
+            .expect("the sweep measures one worker")
+    };
+    let (mq, ht) = (one_worker(Coder::Mq), one_worker(Coder::Ht));
+    let sps = |r: &Row| r.samples as f64 / r.tier1.max(1e-12);
+    let (mq_sps, ht_sps) = (sps(mq), sps(ht));
     let ht_speedup = ht_sps / mq_sps.max(1e-12);
     let size_delta = one[1].len() as f64 / one[0].len() as f64 - 1.0;
     println!();
     println!(
         "HT vs MQ at 1 worker, fastest of {GATE_RUNS}: MQ tier1 {} ms, HT tier1 {} ms, \
          {:.2}x samples/s, {:+.2}% codestream size",
-        ms(best[0]),
-        ms(best[1]),
+        ms(mq.tier1),
+        ms(ht.tier1),
         ht_speedup,
         size_delta * 100.0
     );
@@ -164,7 +172,7 @@ fn main() {
             args.size,
             args.seed,
             args.levels,
-            args.spes
+            workers
                 .iter()
                 .map(|s| s.to_string())
                 .collect::<Vec<_>>()

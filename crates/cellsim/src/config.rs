@@ -83,11 +83,6 @@ impl MachineConfig {
         self.ls_bytes.saturating_sub(self.ls_code_stack_bytes)
     }
 
-    /// Cycles needed to move `bytes` at full memory bandwidth.
-    pub fn bytes_to_cycles(&self, bytes: u64) -> u64 {
-        ((bytes as f64) * self.clock_hz / self.mem_bw_bytes_per_s).ceil() as u64
-    }
-
     /// Convert cycles to seconds.
     pub fn cycles_to_secs(&self, cycles: u64) -> f64 {
         cycles as f64 / self.clock_hz
@@ -112,8 +107,7 @@ mod tests {
     #[test]
     fn bandwidth_conversion() {
         let cfg = MachineConfig::qs20_single();
-        // 25.6 GB at 25.6 GB/s = 1 s = 3.2e9 cycles.
-        assert_eq!(cfg.bytes_to_cycles(25_600_000_000), 3_200_000_000);
+        // 3.2e9 cycles at 3.2 GHz = 1 s.
         assert!((cfg.cycles_to_secs(3_200_000_000) - 1.0).abs() < 1e-12);
     }
 

@@ -79,7 +79,6 @@ impl StageOutcome {
             busy_cycles: self.busy.clone(),
             tasks_run: self.tasks_run.clone(),
             bytes_moved: self.bytes,
-            bus_busy_cycles: self.bus_busy,
             dma_requests: self.dma_requests,
         }
     }

@@ -15,8 +15,6 @@ pub struct StageReport {
     pub tasks_run: Vec<usize>,
     /// Bytes through the memory bus.
     pub bytes_moved: u64,
-    /// Bus service cycles.
-    pub bus_busy_cycles: u64,
     /// DMA request count.
     pub dma_requests: u64,
 }
@@ -29,14 +27,6 @@ impl StageReport {
         }
         let total: u64 = self.busy_cycles.iter().sum();
         total as f64 / (self.makespan_cycles as f64 * self.busy_cycles.len() as f64)
-    }
-
-    /// Fraction of the stage the memory bus was busy.
-    pub fn bus_utilization(&self) -> f64 {
-        if self.makespan_cycles == 0 {
-            return 0.0;
-        }
-        self.bus_busy_cycles as f64 / self.makespan_cycles as f64
     }
 }
 
@@ -79,28 +69,6 @@ impl Timeline {
             return 0.0;
         }
         self.cycles_matching(pat) as f64 / t as f64
-    }
-
-    /// Render as CSV (one row per stage) for external plotting.
-    pub fn to_csv(&self) -> String {
-        use std::fmt::Write;
-        let mut s = String::from(
-            "stage,makespan_cycles,seconds,bytes_moved,bus_busy_cycles,dma_requests,pe_utilization\n",
-        );
-        for st in &self.stages {
-            let _ = writeln!(
-                s,
-                "{},{},{:.9},{},{},{},{:.4}",
-                st.name,
-                st.makespan_cycles,
-                st.seconds,
-                st.bytes_moved,
-                st.bus_busy_cycles,
-                st.dma_requests,
-                st.utilization()
-            );
-        }
-        s
     }
 
     /// Render a human-readable table.
@@ -148,7 +116,6 @@ mod tests {
             busy_cycles: busy,
             tasks_run: vec![],
             bytes_moved: 1024,
-            bus_busy_cycles: cycles / 10,
             dma_requests: 3,
         }
     }
@@ -167,20 +134,6 @@ mod tests {
     fn utilization_math() {
         let s = stage("x", 1000, vec![500, 1000]);
         assert!((s.utilization() - 0.75).abs() < 1e-12);
-        assert!((s.bus_utilization() - 0.1).abs() < 1e-12);
-    }
-
-    #[test]
-    fn csv_has_header_and_rows() {
-        let mut t = Timeline::default();
-        t.push(stage("tier1", 100, vec![50, 100]));
-        t.push(stage("tier2", 10, vec![10]));
-        let csv = t.to_csv();
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines.len(), 3);
-        assert!(lines[0].starts_with("stage,makespan_cycles"));
-        assert!(lines[1].starts_with("tier1,100,"));
-        assert!(lines[2].starts_with("tier2,10,"));
     }
 
     #[test]

@@ -359,8 +359,12 @@ fn segment_len(r: &mut Reader<'_>, marker: &str, min: usize) -> Result<usize, Co
     (l >= min).then_some(l).ok_or_else(short)
 }
 
-#[allow(clippy::needless_range_loop)] // comp/band indices are semantic
-fn parse_opts(data: &[u8], lenient: bool) -> Result<(Parsed, usize), CodecError> {
+/// Read and validate the main header: every marker segment from `SOC`
+/// through the tile's `SOD`. Returns the header and the offset of the
+/// first packet. Nothing it allocates grows with the declared image, so
+/// a caller can refuse a stream by its geometry before any precinct
+/// state or plane exists; [`parse`] and [`parse_prefix`] start here.
+pub fn read_header(data: &[u8]) -> Result<(MainHeader, usize), CodecError> {
     let mut r = Reader { d: data, p: 0 };
     if r.u16()? != SOC {
         return Err(CodecError::Codestream("missing SOC".into()));
@@ -533,6 +537,14 @@ fn parse_opts(data: &[u8], lenient: bool) -> Result<(Parsed, usize), CodecError>
             "zero quant exponent or guard".into(),
         ));
     }
+    Ok((header, r.p))
+}
+
+#[allow(clippy::needless_range_loop)] // comp/band indices are semantic
+fn parse_opts(data: &[u8], lenient: bool) -> Result<(Parsed, usize), CodecError> {
+    let (header, start) = read_header(data)?;
+    let mut r = Reader { d: data, p: start };
+    let (comps, layers, cb_size) = (header.comps, header.layers, header.cb_size);
 
     // Packets.
     let bands = header.bands();

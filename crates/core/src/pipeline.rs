@@ -5,7 +5,7 @@
 
 use crate::codestream::{self, BlockStream, MainHeader, Quant};
 use crate::profile::{BlockWork, LevelWork, StageTime, WorkloadProfile};
-use crate::quant::{band_delta, StepSize, GUARD_BITS};
+use crate::quant::{band_delta, max_bitplanes, StepSize, GUARD_BITS};
 use crate::{kernels, mct, Arithmetic, CodecError, EncoderParams, Mode};
 use ebcot::block::{BandKind, EncodedBlock};
 use ebcot::rate::{search_threshold, BlockSummary, PreparedBlock, Threshold};
@@ -139,7 +139,7 @@ impl Transformed {
                     let e = depth + b.band.gain_log2();
                     let n = norms::l2_norm_53(b.band, b.level.max(1));
                     exps.push(e);
-                    max_planes.push(GUARD_BITS + e - 1);
+                    max_planes.push(max_bitplanes(e));
                     weights.push(n * n);
                 }
                 Quant::Reversible(exps)
@@ -154,7 +154,7 @@ impl Transformed {
                     let delta = step.delta(r_bits);
                     let nrm = norms::l2_norm_97(b.band, lev);
                     steps.push(step);
-                    max_planes.push(GUARD_BITS + step.exponent - 1);
+                    max_planes.push(max_bitplanes(step.exponent));
                     weights.push((delta * nrm) * (delta * nrm));
                     deltas.push(delta);
                 }

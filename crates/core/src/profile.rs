@@ -105,16 +105,6 @@ impl WorkloadProfile {
     pub fn tier1_symbols(&self) -> u64 {
         self.blocks.iter().map(|b| b.symbols).sum()
     }
-
-    /// Total coding passes.
-    pub fn total_passes(&self) -> u64 {
-        self.blocks.iter().map(|b| b.passes).sum()
-    }
-
-    /// Compression ratio achieved (raw / output).
-    pub fn compression_ratio(&self) -> f64 {
-        self.raw_bytes as f64 / self.output_bytes.max(1) as f64
-    }
 }
 
 #[cfg(test)]
@@ -153,7 +143,5 @@ mod tests {
             worker_jobs: Vec::new(),
         };
         assert_eq!(p.tier1_symbols(), 150);
-        assert_eq!(p.total_passes(), 6);
-        assert!((p.compression_ratio() - 2.0).abs() < 1e-12);
     }
 }

@@ -152,13 +152,6 @@ pub fn natural_rgb(width: usize, height: usize, seed: u64) -> Image {
     im
 }
 
-/// The paper-scale workload: 3072 x 3072 RGB = 28.3 MB raw, matching the
-/// `waltham_dial.bmp` test file. Expensive; benchmarks usually scale down
-/// via their `--size` flag.
-pub fn paper_workload(seed: u64) -> Image {
-    natural_rgb(3072, 3072, seed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

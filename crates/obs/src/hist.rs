@@ -1,12 +1,12 @@
 //! Fixed 64-bucket log₂ histograms and a named-series registry.
 //!
 //! The record path is integer-only and lock-free: a value lands in
-//! bucket `64 - leading_zeros(v)` (clamped), three relaxed atomic adds
-//! and a CAS-free max update. Bucket `i` covers `(2^(i-1), 2^i - 1]`
-//! with bucket 0 holding exactly 0 and bucket 63 absorbing everything
-//! from `2^62` up to `u64::MAX`. Percentiles are reconstructed from
-//! bucket upper bounds — coarse (≤ 2× relative error) but
-//! allocation-free, which is what a per-job hot path needs.
+//! bucket `64 - leading_zeros(v)` (clamped), with relaxed atomic adds
+//! to the bucket and the count and a saturating add to the sum. Bucket
+//! `i` covers `(2^(i-1), 2^i - 1]` with bucket 0 holding exactly 0 and
+//! bucket 63 absorbing everything from `2^62` up to `u64::MAX`. The
+//! histogram computes no quantiles: the Prometheus exposition carries
+//! every bucket, and the scraper reads quantiles and ratios from them.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -44,7 +44,6 @@ pub struct Histogram {
     buckets: [AtomicU64; BUCKETS],
     count: AtomicU64,
     sum: AtomicU64,
-    max: AtomicU64,
 }
 
 impl Default for Histogram {
@@ -60,7 +59,6 @@ impl Histogram {
             buckets: [const { AtomicU64::new(0) }; BUCKETS],
             count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
-            max: AtomicU64::new(0),
         }
     }
 
@@ -80,7 +78,6 @@ impl Histogram {
                 Err(seen) => cur = seen,
             }
         }
-        self.max.fetch_max(v, Ordering::Relaxed);
     }
 
     /// Consistent-enough copy for reporting (relaxed reads; exact once
@@ -94,7 +91,6 @@ impl Histogram {
             buckets,
             count: self.count.load(Ordering::Relaxed),
             sum: self.sum.load(Ordering::Relaxed),
-            max: self.max.load(Ordering::Relaxed),
         }
     }
 }
@@ -108,57 +104,6 @@ pub struct HistogramSnapshot {
     pub count: u64,
     /// Saturating sum of samples.
     pub sum: u64,
-    /// Largest sample seen (0 when empty).
-    pub max: u64,
-}
-
-impl HistogramSnapshot {
-    /// Quantile estimate: the upper bound of the bucket containing the
-    /// `q`-th ranked sample, clamped to the observed max. `q` in
-    /// `[0, 1]`; returns 0 for an empty histogram.
-    pub fn percentile(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
-        let mut seen = 0u64;
-        for (i, &n) in self.buckets.iter().enumerate() {
-            seen += n;
-            if seen >= rank {
-                return bucket_upper(i).min(self.max);
-            }
-        }
-        self.max
-    }
-
-    /// The fixed summary quartet reported per series.
-    pub fn stats(&self) -> HistogramStats {
-        HistogramStats {
-            count: self.count,
-            p50: self.percentile(0.50),
-            p95: self.percentile(0.95),
-            p99: self.percentile(0.99),
-            p999: self.percentile(0.999),
-            max: self.max,
-        }
-    }
-}
-
-/// Percentile summary of one series.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct HistogramStats {
-    /// Total samples.
-    pub count: u64,
-    /// Median estimate.
-    pub p50: u64,
-    /// 95th percentile estimate.
-    pub p95: u64,
-    /// 99th percentile estimate.
-    pub p99: u64,
-    /// 99.9th percentile estimate.
-    pub p999: u64,
-    /// Exact maximum.
-    pub max: u64,
 }
 
 /// Named histogram series. `histogram(name)` interns on first use and
@@ -224,9 +169,8 @@ mod tests {
         let h = Histogram::new();
         let s = h.snapshot();
         assert_eq!(s.count, 0);
-        assert_eq!(s.percentile(0.5), 0);
-        assert_eq!(s.percentile(0.999), 0);
-        assert_eq!(s.stats(), HistogramStats::default());
+        assert_eq!(s.sum, 0);
+        assert!(s.buckets.iter().all(|&n| n == 0));
     }
 
     #[test]
@@ -236,11 +180,8 @@ mod tests {
         let s = h.snapshot();
         assert_eq!(s.count, 1);
         assert_eq!(s.sum, 1234);
-        assert_eq!(s.max, 1234);
-        // Clamp-to-max makes every percentile exact for one sample.
-        assert_eq!(s.percentile(0.0), 1234);
-        assert_eq!(s.percentile(0.5), 1234);
-        assert_eq!(s.percentile(1.0), 1234);
+        assert_eq!(s.buckets[bucket_index(1234)], 1);
+        assert_eq!(s.buckets.iter().sum::<u64>(), 1);
     }
 
     #[test]
@@ -250,26 +191,8 @@ mod tests {
         h.record(u64::MAX);
         let s = h.snapshot();
         assert_eq!(s.buckets[BUCKETS - 1], 2);
-        assert_eq!(s.max, u64::MAX);
-        assert_eq!(s.percentile(0.99), u64::MAX);
+        assert_eq!(s.count, 2);
         assert_eq!(s.sum, u64::MAX, "sum saturates instead of wrapping");
-    }
-
-    #[test]
-    fn percentiles_bounded_by_bucket_width() {
-        let h = Histogram::new();
-        for v in 1..=1000u64 {
-            h.record(v);
-        }
-        let s = h.snapshot();
-        assert_eq!(s.count, 1000);
-        // p50 of 1..=1000 is 500; the estimate is the containing
-        // bucket's upper bound, so within 2x.
-        let p50 = s.percentile(0.5);
-        assert!((500..=1023).contains(&p50), "p50={p50}");
-        let p99 = s.percentile(0.99);
-        assert!((990..=1000).contains(&p99), "p99={p99}");
-        assert_eq!(s.percentile(1.0), 1000);
     }
 
     #[test]

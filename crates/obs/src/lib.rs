@@ -26,7 +26,7 @@ pub mod hist;
 pub mod prom;
 pub mod trace;
 
-pub use hist::{Histogram, HistogramSnapshot, HistogramStats, Registry};
+pub use hist::{Histogram, HistogramSnapshot, Registry};
 pub use trace::Span;
 
 /// Escape `s` for embedding inside a JSON string literal (quotes not

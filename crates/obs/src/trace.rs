@@ -192,11 +192,6 @@ impl Span {
         Span { inner: None }
     }
 
-    /// Whether this guard will record on drop.
-    pub fn is_armed(&self) -> bool {
-        self.inner.is_some()
-    }
-
     /// Attach a numeric argument (builder style).
     pub fn arg(mut self, key: &'static str, value: u64) -> Span {
         if let Some(i) = self.inner.as_mut() {
@@ -399,7 +394,6 @@ mod tests {
         set_current(id);
         {
             let mut s = span("work").cat("test").arg("k", 7);
-            assert!(s.is_armed());
             s.set_arg("late", 9);
         }
         instant("mark", &[("n", 3)]);

@@ -15,8 +15,12 @@
 //!   running [`j2k_core::encode_with`]'s chunk/queue parallelism with a
 //!   per-job `workers` budget, per-job deadlines enforced *inside* the
 //!   encode via [`j2k_core::EncodeControl`], cancellation, graceful
-//!   drain-on-shutdown, and a [`MetricsSnapshot`] (queue depth, job
-//!   counters, per-stage wall times);
+//!   drain-on-shutdown, and a [`MetricsSnapshot`] of its counters and
+//!   gauges;
+//! * [`metrics_http`] — the one metrics document, Prometheus text
+//!   exposition ([`render_prometheus`]): counters, gauges and every
+//!   histogram series, per-stage wall times included, served on a side
+//!   port and as the wire `Metrics` reply;
 //! * [`wire`] — a length-prefixed binary protocol (std::net only) with
 //!   typed errors and allocation bounded before it happens;
 //! * [`server`] — the TCP daemon loop behind the `j2kserved` binary.
@@ -54,7 +58,7 @@ pub mod server;
 pub mod service;
 pub mod wire;
 
-pub use metrics_http::{render_prometheus, serve_metrics, serve_metrics_with};
+pub use metrics_http::{render_prometheus, serve_metrics};
 pub use pressure::{
     Clock, ClockHandle, ManualClock, PixelReservation, PressureConfig, PressureController,
     PressureLevel, SystemClock,

@@ -1,9 +1,11 @@
-//! Prometheus text exposition over a trivial HTTP/1.1 responder.
+//! The daemon's one metrics document: Prometheus text exposition,
+//! served over a trivial HTTP/1.1 responder and, unchanged, as the reply
+//! to the wire `Metrics` request.
 //!
-//! Deliberately minimal (std::net only, no HTTP library): every request —
-//! whatever its path or method — is answered with the current metrics in
-//! Prometheus text exposition format 0.0.4 and the connection is closed.
-//! That is all a scrape loop (`curl`, Prometheus itself) needs, and it
+//! The responder is deliberately minimal (std::net only, no HTTP
+//! library): every request — whatever its path or method — is answered
+//! with the current metrics in Prometheus text exposition format 0.0.4
+//! and the connection is closed. That is all a scrape loop (`curl`, Prometheus itself) needs, and it
 //! keeps the attack surface of the side port near zero: the reader is
 //! bounded, nothing in the request is parsed beyond discarding the
 //! header block, and the responder never writes anything derived from
@@ -21,12 +23,9 @@ use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Default read/write deadline of the scrape responder: a stalled
-/// scraper may pin the (single) responder thread for at most this long.
-const DEFAULT_SCRAPE_TIMEOUT: Duration = Duration::from_secs(5);
-
 /// Render the service's counters, gauges, and histogram series as
-/// Prometheus text exposition format.
+/// Prometheus text exposition format: the body of every scrape and of
+/// every wire `Metrics` reply.
 pub fn render_prometheus(svc: &EncodeService) -> String {
     let m = svc.metrics();
     let mut out = String::with_capacity(4096);
@@ -172,22 +171,14 @@ pub fn render_prometheus(svc: &EncodeService) -> String {
     out
 }
 
-/// Serve `render_prometheus` on `listener` until the service shuts down
-/// or the listener errors, with the default scrape deadline. One request
-/// per connection; blocking reads. Run this on a dedicated thread.
-pub fn serve_metrics(listener: TcpListener, svc: Arc<EncodeService>) {
-    serve_metrics_with(listener, svc, Some(DEFAULT_SCRAPE_TIMEOUT));
-}
-
-/// [`serve_metrics`] with an explicit per-connection read/write deadline.
-/// The responder handles one scrape at a time, so without a deadline a
-/// scraper that connects and then stalls would pin it forever; with one,
-/// the stalled socket errors out and the next scrape proceeds.
-pub fn serve_metrics_with(
-    listener: TcpListener,
-    svc: Arc<EncodeService>,
-    timeout: Option<Duration>,
-) {
+/// Serve [`render_prometheus`] on `listener` until the service shuts
+/// down or the listener errors. One request per connection; blocking
+/// reads. Run this on a dedicated thread. `timeout` is each connection's
+/// read/write deadline: the responder handles one scrape at a time, so
+/// without a deadline a scraper that connects and then stalls would pin
+/// it forever; with one, the stalled socket errors out and the next
+/// scrape proceeds.
+pub fn serve_metrics(listener: TcpListener, svc: Arc<EncodeService>, timeout: Option<Duration>) {
     for conn in listener.incoming() {
         let Ok(stream) = conn else { continue };
         let _ = respond(stream, &svc, timeout);
@@ -384,7 +375,8 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let svc2 = Arc::clone(&svc);
-        let t = std::thread::spawn(move || serve_metrics(listener, svc2));
+        let t =
+            std::thread::spawn(move || serve_metrics(listener, svc2, Some(Duration::from_secs(5))));
         let mut stream = TcpStream::connect(addr).unwrap();
         stream
             .write_all(b"GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n")
@@ -410,7 +402,7 @@ mod tests {
         let addr = listener.local_addr().unwrap();
         let svc2 = Arc::clone(&svc);
         let t = std::thread::spawn(move || {
-            serve_metrics_with(listener, svc2, Some(Duration::from_millis(50)))
+            serve_metrics(listener, svc2, Some(Duration::from_millis(50)))
         });
         // A scraper that connects and then sends nothing: before the
         // deadline fix this pinned the single responder thread forever

@@ -16,9 +16,9 @@
 //!
 //! and classifies the worst of them. Escalation is immediate (one bad
 //! sample raises the level); de-escalation is damped twice over:
-//! signals must clear the *scaled-down* thresholds
-//! ([`PressureConfig::hysteresis`]) for [`PressureConfig::cool_samples`]
-//! consecutive samples, and the level steps down one notch at a time.
+//! signals must clear the thresholds scaled down by a fixed hysteresis
+//! factor (0.75) for [`PressureConfig::cool_samples`] consecutive
+//! samples, and the level steps down one notch at a time.
 //! Without that band, a queue hovering at the threshold would flap the
 //! admission policy every sample — exactly the oscillation Benoit et
 //! al.'s bi-criteria framing says to trade away (see DESIGN.md §16).
@@ -35,6 +35,19 @@ use obs::trace;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
+
+/// Fraction of [`PressureConfig::pixel_budget`] at which pressure is
+/// Elevated.
+const ELEVATED_PIXEL_FRAC: f64 = 0.75;
+/// Fraction of [`PressureConfig::pixel_budget`] at which pressure is
+/// Critical.
+const CRITICAL_PIXEL_FRAC: f64 = 0.95;
+/// De-escalation band: to step down, every signal must sit below
+/// `threshold * HYSTERESIS` (strictly < 1.0, or the band vanishes).
+const HYSTERESIS: f64 = 0.75;
+/// Queue-wait delta windows with fewer samples than this contribute no
+/// wait signal (too noisy to act on).
+const MIN_WAIT_WINDOW: u64 = 4;
 
 /// A monotonic time source. Injectable so pressure tests advance time
 /// synchronously instead of sleeping.
@@ -175,26 +188,15 @@ pub struct PressureConfig {
     /// Windowed queue-wait p95 (µs) at which pressure is Critical.
     pub critical_wait_p95_us: u64,
     /// In-flight pixel budget; `u64::MAX` disables the pixel signal and
-    /// the hard admission gate.
+    /// the hard admission gate. Pressure is Elevated at 75% of it and
+    /// Critical at 95%.
     pub pixel_budget: u64,
-    /// Fraction of [`pixel_budget`](Self::pixel_budget) at which pressure
-    /// is Elevated.
-    pub elevated_pixel_frac: f64,
-    /// Fraction of [`pixel_budget`](Self::pixel_budget) at which pressure
-    /// is Critical.
-    pub critical_pixel_frac: f64,
-    /// De-escalation band: to step down, every signal must sit below
-    /// `threshold * hysteresis` (strictly < 1.0, or the band vanishes).
-    pub hysteresis: f64,
     /// Consecutive calm samples required per downward step.
     pub cool_samples: u32,
     /// Minimum clock time between full re-classifications; samples inside
     /// the interval return the cached level. Zero re-classifies every
     /// call (deterministic tests).
     pub min_sample_interval: Duration,
-    /// Queue-wait delta windows with fewer samples than this contribute
-    /// no wait signal (too noisy to act on).
-    pub min_wait_window: u64,
     /// Time source; swap in a [`ManualClock`] for tests.
     pub clock: ClockHandle,
 }
@@ -207,12 +209,8 @@ impl Default for PressureConfig {
             elevated_wait_p95_us: 750_000,
             critical_wait_p95_us: 3_000_000,
             pixel_budget: u64::MAX,
-            elevated_pixel_frac: 0.75,
-            critical_pixel_frac: 0.95,
-            hysteresis: 0.75,
             cool_samples: 2,
             min_sample_interval: Duration::from_millis(25),
-            min_wait_window: 4,
             clock: ClockHandle::default(),
         }
     }
@@ -303,7 +301,7 @@ impl PressureController {
     }
 
     /// Instantaneous classification of the signals against thresholds
-    /// scaled by `scale` (1.0 when deciding to raise, `hysteresis` when
+    /// scaled by `scale` (1.0 when deciding to raise, [`HYSTERESIS`] when
     /// deciding whether things are calm enough to step down).
     fn raw_level(&self, depth_frac: f64, wait_p95_us: u64, scale: f64) -> PressureLevel {
         let c = &self.cfg;
@@ -315,12 +313,12 @@ impl PressureController {
         let wait = wait_p95_us as f64;
         if depth_frac >= c.critical_depth * scale
             || wait >= c.critical_wait_p95_us as f64 * scale
-            || pixel_frac >= c.critical_pixel_frac * scale
+            || pixel_frac >= CRITICAL_PIXEL_FRAC * scale
         {
             PressureLevel::Critical
         } else if depth_frac >= c.elevated_depth * scale
             || wait >= c.elevated_wait_p95_us as f64 * scale
-            || pixel_frac >= c.elevated_pixel_frac * scale
+            || pixel_frac >= ELEVATED_PIXEL_FRAC * scale
         {
             PressureLevel::Elevated
         } else {
@@ -356,7 +354,7 @@ impl PressureController {
         }
         st.last_wait_buckets = wait.buckets;
         st.last_wait_count = wait.count;
-        let wait_p95_us = if delta_count < self.cfg.min_wait_window.max(1) {
+        let wait_p95_us = if delta_count < MIN_WAIT_WINDOW {
             0
         } else {
             let rank = ((0.95 * delta_count as f64).ceil() as u64).clamp(1, delta_count);
@@ -379,7 +377,7 @@ impl PressureController {
             st.calm_streak = 0;
             raise
         } else {
-            let calm = self.raw_level(depth_frac, wait_p95_us, self.cfg.hysteresis);
+            let calm = self.raw_level(depth_frac, wait_p95_us, HYSTERESIS);
             if calm < cur {
                 st.calm_streak += 1;
                 if st.calm_streak >= self.cfg.cool_samples.max(1) {
@@ -463,10 +461,8 @@ mod tests {
             critical_depth: 0.9,
             elevated_wait_p95_us: 1_000,
             critical_wait_p95_us: 10_000,
-            hysteresis: 0.5,
             cool_samples: 2,
             min_sample_interval: Duration::ZERO,
-            min_wait_window: 2,
             clock,
             ..PressureConfig::default()
         }
@@ -482,27 +478,27 @@ mod tests {
         let ctl = PressureController::new(cfg(clock));
         assert_eq!(ctl.level(), PressureLevel::Nominal);
 
-        // 6/10 >= 0.5: one sample raises to Elevated.
-        assert_eq!(ctl.sample(6, 10, &empty_wait()), PressureLevel::Elevated);
-        // 10/10 >= 0.9: straight to Critical (multi-step raise is one
+        // 10/20 >= 0.5: one sample raises to Elevated.
+        assert_eq!(ctl.sample(10, 20, &empty_wait()), PressureLevel::Elevated);
+        // 20/20 >= 0.9: straight to Critical (multi-step raise is one
         // sample).
-        assert_eq!(ctl.sample(10, 10, &empty_wait()), PressureLevel::Critical);
+        assert_eq!(ctl.sample(20, 20, &empty_wait()), PressureLevel::Critical);
         assert_eq!(ctl.transitions(), 2);
 
-        // 5/10 = 0.5 >= critical*h = 0.45: inside the hysteresis band,
-        // the level holds.
-        assert_eq!(ctl.sample(5, 10, &empty_wait()), PressureLevel::Critical);
-        // 3/10 = 0.3 < 0.45: calm relative to Critical — but one calm
+        // 14/20 = 0.7 >= critical * HYSTERESIS = 0.675: inside the
+        // hysteresis band, the level holds.
+        assert_eq!(ctl.sample(14, 20, &empty_wait()), PressureLevel::Critical);
+        // 12/20 = 0.6 < 0.675: calm relative to Critical — but one calm
         // sample is not enough (cool_samples = 2)...
-        assert_eq!(ctl.sample(3, 10, &empty_wait()), PressureLevel::Critical);
+        assert_eq!(ctl.sample(12, 20, &empty_wait()), PressureLevel::Critical);
         // ...the second steps down ONE level, not straight to Nominal.
-        assert_eq!(ctl.sample(3, 10, &empty_wait()), PressureLevel::Elevated);
-        // 0.3 >= elevated*h = 0.25: Elevated now holds; only samples
-        // below 0.25 cool further.
-        ctl.sample(3, 10, &empty_wait());
+        assert_eq!(ctl.sample(12, 20, &empty_wait()), PressureLevel::Elevated);
+        // 0.6 >= elevated * HYSTERESIS = 0.375: Elevated now holds; only
+        // samples below 0.375 cool further.
+        ctl.sample(12, 20, &empty_wait());
         assert_eq!(ctl.level(), PressureLevel::Elevated);
-        ctl.sample(2, 10, &empty_wait());
-        assert_eq!(ctl.sample(2, 10, &empty_wait()), PressureLevel::Nominal);
+        ctl.sample(7, 20, &empty_wait());
+        assert_eq!(ctl.sample(7, 20, &empty_wait()), PressureLevel::Nominal);
         assert_eq!(ctl.transitions(), 4);
     }
 
@@ -512,7 +508,7 @@ mod tests {
         let ctl = PressureController::new(cfg(clock));
         ctl.sample(6, 10, &empty_wait()); // Elevated
         ctl.sample(0, 10, &empty_wait()); // calm 1/2
-        ctl.sample(4, 10, &empty_wait()); // loud (0.4 >= 0.25): streak resets
+        ctl.sample(4, 10, &empty_wait()); // loud (0.4 >= 0.375): streak resets
         ctl.sample(0, 10, &empty_wait()); // calm 1/2 again
         assert_eq!(ctl.level(), PressureLevel::Elevated);
         assert_eq!(ctl.sample(0, 10, &empty_wait()), PressureLevel::Nominal);
@@ -549,8 +545,16 @@ mod tests {
         let (clock, _mc) = ManualClock::handle();
         let ctl = PressureController::new(cfg(clock));
         let h = Histogram::new();
-        h.record(1 << 40); // one absurd sample, window below min_wait_window
+        // Absurd samples, one fewer than MIN_WAIT_WINDOW: no wait signal.
+        for _ in 1..MIN_WAIT_WINDOW {
+            h.record(1 << 40);
+        }
         assert_eq!(ctl.sample(0, 10, &h.snapshot()), PressureLevel::Nominal);
+        // A full window of them is a signal.
+        for _ in 0..MIN_WAIT_WINDOW {
+            h.record(1 << 40);
+        }
+        assert_eq!(ctl.sample(0, 10, &h.snapshot()), PressureLevel::Critical);
     }
 
     #[test]
@@ -574,19 +578,22 @@ mod tests {
         let (clock, _mc) = ManualClock::handle();
         let mut c = cfg(clock);
         c.pixel_budget = 1000;
-        c.elevated_pixel_frac = 0.5;
-        c.critical_pixel_frac = 0.9;
         let ctl = Arc::new(PressureController::new(c));
         assert!(
             ctl.pixels_admittable(5000),
             "empty accountant admits even oversized jobs"
         );
-        let r1 = PixelReservation::new(Arc::clone(&ctl), 600);
-        assert_eq!(ctl.pixels_in_flight(), 600);
+        let r0 = PixelReservation::new(Arc::clone(&ctl), 740);
+        // 0.74 of the budget < ELEVATED_PIXEL_FRAC (0.75).
+        assert_eq!(ctl.sample(0, 10, &empty_wait()), PressureLevel::Nominal);
+        drop(r0);
+        let r1 = PixelReservation::new(Arc::clone(&ctl), 760);
+        assert_eq!(ctl.pixels_in_flight(), 760);
         assert_eq!(ctl.sample(0, 10, &empty_wait()), PressureLevel::Elevated);
-        assert!(!ctl.pixels_admittable(600), "601..: past the budget");
-        assert!(ctl.pixels_admittable(400));
-        let r2 = PixelReservation::new(Arc::clone(&ctl), 400);
+        assert!(!ctl.pixels_admittable(241), "241..: past the budget");
+        assert!(ctl.pixels_admittable(240));
+        let r2 = PixelReservation::new(Arc::clone(&ctl), 200);
+        // 0.96 >= CRITICAL_PIXEL_FRAC (0.95).
         assert_eq!(ctl.sample(0, 10, &empty_wait()), PressureLevel::Critical);
         drop(r1);
         drop(r2);

@@ -7,7 +7,9 @@
 //! [`Response::Rejected`] replies, not memory growth. Framing errors
 //! (bad magic, oversized length, mid-frame disconnect) close the
 //! connection; payload-local errors get a [`Response::Failed`] reply and
-//! the connection lives on.
+//! the connection lives on. So does a `Decode` whose full-resolution
+//! image would not fit in one reply frame: it is refused from the
+//! codestream's main header, before the decoder allocates anything.
 //!
 //! Connection hardening (DESIGN.md §16): every accepted socket gets
 //! read/write deadlines ([`ServerConfig::io_timeout`]) so a slow-loris
@@ -24,7 +26,7 @@ use crate::wire::{
     encode_response, parse_request, read_frame, write_frame, RejectReason, Request, Response,
     WireError,
 };
-use crate::PressureLevel;
+use crate::{render_prometheus, PressureLevel};
 use std::io::BufReader;
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -34,7 +36,9 @@ use std::time::Duration;
 /// Server tuning.
 #[derive(Debug, Clone, Copy)]
 pub struct ServerConfig {
-    /// Per-frame payload ceiling (see [`crate::wire::read_frame`]).
+    /// Per-frame payload ceiling (see [`crate::wire::read_frame`]). It
+    /// also bounds a decode: a codestream whose image is larger than this
+    /// as 16-bit samples is refused before it is decoded.
     pub max_frame: usize,
     /// Per-connection read *and* write deadline. A peer that stalls a
     /// frame longer than this gets its connection closed. `None`
@@ -182,7 +186,7 @@ fn handle_conn(
         };
         let resp = match req {
             Request::Ping => Response::Pong,
-            Request::Metrics => Response::MetricsJson(service.metrics().to_json()),
+            Request::Metrics => Response::MetricsText(render_prometheus(service)),
             Request::Health => Response::Health(service.health()),
             Request::Trace(job_id) => match service.trace_json(job_id) {
                 Some(j) => Response::TraceJson(j),
@@ -200,7 +204,12 @@ fn handle_conn(
                 } else {
                     d.max_layers as usize
                 };
-                match service.decode(&d.codestream, max_layers, usize::from(d.discard_levels)) {
+                match service.decode(
+                    &d.codestream,
+                    max_layers,
+                    usize::from(d.discard_levels),
+                    cfg.max_frame,
+                ) {
                     Ok(image) => Response::DecodeOk(image),
                     Err(e) => Response::Failed(e.to_string()),
                 }

@@ -55,9 +55,9 @@ use crate::pressure::{PixelReservation, PressureConfig, PressureController, Pres
 use crate::queue::{JobQueue, PushError};
 use imgio::Image;
 use j2k_core::{encode_with, CodecError, EncodeControl, EncoderParams};
-use obs::hist::{HistogramSnapshot, HistogramStats};
+use obs::hist::HistogramSnapshot;
 use obs::trace;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
@@ -321,9 +321,6 @@ struct Metrics {
     conns_active: AtomicU64,
     /// Wire connections refused (cap reached or Critical pressure).
     conns_rejected: AtomicU64,
-    /// Accumulated per-stage encode wall time (name -> seconds) and
-    /// completed-job latency samples, both fed from finished jobs.
-    stage_seconds: Mutex<BTreeMap<String, f64>>,
     /// Most recent quarantined job ids (bounded at [`QUARANTINE_KEEP`]).
     quarantine: Mutex<Vec<u64>>,
     /// Latency / throughput distributions: queue-wait, per-stage, whole
@@ -336,7 +333,9 @@ struct Metrics {
     trace_files: Mutex<VecDeque<PathBuf>>,
 }
 
-/// Point-in-time counters of a service, JSON-serializable for the wire.
+/// Point-in-time counters and gauges of a service, which
+/// [`crate::render_prometheus`] exports beside the histogram series of
+/// [`EncodeService::histogram_snapshots`].
 ///
 /// Every counter lives in service-owned atomics shared by reference with
 /// the pool — nothing is held in worker-local state, so the numbers
@@ -387,76 +386,6 @@ pub struct MetricsSnapshot {
     pub connections_active: u64,
     /// Wire connections refused (cap or Critical pressure).
     pub connections_rejected: u64,
-    /// Accumulated encode wall time per pipeline stage, seconds
-    /// (stage names from [`j2k_core::WorkloadProfile::stage_times`]).
-    pub stage_seconds: Vec<(String, f64)>,
-    /// Percentile summaries per histogram series (`queue_wait_us`,
-    /// `job_e2e_us`, `stage_*_us`, the per-coder Tier-1 throughput
-    /// series `tier1_symbols_per_sec_mq` / `tier1_symbols_per_sec_ht`,
-    /// and `decode_us`), sorted by series name.
-    pub histograms: Vec<(String, HistogramStats)>,
-}
-
-impl MetricsSnapshot {
-    /// Hand-rolled JSON (the workspace builds offline, without serde).
-    /// Keys are a stable schema (golden-file tested); dynamic names —
-    /// stage and series names — are JSON-escaped.
-    pub fn to_json(&self) -> String {
-        let stages: Vec<String> = self
-            .stage_seconds
-            .iter()
-            .map(|(n, s)| format!("\"{}\":{s:.6}", obs::json_escape(n)))
-            .collect();
-        let hists: Vec<String> = self
-            .histograms
-            .iter()
-            .map(|(n, h)| {
-                format!(
-                    "\"{}\":{{\"count\":{},\"p50\":{},\"p95\":{},\"p99\":{},\"p999\":{},\"max\":{}}}",
-                    obs::json_escape(n),
-                    h.count,
-                    h.p50,
-                    h.p95,
-                    h.p99,
-                    h.p999,
-                    h.max
-                )
-            })
-            .collect();
-        format!(
-            "{{\"queue_depth\":{},\"queue_capacity\":{},\"accepted\":{},\"rejected\":{},\
-             \"completed\":{},\"timed_out\":{},\"cancelled\":{},\"failed\":{},\
-             \"jobs_retried\":{},\"jobs_poisoned\":{},\"decoded\":{},\"decode_failed\":{},\
-             \"workers_respawned\":{},\
-             \"workers_alive\":{},\"pressure_level\":{},\"pressure_transitions\":{},\
-             \"jobs_shed\":{},\"jobs_degraded\":{},\"pixels_in_flight\":{},\
-             \"connections_active\":{},\"connections_rejected\":{},\
-             \"stage_seconds\":{{{}}},\"histograms\":{{{}}}}}",
-            self.queue_depth,
-            self.queue_capacity,
-            self.accepted,
-            self.rejected,
-            self.completed,
-            self.timed_out,
-            self.cancelled,
-            self.failed,
-            self.jobs_retried,
-            self.jobs_poisoned,
-            self.decoded,
-            self.decode_failed,
-            self.workers_respawned,
-            self.workers_alive,
-            self.pressure_level,
-            self.pressure_transitions,
-            self.jobs_shed,
-            self.jobs_degraded,
-            self.pixels_in_flight,
-            self.connections_active,
-            self.connections_rejected,
-            stages.join(","),
-            hists.join(",")
-        )
-    }
 }
 
 /// Readiness probe payload for the wire `Health` request: is the pool at
@@ -487,24 +416,6 @@ pub struct HealthSnapshot {
 }
 
 impl HealthSnapshot {
-    /// Hand-rolled JSON, mirroring [`MetricsSnapshot::to_json`].
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"workers_alive\":{},\"pool_threads\":{},\"workers_respawned\":{},\
-             \"queue_depth\":{},\"queue_capacity\":{},\"jobs_retried\":{},\
-             \"jobs_poisoned\":{},\"accepting\":{},\"pressure\":{}}}",
-            self.workers_alive,
-            self.pool_threads,
-            self.workers_respawned,
-            self.queue_depth,
-            self.queue_capacity,
-            self.jobs_retried,
-            self.jobs_poisoned,
-            self.accepting,
-            self.pressure,
-        )
-    }
-
     /// Ready to take traffic: accepting, full pool live, and pressure
     /// below Critical — a shedding replica should not receive new routed
     /// traffic.
@@ -536,9 +447,9 @@ pub struct EncodeService {
 }
 
 /// Every histogram series the service ever records, declared up front in
-/// [`EncodeService::start`] so `MetricsSnapshot` JSON and the Prometheus
-/// exposition carry the **full series set from the first scrape** —
-/// zero-count histograms included. Recording lazily (as the workers do)
+/// [`EncodeService::start`] so the Prometheus exposition carries the
+/// **full series set from the first scrape** — zero-count histograms
+/// included. Recording lazily (as the workers do)
 /// would otherwise make the schema depend on which coder or pipeline
 /// happened to run first, breaking dashboards that join on series names.
 /// Stage names are the encode driver's stages.
@@ -732,7 +643,13 @@ impl EncodeService {
     /// than the encode that made it — but because it carries no shared
     /// rate-control state. `max_layers == usize::MAX` keeps every quality
     /// layer; `discard_levels` drops the finest resolution levels.
-    /// Outcomes land in [`MetricsSnapshot::decoded`] /
+    ///
+    /// A stream whose full-resolution image would take more than
+    /// `max_bytes` as 16-bit samples is refused once its main header is
+    /// read, before any precinct state or plane exists: a header of a few
+    /// hundred bytes can declare gigabytes of planes. The server passes
+    /// its frame ceiling, the bound that already caps an encode request's
+    /// image. Outcomes land in [`MetricsSnapshot::decoded`] /
     /// [`MetricsSnapshot::decode_failed`]; like `job_e2e_us`, the
     /// `decode_us` series records successful decodes only.
     pub fn decode(
@@ -740,9 +657,11 @@ impl EncodeService {
         data: &[u8],
         max_layers: usize,
         discard_levels: usize,
+        max_bytes: usize,
     ) -> Result<Image, CodecError> {
         let started = Instant::now();
-        let r = j2k_core::decode_opts(data, max_layers, discard_levels);
+        let r = within_bytes(data, max_bytes)
+            .and_then(|()| j2k_core::decode_opts(data, max_layers, discard_levels));
         let ctr = match r {
             Ok(_) => {
                 self.metrics
@@ -793,23 +712,11 @@ impl EncodeService {
             pixels_in_flight: self.pressure.pixels_in_flight(),
             connections_active: m.conns_active.load(Ordering::Relaxed),
             connections_rejected: m.conns_rejected.load(Ordering::Relaxed),
-            stage_seconds: m
-                .stage_seconds
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .iter()
-                .map(|(n, &s)| (n.clone(), s))
-                .collect(),
-            histograms: m
-                .hist
-                .snapshot()
-                .into_iter()
-                .map(|(n, h)| (n, h.stats()))
-                .collect(),
         }
     }
 
-    /// Full (bucketed) histogram snapshots, for Prometheus exposition.
+    /// Every histogram series, bucketed and sorted by name, for the
+    /// Prometheus exposition.
     pub fn histogram_snapshots(&self) -> Vec<(String, HistogramSnapshot)> {
         self.metrics.hist.snapshot()
     }
@@ -923,6 +830,21 @@ impl Drop for EncodeService {
     fn drop(&mut self) {
         self.shutdown();
     }
+}
+
+/// Refuse `data` when its full-resolution image would take more than
+/// `max_bytes` as 16-bit samples, reading only the main header.
+fn within_bytes(data: &[u8], max_bytes: usize) -> Result<(), CodecError> {
+    let (h, _) = j2k_core::codestream::read_header(data)?;
+    // The header bounds w·h at 2^28 and comps at 256: no overflow in u64.
+    let bytes = h.width as u64 * h.height as u64 * h.comps as u64 * 2;
+    if bytes > max_bytes as u64 {
+        return Err(CodecError::Codestream(format!(
+            "{}x{}x{} image is {bytes} bytes of samples, over the {max_bytes}-byte limit",
+            h.width, h.height, h.comps
+        )));
+    }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -1050,15 +972,6 @@ fn worker_iteration(
             Ok((codestream, profile)) => {
                 metrics.completed.fetch_add(1, Ordering::Relaxed);
                 let mut tier1_secs = 0.0f64;
-                {
-                    let mut stages = metrics
-                        .stage_seconds
-                        .lock()
-                        .unwrap_or_else(|e| e.into_inner());
-                    for st in &profile.stage_times {
-                        *stages.entry(st.name.to_string()).or_insert(0.0) += st.seconds;
-                    }
-                }
                 for st in &profile.stage_times {
                     if st.name == "tier1" {
                         tier1_secs += st.seconds;
@@ -1362,15 +1275,13 @@ mod tests {
             (m.jobs_retried, m.jobs_poisoned, m.workers_respawned),
             (0, 0, 0)
         );
-        assert!(m.stage_seconds.iter().any(|(n, _)| n == "tier1"));
-        // Stage names flow dynamically from the encoder's profile: the
-        // rate-control/Tier-2 tail reports both of its stages.
-        for want in ["rate-control", "tier2"] {
-            assert!(
-                m.stage_seconds.iter().any(|(n, _)| n == want),
-                "missing stage {want} in {:?}",
-                m.stage_seconds
-            );
+        // Stage names flow dynamically from the encoder's profile: every
+        // stage, the rate-control/Tier-2 tail's two included, timed the
+        // job once.
+        let hist = svc.histogram_snapshots();
+        for want in ["stage_tier1_us", "stage_rate_control_us", "stage_tier2_us"] {
+            let count = hist.iter().find(|(n, _)| n == want).map(|(_, h)| h.count);
+            assert_eq!(count, Some(1), "{want}");
         }
     }
 
@@ -1421,15 +1332,15 @@ mod tests {
             pool_threads: 1,
             ..ServiceConfig::default()
         });
-        let m = svc.metrics();
-        let names: Vec<&str> = m.histograms.iter().map(|(n, _)| n.as_str()).collect();
+        let hist = svc.histogram_snapshots();
+        let names: Vec<&str> = hist.iter().map(|(n, _)| n.as_str()).collect();
         let mut want: Vec<&str> = DECLARED_HISTOGRAMS.to_vec();
         want.sort_unstable();
         assert_eq!(
             names, want,
             "metrics must carry every declared series before anything runs"
         );
-        assert!(m.histograms.iter().all(|(_, h)| h.count == 0));
+        assert!(hist.iter().all(|(_, h)| h.count == 0));
         // No series the driver never records: no fused `transform` stage,
         // no `convert` or `quantize` stage (the MCT reads the image rows,
         // Tier-1 quantizes), and no aggregate Tier-1 rate beside the
@@ -1454,11 +1365,12 @@ mod tests {
         });
         let im = imgio::synth::natural(24, 16, 1);
         let cs = j2k_core::encode(&im, &EncoderParams::lossless()).unwrap();
-        assert_eq!(svc.decode(&cs, usize::MAX, 0).unwrap(), im);
-        assert!(svc.decode(b"not a codestream", usize::MAX, 0).is_err());
+        let max = crate::wire::DEFAULT_MAX_FRAME;
+        assert_eq!(svc.decode(&cs, usize::MAX, 0, max).unwrap(), im);
+        assert!(svc.decode(b"not a codestream", usize::MAX, 0, max).is_err());
         let m = svc.metrics();
-        let decode_us = m
-            .histograms
+        let decode_us = svc
+            .histogram_snapshots()
             .iter()
             .find(|(n, _)| n == "decode_us")
             .map(|(_, h)| h.count);
@@ -1469,84 +1381,22 @@ mod tests {
     }
 
     #[test]
-    fn metrics_json_shape() {
-        let snap = MetricsSnapshot {
-            queue_depth: 1,
-            queue_capacity: 8,
-            accepted: 5,
-            rejected: 2,
-            completed: 3,
-            timed_out: 1,
-            cancelled: 0,
-            failed: 0,
-            jobs_retried: 4,
-            jobs_poisoned: 1,
-            decoded: 6,
-            decode_failed: 2,
-            workers_respawned: 2,
-            workers_alive: 2,
-            pressure_level: 1,
-            pressure_transitions: 3,
-            jobs_shed: 7,
-            jobs_degraded: 2,
-            pixels_in_flight: 4096,
-            connections_active: 3,
-            connections_rejected: 1,
-            stage_seconds: vec![("dwt".into(), 0.25)],
-            histograms: vec![(
-                "job_e2e_us".into(),
-                HistogramStats {
-                    count: 3,
-                    p50: 100,
-                    p95: 200,
-                    p99: 200,
-                    p999: 200,
-                    max: 180,
-                },
-            )],
-        };
-        let j = snap.to_json();
-        assert!(j.starts_with('{') && j.ends_with('}'));
-        assert!(j.contains("\"rejected\":2"));
-        assert!(j.contains("\"jobs_retried\":4"));
-        assert!(j.contains("\"jobs_poisoned\":1"));
-        assert!(j.contains("\"decoded\":6"));
-        assert!(j.contains("\"decode_failed\":2"));
-        assert!(j.contains("\"workers_respawned\":2"));
-        assert!(j.contains("\"workers_alive\":2"));
-        assert!(j.contains("\"pressure_level\":1"));
-        assert!(j.contains("\"pressure_transitions\":3"));
-        assert!(j.contains("\"jobs_shed\":7"));
-        assert!(j.contains("\"jobs_degraded\":2"));
-        assert!(j.contains("\"pixels_in_flight\":4096"));
-        assert!(j.contains("\"connections_active\":3"));
-        assert!(j.contains("\"connections_rejected\":1"));
-        assert!(j.contains("\"dwt\":0.250000"));
-        assert!(j.contains("\"histograms\":{\"job_e2e_us\":{\"count\":3,\"p50\":100"));
-        assert!(
-            j.ends_with("\"max\":180}}}"),
-            "histograms close the object: {j}"
-        );
-    }
-
-    #[test]
-    fn health_json_shape() {
-        let h = HealthSnapshot {
-            workers_alive: 2,
-            pool_threads: 2,
-            workers_respawned: 1,
-            queue_depth: 0,
-            queue_capacity: 64,
-            jobs_retried: 1,
-            jobs_poisoned: 1,
-            accepting: true,
-            pressure: 0,
-        };
-        let j = h.to_json();
-        assert!(j.contains("\"workers_alive\":2"));
-        assert!(j.contains("\"jobs_poisoned\":1"));
-        assert!(j.contains("\"accepting\":true"));
-        assert!(j.contains("\"pressure\":0"));
+    fn decode_refuses_an_image_over_the_byte_bound() {
+        let svc = EncodeService::start(ServiceConfig {
+            pool_threads: 1,
+            ..ServiceConfig::default()
+        });
+        let im = imgio::synth::natural(24, 16, 1);
+        let cs = j2k_core::encode(&im, &EncoderParams::lossless()).unwrap();
+        // 24 x 16 x 1 samples at 2 bytes each: 768 bytes.
+        match svc.decode(&cs, usize::MAX, 0, 767) {
+            Err(CodecError::Codestream(m)) => assert!(m.contains("767-byte limit"), "{m}"),
+            other => panic!("expected a refusal, got {other:?}"),
+        }
+        assert_eq!(svc.decode(&cs, usize::MAX, 0, 768).unwrap(), im);
+        let m = svc.metrics();
+        assert_eq!((m.decoded, m.decode_failed), (1, 1));
+        svc.begin_shutdown();
     }
 
     #[test]

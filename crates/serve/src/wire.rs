@@ -6,7 +6,7 @@
 //! ```text
 //! +--------+---------+----------+-----------+----------------+
 //! | magic  | version | reserved | length    | payload        |
-//! | u16 BE | u8 (=4) | u8 (=0)  | u32 BE    | `length` bytes |
+//! | u16 BE | u8 (=5) | u8 (=0)  | u32 BE    | `length` bytes |
 //! +--------+---------+----------+-----------+----------------+
 //! ```
 //!
@@ -35,8 +35,9 @@ pub const MAGIC: u16 = 0x4A32;
 /// (`allow_degraded`), the `degraded` marker on `EncodeOk`, the
 /// `retry_after_ms` hint on `Overloaded`, and the health pressure byte.
 /// v3 appended a health byte for the SLO burn-rate verdict; v4 dropped it
-/// with the in-process monitor.
-pub const VERSION: u8 = 4;
+/// with the in-process monitor. v5 answers `Metrics` with the Prometheus
+/// text exposition instead of a JSON snapshot.
+pub const VERSION: u8 = 5;
 /// Frame header size in bytes.
 pub const HEADER_LEN: usize = 8;
 /// Default ceiling on payload size: fits a 3072x3072 RGB u16 image
@@ -55,7 +56,7 @@ const TAG_REJECTED: u8 = 0x82;
 const TAG_TIMED_OUT: u8 = 0x83;
 const TAG_CANCELLED: u8 = 0x84;
 const TAG_FAILED: u8 = 0x85;
-const TAG_METRICS_JSON: u8 = 0x86;
+const TAG_METRICS_TEXT: u8 = 0x86;
 const TAG_PONG: u8 = 0x87;
 const TAG_HEALTH_OK: u8 = 0x88;
 const TAG_POISONED: u8 = 0x89;
@@ -121,8 +122,10 @@ impl From<std::io::Error> for WireError {
 pub enum Request {
     /// Encode one image.
     Encode(EncodeRequest),
-    /// Fetch a [`MetricsSnapshot`](crate::service::MetricsSnapshot) as
-    /// JSON.
+    /// Fetch every metric series as Prometheus text exposition, the
+    /// document the `--metrics-addr` side port serves
+    /// ([`crate::render_prometheus`]). Answered with
+    /// [`Response::MetricsText`].
     Metrics,
     /// Liveness probe.
     Ping,
@@ -139,7 +142,8 @@ pub enum Request {
     Trace(u64),
     /// Decode a codestream back to an image (the closed-loop half of
     /// [`Request::Encode`]). Answered with [`Response::DecodeOk`] or,
-    /// on a codestream the decoder rejects, [`Response::Failed`].
+    /// on a codestream the decoder rejects or whose full-resolution
+    /// image would not fit in one reply frame, [`Response::Failed`].
     Decode(DecodeRequest),
 }
 
@@ -191,8 +195,9 @@ pub enum Response {
     Cancelled,
     /// Encoder or request failure, with a message.
     Failed(String),
-    /// Metrics snapshot, JSON-encoded.
-    MetricsJson(String),
+    /// Reply to [`Request::Metrics`]: Prometheus text exposition format
+    /// 0.0.4.
+    MetricsText(String),
     /// Reply to [`Request::Ping`] and [`Request::Shutdown`].
     Pong,
     /// Reply to [`Request::Health`]: binary snapshot of pool strength
@@ -569,9 +574,9 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
             out.extend_from_slice(m.as_bytes());
             out
         }
-        Response::MetricsJson(j) => {
-            let mut out = vec![TAG_METRICS_JSON];
-            out.extend_from_slice(j.as_bytes());
+        Response::MetricsText(t) => {
+            let mut out = vec![TAG_METRICS_TEXT];
+            out.extend_from_slice(t.as_bytes());
             out
         }
         Response::Pong => vec![TAG_PONG],
@@ -653,10 +658,10 @@ pub fn parse_response(payload: &[u8]) -> Result<Response, WireError> {
                 .map_err(|_| WireError::Malformed("non-utf8 failure message".into()))?;
             Ok(Response::Failed(m))
         }
-        TAG_METRICS_JSON => {
-            let j = String::from_utf8(rd.take(rd.remaining())?.to_vec())
-                .map_err(|_| WireError::Malformed("non-utf8 metrics json".into()))?;
-            Ok(Response::MetricsJson(j))
+        TAG_METRICS_TEXT => {
+            let t = String::from_utf8(rd.take(rd.remaining())?.to_vec())
+                .map_err(|_| WireError::Malformed("non-utf8 metrics text".into()))?;
+            Ok(Response::MetricsText(t))
         }
         TAG_PONG => {
             rd.done()?;
@@ -774,7 +779,12 @@ mod tests {
             Response::TimedOut,
             Response::Cancelled,
             Response::Failed("boom".into()),
-            Response::MetricsJson("{}".into()),
+            Response::MetricsText(String::new()),
+            Response::MetricsText(
+                "# HELP j2k_decoded_total Decode requests answered with an image.\n\
+                 # TYPE j2k_decoded_total counter\nj2k_decoded_total 1\n"
+                    .into(),
+            ),
             Response::Pong,
             Response::Health(HealthSnapshot {
                 workers_alive: 2,

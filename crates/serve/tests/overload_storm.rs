@@ -241,14 +241,6 @@ fn overload_storm_sheds_low_priority_and_keeps_high_priority_byte_identical() {
         "expected at least Nominal->Elevated and a decay, saw {}",
         m.pressure_transitions
     );
-    // The queue-wait tail stayed sane: nothing was parked forever.
-    if let Some((_, wait)) = m.histograms.iter().find(|(n, _)| n == "queue_wait_us") {
-        assert!(
-            wait.p99 < 60_000_000,
-            "queue wait p99 {}us: something was pinned",
-            wait.p99
-        );
-    }
 
     // The pressure arc is observable on both surfaces: trace instants
     // under job id 0, and the Prometheus exposition.
@@ -266,6 +258,19 @@ fn overload_storm_sheds_low_priority_and_keeps_high_priority_byte_identical() {
     ] {
         assert!(prom.contains(series), "missing {series} in exposition");
     }
+    // The queue-wait tail stayed sane: nothing was parked forever. Every
+    // wait is at or under the 2^26 - 1 µs (67 s) bound.
+    let bound = |le: &str| {
+        let name = format!("j2k_queue_wait_us_{le} ");
+        prom.lines()
+            .find_map(|l| l.strip_prefix(&name)?.parse::<u64>().ok())
+            .unwrap_or_else(|| panic!("no {name}in exposition"))
+    };
+    assert_eq!(
+        bound("bucket{le=\"67108863\"}"),
+        bound("count"),
+        "a queue wait over 67 s: something was pinned"
+    );
 
     // Drain and join: the daemon must come down clean after the storm.
     let mut conn = TcpStream::connect(addr).unwrap();

@@ -1,10 +1,11 @@
 //! End-to-end TCP coverage of the daemon loop: encode round trips with
-//! byte-identity, metrics over the wire, rejection under pressure, and a
-//! server that survives abusive connections.
+//! byte-identity, metrics over the wire, rejection under pressure, a
+//! decode bounded by the reply frame, and a server that survives
+//! abusive connections.
 
 use j2k_core::EncoderParams;
 use j2k_serve::wire::{call, DecodeRequest, EncodeRequest, Request, Response, DEFAULT_MAX_FRAME};
-use j2k_serve::{serve, EncodeService, ServerConfig, ServiceConfig};
+use j2k_serve::{render_prometheus, serve, EncodeService, ServerConfig, ServiceConfig};
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 
@@ -16,13 +17,37 @@ fn start_server_with(
     cfg: ServiceConfig,
     server_cfg: ServerConfig,
 ) -> (std::net::SocketAddr, std::thread::JoinHandle<()>) {
+    spawn_server(Arc::new(EncodeService::start(cfg)), server_cfg)
+}
+
+fn spawn_server(
+    service: Arc<EncodeService>,
+    server_cfg: ServerConfig,
+) -> (std::net::SocketAddr, std::thread::JoinHandle<()>) {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
-    let service = Arc::new(EncodeService::start(cfg));
     let t = std::thread::spawn(move || {
         serve(listener, service, server_cfg).unwrap();
     });
     (addr, t)
+}
+
+/// The exposition a wire `Metrics` request returns, checked to validate.
+fn metrics_text(conn: &mut TcpStream) -> String {
+    match call(conn, &Request::Metrics, DEFAULT_MAX_FRAME).unwrap() {
+        Response::MetricsText(text) => {
+            obs::prom::validate(&text).expect("the Metrics reply must validate");
+            text
+        }
+        other => panic!("unexpected response {other:?}"),
+    }
+}
+
+/// The value of the unlabelled sample `name` in exposition `text`.
+fn sample(text: &str, name: &str) -> u64 {
+    text.lines()
+        .find_map(|l| l.strip_prefix(name)?.strip_prefix(' ')?.parse().ok())
+        .unwrap_or_else(|| panic!("no sample {name} in:\n{text}"))
 }
 
 fn encode_req(seed: u64) -> Request {
@@ -65,14 +90,11 @@ fn tcp_encode_roundtrip_is_byte_identical_and_shutdown_works() {
         }
     }
 
-    // Metrics over the wire reflect the work.
-    match call(&mut conn, &Request::Metrics, DEFAULT_MAX_FRAME).unwrap() {
-        Response::MetricsJson(j) => {
-            assert!(j.contains("\"completed\":2"), "{j}");
-            assert!(j.contains("\"tier1\""), "{j}");
-        }
-        other => panic!("unexpected response {other:?}"),
-    }
+    // Metrics over the wire reflect the work: each completed job timed
+    // its Tier-1 stage once.
+    let text = metrics_text(&mut conn);
+    assert!(text.contains("\nj2k_jobs_completed_total 2\n"), "{text}");
+    assert_eq!(sample(&text, "j2k_stage_tier1_us_count"), 2);
 
     // Shutdown drains and the serve loop returns.
     assert_eq!(
@@ -167,14 +189,73 @@ fn tcp_decode_closes_the_loop() {
     }
 
     // Both outcomes are visible in the metrics.
-    match call(&mut conn, &Request::Metrics, DEFAULT_MAX_FRAME).unwrap() {
-        Response::MetricsJson(j) => {
-            assert!(j.contains("\"decoded\":1"), "{j}");
-            assert!(j.contains("\"decode_failed\":1"), "{j}");
-        }
-        other => panic!("unexpected response {other:?}"),
-    }
+    let text = metrics_text(&mut conn);
+    assert!(text.contains("\nj2k_decoded_total 1\n"), "{text}");
+    assert!(text.contains("\nj2k_decode_failed_total 1\n"), "{text}");
 
+    assert_eq!(
+        call(&mut conn, &Request::Shutdown, DEFAULT_MAX_FRAME).unwrap(),
+        Response::Pong
+    );
+    server.join().unwrap();
+}
+
+/// The wire `Metrics` reply is the document the metrics port serves: with
+/// no job in flight, byte for byte what `render_prometheus` renders.
+#[test]
+fn wire_metrics_reply_is_the_exposition() {
+    let svc = Arc::new(EncodeService::start(ServiceConfig::default()));
+    let (addr, server) = spawn_server(Arc::clone(&svc), ServerConfig::default());
+    let mut conn = TcpStream::connect(addr).unwrap();
+    assert!(matches!(
+        call(&mut conn, &encode_req(7), DEFAULT_MAX_FRAME).unwrap(),
+        Response::EncodeOk { .. }
+    ));
+    let text = metrics_text(&mut conn);
+    assert_eq!(text, render_prometheus(&svc));
+    assert_eq!(sample(&text, "j2k_jobs_completed_total"), 1);
+    assert_eq!(
+        call(&mut conn, &Request::Shutdown, DEFAULT_MAX_FRAME).unwrap(),
+        Response::Pong
+    );
+    server.join().unwrap();
+}
+
+/// A codestream of a few hundred bytes can declare an image far larger
+/// than any reply frame. The server refuses it from the main header,
+/// before any plane exists, and the connection keeps serving.
+#[test]
+fn decode_larger_than_a_reply_frame_is_refused() {
+    let (addr, server) = start_server_with(
+        ServiceConfig::default(),
+        ServerConfig {
+            max_frame: 64 << 10,
+            ..ServerConfig::default()
+        },
+    );
+    let mut conn = TcpStream::connect(addr).unwrap();
+    let decode = |im: &imgio::Image| {
+        Request::Decode(DecodeRequest {
+            max_layers: 0,
+            discard_levels: 0,
+            codestream: j2k_core::encode(im, &EncoderParams::lossless()).unwrap(),
+        })
+    };
+    // Flat 512x512 gray: tiny on the wire, 512 KiB of samples decoded.
+    let flat = imgio::Image::new(512, 512, 1, 8).unwrap();
+    match call(&mut conn, &decode(&flat), DEFAULT_MAX_FRAME).unwrap() {
+        Response::Failed(m) => assert!(m.contains("65536-byte limit"), "{m}"),
+        other => panic!("expected Failed, got {other:?}"),
+    }
+    // The same connection decodes an image that fits: 8 KiB of samples.
+    let small = imgio::synth::natural(64, 64, 2);
+    match call(&mut conn, &decode(&small), DEFAULT_MAX_FRAME).unwrap() {
+        Response::DecodeOk(back) => assert_eq!(back, small),
+        other => panic!("expected DecodeOk, got {other:?}"),
+    }
+    let text = metrics_text(&mut conn);
+    assert!(text.contains("\nj2k_decode_failed_total 1\n"), "{text}");
+    assert!(text.contains("\nj2k_decoded_total 1\n"), "{text}");
     assert_eq!(
         call(&mut conn, &Request::Shutdown, DEFAULT_MAX_FRAME).unwrap(),
         Response::Pong

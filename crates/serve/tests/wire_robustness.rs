@@ -76,8 +76,9 @@ fn bad_magic_and_version_are_rejected() {
         read_frame(&mut frame.as_slice(), DEFAULT_MAX_FRAME),
         Err(WireError::BadMagic(_))
     ));
-    // 3 is the previous version, whose health frame was one byte longer.
-    for version in [99, 3] {
+    // 4 answered Metrics with a JSON snapshot; 3's health frame was one
+    // byte longer.
+    for version in [99, 4, 3] {
         let mut frame = valid_frame();
         frame[2] = version;
         assert!(matches!(

@@ -46,11 +46,16 @@
 //!                      Critical                             (default 95)
 //! ```
 //!
-//! Per-layer timing appears in the Prometheus exposition and the wire
-//! Metrics JSON as histograms: one `stage_*_us` series per encode
-//! stage, the per-coder Tier-1 symbol rates, and `decode_us`. Burn-rate
-//! alerting belongs to the scraper: the exposition carries every job
-//! outcome counter and the `job_e2e_us` buckets (DESIGN.md §17).
+//! The daemon has one metrics document, the Prometheus text exposition:
+//! `--metrics-addr` serves it over HTTP, and the wire `Metrics` request
+//! returns the same text, so a daemon without a metrics port still
+//! reports every series. Per-layer timing appears there as histograms:
+//! one `stage_*_us` series per encode stage, the per-coder Tier-1 symbol
+//! rates, and `decode_us`. Burn-rate alerting belongs to the scraper: the
+//! exposition carries every job outcome counter and the `job_e2e_us`
+//! buckets (DESIGN.md §17). A wire `Decode` whose full-resolution image
+//! would not fit in one `--max-frame-mb` frame is refused from its main
+//! header.
 //!
 //! The daemon exits after a Shutdown request, draining queued and
 //! in-flight jobs first. Under pressure it sheds low-priority work with
@@ -58,7 +63,7 @@
 //! the HT coder, and at Critical stops taking new connections
 //! (DESIGN.md §16).
 
-use j2k_serve::{serve, serve_metrics_with, EncodeService, ServerConfig, ServiceConfig};
+use j2k_serve::{serve, serve_metrics, EncodeService, ServerConfig, ServiceConfig};
 use std::net::TcpListener;
 use std::process::exit;
 use std::sync::Arc;
@@ -191,7 +196,7 @@ fn main() {
             mlistener.local_addr().map_or(maddr, |a| a.to_string())
         );
         let msvc = Arc::clone(&service);
-        std::thread::spawn(move || serve_metrics_with(mlistener, msvc, io_timeout));
+        std::thread::spawn(move || serve_metrics(mlistener, msvc, io_timeout));
     }
     let server_cfg = ServerConfig {
         max_frame: max_frame_mb << 20,
