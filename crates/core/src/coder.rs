@@ -59,6 +59,27 @@ impl Coder {
             Coder::Ht => &HtBlockCoder,
         }
     }
+
+    /// Code one block for an encode whose rate control may drop its last
+    /// passes: every pass is sized as [`BlockCoder::encode`] sizes it, but
+    /// HT packs only its cleanup pass and returns the raw passes to pack
+    /// if rate control keeps them. MQ codes every pass.
+    pub(crate) fn encode_sized(
+        self,
+        data: &[i32],
+        w: usize,
+        h: usize,
+        kind: BandKind,
+        bypass: bool,
+    ) -> (EncodedBlock, Option<j2k_ht::RawPasses>) {
+        match self {
+            Coder::Mq => (MqBlockCoder.encode(data, w, h, kind, bypass), None),
+            Coder::Ht => {
+                let (enc, raw) = j2k_ht::size_block(data, w, h);
+                (enc, Some(raw))
+            }
+        }
+    }
 }
 
 impl std::fmt::Display for Coder {

@@ -5,7 +5,9 @@
 //! The row quantizer [`quantize_row`] and dequantizer [`dequantize_row`]
 //! are bit-identical to the per-element [`crate::quant::quantize`] and
 //! [`crate::quant::dequantize`], and [`round_half_away`] to
-//! `f32::round() as i32`; those are their references in the tests.
+//! `f32::round() as i32`; those are their references in the tests. The
+//! output stage's [`round_clamped`] equals [`round_half_away`] once the
+//! output clamp has run.
 
 /// Forward RCT with level shift, in place on three component rows.
 pub fn rct_forward_row(r: &mut [i32], g: &mut [i32], b: &mut [i32], shift: i32) {
@@ -59,7 +61,9 @@ pub fn ict_forward_row<T: Copy + Into<i32>>(
 
 /// Inverse ICT with level unshift: float Y/Cb/Cr rows in, rounded integer
 /// R/G/B rows out. Per sample this is `(yy + 1.402 * cr + shift).round()`
-/// and its two twins, evaluated in the same `f32` order.
+/// and its two twins, evaluated in the same `f32` order, rounded by
+/// [`round_clamped`]: beyond ±2^22 the result is clamped there, and NaN
+/// gives 0, which no clamp to an image's sample range tells apart.
 #[allow(clippy::too_many_arguments)]
 pub fn ict_inverse_row(
     yy: &[f32],
@@ -75,9 +79,9 @@ pub fn ict_inverse_row(
     let (r, g, b) = (&mut r[..n], &mut g[..n], &mut b[..n]);
     for i in 0..n {
         let (y, u, v) = (yy[i], cb[i], cr[i]);
-        r[i] = round_half_away(y + 1.402 * v + shift);
-        g[i] = round_half_away(y - 0.344_136 * u - 0.714_136 * v + shift);
-        b[i] = round_half_away(y + 1.772 * u + shift);
+        r[i] = round_clamped(y + 1.402 * v + shift);
+        g[i] = round_clamped(y - 0.344_136 * u - 0.714_136 * v + shift);
+        b[i] = round_clamped(y + 1.772 * u + shift);
     }
 }
 
@@ -98,10 +102,43 @@ pub fn round_half_away(v: f32) -> i32 {
     t + i32::from((0.5..1.0).contains(&f)) - i32::from((0.5..1.0).contains(&-f))
 }
 
-/// Round a row of `f32` samples to integers with [`round_half_away`].
+/// Bound of [`round_clamped`]'s input clamp. An image sample is at most
+/// 16 bits and its level shift at most 2^15, so every value beyond ±2^22
+/// lands on the same side of any output clamp as ±2^22 does.
+const OUTPUT_LIMIT: f32 = 4_194_304.0;
+
+/// Round an output-stage sample half away from zero, for a caller that
+/// then clamps to an image's sample range (after a level shift of at most
+/// 2^15): `v` is first clamped to ±2^22, NaN becoming 0, so the result
+/// is [`round_half_away`]'s wherever that clamp can tell. Unlike
+/// `round_half_away`'s saturating cast, every step vectorizes.
+///
+/// Below 2^23, adding 2^23 to `|v|` rounds it to the nearest integer,
+/// ties to even, into the low mantissa bits, which the bits of 2^23 then
+/// leave. A tie rounded down (the dropped part exactly ½) steps up, so
+/// ties go away from zero, and the sign of `v` is re-applied as
+/// `(m ^ s) - s`, `s` being all ones for a set sign bit.
+#[inline]
+pub fn round_clamped(v: f32) -> i32 {
+    const TWO_23: f32 = 8_388_608.0;
+    let c = if v.is_nan() {
+        0.0
+    } else {
+        v.clamp(-OUTPUT_LIMIT, OUTPUT_LIMIT)
+    };
+    let a = c.abs();
+    let x = a + TWO_23;
+    let m = x.to_bits() as i32 - TWO_23.to_bits() as i32;
+    let m = m + i32::from(a - (x - TWO_23) == 0.5);
+    let s = c.to_bits() as i32 >> 31;
+    (m ^ s) - s
+}
+
+/// Round a row of `f32` samples to integers with [`round_clamped`], for
+/// the decoder's gray output stage (rounding before the level shift).
 pub fn round_row(src: &[f32], dst: &mut [i32]) {
     for (d, &v) in dst.iter_mut().zip(src) {
-        *d = round_half_away(v);
+        *d = round_clamped(v);
     }
 }
 
@@ -306,17 +343,76 @@ mod tests {
         }
     }
 
+    /// Output-stage inputs: a stepped sweep of every `f32` bit pattern,
+    /// every half-integer tie in ±1000 and their neighbours, ±0, ±∞ and
+    /// NaN of both signs.
+    fn output_inputs() -> Vec<f32> {
+        let mut v: Vec<f32> = (0..=u32::MAX).step_by(4099).map(f32::from_bits).collect();
+        for k in -1000..1000 {
+            v.extend(with_neighbours(k as f32 + 0.5));
+        }
+        v.extend([
+            0.0,
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            -f32::NAN,
+        ]);
+        v.extend([
+            f32::MAX,
+            f32::MIN,
+            f32::MIN_POSITIVE,
+            1e-45,
+            4_194_304.5,
+            2.5e9,
+        ]);
+        v
+    }
+
+    /// `round_half_away(v)` plus `shift`, clamped to `[0, maxv]`: what an
+    /// output sample must be, the sum taken without wrapping.
+    fn output_reference(v: f32, shift: i32, maxv: i32) -> u16 {
+        (i64::from(round_half_away(v)) + i64::from(shift)).clamp(0, i64::from(maxv)) as u16
+    }
+
     #[test]
-    fn round_row_matches_to_i32_rounded() {
-        let mut s = 9u64;
-        let mut src: Vec<f32> = (0..1000)
-            .map(|_| (pcg(&mut s) % 4096) as f32 * 0.125 - 256.0)
-            .collect();
-        src.extend([f32::NAN, f32::INFINITY, -3e9, 2.5, -2.5, 0.499_999_97]);
-        let mut got = vec![0i32; src.len()];
-        round_row(&src, &mut got);
-        let plane = xpart::AlignedPlane::from_dense(src.len(), 1, &src).unwrap();
-        assert_eq!(got, plane.to_i32_rounded().to_dense());
+    fn output_rounding_matches_round_half_away_after_the_clamp() {
+        let src = output_inputs();
+        let mut rounded = vec![0i32; src.len()];
+        round_row(&src, &mut rounded);
+        for (&v, &r) in src.iter().zip(&rounded) {
+            assert_eq!(r, round_clamped(v), "round_row at {v:e}");
+            if v.abs() <= OUTPUT_LIMIT {
+                assert_eq!(r, round_half_away(v), "in range {v:e}");
+            }
+        }
+        let mut got = vec![0u16; src.len()];
+        for depth in 1..=16u32 {
+            let (shift, maxv) = (1i32 << (depth - 1), (1i32 << depth) - 1);
+            // The gray output stage: round, then shift and clamp.
+            unshift_clamp_row(&rounded, &mut got, shift, maxv);
+            for (&v, &g) in src.iter().zip(&got) {
+                let want = output_reference(v, shift, maxv);
+                assert_eq!(
+                    g,
+                    want,
+                    "gray depth {depth}: v = {v:e} (bits {:#010x})",
+                    v.to_bits()
+                );
+            }
+            // The colour output stage: the shift is already in.
+            unshift_clamp_row(&rounded, &mut got, 0, maxv);
+            for (&v, &g) in src.iter().zip(&got) {
+                let want = output_reference(v, 0, maxv);
+                assert_eq!(
+                    g,
+                    want,
+                    "rgb depth {depth}: v = {v:e} (bits {:#010x})",
+                    v.to_bits()
+                );
+            }
+        }
     }
 
     #[test]
@@ -366,21 +462,31 @@ mod tests {
             cb[i + 7] = v;
             cr[i + 14] = v;
         }
-        for shift in [128.0f32, 2048.0, 0.0] {
+        // The rounding is `round()`'s within ±2^22 and the clamp to an
+        // image's sample range cannot tell it from `round()` beyond.
+        for depth in 1..=16u32 {
+            let (shift, maxv) = (1i32 << (depth - 1), (1i32 << depth) - 1);
             let n = yy.len();
             let (mut r, mut g, mut b) = (vec![0; n], vec![0; n], vec![0; n]);
-            ict_inverse_row(&yy, &cb, &cr, &mut r, &mut g, &mut b, shift);
+            ict_inverse_row(&yy, &cb, &cr, &mut r, &mut g, &mut b, shift as f32);
             for i in 0..n {
                 let (y, u, v) = (yy[i], cb[i], cr[i]);
                 let rr = y + 1.402 * v;
                 let gg = y - 0.344_136 * u - 0.714_136 * v;
                 let bb = y + 1.772 * u;
-                let want = [
-                    (rr + shift).round() as i32,
-                    (gg + shift).round() as i32,
-                    (bb + shift).round() as i32,
-                ];
-                assert_eq!([r[i], g[i], b[i]], want, "sample {i}: {y} {u} {v}");
+                let exact = [rr, gg, bb].map(|c| c + shift as f32);
+                let want = exact.map(|c| c.round() as i32);
+                let got = [r[i], g[i], b[i]];
+                for ((&c, &gv), &wv) in exact.iter().zip(&got).zip(&want) {
+                    if c.abs() <= OUTPUT_LIMIT {
+                        assert_eq!(gv, wv, "sample {i}: {y} {u} {v}");
+                    }
+                    assert_eq!(
+                        gv.clamp(0, maxv),
+                        wv.clamp(0, maxv),
+                        "sample {i}: {y} {u} {v}"
+                    );
+                }
             }
         }
     }

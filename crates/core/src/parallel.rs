@@ -15,10 +15,14 @@
 //!   quantizes its 9/7 coefficients as it copies them out of the plane
 //!   (`Transformed::block_indices`), so quantization rides the queue.
 //! * **Rate control and Tier-2** run sequentially on the calling thread,
-//!   as on the paper's PPE (`pipeline::rate_control_and_assemble`).
+//!   as on the paper's PPE (`pipeline::rate_control_and_assemble`). A
+//!   lossy HT encode's Tier-1 sizes the raw refinement passes without
+//!   packing them; between an allocation and its assembly, the blocks
+//!   whose kept passes reach them are packed, one job per block
+//!   (`pack_kept_passes`).
 //!
-//! Every fan-out (the MCT, both DWT passes of every level, and Tier-1)
-//! goes through one claim loop, `claim_jobs`: the calling thread and up to
+//! Every fan-out (the MCT, both DWT passes of every level, Tier-1 and the
+//! raw-pass packing) goes through one claim loop, `claim_jobs`: the calling thread and up to
 //! `workers − 1` scoped helpers take the next job from one atomic cursor,
 //! so a thread that the host deschedules holds up no fixed share of a
 //! stage. `workers` counts the calling thread; at one worker, and for a
@@ -92,19 +96,24 @@ pub fn encode_with(
         .cat("stage")
         .arg("coder", params.coder.id());
     let t1 = Instant::now();
-    let (records, tier1_counts) = tier1_queue(&t, params, workers, ctl)?;
+    let (mut records, tier1_counts) = tier1_queue(&t, params, workers, ctl)?;
     drop(stage_span);
-    stage_times.push(StageTime::new("tier1", t1.elapsed().as_secs_f64()));
-    for (total, n) in worker_jobs.iter_mut().zip(tier1_counts) {
-        *total += n;
-    }
+    let tier1_secs = t1.elapsed().as_secs_f64();
 
     let rc_span = trace::span("stage:rate-control").cat("stage");
     let raw = image.raw_bytes() as u64;
-    let out = rate_control_and_assemble(image, params, &t, &records, raw)?;
+    let out = rate_control_and_assemble(image, params, &t, &mut records, raw, workers, ctl)?;
     drop(rc_span);
+    // Packing the kept raw passes is Tier-1 work the tail does late.
+    stage_times.push(StageTime::new("tier1", tier1_secs + out.pack_secs));
     stage_times.push(StageTime::new("rate-control", out.alloc_secs));
     stage_times.push(StageTime::new("tier2", out.tier2_secs));
+    for (total, n) in worker_jobs.iter_mut().zip(tier1_counts) {
+        *total += n;
+    }
+    for (total, &n) in worker_jobs.iter_mut().zip(&out.pack_jobs) {
+        *total += n;
+    }
 
     let profile = build_profile(image, params, &records, &out, stage_times, worker_jobs);
     Ok((out.bytes, profile))
@@ -226,6 +235,11 @@ fn claim_jobs<J: Send, R: Send>(
 /// extracts the block (quantizing 9/7 coefficients), codes it and runs its
 /// R-D preparation. Returns the records in block order plus the blocks
 /// each thread coded.
+///
+/// A lossy encode's HT blocks leave their raw passes sized but unpacked:
+/// rate control keeps few of them, and [`pack_kept_passes`] packs those.
+/// A lossless encode keeps every pass in its final layer, so its blocks
+/// are packed here.
 pub(crate) fn tier1_queue(
     t: &Transformed,
     params: &EncoderParams,
@@ -250,24 +264,56 @@ pub(crate) fn tier1_queue(
             return Err(CodecError::Injected(msg));
         }
         let data = t.block_indices(comp, bi, (x0, y0, bw, bh));
-        let enc = params.coder.block_coder().encode(
-            &data,
-            bw,
-            bh,
-            band_kind(t.bands[bi].band),
-            params.bypass,
-        );
+        let (coder, kind) = (params.coder, band_kind(t.bands[bi].band));
+        let coded = if params.mode == Mode::Lossless {
+            let enc = coder
+                .block_coder()
+                .encode(&data, bw, bh, kind, params.bypass);
+            (enc, None)
+        } else {
+            coder.encode_sized(&data, bw, bh, kind, params.bypass)
+        };
         assert!(
-            enc.num_planes <= t.max_planes[bi],
+            coded.0.num_planes <= t.max_planes[bi],
             "band {bi}: {} planes exceed M_b {}",
-            enc.num_planes,
+            coded.0.num_planes,
             t.max_planes[bi]
         );
         // R-D preparation (truncation rates/distortions + convex hull)
         // runs here, on the thread that coded the block — the post-pass
         // slice of rate control rides the queue.
-        Ok(BlockRecord::new(comp, bi, bx, by, enc, t.weights[bi]))
+        Ok(BlockRecord::new(comp, bi, bx, by, coded, t.weights[bi]))
     })
+}
+
+/// Pack the raw passes of every block whose kept passes (`kept`, one
+/// allocation's) reach past its packed data, one job per block on the
+/// claim loop, each under a `raw-pack` span. A block is packed once: a
+/// later allocation keeps no more than an earlier one, and what it keeps
+/// that is not packed yet is packed then. Returns the jobs each thread
+/// ran.
+pub(crate) fn pack_kept_passes(
+    records: &mut [BlockRecord],
+    kept: &[Vec<usize>],
+    workers: usize,
+    ctl: Option<&EncodeControl>,
+) -> Result<Vec<u64>, CodecError> {
+    let jobs: Vec<&mut BlockRecord> = records
+        .iter_mut()
+        .zip(kept)
+        .filter(|(r, k)| r.short_of(k.last().copied().unwrap_or(0)))
+        .map(|(r, _)| r)
+        .collect();
+    let (_, counts) = claim_jobs(workers, jobs, ctl, |_, r| {
+        let _sp = trace::span("raw-pack").cat("chunk");
+        let raw = r
+            .raw
+            .as_ref()
+            .expect("only HT raw passes are left unpacked");
+        raw.pack(&mut r.enc);
+        Ok(())
+    })?;
+    Ok(counts)
 }
 
 // ---------------------------------------------------------------------------
@@ -655,6 +701,7 @@ fn lossy<S: LossySample>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Coder;
     use imgio::synth;
     use std::sync::MutexGuard;
 
@@ -818,6 +865,49 @@ mod tests {
             let lossless = encode(&im, &EncoderParams::lossless()).unwrap();
             assert_eq!(crate::decode(&lossless).unwrap(), im, "{depth}-bit");
         }
+    }
+
+    #[test]
+    fn ht_lossy_packs_kept_raw_passes_identically_through_retries() {
+        // Probed: two budget-shrink retries, and 69 of the 85 blocks in
+        // the codestream keep raw passes.
+        let im = synth::natural_rgb(96, 64, 5);
+        let params = EncoderParams {
+            layers: 3,
+            cb_size: 16,
+            coder: Coder::Ht,
+            ..EncoderParams::lossy(0.4)
+        };
+        let (seq, prof) = encode_with(&im, &params, 1, None).unwrap();
+        assert!(prof.rate_retries > 0, "no budget-shrink retry");
+        for workers in [2usize, 5] {
+            let (par, _) = encode_with(&im, &params, workers, None).unwrap();
+            assert_eq!(par, seq, "workers={workers}");
+        }
+        // Every block's bytes are a prefix of the complete HT coding of
+        // that block of the reference coefficients.
+        let parsed = crate::codestream::parse(&seq).unwrap();
+        let coeffs = crate::pipeline::transform_coefficients(&im, &params).unwrap();
+        let (bands, cb) = (parsed.header.bands(), params.cb_size);
+        let mut keep_raw = 0;
+        for blk in &parsed.blocks {
+            let b = &bands[blk.band_idx];
+            let (x0, y0) = (b.x0 + blk.bx * cb, b.y0 + blk.by * cb);
+            let (bw, bh) = (cb.min(b.x0 + b.w - x0), cb.min(b.y0 + b.h - y0));
+            let data: Vec<i32> = (y0..y0 + bh)
+                .flat_map(|y| &coeffs[blk.comp][y * im.width + x0..][..bw])
+                .copied()
+                .collect();
+            let full = j2k_ht::encode_block(&data, bw, bh);
+            let last = *blk.layer_passes.last().unwrap();
+            let what = format!(
+                "comp {} band {} block ({}, {})",
+                blk.comp, blk.band_idx, blk.bx, blk.by
+            );
+            assert_eq!(blk.data, full.data[..full.bytes_for_passes(last)], "{what}");
+            keep_raw += usize::from(last > 1);
+        }
+        assert!(keep_raw > 0, "no block keeps a raw pass");
     }
 
     #[test]

@@ -4,6 +4,7 @@
 //! decoder. Stage order follows the paper's Figure 2.
 
 use crate::codestream::{self, BlockStream, MainHeader, Quant};
+use crate::control::EncodeControl;
 use crate::profile::{BlockWork, LevelWork, StageTime, WorkloadProfile};
 use crate::quant::{band_delta, max_bitplanes, StepSize, GUARD_BITS};
 use crate::{kernels, mct, Arithmetic, CodecError, EncoderParams, Mode};
@@ -57,7 +58,13 @@ pub(crate) struct BlockRecord {
     pub band_idx: usize,
     pub bx: usize,
     pub by: usize,
+    /// Every pass's bookkeeping; for an HT block of a lossy encode,
+    /// `enc.data` holds the cleanup segment alone until its raw passes
+    /// are packed.
     pub enc: EncodedBlock,
+    /// What packs an HT block's raw passes (lossy encodes), which the
+    /// tail does once an allocation keeps them.
+    pub raw: Option<j2k_ht::RawPasses>,
     /// Per-block PCRD input (weighted distortions + hull), ready for the
     /// λ search.
     pub rd: PreparedBlock,
@@ -72,7 +79,7 @@ impl BlockRecord {
         band_idx: usize,
         bx: usize,
         by: usize,
-        enc: EncodedBlock,
+        (enc, raw): (EncodedBlock, Option<j2k_ht::RawPasses>),
         weight: f64,
     ) -> BlockRecord {
         let _sp = obs::trace::span("rate-prep").cat("chunk");
@@ -83,8 +90,19 @@ impl BlockRecord {
             bx,
             by,
             enc,
+            raw,
             rd,
         }
+    }
+
+    /// Bytes of all the block's passes, packed or not.
+    pub(crate) fn total_rate(&self) -> usize {
+        self.enc.bytes_for_passes(self.enc.passes.len())
+    }
+
+    /// Whether the first `passes` passes reach past the packed data.
+    pub(crate) fn short_of(&self, passes: usize) -> bool {
+        self.enc.data.len() < self.enc.bytes_for_passes(passes)
     }
 }
 
@@ -381,9 +399,8 @@ pub(crate) fn allocate_layers(
                 } else {
                     // Earlier layers split the total bytes evenly.
                     let frac = (l + 1) as f64 / params.layers as f64;
-                    let budget: usize =
-                        (records.iter().map(|r| r.enc.data.len() as f64).sum::<f64>() * frac)
-                            as usize;
+                    let budget: usize = (records.iter().map(|r| r.total_rate() as f64).sum::<f64>()
+                        * frac) as usize;
                     let th = search_threshold(&prepared, budget);
                     rc_items += th.passes_examined;
                     LayerPlan::Th(th)
@@ -516,64 +533,75 @@ pub(crate) struct RateOutcome {
     /// Cumulative wall seconds in allocation (search + apply), across
     /// retries.
     pub alloc_secs: f64,
+    /// Cumulative wall seconds packing kept raw passes, across retries:
+    /// Tier-1 work done late.
+    pub pack_secs: f64,
+    /// Raw-pass pack jobs each thread ran (calling thread first).
+    pub pack_jobs: Vec<u64>,
     /// Cumulative wall seconds in Tier-2 packet assembly, across retries.
     pub tier2_secs: f64,
 }
 
 /// PCRD rate allocation plus codestream assembly, including the lossy
 /// budget-shrink retry loop: the sequential tail, run on the calling
-/// thread as on the paper's PPE.
+/// thread as on the paper's PPE. Between each allocation and its
+/// assembly, the HT raw passes the allocation keeps and Tier-1 left
+/// unpacked are packed on `workers` threads, polling `ctl`.
 pub(crate) fn rate_control_and_assemble(
     image: &Image,
     params: &EncoderParams,
     t: &Transformed,
-    records: &[BlockRecord],
+    records: &mut [BlockRecord],
     raw: u64,
+    workers: usize,
+    ctl: Option<&EncodeControl>,
 ) -> Result<RateOutcome, CodecError> {
+    let mut rc_items = 0;
     let mut alloc_secs = 0.0;
+    let mut pack_secs = 0.0;
+    let mut pack_jobs = vec![0; workers.max(1)];
     let mut tier2_secs = 0.0;
-    let ta = std::time::Instant::now();
-    let (mut kept, mut rc_items) = allocate_layers(records, params, raw, 0)?;
-    alloc_secs += ta.elapsed().as_secs_f64();
-    let t2_span = obs::trace::span("tier2").cat("stage");
-    let tt = std::time::Instant::now();
-    let mut bytes = assemble(image, params, t, records, &kept)?;
-    tier2_secs += tt.elapsed().as_secs_f64();
-    drop(t2_span);
-    let mut retries = 0u64;
+    // The packet-header overhead is only known after assembly; a lossy
+    // encode over its target shrinks the payload budget and retries.
+    let limit = match params.mode {
+        Mode::Lossy { rate } => Some((rate * raw as f64) as usize),
+        Mode::Lossless => None,
+    };
+    let mut reserve = 0usize;
     let mut reserves = Vec::new();
-    let mut converged = true;
-    if let Mode::Lossy { rate } = params.mode {
-        // The packet-header overhead is only known after assembly; shrink
-        // the payload budget and retry until the target is met.
-        let limit = (rate * raw as f64) as usize;
-        let mut reserve = 0usize;
-        let mut tries = 0;
-        while bytes.len() > limit && tries < 8 {
-            reserve += (bytes.len() - limit) + 32;
-            reserves.push(reserve);
-            let ta = std::time::Instant::now();
-            let (k, rc) = allocate_layers(records, params, raw, reserve)?;
-            alloc_secs += ta.elapsed().as_secs_f64();
-            kept = k;
-            rc_items += rc;
-            let t2_span = obs::trace::span("tier2").cat("stage");
-            let tt = std::time::Instant::now();
-            bytes = assemble(image, params, t, records, &kept)?;
-            tier2_secs += tt.elapsed().as_secs_f64();
-            drop(t2_span);
-            tries += 1;
+    let bytes = loop {
+        let ta = std::time::Instant::now();
+        let (kept, rc) = allocate_layers(records, params, raw, reserve)?;
+        alloc_secs += ta.elapsed().as_secs_f64();
+        rc_items += rc;
+        let tp = std::time::Instant::now();
+        let jobs = crate::parallel::pack_kept_passes(records, &kept, workers, ctl)?;
+        pack_secs += tp.elapsed().as_secs_f64();
+        for (total, n) in pack_jobs.iter_mut().zip(jobs) {
+            *total += n;
         }
-        retries = tries;
-        converged = bytes.len() <= limit;
-    }
+        let t2_span = obs::trace::span("tier2").cat("stage");
+        let tt = std::time::Instant::now();
+        let bytes = assemble(image, params, t, records, &kept)?;
+        tier2_secs += tt.elapsed().as_secs_f64();
+        drop(t2_span);
+        match limit {
+            Some(limit) if bytes.len() > limit && reserves.len() < 8 => {
+                reserve += (bytes.len() - limit) + 32;
+                reserves.push(reserve);
+            }
+            _ => break bytes,
+        }
+    };
     Ok(RateOutcome {
+        converged: limit.is_none_or(|limit| bytes.len() <= limit),
         bytes,
         rc_items,
-        retries,
-        converged,
+        retries: reserves.len() as u64,
         reserves,
         alloc_secs,
+        pack_secs,
+        pack_jobs,
         tier2_secs,
     })
 }
@@ -635,7 +663,7 @@ pub(crate) fn build_profile(
                     samples: (r.enc.w * r.enc.h) as u64,
                     symbols,
                     passes: r.enc.passes.len() as u64,
-                    bytes: r.enc.data.len() as u64,
+                    bytes: r.total_rate() as u64,
                 }
             })
             .collect(),
@@ -1279,9 +1307,9 @@ mod tests {
             cb_size: 32,
             ..EncoderParams::lossy(0.08)
         };
-        let (t, records) = coded(&im, &params);
+        let (t, mut records) = coded(&im, &params);
         let raw = im.raw_bytes() as u64;
-        let out = rate_control_and_assemble(&im, &params, &t, &records, raw).unwrap();
+        let out = rate_control_and_assemble(&im, &params, &t, &mut records, raw, 1, None).unwrap();
         assert!(out.retries >= 2, "wanted >=2 retries, got {}", out.retries);
         assert!(out.converged);
         assert!(out.bytes.len() <= (0.08 * raw as f64) as usize);
@@ -1299,9 +1327,9 @@ mod tests {
         // still hand back a decodable stream.
         let im = synth::noise(8, 8, 5);
         let params = EncoderParams::lossy(0.02);
-        let (t, records) = coded(&im, &params);
+        let (t, mut records) = coded(&im, &params);
         let raw = im.raw_bytes() as u64;
-        let out = rate_control_and_assemble(&im, &params, &t, &records, raw).unwrap();
+        let out = rate_control_and_assemble(&im, &params, &t, &mut records, raw, 1, None).unwrap();
         assert_eq!(out.retries, 8);
         assert!(!out.converged);
         assert_eq!(out.reserves.len(), 8);

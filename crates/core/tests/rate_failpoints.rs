@@ -9,7 +9,7 @@
 
 use faultsim::{FaultAction, FaultSpec};
 use imgio::Image;
-use j2k_core::{encode_with, CodecError, EncoderParams};
+use j2k_core::{codestream, encode_with, CodecError, Coder, EncoderParams};
 use std::sync::{Mutex, MutexGuard};
 
 /// The harness runs tests on parallel threads and the failpoint registry
@@ -102,5 +102,36 @@ fn every_encode_failpoint_fires_at_one_worker() {
                 ),
             }
         }
+    }
+}
+
+/// An HT lossy encode codes every block once, in Tier-1: the raw passes
+/// rate control keeps are packed later from what that coding kept, so
+/// `tier1.block` is evaluated exactly once per code block.
+#[test]
+fn tier1_block_is_evaluated_once_per_block_when_raw_passes_are_packed() {
+    let _g = registry_lock();
+    let im = imgio::synth::natural_rgb(96, 64, 5);
+    let params = EncoderParams {
+        layers: 3,
+        cb_size: 16,
+        coder: Coder::Ht,
+        ..EncoderParams::lossy(0.4)
+    };
+    for workers in [1usize, 3] {
+        faultsim::reset();
+        let r = encode_with(&im, &params, workers, None);
+        let hits = faultsim::hits("tier1.block");
+        faultsim::reset();
+        let (bytes, prof) = r.unwrap();
+        assert_eq!(hits, prof.blocks.len() as u64, "workers={workers}");
+        let parsed = codestream::parse(&bytes).unwrap();
+        assert!(
+            parsed
+                .blocks
+                .iter()
+                .any(|b| b.layer_passes.last() > Some(&1)),
+            "workers={workers}: no block keeps a raw pass"
+        );
     }
 }

@@ -26,6 +26,14 @@ impl BitWriter {
         Self::default()
     }
 
+    /// A writer that appends to the bytes already in `buf`.
+    pub fn appending(buf: Vec<u8>) -> Self {
+        BitWriter {
+            buf,
+            ..Self::default()
+        }
+    }
+
     /// Write the low `n` bits of `v`, most significant first (`n <= 32`;
     /// `n = 0` writes nothing).
     #[inline]

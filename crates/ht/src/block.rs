@@ -97,14 +97,37 @@ const fn plane_table(scale: f64) -> [f64; 32] {
 /// uniformly; `passes[i].symbols` counts HT work items (quads coded +
 /// MagSgn emissions for the cleanup pass, samples visited for the raw
 /// passes), which is what makes the coder's per-item cost comparable
-/// across backends in `cellsim`.
+/// across backends in `cellsim`. It is [`size_block`] with the raw passes
+/// packed at once.
 pub fn encode_block(data: &[i32], w: usize, h: usize) -> EncodedBlock {
-    assert_eq!(data.len(), w * h, "block data size");
-    let mut span = obs::trace::span("tier1")
+    let mut span = block_span(w, h);
+    let (mut blk, raw) = sized(data, w, h);
+    raw.pack(&mut blk);
+    span.set_arg("symbols", blk.total_symbols());
+    blk
+}
+
+/// Code the cleanup pass of one block and only size its raw passes:
+/// `pass_ends` and `passes` are [`encode_block`]'s, field for field, but
+/// `data` holds the cleanup segment alone. The returned [`RawPasses`]
+/// packs the rest when rate control keeps it.
+pub fn size_block(data: &[i32], w: usize, h: usize) -> (EncodedBlock, RawPasses) {
+    let mut span = block_span(w, h);
+    let sized = sized(data, w, h);
+    span.set_arg("symbols", sized.0.total_symbols());
+    sized
+}
+
+fn block_span(w: usize, h: usize) -> obs::Span {
+    obs::trace::span("tier1")
         .cat("block")
         .arg("w", w as u64)
         .arg("h", h as u64)
-        .arg("coder", 1);
+        .arg("coder", 1)
+}
+
+fn sized(data: &[i32], w: usize, h: usize) -> (EncodedBlock, RawPasses) {
+    assert_eq!(data.len(), w * h, "block data size");
     let all = data.iter().fold(0, |a, &v| a | v.unsigned_abs());
     let num_planes = (32 - all.leading_zeros()) as u8;
     let mut blk = EncodedBlock {
@@ -116,48 +139,63 @@ pub fn encode_block(data: &[i32], w: usize, h: usize) -> EncodedBlock {
         h,
     };
     if num_planes == 0 {
-        span.set_arg("symbols", 0);
-        return blk;
+        let raw = RawPasses {
+            samples: Vec::new(),
+            planes: 0,
+        };
+        return (blk, raw);
     }
     let p_cup = cup_plane(num_planes);
 
     // Magnitudes in rows padded with zeros to whole quads, so the quad
-    // walk needs no edge tests.
+    // walk needs no edge tests, and each sample's raw-pass byte.
     let pw = w + (w & 1);
     let mut mags = vec![0u32; pw * (h + (h & 1))];
-    for (row, src) in mags.chunks_exact_mut(pw).zip(data.chunks_exact(w)) {
-        for (m, &v) in row.iter_mut().zip(src) {
+    let mut bytes = vec![0u8; w * h];
+    let rows = mags.chunks_exact_mut(pw).zip(bytes.chunks_exact_mut(w));
+    for ((row, out), src) in rows.zip(data.chunks_exact(w)) {
+        for ((m, b), &v) in row.iter_mut().zip(out).zip(src) {
             *m = v.unsigned_abs();
+            *b = raw_byte(v);
         }
     }
 
-    // --- cleanup pass ---
-    let cleanup = cleanup_enc(data, &mags, w, pw, p_cup);
-    push_pass(&mut blk, PassType::Cleanup, p_cup, cleanup);
+    // The raw refinement passes, one SigProp + MagRef pair per plane
+    // below the cleanup floor, sized first so that the cleanup segment's
+    // buffer has room for them and packing them later allocates nothing.
+    let raw = RawPasses {
+        samples: bytes,
+        planes: p_cup,
+    };
+    let (sizes, planes) = (raw.sizes(), usize::from(p_cup));
+    let raw_len = sizes[..planes]
+        .iter()
+        .flatten()
+        .map(|&(len, _, _)| len)
+        .sum();
 
-    // --- raw refinement passes, one SigProp + MagRef pair per plane ---
-    if p_cup > 0 {
-        let raw = raw_enc(data).into_iter().enumerate();
-        for (plane, [sig_prop, mag_ref]) in raw.take(p_cup.into()).rev() {
-            push_pass(&mut blk, PassType::SigProp, plane as u8, sig_prop);
-            push_pass(&mut blk, PassType::MagRef, plane as u8, mag_ref);
-        }
+    let (seg, dist, symbols) = cleanup_enc(data, &mags, (w, pw), p_cup, raw_len);
+    let len = seg.len();
+    blk.data = seg;
+    push_pass(&mut blk, PassType::Cleanup, p_cup, len, dist, symbols);
+    for (plane, [sig_prop, mag_ref]) in sizes.into_iter().enumerate().take(planes).rev() {
+        let (len, dist, symbols) = sig_prop;
+        push_pass(&mut blk, PassType::SigProp, plane as u8, len, dist, symbols);
+        let (len, dist, symbols) = mag_ref;
+        push_pass(&mut blk, PassType::MagRef, plane as u8, len, dist, symbols);
     }
-
-    span.set_arg("symbols", blk.total_symbols());
-    blk
+    (blk, raw)
 }
 
-/// One coded pass: its segment, distortion reduction and symbol count.
-type Pass = (Vec<u8>, f64, u64);
-
-fn push_pass(blk: &mut EncodedBlock, pt: PassType, plane: u8, (seg, dist, symbols): Pass) {
-    blk.data.extend_from_slice(&seg);
-    blk.pass_ends.push(blk.data.len());
+/// Append a pass of `len` bytes, its distortion reduction and symbol
+/// count to the block's bookkeeping.
+fn push_pass(blk: &mut EncodedBlock, pt: PassType, plane: u8, len: usize, dist: f64, symbols: u64) {
+    let end = blk.pass_ends.last().map_or(0, |&e| e) + len;
+    blk.pass_ends.push(end);
     blk.passes.push(PassInfo {
         pass_type: pt,
         plane,
-        rate_bytes: blk.data.len(),
+        rate_bytes: end,
         dist_reduction: dist,
         symbols,
     });
@@ -201,8 +239,14 @@ impl QuadRows {
 
 /// The cleanup pass over the padded magnitudes (`pw` wide), one row of
 /// quads at a time. A quad's samples go in scan order (0,0), (1,0),
-/// (0,1), (1,1).
-fn cleanup_enc(data: &[i32], mags: &[u32], w: usize, pw: usize, p_cup: u8) -> Pass {
+/// (0,1), (1,1). The segment's buffer has room for `reserve` more bytes.
+fn cleanup_enc(
+    data: &[i32],
+    mags: &[u32],
+    (w, pw): (usize, usize),
+    p_cup: u8,
+    reserve: usize,
+) -> (Vec<u8>, f64, u64) {
     let mut rows = QuadRows::new(pw / 2);
     let mut mel = MelEncoder::new();
     let mut vlc = BitWriter::new();
@@ -272,7 +316,8 @@ fn cleanup_enc(data: &[i32], mags: &[u32], w: usize, pw: usize, p_cup: u8) -> Pa
     let vlc_bytes = vlc.finish();
     let ms_bytes = ms.finish();
     assert!(mel_bytes.len() <= u16::MAX as usize && vlc_bytes.len() <= u16::MAX as usize);
-    let mut seg = Vec::with_capacity(4 + mel_bytes.len() + vlc_bytes.len() + ms_bytes.len());
+    let mut seg =
+        Vec::with_capacity(4 + mel_bytes.len() + vlc_bytes.len() + ms_bytes.len() + reserve);
     seg.extend_from_slice(&(mel_bytes.len() as u16).to_le_bytes());
     seg.extend_from_slice(&(vlc_bytes.len() as u16).to_le_bytes());
     seg.extend_from_slice(&mel_bytes);
@@ -281,58 +326,97 @@ fn cleanup_enc(data: &[i32], mags: &[u32], w: usize, pw: usize, p_cup: u8) -> Pa
     (seg, dist, symbols)
 }
 
-/// The raw passes of planes 0 and 1, `[plane][SigProp, MagRef]`, from
-/// one sweep over the samples (the caller keeps the planes below its
-/// cleanup floor).
-///
-/// At each plane, SigProp codes one bit for every sample with no coded
-/// bit above the plane, plus its sign after a one; MagRef codes one bit
-/// for every other sample. So each sample appends 0–2 bits to each
-/// pass, by shifts rather than branches (random low-plane bits defeat a
-/// branch predictor), and 16 samples append at most 32: they gather in a
-/// word that is written once.
-fn raw_enc(data: &[i32]) -> [[Pass; 2]; 2] {
-    let mut sig_prop = [BitWriter::new(), BitWriter::new()];
-    let mut mag_ref = [BitWriter::new(), BitWriter::new()];
-    let mut sp_bits = [0u64; 2];
-    let mut mr_bits = [0u64; 2];
-    for chunk in data.chunks(16) {
-        let mut sp = [(0u32, 0u32); 2];
-        let mut mr = [(0u32, 0u32); 2];
-        for &v in chunk {
-            let m = v.unsigned_abs();
-            let sign = u32::from(v < 0);
-            for p in 0..2 {
-                let bit = (m >> p) & 1;
-                let sig = u32::from(m >> (p + 1) != 0);
-                let hit = bit & (sig ^ 1);
-                let k = (sig ^ 1) + hit;
-                sp[p] = ((sp[p].0 << k) | (hit << 1) | (hit & sign), sp[p].1 + k);
-                mr[p] = ((mr[p].0 << sig) | (bit & sig), mr[p].1 + sig);
-            }
+/// One sample's raw-pass byte: its magnitude's bits 0 and 1, its sign
+/// (bit 2), and whether its magnitude reaches plane 2 (bit 3). That is
+/// all the raw passes of planes 0 and 1 read.
+#[inline]
+fn raw_byte(v: i32) -> u8 {
+    let m = v.unsigned_abs();
+    (m & 3) as u8 | u8::from(v < 0) << 2 | u8::from(m > 3) << 3
+}
+
+/// The raw refinement passes of a block that [`size_block`] sized but did
+/// not pack: one byte per sample (see `raw_byte`) and the number of
+/// planes below the cleanup floor.
+pub struct RawPasses {
+    samples: Vec<u8>,
+    planes: u8,
+}
+
+impl RawPasses {
+    /// The raw passes of planes 0 and 1, `[plane][SigProp, MagRef]`, as
+    /// (bytes, distortion reduction, symbols), from counts alone.
+    ///
+    /// At each plane, SigProp codes one bit for every sample with no coded
+    /// bit above the plane, plus its sign after a one; MagRef codes one
+    /// bit for every other sample. A segment is its bits padded to whole
+    /// bytes. Every term of a pass's distortion estimate is the same, 2^k
+    /// or 9·2^k, so count × term is the exact sum.
+    fn sizes(&self) -> [[(usize, f64, u64); 2]; 2] {
+        // Samples of magnitude 1, of at least 2 and of at least 4.
+        let (mut ones, mut twos, mut fours) = (0u32, 0u32, 0u32);
+        for &b in &self.samples {
+            ones += u32::from(b & 0b1011 == 1);
+            twos += u32::from(b & 0b1010 != 0);
+            fours += u32::from(b >> 3);
         }
-        for p in 0..2 {
-            sig_prop[p].put_bits(sp[p].0, sp[p].1);
-            mag_ref[p].put_bits(mr[p].0, mr[p].1);
-            sp_bits[p] += u64::from(sp[p].1);
-            mr_bits[p] += u64::from(mr[p].1);
-        }
+        let samples = self.samples.len() as u64;
+        let pass = |p: usize, sig: u32, hits: u32| {
+            let (sig, hits) = (u64::from(sig), u64::from(hits));
+            let insig = samples - sig;
+            let bytes = |bits: u64| bits.div_ceil(8) as usize;
+            [
+                (bytes(insig + hits), hits as f64 * D_SIG[p], insig),
+                (bytes(sig), sig as f64 * D_REF[p], sig),
+            ]
+        };
+        [pass(0, twos, ones), pass(1, fours, twos - fours)]
     }
-    // A MagRef bit per significant sample; a SigProp bit per other
-    // sample, and one more per sign. Every term of a pass's estimate is
-    // the same, 2^k or 9·2^k, so count × term is the exact sum.
-    let samples = data.len() as u64;
-    let [sp0, sp1] = sig_prop;
-    let [mr0, mr1] = mag_ref;
-    let pass = |p: usize, sp: BitWriter, mr: BitWriter| {
-        let insig = samples - mr_bits[p];
-        let hits = sp_bits[p] - insig;
-        [
-            (sp.finish(), hits as f64 * D_SIG[p], insig),
-            (mr.finish(), mr_bits[p] as f64 * D_REF[p], mr_bits[p]),
-        ]
-    };
-    [pass(0, sp0, mr0), pass(1, sp1, mr1)]
+
+    /// Append the raw passes' segments to `blk`, the block [`size_block`]
+    /// returned with these passes, making it [`encode_block`]'s. The
+    /// buffer [`size_block`] made has room for them, so packing allocates
+    /// and frees nothing, wherever it runs.
+    pub fn pack(&self, blk: &mut EncodedBlock) {
+        let total = blk.bytes_for_passes(blk.passes.len());
+        let mut data = std::mem::take(&mut blk.data);
+        for plane in (0..self.planes).rev() {
+            // Whether a sample has a bit above `plane`.
+            let above = move |b: u32| match plane {
+                0 => u32::from(b & 0b1010 != 0),
+                _ => b >> 3,
+            };
+            let bit = move |b: u32| (b >> plane) & 1;
+            // SigProp: a bit for each sample with none above, and its
+            // sign (byte bit 2) after a one.
+            data = put_pass(data, &self.samples, |b| {
+                let hit = bit(b) & (above(b) ^ 1);
+                ((hit << 1) | (hit & (b >> 2)), (above(b) ^ 1) + hit)
+            });
+            // MagRef: a bit for each other sample.
+            data = put_pass(data, &self.samples, |b| (bit(b) & above(b), above(b)));
+        }
+        blk.data = data;
+        assert_eq!(blk.data.len(), total, "packed raw passes match their sizes");
+    }
+}
+
+/// Append one raw pass to `data`: each sample's `code(byte)`, a value of
+/// at most 2 bits and its length, MSB first, padded to a whole byte.
+/// Codes are gathered 16 samples (at most 32 bits) to a word by shifts
+/// rather than branches: random low-plane bits defeat a branch predictor.
+fn put_pass(data: Vec<u8>, samples: &[u8], code: impl Fn(u32) -> (u32, u32)) -> Vec<u8> {
+    let mut w = BitWriter::appending(data);
+    for chunk in samples.chunks(16) {
+        let (mut word, mut len) = (0u32, 0u32);
+        for &b in chunk {
+            let (v, k) = code(u32::from(b));
+            word = (word << k) | v;
+            len += k;
+        }
+        w.put_bits(word, len);
+    }
+    w.finish()
 }
 
 /// Decode the first `num_passes` passes of a block coded by
@@ -747,6 +831,118 @@ mod tests {
                 for len in [0usize, 1, 4, 5, 8, 64, 4096] {
                     decode_hostile(&vec![fill; len], &[len], 1, w, h, planes);
                 }
+            }
+        }
+    }
+
+    /// The raw SigProp and MagRef passes of `plane`, packed one bit at a
+    /// time straight from the samples, with their distortion reductions
+    /// summed term by term: the reference for the sizes and the packer.
+    fn raw_reference(data: &[i32], plane: usize) -> [(Vec<u8>, f64, u64); 2] {
+        let (mut sp, mut mr) = (BitWriter::new(), BitWriter::new());
+        let (mut sp_dist, mut mr_dist, mut insig, mut sig) = (0.0, 0.0, 0, 0);
+        for &v in data {
+            let m = v.unsigned_abs();
+            let bit = (m >> plane) & 1;
+            if m >> (plane + 1) != 0 {
+                mr.put_bits(bit, 1);
+                mr_dist += D_REF[plane];
+                sig += 1;
+            } else {
+                sp.put_bits(bit, 1);
+                insig += 1;
+                if bit == 1 {
+                    sp.put_bits(u32::from(v < 0), 1);
+                    sp_dist += D_SIG[plane];
+                }
+            }
+        }
+        [(sp.finish(), sp_dist, insig), (mr.finish(), mr_dist, sig)]
+    }
+
+    /// A random `w`×`h` block whose magnitudes take exactly `planes` bit
+    /// planes: each sample's bit length is uniform in `0..=planes`, so
+    /// small magnitudes (the raw passes' hits) are common at any depth.
+    fn block_of_depth(rng: &mut StdRng, w: usize, h: usize, planes: u32) -> Vec<i32> {
+        let mut data: Vec<i32> = (0..w * h)
+            .map(|_| {
+                let len = rng.gen_range(0..=planes);
+                let m = if len == 0 {
+                    0
+                } else {
+                    let top = 1i32 << (len - 1);
+                    top | rng.gen_range(0..top)
+                };
+                if rng.gen_bool(0.5) {
+                    m
+                } else {
+                    -m
+                }
+            })
+            .collect();
+        if planes > 0 {
+            let top = 1i32 << (planes - 1);
+            data[rng.gen_range(0..w * h)] = -(top | rng.gen_range(0..top));
+        }
+        data
+    }
+
+    #[test]
+    fn sized_blocks_pack_into_the_reference_passes() {
+        let mut rng = StdRng::seed_from_u64(27);
+        for (w, h) in [(1, 1), (1, 7), (5, 1), (3, 5), (17, 9), (33, 63), (64, 64)] {
+            for planes in 0..=31u32 {
+                let data = block_of_depth(&mut rng, w, h, planes);
+                let what = format!("{w}x{h}, {planes} planes");
+                let enc = encode_block(&data, w, h);
+                let (sized, raw) = size_block(&data, w, h);
+                assert_eq!(u32::from(sized.num_planes), planes, "{what}");
+                assert_eq!((sized.w, sized.h), (w, h), "{what}");
+                assert_eq!(sized.num_planes, enc.num_planes, "{what}");
+                assert_eq!(sized.pass_ends, enc.pass_ends, "{what}");
+                assert_eq!(sized.passes.len(), enc.passes.len(), "{what}");
+                for (s, e) in sized.passes.iter().zip(&enc.passes) {
+                    assert_eq!(
+                        (s.pass_type, s.plane, s.rate_bytes, s.symbols),
+                        (e.pass_type, e.plane, e.rate_bytes, e.symbols),
+                        "{what}"
+                    );
+                    assert_eq!(
+                        s.dist_reduction.to_bits(),
+                        e.dist_reduction.to_bits(),
+                        "{what}"
+                    );
+                }
+                // Sized data is the cleanup segment alone, and packing the
+                // per-sample bytes completes it into `encode_block`'s.
+                let cleanup = enc.pass_ends.first().map_or(0, |&e| e);
+                assert_eq!(sized.data, enc.data[..cleanup], "{what}");
+                let mut packed = sized;
+                raw.pack(&mut packed);
+                assert_eq!(packed.data, enc.data, "{what}");
+
+                // Every raw pass against the bit-at-a-time reference.
+                let p_cup = cup_plane(planes as u8);
+                let mut want = enc.data[..cleanup].to_vec();
+                let mut k = 1;
+                for plane in (0..usize::from(p_cup)).rev() {
+                    for (seg, dist, symbols) in raw_reference(&data, plane) {
+                        want.extend_from_slice(&seg);
+                        let pass = &enc.passes[k];
+                        assert_eq!(pass.plane as usize, plane, "{what}");
+                        assert_eq!(enc.pass_ends[k], want.len(), "{what} pass {k}");
+                        assert_eq!(pass.symbols, symbols, "{what} pass {k}");
+                        assert_eq!(
+                            pass.dist_reduction.to_bits(),
+                            dist.to_bits(),
+                            "{what} pass {k}"
+                        );
+                        k += 1;
+                    }
+                }
+                assert_eq!(k, enc.passes.len().max(1), "{what}");
+                assert_eq!(enc.data, want, "{what}");
+                roundtrip_exact(&data, w, h);
             }
         }
     }

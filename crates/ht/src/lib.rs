@@ -18,11 +18,14 @@
 //!
 //! The coder produces the same [`ebcot::block::EncodedBlock`] the MQ
 //! coder does and is selected per encode through `j2k-core`'s
-//! `BlockCoder` registry.
+//! `BlockCoder` registry. [`size_block`] codes the cleanup pass and only
+//! sizes the raw passes, for an encoder whose rate control may drop them;
+//! [`RawPasses::pack`] writes them when it keeps them, and
+//! [`encode_block`] is the two at once.
 
 mod bitio;
 mod block;
 mod mel;
 mod vlc;
 
-pub use block::{cup_plane, decode_block, encode_block, HtError};
+pub use block::{cup_plane, decode_block, encode_block, size_block, HtError, RawPasses};

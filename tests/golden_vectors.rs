@@ -16,7 +16,7 @@
 
 use jpeg2000_cell::codec::cell::SimOptions;
 use jpeg2000_cell::codec::{
-    decode, encode, encode_on_cell, encode_with, Arithmetic, Coder, EncoderParams,
+    codestream, decode, encode, encode_on_cell, encode_with, Arithmetic, Coder, EncoderParams,
 };
 use jpeg2000_cell::images::Image;
 use jpeg2000_cell::machine::MachineConfig;
@@ -236,6 +236,41 @@ fn corpus_is_byte_exact_across_drivers() {
     if blessing() {
         panic!("blessed {blessed} fixtures; rerun without GOLDEN_BLESS to verify");
     }
+}
+
+/// Blocks of a fixture's codestream whose kept passes reach past the HT
+/// cleanup pass into the raw passes, and all its blocks.
+fn blocks_keeping_raw_passes(name: &str) -> (usize, usize) {
+    let bytes = std::fs::read(fixture_path(name)).expect(name);
+    let parsed = codestream::parse(&bytes).expect(name);
+    assert_eq!(parsed.header.coder, Coder::Ht, "{name}");
+    let raw = parsed
+        .blocks
+        .iter()
+        .filter(|b| b.layer_passes.last() > Some(&1))
+        .count();
+    (raw, parsed.blocks.len())
+}
+
+/// The lossy HT fixtures pin both sides of the encoder's raw-pass
+/// packing, which runs only for blocks whose kept passes reach a raw
+/// pass: one fixture keeps raw passes in some blocks, the other in none.
+/// A re-bless that lost either would leave that path unpinned.
+#[test]
+fn ht_fixtures_cover_packed_and_skipped_raw_passes() {
+    if blessing() {
+        return; // fixtures are being rewritten in the sibling test
+    }
+    let (raw, all) = blocks_keeping_raw_passes("ht_lossy_rgb_100x40_r40_l3");
+    assert!(
+        raw > 0,
+        "ht_lossy_rgb_100x40_r40_l3: no block of {all} keeps a raw pass"
+    );
+    let (raw, all) = blocks_keeping_raw_passes("ht_lossy_gray_96x96_r25");
+    assert_eq!(
+        raw, 0,
+        "ht_lossy_gray_96x96_r25: {raw} of {all} blocks keep raw passes"
+    );
 }
 
 fn quality_path() -> PathBuf {
