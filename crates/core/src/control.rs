@@ -46,11 +46,6 @@ impl EncodeControl {
         self.cancelled.load(Ordering::Relaxed)
     }
 
-    /// The configured deadline, if any.
-    pub fn deadline(&self) -> Option<Instant> {
-        self.deadline
-    }
-
     /// Checkpoint: `Err(Cancelled)` after [`cancel`](Self::cancel),
     /// `Err(Deadline)` once the deadline has passed, `Ok` otherwise.
     /// Cancellation wins over an expired deadline.
@@ -65,11 +60,6 @@ impl EncodeControl {
         }
         Ok(())
     }
-
-    /// Non-erroring form of [`check`](Self::check).
-    pub fn is_stopped(&self) -> bool {
-        self.check().is_err()
-    }
 }
 
 #[cfg(test)]
@@ -81,8 +71,7 @@ mod tests {
     fn fresh_control_is_live() {
         let c = EncodeControl::new();
         assert!(c.check().is_ok());
-        assert!(!c.is_stopped());
-        assert!(c.deadline().is_none());
+        assert!(!c.cancel_requested());
     }
 
     #[test]
@@ -97,7 +86,6 @@ mod tests {
     fn expired_deadline_stops() {
         let c = EncodeControl::with_deadline(Instant::now() - Duration::from_millis(1));
         assert!(matches!(c.check(), Err(CodecError::Deadline)));
-        assert!(c.is_stopped());
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! contiguous-codestream box — which is what every common `.jp2` file
 //! carries.
 
-use crate::codestream::{self, MainHeader};
+use crate::codestream;
 use crate::CodecError;
 
 const BOX_SIGNATURE: &[u8; 4] = b"jP\x20\x20";
@@ -113,21 +113,6 @@ pub fn is_jp2(data: &[u8]) -> bool {
     data.len() >= 12 && &data[4..8] == BOX_SIGNATURE && data[8..12] == SIGNATURE_PAYLOAD
 }
 
-/// Decode either a raw codestream or a JP2 container.
-pub fn decode_auto(data: &[u8]) -> Result<imgio::Image, CodecError> {
-    if is_jp2(data) {
-        crate::decode(unwrap(data)?)
-    } else {
-        crate::decode(data)
-    }
-}
-
-/// Summary of the container boxes (for `j2kcell info`).
-pub fn describe(data: &[u8]) -> Result<(MainHeader, usize), CodecError> {
-    let cs = if is_jp2(data) { unwrap(data)? } else { data };
-    Ok((codestream::parse(cs)?.header, cs.len()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -142,8 +127,7 @@ mod tests {
         assert!(is_jp2(&jp2));
         assert!(!is_jp2(&cs));
         assert_eq!(unwrap(&jp2).unwrap(), &cs[..]);
-        assert_eq!(decode_auto(&jp2).unwrap(), im);
-        assert_eq!(decode_auto(&cs).unwrap(), im);
+        assert_eq!(crate::decode(unwrap(&jp2).unwrap()).unwrap(), im);
     }
 
     #[test]
@@ -233,7 +217,7 @@ mod tests {
     }
 
     #[test]
-    fn describe_both_formats() {
+    fn wrapped_stream_keeps_its_main_header() {
         let im = synth::natural(24, 24, 5);
         let cs = crate::encode(
             &im,
@@ -243,10 +227,10 @@ mod tests {
             },
         )
         .unwrap();
-        let (h1, l1) = describe(&cs).unwrap();
-        let (h2, l2) = describe(&wrap(&cs).unwrap()).unwrap();
+        let jp2 = wrap(&cs).unwrap();
+        let (h1, _) = codestream::read_header(&cs).unwrap();
+        let (h2, _) = codestream::read_header(unwrap(&jp2).unwrap()).unwrap();
         assert_eq!(h1, h2);
-        assert_eq!(l1, l2);
         assert_eq!(h1.width, 24);
     }
 }

@@ -38,7 +38,7 @@ pub enum FaultAction {
     /// `Some(message)`); the callsite maps it into its local error type.
     Error(String),
     /// Panic at the callsite with the given message — the lever for
-    /// exercising `catch_unwind` isolation and worker respawn.
+    /// exercising the service's `catch_unwind` recovery.
     Panic(String),
     /// Sleep for the given duration, then proceed normally — models a
     /// straggling stage or a slow queue claim.

@@ -271,10 +271,10 @@ pub fn instant(name: impl Into<Cow<'static, str>>, args: &[(&'static str, u64)])
 }
 
 /// Record an instant under an explicit trace id, written straight to
-/// the global sink (bypassing TLS). For cold cross-thread events —
-/// crash handling, supervisor respawns — where the recording thread
-/// is about to die and deterministic visibility to the next reader
-/// matters more than lock-freedom.
+/// the global sink (bypassing TLS). For cold events — crash handling,
+/// failpoint hits — where the recording thread is unwinding and
+/// deterministic visibility to the next reader matters more than
+/// lock-freedom.
 pub fn instant_for(
     trace_id: u64,
     name: impl Into<Cow<'static, str>>,

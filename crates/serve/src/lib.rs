@@ -25,12 +25,12 @@
 //!   typed errors and allocation bounded before it happens;
 //! * [`server`] — the TCP daemon loop behind the `j2kserved` binary.
 //!
-//! The service is **self-healing** (DESIGN.md §11): workers run jobs
-//! under `catch_unwind`, a supervisor respawns crashed workers and
-//! retries their interrupted jobs with a bounded budget and exponential
-//! backoff, repeat offenders are quarantined with a typed
-//! [`JobOutcome::Poisoned`], and the wire protocol exposes a `Health`
-//! probe ([`HealthSnapshot`]). Every recovery path is exercised
+//! The service **recovers in place** (DESIGN.md §11): each pool worker
+//! runs every iteration under `catch_unwind`, and the worker that caught
+//! a job's panic requeues the job at once for its one retry, or
+//! completes it as a typed [`JobOutcome::Poisoned`] after a second
+//! crash, then goes back to the queue; the wire protocol exposes a
+//! `Health` probe ([`HealthSnapshot`]). Every recovery path is exercised
 //! deterministically by the `fault_recovery` suite through the
 //! `failpoints` feature (the [`faultsim`] registry), which compiles to a
 //! no-op in release builds.

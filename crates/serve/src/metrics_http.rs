@@ -68,13 +68,13 @@ pub fn render_prometheus(svc: &EncodeService) -> String {
     obs::prom::counter(
         &mut out,
         "j2k_jobs_retried_total",
-        "Crash retries scheduled.",
+        "Crash retries requeued.",
         m.jobs_retried,
     );
     obs::prom::counter(
         &mut out,
         "j2k_jobs_poisoned_total",
-        "Jobs quarantined after exhausting the crash-retry budget.",
+        "Jobs poisoned: they crashed their worker on their retry too.",
         m.jobs_poisoned,
     );
     obs::prom::counter(
@@ -91,9 +91,9 @@ pub fn render_prometheus(svc: &EncodeService) -> String {
     );
     obs::prom::counter(
         &mut out,
-        "j2k_workers_respawned_total",
-        "Worker threads respawned after a crash.",
-        m.workers_respawned,
+        "j2k_worker_panics_total",
+        "Panics the pool workers caught, with or without a claimed job.",
+        m.worker_panics,
     );
     obs::prom::counter(
         &mut out,

@@ -418,8 +418,9 @@ impl std::fmt::Debug for PressureController {
 }
 
 /// RAII share of the in-flight pixel budget: created at admission,
-/// released when the job reaches a terminal state (the owning task is
-/// dropped), so crash retries and quarantines can never leak budget.
+/// released when the job reaches a terminal state (explicitly, before
+/// the waiter wakes, with the owning task's drop as the backstop), so
+/// crash retries and poisoned jobs can never leak budget.
 pub struct PixelReservation {
     ctl: Arc<PressureController>,
     pixels: u64,

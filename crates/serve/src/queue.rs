@@ -64,11 +64,6 @@ struct Inner<T> {
     seq: u64,
     closed: bool,
     paused: bool,
-    /// Admitted jobs promised back to the queue but not yet re-pushed
-    /// (crash retries waiting out a backoff). While nonzero, a closed and
-    /// empty queue is *not* drained: workers keep waiting so the retry
-    /// still runs — graceful shutdown completes every admitted job.
-    reserved: usize,
 }
 
 /// Bounded MPMC priority queue with close and pause/resume.
@@ -87,7 +82,6 @@ impl<T> JobQueue<T> {
                 seq: 0,
                 closed: false,
                 paused: false,
-                reserved: 0,
             }),
             cv: Condvar::new(),
             capacity: capacity.max(1),
@@ -136,30 +130,12 @@ impl<T> JobQueue<T> {
         Ok(())
     }
 
-    /// Promise that one already-admitted job will be [`requeue`d](Self::requeue)
-    /// later (a crash retry waiting out its backoff). Keeps a closed queue
-    /// from reading as drained in the meantime.
-    pub fn reserve(&self) {
-        self.inner.lock().unwrap().reserved += 1;
-    }
-
-    /// Cancel a [`reserve`](Self::reserve) without re-pushing (the retry
-    /// resolved another way — poisoned, timed out, or abandoned).
-    pub fn unreserve(&self) {
-        let mut g = self.inner.lock().unwrap();
-        g.reserved = g.reserved.saturating_sub(1);
-        drop(g);
-        // A drained-and-closed queue may just have become terminal.
-        self.cv.notify_all();
-    }
-
-    /// Re-admit a job the service already accepted once (a crash retry),
-    /// consuming one reservation if any are held. Bypasses both the
-    /// capacity bound (the job's admission slot was paid at submit) and
-    /// `closed` (graceful drain completes admitted jobs).
+    /// Re-admit a job the service already accepted once (a crash retry).
+    /// Bypasses both the capacity bound (the job's admission slot was
+    /// paid at submit) and `closed` (graceful drain completes admitted
+    /// jobs).
     pub fn requeue(&self, item: T, priority: u8) {
         let mut g = self.inner.lock().unwrap();
-        g.reserved = g.reserved.saturating_sub(1);
         let seq = g.seq;
         g.seq += 1;
         g.heap.push(Entry {
@@ -172,9 +148,9 @@ impl<T> JobQueue<T> {
     }
 
     /// Claim the highest-priority job, blocking while the queue is empty
-    /// or paused. Returns `None` once the queue is closed *and* drained
-    /// (empty with no outstanding retry reservations) — the worker-pool
-    /// exit signal.
+    /// or paused. Returns `None` once the queue is closed and empty — the
+    /// worker-pool exit signal. A crash retry cannot slip past it: the
+    /// worker that requeues the job is still alive to pop it.
     pub fn pop(&self) -> Option<T> {
         // Failpoint `queue.pop`: evaluated before the lock is taken, so
         // an injected panic can never poison the queue mutex. A panic
@@ -188,10 +164,8 @@ impl<T> JobQueue<T> {
                 if let Some(e) = g.heap.pop() {
                     return Some(e.item);
                 }
-                if g.closed && g.reserved == 0 {
-                    return None;
-                }
-            } else if g.closed && g.heap.is_empty() && g.reserved == 0 {
+            }
+            if g.closed && g.heap.is_empty() {
                 return None;
             }
             g = self.cv.wait(g).unwrap();
@@ -211,14 +185,6 @@ impl<T> JobQueue<T> {
     /// Whether [`close`](Self::close) has been called.
     pub fn is_closed(&self) -> bool {
         self.inner.lock().unwrap().closed
-    }
-
-    /// Whether the queue has reached its terminal state: closed, empty,
-    /// and holding no retry reservations — exactly the condition under
-    /// which [`pop`](Self::pop) returns `None`.
-    pub fn is_drained(&self) -> bool {
-        let g = self.inner.lock().unwrap();
-        g.closed && g.heap.is_empty() && g.reserved == 0
     }
 
     /// Hold all workers at the queue even if jobs are available. Jobs
@@ -312,31 +278,6 @@ mod tests {
         assert_eq!(q.pop(), Some(2));
         assert_eq!(q.pop(), Some(1));
         assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn reservation_holds_drain_open_until_requeue() {
-        let q = std::sync::Arc::new(JobQueue::new(2));
-        q.reserve();
-        q.close();
-        // Closed + empty but reserved: pop must wait for the promised
-        // retry instead of reading the queue as drained.
-        let q2 = q.clone();
-        let t = std::thread::spawn(move || q2.pop());
-        q.requeue(9, 0);
-        assert_eq!(t.join().unwrap(), Some(9));
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn unreserve_releases_drain() {
-        let q = std::sync::Arc::new(JobQueue::<u32>::new(2));
-        q.reserve();
-        q.close();
-        let q2 = q.clone();
-        let t = std::thread::spawn(move || q2.pop());
-        q.unreserve();
-        assert_eq!(t.join().unwrap(), None);
     }
 
     #[test]

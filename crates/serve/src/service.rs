@@ -1,5 +1,6 @@
-//! The encode service: admission control in front of a **self-healing**
-//! worker pool that drains the bounded [`crate::queue::JobQueue`].
+//! The encode service: admission control in front of a worker pool that
+//! drains the bounded [`crate::queue::JobQueue`] and survives its jobs'
+//! panics.
 //!
 //! Life of a job: [`EncodeService::submit`] computes the job's deadline,
 //! wraps image + params + a shared [`EncodeControl`] into a queue task,
@@ -18,38 +19,38 @@
 //!
 //! Every worker iteration runs under `catch_unwind`: a panicking encode
 //! (bad geometry reaching a kernel, a future SIMD bug, an injected
-//! `faultsim` failpoint) is **isolated** — it retires that one worker
-//! thread instead of silently shrinking the pool. The crash path:
+//! `faultsim` failpoint) is **recovered in place** by the worker that
+//! caught it. That worker charges its claimed job one crash, then
 //!
-//! 1. the dying worker hands its claimed job to the crash handler, which
-//!    either **re-enqueues** it (bounded retry budget, exponential
-//!    backoff, bypassing the admission bound — the slot was paid at
-//!    submit) or **quarantines** it after repeated crashes, completing
-//!    the handle with a typed [`JobOutcome::Poisoned`];
-//! 2. a retry whose backoff would end past the job's deadline resolves
-//!    [`JobOutcome::TimedOut`] immediately — no doomed wait;
-//! 3. the worker notifies the **supervisor** and exits; the supervisor
-//!    joins the dead thread and spawns a fresh replacement (fresh stack,
-//!    no suspect state), keeping the pool at strength;
-//! 4. delayed retries park at the supervisor until due, holding a queue
-//!    *reservation* so graceful shutdown still drains them.
+//! 1. resolves it now if its control has stopped (deadline passed or
+//!    cancelled), with the outcome and counter an encode that returned
+//!    that error gets;
+//! 2. **requeues** it at once after its first crash (bypassing the
+//!    admission bound — the slot was paid at submit), or completes it as
+//!    a typed [`JobOutcome::Poisoned`] after its second;
+//! 3. goes back to `pop`. The pool never shrinks, so no thread replaces
+//!    it, and a retry requeued during shutdown still runs: the worker
+//!    that requeued it has not left the queue.
 //!
 //! **Unwind-safety argument** for the `AssertUnwindSafe`: the encode
 //! call owns every piece of mutable state it touches — planes, chunk
 //! plans, Tier-1 slots all live in the call frame and die in the unwind.
-//! The state shared across the boundary is (a) the job queue, whose
-//! mutex is never held while user code runs, (b) the claimed-task slot,
-//! written only between `pop` and the encode call, and (c) the metrics
-//! atomics, which are monotone counters. A panic can therefore leave no
-//! torn invariant behind; locks that could in principle observe a
-//! panicking test thread are recovered with `into_inner` instead of
-//! unwrapping the poison flag.
+//! A panic on a helper thread of a multi-worker job reaches the pool
+//! thread only after `std::thread::scope` has joined every helper
+//! (`claim_jobs` resumes the panic there), so no helper outlives the
+//! unwind either. The state shared across the boundary is (a) the job
+//! queue, whose mutex is never held while user code runs, (b) the
+//! claimed-task slot, set between `pop` and the encode call and cleared
+//! once the job's outcome is out, (c) the metrics atomics, which are
+//! monotone counters, and (d) the thread-local trace buffer, which the
+//! crash path flushes and whose current id it resets. A panic can therefore leave no torn invariant
+//! behind; locks that could in principle observe a panicking thread are
+//! recovered with `into_inner` instead of unwrapping the poison flag.
 //!
 //! Shutdown is graceful by construction: [`EncodeService::begin_shutdown`]
 //! closes the queue (new submissions refuse with
-//! [`SubmitError::ShuttingDown`]) while queued, in-flight, *and pending
-//! retry* jobs drain; [`EncodeService::shutdown`] additionally joins the
-//! supervisor (and with it every worker, original or respawned).
+//! [`SubmitError::ShuttingDown`]) while queued, in-flight and requeued
+//! jobs drain; [`EncodeService::shutdown`] additionally joins the pool.
 
 use crate::pressure::{PixelReservation, PressureConfig, PressureController, PressureLevel};
 use crate::queue::{JobQueue, PushError};
@@ -57,18 +58,19 @@ use imgio::Image;
 use j2k_core::{encode_with, CodecError, EncodeControl, EncoderParams};
 use obs::hist::HistogramSnapshot;
 use obs::trace;
-use std::collections::{HashMap, VecDeque};
+use std::cell::Cell;
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Quarantined job ids kept for [`EncodeService::quarantined`] (the
-/// count itself is unbounded; see `jobs_poisoned`).
-const QUARANTINE_KEEP: usize = 64;
+/// Crash retries a job gets: a job that crashes once is requeued, a job
+/// that crashes twice is [`JobOutcome::Poisoned`]. A job that poisons one
+/// worker gets a second chance; a job that kills two is the problem.
+const CRASH_RETRIES: u32 = 1;
 
 /// One encode request.
 #[derive(Debug, Clone)]
@@ -117,15 +119,15 @@ pub enum JobOutcome {
         /// job to the HT coder (DESIGN.md §16).
         degraded: bool,
     },
-    /// The job's deadline passed (queued, mid-encode, or during a crash
-    /// retry's backoff).
+    /// The job's deadline passed (queued, mid-encode, or before a crash
+    /// retry could be requeued).
     TimedOut,
     /// [`JobHandle::cancel`] stopped the job.
     Cancelled,
     /// The encoder rejected the job (bad params/image) or failed.
     Failed(String),
-    /// The job crashed its worker more than the retry budget allows and
-    /// is quarantined: the service refuses to run it again.
+    /// The job crashed its worker on its retry too: the service refuses
+    /// to run it again.
     Poisoned {
         /// Human-readable crash summary.
         message: String,
@@ -216,18 +218,18 @@ impl JobHandle {
 }
 
 /// A queued unit of work. Shared as `Arc` so a crashing worker's handler
-/// and the retry path hand the *same* job (with its crash count) around
-/// without copying the image.
+/// requeues the *same* job (with its crash count) without copying the
+/// image.
 struct Task {
     image: Image,
     params: EncoderParams,
     priority: u8,
     /// True when admission downgraded the params to the HT coder.
     degraded: bool,
-    /// Share of the in-flight pixel budget. Released explicitly *before*
-    /// the outcome is fulfilled (so a waiter that reads metrics right
-    /// after `wait()` sees the pixels gone), with the `Drop` of the last
-    /// `Arc` as the backstop for retry, quarantine, and shutdown paths.
+    /// Share of the in-flight pixel budget. [`finish`] releases it
+    /// *before* it fulfils the outcome, so a waiter that reads metrics
+    /// right after `wait()` sees the pixels gone; the `Drop` of the last
+    /// `Arc` is the backstop.
     pixels: Mutex<Option<PixelReservation>>,
     /// Times this job has crashed a worker.
     crashes: AtomicU32,
@@ -258,13 +260,6 @@ pub struct ServiceConfig {
     pub workers_per_job: usize,
     /// Deadline for jobs that set none.
     pub default_timeout: Option<Duration>,
-    /// How many times a job that *crashes a worker* is retried before it
-    /// is quarantined as [`JobOutcome::Poisoned`]. 1 (the default) means
-    /// a job that crashes twice is poisoned.
-    pub max_crash_retries: u32,
-    /// Base backoff before a crash retry re-enters the queue; doubles per
-    /// crash (`base << (crashes-1)`). Zero retries immediately.
-    pub retry_backoff: Duration,
     /// When set (and tracing is enabled), each finished job's trace is
     /// also written to `DIR/trace-job-<id>.json`, keeping at most
     /// [`trace_keep`](Self::trace_keep) files.
@@ -288,8 +283,6 @@ impl Default for ServiceConfig {
             pool_threads: 2,
             workers_per_job: 1,
             default_timeout: None,
-            max_crash_retries: 1,
-            retry_backoff: Duration::from_millis(100),
             trace_dir: None,
             trace_keep: 16,
             pressure: PressureConfig::default(),
@@ -310,7 +303,7 @@ struct Metrics {
     poisoned: AtomicU64,
     decoded: AtomicU64,
     decode_failed: AtomicU64,
-    workers_respawned: AtomicU64,
+    worker_panics: AtomicU64,
     workers_alive: AtomicU64,
     /// Jobs refused by the *pressure* policy (a subset of `rejected`,
     /// which also counts queue-full refusals).
@@ -321,8 +314,6 @@ struct Metrics {
     conns_active: AtomicU64,
     /// Wire connections refused (cap reached or Critical pressure).
     conns_rejected: AtomicU64,
-    /// Most recent quarantined job ids (bounded at [`QUARANTINE_KEEP`]).
-    quarantine: Mutex<Vec<u64>>,
     /// Latency / throughput distributions: queue-wait, per-stage, whole
     /// job, Tier-1 symbol throughput. Recording is lock-free.
     hist: obs::Registry,
@@ -339,7 +330,7 @@ struct Metrics {
 ///
 /// Every counter lives in service-owned atomics shared by reference with
 /// the pool — nothing is held in worker-local state, so the numbers
-/// survive any number of worker crashes and respawns.
+/// survive any number of caught panics.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MetricsSnapshot {
     /// Jobs queued right now (admitted, not yet claimed).
@@ -358,17 +349,17 @@ pub struct MetricsSnapshot {
     pub cancelled: u64,
     /// Jobs the encoder refused or failed.
     pub failed: u64,
-    /// Crash retries scheduled (a job that crashed once and completed on
+    /// Crash retries requeued (a job that crashed once and completed on
     /// retry contributes 1 here and 1 to `completed`).
     pub jobs_retried: u64,
-    /// Jobs quarantined after exhausting the crash-retry budget.
+    /// Jobs poisoned: they crashed their worker on their retry too.
     pub jobs_poisoned: u64,
     /// Decode requests that returned an image.
     pub decoded: u64,
     /// Decode requests the decoder rejected.
     pub decode_failed: u64,
-    /// Worker threads respawned after a crash.
-    pub workers_respawned: u64,
+    /// Panics the pool workers caught, with or without a claimed job.
+    pub worker_panics: u64,
     /// Worker threads currently live.
     pub workers_alive: u64,
     /// Current pressure classification (0 nominal / 1 elevated /
@@ -389,23 +380,23 @@ pub struct MetricsSnapshot {
 }
 
 /// Readiness probe payload for the wire `Health` request: is the pool at
-/// strength, is anything quarantined, how deep is the queue.
+/// strength, has anything crashed or been poisoned, how deep is the
+/// queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HealthSnapshot {
     /// Worker threads currently live.
     pub workers_alive: u64,
     /// Configured pool size (the target for `workers_alive`).
     pub pool_threads: u64,
-    /// Workers respawned after crashes since start.
-    pub workers_respawned: u64,
+    /// Panics the pool workers caught since start.
+    pub worker_panics: u64,
     /// Jobs queued right now.
     pub queue_depth: u64,
     /// The admission bound.
     pub queue_capacity: u64,
-    /// Crash retries scheduled since start.
+    /// Crash retries requeued since start.
     pub jobs_retried: u64,
-    /// Jobs quarantined after exhausting the crash-retry budget — the
-    /// quarantine count.
+    /// Jobs poisoned since start (the quarantine count).
     pub jobs_poisoned: u64,
     /// Whether the service still accepts submissions (false once
     /// shutdown has begun).
@@ -426,15 +417,6 @@ impl HealthSnapshot {
     }
 }
 
-/// Worker → supervisor notifications.
-enum SupMsg {
-    /// A worker thread exited (cleanly on drain, or crashed).
-    Exited { id: u64, crashed: bool },
-    /// A crashed job's retry parks until `due`, then re-enters the queue.
-    /// The sender already holds a queue reservation for it.
-    RetryAt { task: Arc<Task>, due: Instant },
-}
-
 /// The embeddable encode service. See the module docs for the lifecycle
 /// and fault model.
 pub struct EncodeService {
@@ -442,7 +424,8 @@ pub struct EncodeService {
     queue: Arc<JobQueue<Arc<Task>>>,
     metrics: Arc<Metrics>,
     pressure: Arc<PressureController>,
-    supervisor: Mutex<Option<JoinHandle<()>>>,
+    /// The pool threads, joined by [`shutdown`](EncodeService::shutdown).
+    workers: Mutex<Vec<JoinHandle<()>>>,
     next_id: AtomicU64,
 }
 
@@ -467,8 +450,7 @@ const DECLARED_HISTOGRAMS: &[&str] = &[
 ];
 
 impl EncodeService {
-    /// Start the worker pool (under its supervisor) and return the
-    /// running service.
+    /// Start the worker pool and return the running service.
     pub fn start(cfg: ServiceConfig) -> Self {
         let queue = Arc::new(JobQueue::new(cfg.queue_capacity));
         let metrics = Arc::new(Metrics::default());
@@ -476,38 +458,27 @@ impl EncodeService {
             metrics.hist.histogram(series);
         }
         let pressure = Arc::new(PressureController::new(cfg.pressure.clone()));
-        let (tx, rx) = channel::<SupMsg>();
-        let mut handles = HashMap::new();
-        let pool = cfg.pool_threads.max(1) as u64;
-        for id in 0..pool {
-            handles.insert(id, spawn_worker(id, &queue, &metrics, &pressure, &cfg, &tx));
-        }
-        let supervisor = {
-            let queue = Arc::clone(&queue);
-            let metrics = Arc::clone(&metrics);
-            let pressure = Arc::clone(&pressure);
-            let cfg = cfg.clone();
-            std::thread::spawn(move || {
-                supervisor_main(Supervisor {
-                    rx,
-                    tx,
-                    queue,
-                    metrics,
-                    pressure,
-                    cfg,
-                    handles,
-                    next_worker_id: pool,
-                    live: pool as usize,
-                    pending: Vec::new(),
-                })
+        let workers = (0..cfg.pool_threads.max(1))
+            .map(|_| {
+                // Counted on the spawning side so `workers_alive` never
+                // transiently under-reports a worker that exists but has
+                // not yet scheduled.
+                metrics.workers_alive.fetch_add(1, Ordering::Relaxed);
+                let (queue, metrics, pressure, cfg) = (
+                    Arc::clone(&queue),
+                    Arc::clone(&metrics),
+                    Arc::clone(&pressure),
+                    cfg.clone(),
+                );
+                std::thread::spawn(move || worker_main(&queue, &metrics, &pressure, &cfg))
             })
-        };
+            .collect();
         EncodeService {
             cfg,
             queue,
             metrics,
             pressure,
-            supervisor: Mutex::new(Some(supervisor)),
+            workers: Mutex::new(workers),
             next_id: AtomicU64::new(1),
         }
     }
@@ -638,7 +609,7 @@ impl EncodeService {
     }
 
     /// Decode a codestream inline on the calling thread, bypassing the
-    /// queue, admission control, and the crash-retry machinery. That is
+    /// queue, admission control, and crash recovery. That is
     /// not because decode is cheap — a lossless MQ decode runs slower
     /// than the encode that made it — but because it carries no shared
     /// rate-control state. `max_layers == usize::MAX` keeps every quality
@@ -703,7 +674,7 @@ impl EncodeService {
             jobs_poisoned: m.poisoned.load(Ordering::Relaxed),
             decoded: m.decoded.load(Ordering::Relaxed),
             decode_failed: m.decode_failed.load(Ordering::Relaxed),
-            workers_respawned: m.workers_respawned.load(Ordering::Relaxed),
+            worker_panics: m.worker_panics.load(Ordering::Relaxed),
             workers_alive: m.workers_alive.load(Ordering::Relaxed),
             pressure_level: self.pressure.level().as_u8(),
             pressure_transitions: self.pressure.transitions(),
@@ -739,7 +710,7 @@ impl EncodeService {
             .map(|(_, j)| j.clone())
     }
 
-    /// Readiness probe: pool strength, quarantine count, queue depth,
+    /// Readiness probe: pool strength, crash counts, queue depth,
     /// pressure. Probing re-samples the controller, so pressure decays
     /// even when no submissions arrive.
     pub fn health(&self) -> HealthSnapshot {
@@ -748,7 +719,7 @@ impl EncodeService {
         HealthSnapshot {
             workers_alive: m.workers_alive.load(Ordering::Relaxed),
             pool_threads: self.cfg.pool_threads.max(1) as u64,
-            workers_respawned: m.workers_respawned.load(Ordering::Relaxed),
+            worker_panics: m.worker_panics.load(Ordering::Relaxed),
             queue_depth: self.queue.len() as u64,
             queue_capacity: self.queue.capacity() as u64,
             jobs_retried: m.retried.load(Ordering::Relaxed),
@@ -793,17 +764,8 @@ impl EncodeService {
         self.metrics.conns_rejected.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Most recent quarantined job ids (up to the newest 64).
-    pub fn quarantined(&self) -> Vec<u64> {
-        self.metrics
-            .quarantine
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .clone()
-    }
-
     /// Close intake: new submissions get [`SubmitError::ShuttingDown`];
-    /// queued, in-flight, and pending-retry jobs keep draining (a paused
+    /// queued, in-flight and requeued jobs keep draining (a paused
     /// service resumes so the drain can proceed). Returns immediately;
     /// idempotent.
     pub fn begin_shutdown(&self) {
@@ -811,16 +773,11 @@ impl EncodeService {
     }
 
     /// [`begin_shutdown`](Self::begin_shutdown), then block until every
-    /// admitted job has completed and the pool — including any workers
-    /// respawned after crashes — has exited.
+    /// admitted job has completed and every pool thread has exited.
     pub fn shutdown(&self) {
         self.begin_shutdown();
-        let sup = self
-            .supervisor
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .take();
-        if let Some(h) = sup {
+        let workers = std::mem::take(&mut *self.workers.lock().unwrap_or_else(|e| e.into_inner()));
+        for h in workers {
             let _ = h.join();
         }
     }
@@ -848,74 +805,47 @@ fn within_bytes(data: &[u8], max_bytes: usize) -> Result<(), CodecError> {
 }
 
 // ---------------------------------------------------------------------------
-// Worker pool + supervisor
+// Worker pool
 // ---------------------------------------------------------------------------
 
-fn spawn_worker(
-    id: u64,
-    queue: &Arc<JobQueue<Arc<Task>>>,
-    metrics: &Arc<Metrics>,
-    pressure: &Arc<PressureController>,
-    cfg: &ServiceConfig,
-    tx: &Sender<SupMsg>,
-) -> JoinHandle<()> {
-    // Counted on the spawning side so `workers_alive` never transiently
-    // under-reports a worker that exists but has not yet scheduled.
-    metrics.workers_alive.fetch_add(1, Ordering::Relaxed);
-    let queue = Arc::clone(queue);
-    let metrics = Arc::clone(metrics);
-    let pressure = Arc::clone(pressure);
-    let cfg = cfg.clone();
-    let tx = tx.clone();
-    std::thread::spawn(move || worker_main(id, &queue, &metrics, &pressure, &cfg, &tx))
-}
-
+/// One pool thread: claim, encode and complete jobs until the queue is
+/// closed and empty, recovering in place from every panic an iteration
+/// raises.
 fn worker_main(
-    id: u64,
     queue: &JobQueue<Arc<Task>>,
     metrics: &Metrics,
-    pressure: &Arc<PressureController>,
+    pressure: &PressureController,
     cfg: &ServiceConfig,
-    tx: &Sender<SupMsg>,
 ) {
     // The task claimed by the current iteration; after a panic the crash
-    // handler takes it from here. Written only between claim and encode,
-    // never while a lock is held across user code (see the module-level
-    // unwind-safety argument).
-    let current: Mutex<Option<Arc<Task>>> = Mutex::new(None);
+    // handler takes it from here. Set between claim and encode, cleared
+    // once the job's outcome is out (see the module-level unwind-safety
+    // argument).
+    let current: Cell<Option<Arc<Task>>> = Cell::new(None);
     loop {
         let r = catch_unwind(AssertUnwindSafe(|| {
             worker_iteration(queue, metrics, pressure, cfg, &current)
         }));
         match r {
-            Ok(true) => continue,
-            Ok(false) => {
-                // Queue closed and drained: clean exit.
-                metrics.workers_alive.fetch_sub(1, Ordering::Relaxed);
-                let _ = tx.send(SupMsg::Exited { id, crashed: false });
-                return;
-            }
+            Ok(true) => {}
+            Ok(false) => break,
             Err(_) => {
-                // The iteration panicked. A crashed worker always retires
-                // (fresh stack and state beat an unwound one); the
-                // supervisor replaces it. Its claimed job, if any, goes
-                // through the retry/quarantine state machine first.
+                // The unwind has dropped everything the iteration owned.
                 // Flush this thread's span buffer *before* the crash
-                // handler so the crash/backoff instants land after the
-                // events already recorded — and so a terminal outcome's
-                // trace export sees them.
+                // handler so the crash instants land after the events
+                // already recorded — and so a terminal outcome's trace
+                // export sees them.
+                metrics.worker_panics.fetch_add(1, Ordering::Relaxed);
                 trace::flush_thread();
                 trace::set_current(0);
-                let task = current.lock().unwrap_or_else(|e| e.into_inner()).take();
-                if let Some(task) = task {
-                    handle_crash(task, queue, metrics, cfg, tx);
+                if let Some(task) = current.take() {
+                    handle_crash(task, queue, metrics, cfg);
                 }
-                metrics.workers_alive.fetch_sub(1, Ordering::Relaxed);
-                let _ = tx.send(SupMsg::Exited { id, crashed: true });
-                return;
             }
         }
     }
+    // Queue closed and drained: clean exit.
+    metrics.workers_alive.fetch_sub(1, Ordering::Relaxed);
 }
 
 /// One claim-encode-complete cycle. Returns `false` when the queue is
@@ -923,14 +853,14 @@ fn worker_main(
 fn worker_iteration(
     queue: &JobQueue<Arc<Task>>,
     metrics: &Metrics,
-    pressure: &Arc<PressureController>,
+    pressure: &PressureController,
     cfg: &ServiceConfig,
-    current: &Mutex<Option<Arc<Task>>>,
+    current: &Cell<Option<Arc<Task>>>,
 ) -> bool {
     let Some(task) = queue.pop() else {
         return false;
     };
-    *current.lock().unwrap_or_else(|e| e.into_inner()) = Some(Arc::clone(&task));
+    current.set(Some(Arc::clone(&task)));
     let wait = task.submitted.elapsed();
     metrics
         .hist
@@ -950,89 +880,96 @@ fn worker_iteration(
         );
         trace::instant("queue-pop", &[("job", task.shared.id)]);
     }
+    let started = Instant::now();
     // Failpoint `worker.job_start`: between claim and encode. A panic
     // here crashes the worker while it holds a claimed job — the
     // narrowest reproduction of "worker dies mid-job".
-    let outcome = if let Some(msg) = faultsim::eval("worker.job_start") {
-        metrics.failed.fetch_add(1, Ordering::Relaxed);
-        JobOutcome::Failed(format!("injected fault: {msg}"))
-    } else {
-        let encode_span = trace::span("encode")
-            .cat("job")
-            .arg("job", task.shared.id)
-            .arg("coder", task.params.coder.id())
-            .arg("crashes", u64::from(task.crashes.load(Ordering::Relaxed)));
-        let started = Instant::now();
-        let outcome = match encode_with(
-            &task.image,
-            &task.params,
-            cfg.workers_per_job,
-            Some(&task.shared.ctl),
-        ) {
-            Ok((codestream, profile)) => {
-                metrics.completed.fetch_add(1, Ordering::Relaxed);
-                let mut tier1_secs = 0.0f64;
-                for st in &profile.stage_times {
-                    if st.name == "tier1" {
-                        tier1_secs += st.seconds;
-                    }
-                    // Series name: dashes to underscores so the name is a
-                    // legal Prometheus identifier (`stage_rate_control_us`).
-                    let series = format!("stage_{}_us", st.name.replace('-', "_"));
-                    metrics
-                        .hist
-                        .histogram(&series)
-                        .record((st.seconds * 1e6) as u64);
+    let result = match faultsim::eval("worker.job_start") {
+        Some(msg) => Err(CodecError::Injected(msg)),
+        None => {
+            let _span = trace::span("encode")
+                .cat("job")
+                .arg("job", task.shared.id)
+                .arg("coder", task.params.coder.id())
+                .arg("crashes", u64::from(task.crashes.load(Ordering::Relaxed)));
+            encode_with(
+                &task.image,
+                &task.params,
+                cfg.workers_per_job,
+                Some(&task.shared.ctl),
+            )
+        }
+    };
+    let outcome = match result {
+        Ok((codestream, profile)) => {
+            metrics.completed.fetch_add(1, Ordering::Relaxed);
+            let mut tier1_secs = 0.0f64;
+            for st in &profile.stage_times {
+                if st.name == "tier1" {
+                    tier1_secs += st.seconds;
                 }
-                if tier1_secs > 0.0 {
-                    let symbols = profile.tier1_symbols();
-                    let rate = (symbols as f64 / tier1_secs) as u64;
-                    // Per-coder series so an MQ/HT mix stays separable.
-                    let series = format!("tier1_symbols_per_sec_{}", task.params.coder.name());
-                    metrics.hist.histogram(&series).record(rate);
-                }
-                // Only completed jobs feed the e2e series, so its +Inf
-                // bucket count equals the completed-jobs counter (the
-                // tie the exposition tests assert).
+                // Series name: dashes to underscores so the name is a
+                // legal Prometheus identifier (`stage_rate_control_us`).
+                let series = format!("stage_{}_us", st.name.replace('-', "_"));
                 metrics
                     .hist
-                    .histogram("job_e2e_us")
-                    .record((wait + started.elapsed()).as_micros() as u64);
-                JobOutcome::Completed {
-                    codestream,
-                    degraded: task.degraded,
-                }
+                    .histogram(&series)
+                    .record((st.seconds * 1e6) as u64);
             }
-            Err(CodecError::Deadline) => {
-                metrics.timed_out.fetch_add(1, Ordering::Relaxed);
-                JobOutcome::TimedOut
+            if tier1_secs > 0.0 {
+                let symbols = profile.tier1_symbols();
+                let rate = (symbols as f64 / tier1_secs) as u64;
+                // Per-coder series so an MQ/HT mix stays separable.
+                let series = format!("tier1_symbols_per_sec_{}", task.params.coder.name());
+                metrics.hist.histogram(&series).record(rate);
             }
-            Err(CodecError::Cancelled) => {
-                metrics.cancelled.fetch_add(1, Ordering::Relaxed);
-                JobOutcome::Cancelled
+            // Only completed jobs feed the e2e series, so its +Inf
+            // bucket count equals the completed-jobs counter (the
+            // tie the exposition tests assert).
+            metrics
+                .hist
+                .histogram("job_e2e_us")
+                .record((wait + started.elapsed()).as_micros() as u64);
+            JobOutcome::Completed {
+                codestream,
+                degraded: task.degraded,
             }
-            Err(e) => {
-                metrics.failed.fetch_add(1, Ordering::Relaxed);
-                JobOutcome::Failed(e.to_string())
-            }
-        };
-        drop(encode_span);
-        outcome
+        }
+        Err(e) => failure(e, metrics),
     };
-    export_trace(&task, metrics, cfg);
     trace::set_current(0);
-    current.lock().unwrap_or_else(|e| e.into_inner()).take();
-    // Release the pixel reservation before fulfilling the outcome: a
-    // submitter that reads metrics right after `wait()` returns must see
-    // the pixels gone (the budget is a statement about in-flight work).
-    task.pixels.lock().unwrap_or_else(|e| e.into_inner()).take();
-    task.shared.complete(outcome);
+    finish(&task, outcome, metrics, cfg);
+    // Cleared only now: a panic before the outcome is out leaves the job
+    // to the crash handler instead of leaving its waiter hanging.
+    current.take();
     drop(task);
     // Re-sample: pressure decays as work completes even when no new
     // submissions (or probes) arrive to drive the controller.
     let wait = metrics.hist.histogram("queue_wait_us").snapshot();
     pressure.sample(queue.len(), queue.capacity(), &wait);
     true
+}
+
+/// The outcome of a job that stopped with `e`, charged to its counter:
+/// an encode that returned `e`, or a crashed job whose control reports
+/// `e` before its retry.
+fn failure(e: CodecError, metrics: &Metrics) -> JobOutcome {
+    let (counter, outcome) = match e {
+        CodecError::Deadline => (&metrics.timed_out, JobOutcome::TimedOut),
+        CodecError::Cancelled => (&metrics.cancelled, JobOutcome::Cancelled),
+        e => (&metrics.failed, JobOutcome::Failed(e.to_string())),
+    };
+    counter.fetch_add(1, Ordering::Relaxed);
+    outcome
+}
+
+/// End a job: release its pixels, export its trace, then wake its
+/// waiter. Every terminal outcome goes through here, so a waiter that
+/// reads metrics right after `wait()` returns sees the pixels gone.
+fn finish(task: &Task, outcome: JobOutcome, metrics: &Metrics, cfg: &ServiceConfig) {
+    task.pixels.lock().unwrap_or_else(|e| e.into_inner()).take();
+    export_trace(task, metrics, cfg);
+    task.shared.complete(outcome);
 }
 
 /// Collect the finished (or terminally failed) job's events into a Chrome
@@ -1075,21 +1012,19 @@ fn export_trace(task: &Task, metrics: &Metrics, cfg: &ServiceConfig) {
     }
 }
 
-/// The retry/quarantine state machine, run by a dying worker for the job
-/// it crashed on:
+/// Charge `task` one crash and settle it, on the worker that caught the
+/// panic:
 ///
 /// ```text
-/// crash -> crashes+1 > budget ----------------> Poisoned (quarantine)
-///       -> deadline <= retry due time --------> TimedOut (no doomed wait)
-///       -> backoff == 0 ----------------------> requeue now
-///       -> else: reserve + park at supervisor -> requeue at due
+/// crash -> second crash ------------------------> Poisoned
+///       -> ctl.check() fails (deadline, cancel) -> TimedOut / Cancelled
+///       -> else --------------------------------> requeue now
 /// ```
 fn handle_crash(
     task: Arc<Task>,
     queue: &JobQueue<Arc<Task>>,
     metrics: &Metrics,
     cfg: &ServiceConfig,
-    tx: &Sender<SupMsg>,
 ) {
     let crashes = task.crashes.fetch_add(1, Ordering::Relaxed) + 1;
     let id = task.shared.id;
@@ -1098,154 +1033,21 @@ fn handle_crash(
         "worker-crash",
         &[("job", id), ("crashes", u64::from(crashes))],
     );
-    if crashes > cfg.max_crash_retries {
+    let outcome = if crashes > CRASH_RETRIES {
         metrics.poisoned.fetch_add(1, Ordering::Relaxed);
-        {
-            let mut q = metrics.quarantine.lock().unwrap_or_else(|e| e.into_inner());
-            q.push(id);
-            if q.len() > QUARANTINE_KEEP {
-                let excess = q.len() - QUARANTINE_KEEP;
-                q.drain(..excess);
-            }
+        JobOutcome::Poisoned {
+            message: format!("job {id} crashed its worker {crashes} times; it will not run again"),
         }
-        export_trace(&task, metrics, cfg);
-        task.shared.complete(JobOutcome::Poisoned {
-            message: format!(
-                "job {id} crashed its worker {crashes} times (budget {}); quarantined",
-                cfg.max_crash_retries
-            ),
-        });
-        return;
-    }
-    // Exponential backoff: base << (crashes - 1), saturating.
-    let backoff = cfg
-        .retry_backoff
-        .saturating_mul(1u32 << (crashes - 1).min(16));
-    let due = Instant::now() + backoff;
-    // A retry that cannot begin before the job's deadline is a timeout
-    // *now*: completing the handle immediately beats parking the job for
-    // a wait it is guaranteed to lose.
-    if let Some(d) = task.shared.ctl.deadline() {
-        if d <= due {
-            metrics.timed_out.fetch_add(1, Ordering::Relaxed);
-            export_trace(&task, metrics, cfg);
-            task.shared.complete(JobOutcome::TimedOut);
-            return;
-        }
-    }
-    metrics.retried.fetch_add(1, Ordering::Relaxed);
-    trace::instant_for(
-        task.trace_id,
-        "retry-backoff",
-        &[("job", id), ("backoff_ms", backoff.as_millis() as u64)],
-    );
-    let priority = task.priority;
-    if backoff.is_zero() {
+    } else if let Err(e) = task.shared.ctl.check() {
+        failure(e, metrics)
+    } else {
+        metrics.retried.fetch_add(1, Ordering::Relaxed);
         trace::instant_for(task.trace_id, "queue-requeue", &[("job", id)]);
+        let priority = task.priority;
         queue.requeue(task, priority);
         return;
-    }
-    queue.reserve();
-    if let Err(e) = tx.send(SupMsg::RetryAt { task, due }) {
-        // Supervisor already gone (late crash during teardown): run the
-        // retry immediately rather than dropping an admitted job.
-        if let SupMsg::RetryAt { task, .. } = e.0 {
-            queue.requeue(task, priority);
-        }
-    }
-}
-
-struct Supervisor {
-    rx: Receiver<SupMsg>,
-    /// Kept for cloning into respawned workers; never used to send.
-    tx: Sender<SupMsg>,
-    queue: Arc<JobQueue<Arc<Task>>>,
-    metrics: Arc<Metrics>,
-    pressure: Arc<PressureController>,
-    cfg: ServiceConfig,
-    handles: HashMap<u64, JoinHandle<()>>,
-    next_worker_id: u64,
-    live: usize,
-    /// Delayed crash retries: (due, task). Each holds a queue
-    /// reservation.
-    pending: Vec<(Instant, Arc<Task>)>,
-}
-
-fn supervisor_main(mut s: Supervisor) {
-    loop {
-        // Re-enqueue every retry that has come due.
-        let now = Instant::now();
-        let mut i = 0;
-        while i < s.pending.len() {
-            if s.pending[i].0 <= now {
-                let (_, task) = s.pending.swap_remove(i);
-                let priority = task.priority;
-                trace::instant_for(task.trace_id, "queue-requeue", &[("job", task.shared.id)]);
-                s.queue.requeue(task, priority);
-            } else {
-                i += 1;
-            }
-        }
-        // Shutdown complete: intake closed, every worker exited (clean
-        // exits only happen once the queue is drained), nothing parked.
-        if s.queue.is_closed() && s.live == 0 && s.pending.is_empty() {
-            break;
-        }
-        let next_due = s.pending.iter().map(|(d, _)| *d).min();
-        let msg = match next_due {
-            Some(d) => match s
-                .rx
-                .recv_timeout(d.saturating_duration_since(Instant::now()))
-            {
-                Ok(m) => Some(m),
-                Err(RecvTimeoutError::Timeout) => None,
-                Err(RecvTimeoutError::Disconnected) => break,
-            },
-            // Nothing parked: block until a worker reports.
-            None => match s.rx.recv() {
-                Ok(m) => Some(m),
-                Err(_) => break,
-            },
-        };
-        match msg {
-            None => {} // a retry came due; the loop head fires it
-            Some(SupMsg::RetryAt { task, due }) => s.pending.push((due, task)),
-            Some(SupMsg::Exited { id, crashed }) => {
-                if let Some(h) = s.handles.remove(&id) {
-                    let _ = h.join();
-                }
-                s.live -= 1;
-                // Respawn after a crash while there is (or may be) work:
-                // anything queued, reserved, pending, or still accepting.
-                // Once the queue is fully drained post-shutdown, a
-                // replacement would exit immediately — skip it.
-                if crashed && (!s.queue.is_drained() || !s.pending.is_empty()) {
-                    let id = s.next_worker_id;
-                    s.next_worker_id += 1;
-                    s.metrics.workers_respawned.fetch_add(1, Ordering::Relaxed);
-                    trace::instant_for(0, "worker-respawn", &[("worker", id)]);
-                    s.handles.insert(
-                        id,
-                        spawn_worker(id, &s.queue, &s.metrics, &s.pressure, &s.cfg, &s.tx),
-                    );
-                    s.live += 1;
-                }
-            }
-        }
-    }
-    // Defensive teardown: resolve anything still parked (unreachable in
-    // the normal protocol — the loop only exits with `pending` empty or
-    // on a disconnected channel, which cannot happen while workers hold
-    // senders) and join any stragglers.
-    for (_, task) in s.pending.drain(..) {
-        s.queue.unreserve();
-        task.shared.complete(JobOutcome::Failed(
-            "service shut down during retry backoff".into(),
-        ));
-    }
-    for (_, h) in s.handles.drain() {
-        let _ = h.join();
-    }
+    };
+    finish(&task, outcome, metrics, cfg);
 }
 
 #[cfg(test)]
@@ -1272,7 +1074,7 @@ mod tests {
         let m = svc.metrics();
         assert_eq!((m.accepted, m.completed), (1, 1));
         assert_eq!(
-            (m.jobs_retried, m.jobs_poisoned, m.workers_respawned),
+            (m.jobs_retried, m.jobs_poisoned, m.worker_panics),
             (0, 0, 0)
         );
         // Stage names flow dynamically from the encoder's profile: every
@@ -1404,7 +1206,7 @@ mod tests {
         let h = HealthSnapshot {
             workers_alive: 2,
             pool_threads: 2,
-            workers_respawned: 0,
+            worker_panics: 0,
             queue_depth: 8,
             queue_capacity: 8,
             jobs_retried: 0,

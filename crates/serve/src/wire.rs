@@ -36,7 +36,10 @@ pub const MAGIC: u16 = 0x4A32;
 /// `retry_after_ms` hint on `Overloaded`, and the health pressure byte.
 /// v3 appended a health byte for the SLO burn-rate verdict; v4 dropped it
 /// with the in-process monitor. v5 answers `Metrics` with the Prometheus
-/// text exposition instead of a JSON snapshot.
+/// text exposition instead of a JSON snapshot. The Health frame's third
+/// count is [`HealthSnapshot::worker_panics`], every panic a pool worker
+/// caught; before workers recovered in place it counted respawned
+/// workers, in the same slot, so the layout and the version stay.
 pub const VERSION: u8 = 5;
 /// Frame header size in bytes.
 pub const HEADER_LEN: usize = 8;
@@ -132,8 +135,8 @@ pub enum Request {
     /// Ask the daemon to drain and exit.
     Shutdown,
     /// Readiness probe: fetch a
-    /// [`crate::service::HealthSnapshot`] (live workers,
-    /// quarantine count, retry totals, queue depth).
+    /// [`crate::service::HealthSnapshot`] (live workers, caught panics,
+    /// retry and poison totals, queue depth).
     Health,
     /// Fetch a finished job's Chrome trace JSON by job id (0 = the most
     /// recently finished traced job). Requires the daemon to run with
@@ -203,8 +206,8 @@ pub enum Response {
     /// Reply to [`Request::Health`]: binary snapshot of pool strength
     /// and fault counters.
     Health(HealthSnapshot),
-    /// The job crashed its worker past the retry budget and was
-    /// quarantined (see [`crate::service::JobOutcome::Poisoned`]).
+    /// The job crashed its worker on its retry too and will not run
+    /// again (see [`crate::service::JobOutcome::Poisoned`]).
     Poisoned(String),
     /// Reply to [`Request::Trace`]: one job's Chrome trace-event JSON.
     TraceJson(String),
@@ -586,7 +589,7 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
             for v in [
                 h.workers_alive,
                 h.pool_threads,
-                h.workers_respawned,
+                h.worker_panics,
                 h.queue_depth,
                 h.queue_capacity,
                 h.jobs_retried,
@@ -671,7 +674,7 @@ pub fn parse_response(payload: &[u8]) -> Result<Response, WireError> {
             let h = HealthSnapshot {
                 workers_alive: rd.u64()?,
                 pool_threads: rd.u64()?,
-                workers_respawned: rd.u64()?,
+                worker_panics: rd.u64()?,
                 queue_depth: rd.u64()?,
                 queue_capacity: rd.u64()?,
                 jobs_retried: rd.u64()?,
@@ -789,7 +792,7 @@ mod tests {
             Response::Health(HealthSnapshot {
                 workers_alive: 2,
                 pool_threads: 4,
-                workers_respawned: 3,
+                worker_panics: 3,
                 queue_depth: 1,
                 queue_capacity: 64,
                 jobs_retried: 5,

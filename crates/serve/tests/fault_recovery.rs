@@ -1,6 +1,6 @@
-//! Deterministic recovery tests: every fault path of the self-healing
-//! service driven by `faultsim` failpoint schedules — no sleeps, no
-//! timing assumptions. Requires `--features failpoints`; without it the
+//! Deterministic recovery tests: every fault path of the service's
+//! in-place crash recovery driven by `faultsim` failpoint schedules — no
+//! sleeps, no timing assumptions. Requires `--features failpoints`; without it the
 //! whole file compiles away (matching the production build, where the
 //! failpoints themselves compile to nothing).
 //!
@@ -14,7 +14,9 @@ use faultsim::{random_schedule, FaultAction, FaultSpec};
 use imgio::Image;
 use j2k_core::EncoderParams;
 use j2k_serve::wire::{call, write_frame, EncodeRequest, Request, Response};
-use j2k_serve::{serve, EncodeJob, EncodeService, JobOutcome, ServerConfig, ServiceConfig};
+use j2k_serve::{
+    serve, EncodeJob, EncodeService, JobOutcome, PressureConfig, ServerConfig, ServiceConfig,
+};
 use std::io::Read;
 use std::net::{TcpListener, TcpStream};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -44,17 +46,14 @@ fn image(seed: u64) -> Image {
     imgio::synth::natural(40, 40, seed)
 }
 
-/// One worker, zero backoff, default retry budget of one — the tightest
-/// deterministic arena: every queue event is sequenced by that single
-/// worker.
+/// One worker — the tightest deterministic arena: every queue event is
+/// sequenced by that single worker.
 fn one_worker_cfg() -> ServiceConfig {
     ServiceConfig {
         queue_capacity: 8,
         pool_threads: 1,
         workers_per_job: 1,
         default_timeout: None,
-        max_crash_retries: 1,
-        retry_backoff: Duration::ZERO,
         ..ServiceConfig::default()
     }
 }
@@ -63,11 +62,12 @@ fn sequential(im: &Image, params: &EncoderParams) -> Vec<u8> {
     j2k_core::encode(im, params).unwrap()
 }
 
-/// ISSUE scenario 1: a panic mid-Tier-1 kills the worker; the supervisor
-/// respawns it and the retried job completes **byte-identical** to the
-/// sequential encoder.
+/// A panic mid-Tier-1 is caught by the worker running the job, which
+/// requeues the job and runs the retry itself: it completes
+/// **byte-identical** to the sequential encoder, and the pool never
+/// shrinks.
 #[test]
-fn panic_mid_tier1_respawns_worker_and_retries_byte_identical() {
+fn panic_mid_tier1_is_recovered_in_place_and_retries_byte_identical() {
     let _g = FaultGuard::take();
     faultsim::arm(
         "tier1.block",
@@ -85,12 +85,12 @@ fn panic_mid_tier1_respawns_worker_and_retries_byte_identical() {
                 "retry must be byte-identical"
             );
         }
-        other => panic!("expected Completed after respawn+retry, got {other:?}"),
+        other => panic!("expected Completed after a retry, got {other:?}"),
     }
     let m = svc.metrics();
     assert_eq!(m.completed, 1);
-    assert_eq!(m.jobs_retried, 1, "one crash retry was scheduled");
-    assert_eq!(m.workers_respawned, 1, "the crashed worker was replaced");
+    assert_eq!(m.jobs_retried, 1, "one crash retry was requeued");
+    assert_eq!(m.worker_panics, 1, "the worker caught the one panic");
     assert_eq!(m.jobs_poisoned, 0);
     let health = svc.health();
     assert_eq!(health.workers_alive, 1, "pool back at strength");
@@ -98,14 +98,14 @@ fn panic_mid_tier1_respawns_worker_and_retries_byte_identical() {
     svc.shutdown();
 }
 
-/// ISSUE scenario 2: a job that crashes its worker twice exhausts the
-/// retry budget and is quarantined with a typed `Poisoned` outcome; the
-/// service keeps serving.
+/// A job that crashes its worker twice has spent its one retry and is
+/// poisoned with a typed `Poisoned` outcome that names it; the service
+/// keeps serving on the same worker.
 #[test]
 fn double_crash_quarantines_job_as_poisoned() {
     let _g = FaultGuard::take();
     // Fire on hits 1 and 2 of `worker.job_start`: the first attempt and
-    // its retry both crash; the budget (1 retry) is then spent.
+    // its retry both crash.
     faultsim::arm(
         "worker.job_start",
         FaultSpec::at(FaultAction::Panic("job_start chaos".into()), 1, 2),
@@ -117,7 +117,7 @@ fn double_crash_quarantines_job_as_poisoned() {
     let id = h.id();
     match h.wait() {
         JobOutcome::Poisoned { message } => {
-            assert!(message.contains("quarantined"), "got: {message}");
+            assert!(message.starts_with(&format!("job {id} ")), "got: {message}");
         }
         other => panic!("expected Poisoned after double crash, got {other:?}"),
     }
@@ -125,7 +125,6 @@ fn double_crash_quarantines_job_as_poisoned() {
     assert_eq!(m.jobs_poisoned, 1);
     assert_eq!(m.jobs_retried, 1, "only the first crash earned a retry");
     assert_eq!(svc.health().jobs_poisoned, 1);
-    assert!(svc.quarantined().contains(&id));
     // The quarantine is per-job: the pool is intact and fresh work runs.
     let im = image(3);
     let params = EncoderParams::lossless();
@@ -136,55 +135,131 @@ fn double_crash_quarantines_job_as_poisoned() {
         }
         other => panic!("service should still serve after a quarantine, got {other:?}"),
     }
-    // h2 completed, so the second respawn demonstrably happened (a dead
-    // pool of one cannot encode) — the count is now deterministic.
-    assert_eq!(
-        svc.metrics().workers_respawned,
-        2,
-        "both crashed workers were replaced"
-    );
+    let m = svc.metrics();
+    assert_eq!(m.worker_panics, 2, "the one worker caught both panics");
+    assert_eq!(m.workers_alive, 1, "and still serves");
     svc.shutdown();
 }
 
-/// ISSUE scenario 4: a deadline that would expire during the retry's
-/// backoff resolves `TimedOut` immediately — the job is not retried and
-/// nothing waits out the backoff.
+/// A crashed job whose control has stopped resolves now instead of
+/// retrying: past its deadline it is `TimedOut`, cancelled it is
+/// `Cancelled`, each charged to the counter an encode stopped that way
+/// gets. Sleep-free: a zero timeout has passed before the worker claims
+/// the job, and the cancel lands while the queue is paused.
 #[test]
-fn deadline_expiring_during_backoff_is_timeout_not_retry() {
+fn a_crash_after_the_control_stops_resolves_now_instead_of_retrying() {
     let _g = FaultGuard::take();
     faultsim::arm(
         "worker.job_start",
-        FaultSpec::once(FaultAction::Panic("crash before encode".into())),
+        FaultSpec::at(FaultAction::Panic("crash before encode".into()), 1, 2),
     );
-    let svc = EncodeService::start(ServiceConfig {
-        // Backoff far beyond the deadline: a scheduled retry could never
-        // start in time, so the crash must resolve as a timeout *now*.
-        retry_backoff: Duration::from_secs(3600),
-        max_crash_retries: 3,
-        ..one_worker_cfg()
-    });
+    let svc = EncodeService::start(one_worker_cfg());
     let h = svc
         .submit(EncodeJob {
-            timeout: Some(Duration::from_secs(5)),
+            timeout: Some(Duration::ZERO),
             ..EncodeJob::new(image(4), EncoderParams::lossless())
         })
         .unwrap();
     assert!(matches!(h.wait(), JobOutcome::TimedOut));
+    svc.pause();
+    let h = svc
+        .submit(EncodeJob::new(image(4), EncoderParams::lossless()))
+        .unwrap();
+    h.cancel();
+    svc.resume();
+    assert!(matches!(h.wait(), JobOutcome::Cancelled));
     let m = svc.metrics();
-    assert_eq!(m.timed_out, 1);
-    assert_eq!(
-        m.jobs_retried, 0,
-        "no retry may be scheduled past the deadline"
-    );
+    assert_eq!((m.timed_out, m.cancelled), (1, 1));
+    assert_eq!(m.jobs_retried, 0, "a stopped job is never requeued");
     assert_eq!(m.jobs_poisoned, 0);
-    // (workers_respawned is not asserted here: the job resolves before
-    // the supervisor necessarily processes the worker's exit, and a
-    // shutdown racing the respawn may legitimately skip it.)
+    assert_eq!((m.worker_panics, m.workers_alive), (2, 1));
+    svc.shutdown();
+}
+
+/// A panic on a helper thread of a two-thread job reaches the pool
+/// thread through the scope join and is recovered in place like any
+/// other. `tier1.block` panics on two consecutive hits: the thread that
+/// makes the first stops claiming, so the other thread of the job makes
+/// the second, and one of the two is always the helper.
+#[test]
+fn a_panic_on_a_helper_thread_is_recovered_in_place() {
+    let _g = FaultGuard::take();
+    let params = EncoderParams::lossless();
+    let jobs: Vec<(Image, Vec<u8>)> = (0..4)
+        .map(|i| {
+            let im = imgio::synth::natural_rgb(96, 96, 20 + i);
+            let cs = sequential(&im, &params);
+            (im, cs)
+        })
+        .collect();
+    // Count hits from here: every one below is the service's. A 96x96
+    // RGB encode codes 48 blocks; hits 10 and 11 are mid-encode.
+    faultsim::reset();
+    faultsim::arm(
+        "tier1.block",
+        FaultSpec::at(FaultAction::Panic("helper chaos".into()), 10, 2),
+    );
+    let svc = EncodeService::start(ServiceConfig {
+        workers_per_job: 2,
+        ..one_worker_cfg()
+    });
+    for (im, want) in &jobs {
+        let h = svc.submit(EncodeJob::new(im.clone(), params)).unwrap();
+        match h.wait() {
+            JobOutcome::Completed { codestream, .. } => assert_eq!(&codestream, want),
+            other => panic!("expected Completed, got {other:?}"),
+        }
+    }
+    // The crashed attempt stopped at hit 11: both of its threads panicked.
+    assert_eq!(faultsim::hits("tier1.block"), 11 + 4 * 48);
+    let m = svc.metrics();
+    assert_eq!((m.completed, m.jobs_retried, m.jobs_poisoned), (4, 1, 0));
+    assert_eq!((m.worker_panics, m.workers_alive), (1, 1));
+    svc.shutdown();
+}
+
+/// A poisoned job gives its pixels back before its waiter wakes: right
+/// after `wait()` returns `Poisoned` nothing is in flight, and a
+/// resubmission that needs the whole pixel budget is admitted.
+#[test]
+fn a_poisoned_job_releases_its_pixels_before_its_waiter_wakes() {
+    let _g = FaultGuard::take();
+    faultsim::arm(
+        "worker.job_start",
+        FaultSpec::at(FaultAction::Panic("job_start chaos".into()), 1, 2),
+    );
+    let im = image(9);
+    let svc = EncodeService::start(ServiceConfig {
+        pressure: PressureConfig {
+            pixel_budget: (im.width * im.height) as u64,
+            ..PressureConfig::default()
+        },
+        ..one_worker_cfg()
+    });
+    let params = EncoderParams::lossless();
+    // High priority: only the pixel gate, never the pressure level, can
+    // refuse these jobs.
+    let job = || EncodeJob {
+        priority: 255,
+        ..EncodeJob::new(im.clone(), params)
+    };
+    assert!(matches!(
+        svc.submit(job()).unwrap().wait(),
+        JobOutcome::Poisoned { .. }
+    ));
+    assert_eq!(svc.metrics().pixels_in_flight, 0);
+    match svc.submit(job()).expect("the budget is free again").wait() {
+        JobOutcome::Completed { codestream, .. } => {
+            assert_eq!(codestream, sequential(&im, &params));
+        }
+        other => panic!("expected Completed, got {other:?}"),
+    }
+    assert_eq!(svc.metrics().pixels_in_flight, 0);
     svc.shutdown();
 }
 
 /// An injected *error* (as opposed to a panic) is an ordinary encoder
-/// failure: typed `Failed`, no crash, no respawn, no retry.
+/// failure: typed `Failed`, no caught panic, no retry.
 #[test]
 fn injected_error_fails_job_without_crashing_worker() {
     let _g = FaultGuard::take();
@@ -202,7 +277,7 @@ fn injected_error_fails_job_without_crashing_worker() {
     }
     let m = svc.metrics();
     assert_eq!(m.failed, 1);
-    assert_eq!(m.workers_respawned, 0);
+    assert_eq!(m.worker_panics, 0);
     assert_eq!(m.jobs_retried, 0);
     assert_eq!(m.workers_alive, 1);
     svc.shutdown();
@@ -333,11 +408,10 @@ fn panicking_handler_releases_its_connection_slot() {
     server.join().unwrap();
 }
 
-/// Observability satellite: a traced, failpoint-crashed, retried job
-/// yields **one** retained trace that tells the whole story — the armed
-/// failpoint firing, the worker crash, the retry backoff instant, the
-/// requeue — and the retried result is still byte-identical. No sleeps:
-/// zero backoff sequences every event through the single worker.
+/// A traced, failpoint-crashed, retried job yields **one** retained
+/// trace that tells the whole story — the armed failpoint firing, the
+/// worker crash, the requeue — and the retried result is still
+/// byte-identical. No sleeps: the single worker sequences every event.
 #[test]
 fn traced_crash_retry_trace_tells_the_story_and_stays_byte_identical() {
     let _g = FaultGuard::take();
@@ -370,7 +444,7 @@ fn traced_crash_retry_trace_tells_the_story_and_stays_byte_identical() {
                 "traced retry must stay byte-identical"
             );
         }
-        other => panic!("expected Completed after respawn+retry, got {other:?}"),
+        other => panic!("expected Completed after a retry, got {other:?}"),
     }
     let json = svc
         .trace_json(id)
@@ -388,7 +462,6 @@ fn traced_crash_retry_trace_tells_the_story_and_stays_byte_identical() {
             "queue-wait",
             "failpoint:tier1.block",
             "worker-crash",
-            "retry-backoff",
             "queue-requeue",
             "encode",
             "tier1",
@@ -396,7 +469,7 @@ fn traced_crash_retry_trace_tells_the_story_and_stays_byte_identical() {
     )
     .expect("trace must parse as Chrome JSON with the full crash story");
     // One trace, one story: every event belongs to this job's trace id,
-    // and the crash precedes the backoff which precedes the requeue.
+    // and the crash precedes the requeue.
     let tid = events
         .iter()
         .find_map(|e| e.trace_id())
@@ -410,15 +483,16 @@ fn traced_crash_retry_trace_tells_the_story_and_stays_byte_identical() {
             .unwrap()
     };
     assert!(ts_of("failpoint:tier1.block") <= ts_of("worker-crash"));
-    assert!(ts_of("worker-crash") <= ts_of("retry-backoff"));
-    assert!(ts_of("retry-backoff") <= ts_of("queue-requeue"));
+    assert!(ts_of("worker-crash") <= ts_of("queue-requeue"));
     svc.shutdown();
 }
 
-/// Seeded chaos: a random schedule over every service-level failpoint.
-/// Every job must reach a terminal outcome, completed jobs must stay
-/// byte-identical, and shutdown must drain — whatever the faults did.
-/// Reproduce a failure with `CHAOS_SEED=<printed seed>`.
+/// Seeded chaos: a random schedule over every service-level failpoint,
+/// on jobs that each run on two threads, so a panic may land on a
+/// helper. Every job must reach a terminal outcome, completed jobs must
+/// stay byte-identical, the pool must stay at strength, and shutdown
+/// must drain — whatever the faults did. Reproduce a failure with
+/// `CHAOS_SEED=<printed seed>`.
 #[test]
 fn seeded_chaos_schedule_resolves_every_job() {
     let _g = FaultGuard::take();
@@ -441,10 +515,8 @@ fn seeded_chaos_schedule_resolves_every_job() {
     let svc = EncodeService::start(ServiceConfig {
         queue_capacity: 16,
         pool_threads: 2,
-        workers_per_job: 1,
+        workers_per_job: 2,
         default_timeout: None,
-        max_crash_retries: 2,
-        retry_backoff: Duration::ZERO,
         ..ServiceConfig::default()
     });
     let jobs: Vec<(Image, EncoderParams)> = (0..8)
@@ -468,12 +540,20 @@ fn seeded_chaos_schedule_resolves_every_job() {
                     "chaos must never corrupt a completed encode (seed {seed})"
                 );
             }
-            // Injected errors and exhausted retry budgets are legitimate
-            // terminal outcomes under chaos; hangs and corruption are not.
+            // Injected errors and second crashes are legitimate terminal
+            // outcomes under chaos; hangs and corruption are not.
             JobOutcome::Failed(_) | JobOutcome::Poisoned { .. } => {}
             other => panic!("unexpected outcome {other:?} (seed {seed})"),
         }
     }
+    let m = svc.metrics();
+    assert_eq!(m.workers_alive, 2, "the pool lost a worker (seed {seed})");
+    // Every crash of a claimed job was retried or poisoned; a panic in
+    // `queue.pop` had no job to charge.
+    assert!(
+        m.worker_panics >= m.jobs_retried + m.jobs_poisoned,
+        "{m:?} (seed {seed})"
+    );
     // Drain invariant: shutdown completes no matter what the schedule
     // did to the pool.
     svc.shutdown();

@@ -172,7 +172,10 @@ mod tests {
             assert!(l2_norm_97(Band::LL, d) >= l2_norm_97(Band::HL, d));
             assert!(l2_norm_97(Band::HL, d) >= l2_norm_97(Band::HH, d));
             assert_eq!(l2_norm_97(Band::HL, d), l2_norm_97(Band::LH, d));
+            assert!(l2_norm_97(Band::HH, d) > 0.0);
         }
+        // Depth-1 LL = (1-D low norm)^2 ~ 1.4021^2.
+        assert!((l2_norm_97(Band::LL, 1) - 1.4021 * 1.4021).abs() < 0.03);
     }
 
     #[test]

@@ -33,13 +33,6 @@ impl Band {
             Band::HH => 2,
         }
     }
-
-    /// L2 norm of the 9/7 synthesis basis for this band at decomposition
-    /// depth `lev` (1 = finest); see [`crate::norms::l2_norm_97`]. Used to
-    /// weight distortion in rate control and to scale quantization steps.
-    pub fn l2_gain_97(self, lev: usize) -> f64 {
-        crate::norms::l2_norm_97(self, lev)
-    }
 }
 
 /// One subband rectangle in the transformed plane.
@@ -362,15 +355,5 @@ mod tests {
                 assert_eq!(partial.get(x, y), refwd.get(x, y), "({x},{y})");
             }
         }
-    }
-
-    #[test]
-    fn l2_gains_positive_and_ordered() {
-        for lev in 1..=5 {
-            assert!(Band::LL.l2_gain_97(lev) >= Band::HH.l2_gain_97(lev));
-            assert!(Band::HH.l2_gain_97(lev) > 0.0);
-        }
-        // Depth-1 LL gain = (1-D low norm)^2 ~ 1.4021^2.
-        assert!((Band::LL.l2_gain_97(1) - 1.4021 * 1.4021).abs() < 0.03);
     }
 }

@@ -5,7 +5,6 @@
 //! ```text
 //! j2kserved [--addr HOST:PORT] [--pool N] [--job-workers N]
 //!           [--queue N] [--timeout-ms N] [--max-frame-mb N]
-//!           [--max-crash-retries N] [--retry-backoff-ms N]
 //!           [--trace] [--trace-dir DIR] [--trace-keep N]
 //!           [--metrics-addr HOST:PORT] [--io-timeout-ms N]
 //!           [--max-conns N] [--pixel-budget-mp N] [--high-priority N]
@@ -19,10 +18,6 @@
 //!                      rejected as Overloaded                (default 64)
 //!   --timeout-ms N     default per-job deadline, 0 = none    (default 0)
 //!   --max-frame-mb N   per-frame payload ceiling in MiB      (default 256)
-//!   --max-crash-retries N  crash retries before a job is
-//!                      quarantined as Poisoned               (default 1)
-//!   --retry-backoff-ms N   base crash-retry backoff, doubled
-//!                      per crash                             (default 100)
 //!   --trace            enable per-job tracing; finished jobs'
 //!                      Chrome traces are retained for the wire
 //!                      Trace(job_id) request
@@ -57,6 +52,10 @@
 //! would not fit in one `--max-frame-mb` frame is refused from its main
 //! header.
 //!
+//! A job that panics its pool worker is requeued at once by that worker,
+//! which keeps serving; a job that panics on its retry too is answered
+//! `Poisoned` (DESIGN.md §11).
+//!
 //! The daemon exits after a Shutdown request, draining queued and
 //! in-flight jobs first. Under pressure it sheds low-priority work with
 //! `Overloaded { retry_after_ms }`, degrades `allow_degraded` jobs to
@@ -76,7 +75,6 @@ fn die(msg: &str) -> ! {
 
 const USAGE: &str = "usage: j2kserved [--addr HOST:PORT] [--pool N] [--job-workers N] \
                      [--queue N] [--timeout-ms N] [--max-frame-mb N] \
-                     [--max-crash-retries N] [--retry-backoff-ms N] \
                      [--trace] [--trace-dir DIR] [--trace-keep N] \
                      [--metrics-addr HOST:PORT] [--io-timeout-ms N] \
                      [--max-conns N] [--pixel-budget-mp N] [--high-priority N] \
@@ -123,17 +121,6 @@ fn main() {
             }
             "--max-frame-mb" => {
                 max_frame_mb = need(i).parse().unwrap_or_else(|_| die("--max-frame-mb N"))
-            }
-            "--max-crash-retries" => {
-                cfg.max_crash_retries = need(i)
-                    .parse()
-                    .unwrap_or_else(|_| die("--max-crash-retries N"))
-            }
-            "--retry-backoff-ms" => {
-                let ms: u64 = need(i)
-                    .parse()
-                    .unwrap_or_else(|_| die("--retry-backoff-ms N"));
-                cfg.retry_backoff = Duration::from_millis(ms);
             }
             "--io-timeout-ms" => {
                 io_timeout_ms = need(i).parse().unwrap_or_else(|_| die("--io-timeout-ms N"))

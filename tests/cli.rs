@@ -478,6 +478,57 @@ fn bad_arguments_exit_nonzero() {
     }
 }
 
+/// Runs `j2kserved` with `args` to its exit and returns its exit code,
+/// stdout and stderr. A daemon still running after 20 s has accepted its
+/// arguments and is serving, which fails the calling test.
+fn j2kserved_exit(args: &[&str]) -> (Option<i32>, String, String) {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_j2kserved"))
+        .args(args)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    let started = std::time::Instant::now();
+    while child.try_wait().unwrap().is_none() {
+        if started.elapsed() > std::time::Duration::from_secs(20) {
+            let _ = child.kill();
+            let _ = child.wait();
+            panic!("j2kserved {args:?} is still running");
+        }
+        std::thread::sleep(std::time::Duration::from_millis(10));
+    }
+    let out = child.wait_with_output().unwrap();
+    let text = |b: Vec<u8>| String::from_utf8_lossy(&b).into_owned();
+    (out.status.code(), text(out.stdout), text(out.stderr))
+}
+
+#[test]
+fn daemon_argument_errors_exit_2_before_binding() {
+    for bad in [
+        &["--bogus"][..],
+        &["--retry-backoff-ms", "5"],
+        &["--max-crash-retries", "2"],
+        &["--pool"],
+        &["--pool", "x"],
+        &["--pressure-elevated", "0"],
+    ] {
+        // An ephemeral port first: a bad argument accepted by mistake
+        // must not take the default port.
+        let args = [&["--addr", "127.0.0.1:0"][..], bad].concat();
+        let (code, stdout, stderr) = j2kserved_exit(&args);
+        assert_eq!(code, Some(2), "{bad:?}: {stderr}");
+        // The daemon prints its address once it has bound the port.
+        assert!(stdout.is_empty(), "{bad:?} bound a port: {stdout}");
+        assert!(stderr.starts_with("j2kserved: "), "{bad:?}: {stderr}");
+    }
+    let (code, stdout, _) = j2kserved_exit(&["--help"]);
+    assert_eq!(code, Some(0));
+    assert!(stdout.starts_with("usage: j2kserved"), "{stdout}");
+    for retired in ["--retry-backoff-ms", "--max-crash-retries"] {
+        assert!(!stdout.contains(retired), "{retired} in {stdout}");
+    }
+}
+
 /// Kills the daemon if a test fails before it shuts down.
 struct Daemon(Child);
 
