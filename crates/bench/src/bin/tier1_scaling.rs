@@ -26,7 +26,7 @@
 //! still leaves its numbers behind.
 
 use j2k_bench::{lossless_params, ms, parse_args, row, workload_rgb};
-use j2k_core::{encode, encode_with, Coder, EncoderParams, WorkloadProfile};
+use j2k_core::{encode, encode_with, Coder, EncoderParams, Stage, WorkloadProfile};
 
 /// HT must beat MQ by at least this factor on the samples/s basis
 /// (single worker, so the ratio is per-core coder speed, not scaling).
@@ -34,14 +34,6 @@ const HT_MIN_SPEEDUP: f64 = 3.0;
 
 /// Encodes per coder and worker count behind each row's Tier-1 time.
 const GATE_RUNS: usize = 5;
-
-fn tier1_secs(prof: &WorkloadProfile) -> f64 {
-    prof.stage_times
-        .iter()
-        .filter(|s| s.name == "tier1")
-        .map(|s| s.seconds)
-        .sum()
-}
 
 struct Row {
     coder: Coder,
@@ -97,7 +89,7 @@ fn main() {
                     bytes, one[k],
                     "{coder} codestream changed at workers={n} vs one worker"
                 );
-                let tier1 = tier1_secs(&prof);
+                let tier1 = prof.stage_time(Stage::Tier1).as_secs_f64();
                 if best[k].as_ref().is_none_or(|b| tier1 < b.tier1) {
                     best[k] = Some(Row {
                         coder,

@@ -31,7 +31,6 @@ pub mod config;
 pub mod cost;
 pub mod des;
 pub mod isa;
-pub mod lsplan;
 pub mod stage;
 pub mod timeline;
 pub mod trace;

@@ -59,27 +59,6 @@ impl Coder {
             Coder::Ht => &HtBlockCoder,
         }
     }
-
-    /// Code one block for an encode whose rate control may drop its last
-    /// passes: every pass is sized as [`BlockCoder::encode`] sizes it, but
-    /// HT packs only its cleanup pass and returns the raw passes to pack
-    /// if rate control keeps them. MQ codes every pass.
-    pub(crate) fn encode_sized(
-        self,
-        data: &[i32],
-        w: usize,
-        h: usize,
-        kind: BandKind,
-        bypass: bool,
-    ) -> (EncodedBlock, Option<j2k_ht::RawPasses>) {
-        match self {
-            Coder::Mq => (MqBlockCoder.encode(data, w, h, kind, bypass), None),
-            Coder::Ht => {
-                let (enc, raw) = j2k_ht::size_block(data, w, h);
-                (enc, Some(raw))
-            }
-        }
-    }
 }
 
 impl std::fmt::Display for Coder {
@@ -92,9 +71,6 @@ impl std::fmt::Display for Coder {
 /// quantizer-index block); `decode` is fallible because the HT decoder
 /// validates stream structure and hosts the `ht.quad` failpoint.
 pub trait BlockCoder: Sync {
-    /// Stable name (matches [`Coder::name`]).
-    fn name(&self) -> &'static str;
-
     /// Encode one code block of signed quantizer indices.
     fn encode(
         &self,
@@ -104,6 +80,22 @@ pub trait BlockCoder: Sync {
         kind: BandKind,
         bypass: bool,
     ) -> EncodedBlock;
+
+    /// Code one block for an encode whose rate control may drop its last
+    /// passes: every pass is sized as [`encode`](Self::encode) sizes it,
+    /// but a coder may leave passes unpacked and return what packs them
+    /// once rate control keeps them. The default codes every pass; HT
+    /// packs its cleanup pass alone ([`j2k_ht::size_block`]).
+    fn size_block(
+        &self,
+        data: &[i32],
+        w: usize,
+        h: usize,
+        kind: BandKind,
+        bypass: bool,
+    ) -> (EncodedBlock, Option<j2k_ht::RawPasses>) {
+        (self.encode(data, w, h, kind, bypass), None)
+    }
 
     /// Decode the first `num_passes` passes back to quantizer indices.
     #[allow(clippy::too_many_arguments)]
@@ -124,10 +116,6 @@ pub trait BlockCoder: Sync {
 struct MqBlockCoder;
 
 impl BlockCoder for MqBlockCoder {
-    fn name(&self) -> &'static str {
-        "mq"
-    }
-
     fn encode(
         &self,
         data: &[i32],
@@ -160,10 +148,6 @@ impl BlockCoder for MqBlockCoder {
 struct HtBlockCoder;
 
 impl BlockCoder for HtBlockCoder {
-    fn name(&self) -> &'static str {
-        "ht"
-    }
-
     fn encode(
         &self,
         data: &[i32],
@@ -175,6 +159,18 @@ impl BlockCoder for HtBlockCoder {
         // The HT cleanup needs no band-orientation context tables, and
         // its refinement passes are always raw — `bypass` is a no-op.
         j2k_ht::encode_block(data, w, h)
+    }
+
+    fn size_block(
+        &self,
+        data: &[i32],
+        w: usize,
+        h: usize,
+        _kind: BandKind,
+        _bypass: bool,
+    ) -> (EncodedBlock, Option<j2k_ht::RawPasses>) {
+        let (enc, raw) = j2k_ht::size_block(data, w, h);
+        (enc, Some(raw))
     }
 
     fn decode(
@@ -206,7 +202,6 @@ mod tests {
     fn registry_maps_names_and_ids() {
         for c in [Coder::Mq, Coder::Ht] {
             assert_eq!(Coder::parse(c.name()), Some(c));
-            assert_eq!(c.block_coder().name(), c.name());
             assert_eq!(format!("{c}"), c.name());
         }
         assert_eq!(Coder::parse("j2k"), None);

@@ -45,7 +45,7 @@ pub use parallel::{
     encode, encode_parallel_with_profile, encode_with, transform_coefficients_parallel,
 };
 pub use pipeline::{decode, decode_opts, decode_prefix, transform_coefficients};
-pub use profile::{StageTime, WorkloadProfile};
+pub use profile::{Stage, WorkloadProfile};
 
 pub use wavelet::VerticalVariant;
 

@@ -15,11 +15,15 @@
 //!   quantizes its 9/7 coefficients as it copies them out of the plane
 //!   (`Transformed::block_indices`), so quantization rides the queue.
 //! * **Rate control and Tier-2** run sequentially on the calling thread,
-//!   as on the paper's PPE (`pipeline::rate_control_and_assemble`). A
-//!   lossy HT encode's Tier-1 sizes the raw refinement passes without
-//!   packing them; between an allocation and its assembly, the blocks
-//!   whose kept passes reach them are packed, one job per block
+//!   as on the paper's PPE (`pipeline::rate_control_and_assemble`). An
+//!   HT encode's Tier-1 sizes the raw refinement passes without packing
+//!   them; between an allocation and its assembly, the blocks whose kept
+//!   passes reach them are packed, one job per block
 //!   (`pack_kept_passes`).
+//!
+//! One ledger, `Stages`, times every [`Stage`] and counts every fan-out's
+//! jobs: each interval of a stage is two clock reads, which give both its
+//! `stage:*` span and the time the profile records for it.
 //!
 //! Every fan-out (the MCT, both DWT passes of every level, Tier-1 and the
 //! raw-pass packing) goes through one claim loop, `claim_jobs`: the calling thread and up to
@@ -44,13 +48,12 @@ use crate::pipeline::{
     band_kind, block_grid, build_profile, rate_control_and_assemble, BlockRecord, Coefficients,
     Transformed,
 };
-use crate::profile::StageTime;
-use crate::{Arithmetic, CodecError, EncoderParams, Mode, WorkloadProfile};
+use crate::{Arithmetic, CodecError, EncoderParams, Mode, Stage, WorkloadProfile};
 use imgio::Image;
 use obs::trace;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
-use std::time::Instant;
+use std::time::Duration;
 use wavelet::rowops::{self, Region, Rows};
 use wavelet::vertical::Arith97;
 use wavelet::{horizontal, vertical, VerticalVariant};
@@ -88,34 +91,12 @@ pub fn encode_with(
         c.check()?;
     }
 
-    let (t, stages) = transform_samples_parallel(image, params, workers, ctl)?;
-    let mut stage_times = stages.stage_times;
-    let mut worker_jobs = stages.worker_jobs;
-
-    let stage_span = trace::span("stage:tier1")
-        .cat("stage")
-        .arg("coder", params.coder.id());
-    let t1 = Instant::now();
-    let (mut records, tier1_counts) = tier1_queue(&t, params, workers, ctl)?;
-    drop(stage_span);
-    let tier1_secs = t1.elapsed().as_secs_f64();
-
-    let rc_span = trace::span("stage:rate-control").cat("stage");
+    let mut s = Stages::new(workers, ctl);
+    let t = transform_samples_parallel(image, params, &mut s)?;
+    let mut records = tier1_queue(&t, params, &mut s)?;
     let raw = image.raw_bytes() as u64;
-    let out = rate_control_and_assemble(image, params, &t, &mut records, raw, workers, ctl)?;
-    drop(rc_span);
-    // Packing the kept raw passes is Tier-1 work the tail does late.
-    stage_times.push(StageTime::new("tier1", tier1_secs + out.pack_secs));
-    stage_times.push(StageTime::new("rate-control", out.alloc_secs));
-    stage_times.push(StageTime::new("tier2", out.tier2_secs));
-    for (total, n) in worker_jobs.iter_mut().zip(tier1_counts) {
-        *total += n;
-    }
-    for (total, &n) in worker_jobs.iter_mut().zip(&out.pack_jobs) {
-        *total += n;
-    }
-
-    let profile = build_profile(image, params, &records, &out, stage_times, worker_jobs);
+    let out = rate_control_and_assemble(image, params, &t, &mut records, raw, &mut s)?;
+    let profile = build_profile(image, params, &records, &out, s);
     Ok((out.bytes, profile))
 }
 
@@ -143,7 +124,7 @@ pub fn transform_coefficients_parallel(
     image
         .validate()
         .map_err(|e| CodecError::Image(e.to_string()))?;
-    let (t, _) = transform_samples_parallel(image, params, workers.max(1), None)?;
+    let t = transform_samples_parallel(image, params, &mut Stages::new(workers.max(1), None))?;
     Ok(t.dense_indices(image.width, image.height, params.cb_size))
 }
 
@@ -160,8 +141,9 @@ pub fn transform_coefficients_parallel(
 /// A helper inherits the caller's trace id (TLS does not cross
 /// `thread::scope`) and flushes its trace buffer before returning: the
 /// scope waits for closures, not TLS destructors, so the Drop flush alone
-/// would race the caller's trace drain. A helper's panic resumes on the
-/// calling thread after the join.
+/// would race the caller's trace drain. Helper `i` is the thread named
+/// `j2k-claim-<i>`, so a panic message names it. A helper's panic resumes
+/// on the calling thread after the join.
 fn claim_jobs<J: Send, R: Send>(
     workers: usize,
     jobs: Vec<J>,
@@ -200,12 +182,15 @@ fn claim_jobs<J: Send, R: Send>(
         let helpers: Vec<_> = (1..threads)
             .map(|thread| {
                 let claim = &claim;
-                scope.spawn(move || {
-                    trace::set_current(parent_trace);
-                    let done = claim(thread);
-                    trace::flush_thread();
-                    done
-                })
+                std::thread::Builder::new()
+                    .name(format!("j2k-claim-{thread}"))
+                    .spawn_scoped(scope, move || {
+                        trace::set_current(parent_trace);
+                        let done = claim(thread);
+                        trace::flush_thread();
+                        done
+                    })
+                    .expect("failed to spawn a claim helper")
             })
             .collect();
         let mut per_thread = vec![claim(0)];
@@ -231,21 +216,19 @@ fn claim_jobs<J: Send, R: Send>(
     Ok((results.collect(), counts))
 }
 
-/// Tier-1 on the claim loop, one job per code block: the claiming thread
-/// extracts the block (quantizing 9/7 coefficients), codes it and runs its
-/// R-D preparation. Returns the records in block order plus the blocks
-/// each thread coded.
+/// Tier-1 on the claim loop, one job per code block, timed as
+/// [`Stage::Tier1`]: the claiming thread extracts the block (quantizing
+/// 9/7 coefficients), codes it and runs its R-D preparation. Returns the
+/// records in block order.
 ///
-/// A lossy encode's HT blocks leave their raw passes sized but unpacked:
-/// rate control keeps few of them, and [`pack_kept_passes`] packs those.
-/// A lossless encode keeps every pass in its final layer, so its blocks
-/// are packed here.
+/// Every block is coded through [`crate::BlockCoder::size_block`]: an HT
+/// block leaves its raw passes sized but unpacked, and
+/// [`pack_kept_passes`] packs those an allocation keeps.
 pub(crate) fn tier1_queue(
     t: &Transformed,
     params: &EncoderParams,
-    workers: usize,
-    ctl: Option<&EncodeControl>,
-) -> Result<(Vec<BlockRecord>, Vec<u64>), CodecError> {
+    s: &mut Stages,
+) -> Result<Vec<BlockRecord>, CodecError> {
     // The block job list: (comp, band, grid position, geometry).
     let mut jobs = Vec::new();
     for c in 0..t.comps() {
@@ -255,106 +238,138 @@ pub(crate) fn tier1_queue(
             }
         }
     }
-    claim_jobs(workers, jobs, ctl, |_, (comp, bi, grid)| {
-        let (bx, by, x0, y0, bw, bh) = grid;
-        // Failpoint `tier1.block`: fires once per claimed code block. A
-        // panic unwinds through the join (the service's catch_unwind
-        // lever); an error stops all claiming and fails the encode.
-        if let Some(msg) = faultsim::eval("tier1.block") {
-            return Err(CodecError::Injected(msg));
-        }
-        let data = t.block_indices(comp, bi, (x0, y0, bw, bh));
-        let (coder, kind) = (params.coder, band_kind(t.bands[bi].band));
-        let coded = if params.mode == Mode::Lossless {
-            let enc = coder
-                .block_coder()
-                .encode(&data, bw, bh, kind, params.bypass);
-            (enc, None)
-        } else {
-            coder.encode_sized(&data, bw, bh, kind, params.bypass)
-        };
-        assert!(
-            coded.0.num_planes <= t.max_planes[bi],
-            "band {bi}: {} planes exceed M_b {}",
-            coded.0.num_planes,
-            t.max_planes[bi]
-        );
-        // R-D preparation (truncation rates/distortions + convex hull)
-        // runs here, on the thread that coded the block — the post-pass
-        // slice of rate control rides the queue.
-        Ok(BlockRecord::new(comp, bi, bx, by, coded, t.weights[bi]))
+    let coder = params.coder.block_coder();
+    s.timed(Stage::Tier1, &[("coder", params.coder.id())], |s| {
+        s.claim(jobs, |_, (comp, bi, grid)| {
+            let (bx, by, x0, y0, bw, bh) = grid;
+            // Failpoint `tier1.block`: fires once per claimed code block. A
+            // panic unwinds through the join (the service's catch_unwind
+            // lever); an error stops all claiming and fails the encode.
+            if let Some(msg) = faultsim::eval("tier1.block") {
+                return Err(CodecError::Injected(msg));
+            }
+            let data = t.block_indices(comp, bi, (x0, y0, bw, bh));
+            let kind = band_kind(t.bands[bi].band);
+            let coded = coder.size_block(&data, bw, bh, kind, params.bypass);
+            assert!(
+                coded.0.num_planes <= t.max_planes[bi],
+                "band {bi}: {} planes exceed M_b {}",
+                coded.0.num_planes,
+                t.max_planes[bi]
+            );
+            // R-D preparation (truncation rates/distortions + convex hull)
+            // runs here, on the thread that coded the block — the post-pass
+            // slice of rate control rides the queue.
+            Ok(BlockRecord::new(comp, bi, bx, by, coded, t.weights[bi]))
+        })
     })
 }
 
 /// Pack the raw passes of every block whose kept passes (`kept`, one
 /// allocation's) reach past its packed data, one job per block on the
-/// claim loop, each under a `raw-pack` span. A block is packed once: a
-/// later allocation keeps no more than an earlier one, and what it keeps
-/// that is not packed yet is packed then. Returns the jobs each thread
-/// ran.
+/// claim loop, each under a `raw-pack` span; a round with jobs is timed
+/// as [`Stage::Tier1`]. A block is packed once: a later allocation keeps
+/// no more than an earlier one, and what it keeps that is not packed yet
+/// is packed then.
 pub(crate) fn pack_kept_passes(
     records: &mut [BlockRecord],
     kept: &[Vec<usize>],
-    workers: usize,
-    ctl: Option<&EncodeControl>,
-) -> Result<Vec<u64>, CodecError> {
+    params: &EncoderParams,
+    s: &mut Stages,
+) -> Result<(), CodecError> {
     let jobs: Vec<&mut BlockRecord> = records
         .iter_mut()
         .zip(kept)
         .filter(|(r, k)| r.short_of(k.last().copied().unwrap_or(0)))
         .map(|(r, _)| r)
         .collect();
-    let (_, counts) = claim_jobs(workers, jobs, ctl, |_, r| {
-        let _sp = trace::span("raw-pack").cat("chunk");
-        let raw = r
-            .raw
-            .as_ref()
-            .expect("only HT raw passes are left unpacked");
-        raw.pack(&mut r.enc);
-        Ok(())
+    if jobs.is_empty() {
+        return Ok(());
+    }
+    s.timed(Stage::Tier1, &[("coder", params.coder.id())], |s| {
+        s.claim(jobs, |_, r| {
+            let _sp = trace::span("raw-pack").cat("chunk");
+            let raw = r
+                .raw
+                .as_ref()
+                .expect("only HT raw passes are left unpacked");
+            raw.pack(&mut r.enc);
+            Ok(())
+        })
     })?;
-    Ok(counts)
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
 // Chunked sample stages
 // ---------------------------------------------------------------------------
 
-/// One chunked transform in progress: the fan-out, the control polled on
-/// every claim, and the measurements so far — per-stage wall times plus
-/// jobs executed per thread (calling thread first).
-struct Stages<'c> {
+/// The encode's ledger: the fan-out and control every stage runs with,
+/// the wall time recorded for each [`Stage`], and the jobs each thread
+/// claimed over every fan-out (`workers` entries, calling thread first).
+pub(crate) struct Stages<'c> {
     workers: usize,
     ctl: Option<&'c EncodeControl>,
-    stage_times: Vec<StageTime>,
+    times: [Duration; Stage::ALL.len()],
     worker_jobs: Vec<u64>,
 }
 
-impl Stages<'_> {
-    /// Run `f` as the stage `span` (`stage:<name>`), recording its wall
-    /// time as `<name>`.
-    fn timed<R>(&mut self, span: &'static str, f: impl FnOnce(&mut Self) -> R) -> R {
-        let sp = trace::span(span).cat("stage");
-        let t = Instant::now();
+impl<'c> Stages<'c> {
+    /// An empty ledger for an encode on `workers` threads (at least 1),
+    /// polling `ctl` on every claim.
+    pub(crate) fn new(workers: usize, ctl: Option<&'c EncodeControl>) -> Stages<'c> {
+        Stages {
+            workers,
+            ctl,
+            times: [Duration::ZERO; Stage::ALL.len()],
+            worker_jobs: vec![0; workers],
+        }
+    }
+
+    /// Run `f` as one interval of `stage`. The clock is read once before
+    /// `f` and once after; that interval is both the `stage:<name>` span
+    /// (with `args`; nothing is recorded while tracing is off) and the
+    /// time added to the stage, so a stage's spans sum to its time.
+    pub(crate) fn timed<R>(
+        &mut self,
+        stage: Stage,
+        args: &[(&'static str, u64)],
+        f: impl FnOnce(&mut Self) -> R,
+    ) -> R {
+        let start = trace::now_ns();
         let r = f(self);
-        drop(sp);
-        let name = span.trim_start_matches("stage:");
-        self.stage_times
-            .push(StageTime::new(name, t.elapsed().as_secs_f64()));
+        let dur = trace::now_ns() - start;
+        self.times[stage as usize] += Duration::from_nanos(dur);
+        let id = trace::current();
+        trace::complete_with(id, stage.span_name(), "stage", start, dur, args);
         r
     }
 
+    /// [`claim_jobs`] at the ledger's fan-out and control, adding each
+    /// thread's claims to `worker_jobs`.
+    pub(crate) fn claim<J: Send, R: Send>(
+        &mut self,
+        jobs: Vec<J>,
+        f: impl Fn(usize, J) -> Result<R, CodecError> + Sync,
+    ) -> Result<Vec<R>, CodecError> {
+        let (results, counts) = claim_jobs(self.workers, jobs, self.ctl, f)?;
+        for (total, n) in self.worker_jobs.iter_mut().zip(counts) {
+            *total += n;
+        }
+        Ok(results)
+    }
+
     /// Run `f(comp, region, view)` for every job `(comp, tile, view)` on
-    /// [`claim_jobs`], then join (a stage barrier). Every job runs under a
-    /// span named `stage` (args: worker / chunk / comp).
+    /// the claim loop, then join (a stage barrier). Every job runs under a
+    /// span named after `stage` (args: worker / chunk / comp).
     fn run<V: Send>(
         &mut self,
-        stage: &'static str,
+        stage: Stage,
         jobs: Vec<(usize, Tile, V)>,
         f: impl Fn(usize, Region, V) + Sync,
     ) -> Result<(), CodecError> {
-        let (_, counts) = claim_jobs(self.workers, jobs, self.ctl, |wi, (comp, tile, view)| {
-            let _sp = trace::span(stage)
+        self.claim(jobs, |wi, (comp, tile, view)| {
+            let _sp = trace::span(stage.name())
                 .cat("chunk")
                 .arg("worker", wi as u64)
                 .arg("chunk", tile.chunk as u64)
@@ -362,10 +377,12 @@ impl Stages<'_> {
             f(comp, tile.region, view);
             Ok(())
         })?;
-        for (total, n) in self.worker_jobs.iter_mut().zip(counts) {
-            *total += n;
-        }
         Ok(())
+    }
+
+    /// The recorded stage times and per-thread job counts.
+    pub(crate) fn into_parts(self) -> ([Duration; Stage::ALL.len()], Vec<u64>) {
+        (self.times, self.worker_jobs)
     }
 }
 
@@ -470,23 +487,16 @@ fn fused<'a, T: Copy + Default>(
 
 /// Chunked version of [`crate::pipeline::transform_samples`]: identical
 /// coefficients by construction (same arithmetic on the same operands,
-/// only partitioned), plus stage measurements. Each arm allocates one
-/// working plane per component and reads the image into it in its first
-/// stage. Polls `ctl` on every claimed job.
-fn transform_samples_parallel<'c>(
+/// only partitioned), timed and counted in the ledger `s`. Each arm
+/// allocates one working plane per component and reads the image into it
+/// in its first stage.
+fn transform_samples_parallel(
     image: &Image,
     params: &EncoderParams,
-    workers: usize,
-    ctl: Option<&'c EncodeControl>,
-) -> Result<(Transformed, Stages<'c>), CodecError> {
+    s: &mut Stages,
+) -> Result<Transformed, CodecError> {
     let (w, h) = (image.width, image.height);
-    let mut s = Stages {
-        workers,
-        ctl,
-        stage_times: Vec::new(),
-        worker_jobs: vec![0; workers],
-    };
-    let plan = plan_for(w, workers)?;
+    let plan = plan_for(w, s.workers)?;
     if trace::enabled() {
         // Record the column-chunk plan itself: one instant per chunk,
         // dynamically named (`chunk-3`), so a trace can be read against
@@ -503,12 +513,11 @@ fn transform_samples_parallel<'c>(
         }
     }
     let tiles = column_tiles(&plan, h);
-    let t = match (params.mode, params.arithmetic) {
-        (Mode::Lossless, _) => lossless(&mut s, image, params, &tiles),
-        (_, Arithmetic::Float32) => lossy::<f32>(&mut s, image, params, &tiles),
-        (_, Arithmetic::FixedQ13) => lossy::<i32>(&mut s, image, params, &tiles),
-    }?;
-    Ok((t, s))
+    match (params.mode, params.arithmetic) {
+        (Mode::Lossless, _) => lossless(s, image, params, &tiles),
+        (_, Arithmetic::Float32) => lossy::<f32>(s, image, params, &tiles),
+        (_, Arithmetic::FixedQ13) => lossy::<i32>(s, image, params, &tiles),
+    }
 }
 
 /// One zeroed working plane per component of `image`.
@@ -544,7 +553,7 @@ fn dwt_levels<T: Copy + Default + Send>(
     horizontal: impl Fn(Rows<'_, T>) + Sync,
 ) -> Result<(), CodecError> {
     let (w, h) = (planes[0].width(), planes[0].height());
-    s.timed("stage:dwt", |s| {
+    s.timed(Stage::Dwt, &[], |s| {
         for (li, r) in wavelet::level_regions(w, h, params.levels)
             .iter()
             .enumerate()
@@ -561,11 +570,13 @@ fn dwt_levels<T: Copy + Default + Send>(
                 trace::Span::disabled()
             };
             let tiles = column_tiles(&plan_for(r.w, s.workers)?, r.h);
-            s.run("dwt", per_plane(planes, &tiles), |_, _, v| {
+            s.run(Stage::Dwt, per_plane(planes, &tiles), |_, _, v| {
                 vertical(v, params.variant)
             })?;
             let tiles = row_tiles(r.w, r.h, s.workers);
-            s.run("dwt", per_plane(planes, &tiles), |_, _, v| horizontal(v))?;
+            s.run(Stage::Dwt, per_plane(planes, &tiles), |_, _, v| {
+                horizontal(v)
+            })?;
         }
         Ok(())
     })
@@ -582,9 +593,9 @@ fn lossless(
 ) -> Result<Transformed, CodecError> {
     let shift = 1i32 << (image.bit_depth - 1);
     let mut planes = working_planes::<i32>(image);
-    s.timed("stage:mct", |s| {
+    s.timed(Stage::Mct, &[], |s| {
         if planes.len() == 3 {
-            s.run("mct", fused(&mut planes, tiles), |_, reg, mut out| {
+            s.run(Stage::Mct, fused(&mut planes, tiles), |_, reg, mut out| {
                 for y in 0..reg.h {
                     let [r, g, b] = out.each_mut().map(|rows| rows.row_mut(y));
                     widen_row(image_row(image, 0, reg, y), r);
@@ -594,13 +605,17 @@ fn lossless(
                 }
             })
         } else {
-            s.run("mct", per_plane(&mut planes, tiles), |c, reg, mut rows| {
-                for y in 0..reg.h {
-                    let row = rows.row_mut(y);
-                    widen_row(image_row(image, c, reg, y), row);
-                    kernels::level_shift_row(row, shift);
-                }
-            })
+            s.run(
+                Stage::Mct,
+                per_plane(&mut planes, tiles),
+                |c, reg, mut rows| {
+                    for y in 0..reg.h {
+                        let row = rows.row_mut(y);
+                        widen_row(image_row(image, c, reg, y), row);
+                        kernels::level_shift_row(row, shift);
+                    }
+                },
+            )
         }
     })?;
 
@@ -666,9 +681,9 @@ fn lossy<S: LossySample>(
 ) -> Result<Transformed, CodecError> {
     let shift = 1i32 << (image.bit_depth - 1);
     let mut planes = working_planes::<S>(image);
-    s.timed("stage:mct", |s| {
+    s.timed(Stage::Mct, &[], |s| {
         if planes.len() == 3 {
-            s.run("mct", fused(&mut planes, tiles), |_, reg, mut out| {
+            s.run(Stage::Mct, fused(&mut planes, tiles), |_, reg, mut out| {
                 let mut bufs = [vec![0f32; reg.w], vec![0f32; reg.w], vec![0f32; reg.w]];
                 for y in 0..reg.h {
                     let [yy, cb, cr] = &mut bufs;
@@ -682,14 +697,18 @@ fn lossy<S: LossySample>(
                 }
             })
         } else {
-            s.run("mct", per_plane(&mut planes, tiles), |c, reg, mut rows| {
-                for y in 0..reg.h {
-                    let src = image_row(image, c, reg, y);
-                    for (d, &v) in rows.row_mut(y).iter_mut().zip(src) {
-                        *d = S::from_f32((i32::from(v) - shift) as f32);
+            s.run(
+                Stage::Mct,
+                per_plane(&mut planes, tiles),
+                |c, reg, mut rows| {
+                    for y in 0..reg.h {
+                        let src = image_row(image, c, reg, y);
+                        for (d, &v) in rows.row_mut(y).iter_mut().zip(src) {
+                            *d = S::from_f32((i32::from(v) - shift) as f32);
+                        }
                     }
-                }
-            })
+                },
+            )
         }
     })?;
 
@@ -704,6 +723,7 @@ mod tests {
     use crate::Coder;
     use imgio::synth;
     use std::sync::MutexGuard;
+    use std::time::Instant;
 
     /// Tracing is switched on and off process-wide, so the tests that
     /// record a trace hold this lock for their whole body.
@@ -886,19 +906,8 @@ mod tests {
         }
         // Every block's bytes are a prefix of the complete HT coding of
         // that block of the reference coefficients.
-        let parsed = crate::codestream::parse(&seq).unwrap();
-        let coeffs = crate::pipeline::transform_coefficients(&im, &params).unwrap();
-        let (bands, cb) = (parsed.header.bands(), params.cb_size);
         let mut keep_raw = 0;
-        for blk in &parsed.blocks {
-            let b = &bands[blk.band_idx];
-            let (x0, y0) = (b.x0 + blk.bx * cb, b.y0 + blk.by * cb);
-            let (bw, bh) = (cb.min(b.x0 + b.w - x0), cb.min(b.y0 + b.h - y0));
-            let data: Vec<i32> = (y0..y0 + bh)
-                .flat_map(|y| &coeffs[blk.comp][y * im.width + x0..][..bw])
-                .copied()
-                .collect();
-            let full = j2k_ht::encode_block(&data, bw, bh);
+        for (blk, full) in reference_ht_blocks(&im, &params, &seq) {
             let last = *blk.layer_passes.last().unwrap();
             let what = format!(
                 "comp {} band {} block ({}, {})",
@@ -908,6 +917,32 @@ mod tests {
             keep_raw += usize::from(last > 1);
         }
         assert!(keep_raw > 0, "no block keeps a raw pass");
+    }
+
+    /// Every block of the HT codestream `seq`, with the complete HT coding
+    /// of that block of the reference coefficients.
+    fn reference_ht_blocks(
+        im: &Image,
+        params: &EncoderParams,
+        seq: &[u8],
+    ) -> Vec<(crate::codestream::BlockStream, ebcot::block::EncodedBlock)> {
+        let parsed = crate::codestream::parse(seq).unwrap();
+        let coeffs = crate::pipeline::transform_coefficients(im, params).unwrap();
+        let (bands, cb) = (parsed.header.bands(), params.cb_size);
+        parsed
+            .blocks
+            .into_iter()
+            .map(|blk| {
+                let b = &bands[blk.band_idx];
+                let (x0, y0) = (b.x0 + blk.bx * cb, b.y0 + blk.by * cb);
+                let (bw, bh) = (cb.min(b.x0 + b.w - x0), cb.min(b.y0 + b.h - y0));
+                let data: Vec<i32> = (y0..y0 + bh)
+                    .flat_map(|y| &coeffs[blk.comp][y * im.width + x0..][..bw])
+                    .copied()
+                    .collect();
+                (blk, j2k_ht::encode_block(&data, bw, bh))
+            })
+            .collect()
     }
 
     #[test]
@@ -1065,13 +1100,81 @@ mod tests {
         for params in [EncoderParams::lossless(), EncoderParams::lossy(0.2)] {
             let (_, prof) = encode_with(&im, &params, workers, None).unwrap();
             assert_eq!(prof.worker_jobs.len(), workers, "{:?}", params.mode);
-            let names: Vec<&str> = prof.stage_times.iter().map(|s| s.name.as_ref()).collect();
+            for stage in Stage::ALL {
+                assert!(
+                    prof.stage_time(stage) > Duration::ZERO,
+                    "{stage:?} not recorded for {:?}",
+                    params.mode
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn each_stage_time_is_the_sum_of_its_spans() {
+        let _g = trace_lock();
+        // Probed as in the raw-pass test above: budget-shrink retries, so
+        // every tail stage runs more than once.
+        let im = synth::natural_rgb(96, 64, 5);
+        let params = EncoderParams {
+            layers: 3,
+            cb_size: 16,
+            coder: Coder::Ht,
+            ..EncoderParams::lossy(0.4)
+        };
+        let ((_, prof), events, _) = traced_encode(&im, &params, 2);
+        assert!(prof.rate_retries > 0, "no budget-shrink retry");
+        for stage in Stage::ALL {
+            let spans: Vec<u64> = events
+                .iter()
+                .filter(|e| e.name == stage.span_name())
+                .map(|e| e.dur_ns.expect("a stage span is a complete event"))
+                .collect();
+            assert!(!spans.is_empty(), "no {} span", stage.span_name());
             assert_eq!(
-                names,
-                ["mct", "dwt", "tier1", "rate-control", "tier2"],
-                "{:?}",
-                params.mode
+                u128::from(spans.iter().sum::<u64>()),
+                prof.stage_time(stage).as_nanos(),
+                "{stage:?}: spans {spans:?}"
             );
+        }
+        // One allocation and one assembly per try, and Tier-1 covers the
+        // queue plus every round that packed raw passes.
+        let count = |stage: Stage| {
+            events
+                .iter()
+                .filter(|e| e.name == stage.span_name())
+                .count()
+        };
+        let tries = prof.rate_retries as usize + 1;
+        assert_eq!(count(Stage::RateControl), tries);
+        assert_eq!(count(Stage::Tier2), tries);
+        assert!(count(Stage::Tier1) >= 2, "no pack round under stage:tier1");
+        for e in events.iter().filter(|e| e.name == "stage:tier1") {
+            assert_eq!(e.args, [("coder", Coder::Ht.id())], "stage:tier1 args");
+        }
+    }
+
+    #[test]
+    fn lossless_ht_packs_every_block_in_the_tail_with_the_same_bytes() {
+        let im = synth::natural_rgb(96, 64, 13);
+        for layers in [1usize, 3] {
+            let params = EncoderParams {
+                layers,
+                levels: 3,
+                cb_size: 16,
+                coder: Coder::Ht,
+                ..EncoderParams::lossless()
+            };
+            let seq = encode(&im, &params).unwrap();
+            assert_eq!(crate::decode(&seq).unwrap(), im, "layers={layers}");
+            for workers in [1usize, 2, 5] {
+                let (par, _) = encode_with(&im, &params, workers, None).unwrap();
+                assert_eq!(par, seq, "layers={layers} workers={workers}");
+            }
+            // Every block is the whole HT coding of its indices.
+            for (blk, full) in reference_ht_blocks(&im, &params, &seq) {
+                assert_eq!(blk.data, full.data, "layers={layers}");
+            }
         }
     }
 
@@ -1119,16 +1222,26 @@ mod tests {
         // Neither job returns before both have started, so the calling
         // thread cannot run both: a helper must claim one.
         let started = AtomicUsize::new(0);
+        let caller = std::thread::current().name().map(str::to_owned);
         let (met, counts) = claim_jobs(2, vec![(); 2], None, |t, ()| {
             started.fetch_add(1, Ordering::SeqCst);
-            Ok((t, all_started(&started, 2)))
+            let name = std::thread::current().name().map(str::to_owned);
+            Ok((t, name, all_started(&started, 2)))
         })
         .unwrap();
         assert_eq!(counts, [1, 1]);
-        assert!(met.iter().all(|&(_, both)| both), "{met:?}");
-        let mut threads: Vec<usize> = met.iter().map(|&(t, _)| t).collect();
+        assert!(met.iter().all(|(_, _, both)| *both), "{met:?}");
+        let mut threads: Vec<usize> = met.iter().map(|&(t, ..)| t).collect();
         threads.sort_unstable();
         assert_eq!(threads, [0, 1]);
+        // The helper is named; the calling thread keeps its own name.
+        for (t, name, _) in &met {
+            let want = match t {
+                0 => caller.clone(),
+                t => Some(format!("j2k-claim-{t}")),
+            };
+            assert_eq!(*name, want, "thread {t}");
+        }
     }
 
     #[test]

@@ -4,10 +4,10 @@
 //! decoder. Stage order follows the paper's Figure 2.
 
 use crate::codestream::{self, BlockStream, MainHeader, Quant};
-use crate::control::EncodeControl;
-use crate::profile::{BlockWork, LevelWork, StageTime, WorkloadProfile};
+use crate::parallel::{pack_kept_passes, Stages};
+use crate::profile::{BlockWork, LevelWork, WorkloadProfile};
 use crate::quant::{band_delta, max_bitplanes, StepSize, GUARD_BITS};
-use crate::{kernels, mct, Arithmetic, CodecError, EncoderParams, Mode};
+use crate::{kernels, mct, Arithmetic, CodecError, EncoderParams, Mode, Stage};
 use ebcot::block::{BandKind, EncodedBlock};
 use ebcot::rate::{search_threshold, BlockSummary, PreparedBlock, Threshold};
 use imgio::Image;
@@ -58,12 +58,11 @@ pub(crate) struct BlockRecord {
     pub band_idx: usize,
     pub bx: usize,
     pub by: usize,
-    /// Every pass's bookkeeping; for an HT block of a lossy encode,
-    /// `enc.data` holds the cleanup segment alone until its raw passes
-    /// are packed.
+    /// Every pass's bookkeeping; for an HT block, `enc.data` holds the
+    /// cleanup segment alone until its raw passes are packed.
     pub enc: EncodedBlock,
-    /// What packs an HT block's raw passes (lossy encodes), which the
-    /// tail does once an allocation keeps them.
+    /// What packs an HT block's raw passes, which the tail does once an
+    /// allocation keeps them.
     pub raw: Option<j2k_ht::RawPasses>,
     /// Per-block PCRD input (weighted distortions + hull), ready for the
     /// λ search.
@@ -530,37 +529,23 @@ pub(crate) struct RateOutcome {
     /// target carries it as diagnostic state.
     #[cfg_attr(not(test), allow(dead_code))]
     pub reserves: Vec<usize>,
-    /// Cumulative wall seconds in allocation (search + apply), across
-    /// retries.
-    pub alloc_secs: f64,
-    /// Cumulative wall seconds packing kept raw passes, across retries:
-    /// Tier-1 work done late.
-    pub pack_secs: f64,
-    /// Raw-pass pack jobs each thread ran (calling thread first).
-    pub pack_jobs: Vec<u64>,
-    /// Cumulative wall seconds in Tier-2 packet assembly, across retries.
-    pub tier2_secs: f64,
 }
 
 /// PCRD rate allocation plus codestream assembly, including the lossy
 /// budget-shrink retry loop: the sequential tail, run on the calling
-/// thread as on the paper's PPE. Between each allocation and its
-/// assembly, the HT raw passes the allocation keeps and Tier-1 left
-/// unpacked are packed on `workers` threads, polling `ctl`.
+/// thread as on the paper's PPE. Each allocation is timed in the ledger
+/// `s` as [`Stage::RateControl`] and each assembly as [`Stage::Tier2`];
+/// between the two, the HT raw passes the allocation keeps and Tier-1
+/// left unpacked are packed on the ledger's threads ([`Stage::Tier1`]).
 pub(crate) fn rate_control_and_assemble(
     image: &Image,
     params: &EncoderParams,
     t: &Transformed,
     records: &mut [BlockRecord],
     raw: u64,
-    workers: usize,
-    ctl: Option<&EncodeControl>,
+    s: &mut Stages,
 ) -> Result<RateOutcome, CodecError> {
     let mut rc_items = 0;
-    let mut alloc_secs = 0.0;
-    let mut pack_secs = 0.0;
-    let mut pack_jobs = vec![0; workers.max(1)];
-    let mut tier2_secs = 0.0;
     // The packet-header overhead is only known after assembly; a lossy
     // encode over its target shrinks the payload budget and retries.
     let limit = match params.mode {
@@ -570,21 +555,14 @@ pub(crate) fn rate_control_and_assemble(
     let mut reserve = 0usize;
     let mut reserves = Vec::new();
     let bytes = loop {
-        let ta = std::time::Instant::now();
-        let (kept, rc) = allocate_layers(records, params, raw, reserve)?;
-        alloc_secs += ta.elapsed().as_secs_f64();
+        let (kept, rc) = s.timed(Stage::RateControl, &[], |_| {
+            allocate_layers(records, params, raw, reserve)
+        })?;
         rc_items += rc;
-        let tp = std::time::Instant::now();
-        let jobs = crate::parallel::pack_kept_passes(records, &kept, workers, ctl)?;
-        pack_secs += tp.elapsed().as_secs_f64();
-        for (total, n) in pack_jobs.iter_mut().zip(jobs) {
-            *total += n;
-        }
-        let t2_span = obs::trace::span("tier2").cat("stage");
-        let tt = std::time::Instant::now();
-        let bytes = assemble(image, params, t, records, &kept)?;
-        tier2_secs += tt.elapsed().as_secs_f64();
-        drop(t2_span);
+        pack_kept_passes(records, &kept, params, s)?;
+        let bytes = s.timed(Stage::Tier2, &[], |_| {
+            assemble(image, params, t, records, &kept)
+        })?;
         match limit {
             Some(limit) if bytes.len() > limit && reserves.len() < 8 => {
                 reserve += (bytes.len() - limit) + 32;
@@ -599,23 +577,19 @@ pub(crate) fn rate_control_and_assemble(
         rc_items,
         retries: reserves.len() as u64,
         reserves,
-        alloc_secs,
-        pack_secs,
-        pack_jobs,
-        tier2_secs,
     })
 }
 
-/// Build the measured [`WorkloadProfile`] from the Tier-1 records and the
-/// driver's stage measurements.
+/// Build the measured [`WorkloadProfile`] from the Tier-1 records, the
+/// tail's outcome and the encode's ledger.
 pub(crate) fn build_profile(
     image: &Image,
     params: &EncoderParams,
     records: &[BlockRecord],
     out: &RateOutcome,
-    stage_times: Vec<StageTime>,
-    worker_jobs: Vec<u64>,
+    s: Stages,
 ) -> WorkloadProfile {
+    let (stage_times, worker_jobs) = s.into_parts();
     WorkloadProfile {
         params: *params,
         width: image.width,
@@ -973,7 +947,7 @@ mod tests {
     /// Sequential transform plus Tier-1 at one worker: the tail's input.
     fn coded(im: &Image, params: &EncoderParams) -> (Transformed, Vec<BlockRecord>) {
         let t = transform_samples(im, params).unwrap();
-        let (records, _) = crate::parallel::tier1_queue(&t, params, 1, None).unwrap();
+        let records = crate::parallel::tier1_queue(&t, params, &mut Stages::new(1, None)).unwrap();
         (t, records)
     }
 
@@ -1309,7 +1283,8 @@ mod tests {
         };
         let (t, mut records) = coded(&im, &params);
         let raw = im.raw_bytes() as u64;
-        let out = rate_control_and_assemble(&im, &params, &t, &mut records, raw, 1, None).unwrap();
+        let s = &mut Stages::new(1, None);
+        let out = rate_control_and_assemble(&im, &params, &t, &mut records, raw, s).unwrap();
         assert!(out.retries >= 2, "wanted >=2 retries, got {}", out.retries);
         assert!(out.converged);
         assert!(out.bytes.len() <= (0.08 * raw as f64) as usize);
@@ -1329,7 +1304,8 @@ mod tests {
         let params = EncoderParams::lossy(0.02);
         let (t, mut records) = coded(&im, &params);
         let raw = im.raw_bytes() as u64;
-        let out = rate_control_and_assemble(&im, &params, &t, &mut records, raw, 1, None).unwrap();
+        let s = &mut Stages::new(1, None);
+        let out = rate_control_and_assemble(&im, &params, &t, &mut records, raw, s).unwrap();
         assert_eq!(out.retries, 8);
         assert!(!out.converged);
         assert_eq!(out.reserves.len(), 8);

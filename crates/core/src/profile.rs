@@ -10,7 +10,7 @@
 //! needs a dynamic work queue).
 
 use crate::EncoderParams;
-use std::borrow::Cow;
+use std::time::Duration;
 
 /// Per-code-block Tier-1 work.
 #[derive(Debug, Clone, Copy)]
@@ -26,25 +26,50 @@ pub struct BlockWork {
     pub bytes: u64,
 }
 
-/// Wall-clock time of one pipeline stage, as measured by the driver that
-/// produced the profile.
-#[derive(Debug, Clone)]
-pub struct StageTime {
-    /// Stage name (e.g. "mct", "dwt", "tier1"). `Cow` so
-    /// dynamically named stages (`chunk-3`, `dwt-level-2`) don't force
-    /// a `String` leak to obtain `'static` lifetime.
-    pub name: Cow<'static, str>,
-    /// Elapsed wall time in seconds.
-    pub seconds: f64,
+/// The encode's stages, in pipeline order: the one list that names the
+/// driver's stage times, its `stage:*` spans and the daemon's
+/// `stage_*_us` series.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Stage {
+    /// The image read merged with level shift and MCT.
+    Mct,
+    /// The forward DWT, every level.
+    Dwt,
+    /// Block extraction (quantizing 9/7 coefficients), coding and R-D
+    /// preparation, plus packing the HT raw passes rate control keeps.
+    Tier1,
+    /// Rate allocation: the PCRD threshold searches and their
+    /// application, once per assembly.
+    RateControl,
+    /// Tier-2 packet assembly into the codestream.
+    Tier2,
 }
 
-impl StageTime {
-    /// Build from any static or owned name.
-    pub fn new(name: impl Into<Cow<'static, str>>, seconds: f64) -> StageTime {
-        StageTime {
-            name: name.into(),
-            seconds,
+impl Stage {
+    /// Every stage, in pipeline order.
+    pub const ALL: [Stage; 5] = [
+        Stage::Mct,
+        Stage::Dwt,
+        Stage::Tier1,
+        Stage::RateControl,
+        Stage::Tier2,
+    ];
+
+    /// The name of the stage's trace spans, `stage:<name>`.
+    pub fn span_name(self) -> &'static str {
+        match self {
+            Stage::Mct => "stage:mct",
+            Stage::Dwt => "stage:dwt",
+            Stage::Tier1 => "stage:tier1",
+            Stage::RateControl => "stage:rate-control",
+            Stage::Tier2 => "stage:tier2",
         }
+    }
+
+    /// Stable lowercase name (`rate-control`); the encode driver's chunk
+    /// spans of the MCT and DWT carry it too.
+    pub fn name(self) -> &'static str {
+        &self.span_name()["stage:".len()..]
     }
 }
 
@@ -86,12 +111,10 @@ pub struct WorkloadProfile {
     pub rate_converged: bool,
     /// Output codestream bytes.
     pub output_bytes: u64,
-    /// Measured per-stage wall times, in pipeline order. The encode
-    /// driver records `mct` (the image read merged with level shift and
-    /// MCT), `dwt`, `tier1` (block extraction — with quantization of 9/7
-    /// coefficients — coding and R-D preparation), `rate-control` and
-    /// `tier2`.
-    pub stage_times: Vec<StageTime>,
+    /// Measured wall time of each [`Stage`], indexed by it (read one
+    /// with [`WorkloadProfile::stage_time`]). Each is the sum of the
+    /// durations of the stage's `stage:*` spans, to the nanosecond.
+    pub stage_times: [Duration; Stage::ALL.len()],
     /// Jobs each thread of the encode driver claimed (column chunks, row
     /// bands and code blocks): `workers` entries, the calling thread first,
     /// then the helpers in spawn order. Which thread claims a job varies
@@ -101,6 +124,11 @@ pub struct WorkloadProfile {
 }
 
 impl WorkloadProfile {
+    /// Measured wall time of `stage`.
+    pub fn stage_time(&self, stage: Stage) -> Duration {
+        self.stage_times[stage as usize]
+    }
+
     /// Total Tier-1 MQ decisions.
     pub fn tier1_symbols(&self) -> u64 {
         self.blocks.iter().map(|b| b.symbols).sum()
@@ -139,9 +167,19 @@ mod tests {
             rate_retries: 0,
             rate_converged: true,
             output_bytes: 32,
-            stage_times: Vec::new(),
+            stage_times: [Duration::ZERO; 5],
             worker_jobs: Vec::new(),
         };
         assert_eq!(p.tier1_symbols(), 150);
+    }
+
+    #[test]
+    fn stages_are_named_once() {
+        let names: Vec<&str> = Stage::ALL.iter().map(|s| s.name()).collect();
+        assert_eq!(names, ["mct", "dwt", "tier1", "rate-control", "tier2"]);
+        for (i, s) in Stage::ALL.into_iter().enumerate() {
+            assert_eq!(s as usize, i, "{s:?} indexes stage_times");
+            assert_eq!(s.span_name(), format!("stage:{}", s.name()));
+        }
     }
 }

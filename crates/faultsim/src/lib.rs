@@ -221,12 +221,6 @@ mod registry {
         entries.len()
     }
 
-    pub fn disarm(name: &str) {
-        if let Some(st) = lock().get_mut(name) {
-            st.specs.clear();
-        }
-    }
-
     pub fn reset() {
         lock().clear();
     }
@@ -282,7 +276,7 @@ mod registry {
 }
 
 #[cfg(feature = "enabled")]
-pub use registry::{arm, arm_schedule, disarm, eval, hits, reset};
+pub use registry::{arm, arm_schedule, eval, hits, reset};
 
 /// Arm `name` with `spec`. No-op returning `false` in disabled builds.
 #[cfg(not(feature = "enabled"))]
@@ -298,11 +292,6 @@ pub fn arm(_name: &str, _spec: FaultSpec) -> bool {
 pub fn arm_schedule(_entries: &[ScheduleEntry]) -> usize {
     0
 }
-
-/// Clear the rules armed on `name` (hit counters are kept).
-#[cfg(not(feature = "enabled"))]
-#[inline(always)]
-pub fn disarm(_name: &str) {}
 
 /// Clear every rule and every hit counter.
 #[cfg(not(feature = "enabled"))]
@@ -434,21 +423,6 @@ mod tests {
             // Registry not poisoned: further use works.
             assert_eq!(eval("t.panic"), None);
             assert_eq!(hits("t.panic"), 2);
-            reset();
-        }
-
-        #[test]
-        fn disarm_clears_rules_but_not_counts() {
-            let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-            reset();
-            arm(
-                "t.dis",
-                FaultSpec::at(FaultAction::Error("e".into()), 1, u64::MAX),
-            );
-            assert!(eval("t.dis").is_some());
-            disarm("t.dis");
-            assert_eq!(eval("t.dis"), None);
-            assert_eq!(hits("t.dis"), 2);
             reset();
         }
     }

@@ -1,4 +1,4 @@
-//! Fixed 64-bucket log₂ histograms and a named-series registry.
+//! Fixed 64-bucket log₂ histograms.
 //!
 //! The record path is integer-only and lock-free: a value lands in
 //! bucket `64 - leading_zeros(v)` (clamped), with relaxed atomic adds
@@ -8,9 +8,7 @@
 //! histogram computes no quantiles: the Prometheus exposition carries
 //! every bucket, and the scraper reads quantiles and ratios from them.
 
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
 
 /// Number of histogram buckets (fixed).
 pub const BUCKETS: usize = 64;
@@ -106,38 +104,6 @@ pub struct HistogramSnapshot {
     pub sum: u64,
 }
 
-/// Named histogram series. `histogram(name)` interns on first use and
-/// hands back a shared handle; recording through the handle is
-/// lock-free (the registry lock guards only the name map).
-#[derive(Debug, Default)]
-pub struct Registry {
-    series: Mutex<BTreeMap<String, Arc<Histogram>>>,
-}
-
-impl Registry {
-    /// An empty registry.
-    pub fn new() -> Registry {
-        Registry::default()
-    }
-
-    /// The series named `name`, created empty on first use.
-    pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        let mut map = self.series.lock().unwrap_or_else(|p| p.into_inner());
-        if let Some(h) = map.get(name) {
-            return Arc::clone(h);
-        }
-        let h = Arc::new(Histogram::new());
-        map.insert(name.to_string(), Arc::clone(&h));
-        h
-    }
-
-    /// Snapshot every series, sorted by name.
-    pub fn snapshot(&self) -> Vec<(String, HistogramSnapshot)> {
-        let map = self.series.lock().unwrap_or_else(|p| p.into_inner());
-        map.iter().map(|(k, v)| (k.clone(), v.snapshot())).collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -193,19 +159,5 @@ mod tests {
         assert_eq!(s.buckets[BUCKETS - 1], 2);
         assert_eq!(s.count, 2);
         assert_eq!(s.sum, u64::MAX, "sum saturates instead of wrapping");
-    }
-
-    #[test]
-    fn registry_interns_and_snapshots_sorted() {
-        let r = Registry::new();
-        r.histogram("zzz").record(1);
-        r.histogram("aaa").record(2);
-        let h = r.histogram("zzz");
-        h.record(3);
-        let snap = r.snapshot();
-        assert_eq!(snap.len(), 2);
-        assert_eq!(snap[0].0, "aaa");
-        assert_eq!(snap[1].0, "zzz");
-        assert_eq!(snap[1].1.count, 2);
     }
 }

@@ -14,9 +14,9 @@
 //!   (loadable in `chrome://tracing` / Perfetto).
 //!
 //! * [`hist`] — a fixed 64-bucket log₂ histogram (`AtomicU64` buckets,
-//!   no floats on the record path) plus a named-series [`Registry`].
-//!   [`prom`] renders a registry in Prometheus text exposition format
-//!   0.0.4 and validates scraped output for tests.
+//!   no floats and no lock on the record path). [`prom`] renders
+//!   counters, gauges and histogram snapshots in Prometheus text
+//!   exposition format 0.0.4 and validates scraped output for tests.
 //!
 //! Per-layer timing is the trace spans and the histograms fed from the
 //! encode driver's stage times.
@@ -26,7 +26,7 @@ pub mod hist;
 pub mod prom;
 pub mod trace;
 
-pub use hist::{Histogram, HistogramSnapshot, Registry};
+pub use hist::{Histogram, HistogramSnapshot};
 pub use trace::Span;
 
 /// Escape `s` for embedding inside a JSON string literal (quotes not

@@ -155,18 +155,8 @@ pub fn render_prometheus(svc: &EncodeService) -> String {
         "The admission bound.",
         m.queue_capacity as u64,
     );
-    for (name, snap) in svc.histogram_snapshots() {
-        let help = match name.as_str() {
-            "queue_wait_us" => "Microseconds a job waited queued before a worker claimed it.",
-            "job_e2e_us" => {
-                "End-to-end latency of completed jobs, microseconds (submit to codestream)."
-            }
-            "tier1_symbols_per_sec_mq" => "Per-job Tier-1 symbol throughput, MQ-coded jobs.",
-            "tier1_symbols_per_sec_ht" => "Per-job Tier-1 symbol throughput, HT-coded jobs.",
-            "decode_us" => "Wall time of successful decode requests, microseconds.",
-            _ => "Per-stage encode wall time, microseconds.",
-        };
-        obs::prom::histogram(&mut out, &format!("j2k_{name}"), help, &snap);
+    for (name, help, snap) in svc.histogram_series() {
+        obs::prom::histogram(&mut out, &format!("j2k_{name}"), &help, &snap);
     }
     out
 }

@@ -60,8 +60,8 @@ impl Default for ServerConfig {
 }
 
 /// Accept connections until a [`Request::Shutdown`] arrives, then drain
-/// the service and return. Blocks the calling thread; connection
-/// handlers run on their own threads.
+/// the service and return. Blocks the calling thread; each connection's
+/// handler runs on its own thread, named `j2k-conn`.
 pub fn serve(
     listener: TcpListener,
     service: Arc<EncodeService>,
@@ -108,15 +108,18 @@ pub fn serve(
         let service = Arc::clone(&service);
         let stop = Arc::clone(&stop);
         let conns = Arc::clone(&conns);
-        std::thread::spawn(move || {
-            let exit = handle_conn(stream, &service, cfg, ConnSlot(&conns, &service));
-            if exit == ConnExit::Shutdown {
-                stop.store(true, Ordering::SeqCst);
-                service.begin_shutdown();
-                // Self-connect to pop the accept loop out of `incoming()`.
-                let _ = TcpStream::connect(local);
-            }
-        });
+        std::thread::Builder::new()
+            .name("j2k-conn".into())
+            .spawn(move || {
+                let exit = handle_conn(stream, &service, cfg, ConnSlot(&conns, &service));
+                if exit == ConnExit::Shutdown {
+                    stop.store(true, Ordering::SeqCst);
+                    service.begin_shutdown();
+                    // Self-connect to pop the accept loop out of `incoming()`.
+                    let _ = TcpStream::connect(local);
+                }
+            })
+            .expect("failed to spawn a connection handler");
     }
     service.shutdown();
     Ok(())

@@ -55,8 +55,8 @@
 use crate::pressure::{PixelReservation, PressureConfig, PressureController, PressureLevel};
 use crate::queue::{JobQueue, PushError};
 use imgio::Image;
-use j2k_core::{encode_with, CodecError, EncodeControl, EncoderParams};
-use obs::hist::HistogramSnapshot;
+use j2k_core::{encode_with, CodecError, Coder, EncodeControl, EncoderParams, Stage};
+use obs::hist::{Histogram, HistogramSnapshot};
 use obs::trace;
 use std::cell::Cell;
 use std::collections::VecDeque;
@@ -314,14 +314,82 @@ struct Metrics {
     conns_active: AtomicU64,
     /// Wire connections refused (cap reached or Critical pressure).
     conns_rejected: AtomicU64,
-    /// Latency / throughput distributions: queue-wait, per-stage, whole
-    /// job, Tier-1 symbol throughput. Recording is lock-free.
-    hist: obs::Registry,
+    /// Latency / throughput distributions. Recording is lock-free.
+    hist: Histograms,
     /// Retained per-job Chrome traces, newest last, bounded at
     /// `trace_keep` (wire `Trace(job_id)` serves from here).
     traces: Mutex<VecDeque<(u64, String)>>,
     /// Trace files written under `trace_dir`, oldest first, for pruning.
     trace_files: Mutex<VecDeque<PathBuf>>,
+}
+
+/// The service's histogram series: a fixed set, so the Prometheus
+/// exposition carries every series from the first scrape, zero-count ones
+/// included, whichever coder or request ran first. Recording is a few
+/// relaxed atomic adds on a field; no lock is taken.
+#[derive(Default)]
+struct Histograms {
+    /// Microseconds each job waited queued before a worker claimed it.
+    queue_wait_us: Histogram,
+    /// End-to-end latency of completed jobs only, so its count equals
+    /// the completed-jobs counter.
+    job_e2e_us: Histogram,
+    /// Wall time of successful decodes only, so its count equals
+    /// `decoded`.
+    decode_us: Histogram,
+    /// Each completed job's [`Stage`] times, indexed by stage.
+    stage_us: [Histogram; Stage::ALL.len()],
+    /// Each completed job's Tier-1 symbols per second, indexed by
+    /// [`Coder::id`], so an MQ/HT mix stays separable.
+    tier1_symbols_per_sec: [Histogram; 2],
+}
+
+impl Histograms {
+    /// Every series as (name without the `j2k_` prefix, help text,
+    /// snapshot), sorted by name.
+    fn series(&self) -> Vec<(String, String, HistogramSnapshot)> {
+        let one = |name: &str, help: &str, h: &Histogram| {
+            (name.to_owned(), help.to_owned(), h.snapshot())
+        };
+        let mut series = vec![
+            one(
+                "queue_wait_us",
+                "Microseconds a job waited queued before a worker claimed it.",
+                &self.queue_wait_us,
+            ),
+            one(
+                "job_e2e_us",
+                "End-to-end latency of completed jobs, microseconds (submit to codestream).",
+                &self.job_e2e_us,
+            ),
+            one(
+                "decode_us",
+                "Wall time of successful decode requests, microseconds.",
+                &self.decode_us,
+            ),
+        ];
+        for stage in Stage::ALL {
+            // Dashes to underscores: a legal Prometheus name
+            // (`stage_rate_control_us`).
+            series.push(one(
+                &format!("stage_{}_us", stage.name().replace('-', "_")),
+                "Per-stage encode wall time, microseconds.",
+                &self.stage_us[stage as usize],
+            ));
+        }
+        for coder in [Coder::Mq, Coder::Ht] {
+            series.push(one(
+                &format!("tier1_symbols_per_sec_{coder}"),
+                &format!(
+                    "Per-job Tier-1 symbol throughput, {}-coded jobs.",
+                    coder.name().to_uppercase()
+                ),
+                &self.tier1_symbols_per_sec[coder.id() as usize],
+            ));
+        }
+        series.sort_by(|a, b| a.0.cmp(&b.0));
+        series
+    }
 }
 
 /// Point-in-time counters and gauges of a service, which
@@ -429,37 +497,15 @@ pub struct EncodeService {
     next_id: AtomicU64,
 }
 
-/// Every histogram series the service ever records, declared up front in
-/// [`EncodeService::start`] so the Prometheus exposition carries the
-/// **full series set from the first scrape** — zero-count histograms
-/// included. Recording lazily (as the workers do)
-/// would otherwise make the schema depend on which coder or pipeline
-/// happened to run first, breaking dashboards that join on series names.
-/// Stage names are the encode driver's stages.
-const DECLARED_HISTOGRAMS: &[&str] = &[
-    "queue_wait_us",
-    "job_e2e_us",
-    "stage_mct_us",
-    "stage_dwt_us",
-    "stage_tier1_us",
-    "stage_rate_control_us",
-    "stage_tier2_us",
-    "tier1_symbols_per_sec_mq",
-    "tier1_symbols_per_sec_ht",
-    "decode_us",
-];
-
 impl EncodeService {
-    /// Start the worker pool and return the running service.
+    /// Start the worker pool and return the running service. Pool worker
+    /// `i` is the thread named `j2k-pool-<i>`.
     pub fn start(cfg: ServiceConfig) -> Self {
         let queue = Arc::new(JobQueue::new(cfg.queue_capacity));
         let metrics = Arc::new(Metrics::default());
-        for series in DECLARED_HISTOGRAMS {
-            metrics.hist.histogram(series);
-        }
         let pressure = Arc::new(PressureController::new(cfg.pressure.clone()));
         let workers = (0..cfg.pool_threads.max(1))
-            .map(|_| {
+            .map(|i| {
                 // Counted on the spawning side so `workers_alive` never
                 // transiently under-reports a worker that exists but has
                 // not yet scheduled.
@@ -470,7 +516,10 @@ impl EncodeService {
                     Arc::clone(&pressure),
                     cfg.clone(),
                 );
-                std::thread::spawn(move || worker_main(&queue, &metrics, &pressure, &cfg))
+                std::thread::Builder::new()
+                    .name(format!("j2k-pool-{i}"))
+                    .spawn(move || worker_main(&queue, &metrics, &pressure, &cfg))
+                    .expect("failed to spawn a pool worker")
             })
             .collect();
         EncodeService {
@@ -518,7 +567,7 @@ impl EncodeService {
         if self.queue.is_closed() {
             return Err(SubmitError::ShuttingDown);
         }
-        let wait = self.metrics.hist.histogram("queue_wait_us").snapshot();
+        let wait = self.metrics.hist.queue_wait_us.snapshot();
         let level = self
             .pressure
             .sample(self.queue.len(), self.queue.capacity(), &wait);
@@ -637,7 +686,7 @@ impl EncodeService {
             Ok(_) => {
                 self.metrics
                     .hist
-                    .histogram("decode_us")
+                    .decode_us
                     .record(started.elapsed().as_micros() as u64);
                 &self.metrics.decoded
             }
@@ -689,7 +738,16 @@ impl EncodeService {
     /// Every histogram series, bucketed and sorted by name, for the
     /// Prometheus exposition.
     pub fn histogram_snapshots(&self) -> Vec<(String, HistogramSnapshot)> {
-        self.metrics.hist.snapshot()
+        self.histogram_series()
+            .into_iter()
+            .map(|(name, _, snap)| (name, snap))
+            .collect()
+    }
+
+    /// [`histogram_snapshots`](Self::histogram_snapshots) with each
+    /// series' help text: (name, help, snapshot).
+    pub(crate) fn histogram_series(&self) -> Vec<(String, String, HistogramSnapshot)> {
+        self.metrics.hist.series()
     }
 
     /// Retained Chrome trace JSON for `job_id`, or — with `job_id == 0` —
@@ -733,7 +791,7 @@ impl EncodeService {
     /// controller's sample interval). The server accept loop gates new
     /// connections on this.
     pub fn pressure_level(&self) -> PressureLevel {
-        let wait = self.metrics.hist.histogram("queue_wait_us").snapshot();
+        let wait = self.metrics.hist.queue_wait_us.snapshot();
         self.pressure
             .sample(self.queue.len(), self.queue.capacity(), &wait)
     }
@@ -862,10 +920,7 @@ fn worker_iteration(
     };
     current.set(Some(Arc::clone(&task)));
     let wait = task.submitted.elapsed();
-    metrics
-        .hist
-        .histogram("queue_wait_us")
-        .record(wait.as_micros() as u64);
+    metrics.hist.queue_wait_us.record(wait.as_micros() as u64);
     trace::set_current(task.trace_id);
     if trace::enabled() {
         // Cross-thread span: the push timestamp was captured at submit,
@@ -903,32 +958,20 @@ fn worker_iteration(
     let outcome = match result {
         Ok((codestream, profile)) => {
             metrics.completed.fetch_add(1, Ordering::Relaxed);
-            let mut tier1_secs = 0.0f64;
-            for st in &profile.stage_times {
-                if st.name == "tier1" {
-                    tier1_secs += st.seconds;
-                }
-                // Series name: dashes to underscores so the name is a
-                // legal Prometheus identifier (`stage_rate_control_us`).
-                let series = format!("stage_{}_us", st.name.replace('-', "_"));
-                metrics
-                    .hist
-                    .histogram(&series)
-                    .record((st.seconds * 1e6) as u64);
+            let hist = &metrics.hist;
+            for stage in Stage::ALL {
+                let us = profile.stage_time(stage).as_micros() as u64;
+                hist.stage_us[stage as usize].record(us);
             }
+            let tier1_secs = profile.stage_time(Stage::Tier1).as_secs_f64();
             if tier1_secs > 0.0 {
-                let symbols = profile.tier1_symbols();
-                let rate = (symbols as f64 / tier1_secs) as u64;
-                // Per-coder series so an MQ/HT mix stays separable.
-                let series = format!("tier1_symbols_per_sec_{}", task.params.coder.name());
-                metrics.hist.histogram(&series).record(rate);
+                let rate = (profile.tier1_symbols() as f64 / tier1_secs) as u64;
+                hist.tier1_symbols_per_sec[task.params.coder.id() as usize].record(rate);
             }
             // Only completed jobs feed the e2e series, so its +Inf
             // bucket count equals the completed-jobs counter (the
             // tie the exposition tests assert).
-            metrics
-                .hist
-                .histogram("job_e2e_us")
+            hist.job_e2e_us
                 .record((wait + started.elapsed()).as_micros() as u64);
             JobOutcome::Completed {
                 codestream,
@@ -945,7 +988,7 @@ fn worker_iteration(
     drop(task);
     // Re-sample: pressure decays as work completes even when no new
     // submissions (or probes) arrive to drive the controller.
-    let wait = metrics.hist.histogram("queue_wait_us").snapshot();
+    let wait = metrics.hist.queue_wait_us.snapshot();
     pressure.sample(queue.len(), queue.capacity(), &wait);
     true
 }
@@ -1077,9 +1120,8 @@ mod tests {
             (m.jobs_retried, m.jobs_poisoned, m.worker_panics),
             (0, 0, 0)
         );
-        // Stage names flow dynamically from the encoder's profile: every
-        // stage, the rate-control/Tier-2 tail's two included, timed the
-        // job once.
+        // Every stage, the rate-control/Tier-2 tail's two included, timed
+        // the job once.
         let hist = svc.histogram_snapshots();
         for want in ["stage_tier1_us", "stage_rate_control_us", "stage_tier2_us"] {
             let count = hist.iter().find(|(n, _)| n == want).map(|(_, h)| h.count);
@@ -1136,26 +1178,45 @@ mod tests {
         });
         let hist = svc.histogram_snapshots();
         let names: Vec<&str> = hist.iter().map(|(n, _)| n.as_str()).collect();
-        let mut want: Vec<&str> = DECLARED_HISTOGRAMS.to_vec();
-        want.sort_unstable();
+        // Sorted by name; no fused `transform` stage, no `convert` or
+        // `quantize` stage (the MCT reads the image rows, Tier-1
+        // quantizes), and no aggregate Tier-1 rate beside the per-coder
+        // ones.
         assert_eq!(
-            names, want,
-            "metrics must carry every declared series before anything runs"
+            names,
+            [
+                "decode_us",
+                "job_e2e_us",
+                "queue_wait_us",
+                "stage_dwt_us",
+                "stage_mct_us",
+                "stage_rate_control_us",
+                "stage_tier1_us",
+                "stage_tier2_us",
+                "tier1_symbols_per_sec_ht",
+                "tier1_symbols_per_sec_mq",
+            ],
+            "metrics must carry every series before anything runs"
         );
         assert!(hist.iter().all(|(_, h)| h.count == 0));
-        // No series the driver never records: no fused `transform` stage,
-        // no `convert` or `quantize` stage (the MCT reads the image rows,
-        // Tier-1 quantizes), and no aggregate Tier-1 rate beside the
-        // per-coder ones.
-        assert_eq!(names.len(), 10, "{names:?}");
-        for retired in [
-            "stage_transform_us",
-            "stage_convert_us",
-            "stage_quantize_us",
-            "tier1_symbols_per_sec",
-        ] {
-            assert!(!names.contains(&retired), "{retired} is declared");
-        }
+        svc.begin_shutdown();
+    }
+
+    #[test]
+    fn pool_workers_are_named() {
+        let svc = EncodeService::start(ServiceConfig {
+            pool_threads: 3,
+            ..ServiceConfig::default()
+        });
+        let names: Vec<Option<String>> = svc
+            .workers
+            .lock()
+            .unwrap()
+            .iter()
+            .map(|h| h.thread().name().map(str::to_owned))
+            .collect();
+        let want = (0..3).map(|i| Some(format!("j2k-pool-{i}")));
+        assert_eq!(names, want.collect::<Vec<_>>());
         svc.begin_shutdown();
     }
 

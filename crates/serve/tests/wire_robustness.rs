@@ -2,13 +2,19 @@
 //! suite (`crates/core/tests/codestream_robustness.rs`): truncated
 //! headers, oversized length claims, mid-frame disconnects, and random
 //! payload mutations must produce typed errors — never panics, never
-//! allocation beyond the admitted frame.
+//! allocation beyond the admitted frame. The last test sends mutated
+//! requests to a live server, whose every reply must parse and whose
+//! workers must never panic.
 
+use j2k_core::{Coder, EncoderParams};
 use j2k_serve::wire::{
-    call, encode_request, parse_request, read_frame, write_frame, EncodeRequest, Request,
-    WireError, DEFAULT_MAX_FRAME, HEADER_LEN,
+    call, encode_request, parse_request, parse_response, read_frame, write_frame, DecodeRequest,
+    EncodeRequest, Request, Response, WireError, DEFAULT_MAX_FRAME, HEADER_LEN,
 };
+use j2k_serve::{serve, EncodeService, ServerConfig, ServiceConfig};
 use rand::{Rng, SeedableRng};
+use std::net::{TcpListener, TcpStream};
+use std::sync::Arc;
 
 fn valid_frame() -> Vec<u8> {
     let req = Request::Encode(EncodeRequest {
@@ -225,4 +231,100 @@ fn call_surfaces_disconnect_as_error() {
         call(&mut conn, &Request::Ping, DEFAULT_MAX_FRAME),
         Err(WireError::Truncated)
     ));
+}
+
+/// A live server answers every mutated request with a reply frame that
+/// parses, and none of them panics a pool worker: a panic the wire can
+/// reach is a bug, not a recovery path. Seeded from `CHAOS_SEED`
+/// (printed) so a failure replays.
+#[test]
+fn a_live_server_answers_every_mutated_request_and_no_worker_panics() {
+    let seed = std::env::var("CHAOS_SEED")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(20080906u64);
+    println!("CHAOS_SEED={seed}");
+    let service = Arc::new(EncodeService::start(ServiceConfig::default()));
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    // A 1 MiB frame also refuses any mutated codestream header that
+    // claims more than 1 MiB of samples, which keeps every decode small.
+    let server_cfg = ServerConfig {
+        max_frame: 1 << 20,
+        ..ServerConfig::default()
+    };
+    let server = std::thread::spawn(move || serve(listener, service, server_cfg).unwrap());
+
+    // Valid payloads: an encode and a decode request for each of lossless
+    // MQ, lossy MQ and 3-layer lossy HT.
+    let im = imgio::synth::natural_rgb(16, 12, seed);
+    let ht = EncoderParams {
+        layers: 3,
+        coder: Coder::Ht,
+        ..EncoderParams::lossy(0.3)
+    };
+    let mut payloads = Vec::new();
+    for params in [EncoderParams::lossless(), EncoderParams::lossy(0.3), ht] {
+        payloads.push(encode_request(&Request::Encode(EncodeRequest {
+            priority: 0,
+            allow_degraded: false,
+            timeout_ms: 0,
+            params,
+            image: im.clone(),
+        })));
+        payloads.push(encode_request(&Request::Decode(DecodeRequest {
+            max_layers: 0,
+            discard_levels: 0,
+            codestream: j2k_core::encode(&im, &params).unwrap(),
+        })));
+    }
+
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let mut conn = TcpStream::connect(addr).unwrap();
+    // A frame is two writes; without this each request waits out the
+    // server's delayed ACK of the header.
+    conn.set_nodelay(true).unwrap();
+    let mut replies = std::collections::BTreeMap::new();
+    let mut sent = 0;
+    while sent < 200 {
+        let mut p = payloads[rng.gen_range(0..payloads.len())].clone();
+        for _ in 0..rng.gen_range(1..=3usize) {
+            let i = rng.gen_range(0..p.len());
+            p[i] = rng.gen_range(0..256u32) as u8;
+        }
+        if matches!(parse_request(&p), Ok(Request::Shutdown)) {
+            continue;
+        }
+        write_frame(&mut conn, &p).unwrap();
+        let reply = read_frame(&mut conn, DEFAULT_MAX_FRAME)
+            .unwrap_or_else(|e| panic!("request {sent}: no reply frame: {e}"));
+        let kind = match parse_response(&reply) {
+            Ok(Response::EncodeOk { .. }) => "encoded",
+            Ok(Response::DecodeOk(_)) => "decoded",
+            Ok(Response::Failed(_)) => "failed",
+            Ok(_) => "other",
+            Err(e) => panic!("request {sent}: reply does not parse: {e}"),
+        };
+        *replies.entry(kind).or_insert(0) += 1;
+        sent += 1;
+    }
+    println!("replies: {replies:?}");
+    // The mutations reach the codec, not only the parser.
+    for kind in ["encoded", "decoded", "failed"] {
+        assert!(replies.contains_key(kind), "no {kind} reply: {replies:?}");
+    }
+
+    match call(&mut conn, &Request::Health, DEFAULT_MAX_FRAME).unwrap() {
+        Response::Health(h) => assert_eq!(h.worker_panics, 0, "a worker panicked"),
+        other => panic!("health: unexpected {other:?}"),
+    }
+    assert_eq!(
+        call(&mut conn, &Request::Ping, DEFAULT_MAX_FRAME).unwrap(),
+        Response::Pong
+    );
+    assert_eq!(
+        call(&mut conn, &Request::Shutdown, DEFAULT_MAX_FRAME).unwrap(),
+        Response::Pong
+    );
+    server.join().unwrap();
 }

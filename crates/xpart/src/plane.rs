@@ -17,8 +17,7 @@ use crate::{round_up, XpartError, CACHE_LINE};
 /// `stride * size_of::<T>() % CACHE_LINE == 0`.
 ///
 /// Samples are stored row-major. Padding elements exist at the end of each
-/// row; their contents are unspecified but initialized (zeroed) so the plane
-/// can be hashed/compared safely after [`AlignedPlane::zero_padding`].
+/// row; their contents are unspecified but initialized (zeroed).
 #[derive(Debug, Clone, PartialEq)]
 pub struct AlignedPlane<T> {
     width: usize,
@@ -148,17 +147,6 @@ impl<T: Copy + Default> AlignedPlane<T> {
         (y * self.stride + x) * std::mem::size_of::<T>()
     }
 
-    /// Reset every padding element to `T::default()` so whole-buffer
-    /// comparisons are deterministic.
-    pub fn zero_padding(&mut self) {
-        for y in 0..self.height {
-            let s = y * self.stride;
-            for v in &mut self.data[s + self.width..s + self.stride] {
-                *v = T::default();
-            }
-        }
-    }
-
     /// Apply `f` to every logical element, row by row.
     pub fn for_each_mut(&mut self, mut f: impl FnMut(usize, usize, &mut T)) {
         for y in 0..self.height {
@@ -281,15 +269,5 @@ mod tests {
         });
         assert_eq!(n, 20);
         assert_eq!(p.get(4, 3), 34);
-    }
-
-    #[test]
-    fn zero_padding_clears_pad_elements() {
-        let mut p = AlignedPlane::<i32>::new(5, 2).unwrap();
-        // Scribble into the padding via the raw slice.
-        let stride = p.stride();
-        p.as_mut_slice()[stride - 1] = 99;
-        p.zero_padding();
-        assert_eq!(p.as_slice()[stride - 1], 0);
     }
 }

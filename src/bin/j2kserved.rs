@@ -183,7 +183,10 @@ fn main() {
             mlistener.local_addr().map_or(maddr, |a| a.to_string())
         );
         let msvc = Arc::clone(&service);
-        std::thread::spawn(move || serve_metrics(mlistener, msvc, io_timeout));
+        std::thread::Builder::new()
+            .name("j2k-metrics".into())
+            .spawn(move || serve_metrics(mlistener, msvc, io_timeout))
+            .unwrap_or_else(|e| die(&format!("spawn the metrics thread: {e}")));
     }
     let server_cfg = ServerConfig {
         max_frame: max_frame_mb << 20,

@@ -8,7 +8,7 @@ use j2k_serve::wire::{call, DecodeRequest, EncodeRequest, Request, Response, DEF
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
-use std::process::{Child, Command, Stdio};
+use std::process::{Child, ChildStdout, Command, Stdio};
 
 fn bin() -> &'static str {
     env!("CARGO_BIN_EXE_j2kcell")
@@ -268,7 +268,7 @@ fn trace_out_writes_valid_chrome_trace_and_identical_bytes() {
             "dwt-level-1",
             "chunk-0",
             "rate-search",
-            "tier2",
+            "stage:tier2",
         ],
     )
     .expect("trace must parse with all pipeline span names");
@@ -539,27 +539,32 @@ impl Drop for Daemon {
     }
 }
 
-#[test]
-fn daemon_encodes_decodes_traces_and_exposes_metrics() {
+/// Spawns `j2kserved` with `args` (which bind `--addr 127.0.0.1:0`) and
+/// returns it, its bound wire address, and the rest of its stdout. The
+/// daemon prints its bound addresses, wire first, before it serves.
+fn spawn_daemon(args: &[&str]) -> (Daemon, String, std::io::Lines<BufReader<ChildStdout>>) {
     let mut child = Command::new(env!("CARGO_BIN_EXE_j2kserved"))
-        .args(
-            "--addr 127.0.0.1:0 --metrics-addr 127.0.0.1:0 --trace --pool 2 --job-workers 2 --queue 8"
-                .split(' '),
-        )
+        .args(args)
         .stdout(Stdio::piped())
         .spawn()
         .unwrap();
-    // The daemon prints its two bound addresses before it serves.
     let mut lines = BufReader::new(child.stdout.take().unwrap()).lines();
-    let mut daemon = Daemon(child);
-    let mut next_line = || lines.next().unwrap().unwrap();
-    let line = next_line();
+    let daemon = Daemon(child);
+    let line = lines.next().unwrap().unwrap();
     let addr = line
         .strip_prefix("j2kserved listening on ")
         .and_then(|rest| rest.split(' ').next())
         .unwrap_or_else(|| panic!("wire address line: {line}"))
         .to_string();
-    let line = next_line();
+    (daemon, addr, lines)
+}
+
+#[test]
+fn daemon_encodes_decodes_traces_and_exposes_metrics() {
+    let args =
+        "--addr 127.0.0.1:0 --metrics-addr 127.0.0.1:0 --trace --pool 2 --job-workers 2 --queue 8";
+    let (mut daemon, addr, mut lines) = spawn_daemon(&args.split(' ').collect::<Vec<_>>());
+    let line = lines.next().unwrap().unwrap();
     let metrics_addr = line
         .strip_prefix("j2kserved metrics on http://")
         .and_then(|rest| rest.strip_suffix("/metrics"))
@@ -644,4 +649,61 @@ fn daemon_encodes_decodes_traces_and_exposes_metrics() {
         Response::Pong
     );
     assert!(daemon.0.wait().unwrap().success());
+}
+
+#[test]
+fn daemon_trace_dir_keeps_the_last_jobs_traces() {
+    let dir = tmp("trace-dir");
+    let _ = std::fs::remove_dir_all(&dir);
+    let dir_arg = dir.to_str().unwrap();
+    let args = [
+        "--addr",
+        "127.0.0.1:0",
+        "--trace-dir",
+        dir_arg,
+        "--trace-keep",
+        "2",
+    ];
+    let (mut daemon, addr, _) = spawn_daemon(&args);
+    let mut conn = TcpStream::connect(&addr).unwrap();
+
+    // Three encodes, one after another: a fresh daemon numbers its jobs
+    // from 1, and each job's trace is written before its reply is sent.
+    for seed in 0..3 {
+        let encode = Request::Encode(EncodeRequest {
+            priority: 0,
+            allow_degraded: false,
+            timeout_ms: 0,
+            params: EncoderParams::lossless(),
+            image: imgio::synth::natural_rgb(32, 24, seed),
+        });
+        match call(&mut conn, &encode, DEFAULT_MAX_FRAME).unwrap() {
+            Response::EncodeOk { .. } => {}
+            other => panic!("encode {seed}: unexpected {other:?}"),
+        }
+    }
+
+    let mut names: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .collect();
+    names.sort();
+    assert_eq!(names, ["trace-job-2.json", "trace-job-3.json"]);
+    for name in &names {
+        let json = std::fs::read_to_string(dir.join(name)).unwrap();
+        obs::chrome::check(&json, &["queue-wait", "encode", "stage:tier1"])
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+    }
+    // The first job's trace is gone from memory too.
+    match call(&mut conn, &Request::Trace(1), DEFAULT_MAX_FRAME).unwrap() {
+        Response::Failed(_) => {}
+        other => panic!("trace of job 1: unexpected {other:?}"),
+    }
+
+    assert_eq!(
+        call(&mut conn, &Request::Shutdown, DEFAULT_MAX_FRAME).unwrap(),
+        Response::Pong
+    );
+    assert!(daemon.0.wait().unwrap().success());
+    std::fs::remove_dir_all(&dir).unwrap();
 }
