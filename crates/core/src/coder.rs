@@ -97,6 +97,19 @@ pub trait BlockCoder: Sync {
         (self.encode(data, w, h, kind, bypass), None)
     }
 
+    /// [`size_block`](Self::size_block) of two blocks, each `(data, w,
+    /// h, kind)`, with the same results as two calls: one Tier-1 job of
+    /// the encoder's queue. The default sizes one block after the other;
+    /// MQ codes the two blocks' decisions in one interleaved loop
+    /// ([`ebcot::block::encode_block_pair`]).
+    fn size_pair(
+        &self,
+        blocks: [(&[i32], usize, usize, BandKind); 2],
+        bypass: bool,
+    ) -> [(EncodedBlock, Option<j2k_ht::RawPasses>); 2] {
+        blocks.map(|(data, w, h, kind)| self.size_block(data, w, h, kind, bypass))
+    }
+
     /// Decode the first `num_passes` passes back to quantizer indices.
     #[allow(clippy::too_many_arguments)]
     fn decode(
@@ -125,6 +138,14 @@ impl BlockCoder for MqBlockCoder {
         bypass: bool,
     ) -> EncodedBlock {
         ebcot::block::encode_block_opts(data, w, h, kind, bypass)
+    }
+
+    fn size_pair(
+        &self,
+        blocks: [(&[i32], usize, usize, BandKind); 2],
+        bypass: bool,
+    ) -> [(EncodedBlock, Option<j2k_ht::RawPasses>); 2] {
+        ebcot::block::encode_block_pair(blocks, bypass).map(|b| (b, None))
     }
 
     fn decode(

@@ -10,10 +10,12 @@
 //!   transform allocates; the DWT then runs in place on those planes.
 //!   Vertical lifting runs per column chunk, horizontal lifting per row
 //!   band ("an identical number of rows to each SPE").
-//! * **Tier-1** takes one job per code block, as the paper's SPEs take
-//!   blocks from its dynamic queue. The thread that claims a block
-//!   quantizes its 9/7 coefficients as it copies them out of the plane
-//!   (`Transformed::block_indices`), so quantization rides the queue.
+//! * **Tier-1** takes one job per two consecutive code blocks, as the
+//!   paper's SPEs take blocks from its dynamic queue; the two blocks'
+//!   decisions are coded side by side in one loop. The thread that claims
+//!   a job quantizes each block's 9/7 coefficients as it copies them out
+//!   of the plane (`Transformed::block_indices`), so quantization rides
+//!   the queue.
 //! * **Rate control and Tier-2** run sequentially on the calling thread,
 //!   as on the paper's PPE (`pipeline::rate_control_and_assemble`). An
 //!   HT encode's Tier-1 sizes the raw refinement passes without packing
@@ -71,7 +73,7 @@ pub fn encode(image: &Image, params: &EncoderParams) -> Result<Vec<u8>, CodecErr
 /// claimed (`worker_jobs`: `workers` entries, calling thread first).
 ///
 /// With a `ctl`, the encode polls it at the start and on every job a
-/// thread claims (a chunk, a row band or a code block), returning
+/// thread claims (a chunk, a row band or a Tier-1 job), returning
 /// [`CodecError::Cancelled`] / [`CodecError::Deadline`] instead of a
 /// codestream when the control stops it. The control adds checkpoints,
 /// never arithmetic: a completed encode is byte-identical with or without
@@ -216,53 +218,79 @@ fn claim_jobs<J: Send, R: Send>(
     Ok((results.collect(), counts))
 }
 
-/// Tier-1 on the claim loop, one job per code block, timed as
-/// [`Stage::Tier1`]: the claiming thread extracts the block (quantizing
-/// 9/7 coefficients), codes it and runs its R-D preparation. Returns the
-/// records in block order.
+/// Tier-1 on the claim loop, one job per two consecutive code blocks of
+/// the job list (the list runs component by component and band by band,
+/// so most pairs share a band), timed as [`Stage::Tier1`]: the claiming
+/// thread extracts each block (quantizing 9/7 coefficients), codes the
+/// two through [`crate::BlockCoder::size_pair`] (a last odd block through
+/// [`crate::BlockCoder::size_block`]) under one `tier1` span, and runs
+/// each block's R-D preparation. Returns the records in block order.
 ///
-/// Every block is coded through [`crate::BlockCoder::size_block`]: an HT
-/// block leaves its raw passes sized but unpacked, and
+/// An HT block leaves its raw passes sized but unpacked, and
 /// [`pack_kept_passes`] packs those an allocation keeps.
 pub(crate) fn tier1_queue(
     t: &Transformed,
     params: &EncoderParams,
     s: &mut Stages,
 ) -> Result<Vec<BlockRecord>, CodecError> {
-    // The block job list: (comp, band, grid position, geometry).
-    let mut jobs = Vec::new();
+    // The block list: (comp, band, grid position, geometry).
+    let mut blocks = Vec::new();
     for c in 0..t.comps() {
         for (bi, b) in t.bands.iter().enumerate() {
             for g in block_grid(b, params.cb_size) {
-                jobs.push((c, bi, g));
+                blocks.push((c, bi, g));
             }
         }
     }
     let coder = params.coder.block_coder();
-    s.timed(Stage::Tier1, &[("coder", params.coder.id())], |s| {
-        s.claim(jobs, |_, (comp, bi, grid)| {
-            let (bx, by, x0, y0, bw, bh) = grid;
-            // Failpoint `tier1.block`: fires once per claimed code block. A
-            // panic unwinds through the join (the service's catch_unwind
-            // lever); an error stops all claiming and fails the encode.
-            if let Some(msg) = faultsim::eval("tier1.block") {
-                return Err(CodecError::Injected(msg));
+    let records = s.timed(Stage::Tier1, &[("coder", params.coder.id())], |s| {
+        s.claim(blocks.chunks(2).collect(), |_, job| {
+            let mut data = Vec::with_capacity(job.len());
+            for &(comp, bi, (_, _, x0, y0, bw, bh)) in job {
+                // Failpoint `tier1.block`: fires once per code block. A
+                // panic unwinds through the join (the service's
+                // catch_unwind lever); an error stops all claiming and
+                // fails the encode.
+                if let Some(msg) = faultsim::eval("tier1.block") {
+                    return Err(CodecError::Injected(msg));
+                }
+                data.push(t.block_indices(comp, bi, (x0, y0, bw, bh)));
             }
-            let data = t.block_indices(comp, bi, (x0, y0, bw, bh));
-            let kind = band_kind(t.bands[bi].band);
-            let coded = coder.size_block(&data, bw, bh, kind, params.bypass);
-            assert!(
-                coded.0.num_planes <= t.max_planes[bi],
-                "band {bi}: {} planes exceed M_b {}",
-                coded.0.num_planes,
-                t.max_planes[bi]
-            );
-            // R-D preparation (truncation rates/distortions + convex hull)
-            // runs here, on the thread that coded the block — the post-pass
-            // slice of rate control rides the queue.
-            Ok(BlockRecord::new(comp, bi, bx, by, coded, t.weights[bi]))
+            let input = |k: usize| {
+                let (_, bi, (_, _, _, _, bw, bh)) = job[k];
+                (&data[k][..], bw, bh, band_kind(t.bands[bi].band))
+            };
+            // The two blocks of a job are coded interleaved, so the job,
+            // not the block, is Tier-1's unit of time.
+            let mut span = trace::span("tier1")
+                .cat("block")
+                .arg("blocks", job.len() as u64);
+            let coded = match job.len() {
+                1 => {
+                    let (d, w, h, kind) = input(0);
+                    vec![coder.size_block(d, w, h, kind, params.bypass)]
+                }
+                _ => coder.size_pair([input(0), input(1)], params.bypass).into(),
+            };
+            span.set_arg("symbols", coded.iter().map(|c| c.0.total_symbols()).sum());
+            drop(span);
+            let records = job.iter().zip(coded).map(|(&(comp, bi, grid), coded)| {
+                let (bx, by, ..) = grid;
+                assert!(
+                    coded.0.num_planes <= t.max_planes[bi],
+                    "band {bi}: {} planes exceed M_b {}",
+                    coded.0.num_planes,
+                    t.max_planes[bi]
+                );
+                // R-D preparation (truncation rates/distortions + convex
+                // hull) runs here, on the thread that coded the block —
+                // the post-pass slice of rate control rides the queue.
+                BlockRecord::new(comp, bi, bx, by, coded, t.weights[bi])
+            });
+            Ok(records.collect::<Vec<_>>())
         })
-    })
+    })?;
+    Ok(records.into_iter().flatten().collect())
 }
 
 /// Pack the raw passes of every block whose kept passes (`kept`, one
@@ -1051,6 +1079,17 @@ mod tests {
             let keys: Vec<&str> = e.args.iter().map(|(k, _)| *k).collect();
             assert_eq!(keys, ["comp", "band"], "quantize span args");
         }
+        // One `tier1` span per Tier-1 job, which codes two blocks (the
+        // last job of an odd count one), with the job's block count and
+        // symbols.
+        let tier1: Vec<_> = events.iter().filter(|e| e.name == "tier1").collect();
+        assert_eq!(tier1.len(), blocks.div_ceil(2));
+        let arg =
+            |e: &trace::Event, key: &str| e.args.iter().find(|(k, _)| *k == key).map(|&(_, v)| v);
+        let in_jobs: u64 = tier1.iter().map(|e| arg(e, "blocks").unwrap()).sum();
+        assert_eq!(in_jobs, blocks as u64);
+        let symbols: u64 = tier1.iter().map(|e| arg(e, "symbols").unwrap()).sum();
+        assert_eq!(symbols, prof.tier1_symbols());
         // Which thread claims a chunk varies from run to run; every chunk
         // span names a thread of this encode, and every job is counted
         // once in `worker_jobs`.
@@ -1068,7 +1107,7 @@ mod tests {
         }
         assert_eq!(
             prof.worker_jobs.iter().sum::<u64>(),
-            (chunks.len() + blocks) as u64,
+            (chunks.len() + tier1.len()) as u64,
             "worker_jobs {:?}",
             prof.worker_jobs
         );

@@ -116,8 +116,9 @@ pub struct WorkloadProfile {
     /// durations of the stage's `stage:*` spans, to the nanosecond.
     pub stage_times: [Duration; Stage::ALL.len()],
     /// Jobs each thread of the encode driver claimed (column chunks, row
-    /// bands and code blocks): `workers` entries, the calling thread first,
-    /// then the helpers in spawn order. Which thread claims a job varies
+    /// bands, Tier-1 jobs of up to two code blocks each, and HT raw-pass
+    /// pack jobs): `workers` entries, the calling thread first, then the
+    /// helpers in spawn order. Which thread claims a job varies
     /// from run to run; the sum is the job count. Empty for non-parallel
     /// drivers.
     pub worker_jobs: Vec<u64>,

@@ -321,10 +321,10 @@ pub fn encode_block(data: &[i32], w: usize, h: usize, kind: BandKind) -> Encoded
 /// [`encode_block`] with the selective arithmetic-coding-bypass option
 /// ("lazy" mode): cheaper Tier-1 at a small rate cost.
 ///
-/// The bit modeler ([`model_block`]) hands over one pass's decisions at a
-/// time, and each pass is coded in one loop: through the MQ coder, or for
-/// a raw pass as bare bits. Either way the pass's `symbols` are its
-/// decisions.
+/// The bit modeler ([`model_block`]) collects every pass's decisions,
+/// and the coder codes each pass in one loop: through the MQ coder, or
+/// for a raw pass as bare bits. Either way the pass's `symbols` are its
+/// decisions. This is [`encode_block_pair`] for one block.
 pub fn encode_block_opts(
     data: &[i32],
     w: usize,
@@ -332,52 +332,160 @@ pub fn encode_block_opts(
     kind: BandKind,
     bypass: bool,
 ) -> EncodedBlock {
-    assert_eq!(data.len(), w * h, "block data size");
-    // Per-code-block trace span: free (one atomic load) while tracing
-    // is disabled; Tier-1 cost is data dependent, so these spans are
-    // the ground truth behind the dynamic work queue's utilization.
-    let mut span = obs::trace::span("tier1")
-        .cat("block")
-        .arg("w", w as u64)
-        .arg("h", h as u64);
-    let mut blk = EncodedBlock {
-        data: Vec::new(),
-        pass_ends: Vec::new(),
-        passes: Vec::new(),
-        num_planes: 0,
-        w,
-        h,
-    };
-    let mut ctxs = initial_contexts();
-    let mut enc = MqEncoder::new();
-    blk.num_planes = model_block(data, w, h, kind, bypass, |p| {
-        if p.raw {
-            let mut raw = RawEncoder::new();
-            for &d in p.decisions {
-                raw.put(d & 1);
-            }
-            blk.data.extend_from_slice(&raw.finish());
-        } else {
-            enc.encode_decisions(&mut ctxs, p.decisions);
-            enc.flush_into(&mut blk.data);
-        }
-        // `count * d` equals the sum of `count` copies of `d` exactly, as
-        // every partial sum is a small multiple of a power of two.
-        let d = match p.pass_type {
-            PassType::MagRef => d_ref(p.plane),
-            _ => d_sig(p.plane),
-        };
-        blk.pass_ends.push(blk.data.len());
-        blk.passes.push(PassInfo {
-            pass_type: p.pass_type,
-            plane: p.plane,
-            rate_bytes: blk.data.len(),
-            dist_reduction: p.coded as f64 * d,
-            symbols: p.decisions.len() as u64,
+    let m = Modeled::new(data, w, h, kind, bypass);
+    BlockLane::new(&m).finish()
+}
+
+/// [`encode_block_opts`] of two blocks, each `(data, w, h, kind)`, with
+/// the same bytes and bookkeeping, field for field, as two single calls.
+///
+/// The two blocks' MQ passes run through [`MqEncoder::encode_lanes`]:
+/// the blocks are independent, so their decisions are coded side by side
+/// in one loop, and each block's coder is flushed at its own pass ends.
+/// A raw pass is coded when its block reaches it. Once one block has no
+/// MQ decisions left, the other codes the rest on its own.
+pub fn encode_block_pair(
+    blocks: [(&[i32], usize, usize, BandKind); 2],
+    bypass: bool,
+) -> [EncodedBlock; 2] {
+    let [a, b] = blocks.map(|(data, w, h, kind)| Modeled::new(data, w, h, kind, bypass));
+    let (mut x, mut y) = (BlockLane::new(&a), BlockLane::new(&b));
+    while let (Some(dx), Some(dy)) = (x.front(), y.front()) {
+        let n =
+            MqEncoder::encode_lanes((&mut x.enc, &mut x.ctxs, dx), (&mut y.enc, &mut y.ctxs, dy));
+        x.at += n;
+        y.at += n;
+    }
+    [x.finish(), y.finish()]
+}
+
+/// One pass of a [`Modeled`] block: what its bookkeeping needs.
+struct PassRecord {
+    pass_type: PassType,
+    plane: u8,
+    raw: bool,
+    /// [`PassModel::coded`].
+    coded: u32,
+    /// The pass's decisions in [`Modeled::decisions`].
+    len: usize,
+}
+
+/// A block's passes as [`model_block`] hands them over, every pass's
+/// decisions in one buffer, in coding order.
+struct Modeled {
+    w: usize,
+    h: usize,
+    num_planes: u8,
+    decisions: Vec<u8>,
+    passes: Vec<PassRecord>,
+}
+
+impl Modeled {
+    fn new(data: &[i32], w: usize, h: usize, kind: BandKind, bypass: bool) -> Modeled {
+        let (mut decisions, mut passes) = (Vec::new(), Vec::new());
+        let num_planes = model_block(data, w, h, kind, bypass, |p| {
+            decisions.extend_from_slice(p.decisions);
+            passes.push(PassRecord {
+                pass_type: p.pass_type,
+                plane: p.plane,
+                raw: p.raw,
+                coded: p.coded,
+                len: p.decisions.len(),
+            });
         });
-    });
-    span.set_arg("symbols", blk.total_symbols());
-    blk
+        Modeled {
+            w,
+            h,
+            num_planes,
+            decisions,
+            passes,
+        }
+    }
+}
+
+/// One block on its way through the coder: its contexts, MQ coder and
+/// output, and how far through its passes it is.
+struct BlockLane<'m> {
+    m: &'m Modeled,
+    ctxs: Contexts,
+    enc: MqEncoder,
+    blk: EncodedBlock,
+    /// The open pass.
+    pass: usize,
+    /// Its decisions left to code are `m.decisions[at..end]`.
+    at: usize,
+    end: usize,
+}
+
+impl<'m> BlockLane<'m> {
+    fn new(m: &'m Modeled) -> Self {
+        BlockLane {
+            m,
+            ctxs: initial_contexts(),
+            enc: MqEncoder::new(),
+            blk: EncodedBlock {
+                data: Vec::new(),
+                pass_ends: Vec::with_capacity(m.passes.len()),
+                passes: Vec::with_capacity(m.passes.len()),
+                num_planes: m.num_planes,
+                w: m.w,
+                h: m.h,
+            },
+            pass: 0,
+            at: 0,
+            end: m.passes.first().map_or(0, |p| p.len),
+        }
+    }
+
+    /// The open MQ pass's decisions left to code, after ending every pass
+    /// before it that is raw or coded in full (`None` once every pass has
+    /// ended). Ending a pass codes a raw pass's bits or flushes the MQ
+    /// coder, then does its bookkeeping.
+    fn front(&mut self) -> Option<&'m [u8]> {
+        let m = self.m;
+        while let Some(p) = m.passes.get(self.pass) {
+            let todo = &m.decisions[self.at..self.end];
+            if !p.raw && !todo.is_empty() {
+                return Some(todo);
+            }
+            if p.raw {
+                let mut raw = RawEncoder::new();
+                for &d in todo {
+                    raw.put(d & 1);
+                }
+                self.blk.data.extend_from_slice(&raw.finish());
+            } else {
+                self.enc.flush_into(&mut self.blk.data);
+            }
+            // `count * d` equals the sum of `count` copies of `d` exactly,
+            // as every partial sum is a small multiple of a power of two.
+            let d = match p.pass_type {
+                PassType::MagRef => d_ref(p.plane),
+                _ => d_sig(p.plane),
+            };
+            self.blk.pass_ends.push(self.blk.data.len());
+            self.blk.passes.push(PassInfo {
+                pass_type: p.pass_type,
+                plane: p.plane,
+                rate_bytes: self.blk.data.len(),
+                dist_reduction: p.coded as f64 * d,
+                symbols: p.len as u64,
+            });
+            self.pass += 1;
+            self.at = self.end;
+            self.end += m.passes.get(self.pass).map_or(0, |p| p.len);
+        }
+        None
+    }
+
+    /// Code every pass left on this block's own.
+    fn finish(mut self) -> EncodedBlock {
+        while let Some(todo) = self.front() {
+            self.enc.encode_decisions(&mut self.ctxs, todo);
+            self.at = self.end;
+        }
+        self.blk
+    }
 }
 
 /// One coding pass as the bit modeler hands it to a coder.

@@ -14,8 +14,15 @@
 //!
 //! The digests pin the codestream format: a change to the pass state or the
 //! MQ coder that is meant to keep the bytes must leave them as they are.
+//!
+//! `encode_block_pair` must equal two `encode_block_opts` calls field for
+//! field, over ordered pairs of the same blocks with bypass off and on,
+//! and over edge pairs: an all-zero block, a one-row block and a shallow
+//! block each next to a dense deep one.
 
-use ebcot::block::{decode_block_opts, encode_block_opts, BandKind, PassType};
+use ebcot::block::{
+    decode_block_opts, encode_block_opts, encode_block_pair, BandKind, EncodedBlock, PassType,
+};
 
 /// 64-bit FNV-1a: a fixed, std-only digest.
 struct Fnv(u64);
@@ -474,4 +481,84 @@ fn tier1_digests_are_unchanged() {
         cases.len(),
         bad.join("\n")
     );
+}
+
+/// `got` equals `want` field for field, `dist_reduction` bit for bit.
+fn assert_same(got: &EncodedBlock, want: &EncodedBlock, what: &str) {
+    assert_eq!(got.data, want.data, "{what}: data");
+    assert_eq!(got.pass_ends, want.pass_ends, "{what}: pass_ends");
+    assert_eq!(got.num_planes, want.num_planes, "{what}: num_planes");
+    assert_eq!((got.w, got.h), (want.w, want.h), "{what}: size");
+    assert_eq!(got.passes.len(), want.passes.len(), "{what}: passes");
+    for (k, (g, w)) in got.passes.iter().zip(&want.passes).enumerate() {
+        assert_eq!(
+            (g.pass_type, g.plane, g.rate_bytes, g.symbols),
+            (w.pass_type, w.plane, w.rate_bytes, w.symbols),
+            "{what}: pass {k}"
+        );
+        assert_eq!(
+            g.dist_reduction.to_bits(),
+            w.dist_reduction.to_bits(),
+            "{what}: pass {k} dist_reduction"
+        );
+    }
+}
+
+type Block = (Vec<i32>, usize, usize, BandKind);
+
+/// Code `x` and `y` as a pair and check each against its single encode.
+fn check_pair(x: &Block, y: &Block, bypass: bool, what: &str) {
+    let pair = encode_block_pair([(&x.0, x.1, x.2, x.3), (&y.0, y.1, y.2, y.3)], bypass);
+    for (k, (got, b)) in pair.iter().zip([x, y]).enumerate() {
+        let want = encode_block_opts(&b.0, b.1, b.2, b.3, bypass);
+        assert_same(got, &want, &format!("{what} bypass={bypass}: block {k}"));
+    }
+}
+
+#[test]
+fn pairs_equal_two_single_encodes() {
+    let blocks: Vec<Block> = cases()
+        .iter()
+        .enumerate()
+        .map(|(i, c)| (block(i, c.w * c.h, c.content), c.w, c.h, c.kind))
+        .collect();
+    let n = blocks.len();
+    // Each block with partners near and far, in both orders.
+    for i in 0..n {
+        for k in [1, 7, 95, n / 2, n - 95, n - 7, n - 1] {
+            let j = (i + k) % n;
+            for bypass in [false, true] {
+                check_pair(&blocks[i], &blocks[j], bypass, &format!("pair ({i}, {j})"));
+            }
+        }
+    }
+}
+
+#[test]
+fn edge_pairs_equal_two_single_encodes() {
+    let dense = |w: usize, h: usize, top: i32, seed: usize| -> Block {
+        let mut v = block(seed, w * h, Content::Dense);
+        for x in &mut v {
+            *x = *x * top / 2000;
+        }
+        (v, w, h, BandKind::Hl)
+    };
+    let deep = dense(64, 64, 1 << 14, 3);
+    // Each edge block with its coded plane count: the all-zero block has
+    // no passes, and the shallow ones are many planes short of `deep`.
+    let edges = [
+        ("all-zero", (vec![0; 64 * 64], 64, 64, BandKind::LlLh), 0),
+        ("one row", dense(64, 1, 1 << 14, 5), 14),
+        ("two planes", dense(64, 64, 3, 7), 2),
+        ("five planes", dense(32, 8, 31, 9), 5),
+    ];
+    let planes = |b: &Block| encode_block_opts(&b.0, b.1, b.2, b.3, false).num_planes;
+    assert_eq!(planes(&deep), 14);
+    for (name, b, want) in &edges {
+        assert_eq!(planes(b), *want, "{name}");
+        for bypass in [false, true] {
+            check_pair(b, &deep, bypass, &format!("{name} then deep"));
+            check_pair(&deep, b, bypass, &format!("deep then {name}"));
+        }
+    }
 }

@@ -100,10 +100,8 @@ const fn plane_table(scale: f64) -> [f64; 32] {
 /// across backends in `cellsim`. It is [`size_block`] with the raw passes
 /// packed at once.
 pub fn encode_block(data: &[i32], w: usize, h: usize) -> EncodedBlock {
-    let mut span = block_span(w, h);
-    let (mut blk, raw) = sized(data, w, h);
+    let (mut blk, raw) = size_block(data, w, h);
     raw.pack(&mut blk);
-    span.set_arg("symbols", blk.total_symbols());
     blk
 }
 
@@ -112,21 +110,6 @@ pub fn encode_block(data: &[i32], w: usize, h: usize) -> EncodedBlock {
 /// `data` holds the cleanup segment alone. The returned [`RawPasses`]
 /// packs the rest when rate control keeps it.
 pub fn size_block(data: &[i32], w: usize, h: usize) -> (EncodedBlock, RawPasses) {
-    let mut span = block_span(w, h);
-    let sized = sized(data, w, h);
-    span.set_arg("symbols", sized.0.total_symbols());
-    sized
-}
-
-fn block_span(w: usize, h: usize) -> obs::Span {
-    obs::trace::span("tier1")
-        .cat("block")
-        .arg("w", w as u64)
-        .arg("h", h as u64)
-        .arg("coder", 1)
-}
-
-fn sized(data: &[i32], w: usize, h: usize) -> (EncodedBlock, RawPasses) {
     assert_eq!(data.len(), w * h, "block data size");
     let all = data.iter().fold(0, |a, &v| a | v.unsigned_abs());
     let num_planes = (32 - all.leading_zeros()) as u8;

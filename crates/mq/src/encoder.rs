@@ -3,9 +3,10 @@
 use crate::table::QE_TABLE;
 use crate::{Contexts, CtxState};
 
-/// Shifts a batch of [`MqEncoder::encode_decisions`] may take past a
-/// BYTEOUT before it settles the pending ones: two to three bytes, with the
-/// register's top bit at most 62.
+/// Shifts a batch of [`MqEncoder::encode_decisions`] (or a lane's in
+/// [`MqEncoder::encode_lanes`]) may take past a BYTEOUT before it settles
+/// the pending ones: two to three bytes, with the register's top bit at
+/// most 62.
 const PENDING: i32 = 20;
 
 /// The MQ arithmetic encoder.
@@ -18,7 +19,8 @@ const PENDING: i32 = 20;
 /// [`MqEncoder::encode`] codes one decision and emits each byte when `ct`
 /// reaches 0, as the standard does. [`MqEncoder::encode_decisions`] codes
 /// a pass's decisions in batches that let the byte emissions wait: see
-/// there.
+/// there. [`MqEncoder::encode_lanes`] codes two encoders' batches side by
+/// side.
 ///
 /// One encoder codes any number of segments: [`MqEncoder::flush_into`]
 /// terminates the open segment, appends it to a caller's buffer and
@@ -39,8 +41,21 @@ pub struct MqEncoder {
     /// Open segment; `out[0]` is the sentinel and the last byte is the one
     /// the standard calls `B`.
     out: Vec<u8>,
-    /// The context states at the start of the open batch.
-    saved: Vec<CtxState>,
+    /// The coder's state at the start of the open batch.
+    mark: Mark,
+}
+
+/// What [`MqEncoder::encode_decisions`] restores, besides the contexts
+/// ([`States::saved`]), to code a batch again: the register, and the
+/// segment's length and last byte (which a settled carry may have
+/// raised).
+#[derive(Debug, Clone, Copy, Default)]
+struct Mark {
+    a: u32,
+    c: u64,
+    ct: i32,
+    len: usize,
+    b: u8,
 }
 
 impl Default for MqEncoder {
@@ -49,32 +64,71 @@ impl Default for MqEncoder {
     }
 }
 
+/// One step of the coder for a context in merged state `s = index << 1 |
+/// mps`: its `Qe`, and its next merged state after an MPS and after an
+/// LPS renormalization, the LPS one with the MPS switch applied.
+#[derive(Clone, Copy)]
+struct Step {
+    qe: u16,
+    nmps: u8,
+    nlps: u8,
+}
+
+/// [`QE_TABLE`] by merged state, padded to every `u8`, so a state indexes
+/// it with no bounds check. A valid state ([`CtxState`]: index below 47,
+/// MPS 0 or 1) never reaches the padding.
+const STEPS: [Step; 256] = {
+    let mut t = [Step {
+        qe: 0,
+        nmps: 0,
+        nlps: 0,
+    }; 256];
+    let mut s = 0;
+    while s < 2 * QE_TABLE.len() {
+        let (row, mps) = (QE_TABLE[s >> 1], s as u8 & 1);
+        t[s] = Step {
+            qe: row.qe,
+            nmps: row.nmps << 1 | mps,
+            nlps: row.nlps << 1 | (mps ^ row.switch_mps),
+        };
+        s += 1;
+    }
+    t
+};
+
+/// The merged state `index << 1 | mps` of a context.
+#[inline]
+fn merged(st: CtxState) -> u8 {
+    st.index << 1 | st.mps
+}
+
 /// CODEMPS and CODELPS as one step without data-dependent branches, for
-/// `decision` in the context state `st`: the coder keeps either the `Qe`
-/// sub-interval at the bottom of the interval or the `A - Qe` one above
-/// it (`C += Qe`). The MPS keeps the `A - Qe` one and the LPS the `Qe` one
-/// unless the conditional exchange (`A - Qe < Qe`) swaps them. The state
-/// moves exactly when the new `A` is below 0x8000, which is also when
-/// RENORME shifts at all. Which symbol comes is as unpredictable as the
-/// data, so selects replace the standard's branches on it.
+/// `decision` in the context whose merged state is `s`: the coder keeps
+/// either the `Qe` sub-interval at the bottom of the interval or the
+/// `A - Qe` one above it (`C += Qe`). The MPS keeps the `A - Qe` one and
+/// the LPS the `Qe` one unless the conditional exchange (`A - Qe < Qe`)
+/// swaps them. The state moves exactly when the new `A` is below 0x8000,
+/// which is also when RENORME shifts at all. Which symbol comes is as
+/// unpredictable as the data, so selects replace the standard's branches
+/// on it.
 ///
 /// Returns the number of RENORME shifts, already applied to `a` but not
 /// to `c`.
 #[inline(always)]
-fn code(a: &mut u32, c: &mut u64, st: &mut CtxState, decision: u8) -> u32 {
-    let row = QE_TABLE[st.index as usize];
-    let qe = row.qe as u32;
+fn code(a: &mut u32, c: &mut u64, s: &mut u8, decision: u8) -> u32 {
+    let step = STEPS[*s as usize];
+    let qe = step.qe as u32;
     let a1 = *a - qe;
-    let lps = decision != st.mps;
+    let lps = (decision ^ *s) & 1 != 0;
     let keep_rest = lps == (a1 < qe);
     let kept = if keep_rest { a1 } else { qe };
     *c += if keep_rest { qe as u64 } else { 0 };
     // The state moves only with a renormalization; an LPS always
-    // renormalizes, so the MPS switch needs no test.
-    let next = if lps { row.nlps } else { row.nmps };
-    st.index = if kept < 0x8000 { next } else { st.index };
-    st.mps ^= u8::from(lps) & row.switch_mps;
-    let n = kept.leading_zeros() - 16;
+    // renormalizes.
+    let next = if lps { step.nlps } else { step.nmps };
+    *s = if kept < 0x8000 { next } else { *s };
+    // `kept` is below 2^16 and not 0, so this is its count within 16 bits.
+    let n = (kept as u16).leading_zeros();
     *a = kept << n;
     n
 }
@@ -105,6 +159,70 @@ fn byte_out(out: &mut Vec<u8>, mut c: u32) -> (u32, i32, u8) {
     (c & 0x7_FFFF, 8, byte)
 }
 
+/// One lane of [`MqEncoder::encode_lanes`]: an encoder, its contexts and
+/// the decisions to code, each `(cx << 1) | decision`.
+pub type Lane<'a> = (&'a mut MqEncoder, &'a mut Contexts, &'a [u8]);
+
+/// A bank's contexts while [`MqEncoder::encode_decisions`] codes with
+/// them, as merged states, one entry for every context a decision byte
+/// can name (`e >> 1` of a `u8`, so indexing needs no bounds check).
+struct States {
+    live: [u8; 128],
+    /// The live states at the start of the open batch.
+    saved: [u8; 128],
+}
+
+impl States {
+    /// The contexts of `ctxs` that a decision can name.
+    #[inline]
+    fn new(ctxs: &Contexts) -> States {
+        let mut live = [0; 128];
+        for (s, &st) in live.iter_mut().zip(&ctxs.states) {
+            *s = merged(st);
+        }
+        States { live, saved: live }
+    }
+
+    /// Write the live states back into `ctxs`.
+    #[inline]
+    fn store(&self, ctxs: &mut Contexts) {
+        for (st, &s) in ctxs.states.iter_mut().zip(&self.live) {
+            *st = CtxState {
+                index: s >> 1,
+                mps: s & 1,
+            };
+        }
+    }
+}
+
+/// [`MqEncoder::batch`] for two lanes in lockstep: the same number of
+/// decisions from the front of `xd` and `yd`, until either lane has
+/// `PENDING` shifts outstanding or runs out. Returns how many from each.
+#[inline]
+fn batch2(
+    (xe, xw, xd): (&mut MqEncoder, &mut [u8; 128], &[u8]),
+    (ye, yw, yd): (&mut MqEncoder, &mut [u8; 128], &[u8]),
+) -> usize {
+    let (mut xa, mut xc, mut xct) = (xe.a, xe.c, xe.ct);
+    let (mut ya, mut yc, mut yct) = (ye.a, ye.c, ye.ct);
+    let mut taken = 0;
+    for (&ex, &ey) in xd.iter().zip(yd) {
+        let n = code(&mut xa, &mut xc, &mut xw[(ex >> 1) as usize], ex & 1);
+        let m = code(&mut ya, &mut yc, &mut yw[(ey >> 1) as usize], ey & 1);
+        xc <<= n;
+        xct -= n as i32;
+        yc <<= m;
+        yct -= m as i32;
+        taken += 1;
+        if xct.min(yct) <= -PENDING {
+            break;
+        }
+    }
+    (xe.a, xe.c, xe.ct) = (xa, xc, xct);
+    (ye.a, ye.c, ye.ct) = (ya, yc, yct);
+    taken
+}
+
 impl MqEncoder {
     /// INITENC.
     pub fn new() -> Self {
@@ -113,14 +231,23 @@ impl MqEncoder {
             a: 0x8000,
             ct: 12,
             out: vec![0u8],
-            saved: Vec::new(),
+            mark: Mark::default(),
         }
     }
 
     /// ENCODE one `decision` in context `cx` of `ctxs`.
     #[inline]
     pub fn encode(&mut self, ctxs: &mut Contexts, cx: usize, decision: u8) {
-        let n = code(&mut self.a, &mut self.c, ctxs.get_mut(cx), decision);
+        let st = ctxs.get_mut(cx);
+        let mut s = merged(*st);
+        self.encode_state(&mut s, decision);
+        (st.index, st.mps) = (s >> 1, s & 1);
+    }
+
+    /// ENCODE `decision` in the context whose merged state is `s`.
+    #[inline]
+    fn encode_state(&mut self, s: &mut u8, decision: u8) {
+        let n = code(&mut self.a, &mut self.c, s, decision);
         self.renorm(n);
     }
 
@@ -161,34 +288,73 @@ impl MqEncoder {
     /// batch start over from its saved state, one BYTEOUT at a time
     /// ([`MqEncoder::encode`]). That happens to about one batch in 80.
     pub fn encode_decisions(&mut self, ctxs: &mut Contexts, decisions: &[u8]) {
+        let mut st = States::new(ctxs);
         let mut rest = decisions;
         while !rest.is_empty() {
-            self.saved.clear();
-            self.saved.extend_from_slice(&ctxs.states);
-            let (a, c, ct) = (self.a, self.c, self.ct);
-            let (len, b) = (self.out.len(), self.out[self.out.len() - 1]);
-            let taken = self.batch(ctxs, rest);
-            if !self.settle() {
-                ctxs.states.copy_from_slice(&self.saved);
-                self.out.truncate(len);
-                self.out[len - 1] = b;
-                (self.a, self.c, self.ct) = (a, c, ct);
-                for &e in &rest[..taken] {
-                    self.encode(ctxs, (e >> 1) as usize, e & 1);
-                }
-            }
+            self.save(&mut st);
+            let taken = self.batch(&mut st.live, rest);
+            self.settle_or_redo(&mut st, &rest[..taken]);
             rest = &rest[taken..];
         }
+        st.store(ctxs);
     }
 
-    /// Code decisions from the front of `decisions` without BYTEOUT until
-    /// `PENDING` shifts have passed a byte boundary. Returns how many.
+    /// [`MqEncoder::encode_decisions`] for two independent streams at
+    /// once, each lane an encoder, its contexts and its decisions: codes
+    /// the first `n` decisions of each lane, `n` the shorter lane's
+    /// length, and returns `n`. Each lane's bytes and contexts are those
+    /// of `encode_decisions` on its own.
+    ///
+    /// The lanes run in lockstep batches, one decision of each per step,
+    /// so the two coders' dependency chains (`a`'s select, leading-zero
+    /// count and shift, and a context state's store and reload) overlap
+    /// instead of waiting on each other. A batch ends when either lane
+    /// has `PENDING` shifts outstanding; then each lane settles its own
+    /// BYTEOUTs, and a lane that settles a 0x00 byte restores only its
+    /// own saved state and codes that batch again, one BYTEOUT at a time.
+    pub fn encode_lanes((xe, xc, xd): Lane<'_>, (ye, yc, yd): Lane<'_>) -> usize {
+        let (mut xs, mut ys) = (States::new(xc), States::new(yc));
+        let n = xd.len().min(yd.len());
+        let mut done = 0;
+        while done < n {
+            xe.save(&mut xs);
+            ye.save(&mut ys);
+            let taken = batch2(
+                (xe, &mut xs.live, &xd[done..n]),
+                (ye, &mut ys.live, &yd[done..n]),
+            );
+            xe.settle_or_redo(&mut xs, &xd[done..done + taken]);
+            ye.settle_or_redo(&mut ys, &yd[done..done + taken]);
+            done += taken;
+        }
+        xs.store(xc);
+        ys.store(yc);
+        n
+    }
+
+    /// Mark the state a batch starts from.
     #[inline]
-    fn batch(&mut self, ctxs: &mut Contexts, decisions: &[u8]) -> usize {
+    fn save(&mut self, st: &mut States) {
+        st.saved = st.live;
+        let len = self.out.len();
+        self.mark = Mark {
+            a: self.a,
+            c: self.c,
+            ct: self.ct,
+            len,
+            b: self.out[len - 1],
+        };
+    }
+
+    /// Code decisions from the front of `decisions` in the merged states
+    /// `live` without BYTEOUT until `PENDING` shifts have passed a byte
+    /// boundary. Returns how many.
+    #[inline]
+    fn batch(&mut self, live: &mut [u8; 128], decisions: &[u8]) -> usize {
         let (mut a, mut c, mut ct) = (self.a, self.c, self.ct);
         let mut taken = 0;
         for &e in decisions {
-            let n = code(&mut a, &mut c, ctxs.get_mut((e >> 1) as usize), e & 1);
+            let n = code(&mut a, &mut c, &mut live[(e >> 1) as usize], e & 1);
             c <<= n;
             ct -= n as i32;
             taken += 1;
@@ -198,6 +364,25 @@ impl MqEncoder {
         }
         (self.a, self.c, self.ct) = (a, c, ct);
         taken
+    }
+
+    /// Run the pending BYTEOUTs of a batch of `decisions` coded since
+    /// [`MqEncoder::save`]. When a byte reads 0x00 (see
+    /// [`MqEncoder::encode_decisions`]), restore the marked state and the
+    /// saved contexts and code the batch again one BYTEOUT at a time.
+    #[inline]
+    fn settle_or_redo(&mut self, st: &mut States, decisions: &[u8]) {
+        if self.settle() {
+            return;
+        }
+        let m = self.mark;
+        self.out.truncate(m.len);
+        self.out[m.len - 1] = m.b;
+        (self.a, self.c, self.ct) = (m.a, m.c, m.ct);
+        st.live = st.saved;
+        for &e in decisions {
+            self.encode_state(&mut st.live[(e >> 1) as usize], e & 1);
+        }
     }
 
     /// Run the pending BYTEOUTs, oldest first. False when a byte reads

@@ -19,7 +19,7 @@
 //! (`tests/reference_decoder.rs`) on random segments rich in 0xFF, stuffed
 //! bytes that carry, markers inside a segment and every prefix of encoded
 //! segments, each decoded past its end. [`MqEncoder`], one decision at a
-//! time and in batches, meets an Annex C.2 encoder
+//! time, in batches and in two lanes, meets an Annex C.2 encoder
 //! (`tests/reference_encoder.rs`) byte for byte on multi-segment random
 //! sources that reach every BYTEOUT and FLUSH path.
 
@@ -29,7 +29,7 @@ mod raw;
 mod table;
 
 pub use decoder::MqDecoder;
-pub use encoder::MqEncoder;
+pub use encoder::{Lane, MqEncoder};
 pub use raw::{RawDecoder, RawEncoder};
 pub use table::{QeRow, QE_TABLE};
 

@@ -14,6 +14,13 @@
 //! bytes (where `encode_decisions` redoes a batch one BYTEOUT at a time),
 //! and flushes on both SETBITS paths, with and without a dropped trailing
 //! 0xFF.
+//!
+//! The two-lane form, [`MqEncoder::encode_lanes`], is checked lane by lane
+//! against the same reference: two multi-segment sources coded as a pair
+//! of code blocks is, both lanes' open segments in lockstep, each flushed
+//! at its own segment ends. The reference follows the lanes' batches and
+//! counts the batches in which exactly one lane settles a 0x00 byte and
+//! codes the batch again, so the test can show that it reached them.
 
 use mqcoder::{Contexts, CtxState, MqEncoder, QE_TABLE};
 use rand::rngs::StdRng;
@@ -41,6 +48,12 @@ struct Reference {
     a: u32,
     ct: u32,
     out: Vec<u8>,
+    /// RENORME shifts so far.
+    shifts: u32,
+    /// Set when a carry reaches the stuffed bit after a 0xFF that is at
+    /// `out[stuffed_from..]` or later.
+    carried_past_ff: bool,
+    stuffed_from: usize,
 }
 
 impl Reference {
@@ -51,6 +64,9 @@ impl Reference {
             a: 0x8000,
             ct: 12,
             out: vec![0],
+            shifts: 0,
+            carried_past_ff: false,
+            stuffed_from: usize::MAX,
         }
     }
 
@@ -106,6 +122,7 @@ impl Reference {
             self.a <<= 1;
             self.c <<= 1;
             self.ct -= 1;
+            self.shifts += 1;
             if self.ct == 0 {
                 self.byte_out(paths);
             }
@@ -120,6 +137,7 @@ impl Reference {
         let b = self.out.len() - 1;
         if self.out[b] == 0xFF {
             paths.bytes_after_ff += 1;
+            self.carried_past_ff |= b >= self.stuffed_from && self.c & 0x800_0000 != 0;
             self.emit(self.c >> 20, paths);
             self.c &= 0xF_FFFF;
             self.ct = 7;
@@ -294,4 +312,251 @@ fn one_context_runs_and_alternations() {
         }
     }
     assert!(paths.carries > 0 && paths.bytes_after_ff > 0, "{paths:?}");
+}
+
+/// Shifts past its oldest byte boundary at which a batch of
+/// `encode_decisions` or `encode_lanes` settles its BYTEOUTs (the
+/// encoder's `PENDING`).
+const PENDING: u32 = 20;
+
+/// One lane of the reference: its segments, the one being coded, and the
+/// finished ones.
+struct RefLane<'a> {
+    segments: &'a [Vec<u8>],
+    seg: usize,
+    at: usize,
+    r: Reference,
+    done: Vec<Vec<u8>>,
+    /// At the open batch's start: `ct`, shifts and the segment's length.
+    batch: (u32, u32, usize),
+}
+
+impl<'a> RefLane<'a> {
+    fn new(segments: &'a [Vec<u8>]) -> Self {
+        RefLane {
+            segments,
+            seg: 0,
+            at: 0,
+            r: Reference::new(),
+            done: Vec::new(),
+            batch: (0, 0, 0),
+        }
+    }
+
+    /// Flush every used-up segment; the decisions left in the open one,
+    /// or `None` when every segment is done.
+    fn left(&mut self, paths: &mut Paths) -> Option<usize> {
+        while let Some(seg) = self.segments.get(self.seg) {
+            if self.at < seg.len() {
+                return Some(seg.len() - self.at);
+            }
+            let r = std::mem::replace(&mut self.r, Reference::new());
+            self.done.push(r.flush(paths));
+            (self.seg, self.at) = (self.seg + 1, 0);
+        }
+        None
+    }
+
+    fn step(&mut self, ctxs: &mut Contexts, paths: &mut Paths) {
+        let e = self.segments[self.seg][self.at];
+        self.r.encode(ctxs, (e >> 1) as usize, e & 1, paths);
+        self.at += 1;
+    }
+
+    fn start_batch(&mut self) {
+        self.batch = (self.r.ct, self.r.shifts, self.r.out.len());
+        self.r.carried_past_ff = false;
+        self.r.stuffed_from = self.r.out.len();
+    }
+
+    /// Whether the batch has `PENDING` shifts past its oldest boundary.
+    fn full(&self) -> bool {
+        self.r.shifts - self.batch.1 >= self.batch.0 + PENDING
+    }
+
+    /// Whether the encoder settles a 0x00 byte at the end of the batch and
+    /// codes it again. The batch settles the bytes of the boundaries it
+    /// passed, with every carry that reached them before its end: the
+    /// reference's bytes, the last plus a carry still pending, unless a
+    /// carry crossed a 0xFF, which the encoder reads as 0x00.
+    fn redoes(&self) -> bool {
+        let r = &self.r;
+        let settled = &r.out[self.batch.2..];
+        let carry = u8::from(r.c & 0x800_0000 != 0);
+        let Some((&last, rest)) = settled.split_last() else {
+            return false;
+        };
+        r.carried_past_ff || rest.contains(&0) || last.wrapping_add(carry) == 0
+    }
+}
+
+/// How often the lane schedule reached the cases the two-lane test needs.
+#[derive(Debug, Default)]
+struct LaneCases {
+    /// Batches where only lane 0, or only lane 1, is coded again.
+    redo_only: [usize; 2],
+    /// Batches where both are.
+    redo_both: usize,
+    /// Calls after which both lanes' open segments were used up at once.
+    same_end: usize,
+    /// Lanes without a decision.
+    empty_lanes: usize,
+}
+
+/// Code two lanes of segments with the reference, on the schedule
+/// [`encode_pair`] runs `encode_lanes` on, counting what it reaches.
+fn reference_pair(
+    starts: [&Contexts; 2],
+    lanes: [&[Vec<u8>]; 2],
+    paths: &mut Paths,
+    cases: &mut LaneCases,
+) -> [(Vec<Vec<u8>>, Contexts); 2] {
+    let mut ctxs = starts.map(Contexts::clone);
+    let mut l = lanes.map(RefLane::new);
+    let [x, y] = &mut l;
+    let [cx, cy] = &mut ctxs;
+    while let (Some(nx), Some(ny)) = (x.left(paths), y.left(paths)) {
+        let n = nx.min(ny);
+        let mut done = 0;
+        while done < n {
+            x.start_batch();
+            y.start_batch();
+            loop {
+                x.step(cx, paths);
+                y.step(cy, paths);
+                done += 1;
+                if done == n || x.full() || y.full() {
+                    break;
+                }
+            }
+            match (x.redoes(), y.redoes()) {
+                (true, true) => cases.redo_both += 1,
+                (true, false) => cases.redo_only[0] += 1,
+                (false, true) => cases.redo_only[1] += 1,
+                (false, false) => {}
+            }
+        }
+        cases.same_end += usize::from(nx == ny);
+    }
+    for (lane, c) in l.iter_mut().zip(&mut ctxs) {
+        while lane.left(paths).is_some() {
+            lane.step(c, paths);
+        }
+    }
+    let [x, y] = l;
+    let [cx, cy] = ctxs;
+    [(x.done, cx), (y.done, cy)]
+}
+
+/// Code two lanes of segments as a pair of code blocks is coded: both
+/// lanes' open segments through `encode_lanes` until either is used up,
+/// each lane flushed at its own segment ends, and once one lane has no
+/// segment left, the other's rest through `encode_decisions`.
+fn encode_pair(starts: [&Contexts; 2], lanes: [&[Vec<u8>]; 2]) -> [(Vec<Vec<u8>>, Contexts); 2] {
+    struct Lane<'a> {
+        segments: &'a [Vec<u8>],
+        seg: usize,
+        at: usize,
+        enc: MqEncoder,
+        ctxs: Contexts,
+        done: Vec<Vec<u8>>,
+    }
+    impl<'a> Lane<'a> {
+        fn front(&mut self) -> Option<&'a [u8]> {
+            let segments = self.segments;
+            while let Some(seg) = segments.get(self.seg) {
+                if self.at < seg.len() {
+                    return Some(&seg[self.at..]);
+                }
+                let mut out = Vec::new();
+                self.enc.flush_into(&mut out);
+                self.done.push(out);
+                (self.seg, self.at) = (self.seg + 1, 0);
+            }
+            None
+        }
+    }
+    let mut l = [0, 1].map(|k| Lane {
+        segments: lanes[k],
+        seg: 0,
+        at: 0,
+        enc: MqEncoder::new(),
+        ctxs: starts[k].clone(),
+        done: Vec::new(),
+    });
+    let [x, y] = &mut l;
+    while let (Some(dx), Some(dy)) = (x.front(), y.front()) {
+        let n =
+            MqEncoder::encode_lanes((&mut x.enc, &mut x.ctxs, dx), (&mut y.enc, &mut y.ctxs, dy));
+        assert_eq!(
+            n,
+            dx.len().min(dy.len()),
+            "encode_lanes codes the shorter lane"
+        );
+        x.at += n;
+        y.at += n;
+    }
+    for lane in &mut l {
+        while let Some(d) = lane.front() {
+            lane.enc.encode_decisions(&mut lane.ctxs, d);
+            lane.at += d.len();
+        }
+    }
+    l.map(|lane| (lane.done, lane.ctxs))
+}
+
+/// Random segments for one lane: up to six, lengths up to one of a few
+/// scales, decisions skewed at random.
+fn lane_segments(rng: &mut StdRng) -> Vec<Vec<u8>> {
+    (0..rng.gen_range(0..=6))
+        .map(|_| {
+            let most = [4, 60, 900, 4000][rng.gen_range(0..4usize)];
+            let n = rng.gen_range(0..=most);
+            let one_in = rng.gen_range(2..=64u32);
+            decisions(rng, n, one_in)
+        })
+        .collect()
+}
+
+#[test]
+fn two_lanes_match_the_reference_lane_by_lane() {
+    let mut rng = StdRng::seed_from_u64(0xC2_0002);
+    let mut paths = Paths::default();
+    let mut cases = LaneCases::default();
+    for case in 0..300 {
+        let starts = [random_bank(&mut rng), random_bank(&mut rng)];
+        let mut lanes = [lane_segments(&mut rng), lane_segments(&mut rng)];
+        // Every fifth case makes lane 1's segments as long as lane 0's, so
+        // both lanes use up their segments on the same decision.
+        if case % 5 == 0 {
+            let [x, y] = &mut lanes;
+            for (seg, other) in x.iter().zip(y) {
+                other.resize(seg.len(), 0);
+            }
+        }
+        cases.empty_lanes += lanes.iter().filter(|l| l.iter().all(Vec::is_empty)).count();
+        let want = reference_pair(
+            [&starts[0], &starts[1]],
+            [&lanes[0], &lanes[1]],
+            &mut paths,
+            &mut cases,
+        );
+        let got = encode_pair([&starts[0], &starts[1]], [&lanes[0], &lanes[1]]);
+        for (k, (g, w)) in got.iter().zip(&want).enumerate() {
+            assert_eq!(g.0, w.0, "case {case}: lane {k} segments");
+            assert_eq!(g.1, w.1, "case {case}: lane {k} final contexts");
+        }
+    }
+    for (name, n) in [
+        ("batches redone in lane 0 alone", cases.redo_only[0]),
+        ("batches redone in lane 1 alone", cases.redo_only[1]),
+        ("lanes used up on the same decision", cases.same_end),
+        ("empty lanes", cases.empty_lanes),
+    ] {
+        assert!(n >= 5, "{name}: {n} in {cases:?}");
+    }
+    assert!(
+        paths.carries_into_ff >= 5 && paths.bytes_after_ff >= 5,
+        "{paths:?}"
+    );
 }
