@@ -30,6 +30,7 @@ pub mod cell;
 pub mod coder;
 pub mod codestream;
 pub mod control;
+mod freelist;
 pub mod jp2;
 pub mod kernels;
 pub mod mct;

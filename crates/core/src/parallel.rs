@@ -7,7 +7,10 @@
 //!   multiple, about four per worker, plus one arbitrary-width remainder
 //!   chunk. The merged level shift + MCT reads its columns straight from
 //!   the [`Image`] rows into the one working plane per component the
-//!   transform allocates; the DWT then runs in place on those planes.
+//!   transform takes from the calling thread's free list (the planes of
+//!   its last call, zeroed, if that call had the same sample type and
+//!   geometry); the DWT then runs in place on those planes, and they go
+//!   back to the list when the encode ends.
 //!   Vertical lifting runs per column chunk, horizontal lifting per row
 //!   band ("an identical number of rows to each SPE").
 //! * **Tier-1** takes one job per two consecutive code blocks, as the
@@ -45,6 +48,7 @@
 //! ([`crate::cell`]).
 
 use crate::control::EncodeControl;
+use crate::freelist::{self, Pooled};
 use crate::kernels;
 use crate::pipeline::{
     band_kind, block_grid, build_profile, rate_control_and_assemble, BlockRecord, Coefficients,
@@ -99,6 +103,7 @@ pub fn encode_with(
     let raw = image.raw_bytes() as u64;
     let out = rate_control_and_assemble(image, params, &t, &mut records, raw, &mut s)?;
     let profile = build_profile(image, params, &records, &out, s);
+    t.coeffs.give_back();
     Ok((out.bytes, profile))
 }
 
@@ -357,19 +362,27 @@ impl<'c> Stages<'c> {
     /// Run `f` as one interval of `stage`. The clock is read once before
     /// `f` and once after; that interval is both the `stage:<name>` span
     /// (with `args`; nothing is recorded while tracing is off) and the
-    /// time added to the stage, so a stage's spans sum to its time.
+    /// time added to the stage, so a stage's spans sum to its time. While
+    /// tracing is on, the process's minor page faults are read before the
+    /// first clock read and after the second, and the span carries their
+    /// difference as `minflt`.
     pub(crate) fn timed<R>(
         &mut self,
         stage: Stage,
         args: &[(&'static str, u64)],
         f: impl FnOnce(&mut Self) -> R,
     ) -> R {
+        let faults = trace::enabled().then(trace::minor_faults).flatten();
         let start = trace::now_ns();
         let r = f(self);
         let dur = trace::now_ns() - start;
         self.times[stage as usize] += Duration::from_nanos(dur);
-        let id = trace::current();
-        trace::complete_with(id, stage.span_name(), "stage", start, dur, args);
+        if trace::enabled() {
+            let mut args = args.to_vec();
+            args.extend(trace::minflt_since(faults));
+            let id = trace::current();
+            trace::complete_with(id, stage.span_name(), "stage", start, dur, &args);
+        }
         r
     }
 
@@ -516,8 +529,8 @@ fn fused<'a, T: Copy + Default>(
 /// Chunked version of [`crate::pipeline::transform_samples`]: identical
 /// coefficients by construction (same arithmetic on the same operands,
 /// only partitioned), timed and counted in the ledger `s`. Each arm
-/// allocates one working plane per component and reads the image into it
-/// in its first stage.
+/// takes one working plane per component ([`working_planes`]) and reads
+/// the image into it in its first stage.
 fn transform_samples_parallel(
     image: &Image,
     params: &EncoderParams,
@@ -548,11 +561,10 @@ fn transform_samples_parallel(
     }
 }
 
-/// One zeroed working plane per component of `image`.
-fn working_planes<T: Copy + Default>(image: &Image) -> Vec<AlignedPlane<T>> {
-    (0..image.comps())
-        .map(|_| AlignedPlane::new(image.width, image.height).expect("validated geometry"))
-        .collect()
+/// One zeroed working plane per component of `image`, from this thread's
+/// free list; `encode_with` gives them back when the encode ends.
+fn working_planes<T: Pooled>(image: &Image) -> Vec<AlignedPlane<T>> {
+    freelist::take(image.comps(), image.width, image.height).expect("validated geometry")
 }
 
 /// Row `y` of tile region `r` in component `c` of `image`: the `u16`
@@ -664,7 +676,7 @@ fn lossless(
 
 /// The lossy arm's working sample: `f32`, the paper's SPE arithmetic, or
 /// Q13 fixed point in `i32`, Jasper's (chosen by [`Arithmetic`]).
-trait LossySample: Arith97 + Send + Sync {
+trait LossySample: Arith97 + Pooled + Send + Sync {
     /// Working value of a level-shifted, colour-transformed sample.
     fn from_f32(v: f32) -> Self;
     /// Horizontal 9/7 lifting of every row of a view.
@@ -1188,8 +1200,52 @@ mod tests {
         assert_eq!(count(Stage::RateControl), tries);
         assert_eq!(count(Stage::Tier2), tries);
         assert!(count(Stage::Tier1) >= 2, "no pack round under stage:tier1");
+        // Where the process's fault count can be read, every stage span
+        // carries it, after the stage's own args.
+        let want = usize::from(trace::minor_faults().is_some());
+        for e in events.iter().filter(|e| e.name.starts_with("stage:")) {
+            let minflt = e.args.iter().filter(|(k, _)| *k == "minflt").count();
+            assert_eq!(minflt, want, "{}: {:?}", e.name, e.args);
+            assert_eq!(e.args.last().is_some_and(|a| a.0 == "minflt"), want == 1);
+        }
         for e in events.iter().filter(|e| e.name == "stage:tier1") {
-            assert_eq!(e.args, [("coder", Coder::Ht.id())], "stage:tier1 args");
+            assert_eq!(
+                e.args[..e.args.len() - want],
+                [("coder", Coder::Ht.id())],
+                "stage:tier1 args"
+            );
+        }
+    }
+
+    #[test]
+    fn traced_decode_stage_spans_carry_minflt() {
+        let _g = trace_lock();
+        if trace::minor_faults().is_none() {
+            eprintln!("no /proc/self/stat: skipped");
+            return;
+        }
+        let im = synth::natural_rgb(96, 64, 7);
+        for params in [EncoderParams::lossless(), EncoderParams::lossy(0.3)] {
+            let bytes = encode(&im, &params).unwrap();
+            trace::set_enabled(true);
+            let id = trace::next_trace_id();
+            trace::set_current(id);
+            let traced = crate::decode(&bytes).unwrap();
+            trace::set_current(0);
+            let events = trace::take_job(id);
+            trace::set_enabled(false);
+            assert_eq!(traced, crate::decode(&bytes).unwrap(), "{:?}", params.mode);
+            for name in [
+                "stage:parse",
+                "stage:tier1-decode",
+                "stage:idwt",
+                "stage:output",
+            ] {
+                let spans: Vec<_> = events.iter().filter(|e| e.name == name).collect();
+                assert_eq!(spans.len(), 1, "{name} {:?}", params.mode);
+                let keys: Vec<&str> = spans[0].args.iter().map(|(k, _)| *k).collect();
+                assert_eq!(keys, ["minflt"], "{name} {:?}", params.mode);
+            }
         }
     }
 

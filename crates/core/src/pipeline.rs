@@ -7,7 +7,7 @@ use crate::codestream::{self, BlockStream, MainHeader, Quant};
 use crate::parallel::{pack_kept_passes, Stages};
 use crate::profile::{BlockWork, LevelWork, WorkloadProfile};
 use crate::quant::{band_delta, max_bitplanes, StepSize, GUARD_BITS};
-use crate::{kernels, mct, Arithmetic, CodecError, EncoderParams, Mode, Stage};
+use crate::{freelist, kernels, mct, Arithmetic, CodecError, EncoderParams, Mode, Stage};
 use ebcot::block::{BandKind, EncodedBlock};
 use ebcot::rate::{search_threshold, BlockSummary, PreparedBlock, Threshold};
 use imgio::Image;
@@ -117,6 +117,16 @@ pub(crate) enum Coefficients {
     /// 9/7 coefficients in Q13 fixed point; each row drops back to `f32`
     /// (`v / 8192`) before it is quantized.
     Q13(Vec<AlignedPlane<i32>>),
+}
+
+impl Coefficients {
+    /// Give the planes back to this thread's free list.
+    pub(crate) fn give_back(self) {
+        match self {
+            Coefficients::Indices(p) | Coefficients::Q13(p) => freelist::give_back(p),
+            Coefficients::F32(p) => freelist::give_back(p),
+        }
+    }
 }
 
 /// Everything shared between the sample stages and entropy stages.
@@ -650,6 +660,12 @@ pub(crate) fn build_profile(
     }
 }
 
+/// The span of one decode stage, carrying the process's minor page faults
+/// over it as `minflt`.
+fn stage_span(name: &'static str) -> trace::Span {
+    trace::span(name).cat("stage").minflt()
+}
+
 /// Decode a codestream produced by this crate's encoder: every quality
 /// layer at full resolution.
 pub fn decode(data: &[u8]) -> Result<Image, CodecError> {
@@ -667,7 +683,7 @@ pub fn decode_opts(
     discard_levels: usize,
 ) -> Result<Image, CodecError> {
     let parsed = {
-        let _s = trace::span("stage:parse").cat("stage");
+        let _s = stage_span("stage:parse");
         codestream::parse(data)?
     };
     decode_parsed(parsed, max_layers, discard_levels, false)
@@ -685,7 +701,7 @@ pub fn decode_opts(
 /// always measure it.
 pub fn decode_prefix(data: &[u8]) -> Result<(Image, usize), CodecError> {
     let (parsed, complete_layers) = {
-        let _s = trace::span("stage:parse").cat("stage");
+        let _s = stage_span("stage:parse");
         codestream::parse_prefix(data)?
     };
     let img = decode_parsed(parsed, usize::MAX, 0, true)?;
@@ -760,16 +776,13 @@ fn decode_blocks(
     Ok(())
 }
 
-/// One zeroed full-size plane per component.
-fn component_planes<T: Copy + Default>(
+/// One zeroed full-size plane per component, from this thread's free
+/// list; `decode_parsed` gives them back when it returns an image.
+fn component_planes<T: freelist::Pooled>(
     hdr: &MainHeader,
 ) -> Result<Vec<AlignedPlane<T>>, CodecError> {
-    (0..hdr.comps)
-        .map(|_| {
-            AlignedPlane::new(hdr.width, hdr.height)
-                .map_err(|e| CodecError::Codestream(e.to_string()))
-        })
-        .collect()
+    freelist::take(hdr.comps, hdr.width, hdr.height)
+        .map_err(|e| CodecError::Codestream(e.to_string()))
 }
 
 /// The decoder's four stages, each one pass over the samples: Tier-1
@@ -805,7 +818,7 @@ fn decode_parsed(
         // Reversible: the indices are the 5/3 coefficients.
         let mut planes = component_planes::<i32>(hdr)?;
         {
-            let _s = trace::span("stage:tier1-decode").cat("stage");
+            let _s = stage_span("stage:tier1-decode");
             decode_blocks(&parsed, max_layers, lenient, |blk, x0, y0, bw, vals| {
                 let plane = &mut planes[blk.comp];
                 for (y, row) in vals.chunks_exact(bw).enumerate() {
@@ -814,12 +827,12 @@ fn decode_parsed(
             })?;
         }
         {
-            let _s = trace::span("stage:idwt").cat("stage");
+            let _s = stage_span("stage:idwt");
             for p in &mut planes {
                 wavelet::transform2d::inverse_2d_53_partial(p, hdr.levels, discard);
             }
         }
-        let _s = trace::span("stage:output").cat("stage");
+        let _s = stage_span("stage:output");
         match (&mut planes[..], &mut out.planes[..]) {
             ([py, pu, pv], [r, g, b]) if hdr.mct => {
                 let rows = r
@@ -844,6 +857,7 @@ fn decode_parsed(
                 }
             }
         }
+        freelist::give_back(planes);
         return Ok(out);
     }
 
@@ -867,7 +881,7 @@ fn decode_parsed(
         .collect();
     let mut planes = component_planes::<f32>(hdr)?;
     {
-        let _s = trace::span("stage:tier1-decode").cat("stage");
+        let _s = stage_span("stage:tier1-decode");
         decode_blocks(&parsed, max_layers, lenient, |blk, x0, y0, bw, vals| {
             let (plane, delta) = (&mut planes[blk.comp], deltas[blk.band_idx]);
             for (y, row) in vals.chunks_exact(bw).enumerate() {
@@ -876,7 +890,7 @@ fn decode_parsed(
         })?;
     }
     {
-        let _s = trace::span("stage:idwt").cat("stage");
+        let _s = stage_span("stage:idwt");
         match hdr.arithmetic {
             Arithmetic::Float32 => {
                 for p in &mut planes {
@@ -903,7 +917,7 @@ fn decode_parsed(
             }
         }
     }
-    let _s = trace::span("stage:output").cat("stage");
+    let _s = stage_span("stage:output");
     let [mut sr, mut sg, mut sb] = [vec![0i32; ow], vec![0i32; ow], vec![0i32; ow]];
     match (&planes[..], &mut out.planes[..]) {
         ([py, pb, pr], [r, g, b]) if hdr.mct => {
@@ -935,6 +949,7 @@ fn decode_parsed(
             }
         }
     }
+    freelist::give_back(planes);
     Ok(out)
 }
 

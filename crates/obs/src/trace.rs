@@ -57,6 +57,36 @@ pub fn now_ns() -> u64 {
     epoch().elapsed().as_nanos() as u64
 }
 
+/// The process's minor page faults so far (field 10, `minflt`, of
+/// `/proc/self/stat`), or `None` where that file is absent. A span's
+/// `minflt` arg is the difference of two readings: faults taken by every
+/// thread of the process in between, the span's helpers included.
+pub fn minor_faults() -> Option<u64> {
+    minflt_of("/proc/self/stat")
+}
+
+/// The calling thread's minor page faults so far, from
+/// `/proc/thread-self/stat`, or `None` where that file is absent.
+pub fn thread_minor_faults() -> Option<u64> {
+    minflt_of("/proc/thread-self/stat")
+}
+
+/// Field 10 of a `stat` file.
+fn minflt_of(path: &str) -> Option<u64> {
+    let stat = std::fs::read_to_string(path).ok()?;
+    // The command name (field 2) is parenthesized and may hold spaces.
+    let (_, rest) = stat.rsplit_once(')')?;
+    rest.split_whitespace().nth(7)?.parse().ok()
+}
+
+/// The `minflt` arg of an interval that began when [`minor_faults`] read
+/// `at`: the process's faults since. `None`, with no second reading, when
+/// `at` is; `None` when the file cannot be read again.
+pub fn minflt_since(at: Option<u64>) -> Option<(&'static str, u64)> {
+    let at = at?;
+    Some(("minflt", minor_faults()?.saturating_sub(at)))
+}
+
 /// Turn recording on or off. Enabling pins the epoch so the first
 /// event does not pay the `OnceLock` initialisation inside a span.
 pub fn set_enabled(on: bool) {
@@ -183,6 +213,8 @@ struct SpanInner {
     trace_id: u64,
     start_ns: u64,
     args: Vec<(&'static str, u64)>,
+    /// [`minor_faults`] when the span was asked to count them.
+    faults: Option<u64>,
 }
 
 impl Span {
@@ -215,11 +247,24 @@ impl Span {
         }
         self
     }
+
+    /// Count the process's minor page faults over the span (builder
+    /// style): [`minor_faults`] is read now and again when the span ends,
+    /// just before its end time, and the difference becomes the `minflt`
+    /// arg. No arg where `/proc/self/stat` is absent.
+    pub fn minflt(mut self) -> Span {
+        if let Some(i) = self.inner.as_mut() {
+            i.faults = minor_faults();
+        }
+        self
+    }
 }
 
 impl Drop for Span {
     fn drop(&mut self) {
-        if let Some(i) = self.inner.take() {
+        if let Some(mut i) = self.inner.take() {
+            // Only a span asked to count faults reads them again.
+            i.args.extend(minflt_since(i.faults));
             let end = now_ns();
             push(Event {
                 trace_id: i.trace_id,
@@ -250,6 +295,7 @@ pub fn span(name: impl Into<Cow<'static, str>>) -> Span {
             trace_id: current(),
             start_ns: now_ns(),
             args: Vec::new(),
+            faults: None,
         }),
     }
 }
@@ -475,6 +521,39 @@ mod tests {
         let evs = take_job(id);
         assert_eq!(evs[0].name, "crash");
         set_enabled(false);
+    }
+
+    #[test]
+    fn a_minflt_span_counts_the_faults_it_covers() {
+        let _g = guard();
+        let Some(before) = minor_faults() else {
+            eprintln!("no /proc/self/stat: skipped");
+            return;
+        };
+        set_enabled(true);
+        let id = next_trace_id();
+        set_current(id);
+        {
+            let _s = span("touch").minflt();
+            // 64 fresh pages, each written once.
+            let mut pages = vec![0u8; 64 << 12];
+            for p in pages.chunks_mut(4096) {
+                p[0] = 1;
+            }
+            std::hint::black_box(&pages);
+        }
+        drop(span("plain"));
+        let evs = take_job(id);
+        set_current(0);
+        set_enabled(false);
+        let minflt = evs[0].args.iter().find(|(k, _)| *k == "minflt");
+        assert!(
+            matches!(minflt, Some(&(_, n)) if n >= 64),
+            "{:?}",
+            evs[0].args
+        );
+        assert!(evs[1].args.is_empty(), "only an asked span counts");
+        assert!(minor_faults().unwrap() >= before + 64);
     }
 
     #[test]

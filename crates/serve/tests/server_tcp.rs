@@ -200,6 +200,42 @@ fn tcp_decode_closes_the_loop() {
     server.join().unwrap();
 }
 
+/// A connection thread keeps the planes of its last decode for the next
+/// one of that geometry: decodes of two sizes in turn on one connection,
+/// lossless and lossy, each equal the same decode on the test thread.
+#[test]
+fn decodes_of_different_sizes_on_one_connection_are_exact() {
+    let (addr, server) = start_server(ServiceConfig::default());
+    let mut conn = TcpStream::connect(addr).unwrap();
+    let large = imgio::synth::natural_rgb(96, 80, 4);
+    let small = imgio::synth::natural_rgb(40, 24, 5);
+    for params in [EncoderParams::lossless(), EncoderParams::lossy(0.3)] {
+        for im in [&large, &small, &large] {
+            let cs = j2k_core::encode(im, &params).unwrap();
+            let want = j2k_core::decode(&cs).unwrap();
+            if params.mode == j2k_core::Mode::Lossless {
+                assert_eq!(want, *im);
+            }
+            let req = Request::Decode(DecodeRequest {
+                max_layers: 0,
+                discard_levels: 0,
+                codestream: cs,
+            });
+            match call(&mut conn, &req, DEFAULT_MAX_FRAME).unwrap() {
+                Response::DecodeOk(back) => {
+                    assert!(back == want, "{}x{} {:?}", im.width, im.height, params.mode)
+                }
+                other => panic!("unexpected response {other:?}"),
+            }
+        }
+    }
+    assert_eq!(
+        call(&mut conn, &Request::Shutdown, DEFAULT_MAX_FRAME).unwrap(),
+        Response::Pong
+    );
+    server.join().unwrap();
+}
+
 /// The wire `Metrics` reply is the document the metrics port serves: with
 /// no job in flight, byte for byte what `render_prometheus` renders.
 #[test]

@@ -350,3 +350,33 @@ fn shutdown_is_idempotent_and_drop_safe() {
     assert!(matches!(h.wait(), JobOutcome::Completed { .. }));
     drop(svc); // Drop runs shutdown again; must not hang or panic.
 }
+
+/// A pool worker keeps the working planes of its last job for the next
+/// job of that geometry: a large job, a small job of another sample type,
+/// then the large one again, each byte-identical to `encode`.
+#[test]
+fn one_worker_replies_stay_byte_identical_across_job_geometries() {
+    let svc = EncodeService::start(ServiceConfig {
+        pool_threads: 1,
+        ..ServiceConfig::default()
+    });
+    let large = (
+        imgio::synth::natural_rgb(768, 768, 7),
+        EncoderParams {
+            coder: j2k_core::Coder::Ht,
+            ..EncoderParams::lossy(0.1)
+        },
+    );
+    let small = (imgio::synth::natural(64, 64, 8), EncoderParams::lossless());
+    for (i, (image, params)) in [&large, &small, &large].into_iter().enumerate() {
+        let h = svc.submit(EncodeJob::new(image.clone(), *params)).unwrap();
+        match h.wait() {
+            JobOutcome::Completed { codestream, .. } => assert!(
+                codestream == j2k_core::encode(image, params).unwrap(),
+                "job {i} differs from encode"
+            ),
+            other => panic!("job {i}: unexpected outcome {other:?}"),
+        }
+    }
+    assert_eq!(svc.metrics().completed, 3);
+}
